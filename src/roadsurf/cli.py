@@ -1,8 +1,26 @@
 """Command line pipeline: load grids, filter the mask, fit, mesh, evaluate.
 
-Subcommands: synth, filter, fit, mesh, eval, run, ablate.  Exit codes:
-0 success, 1 usage error, 2 stage failure (message "stage <name>: <reason>"
-on stderr).  Stage names are grid, filter, fit, mesh, metrics.
+Each subcommand runs a slice of the stage list grid -> filter -> fit ->
+mesh -> metrics; its stages, required inputs and artifacts (in --out-dir):
+
+  filter  grid, filter       dsm, mask               mask_filtered.asc
+  fit     grid, filter, fit  dsm, dtm, mask          surface.txt, loss_trace.csv
+  mesh    grid, mesh         dsm, mask, --surface    mesh.obj
+  eval    grid, metrics      dsm, dtm, mask, --mesh  metrics.csv
+  run     all five, then the plane and RGT baselines unless baselines is
+          off; dsm, dtm, mask; the five artifacts above, mesh.obj colored
+          by its error
+  ablate  the stages before the swept key's stage once, the rest once per
+          --values entry, no baselines; dsm, dtm, mask; ablate.csv
+
+mesh meshes the --surface file and eval scores the --mesh file.  A slice
+without the filter stage uses the input mask as the filtered mask.  Ground
+truth defaults to the masked DSM and the unmasked DTM cells.  synth writes a
+synthetic tile: dsm, dtm, mask, gt_road, gt_terrain and provenance layers.
+
+Exit codes: 0 success, 1 usage error, 2 stage failure (message
+"stage <name>: <reason>" on stderr).  Stage names are grid, filter, fit,
+mesh, metrics.
 
 Configuration comes from an INI-style file (sections [paths], [filter],
 [surface], [fit], [sampling], [metrics]) and each key can be overridden by
@@ -19,10 +37,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
+from types import SimpleNamespace
 
 from . import fit as fitmod
 from . import grid as gridmod
@@ -30,9 +47,9 @@ from . import mesh as meshmod
 from . import metrics as metricsmod
 from . import synth as synthmod
 from .filtering import FilterParams, run_filter
-from .grid import Mask, PointGrid, Raster
+from .grid import PointGrid
 from .metrics import MetricReport
-from .nurbs import NurbsSurface, load_surface, save_surface
+from .nurbs import load_surface, save_surface
 
 
 class StageError(RuntimeError):
@@ -40,7 +57,6 @@ class StageError(RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
-        self.stage = stage
 
 
 class UsageError(ValueError):
@@ -51,148 +67,99 @@ class UsageError(ValueError):
 # configuration
 
 
+def _key(section: str, default):
+    """A config field read from [section] of the INI file."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class PipelineConfig:
     """Every pipeline knob in one flat record.
 
-    Sub-configs for the individual stages are derived on demand so their
-    own validation applies.
+    Each field's INI key is its name without the "<section>_" prefix.  The
+    stages' own config classes are built on demand so their validation applies.
     """
 
-    dsm: Path | None = None
-    dtm: Path | None = None
-    mask: Path | None = None
-    gt_road: Path | None = None
-    gt_terrain: Path | None = None
-    out_dir: Path = Path("out")
-    filter_enabled: bool = True
-    theta_xy: float = 10.0
-    theta_z: float = 0.5
-    top_k: int = 1
-    num_ctrl_u: int = 35
-    num_ctrl_v: int = 35
-    degree_u: int = 3
-    degree_v: int = 3
-    lambda_terrain: float = 1.0
-    lambda_reg: float = 0.05
-    learning_rate: float = 0.1
-    max_iters: int = 200
-    early_stop_patience: int = 10
-    early_stop_min_delta: float = 1e-4
-    road_rate: float = 1.0
-    terrain_rate: float = 10.0
-    baselines: bool = True
+    dsm: Path | None = _key("paths", None)
+    dtm: Path | None = _key("paths", None)
+    mask: Path | None = _key("paths", None)
+    gt_road: Path | None = _key("paths", None)
+    gt_terrain: Path | None = _key("paths", None)
+    out_dir: Path = _key("paths", Path("out"))
+    filter_enabled: bool = _key("filter", True)
+    theta_xy: float = _key("filter", 10.0)
+    theta_z: float = _key("filter", 0.5)
+    top_k: int = _key("filter", 1)
+    num_ctrl_u: int = _key("surface", 35)
+    num_ctrl_v: int = _key("surface", 35)
+    degree_u: int = _key("surface", 3)
+    degree_v: int = _key("surface", 3)
+    lambda_terrain: float = _key("fit", 1.0)
+    lambda_reg: float = _key("fit", 0.05)
+    learning_rate: float = _key("fit", 0.1)
+    max_iters: int = _key("fit", 200)
+    early_stop_patience: int = _key("fit", 10)
+    early_stop_min_delta: float = _key("fit", 1e-4)
+    road_rate: float = _key("sampling", 1.0)
+    terrain_rate: float = _key("sampling", 10.0)
+    baselines: bool = _key("metrics", True)
 
-    def filter_params(self) -> FilterParams:
-        return FilterParams(theta_xy=self.theta_xy, theta_z=self.theta_z,
-                            top_k=self.top_k)
-
-    def loss_weights(self) -> fitmod.LossWeights:
-        return fitmod.LossWeights(lambda_terrain=self.lambda_terrain,
-                                  lambda_reg=self.lambda_reg)
-
-    def fit_config(self) -> fitmod.FitConfig:
-        return fitmod.FitConfig(learning_rate=self.learning_rate,
-                                max_iters=self.max_iters,
-                                early_stop_patience=self.early_stop_patience,
-                                early_stop_min_delta=self.early_stop_min_delta)
-
-    def sampling_config(self) -> meshmod.SamplingConfig:
-        return meshmod.SamplingConfig(road_rate=self.road_rate,
-                                      terrain_rate=self.terrain_rate)
+    def stage_config(self, cls):
+        """A stage's own config class, built from the fields of the same name."""
+        return cls(**{spec.name: getattr(self, spec.name) for spec in fields(cls)
+                      if spec.name in _SECTIONS})
 
     def validate(self) -> None:
-        self.filter_params()
-        self.loss_weights()
-        self.fit_config()
-        self.sampling_config()
+        for cls in (FilterParams, fitmod.LossWeights, fitmod.FitConfig,
+                    meshmod.SamplingConfig):
+            self.stage_config(cls)
         if self.num_ctrl_u < self.degree_u + 1 or self.num_ctrl_v < self.degree_v + 1:
-            raise UsageError("control grid must have at least degree+1 points per axis")
+            raise ValueError("control grid must have at least degree+1 points per axis")
 
 
 def _parse_bool(text: str) -> bool:
-    key = text.strip().lower()
-    if key in ("1", "true", "yes", "on"):
-        return True
-    if key in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
-# (section, ini key) -> config field; flags use the field name with dashes
-_INI_MAP = {
-    ("paths", "dsm"): "dsm",
-    ("paths", "dtm"): "dtm",
-    ("paths", "mask"): "mask",
-    ("paths", "gt_road"): "gt_road",
-    ("paths", "gt_terrain"): "gt_terrain",
-    ("paths", "out_dir"): "out_dir",
-    ("filter", "enabled"): "filter_enabled",
-    ("filter", "theta_xy"): "theta_xy",
-    ("filter", "theta_z"): "theta_z",
-    ("filter", "top_k"): "top_k",
-    ("surface", "num_ctrl_u"): "num_ctrl_u",
-    ("surface", "num_ctrl_v"): "num_ctrl_v",
-    ("surface", "degree_u"): "degree_u",
-    ("surface", "degree_v"): "degree_v",
-    ("fit", "lambda_terrain"): "lambda_terrain",
-    ("fit", "lambda_reg"): "lambda_reg",
-    ("fit", "learning_rate"): "learning_rate",
-    ("fit", "max_iters"): "max_iters",
-    ("fit", "early_stop_patience"): "early_stop_patience",
-    ("fit", "early_stop_min_delta"): "early_stop_min_delta",
-    ("sampling", "road_rate"): "road_rate",
-    ("sampling", "terrain_rate"): "terrain_rate",
-    ("metrics", "baselines"): "baselines",
-}
-
-
-def _field_casters() -> dict[str, object]:
-    casters = {}
-    for spec in fields(PipelineConfig):
-        if spec.name in ("dsm", "dtm", "mask", "gt_road", "gt_terrain", "out_dir"):
-            casters[spec.name] = Path
-        elif spec.type == "bool":
-            casters[spec.name] = _parse_bool
-        elif spec.type == "int":
-            casters[spec.name] = int
-        else:
-            casters[spec.name] = float
-    return casters
-
-
-_CASTERS = _field_casters()
-
-
-def load_config_file(path: Path, config: PipelineConfig) -> None:
-    """Apply an INI config file over the given config in place."""
-    if not path.exists():
-        raise UsageError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        parser.read(path)
-    except configparser.Error as err:
-        raise UsageError(f"{path}: {err}") from None
-    for section in parser.sections():
-        for key, raw in parser.items(section):
-            name = _INI_MAP.get((section, key))
-            if name is None:
-                raise UsageError(f"{path}: unknown config key [{section}] {key}")
-            try:
-                setattr(config, name, _CASTERS[name](raw))
-            except ValueError as err:
-                raise UsageError(f"{path}: [{section}] {key}: {err}") from None
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
+
+
+# the stage each INI section feeds; [metrics] baselines also switches the
+# baseline meshes that run scores after the NURBS TIN
+_SECTION_STAGE = {"paths": "grid", "filter": "filter", "surface": "fit", "fit": "fit",
+                  "sampling": "mesh", "metrics": "metrics"}
+_SECTIONS = {spec.name: spec.metadata["section"] for spec in fields(PipelineConfig)}
+_INI_KEYS = {(section, name.removeprefix(section + "_")): name
+             for name, section in _SECTIONS.items()}
+_CASTERS = {spec.name: {"bool": _parse_bool, "int": int, "float": float}.get(spec.type, Path)
+            for spec in fields(PipelineConfig)}
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
-    """Defaults, overridden by the config file, overridden by flags."""
+    """Defaults, overridden by the --config INI file, overridden by flags."""
     config = PipelineConfig()
-    if getattr(args, "config", None) is not None:
-        load_config_file(args.config, config)
-    for spec in fields(PipelineConfig):
-        value = getattr(args, spec.name, None)
+    path = getattr(args, "config", None)
+    if path is not None:
+        if not path.exists():
+            raise UsageError(f"config file not found: {path}")
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        try:
+            parser.read(path)
+        except configparser.Error as err:
+            raise UsageError(f"{path}: {err}") from None
+        for section in parser.sections():
+            for key, raw in parser.items(section):
+                name = _INI_KEYS.get((section, key))
+                if name is None:
+                    raise UsageError(f"{path}: unknown config key [{section}] {key}")
+                try:
+                    setattr(config, name, _CASTERS[name](raw))
+                except ValueError as err:
+                    raise UsageError(f"{path}: [{section}] {key}: {err}") from None
+    for name in _SECTIONS:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(config, spec.name, value)
+            setattr(config, name, value)
     try:
         config.validate()
     except ValueError as err:
@@ -201,177 +168,110 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# stage execution
+# stages
+#
+# A stage reads the config and what earlier stages left in the state, and
+# adds its own results.  ``state.stages`` names the slice being run.
 
 
-@dataclass
-class PreparedInputs:
-    """Everything the grid and filter stages produce."""
-
-    dsm: Raster
-    dtm: Raster
-    mask: Mask                 # input road mask on the DSM grid
-    mask_plus: Mask            # after the cluster filter (== mask when disabled)
-    road_points: PointGrid     # filtered road points
-    gt_road: PointGrid
-    gt_terrain: PointGrid
-
-
-@dataclass
-class PipelineResult:
-    mesh: meshmod.TinMesh
-    metrics: MetricReport
-    fit_report: fitmod.FitReport
-    surface: NurbsSurface
-    prepared: PreparedInputs
-    artifacts: dict[str, Path] = field(default_factory=dict)
-    plane_metrics: MetricReport | None = None
-    rgt_metrics: MetricReport | None = None
-
-
-def _require(path: Path | None, name: str, stage: str) -> Path:
+def _require(path: Path | None, name: str) -> Path:
     if path is None:
-        raise UsageError(f"{name} path is required")
+        raise ValueError(f"{name} path is required")
     if not Path(path).exists():
-        raise StageError(stage, f"file not found: {path}")
+        raise FileNotFoundError(f"file not found: {path}")
     return Path(path)
 
 
-def _load_point_layer(path: Path) -> PointGrid:
-    raster = gridmod.load_raster(path)
-    return gridmod.point_grid_from_raster(raster)
+def _ground_truth(path: Path | None, default: PointGrid) -> PointGrid:
+    if path is None:
+        return default
+    return gridmod.point_grid_from_raster(gridmod.load_raster(_require(path, "ground truth")))
 
 
-def prepare_inputs(config: PipelineConfig) -> PreparedInputs:
-    """Run the grid and filter stages: load, resample, extract, FILTER."""
-    try:
-        dsm = gridmod.load_raster(_require(config.dsm, "dsm", "grid"))
-        dtm = gridmod.load_raster(_require(config.dtm, "dtm", "grid"))
-        mask = gridmod.load_mask(_require(config.mask, "mask", "grid"))
-        if not mask.georef_equals(dsm):
-            mask = gridmod.resample_mask(mask, dsm)
-        if not dtm.georef_equals(dsm):
+def grid_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """DSM, road mask on the DSM grid, and the masked DSM cells as road
+    points; slices that fit or score a surface also load the DTM and the
+    ground truth."""
+    dsm = gridmod.load_raster(_require(config.dsm, "dsm"))
+    mask = gridmod.load_mask(_require(config.mask, "mask"))
+    if not mask.georef_equals(dsm):
+        mask = gridmod.resample_mask(mask, dsm)
+    state.dsm, state.mask = dsm, mask
+    state.road_points = gridmod.extract_road_points(dsm, mask)
+    state.filtered_points, state.mask_plus = state.road_points, mask  # until filtered
+    if "fit" in state.stages or "metrics" in state.stages:
+        state.dtm = gridmod.load_raster(_require(config.dtm, "dtm"))
+        if not state.dtm.georef_equals(dsm):
             raise ValueError("dsm and dtm grids do not match")
-        road_points = gridmod.extract_road_points(dsm, mask)
-        if config.gt_road is not None:
-            gt_road = _load_point_layer(_require(config.gt_road, "gt_road", "grid"))
-        else:
-            gt_road = road_points
-        if config.gt_terrain is not None:
-            gt_terrain = _load_point_layer(
-                _require(config.gt_terrain, "gt_terrain", "grid"))
-        else:
-            gt_terrain = gridmod.extract_terrain_points(dtm, mask)
-    except StageError:
-        raise
-    except (OSError, ValueError) as err:
-        raise StageError("grid", str(err)) from err
+        state.gt_road = _ground_truth(config.gt_road, state.road_points)
+        state.gt_terrain = _ground_truth(config.gt_terrain,
+                                         gridmod.extract_terrain_points(state.dtm, mask))
 
+
+def filter_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """Cluster filter of the road points into mask_plus."""
     if config.filter_enabled:
-        try:
-            filtered, mask_plus = run_filter(road_points, config.filter_params())
-        except ValueError as err:
-            raise StageError("filter", str(err)) from err
-    else:
-        filtered, mask_plus = road_points, mask
-    return PreparedInputs(dsm=dsm, dtm=dtm, mask=mask, mask_plus=mask_plus,
-                          road_points=filtered,
-                          gt_road=gt_road, gt_terrain=gt_terrain)
+        state.filtered_points, state.mask_plus = run_filter(
+            state.road_points, config.stage_config(FilterParams))
 
 
-def run_pipeline(config: PipelineConfig,
-                 prepared: PreparedInputs | None = None,
-                 write_artifacts: bool = True) -> PipelineResult:
-    """Full chain: grid -> filter -> fit -> mesh -> metrics.
-
-    Writes mask_filtered.asc, surface.txt, loss_trace.csv, mesh.obj (with
-    per-vertex error colors) and metrics.csv under config.out_dir.
-    """
-    prep = prepared if prepared is not None else prepare_inputs(config)
-
-    try:
-        surface0 = fitmod.initialize_surface(
-            prep.dsm, prep.dtm, num_ctrl_u=config.num_ctrl_u,
-            num_ctrl_v=config.num_ctrl_v, degree_u=config.degree_u,
-            degree_v=config.degree_v)
-        surface, report = fitmod.fit(surface0, prep.dsm, prep.dtm,
-                                     prep.mask_plus, config.loss_weights(),
-                                     config.fit_config())
-    except fitmod.FitDivergedError as err:
-        raise StageError("fit", str(err)) from err
-    except ValueError as err:
-        raise StageError("fit", str(err)) from err
-
-    try:
-        tin = meshmod.build_tin(surface, prep.mask_plus, config.sampling_config())
-    except (ValueError, RuntimeError) as err:
-        raise StageError("mesh", str(err)) from err
-
-    try:
-        metric_report = metricsmod.evaluate_all(tin, prep.gt_road,
-                                                prep.gt_terrain, prep.mask_plus)
-    except ValueError as err:
-        raise StageError("metrics", str(err)) from err
-
-    result = PipelineResult(mesh=tin, metrics=metric_report, fit_report=report,
-                            surface=surface, prepared=prep)
-    if config.baselines:
-        result.plane_metrics, result.rgt_metrics = run_baselines(config, prep)
-
-    if write_artifacts:
-        result.artifacts = _write_artifacts(config, result)
-    return result
+def fit_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    surface0 = fitmod.initialize_surface(
+        state.dsm, state.dtm, num_ctrl_u=config.num_ctrl_u,
+        num_ctrl_v=config.num_ctrl_v, degree_u=config.degree_u,
+        degree_v=config.degree_v)
+    state.surface, state.fit_report = fitmod.fit(
+        surface0, state.dsm, state.dtm, state.mask_plus,
+        config.stage_config(fitmod.LossWeights), config.stage_config(fitmod.FitConfig))
 
 
-def run_baselines(config: PipelineConfig,
-                  prepared: PreparedInputs | None = None
-                  ) -> tuple[MetricReport, MetricReport]:
+def mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """Dual-rate TIN of the fitted surface, or of the --surface file."""
+    if "fit" not in state.stages:
+        state.surface = load_surface(_require(state.args.surface, "surface"))
+    state.tin = meshmod.build_tin(state.surface, state.mask_plus,
+                                  config.stage_config(meshmod.SamplingConfig))
+    state.meshes = {"nurbs": state.tin}
+
+
+def metrics_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """Adds the scores of the meshes built last, or of the --mesh file under
+    the --method name, to state.reports."""
+    if "mesh" not in state.stages:
+        state.meshes = {state.args.method: meshmod.load_mesh(_require(state.args.mesh, "mesh"))}
+    state.reports = {**state.reports, **{
+        name: metricsmod.evaluate_all(mesh, state.gt_road, state.gt_terrain, state.mask_plus)
+        for name, mesh in state.meshes.items()}}
+
+
+def baseline_mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     """Plane fit on the filtered road points; regular grid triangulation of the DSM."""
-    prep = prepared if prepared is not None else prepare_inputs(config)
-    try:
-        model = meshmod.fit_plane(prep.road_points)
-        x0, x1, y0, y1 = prep.dsm.center_extent
-        plane = meshmod.plane_mesh(model, (x0, x1), (y0, y1))
-        rgt = meshmod.rgt_mesh(prep.dsm)
-    except ValueError as err:
-        raise StageError("mesh", str(err)) from err
-    try:
-        plane_report = metricsmod.evaluate_all(plane, prep.gt_road,
-                                               prep.gt_terrain, prep.mask_plus)
-        rgt_report = metricsmod.evaluate_all(rgt, prep.gt_road,
-                                             prep.gt_terrain, prep.mask_plus)
-    except ValueError as err:
-        raise StageError("metrics", str(err)) from err
-    return plane_report, rgt_report
+    state.meshes = {}
+    if config.baselines:
+        model = meshmod.fit_plane(state.filtered_points)
+        x0, x1, y0, y1 = state.dsm.center_extent
+        state.meshes = {"plane": meshmod.plane_mesh(model, (x0, x1), (y0, y1)),
+                        "rgt": meshmod.rgt_mesh(state.dsm)}
 
 
-def ablate_parameter(config: PipelineConfig, param: str,
-                     values: list[str]) -> list[tuple[str, MetricReport]]:
-    """Re-run the pipeline once per value of a single config key."""
-    rows = []
-    for raw in values:
-        variant = PipelineConfig(**{f.name: getattr(config, f.name)
-                                    for f in fields(PipelineConfig)})
-        if param == "sampling_rates":
-            try:
-                road, terrain = (float(v) for v in raw.split("/"))
-            except ValueError:
-                raise UsageError(
-                    f"sampling_rates values look like road/terrain, got {raw!r}")
-            variant.road_rate, variant.terrain_rate = road, terrain
-        elif param in _CASTERS and param not in ("dsm", "dtm", "mask", "gt_road",
-                                                 "gt_terrain", "out_dir"):
-            try:
-                setattr(variant, param, _CASTERS[param](raw))
-            except ValueError as err:
-                raise UsageError(f"--values: {err}") from None
-        else:
-            raise UsageError(f"unknown ablation parameter {param!r}")
-        variant.baselines = False
-        variant.validate()
-        result = run_pipeline(variant, write_artifacts=False)
-        rows.append((raw, result.metrics))
-    return rows
+STAGES = (("grid", grid_stage), ("filter", filter_stage), ("fit", fit_stage),
+          ("mesh", mesh_stage), ("metrics", metrics_stage))
+BASELINES = (("mesh", baseline_mesh_stage), ("metrics", metrics_stage))
+
+
+def _slice(*names: str) -> tuple:
+    return tuple(stage for stage in STAGES if stage[0] in names)
+
+
+def run_stages(config: PipelineConfig, state: SimpleNamespace,
+               stages: tuple) -> SimpleNamespace:
+    """Runs (name, stage) pairs in order; what a stage raises becomes StageError(name)."""
+    for name, stage in stages:
+        try:
+            stage(config, state)
+        except (OSError, ValueError, RuntimeError) as err:
+            raise StageError(name, str(err)) from err
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -403,97 +303,112 @@ def _metric_cells(report: MetricReport) -> list[str]:
             _fmt(report.terrain_coverage)]
 
 
-def write_metrics_csv(path: Path, rows: list[tuple[str, MetricReport]]) -> None:
-    lines = ["method," + ",".join(METRIC_COLUMNS)]
-    for name, report in rows:
-        lines.append(",".join([name] + _metric_cells(report)))
+def write_metrics_csv(path: Path, labels: tuple[str, ...],
+                      rows: list[tuple[list[str], MetricReport]]) -> None:
+    """One row per report: its label cells, then METRIC_COLUMNS."""
+    lines = [",".join(labels + METRIC_COLUMNS)]
+    lines += [",".join(cells + _metric_cells(report)) for cells, report in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _vertex_errors(mesh: meshmod.TinMesh, prep: PreparedInputs) -> np.ndarray:
-    """Per-vertex |z - ground truth| for mesh coloring.
-
-    Each vertex is classified by its nearest mask cell and compared against
-    a NaN-aware bilinear sample of the matching ground-truth layer; vertices
-    with no finite support get error 0.
-    """
-    x, y, z = mesh.vertices.T
-    i, j = prep.mask_plus.nearest_cell(x, y)
-    on_road = prep.mask_plus.bits[j, i] == 1
-    errors = np.zeros(len(x))
-    for layer, sel in ((prep.gt_road, on_road), (prep.gt_terrain, ~on_road)):
-        if not np.any(sel):
-            continue
-        ref = _bilinear(layer, x[sel], y[sel])
-        diff = np.abs(z[sel] - ref)
-        errors[sel] = np.where(np.isfinite(diff), diff, 0.0)
-    return errors
+def _write_mesh(state: SimpleNamespace, path: Path) -> None:
+    """The NURBS TIN, colored by its error where ground truth was loaded."""
+    tin = state.tin
+    if "metrics" in state.stages:
+        errors = metricsmod.vertex_errors(tin, state.gt_road, state.gt_terrain,
+                                          state.mask_plus)
+        tin = meshmod.TinMesh(tin.vertices, tin.triangles, vertex_attr=errors)
+    meshmod.export_mesh(tin, path)
 
 
-def _bilinear(layer: PointGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    fx = np.clip((x - layer.origin_x) / layer.cell_size_x, 0, layer.width - 1)
-    fy = np.clip((y - layer.origin_y) / layer.cell_size_y, 0, layer.height - 1)
-    i0 = np.clip(np.floor(fx).astype(int), 0, layer.width - 2)
-    j0 = np.clip(np.floor(fy).astype(int), 0, layer.height - 2)
-    tx = fx - i0
-    ty = fy - j0
-    corners = ((layer.z[j0, i0], (1 - tx) * (1 - ty)),
-               (layer.z[j0, i0 + 1], tx * (1 - ty)),
-               (layer.z[j0 + 1, i0], (1 - tx) * ty),
-               (layer.z[j0 + 1, i0 + 1], tx * ty))
-    num = np.zeros_like(fx)
-    den = np.zeros_like(fx)
-    for zc, w in corners:
-        good = np.isfinite(zc)
-        num += np.where(good, w * zc, 0.0)
-        den += np.where(good, w, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return num / den
+# file name -> writer(state, path)
+ARTIFACTS = {
+    "mask_filtered.asc": lambda state, path: gridmod.save_mask(state.mask_plus, path),
+    "surface.txt": lambda state, path: save_surface(state.surface, path),
+    "loss_trace.csv": lambda state, path: _write_loss_trace(path, state.fit_report),
+    "mesh.obj": _write_mesh,
+    "metrics.csv": lambda state, path: write_metrics_csv(
+        path, ("method",), [([name], report) for name, report in state.reports.items()]),
+}
 
 
-def _write_artifacts(config: PipelineConfig, result: PipelineResult) -> dict[str, Path]:
+def _out_dir(config: PipelineConfig) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prep = result.prepared
-    paths = {
-        "mask_filtered": out / "mask_filtered.asc",
-        "surface": out / "surface.txt",
-        "loss_trace": out / "loss_trace.csv",
-        "mesh": out / "mesh.obj",
-        "metrics": out / "metrics.csv",
-    }
-    gridmod.save_mask(prep.mask_plus, paths["mask_filtered"])
-    save_surface(result.surface, paths["surface"])
-    _write_loss_trace(paths["loss_trace"], result.fit_report)
-    colored = meshmod.TinMesh(result.mesh.vertices, result.mesh.triangles,
-                              vertex_attr=_vertex_errors(result.mesh, prep))
-    meshmod.export_mesh(colored, paths["mesh"])
-    rows = [("nurbs", result.metrics)]
-    if result.plane_metrics is not None and result.rgt_metrics is not None:
-        rows += [("plane", result.plane_metrics), ("rgt", result.rgt_metrics)]
-    write_metrics_csv(paths["metrics"], rows)
-    return paths
+    return out
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _print_metrics(name: str, report: MetricReport) -> None:
-    print(f"{name}: l2_road={report.l2_road:.4f} l2_terrain={report.l2_terrain:.4f} "
-          f"mad_road={report.mad_road:.4f} mad_terrain={report.mad_terrain:.4f} "
-          f"triangles={report.triangle_count}")
+def _metrics_line(name: str, report: MetricReport) -> str:
+    return (f"{name}: l2_road={report.l2_road:.4f} l2_terrain={report.l2_terrain:.4f} "
+            f"mad_road={report.mad_road:.4f} mad_terrain={report.mad_terrain:.4f} "
+            f"triangles={report.triangle_count}")
+
+
+def _grid_lines(state: SimpleNamespace) -> list[str]:
+    return [f"grid: {state.dsm.width}x{state.dsm.height} cells, {state.mask.count} road cells",
+            f"filter: kept {state.mask_plus.count} road cells"]
+
+
+def _filter_line(state: SimpleNamespace) -> list[str]:
+    kept, total = state.filtered_points.count, state.road_points.count
+    return [f"filter: kept {kept} of {total} road cells ({total - kept} removed)"]
+
+
+def _fit_line(state: SimpleNamespace) -> list[str]:
+    report = state.fit_report
+    return [f"fit: {report.iterations} iterations ({report.stop_reason}), "
+            f"best loss {report.best_loss:.6f}"]
+
+
+def _mesh_line(state: SimpleNamespace) -> list[str]:
+    tin = state.tin
+    return [f"mesh: {len(tin.vertices)} vertices, {tin.triangle_count} triangles"]
+
+
+def _metrics_lines(state: SimpleNamespace) -> list[str]:
+    return [_metrics_line(name, report) for name, report in state.reports.items()]
+
+
+# subcommand -> (stages it runs, artifacts in the order reported, summary lines)
+PIPELINES = {
+    "filter": (_slice("grid", "filter"), ("mask_filtered.asc",), (_filter_line,)),
+    "fit": (_slice("grid", "filter", "fit"), ("surface.txt", "loss_trace.csv"), (_fit_line,)),
+    "mesh": (_slice("grid", "mesh"), ("mesh.obj",), (_mesh_line,)),
+    "eval": (_slice("grid", "metrics"), ("metrics.csv",), (_metrics_lines,)),
+    "run": (STAGES + BASELINES, tuple(sorted(ARTIFACTS)),
+            (_grid_lines, _fit_line, _mesh_line, _metrics_lines)),
+}
+
+
+def cmd_pipeline(args: argparse.Namespace) -> int:
+    """Run the subcommand's stages, write its artifacts, print its summary."""
+    stages, artifacts, summary = PIPELINES[args.command]
+    config = build_config(args)
+    state = SimpleNamespace(stages={name for name, _ in stages}, args=args, reports={})
+    run_stages(config, state, stages)
+    out = _out_dir(config)
+    for name in artifacts:
+        ARTIFACTS[name](state, out / name)
+    for line in [line for lines in summary for line in lines(state)] + [
+            f"wrote {out / name}" for name in artifacts]:
+        print(line)
+    return 0
+
+
+SYNTH_FLAGS = {"seed": int, "vehicles": int, "trees": int, "facades": int,
+               "jitter_sigma": float, "road_width": float, "target_road_fraction": float,
+               "corrupt_mask": _parse_bool}
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = synthmod.parse_scene_file(args.scene) if args.scene else synthmod.SceneSpec()
-    for name in ("seed", "vehicles", "trees", "facades", "jitter_sigma",
-                 "corrupt_mask", "target_road_fraction", "road_width"):
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(spec, name, value)
     try:
-        spec.__post_init__()
+        spec = synthmod.parse_scene_file(args.scene) if args.scene else synthmod.SceneSpec()
+        flags = {name: getattr(args, name) for name in SYNTH_FLAGS}
+        spec = replace(spec, **{name: value for name, value in flags.items() if value is not None})
         scene = synthmod.generate(spec)
         paths = synthmod.save_scene(scene, args.out)
     except (ValueError, OSError) as err:
@@ -509,157 +424,47 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    config = build_config(args)
+def _ablation_variant(config: PipelineConfig, param: str, raw: str) -> PipelineConfig:
+    """The config with the swept key set to one --values entry, validated."""
+    if param == "sampling_rates":
+        try:
+            road, terrain = (float(v) for v in raw.split("/"))
+        except ValueError:
+            raise UsageError(
+                f"sampling_rates values look like road/terrain, got {raw!r}") from None
+        changes = {"road_rate": road, "terrain_rate": terrain}
+    elif param in _SECTIONS and _SECTIONS[param] != "paths":
+        changes = {param: raw}
+    else:
+        raise UsageError(f"unknown ablation parameter {param!r}")
     try:
-        dsm = gridmod.load_raster(_require(config.dsm, "dsm", "grid"))
-        mask = gridmod.load_mask(_require(config.mask, "mask", "grid"))
-        if not mask.georef_equals(dsm):
-            mask = gridmod.resample_mask(mask, dsm)
-        points = gridmod.extract_road_points(dsm, mask)
-    except StageError:
-        raise
-    except (OSError, ValueError) as err:
-        raise StageError("grid", str(err)) from err
-    try:
-        filtered, mask_plus = run_filter(points, config.filter_params())
+        variant = replace(config, **{key: _CASTERS[key](value)
+                                     for key, value in changes.items()})
+        variant.validate()
     except ValueError as err:
-        raise StageError("filter", str(err)) from err
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    gridmod.save_mask(mask_plus, out / "mask_filtered.asc")
-    removed = points.count - filtered.count
-    print(f"filter: kept {filtered.count} of {points.count} road cells "
-          f"({removed} removed)")
-    print(f"wrote {out / 'mask_filtered.asc'}")
-    return 0
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    prep = prepare_inputs(config)
-    try:
-        surface0 = fitmod.initialize_surface(
-            prep.dsm, prep.dtm, num_ctrl_u=config.num_ctrl_u,
-            num_ctrl_v=config.num_ctrl_v, degree_u=config.degree_u,
-            degree_v=config.degree_v)
-        surface, report = fitmod.fit(surface0, prep.dsm, prep.dtm,
-                                     prep.mask_plus, config.loss_weights(),
-                                     config.fit_config())
-    except (fitmod.FitDivergedError, ValueError) as err:
-        raise StageError("fit", str(err)) from err
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_surface(surface, out / "surface.txt")
-    _write_loss_trace(out / "loss_trace.csv", report)
-    print(f"fit: {report.iterations} iterations ({report.stop_reason}), "
-          f"best loss {report.best_loss:.6f}")
-    print(f"wrote {out / 'surface.txt'}")
-    print(f"wrote {out / 'loss_trace.csv'}")
-    return 0
-
-
-def cmd_mesh(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    try:
-        surface = load_surface(_require(args.surface, "surface", "mesh"))
-    except ValueError as err:
-        raise StageError("mesh", str(err)) from err
-    try:
-        dsm = gridmod.load_raster(_require(config.dsm, "dsm", "grid"))
-        mask = gridmod.load_mask(_require(config.mask, "mask", "grid"))
-        if not mask.georef_equals(dsm):
-            mask = gridmod.resample_mask(mask, dsm)
-    except StageError:
-        raise
-    except (OSError, ValueError) as err:
-        raise StageError("grid", str(err)) from err
-    try:
-        tin = meshmod.build_tin(surface, mask, config.sampling_config())
-    except (ValueError, RuntimeError) as err:
-        raise StageError("mesh", str(err)) from err
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    meshmod.export_mesh(tin, out / "mesh.obj")
-    print(f"mesh: {len(tin.vertices)} vertices, {tin.triangle_count} triangles")
-    print(f"wrote {out / 'mesh.obj'}")
-    return 0
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    try:
-        tin = meshmod.load_mesh(_require(args.mesh, "mesh", "metrics"))
-    except ValueError as err:
-        raise StageError("metrics", str(err)) from err
-    try:
-        dsm = gridmod.load_raster(_require(config.dsm, "dsm", "grid"))
-        dtm = gridmod.load_raster(_require(config.dtm, "dtm", "grid"))
-        mask = gridmod.load_mask(_require(config.mask, "mask", "grid"))
-        if not mask.georef_equals(dsm):
-            mask = gridmod.resample_mask(mask, dsm)
-        if config.gt_road is not None:
-            gt_road = _load_point_layer(_require(config.gt_road, "gt_road", "grid"))
-        else:
-            gt_road = gridmod.extract_road_points(dsm, mask)
-        if config.gt_terrain is not None:
-            gt_terrain = _load_point_layer(
-                _require(config.gt_terrain, "gt_terrain", "grid"))
-        else:
-            gt_terrain = gridmod.extract_terrain_points(dtm, mask)
-    except StageError:
-        raise
-    except (OSError, ValueError) as err:
-        raise StageError("grid", str(err)) from err
-    try:
-        report = metricsmod.evaluate_all(tin, gt_road, gt_terrain, mask)
-    except ValueError as err:
-        raise StageError("metrics", str(err)) from err
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(out / "metrics.csv", [(args.method, report)])
-    _print_metrics(args.method, report)
-    print(f"wrote {out / 'metrics.csv'}")
-    return 0
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    result = run_pipeline(config)
-    report = result.fit_report
-    prep = result.prepared
-    print(f"grid: {prep.dsm.width}x{prep.dsm.height} cells, "
-          f"{prep.mask.count} road cells")
-    print(f"filter: kept {prep.mask_plus.count} road cells")
-    print(f"fit: {report.iterations} iterations ({report.stop_reason}), "
-          f"best loss {report.best_loss:.6f}")
-    print(f"mesh: {len(result.mesh.vertices)} vertices, "
-          f"{result.mesh.triangle_count} triangles")
-    _print_metrics("nurbs", result.metrics)
-    if result.plane_metrics is not None:
-        _print_metrics("plane", result.plane_metrics)
-    if result.rgt_metrics is not None:
-        _print_metrics("rgt", result.rgt_metrics)
-    for name in sorted(result.artifacts):
-        print(f"wrote {result.artifacts[name]}")
-    return 0
+        raise UsageError(f"--values: {err}") from None
+    return variant
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    """Stages before the one the swept key feeds run once; the rest once per value."""
     config = build_config(args)
     values = [v for v in args.values.split(",") if v]
     if not values:
         raise UsageError("--values must list at least one value")
-    rows = ablate_parameter(config, args.param, values)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = ["param,value," + ",".join(METRIC_COLUMNS)]
-    for raw, report in rows:
-        lines.append(",".join([args.param, raw] + _metric_cells(report)))
-    path = out / "ablate.csv"
-    path.write_text("\n".join(lines) + "\n")
-    for raw, report in rows:
-        _print_metrics(f"{args.param}={raw}", report)
+    variants = [_ablation_variant(config, args.param, raw) for raw in values]
+    key = "road_rate" if args.param == "sampling_rates" else args.param
+    names = [name for name, _ in STAGES]
+    first = names.index(_SECTION_STAGE[_SECTIONS[key]])
+    shared = run_stages(config, SimpleNamespace(stages=set(names), args=args, reports={}),
+                        STAGES[:first])
+    reports = [run_stages(variant, SimpleNamespace(**vars(shared)), STAGES[first:])
+               .reports["nurbs"] for variant in variants]
+    path = _out_dir(config) / "ablate.csv"
+    write_metrics_csv(path, ("param", "value"),
+                      [([args.param, raw], report) for raw, report in zip(values, reports)])
+    for raw, report in zip(values, reports):
+        print(_metrics_line(f"{args.param}={raw}", report))
     print(f"wrote {path}")
     return 0
 
@@ -673,15 +478,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", type=Path, default=None,
-                     help="INI config file; flags override its keys")
-    for name, caster in _CASTERS.items():
-        flag = "--" + name.replace("_", "-")
-        sub.add_argument(flag, dest=name, type=caster, default=None,
-                         help=argparse.SUPPRESS)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="roadsurf",
                      description="Road surface refinement pipeline")
@@ -691,54 +487,36 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--scene", type=Path, default=None,
                        help="scene spec file (key value per line)")
     synth.add_argument("--out", type=Path, required=True)
-    synth.add_argument("--seed", type=int, default=None)
-    synth.add_argument("--vehicles", type=int, default=None)
-    synth.add_argument("--trees", type=int, default=None)
-    synth.add_argument("--facades", type=int, default=None)
-    synth.add_argument("--jitter-sigma", dest="jitter_sigma", type=float,
-                       default=None)
-    synth.add_argument("--road-width", dest="road_width", type=float, default=None)
-    synth.add_argument("--target-road-fraction", dest="target_road_fraction",
-                       type=float, default=None)
-    synth.add_argument("--corrupt-mask", dest="corrupt_mask", type=_parse_bool,
-                       default=None)
+    for name, caster in SYNTH_FLAGS.items():
+        synth.add_argument("--" + name.replace("_", "-"), dest=name, type=caster,
+                           default=None)
     synth.set_defaults(func=cmd_synth)
 
-    for name, func, extras in (
-            ("filter", cmd_filter, ()),
-            ("fit", cmd_fit, ()),
-            ("mesh", cmd_mesh, ("surface",)),
-            ("eval", cmd_eval, ("mesh", "method")),
-            ("run", cmd_run, ()),
-            ("ablate", cmd_ablate, ("param", "values"))):
-        sub = subs.add_parser(name, help=f"{name} stage")
-        _add_config_flags(sub)
-        if "surface" in extras:
-            sub.add_argument("--surface", type=Path, required=True,
-                             help="serialized surface from the fit stage")
-        if "mesh" in extras:
-            sub.add_argument("--mesh", type=Path, required=True,
-                             help="OBJ mesh to evaluate")
-        if "method" in extras:
-            sub.add_argument("--method", default="mesh",
-                             help="method name for the CSV row")
-        if "param" in extras:
-            sub.add_argument("--param", required=True,
-                             help="config key to sweep (or sampling_rates)")
-            sub.add_argument("--values", required=True,
-                             help="comma-separated values")
-        sub.set_defaults(func=func)
+    subcommands = {}
+    for name in ("filter", "fit", "mesh", "eval", "run", "ablate"):
+        subcommands[name] = sub = subs.add_parser(name, help=f"{name} stage")
+        sub.add_argument("--config", type=Path, default=None,
+                         help="INI config file; flags override its keys")
+        for key, caster in _CASTERS.items():
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, type=caster,
+                             default=None, help=argparse.SUPPRESS)
+        sub.set_defaults(func=cmd_ablate if name == "ablate" else cmd_pipeline)
+    subcommands["mesh"].add_argument("--surface", type=Path, required=True,
+                                     help="serialized surface from the fit stage")
+    subcommands["eval"].add_argument("--mesh", type=Path, required=True,
+                                     help="OBJ mesh to evaluate")
+    subcommands["eval"].add_argument("--method", default="mesh",
+                                     help="method name for the CSV row")
+    subcommands["ablate"].add_argument("--param", required=True,
+                                       help="config key to sweep (or sampling_rates)")
+    subcommands["ablate"].add_argument("--values", required=True,
+                                       help="comma-separated values")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

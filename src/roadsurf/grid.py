@@ -156,21 +156,6 @@ class Mask(GridGeoref):
     def count(self) -> int:
         return int(self.bits.sum())
 
-    def complement(self) -> "Mask":
-        return Mask(self.width, self.height, self.cell_size_x, self.cell_size_y,
-                    self.origin_x, self.origin_y, 1 - self.bits)
-
-
-@dataclass
-class GridPoint:
-    """A single grid cell viewed as a 3D point at its cell center."""
-
-    i: int
-    j: int
-    x: float
-    y: float
-    z: float
-
 
 @dataclass
 class PointGrid(GridGeoref):
@@ -201,10 +186,6 @@ class PointGrid(GridGeoref):
         """Occupied (i, j) pairs in row-major scan order (j outer, i inner)."""
         jj, ii = np.nonzero(self.occupancy)
         return [(int(i), int(j)) for j, i in zip(jj, ii)]
-
-    def point(self, i: int, j: int) -> GridPoint:
-        x, y = self.cell_to_world(i, j)
-        return GridPoint(i, j, float(x), float(y), float(self.z[j, i]))
 
     def xyz(self) -> np.ndarray:
         """(N, 3) array of occupied points in row-major scan order."""

@@ -387,14 +387,17 @@ def load_mesh(path: str | Path) -> TinMesh:
         parts = line.split()
         if not parts:
             continue
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise ValueError(f"{path}:{line_no}: vertex line needs 3 coordinates")
-            vertices.append([float(v) for v in parts[1:4]])
-        elif parts[0] == "f":
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{line_no}: only triangle faces are supported")
-            faces.append([int(v.split("/")[0]) - 1 for v in parts[1:]])
+        try:
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    raise ValueError("vertex line needs 3 coordinates")
+                vertices.append([float(v) for v in parts[1:4]])
+            elif parts[0] == "f":
+                if len(parts) != 4:
+                    raise ValueError("only triangle faces are supported")
+                faces.append([int(v.split("/")[0]) - 1 for v in parts[1:]])
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_no}: {err}") from None
     if not vertices or not faces:
         raise ValueError(f"{path}: no mesh content found")
     return TinMesh(np.array(vertices), np.array(faces))

@@ -163,21 +163,6 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     return dist, covered
 
 
-def l2_error(mesh: TinMesh, gt_points: PointGrid) -> float:
-    """Mean distance from covered ground-truth points to the mesh.
-
-    Points whose plan position falls outside the triangulated region are
-    excluded; raises ValueError when nothing is covered or inputs are empty.
-    """
-    xyz = gt_points.xyz()
-    if len(xyz) == 0:
-        raise ValueError("no ground-truth points")
-    dist, covered = point_mesh_distances(mesh, xyz)
-    if not covered.any():
-        raise ValueError("no ground-truth point is covered by the mesh")
-    return float(dist[covered].mean())
-
-
 def face_normals(mesh: TinMesh) -> np.ndarray:
     tri = mesh.vertices[mesh.triangles]
     n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
@@ -218,16 +203,6 @@ def _pair_angles(mesh: TinMesh, pairs: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(np.clip(dots, 0.0, 1.0)))
 
 
-def mad(mesh: TinMesh) -> float:
-    """Mean angular difference of normals over edge-adjacent face pairs,
-    in degrees within [0, 90].  Faces with fewer neighbors simply contribute
-    fewer pairs; raises ValueError when no two faces share an edge."""
-    pairs = _adjacent_pairs(mesh.triangles)
-    if len(pairs) == 0:
-        raise ValueError("mesh has no adjacent faces")
-    return float(_pair_angles(mesh, pairs).mean())
-
-
 def split_mesh_by_mask(mesh: TinMesh, mask_plus: Mask) -> tuple[TinMesh, TinMesh]:
     """Partition triangles by the mask bit of the cell nearest each
     triangle's plan-view centroid.  Returns (road mesh, terrain mesh); both
@@ -241,8 +216,6 @@ def split_mesh_by_mask(mesh: TinMesh, mask_plus: Mask) -> tuple[TinMesh, TinMesh
 
 
 def _mad_or_zero(submesh: TinMesh) -> float:
-    if len(submesh.triangles) == 0:
-        return 0.0
     pairs = _adjacent_pairs(submesh.triangles)
     if len(pairs) == 0:
         return 0.0
@@ -274,3 +247,45 @@ def evaluate_all(mesh: TinMesh, gt_road: PointGrid, gt_terrain: PointGrid,
         road_coverage=float(c_road.mean()),
         terrain_coverage=float(c_terr.mean()),
     )
+
+
+def vertex_errors(mesh: TinMesh, gt_road: PointGrid, gt_terrain: PointGrid,
+                  mask_plus: Mask) -> np.ndarray:
+    """Per-vertex |z - ground truth| for mesh coloring.
+
+    Each vertex is classified by its nearest mask cell and compared against
+    a NaN-aware bilinear sample of the matching ground-truth layer; vertices
+    with no finite support get error 0.
+    """
+    x, y, z = mesh.vertices.T
+    i, j = mask_plus.nearest_cell(x, y)
+    on_road = mask_plus.bits[j, i] == 1
+    errors = np.zeros(len(x))
+    for layer, sel in ((gt_road, on_road), (gt_terrain, ~on_road)):
+        if not np.any(sel):
+            continue
+        ref = _bilinear(layer, x[sel], y[sel])
+        diff = np.abs(z[sel] - ref)
+        errors[sel] = np.where(np.isfinite(diff), diff, 0.0)
+    return errors
+
+
+def _bilinear(layer: PointGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    fx = np.clip((x - layer.origin_x) / layer.cell_size_x, 0, layer.width - 1)
+    fy = np.clip((y - layer.origin_y) / layer.cell_size_y, 0, layer.height - 1)
+    i0 = np.clip(np.floor(fx).astype(int), 0, layer.width - 2)
+    j0 = np.clip(np.floor(fy).astype(int), 0, layer.height - 2)
+    tx = fx - i0
+    ty = fy - j0
+    corners = ((layer.z[j0, i0], (1 - tx) * (1 - ty)),
+               (layer.z[j0, i0 + 1], tx * (1 - ty)),
+               (layer.z[j0 + 1, i0], (1 - tx) * ty),
+               (layer.z[j0 + 1, i0 + 1], tx * ty))
+    num = np.zeros_like(fx)
+    den = np.zeros_like(fx)
+    for zc, w in corners:
+        good = np.isfinite(zc)
+        num += np.where(good, w * zc, 0.0)
+        den += np.where(good, w, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return num / den

@@ -329,25 +329,28 @@ def load_surface(path: str | Path) -> NurbsSurface:
     ``xy_frozen 0|1``, the two knot vectors, and one ``cp x y z w`` line per
     control point in row-major (u-major) order.
     """
-    text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith("roadsurf-surface"):
+    lines = [(n, line.split()) for n, line in
+             enumerate(Path(path).read_text().splitlines(), start=1) if line.strip()]
+    if not lines or not lines[0][1][0].startswith("roadsurf-surface"):
         raise ValueError(f"{path}: not a surface file")
-    fields: dict[str, list[str]] = {}
+    casts = {"cp": float, "knots_u": float, "knots_v": float, "degree": int, "shape": int, "xy_frozen": int}
+    fields: dict[str, list] = {}
     cps: list[list[float]] = []
-    for line in text[1:]:
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "cp":
-            cps.append([float(v) for v in parts[1:]])
+    for line_no, (key, *raw) in lines[1:]:
+        try:
+            values = [casts.get(key, str)(v) for v in raw]
+        except ValueError as err:
+            raise ValueError(f"{path}:{line_no}: {err}") from None
+        if key == "cp":
+            cps.append(values)
         else:
-            fields[parts[0]] = parts[1:]
+            fields[key] = values
     try:
-        p, q = (int(v) for v in fields["degree"])
-        nu, nv = (int(v) for v in fields["shape"])
-        frozen = bool(int(fields["xy_frozen"][0]))
-        knots_u = np.array([float(v) for v in fields["knots_u"]])
-        knots_v = np.array([float(v) for v in fields["knots_v"]])
+        p, q = fields["degree"]
+        nu, nv = fields["shape"]
+        frozen = bool(fields["xy_frozen"][0])
+        knots_u = np.array(fields["knots_u"])
+        knots_v = np.array(fields["knots_v"])
     except KeyError as missing:
         raise ValueError(f"{path}: missing field {missing}") from None
     if len(cps) != nu * nv or any(len(c) != 4 for c in cps):

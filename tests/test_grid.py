@@ -183,8 +183,7 @@ class TestPointExtraction:
         mask = Mask(3, 3, 2.0, 2.0, 10.0, 20.0, bits)
         points = extract_road_points(dsm, mask)
         assert points.count == 1
-        p = points.point(1, 1)
-        assert (p.x, p.y, p.z) == (12.0, 22.0, 5.0)
+        npt.assert_array_equal(points.xyz(), [[12.0, 22.0, 5.0]])
 
     def test_count_oracle_with_nodata(self):
         rng = np.random.default_rng(7)
@@ -269,10 +268,6 @@ class TestDataModel:
     def test_mask_bit_check(self):
         with pytest.raises(ValueError, match="0 or 1"):
             Mask(2, 2, 1.0, 1.0, 0.0, 0.0, np.full((2, 2), 2))
-
-    def test_mask_complement(self):
-        mask = Mask(2, 2, 1.0, 1.0, 0.0, 0.0, np.array([[1, 0], [1, 1]]))
-        npt.assert_array_equal(mask.complement().bits, [[0, 1], [0, 0]])
 
     def test_point_grid_xyz_row_major(self):
         z = np.array([[1.0, np.nan], [np.nan, 4.0]])
