@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -47,7 +48,7 @@ from . import mesh as meshmod
 from . import metrics as metricsmod
 from . import synth as synthmod
 from .filtering import FilterParams, run_filter
-from .grid import PointGrid
+from .grid import Raster
 from .metrics import MetricReport
 from .nurbs import load_surface, save_surface
 
@@ -110,6 +111,10 @@ class PipelineConfig:
                       if spec.name in _SECTIONS})
 
     def validate(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value}")
         for cls in (FilterParams, fitmod.LossWeights, fitmod.FitConfig,
                     meshmod.SamplingConfig):
             self.stage_config(cls)
@@ -182,10 +187,10 @@ def _require(path: Path | None, name: str) -> Path:
     return Path(path)
 
 
-def _ground_truth(path: Path | None, default: PointGrid) -> PointGrid:
+def _ground_truth(path: Path | None, default: Raster) -> Raster:
     if path is None:
         return default
-    return gridmod.point_grid_from_raster(gridmod.load_raster(_require(path, "ground truth")))
+    return gridmod.load_raster(_require(path, "ground truth"))
 
 
 def grid_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -333,8 +338,12 @@ ARTIFACTS = {
 
 
 def _out_dir(config: PipelineConfig) -> Path:
+    """--out-dir, created before any stage runs so a bad path fails fast."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(f"--out-dir: {err}") from None
     return out
 
 
@@ -388,9 +397,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     """Run the subcommand's stages, write its artifacts, print its summary."""
     stages, artifacts, summary = PIPELINES[args.command]
     config = build_config(args)
+    out = _out_dir(config)
     state = SimpleNamespace(stages={name for name, _ in stages}, args=args, reports={})
     run_stages(config, state, stages)
-    out = _out_dir(config)
     for name in artifacts:
         ARTIFACTS[name](state, out / name)
     for line in [line for lines in summary for line in lines(state)] + [
@@ -456,11 +465,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     key = "road_rate" if args.param == "sampling_rates" else args.param
     names = [name for name, _ in STAGES]
     first = names.index(_SECTION_STAGE[_SECTIONS[key]])
+    path = _out_dir(config) / "ablate.csv"
     shared = run_stages(config, SimpleNamespace(stages=set(names), args=args, reports={}),
                         STAGES[:first])
     reports = [run_stages(variant, SimpleNamespace(**vars(shared)), STAGES[first:])
                .reports["nurbs"] for variant in variants]
-    path = _out_dir(config) / "ablate.csv"
     write_metrics_csv(path, ("param", "value"),
                       [([args.param, raw], report) for raw, report in zip(values, reports)])
     for raw, report in zip(values, reports):

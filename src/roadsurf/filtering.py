@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Mask, PointGrid
+from .grid import Mask, Raster
 
 # 8-neighborhood offsets (di, dj), fixed enumeration order
 NEIGHBOR_OFFSETS = [
@@ -57,11 +57,11 @@ def _shift_slices(di: int, dj: int, width: int, height: int):
     return a, b
 
 
-def get_neighbors(points: PointGrid, theta_z: float) -> dict[tuple[int, int], list[tuple[int, int]]]:
+def get_neighbors(points: Raster, theta_z: float) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """Adjacency between points on 8-connected cells whose elevation gap is
     at most theta_z (inclusive). The relation is symmetric."""
-    occ = points.occupancy
-    z = points.z
+    occ = points.valid
+    z = points.values
     nbrs: dict[tuple[int, int], list[tuple[int, int]]] = {p: [] for p in points.indices()}
     for di, dj in NEIGHBOR_OFFSETS:
         a, b = _shift_slices(di, dj, points.width, points.height)
@@ -79,7 +79,7 @@ def get_neighbors(points: PointGrid, theta_z: float) -> dict[tuple[int, int], li
     return nbrs
 
 
-def grow_regions(points: PointGrid,
+def grow_regions(points: Raster,
                  neighbors: dict[tuple[int, int], list[tuple[int, int]]]) -> LabelGrid:
     """Connected components of the neighbor relation.
 
@@ -119,7 +119,7 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def merge_clusters(points: PointGrid, labels: LabelGrid,
+def merge_clusters(points: Raster, labels: LabelGrid,
                    theta_xy: float, theta_z: float) -> LabelGrid:
     """Merge clusters that have at least one point pair within theta_xy in
     plan distance and theta_z in elevation; closure is transitive.
@@ -127,9 +127,9 @@ def merge_clusters(points: PointGrid, labels: LabelGrid,
     Merged labels are renumbered contiguously from 1 in order of first
     appearance in a row-major scan.
     """
-    occ = points.occupancy
+    occ = points.valid
     if labels.label_count > 1:
-        z = points.z
+        z = points.values
         lab = labels.labels
         xs = points.origin_x + np.arange(points.width) * points.cell_size_x
         ys = points.origin_y + np.arange(points.height) * points.cell_size_y
@@ -177,7 +177,7 @@ def merge_clusters(points: PointGrid, labels: LabelGrid,
     return LabelGrid(out, count)
 
 
-def clean_clusters(points: PointGrid, labels: LabelGrid,
+def clean_clusters(points: Raster, labels: LabelGrid,
                    top_k: int) -> tuple[LabelGrid, Mask]:
     """Keep the top_k clusters by point count (ties keep the smaller label).
 
@@ -203,7 +203,7 @@ def clean_clusters(points: PointGrid, labels: LabelGrid,
     return LabelGrid(out, kept_count), mask
 
 
-def run_filter(points: PointGrid, params: FilterParams) -> tuple[PointGrid, Mask]:
+def run_filter(points: Raster, params: FilterParams) -> tuple[Raster, Mask]:
     """Full filter chain: neighbors, region growing, merging, cleaning.
 
     Returns the retained points and the cleaned mask. The retained points are

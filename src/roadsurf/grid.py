@@ -1,4 +1,8 @@
-"""Georeferenced elevation rasters, binary masks, and grid-indexed point sets.
+"""Georeferenced elevation rasters and binary masks.
+
+``Raster`` is the one type for elevation grids and for point sets on grid
+cells: an extracted set of road or terrain points is a raster whose cells
+without a point are NaN.
 
 Conventions shared by the whole package:
 
@@ -20,7 +24,7 @@ south to north, rows are flipped on load and save.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +117,8 @@ class GridGeoref:
 
 @dataclass
 class Raster(GridGeoref):
-    """Elevation grid. ``values`` has shape (H, W); NaN marks missing cells."""
+    """Elevation grid or point set. ``values`` has shape (H, W); NaN marks
+    missing cells, or cells that carry no point."""
 
     values: np.ndarray = None
 
@@ -132,6 +137,27 @@ class Raster(GridGeoref):
     @property
     def valid(self) -> np.ndarray:
         return ~np.isnan(self.values)
+
+    @property
+    def count(self) -> int:
+        return int(self.valid.sum())
+
+    def indices(self) -> list[tuple[int, int]]:
+        """Valid (i, j) pairs in row-major scan order (j outer, i inner)."""
+        jj, ii = np.nonzero(self.valid)
+        return [(int(i), int(j)) for j, i in zip(jj, ii)]
+
+    def xyz(self) -> np.ndarray:
+        """(N, 3) array of valid cells as points, in row-major scan order."""
+        jj, ii = np.nonzero(self.valid)
+        x, y = self.cell_to_world(ii, jj)
+        return np.column_stack([x, y, self.values[jj, ii]])
+
+    def subset(self, mask: Mask) -> Raster:
+        """Cells of self whose mask bit is 1; the others become NaN."""
+        if (mask.height, mask.width) != (self.height, self.width):
+            raise ValueError("mask dimensions do not match raster")
+        return replace(self, values=np.where(mask.bits == 1, self.values, np.nan))
 
 
 @dataclass
@@ -155,52 +181,6 @@ class Mask(GridGeoref):
     @property
     def count(self) -> int:
         return int(self.bits.sum())
-
-
-@dataclass
-class PointGrid(GridGeoref):
-    """Sparse set of elevation points that live on grid cells.
-
-    ``z`` has shape (H, W); NaN marks cells that carry no point.
-    """
-
-    z: np.ndarray = None
-
-    def __post_init__(self):
-        self._check_georef()
-        self.z = np.asarray(self.z, dtype=float)
-        if self.z.shape != (self.height, self.width):
-            raise ValueError(
-                f"z shape {self.z.shape} does not match (H, W)=({self.height}, {self.width})"
-            )
-
-    @property
-    def occupancy(self) -> np.ndarray:
-        return ~np.isnan(self.z)
-
-    @property
-    def count(self) -> int:
-        return int(self.occupancy.sum())
-
-    def indices(self) -> list[tuple[int, int]]:
-        """Occupied (i, j) pairs in row-major scan order (j outer, i inner)."""
-        jj, ii = np.nonzero(self.occupancy)
-        return [(int(i), int(j)) for j, i in zip(jj, ii)]
-
-    def xyz(self) -> np.ndarray:
-        """(N, 3) array of occupied points in row-major scan order."""
-        occ = self.occupancy
-        jj, ii = np.nonzero(occ)
-        x, y = self.cell_to_world(ii, jj)
-        return np.column_stack([x, y, self.z[jj, ii]])
-
-    def subset(self, mask: Mask) -> "PointGrid":
-        """Points of self whose mask bit is 1."""
-        if (mask.height, mask.width) != (self.height, self.width):
-            raise ValueError("mask dimensions do not match point grid")
-        z = np.where(mask.bits == 1, self.z, np.nan)
-        return PointGrid(self.width, self.height, self.cell_size_x, self.cell_size_y,
-                         self.origin_x, self.origin_y, z)
 
 
 def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
@@ -332,25 +312,13 @@ def resample_mask(mask: Mask, target: Raster) -> Mask:
                 target.origin_x, target.origin_y, bits)
 
 
-def extract_road_points(dsm: Raster, mask: Mask) -> PointGrid:
-    """Points of the DSM whose mask bit is 1 and whose value is present."""
-    if (mask.height, mask.width) != (dsm.height, dsm.width):
-        raise ValueError("mask dimensions do not match raster")
-    z = np.where((mask.bits == 1) & dsm.valid, dsm.values, np.nan)
-    return PointGrid(dsm.width, dsm.height, dsm.cell_size_x, dsm.cell_size_y,
-                     dsm.origin_x, dsm.origin_y, z)
+def extract_road_points(dsm: Raster, mask: Mask) -> Raster:
+    """Cells of the DSM whose mask bit is 1 and whose value is present."""
+    return dsm.subset(mask)
 
 
-def extract_terrain_points(dtm: Raster, road_mask: Mask) -> PointGrid:
-    """Points of the DTM outside the road mask with values present."""
+def extract_terrain_points(dtm: Raster, road_mask: Mask) -> Raster:
+    """Cells of the DTM outside the road mask with values present."""
     if (road_mask.height, road_mask.width) != (dtm.height, dtm.width):
         raise ValueError("mask dimensions do not match raster")
-    z = np.where((road_mask.bits == 0) & dtm.valid, dtm.values, np.nan)
-    return PointGrid(dtm.width, dtm.height, dtm.cell_size_x, dtm.cell_size_y,
-                     dtm.origin_x, dtm.origin_y, z)
-
-
-def point_grid_from_raster(raster: Raster) -> PointGrid:
-    """All present cells of a raster as a PointGrid."""
-    return PointGrid(raster.width, raster.height, raster.cell_size_x, raster.cell_size_y,
-                     raster.origin_x, raster.origin_y, raster.values.copy())
+    return replace(dtm, values=np.where(road_mask.bits == 0, dtm.values, np.nan))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Mask, PointGrid, Raster
+from .grid import Mask, Raster
 from .nurbs import NurbsSurface, evaluate_grid
 
 # relative slack on in-circle tests; exact cocircular quads may take either diagonal
@@ -302,8 +302,8 @@ def build_tin(surface: NurbsSurface, mask_plus: Mask, config: SamplingConfig) ->
     return TinMesh(samples, delaunay(samples[:, :2]))
 
 
-def fit_plane(points: PointGrid) -> PlaneModel:
-    """Least-squares plane through a point grid."""
+def fit_plane(points: Raster) -> PlaneModel:
+    """Least-squares plane through the valid cells of a raster."""
     xyz = points.xyz()
     if len(xyz) < 3:
         raise ValueError("need at least 3 points to fit a plane")

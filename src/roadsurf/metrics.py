@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Mask, PointGrid
+from .grid import Mask, Raster
 from .mesh import TinMesh
 
 
@@ -222,7 +222,7 @@ def _mad_or_zero(submesh: TinMesh) -> float:
     return float(_pair_angles(submesh, pairs).mean())
 
 
-def evaluate_all(mesh: TinMesh, gt_road: PointGrid, gt_terrain: PointGrid,
+def evaluate_all(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
                  mask_plus: Mask) -> MetricReport:
     """Accuracy against both ground-truth sets plus per-class smoothness.
 
@@ -249,7 +249,7 @@ def evaluate_all(mesh: TinMesh, gt_road: PointGrid, gt_terrain: PointGrid,
     )
 
 
-def vertex_errors(mesh: TinMesh, gt_road: PointGrid, gt_terrain: PointGrid,
+def vertex_errors(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
                   mask_plus: Mask) -> np.ndarray:
     """Per-vertex |z - ground truth| for mesh coloring.
 
@@ -270,17 +270,17 @@ def vertex_errors(mesh: TinMesh, gt_road: PointGrid, gt_terrain: PointGrid,
     return errors
 
 
-def _bilinear(layer: PointGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _bilinear(layer: Raster, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     fx = np.clip((x - layer.origin_x) / layer.cell_size_x, 0, layer.width - 1)
     fy = np.clip((y - layer.origin_y) / layer.cell_size_y, 0, layer.height - 1)
     i0 = np.clip(np.floor(fx).astype(int), 0, layer.width - 2)
     j0 = np.clip(np.floor(fy).astype(int), 0, layer.height - 2)
     tx = fx - i0
     ty = fy - j0
-    corners = ((layer.z[j0, i0], (1 - tx) * (1 - ty)),
-               (layer.z[j0, i0 + 1], tx * (1 - ty)),
-               (layer.z[j0 + 1, i0], (1 - tx) * ty),
-               (layer.z[j0 + 1, i0 + 1], tx * ty))
+    corners = ((layer.values[j0, i0], (1 - tx) * (1 - ty)),
+               (layer.values[j0, i0 + 1], tx * (1 - ty)),
+               (layer.values[j0 + 1, i0], (1 - tx) * ty),
+               (layer.values[j0 + 1, i0 + 1], tx * ty))
     num = np.zeros_like(fx)
     den = np.zeros_like(fx)
     for zc, w in corners:

@@ -8,8 +8,9 @@ control points, and positive per-control weights:
 Basis functions follow the standard recursion with the convention that
 degree-0 boxes are half-open on the right, except that the final span of the
 domain is closed so the upper domain end evaluates to the last control point.
-Only (p+1)(q+1) basis products are nonzero at any parameter, which all
-evaluation and gradient routines exploit.
+Only (p+1)(q+1) basis products are nonzero at any parameter; basis_matrix
+forms just those, for all parameters at once.  The single-point evaluate and
+gradients take full-grid basis rows, whose other entries are exact zeros.
 
 Surfaces used for terrain work keep their control x/y fixed on a uniform
 lattice (``xy_frozen``); the lattice corners define an affine map between
@@ -46,74 +47,37 @@ def uniform_clamped_knots(num_ctrl: int, degree: int, low: float = 0.0,
     return np.concatenate([np.full(degree + 1, low), inner, np.full(degree + 1, high)])
 
 
-def find_span(knots: np.ndarray, degree: int, u: float) -> int:
-    """Index of the knot span containing u.
+def basis_matrix(knots: np.ndarray, degree: int, params: np.ndarray) -> np.ndarray:
+    """Dense matrix B with B[k, i] = N_i(params[k]) over all control indices.
 
-    For u at the upper domain end the last nonempty span is returned, which
-    closes that span on the right.
-    """
-    n = len(knots) - degree - 2  # highest control index
-    if u >= knots[n + 1]:
-        return n
-    if u <= knots[degree]:
-        return degree
-    lo, hi = degree, n + 1
-    mid = (lo + hi) // 2
-    while u < knots[mid] or u >= knots[mid + 1]:
-        if u < knots[mid]:
-            hi = mid
-        else:
-            lo = mid
-        mid = (lo + hi) // 2
-    return mid
-
-
-@dataclass
-class BasisSpan:
-    """Nonzero basis values at one parameter: indices span-degree .. span."""
-
-    span: int
-    values: np.ndarray
-
-
-def basis_functions(knots: np.ndarray, degree: int, u: float) -> BasisSpan:
-    """The degree+1 nonzero basis functions at u.
-
-    Raises ValueError for u outside the knot domain. Values are computed with
-    the stable triangular recurrence; 0/0 terms never arise because only
-    nonzero-span contributions are formed.
+    Raises ValueError for a parameter outside the knot domain.  All rows run
+    the stable triangular recurrence together over the degree+1 functions
+    nonzero in their knot spans, so 0/0 terms never arise.
     """
     knots = np.asarray(knots, dtype=float)
-    lo, hi = knots[degree], knots[-degree - 1]
+    u = np.asarray(params, dtype=float).reshape(-1)
+    num_ctrl = len(knots) - degree - 1
+    lo, hi = knots[degree], knots[num_ctrl]
     eps = 1e-12 * max(1.0, abs(hi - lo))
-    if u < lo - eps or u > hi + eps:
-        raise ValueError(f"parameter {u!r} outside domain [{lo!r}, {hi!r}]")
-    u = min(max(u, lo), hi)
-    span = find_span(knots, degree, u)
-    values = np.zeros(degree + 1)
-    left = np.zeros(degree + 1)
-    right = np.zeros(degree + 1)
-    values[0] = 1.0
+    outside = (u < lo - eps) | (u > hi + eps)
+    if outside.any():
+        raise ValueError(f"parameter {u[outside][0]} outside domain [{lo}, {hi}]")
+    u = np.clip(u, lo, hi)
+    # the last nonempty span is closed on the right, so hi lands in it
+    span = np.clip(np.searchsorted(knots, u, side="right") - 1, degree, num_ctrl - 1)
+    j = np.arange(degree + 1)
+    left = u[:, None] - knots[span[:, None] + 1 - j]   # left[:, d] = u - knots[span + 1 - d]
+    right = knots[span[:, None] + j] - u[:, None]      # right[:, d] = knots[span + d] - u
+    values = np.ones((u.size, degree + 1))  # column d is set by pass d before any read
     for d in range(1, degree + 1):
-        left[d] = u - knots[span + 1 - d]
-        right[d] = knots[span + d] - u
         saved = 0.0
         for r in range(d):
-            tmp = values[r] / (right[r + 1] + left[d - r])
-            values[r] = saved + right[r + 1] * tmp
-            saved = left[d - r] * tmp
-        values[d] = saved
-    return BasisSpan(span, values)
-
-
-def basis_matrix(knots: np.ndarray, degree: int, params: np.ndarray) -> np.ndarray:
-    """Dense matrix B with B[k, i] = N_i(params[k]) over all control indices."""
-    params = np.asarray(params, dtype=float)
-    num_ctrl = len(knots) - degree - 1
-    out = np.zeros((params.size, num_ctrl))
-    for k, u in enumerate(params):
-        bs = basis_functions(knots, degree, u)
-        out[k, bs.span - degree: bs.span + 1] = bs.values
+            tmp = values[:, r] / (right[:, r + 1] + left[:, d - r])
+            values[:, r] = saved + right[:, r + 1] * tmp
+            saved = left[:, d - r] * tmp
+        values[:, d] = saved
+    out = np.zeros((u.size, num_ctrl))
+    np.put_along_axis(out, span[:, None] - degree + j, values, axis=1)
     return out
 
 
@@ -235,21 +199,12 @@ def lattice_surface(x_range: tuple[float, float], y_range: tuple[float, float],
         ctrl, weights, xy_frozen=True)
 
 
-def _active_patch(surface: NurbsSurface, u: float, v: float):
-    bu = basis_functions(surface.knots_u, surface.degree_u, u)
-    bv = basis_functions(surface.knots_v, surface.degree_v, v)
-    au = slice(bu.span - surface.degree_u, bu.span + 1)
-    av = slice(bv.span - surface.degree_v, bv.span + 1)
-    coeff = np.outer(bu.values, bv.values) * surface.weights[au, av]
-    return au, av, coeff
-
-
 def evaluate(surface: NurbsSurface, u: float, v: float) -> np.ndarray:
     """Surface point at (u, v) as an xyz array."""
-    au, av, coeff = _active_patch(surface, u, v)
-    den = coeff.sum()
-    num = np.tensordot(coeff, surface.control_points[au, av], axes=([0, 1], [0, 1]))
-    return num / den
+    bu = basis_matrix(surface.knots_u, surface.degree_u, [u])[0]
+    bv = basis_matrix(surface.knots_v, surface.degree_v, [v])[0]
+    coeff = np.outer(bu, bv) * surface.weights
+    return np.tensordot(coeff, surface.control_points, axes=([0, 1], [0, 1])) / coeff.sum()
 
 
 def gradients(surface: NurbsSurface, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
@@ -258,16 +213,14 @@ def gradients(surface: NurbsSurface, u: float, v: float) -> tuple[np.ndarray, np
     Returns (d_z / d_control_z, d_z / d_weight), each shaped like the control
     grid; entries outside the active (p+1) x (q+1) window are zero.
     """
-    au, av, coeff = _active_patch(surface, u, v)
+    bu = basis_matrix(surface.knots_u, surface.degree_u, [u])[0]
+    bv = basis_matrix(surface.knots_v, surface.degree_v, [v])[0]
+    coeff = np.outer(bu, bv) * surface.weights
     den = coeff.sum()
-    z_patch = surface.control_points[au, av, 2]
-    sz = float((coeff * z_patch).sum() / den)
-    d_ctrl = np.zeros((surface.num_ctrl_u, surface.num_ctrl_v))
-    d_w = np.zeros_like(d_ctrl)
-    d_ctrl[au, av] = coeff / den
+    z = surface.control_points[:, :, 2]
+    sz = float((coeff * z).sum() / den)
     # for weights the basis product enters without the weight factor
-    d_w[au, av] = coeff / surface.weights[au, av] * (z_patch - sz) / den
-    return d_ctrl, d_w
+    return coeff / den, coeff / surface.weights * (z - sz) / den
 
 
 def _grid_terms(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray):
@@ -334,6 +287,7 @@ def load_surface(path: str | Path) -> NurbsSurface:
     if not lines or not lines[0][1][0].startswith("roadsurf-surface"):
         raise ValueError(f"{path}: not a surface file")
     casts = {"cp": float, "knots_u": float, "knots_v": float, "degree": int, "shape": int, "xy_frozen": int}
+    arity = {"cp": 4, "degree": 2, "shape": 2, "xy_frozen": 1}
     fields: dict[str, list] = {}
     cps: list[list[float]] = []
     for line_no, (key, *raw) in lines[1:]:
@@ -341,6 +295,8 @@ def load_surface(path: str | Path) -> NurbsSurface:
             values = [casts.get(key, str)(v) for v in raw]
         except ValueError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from None
+        if len(values) != arity.get(key, len(values)):
+            raise ValueError(f"{path}:{line_no}: {key} takes {arity[key]} value(s), got {len(values)}")
         if key == "cp":
             cps.append(values)
         else:
@@ -353,7 +309,7 @@ def load_surface(path: str | Path) -> NurbsSurface:
         knots_v = np.array(fields["knots_v"])
     except KeyError as missing:
         raise ValueError(f"{path}: missing field {missing}") from None
-    if len(cps) != nu * nv or any(len(c) != 4 for c in cps):
+    if len(cps) != nu * nv:
         raise ValueError(f"{path}: expected {nu * nv} 'cp x y z w' lines")
     arr = np.array(cps).reshape(nu, nv, 4)
     return NurbsSurface(p, q, knots_u, knots_v, arr[:, :, :3], arr[:, :, 3], frozen)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Mask, PointGrid, Raster, save_mask, save_raster
+from .grid import Mask, Raster, save_mask, save_raster
 
 PROV_CLEAN = 0
 PROV_VEHICLE = 1
@@ -72,8 +72,8 @@ class Scene:
     dsm: Raster
     dtm: Raster
     mask: Mask
-    gt_road: PointGrid
-    gt_terrain: PointGrid
+    gt_road: Raster
+    gt_terrain: Raster
     provenance: Raster
 
 
@@ -223,8 +223,8 @@ def generate(spec: SceneSpec) -> Scene:
         dsm=Raster(**georef, values=dsm),
         dtm=Raster(**georef, values=base.copy()),
         mask=Mask(**georef, bits=mask_bits.astype(np.uint8)),
-        gt_road=PointGrid(**georef, z=np.where(ribbon, base, np.nan)),
-        gt_terrain=PointGrid(**georef, z=np.where(~ribbon, base, np.nan)),
+        gt_road=Raster(**georef, values=np.where(ribbon, base, np.nan)),
+        gt_terrain=Raster(**georef, values=np.where(~ribbon, base, np.nan)),
         provenance=Raster(**georef, values=prov.astype(float)),
     )
 
@@ -244,12 +244,8 @@ def save_scene(scene: Scene, out_dir: str | Path) -> dict[str, Path]:
     save_raster(scene.dsm, paths["dsm"])
     save_raster(scene.dtm, paths["dtm"])
     save_mask(scene.mask, paths["mask"])
-    g = scene.gt_road
-    save_raster(Raster(g.width, g.height, g.cell_size_x, g.cell_size_y,
-                       g.origin_x, g.origin_y, g.z), paths["gt_road"])
-    g = scene.gt_terrain
-    save_raster(Raster(g.width, g.height, g.cell_size_x, g.cell_size_y,
-                       g.origin_x, g.origin_y, g.z), paths["gt_terrain"])
+    save_raster(scene.gt_road, paths["gt_road"])
+    save_raster(scene.gt_terrain, paths["gt_terrain"])
     save_raster(scene.provenance, paths["provenance"])
     return paths
 

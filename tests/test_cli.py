@@ -185,10 +185,31 @@ def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
     ["run", "--no-such-flag", "1"],
     ["filter", "--theta-xy", "abc"],
     ["fit", "--num-ctrl-u", "2"],
+    ["filter", "--theta-xy", "nan"],
+    ["filter", "--theta-xy", "inf"],
+    ["filter", "--theta-z", "nan"],
+    ["run", "--terrain-rate", "inf"],
+    ["fit", "--learning-rate", "nan"],
+    ["fit", "--lambda-reg", "nan"],
+    ["fit", "--early-stop-min-delta", "nan"],
+    ["ablate", "--param", "theta_xy", "--values", "inf"],
 ])
 def test_bad_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("usage error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    if {"nan", "inf"} & set(argv):
+        assert err.endswith(f" must be finite, got {argv[-1]}\n")
+
+
+def test_out_dir_that_is_a_file_fails_before_any_stage(tile, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["filter", *layer_flags(tile, ("dsm", "mask")), "--out-dir", str(out)]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.startswith("usage error: --out-dir: ") and str(out) in err
+    assert out.read_text() == "not a directory\n"
 
 
 def write_zero_mask(tile, tmp_path):
@@ -229,11 +250,6 @@ def missing_ground_truth(tile, tmp_path):
             f"file not found: {path}")
 
 
-def nan_theta_xy(tile, tmp_path):
-    return (["filter", *layer_flags(tile, ("dsm", "mask")), "--theta-xy", "nan"],
-            "cannot convert float NaN to integer")
-
-
 def diverging_fit(tile, tmp_path):
     return (["fit", *layer_flags(tile, LAYERS), "--learning-rate", "1e300"],
             "non-finite loss at iteration 1")
@@ -255,7 +271,6 @@ def missing_mesh(tile, tmp_path):
     ("grid", malformed_dsm_row),
     ("grid", missing_ground_truth),
     ("grid", missing_dtm),
-    ("filter", nan_theta_xy),
     ("fit", diverging_fit),
     ("mesh", missing_surface),
     ("mesh", empty_road_with_ground_truth),
@@ -300,15 +315,18 @@ def test_invalid_ablation_value_is_a_usage_error(tile, tmp_path, capsys, param, 
 
 def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
     path = tmp_path / "surface.txt"
-    lines = run[0]["surface.txt"].decode().splitlines()
-    line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith("cp "))
-    lines[line_no - 1] = "cp 0.0 0.0 abc 1.0"
-    path.write_text("\n".join(lines) + "\n")
-    rc, artifacts = invoke(tmp_path / "out", "mesh", *layer_flags(tile, ("dsm", "mask")),
-                           "--surface", str(path))
-    assert (rc, artifacts) == (2, {})
-    assert capsys.readouterr().err == (
-        f"stage mesh: {path}:{line_no}: could not convert string to float: 'abc'\n")
+    for key, bad_line, message in [
+            ("cp ", "cp 0.0 0.0 abc 1.0", "could not convert string to float: 'abc'"),
+            ("xy_frozen ", "xy_frozen", "xy_frozen takes 1 value(s), got 0"),
+            ("degree ", "degree 3", "degree takes 2 value(s), got 1")]:
+        lines = run[0]["surface.txt"].decode().splitlines()
+        line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))
+        lines[line_no - 1] = bad_line
+        path.write_text("\n".join(lines) + "\n")
+        rc, artifacts = invoke(tmp_path / "out", "mesh", *layer_flags(tile, ("dsm", "mask")),
+                               "--surface", str(path))
+        assert (rc, artifacts) == (2, {})
+        assert capsys.readouterr().err == f"stage mesh: {path}:{line_no}: {message}\n"
 
 
 def test_malformed_mesh_names_file_and_line(tile, run, tmp_path, capsys):

@@ -20,13 +20,13 @@ from roadsurf.filtering import (
     merge_clusters,
     run_filter,
 )
-from roadsurf.grid import PointGrid
+from roadsurf.grid import Raster
 
 
 def make_points(z, cell=1.0, origin=(0.0, 0.0)):
     z = np.asarray(z, dtype=float)
     h, w = z.shape
-    return PointGrid(w, h, cell, cell, origin[0], origin[1], z)
+    return Raster(w, h, cell, cell, origin[0], origin[1], z)
 
 
 def brute_neighbors(points, theta_z):
@@ -38,7 +38,7 @@ def brute_neighbors(points, theta_z):
             if a == b:
                 continue
             if abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1:
-                if abs(points.z[a[1], a[0]] - points.z[b[1], b[0]]) <= theta_z:
+                if abs(points.values[a[1], a[0]] - points.values[b[1], b[0]]) <= theta_z:
                     out[a].append(b)
     for lst in out.values():
         lst.sort()
@@ -80,7 +80,7 @@ def brute_merge(points, labels, theta_xy, theta_z):
     rows, cols = [], []
     for a in cells:
         xa, ya = points.cell_to_world(a[0], a[1])
-        za = points.z[a[1], a[0]]
+        za = points.values[a[1], a[0]]
         la = labels.labels[a[1], a[0]]
         for b in cells:
             lb = labels.labels[b[1], b[0]]
@@ -89,7 +89,7 @@ def brute_merge(points, labels, theta_xy, theta_z):
             xb, yb = points.cell_to_world(b[0], b[1])
             if (xa - xb) ** 2 + (ya - yb) ** 2 > theta_xy ** 2:
                 continue
-            if abs(za - points.z[b[1], b[0]]) > theta_z:
+            if abs(za - points.values[b[1], b[0]]) > theta_z:
                 continue
             rows.append(la - 1)
             cols.append(lb - 1)
@@ -177,7 +177,7 @@ class TestGrowRegions:
             assert partition_from_labels(labels.labels) == \
                 brute_components(points, theta_z)
             # labels only on occupied cells, contiguous from 1
-            assert (labels.labels[~points.occupancy] == 0).all()
+            assert (labels.labels[~points.valid] == 0).all()
             present = np.unique(labels.labels[labels.labels > 0])
             npt.assert_array_equal(present, np.arange(1, labels.label_count + 1))
 
@@ -280,7 +280,7 @@ class TestCleanClusters:
         merged = merge_clusters(points, labels, 50.0, 0.5)
         assert merged.label_count == 1
         _, mask = clean_clusters(points, merged, top_k=1)
-        npt.assert_array_equal(mask.bits.astype(bool), points.occupancy)
+        npt.assert_array_equal(mask.bits.astype(bool), points.valid)
 
     def test_tie_keeps_smaller_label(self):
         z = np.full((2, 5), np.nan)
@@ -327,8 +327,8 @@ class TestRunFilter:
         z[3:6, :] = 0.1 * np.arange(9)  # gentle cross slope, still connected
         points = make_points(z)
         filtered, mask = run_filter(points, FilterParams())
-        npt.assert_array_equal(mask.bits.astype(bool), points.occupancy)
-        npt.assert_allclose(filtered.z, points.z, equal_nan=True)
+        npt.assert_array_equal(mask.bits.astype(bool), points.valid)
+        npt.assert_allclose(filtered.values, points.values, equal_nan=True)
 
     def test_huge_theta_z_single_cluster(self):
         rng = np.random.default_rng(17)
@@ -340,9 +340,9 @@ class TestRunFilter:
     def test_filtered_points_subset(self):
         points, _, _ = self.ribbon_with_spikes()
         filtered, mask = run_filter(points, FilterParams())
-        on = filtered.occupancy
+        on = filtered.valid
         npt.assert_array_equal(on, mask.bits.astype(bool))
-        npt.assert_allclose(filtered.z[on], points.z[on])
+        npt.assert_allclose(filtered.values[on], points.values[on])
 
     def test_tiny_theta_xy_warns(self):
         points = make_points(np.zeros((3, 3)))

@@ -1,4 +1,4 @@
-"""Raster, mask, and point-grid data model plus ASCII grid round trips."""
+"""Raster and mask data model, point sets as rasters, and ASCII grid round trips."""
 
 import numpy as np
 import numpy.testing as npt
@@ -9,13 +9,11 @@ from roadsurf.grid import (
     AsciiGridError,
     GridGeoref,
     Mask,
-    PointGrid,
     Raster,
     extract_road_points,
     extract_terrain_points,
     load_mask,
     load_raster,
-    point_grid_from_raster,
     resample_mask,
     save_mask,
     save_raster,
@@ -217,7 +215,7 @@ class TestPointExtraction:
         road = extract_road_points(dsm, mask)
         terrain = extract_terrain_points(dtm, mask)
         assert road.count + terrain.count == int(dsm.valid.sum())
-        assert not (road.occupancy & terrain.occupancy).any()
+        assert not (road.valid & terrain.valid).any()
 
     def test_dimension_mismatch(self):
         dsm = Raster(3, 3, 1.0, 1.0, 0.0, 0.0, np.zeros((3, 3)))
@@ -271,23 +269,15 @@ class TestDataModel:
 
     def test_point_grid_xyz_row_major(self):
         z = np.array([[1.0, np.nan], [np.nan, 4.0]])
-        points = PointGrid(2, 2, 2.0, 2.0, 0.0, 0.0, z)
+        points = Raster(2, 2, 2.0, 2.0, 0.0, 0.0, z)
         xyz = points.xyz()
         npt.assert_allclose(xyz, [[0.0, 0.0, 1.0], [2.0, 2.0, 4.0]])
         assert points.indices() == [(0, 0), (1, 1)]
 
     def test_point_grid_subset(self):
         z = np.arange(4.0).reshape(2, 2)
-        points = PointGrid(2, 2, 1.0, 1.0, 0.0, 0.0, z)
+        points = Raster(2, 2, 1.0, 1.0, 0.0, 0.0, z)
         mask = Mask(2, 2, 1.0, 1.0, 0.0, 0.0, np.array([[0, 1], [0, 1]]))
         sub = points.subset(mask)
         assert sub.count == 2
-        assert np.isnan(sub.z[0, 0]) and sub.z[0, 1] == 1.0
-
-    def test_point_grid_from_raster(self):
-        values = np.array([[1.0, np.nan], [3.0, 4.0]])
-        raster = Raster(2, 2, 1.0, 1.0, 0.0, 0.0, values)
-        points = point_grid_from_raster(raster)
-        assert points.count == 3
-        raster.values[1, 1] = 99.0
-        assert points.z[1, 1] == 4.0  # copy, not a view
+        assert np.isnan(sub.values[0, 0]) and sub.values[0, 1] == 1.0

@@ -1,7 +1,8 @@
 """Rational B-spline surface tests.
 
-Basis values are checked against a naive textbook recursion written
-independently of the production triangular algorithm, analytic gradients
+Basis values are checked against a naive textbook recursion, and their
+nonzero windows against a linear span scan, both written independently of
+the production whole-array triangular algorithm; analytic gradients
 against central finite differences, and midpoint evaluations against hand
 computed bilinear and Bezier values.
 """
@@ -13,13 +14,10 @@ from hypothesis import strategies as st
 
 from roadsurf.grid import Raster
 from roadsurf.nurbs import (
-    BasisSpan,
     NurbsSurface,
-    basis_functions,
     basis_matrix,
     evaluate,
     evaluate_grid,
-    find_span,
     gradients,
     lattice_surface,
     load_surface,
@@ -100,16 +98,31 @@ class TestKnots:
             uniform_clamped_knots(4, 2, low=1.0, high=1.0)
 
 
+def basis_row(knots, degree, u):
+    """basis_matrix at u, checked against the scan span and the naive
+    recursion; returns the row and the span."""
+    row = basis_matrix(knots, degree, np.array([u]))[0]
+    span = span_by_scan(knots, degree, u)
+    outside = np.ones(row.size, dtype=bool)
+    outside[span - degree: span + 1] = False
+    assert (row[outside] == 0).all()
+    expected = [naive_basis(knots, degree, i, u) for i in range(row.size)]
+    np.testing.assert_allclose(row, expected, atol=1e-12)
+    return row, span
+
+
 class TestFindSpan:
     def test_interior_knot_starts_right_span(self):
         knots = uniform_clamped_knots(5, 3)  # one interior knot at 0.5
-        assert find_span(knots, 3, 0.5) == 4
-        assert find_span(knots, 3, 0.5 - 1e-12) == 3
+        assert basis_row(knots, 3, 0.5)[1] == 4
+        assert basis_row(knots, 3, 0.5 - 1e-12)[1] == 3
 
     def test_domain_ends(self):
         knots = uniform_clamped_knots(6, 2)
-        assert find_span(knots, 2, 0.0) == 2
-        assert find_span(knots, 2, 1.0) == len(knots) - 2 - 2
+        row, span = basis_row(knots, 2, 0.0)
+        assert span == 2 and row[0] == 1.0
+        row, span = basis_row(knots, 2, 1.0)
+        assert span == len(knots) - 2 - 2 and row[-1] == 1.0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(3)
@@ -118,50 +131,62 @@ class TestFindSpan:
             num = int(rng.integers(degree + 1, 10))
             knots = uniform_clamped_knots(num, degree)
             queries = np.concatenate([rng.uniform(0, 1, 12), np.unique(knots)])
-            for u in queries:
-                assert find_span(knots, degree, float(u)) == span_by_scan(knots, degree, float(u))
+            rows = basis_matrix(knots, degree, queries)  # all queries in one call
+            for u, row in zip(queries, rows):
+                span = span_by_scan(knots, degree, float(u))
+                assert (np.flatnonzero(row) >= span - degree).all()
+                assert (np.flatnonzero(row) <= span).all()
+                assert abs(row.sum() - 1.0) <= 1e-12
 
 
 class TestBasisFunctions:
     def test_matches_naive_recursion(self):
         rng = np.random.default_rng(4)
+        knot_vectors = []
         for _ in range(25):
             degree = int(rng.integers(1, 4))
-            num = int(rng.integers(degree + 1, 9))
-            knots = uniform_clamped_knots(num, degree)
+            knot_vectors.append((uniform_clamped_knots(int(rng.integers(degree + 1, 9)), degree),
+                                 degree))
+        # repeated interior knots, up to full multiplicity
+        knot_vectors += [
+            (np.array([0, 0, 0, 0, 0.3, 0.3, 0.7, 1, 1, 1, 1.0]), 3),
+            (np.array([0, 0, 0, 0.5, 0.5, 1, 1, 1.0]), 2),
+            (np.array([0, 0, 0.25, 0.25, 0.6, 1, 1.0]), 1),
+            (np.array([0, 0, 0, 0, 0, 0.4, 0.4, 0.4, 1, 1, 1, 1, 1.0]), 4),
+        ]
+        for knots, degree in knot_vectors:
             queries = np.concatenate([rng.uniform(0, 1, 10), np.unique(knots)])
-            for u in queries:
-                u = float(u)
-                row = basis_matrix(knots, degree, np.array([u]))[0]
-                expected = np.array([naive_basis(knots, degree, i, u) for i in range(num)])
-                np.testing.assert_allclose(row, expected, atol=1e-12)
+            rows = basis_matrix(knots, degree, queries)
+            for u, row in zip(queries, rows):
+                np.testing.assert_array_equal(row, basis_row(knots, degree, float(u))[0])
 
     def test_degree_zero_box_convention(self):
         knots = np.array([0.0, 0.5, 1.0])
-        assert basis_functions(knots, 0, 0.25).span == 0
+        assert basis_row(knots, 0, 0.25)[1] == 0
         # the shared knot belongs to the right box
-        assert basis_functions(knots, 0, 0.5).span == 1
+        assert basis_row(knots, 0, 0.5)[1] == 1
         # the final box is closed at the domain end
-        bs = basis_functions(knots, 0, 1.0)
-        assert bs.span == 1
-        assert bs.values[0] == 1.0
+        np.testing.assert_array_equal(
+            basis_matrix(knots, 0, np.array([0.25, 0.5, 1.0])), [[1, 0], [0, 1], [0, 1]])
 
     @settings(max_examples=60, deadline=None)
     @given(num=st.integers(4, 9), degree=st.integers(1, 3),
            t=st.floats(0.0, 1.0, allow_nan=False))
     def test_window_is_a_partition_of_unity(self, num, degree, t):
         knots = uniform_clamped_knots(num, degree)
-        bs = basis_functions(knots, degree, t)
-        assert isinstance(bs, BasisSpan)
-        assert abs(bs.values.sum() - 1.0) <= 1e-12
-        assert (bs.values >= -1e-15).all()
+        row = basis_matrix(knots, degree, np.array([t]))[0]
+        span = span_by_scan(knots, degree, t)
+        assert np.flatnonzero(row).min() >= span - degree
+        assert np.flatnonzero(row).max() <= span
+        assert abs(row.sum() - 1.0) <= 1e-12
+        assert (row >= -1e-15).all()
 
     def test_outside_domain_raises(self):
         knots = uniform_clamped_knots(5, 2)
+        with pytest.raises(ValueError, match=r"^parameter 1\.5 outside domain \[0\.0, 1\.0\]$"):
+            basis_matrix(knots, 2, np.array([0.5, 1.5]))
         with pytest.raises(ValueError, match="outside domain"):
-            basis_functions(knots, 2, 1.5)
-        with pytest.raises(ValueError, match="outside domain"):
-            basis_functions(knots, 2, -0.2)
+            basis_matrix(knots, 2, np.array([-0.2]))
 
 
 class TestSurfaceValidation:
