@@ -4,26 +4,20 @@ Spikes from vehicles, vegetation, and walls that leak into a road mask are
 elevation-disconnected from the pavement.  The filter clusters points under
 an elevation continuity constraint, merges clusters that are close in both
 plan distance and elevation, and keeps only the largest clusters.
+
+Growing and merging are both connected components, of neighbor point pairs
+and of cluster label pairs; one whole-array union-find serves both.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Mask, Raster
-
-# 8-neighborhood offsets (di, dj), fixed enumeration order
-NEIGHBOR_OFFSETS = [
-    (di, dj)
-    for dj in (-1, 0, 1)
-    for di in (-1, 0, 1)
-    if (di, dj) != (0, 0)
-]
 
 
 @dataclass
@@ -57,66 +51,60 @@ def _shift_slices(di: int, dj: int, width: int, height: int):
     return a, b
 
 
-def get_neighbors(points: Raster, theta_z: float) -> dict[tuple[int, int], list[tuple[int, int]]]:
-    """Adjacency between points on 8-connected cells whose elevation gap is
-    at most theta_z (inclusive). The relation is symmetric."""
+def get_neighbors(points: Raster, theta_z: float) -> np.ndarray:
+    """Pairs of points on 8-connected cells whose elevation gap is at most
+    theta_z (inclusive), as an (E, 2) array of flat cell indices
+    ``j * width + i``.  Each unordered pair appears once, found through the
+    four forward offsets."""
     occ = points.valid
     z = points.values
-    nbrs: dict[tuple[int, int], list[tuple[int, int]]] = {p: [] for p in points.indices()}
-    for di, dj in NEIGHBOR_OFFSETS:
+    flat = np.arange(occ.size).reshape(occ.shape)
+    pairs = []
+    for di, dj in ((1, 0), (-1, 1), (0, 1), (1, 1)):
         a, b = _shift_slices(di, dj, points.width, points.height)
-        ok = occ[a] & occ[b]
-        if not ok.any():
-            continue
-        ok &= np.abs(z[a] - z[b]) <= theta_z
-        jj, ii = np.nonzero(ok)
-        j0 = jj + a[0].start
-        i0 = ii + a[1].start
-        for i, j in zip(i0, j0):
-            nbrs[(int(i), int(j))].append((int(i + di), int(j + dj)))
-    for lst in nbrs.values():
-        lst.sort()
-    return nbrs
+        ok = occ[a] & occ[b] & (np.abs(z[a] - z[b]) <= theta_z)
+        pairs.append(np.stack([flat[a][ok], flat[b][ok]], axis=1))
+    return np.concatenate(pairs)
 
 
-def grow_regions(points: Raster,
-                 neighbors: dict[tuple[int, int], list[tuple[int, int]]]) -> LabelGrid:
-    """Connected components of the neighbor relation.
+def _components(n: int, pairs: np.ndarray) -> np.ndarray:
+    """Smallest node id in the component of each of nodes 0..n-1 under the
+    undirected (E, 2) pairs.  Each round hooks the larger root of every pair
+    still spanning two trees onto the smaller, then jumps pointers until each
+    node points at a root (Shiloach & Vishkin 1982).  Roots never exceed their
+    nodes, so a component's last root is its smallest node."""
+    root = np.arange(n)
+    a, b = pairs[:, 0], pairs[:, 1]
+    while len(a):
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    return root
 
-    Labels are assigned in row-major scan order of the seed points, so the
-    same input always produces the same labeling.
+
+def _first_seen(ids: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ids renumbered 1, 2, ... in order of first appearance, and their count."""
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(1, len(first) + 1)
+    return rank[inverse], len(first)
+
+
+def grow_regions(points: Raster, neighbors: np.ndarray) -> LabelGrid:
+    """Connected components of the neighbor pairs from ``get_neighbors``.
+
+    Labels are assigned in order of first appearance in a row-major scan, so
+    the same input always produces the same labeling.
     """
-    labels = np.zeros((points.height, points.width), dtype=np.int32)
-    next_label = 0
-    for i, j in points.indices():
-        if labels[j, i]:
-            continue
-        next_label += 1
-        labels[j, i] = next_label
-        queue = deque([(i, j)])
-        while queue:
-            p = queue.popleft()
-            for qi, qj in neighbors.get(p, ()):
-                if labels[qj, qi] == 0:
-                    labels[qj, qi] = next_label
-                    queue.append((qi, qj))
-    return LabelGrid(labels, next_label)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    occ = points.valid
+    root = _components(occ.size, neighbors).reshape(occ.shape)
+    labels = np.zeros(occ.shape, dtype=np.int32)
+    labels[occ], count = _first_seen(root[occ])
+    return LabelGrid(labels, count)
 
 
 def merge_clusters(points: Raster, labels: LabelGrid,
@@ -128,16 +116,17 @@ def merge_clusters(points: Raster, labels: LabelGrid,
     appearance in a row-major scan.
     """
     occ = points.valid
+    lab = labels.labels
+    pairs = [np.zeros((0, 2), dtype=lab.dtype)]
     if labels.label_count > 1:
         z = points.values
-        lab = labels.labels
         xs = points.origin_x + np.arange(points.width) * points.cell_size_x
         ys = points.origin_y + np.arange(points.height) * points.cell_size_y
         x_grid = np.broadcast_to(xs, (points.height, points.width))
         y_grid = np.broadcast_to(ys[:, None], (points.height, points.width))
-        uf = _UnionFind(labels.label_count + 1)
-        ki = int(theta_xy / points.cell_size_x * (1 + 1e-9)) + 1
-        kj = int(theta_xy / points.cell_size_y * (1 + 1e-9)) + 1
+        # offsets beyond the grid can never pair two cells
+        ki = min(int(theta_xy / points.cell_size_x * (1 + 1e-9)) + 1, points.width - 1)
+        kj = min(int(theta_xy / points.cell_size_y * (1 + 1e-9)) + 1, points.height - 1)
         thr2 = theta_xy * theta_xy
         for dj in range(0, kj + 1):
             for di in range(-ki, ki + 1):
@@ -155,25 +144,10 @@ def merge_clusters(points: Raster, labels: LabelGrid,
                 dx = x_grid[b] - x_grid[a]
                 dy = y_grid[b] - y_grid[a]
                 ok &= dx * dx + dy * dy <= thr2
-                if not ok.any():
-                    continue
-                pairs = np.unique(np.stack([lab[a][ok], lab[b][ok]], axis=1), axis=0)
-                for la, lb in pairs:
-                    uf.union(int(la), int(lb))
-        roots = np.array([uf.find(l) for l in range(labels.label_count + 1)], dtype=np.int64)
-    else:
-        roots = np.arange(labels.label_count + 1, dtype=np.int64)
-
-    # renumber by first appearance in row-major order
-    seq = roots[labels.labels[occ]]
-    new_id = np.zeros(labels.label_count + 1, dtype=np.int32)
-    count = 0
-    for r in seq:
-        if new_id[r] == 0:
-            count += 1
-            new_id[r] = count
-    out = np.zeros_like(labels.labels)
-    out[occ] = new_id[seq]
+                pairs.append(np.stack([lab[a][ok], lab[b][ok]], axis=1))
+    root = _components(labels.label_count + 1, np.concatenate(pairs))
+    out = np.zeros_like(lab)
+    out[occ], count = _first_seen(root[lab[occ]])
     return LabelGrid(out, count)
 
 
@@ -186,21 +160,14 @@ def clean_clusters(points: Raster, labels: LabelGrid,
     the cleaned labels and the survivors as a mask.
     """
     lab = labels.labels
-    if labels.label_count > 0:
-        sizes = np.bincount(lab[lab > 0], minlength=labels.label_count + 1)
-        ranked = sorted(range(1, labels.label_count + 1), key=lambda l: (-int(sizes[l]), l))
-        kept = sorted(ranked[:top_k])
-        mapping = np.zeros(labels.label_count + 1, dtype=np.int32)
-        for new, old in enumerate(kept, start=1):
-            mapping[old] = new
-        out = mapping[lab]
-        kept_count = len(kept)
-    else:
-        out = lab.copy()
-        kept_count = 0
+    sizes = np.bincount(lab[lab > 0], minlength=labels.label_count + 1)[1:]
+    kept = np.sort(np.argsort(-sizes, kind="stable")[:top_k]) + 1
+    mapping = np.zeros(labels.label_count + 1, dtype=np.int32)
+    mapping[kept] = np.arange(1, len(kept) + 1)
+    out = mapping[lab]
     mask = Mask(points.width, points.height, points.cell_size_x, points.cell_size_y,
                 points.origin_x, points.origin_y, (out > 0).astype(np.uint8))
-    return LabelGrid(out, kept_count), mask
+    return LabelGrid(out, len(kept)), mask
 
 
 def run_filter(points: Raster, params: FilterParams) -> tuple[Raster, Mask]:

@@ -142,11 +142,6 @@ class Raster(GridGeoref):
     def count(self) -> int:
         return int(self.valid.sum())
 
-    def indices(self) -> list[tuple[int, int]]:
-        """Valid (i, j) pairs in row-major scan order (j outer, i inner)."""
-        jj, ii = np.nonzero(self.valid)
-        return [(int(i), int(j)) for j, i in zip(jj, ii)]
-
     def xyz(self) -> np.ndarray:
         """(N, 3) array of valid cells as points, in row-major scan order."""
         jj, ii = np.nonzero(self.valid)
@@ -199,9 +194,15 @@ def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
                 if len(parts) != 2:
                     raise AsciiGridError(path, line_no, f"header line needs one value, got {line.strip()!r}")
                 try:
-                    header[key] = float(parts[1])
+                    value = header[key] = float(parts[1])
                 except ValueError:
                     raise AsciiGridError(path, line_no, f"cannot parse header value {parts[1]!r}") from None
+                if key in ("ncols", "nrows") and not (value.is_integer() and value > 0):
+                    raise AsciiGridError(path, line_no, f"{key} must be a positive integer, got {parts[1]!r}")
+                if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(value):
+                    raise AsciiGridError(path, line_no, f"{key} must be finite, got {parts[1]!r}")
+                if key == "cellsize" and value <= 0:
+                    raise AsciiGridError(path, line_no, "cellsize must be positive")
                 continue
             data_started = True
             if ncols is None:
@@ -237,8 +238,6 @@ def load_raster(path: str | Path) -> Raster:
     """
     header, values = _parse_ascii(path)
     cell = float(header["cellsize"])
-    if cell <= 0:
-        raise AsciiGridError(path, 1, "cellsize must be positive")
     nodata = header.get("nodata_value")
     if nodata is not None:
         values = np.where(values == nodata, np.nan, values)

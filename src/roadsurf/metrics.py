@@ -229,7 +229,7 @@ def evaluate_all(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
     Distances are measured against the full mesh; smoothness is measured on
     the mask-split submeshes (a submesh without adjacent pairs counts as
     perfectly smooth).  Coverage fields report the fraction of ground-truth
-    points over the triangulated region.
+    points over the triangulated region; a class with none raises ValueError.
     """
     road_xyz = gt_road.xyz()
     terrain_xyz = gt_terrain.xyz()
@@ -237,10 +237,13 @@ def evaluate_all(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
         raise ValueError("ground truth must be non-empty for both classes")
     d_road, c_road = point_mesh_distances(mesh, road_xyz)
     d_terr, c_terr = point_mesh_distances(mesh, terrain_xyz)
+    for name, covered in (("road", c_road), ("terrain", c_terr)):
+        if not covered.any():
+            raise ValueError(f"no {name} ground-truth point lies over the mesh")
     road_mesh, terrain_mesh = split_mesh_by_mask(mesh, mask_plus)
     return MetricReport(
-        l2_road=float(d_road[c_road].mean()) if c_road.any() else float("nan"),
-        l2_terrain=float(d_terr[c_terr].mean()) if c_terr.any() else float("nan"),
+        l2_road=float(d_road[c_road].mean()),
+        l2_terrain=float(d_terr[c_terr].mean()),
         mad_road=_mad_or_zero(road_mesh),
         mad_terrain=_mad_or_zero(terrain_mesh),
         triangle_count=len(mesh.triangles),

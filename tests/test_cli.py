@@ -244,6 +244,16 @@ def malformed_dsm_row(tile, tmp_path):
             f"{path}:10: cannot parse data row")
 
 
+def infinite_dsm_corner(tile, tmp_path):
+    path = tmp_path / "dsm.asc"
+    lines = (tile / "dsm.asc").read_text().splitlines()
+    assert lines[2].startswith("xllcorner ")
+    lines[2] = "xllcorner inf"
+    path.write_text("\n".join(lines) + "\n")
+    return (["filter", *layer_flags(tile, ("mask",)), "--dsm", str(path)],
+            f"{path}:3: xllcorner must be finite, got 'inf'")
+
+
 def missing_ground_truth(tile, tmp_path):
     path = tmp_path / "gt_road.asc"
     return (["run", *layer_flags(tile, LAYERS[:3]), "--gt-road", str(path)],
@@ -267,8 +277,16 @@ def missing_mesh(tile, tmp_path):
             f"file not found: {path}")
 
 
+def mesh_beside_the_tile(tile, tmp_path):
+    path = tmp_path / "far.obj"
+    path.write_text("v 1000 1000 0\nv 1001 1000 0\nv 1000 1001 0\nf 1 2 3\n")
+    return (["eval", *layer_flags(tile, LAYERS), "--mesh", str(path)],
+            "no road ground-truth point lies over the mesh")
+
+
 @pytest.mark.parametrize("stage, fault", [
     ("grid", malformed_dsm_row),
+    ("grid", infinite_dsm_corner),
     ("grid", missing_ground_truth),
     ("grid", missing_dtm),
     ("fit", diverging_fit),
@@ -276,6 +294,7 @@ def missing_mesh(tile, tmp_path):
     ("mesh", empty_road_with_ground_truth),
     ("metrics", missing_mesh),
     ("metrics", empty_road),
+    ("metrics", mesh_beside_the_tile),
 ])
 def test_single_fault_names_its_stage(tile, tmp_path, capsys, stage, fault):
     argv, message = fault(tile, tmp_path)

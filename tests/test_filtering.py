@@ -6,6 +6,8 @@ routines.  Partitions are compared as sets of point sets so label numbering
 stays a separate, explicitly tested contract.
 """
 
+import signal
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +16,7 @@ from scipy.sparse.csgraph import connected_components
 
 from roadsurf.filtering import (
     FilterParams,
+    LabelGrid,
     clean_clusters,
     get_neighbors,
     grow_regions,
@@ -29,9 +32,39 @@ def make_points(z, cell=1.0, origin=(0.0, 0.0)):
     return Raster(w, h, cell, cell, origin[0], origin[1], z)
 
 
+def point_cells(points):
+    """Occupied (i, j) cells in row-major scan order (j outer, i inner)."""
+    jj, ii = np.nonzero(points.valid)
+    return [(int(i), int(j)) for j, i in zip(jj, ii)]
+
+
+def adjacency(points, pairs):
+    """Symmetric adjacency dict of occupied cells from flat-index pairs."""
+    out = {c: [] for c in point_cells(points)}
+    for a, b in pairs:
+        ca = (int(a) % points.width, int(a) // points.width)
+        cb = (int(b) % points.width, int(b) // points.width)
+        out[ca].append(cb)
+        out[cb].append(ca)
+    for lst in out.values():
+        lst.sort()
+    return out
+
+
+def assert_first_seen_numbering(points, labels):
+    """Labels on occupied cells are 1, 2, ... in row-major first appearance."""
+    seen = []
+    for i, j in point_cells(points):
+        lab = labels.labels[j, i]
+        if lab not in seen:
+            seen.append(lab)
+    assert seen == list(range(1, labels.label_count + 1))
+    assert (labels.labels[~points.valid] == 0).all()
+
+
 def brute_neighbors(points, theta_z):
     """All-pairs 8-adjacency with the elevation gate."""
-    cells = points.indices()
+    cells = point_cells(points)
     out = {p: [] for p in cells}
     for a in cells:
         for b in cells:
@@ -56,7 +89,7 @@ def partition_from_labels(labels):
 
 def brute_components(points, theta_z):
     """Connected components of the brute-force adjacency graph."""
-    cells = points.indices()
+    cells = point_cells(points)
     index = {c: k for k, c in enumerate(cells)}
     nbrs = brute_neighbors(points, theta_z)
     rows, cols = [], []
@@ -75,7 +108,7 @@ def brute_components(points, theta_z):
 
 def brute_merge(points, labels, theta_xy, theta_z):
     """Transitive closure of the pairwise merge criterion over all point pairs."""
-    cells = points.indices()
+    cells = point_cells(points)
     n_lab = labels.label_count
     rows, cols = [], []
     for a in cells:
@@ -116,19 +149,19 @@ def random_point_grid(rng, max_side=20):
 class TestNeighbors:
     def test_flat_pair_mutual(self):
         points = make_points([[1.0, 1.0], [np.nan, np.nan]])
-        nbrs = get_neighbors(points, 0.5)
+        nbrs = adjacency(points, get_neighbors(points, 0.5))
         assert nbrs[(0, 0)] == [(1, 0)]
         assert nbrs[(1, 0)] == [(0, 0)]
 
     def test_threshold_is_inclusive(self):
         points = make_points([[0.0, 0.5], [np.nan, np.nan]])
-        assert get_neighbors(points, 0.5)[(0, 0)] == [(1, 0)]
+        assert adjacency(points, get_neighbors(points, 0.5))[(0, 0)] == [(1, 0)]
         points = make_points([[0.0, 0.5 + 1e-9], [np.nan, np.nan]])
-        assert get_neighbors(points, 0.5)[(0, 0)] == []
+        assert adjacency(points, get_neighbors(points, 0.5))[(0, 0)] == []
 
     def test_no_point_no_entry(self):
         points = make_points([[1.0, np.nan], [np.nan, 1.0]])
-        nbrs = get_neighbors(points, 0.5)
+        nbrs = adjacency(points, get_neighbors(points, 0.5))
         assert set(nbrs) == {(0, 0), (1, 1)}
 
     def test_matches_bruteforce(self):
@@ -136,7 +169,13 @@ class TestNeighbors:
         for _ in range(20):
             points = random_point_grid(rng, max_side=10)
             theta_z = float(rng.uniform(0.2, 3.0))
-            assert get_neighbors(points, theta_z) == brute_neighbors(points, theta_z)
+            pairs = get_neighbors(points, theta_z)
+            assert adjacency(points, pairs) == brute_neighbors(points, theta_z)
+            # flat indices j * width + i, each unordered pair once, no self-pairs
+            assert pairs.shape == (len(pairs), 2)
+            assert (pairs[:, 0] != pairs[:, 1]).all()
+            unordered = {frozenset(map(int, p)) for p in pairs}
+            assert len(unordered) == len(pairs)
 
 
 class TestGrowRegions:
@@ -180,6 +219,70 @@ class TestGrowRegions:
             assert (labels.labels[~points.valid] == 0).all()
             present = np.unique(labels.labels[labels.labels > 0])
             npt.assert_array_equal(present, np.arange(1, labels.label_count + 1))
+
+    @staticmethod
+    def path_points(cells, shape, breaks=()):
+        """One-cell-wide path whose elevation climbs 0.1 per step, so that at
+        theta_z 0.15 only consecutive steps connect; a break adds a 50 m jump."""
+        z = np.full(shape, np.nan)
+        level = 0.0
+        for step, (i, j) in enumerate(cells):
+            level += 50.0 if step in breaks else 0.1
+            z[j, i] = level
+        return make_points(z)
+
+    def assert_components(self, points):
+        labels = grow_regions(points, get_neighbors(points, 0.15))
+        assert partition_from_labels(labels.labels) == brute_components(points, 0.15)
+        assert_first_seen_numbering(points, labels)
+        return labels
+
+    def test_serpentine(self):
+        # rows 0, 2, ... run alternately east and west, joined at the ends
+        cells = []
+        for j in range(0, 30, 2):
+            row = [(i, j) for i in range(30)]
+            cells += row if j % 4 == 0 else row[::-1]
+            if j + 2 < 30:
+                cells.append((29 if j % 4 == 0 else 0, j + 1))
+        for breaks in ((), (100, 301, 302)):
+            labels = self.assert_components(self.path_points(cells, (30, 30), breaks))
+            assert labels.label_count == len(breaks) + 1
+
+    def test_spiral(self):
+        # inward square spiral with one empty cell between its arms
+        n = 30
+        taken = np.zeros((n, n), dtype=bool)
+        i = j = d = turns = 0
+        taken[0, 0] = True
+        cells = [(0, 0)]
+        steps = ((1, 0), (0, 1), (-1, 0), (0, -1))
+        while turns < 2:
+            di, dj = steps[d]
+            i1, j1, i2, j2 = i + di, j + dj, i + 2 * di, j + 2 * dj
+            blocked = 0 <= i2 < n and 0 <= j2 < n and taken[j2, i2]
+            if 0 <= i1 < n and 0 <= j1 < n and not (taken[j1, i1] or blocked):
+                i, j = i1, j1
+                taken[j, i] = True
+                cells.append((i, j))
+                turns = 0
+            else:
+                d, turns = (d + 1) % 4, turns + 1
+        assert len(cells) > 400
+        for breaks in ((), tuple(range(37, len(cells), 97))):
+            labels = self.assert_components(self.path_points(cells, (n, n), breaks))
+            assert labels.label_count == len(breaks) + 1
+
+    def test_chains_joined_only_by_antidiagonal_steps(self):
+        # cells on every third anti-diagonal: each chain's only links are
+        # (-1, 1) offsets, and no two chains touch
+        z = np.full((30, 30), np.nan)
+        jj, ii = np.indices(z.shape)
+        on = (ii + jj) % 3 == 0
+        z[on] = 0.0
+        points = make_points(z)
+        labels = self.assert_components(points)
+        assert labels.label_count == len(np.unique((ii + jj)[on]))
 
 
 class TestMergeClusters:
@@ -241,11 +344,44 @@ class TestMergeClusters:
         labels = grow_regions(points, get_neighbors(points, 0.8))
         merged = merge_clusters(points, labels, 3.0, 0.8)
         seen = []
-        for i, j in points.indices():
+        for i, j in point_cells(points):
             lab = merged.labels[j, i]
             if lab not in seen:
                 seen.append(lab)
         assert seen == list(range(1, merged.label_count + 1))
+
+    def test_renumbering_ignores_input_label_order(self):
+        rng = np.random.default_rng(405)
+        for _ in range(10):
+            points = random_point_grid(rng, max_side=12)
+            grown = grow_regions(points, get_neighbors(points, 0.8))
+            # reversed numbering: the last cluster to appear gets label 1
+            flipped = np.where(grown.labels > 0, grown.label_count + 1 - grown.labels, 0)
+            merged = merge_clusters(points, LabelGrid(flipped, grown.label_count), 3.0, 0.8)
+            assert_first_seen_numbering(points, merged)
+            npt.assert_array_equal(merged.labels,
+                                   merge_clusters(points, grown, 3.0, 0.8).labels)
+
+    def test_theta_xy_beyond_the_grid_is_bounded(self):
+        rng = np.random.default_rng(505)
+        z = np.where(rng.random((5, 5)) < 0.6, rng.choice([0.0, 0.3, 9.0], (5, 5)), np.nan)
+        points = make_points(z)
+        labels = grow_regions(points, get_neighbors(points, 0.5))
+        assert labels.label_count > 1
+        spanning = merge_clusters(points, labels, 6.0, 0.5)  # 6 m > the 5.7 m diagonal
+
+        def too_slow(signum, frame):
+            raise TimeoutError("merge_clusters did not bound its offsets by the grid")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            huge = merge_clusters(points, labels, 1e9, 0.5)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        npt.assert_array_equal(huge.labels, spanning.labels)
+        assert huge.label_count == spanning.label_count
 
 
 class TestCleanClusters:
