@@ -391,7 +391,10 @@ def load_mesh(path: str | Path) -> TinMesh:
             if parts[0] == "v":
                 if len(parts) < 4:
                     raise ValueError("vertex line needs 3 coordinates")
-                vertices.append([float(v) for v in parts[1:4]])
+                coords = [float(v) for v in parts[1:4]]
+                if not all(map(math.isfinite, coords)):
+                    raise ValueError("vertex coordinates must be finite")
+                vertices.append(coords)
             elif parts[0] == "f":
                 if len(parts) != 4:
                     raise ValueError("only triangle faces are supported")

@@ -1,10 +1,17 @@
 """Mesh accuracy and smoothness measurements.
 
 Accuracy is the mean unsigned Euclidean distance from ground-truth points to
-the mesh, using exact closest-point-on-triangle queries accelerated by a plan
-view bin grid.  Smoothness is the mean angular difference between normals of
-edge-adjacent triangle pairs.  Both can be split by a road mask using the
-plan-view centroid of each triangle.
+the mesh, using exact closest-point-on-triangle queries (Ericson, Real-Time
+Collision Detection, 5.1.5) accelerated by a plan-view bin grid.  The bins
+are CSR arrays, triangle ids sorted by bin and a start offset per bin, and
+the search runs over whole blocks of points: every point whose search is
+still open expands its next ring of bins into (point, triangle) pairs, and
+all pairs go through the closest-point routine together.  Each point meets
+the same triangles through the same float operations as it would alone, and
+the minimum is exact, so distances do not depend on how points are batched.
+Smoothness is the mean angular difference between normals of edge-adjacent
+triangle pairs.  Both can be split by a road mask using the plan-view
+centroid of each triangle.
 """
 
 from __future__ import annotations
@@ -15,6 +22,10 @@ import numpy as np
 
 from .grid import Mask, Raster
 from .mesh import TinMesh
+
+# points searched together, and (point, triangle) pairs per closest-point batch
+_POINT_BLOCK = 2048
+_PAIR_CHUNK = 4096
 
 
 @dataclass
@@ -73,93 +84,139 @@ def _closest_point_batch(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
     return out
 
 
-class _MeshIndex:
-    """Plan-view bins over triangle bounding boxes for nearest queries."""
+def _runs(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated, in the dtype of counts."""
+    ends = np.cumsum(counts, dtype=counts.dtype)
+    return np.arange(counts.sum(), dtype=counts.dtype) - np.repeat(ends - counts, counts)
 
-    def __init__(self, mesh: TinMesh):
-        self.tri = mesh.vertices[mesh.triangles]  # (T, 3, 3)
-        xy = self.tri[:, :, :2]
-        self.lo = xy.min(axis=(0, 1))
-        hi = xy.max(axis=(0, 1))
-        span = max(hi[0] - self.lo[0], hi[1] - self.lo[1], 1e-9)
-        self.cell = span / max(1.0, np.sqrt(len(self.tri) / 2.0))
-        self.nb = (np.maximum(1, np.ceil((hi - self.lo) / self.cell))).astype(int)
-        self.bins: dict[tuple[int, int], list[int]] = {}
-        t_lo = np.floor((xy.min(axis=1) - self.lo) / self.cell).astype(int)
-        t_hi = np.floor((xy.max(axis=1) - self.lo) / self.cell).astype(int)
-        t_lo = np.clip(t_lo, 0, self.nb - 1)
-        t_hi = np.clip(t_hi, 0, self.nb - 1)
-        for t in range(len(self.tri)):
-            for bi in range(t_lo[t, 0], t_hi[t, 0] + 1):
-                for bj in range(t_lo[t, 1], t_hi[t, 1] + 1):
-                    self.bins.setdefault((bi, bj), []).append(t)
-        # squared-length scale per triangle for the containment tolerance
-        e1 = ((xy[:, 1] - xy[:, 0]) ** 2).sum(1)
-        e2 = ((xy[:, 2] - xy[:, 0]) ** 2).sum(1)
-        self.area_eps = 1e-9 * np.maximum(e1, e2)
 
-    def _ring(self, bi: int, bj: int, k: int) -> list[int]:
-        found: list[int] = []
-        if k == 0:
-            cells = [(bi, bj)]
-        else:
-            cells = []
-            for d in range(-k, k + 1):
-                cells.extend([(bi + d, bj - k), (bi + d, bj + k)])
-            for d in range(-k + 1, k):
-                cells.extend([(bi - k, bj + d), (bi + k, bj + d)])
-        for cell in cells:
-            found.extend(self.bins.get(cell, ()))
-        return found
+class _Bins:
+    """Plan-view bins over triangle bounding boxes, as CSR arrays: bin
+    ``bi * nb[1] + bj`` holds triangles ``members[starts[b]:starts[b + 1]]``,
+    in ascending id order; ``fill`` is the largest bin's size.  Each
+    triangle goes into every bin its bounding box touches."""
 
-    def query(self, p: np.ndarray) -> tuple[float, bool]:
-        """(distance to mesh, plan-view containment) for one 3D point."""
-        px, py = p[0], p[1]
-        bi = int(np.clip(np.floor((px - self.lo[0]) / self.cell), 0, self.nb[0] - 1))
-        bj = int(np.clip(np.floor((py - self.lo[1]) / self.cell), 0, self.nb[1] - 1))
-        best = np.inf
-        covered = False
-        max_ring = int(max(self.nb))
-        k = 0
-        while True:
-            ids = self._ring(bi, bj, k)
-            if ids:
-                batch = self.tri[ids]
-                closest = _closest_point_batch(p, batch)
-                dist = np.sqrt(((closest - p) ** 2).sum(1))
-                best = min(best, float(dist.min()))
-                if k == 0:
-                    covered = self._covers(px, py, batch, np.array(ids))
-            # everything beyond ring k sits outside the explored rectangle
-            rx0 = self.lo[0] + (bi - k) * self.cell
-            rx1 = self.lo[0] + (bi + k + 1) * self.cell
-            ry0 = self.lo[1] + (bj - k) * self.cell
-            ry1 = self.lo[1] + (bj + k + 1) * self.cell
-            bound = min(px - rx0, rx1 - px, py - ry0, ry1 - py)
-            if best <= max(bound, 0.0) or k > max_ring:
-                return best, covered
-            k += 1
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        """Bins for the triangles with (T, 3) plan coordinates x and y."""
+        lo = np.array([x.min(), y.min()])
+        hi = np.array([x.max(), y.max()])
+        span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)
+        cell = span / max(1.0, np.sqrt(len(x) / 2.0))
+        nb = (np.maximum(1, np.ceil((hi - lo) / cell))).astype(int)
+        self.lo, self.cell, self.nb = lo, cell, nb
+        t_lo, size = [], []
+        for axis, v in enumerate((x, y)):
+            first = np.clip(np.floor((v.min(axis=1) - lo[axis]) / cell), 0, nb[axis] - 1)
+            last = np.clip(np.floor((v.max(axis=1) - lo[axis]) / cell), 0, nb[axis] - 1)
+            t_lo.append(first.astype(np.int32))
+            size.append((last - first).astype(np.int32) + 1)
+        per_tri = size[0] * size[1]
+        ids = np.repeat(np.arange(len(x), dtype=np.int32), per_tri)
+        step_i, step_j = np.divmod(_runs(per_tri), size[1][ids])
+        nbj = int(nb[1])  # a Python int keeps the products in int32
+        bins = (t_lo[0] * nbj + t_lo[1])[ids] + step_i * nbj + step_j
+        del step_i, step_j
+        counts = np.bincount(bins, minlength=nb[0] * nbj)
+        starts = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=starts[1:])
+        self.members = ids[np.argsort(bins, kind="stable")]
+        self.starts, self.fill = starts, int(counts.max())
 
-    def _covers(self, px: float, py: float, batch: np.ndarray, ids: np.ndarray) -> bool:
-        a, b, c = batch[:, 0, :2], batch[:, 1, :2], batch[:, 2, :2]
-        eps = self.area_eps[ids]
-        s1 = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
-        s2 = (c[:, 0] - b[:, 0]) * (py - b[:, 1]) - (c[:, 1] - b[:, 1]) * (px - b[:, 0])
-        s3 = (a[:, 0] - c[:, 0]) * (py - c[:, 1]) - (a[:, 1] - c[:, 1]) * (px - c[:, 0])
-        return bool(((s1 >= -eps) & (s2 >= -eps) & (s3 >= -eps)).any())
+
+def _ring(k: int) -> np.ndarray:
+    """(di, dj) bin offsets of the square ring at Chebyshev distance k."""
+    d = np.arange(-k, k + 1, dtype=np.int32)
+    di, dj = (g.ravel() for g in np.meshgrid(d, d, indexing="ij"))
+    edge = np.maximum(abs(di), abs(dj)) == k
+    return np.column_stack([di[edge], dj[edge]])
+
+
+def _in_footprint(p: np.ndarray, batch: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Plan-view containment of each point p[m] in triangle batch[m], up to
+    the per-triangle tolerance eps[m]."""
+    px, py = p[:, 0], p[:, 1]
+    a, b, c = batch[:, 0, :2], batch[:, 1, :2], batch[:, 2, :2]
+    s1 = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
+    s2 = (c[:, 0] - b[:, 0]) * (py - b[:, 1]) - (c[:, 1] - b[:, 1]) * (px - b[:, 0])
+    s3 = (a[:, 0] - c[:, 0]) * (py - c[:, 1]) - (a[:, 1] - c[:, 1]) * (px - c[:, 0])
+    return (s1 >= -eps) & (s2 >= -eps) & (s3 >= -eps)
+
+
+def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _Bins,
+                  best: np.ndarray, covered: np.ndarray) -> None:
+    """Ring search for one block of points, writing distances into ``best``
+    (all inf on entry) and ring-0 containment into ``covered``."""
+    lo, cell, nb = bins.lo, bins.cell, bins.nb
+    bi = np.clip(np.floor((pts[:, 0] - lo[0]) / cell), 0, nb[0] - 1).astype(np.int32)
+    bj = np.clip(np.floor((pts[:, 1] - lo[1]) / cell), 0, nb[1] - 1).astype(np.int32)
+    max_ring = int(max(nb))
+    open_ = np.arange(len(pts), dtype=np.int32)
+    k = 0
+    while len(open_):
+        ring = _ring(k)
+        # at most _PAIR_CHUNK pairs per pass, unless one point's ring holds more
+        step = max(1, _PAIR_CHUNK // (len(ring) * bins.fill))
+        for s in range(0, len(open_), step):
+            sel = open_[s:s + step]
+            ci = bi[sel, None] + ring[:, 0]
+            cj = bj[sel, None] + ring[:, 1]
+            inside = (ci >= 0) & (ci < nb[0]) & (cj >= 0) & (cj < nb[1])
+            b = (ci * nb[1] + cj)[inside]
+            first = bins.starts[b]
+            count = bins.starts[b + 1] - first
+            owner = np.repeat(np.broadcast_to(sel[:, None], ci.shape)[inside], count)
+            ids = bins.members[np.repeat(first, count) + _runs(count)]
+            p = pts[owner]
+            batch = mesh.vertices[mesh.triangles[ids]]
+            dist = np.sqrt(((_closest_point_batch(p, batch) - p) ** 2).sum(1))
+            np.minimum.at(best, owner, dist)
+            if k == 0:
+                covered[owner[_in_footprint(p, batch, area_eps[ids])]] = True
+        if k > max_ring:
+            return
+        # everything beyond ring k sits outside the explored rectangle
+        px, py = pts[open_, 0], pts[open_, 1]
+        rx0 = lo[0] + (bi[open_] - k) * cell
+        rx1 = lo[0] + (bi[open_] + k + 1) * cell
+        ry0 = lo[1] + (bj[open_] - k) * cell
+        ry1 = lo[1] + (bj[open_] + k + 1) * cell
+        bound = np.minimum(np.minimum(px - rx0, rx1 - px), np.minimum(py - ry0, ry1 - py))
+        open_ = open_[~(best[open_] <= np.maximum(bound, 0.0))]
+        k += 1
 
 
 def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each point to the mesh and whether its plan position
-    falls inside some triangle's plan footprint."""
+    falls inside some triangle's plan footprint.
+
+    Points are searched in blocks of ``_POINT_BLOCK``.  Ring k of a bin is
+    the square of bins at Chebyshev distance k.  For every point of a block
+    whose search is open, ring k expands into (point, triangle) pairs, at
+    most ``_PAIR_CHUNK`` at a time, which go through ``_closest_point_batch``
+    together and are reduced with ``np.minimum.at``; ring 0 also decides
+    coverage.  A point closes once its best distance is no more than its
+    plan distance to the edge of the explored rings, since no triangle
+    outside them can be nearer, or once the rings cover every bin.  The
+    distances therefore equal, bit for bit, the minimum of
+    ``_closest_point_batch`` over every triangle, whatever the block and
+    chunk sizes.
+    """
     if len(mesh.triangles) == 0:
         raise ValueError("mesh has no triangles")
     pts = np.asarray(points_xyz, dtype=float).reshape(-1, 3)
-    index = _MeshIndex(mesh)
-    dist = np.empty(len(pts))
-    covered = np.empty(len(pts), dtype=bool)
-    for k, p in enumerate(pts):
-        dist[k], covered[k] = index.query(p)
+    x = mesh.vertices[:, 0][mesh.triangles]
+    y = mesh.vertices[:, 1][mesh.triangles]
+    bins = _Bins(x, y)
+    # squared-length scale per triangle for the containment tolerance
+    e1 = (x[:, 1] - x[:, 0]) ** 2 + (y[:, 1] - y[:, 0]) ** 2
+    e2 = (x[:, 2] - x[:, 0]) ** 2 + (y[:, 2] - y[:, 0]) ** 2
+    area_eps = 1e-9 * np.maximum(e1, e2)
+    del x, y, e1, e2
+    dist = np.full(len(pts), np.inf)
+    covered = np.zeros(len(pts), dtype=bool)
+    for s in range(0, len(pts), _POINT_BLOCK):
+        block = slice(s, s + _POINT_BLOCK)
+        _search_block(pts[block], mesh, area_eps, bins, dist[block], covered[block])
     return dist, covered
 
 
@@ -175,26 +232,20 @@ def face_normals(mesh: TinMesh) -> np.ndarray:
 def _adjacent_pairs(triangles: np.ndarray) -> np.ndarray:
     """(P, 2) face-index pairs sharing an edge (non-manifold edges pair all
     incident faces)."""
-    t = len(triangles)
     edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
                             triangles[:, [2, 0]]], axis=0)
     edges = np.sort(edges, axis=1)
-    faces = np.tile(np.arange(t), 3)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    faces = np.tile(np.arange(len(triangles), dtype=np.int64), 3)
+    order = np.lexsort((faces, edges[:, 1], edges[:, 0]))
     edges = edges[order]
     faces = faces[order]
-    pairs = []
-    start = 0
-    for k in range(1, len(edges) + 1):
-        if k == len(edges) or (edges[k] != edges[start]).any():
-            group = faces[start:k]
-            if len(group) > 1:
-                group = np.sort(group)
-                for x in range(len(group)):
-                    for y in range(x + 1, len(group)):
-                        pairs.append((group[x], group[y]))
-            start = k
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    # each face of a run of equal edges pairs with every later face of the run
+    starts = np.flatnonzero(np.concatenate([[True], (edges[1:] != edges[:-1]).any(axis=1)]))
+    run_len = np.diff(np.append(starts, len(edges)))
+    later = np.repeat(starts + run_len, run_len) - np.arange(len(edges)) - 1
+    left = np.repeat(np.arange(len(edges)), later)
+    right = left + 1 + _runs(later)
+    return np.column_stack([faces[left], faces[right]])
 
 
 def _pair_angles(mesh: TinMesh, pairs: np.ndarray) -> np.ndarray:

@@ -297,6 +297,8 @@ def load_surface(path: str | Path) -> NurbsSurface:
             raise ValueError(f"{path}:{line_no}: {err}") from None
         if len(values) != arity.get(key, len(values)):
             raise ValueError(f"{path}:{line_no}: {key} takes {arity[key]} value(s), got {len(values)}")
+        if casts.get(key) is float and not np.isfinite(values).all():
+            raise ValueError(f"{path}:{line_no}: {key} values must be finite")
         if key == "cp":
             cps.append(values)
         else:

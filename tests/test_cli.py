@@ -336,6 +336,8 @@ def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
     path = tmp_path / "surface.txt"
     for key, bad_line, message in [
             ("cp ", "cp 0.0 0.0 abc 1.0", "could not convert string to float: 'abc'"),
+            ("cp ", "cp 0.0 0.0 nan 1.0", "cp values must be finite"),
+            ("knots_u ", "knots_u 0.0 inf 1.0", "knots_u values must be finite"),
             ("xy_frozen ", "xy_frozen", "xy_frozen takes 1 value(s), got 0"),
             ("degree ", "degree 3", "degree takes 2 value(s), got 1")]:
         lines = run[0]["surface.txt"].decode().splitlines()
@@ -350,12 +352,15 @@ def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
 
 def test_malformed_mesh_names_file_and_line(tile, run, tmp_path, capsys):
     path = tmp_path / "mesh.obj"
-    lines = run[0]["mesh.obj"].decode().splitlines()
-    line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith("v "))
-    lines[line_no - 1] = "v 0.0 nan? 1.0"
-    path.write_text("\n".join(lines) + "\n")
-    rc, artifacts = invoke(tmp_path / "out", "eval", *layer_flags(tile, LAYERS),
-                           "--mesh", str(path))
-    assert (rc, artifacts) == (2, {})
-    assert capsys.readouterr().err == (
-        f"stage metrics: {path}:{line_no}: could not convert string to float: 'nan?'\n")
+    for bad_line, message in [
+            ("v 0.0 nan? 1.0", "could not convert string to float: 'nan?'"),
+            ("v 0 0 nan", "vertex coordinates must be finite"),
+            ("v inf 0 0", "vertex coordinates must be finite")]:
+        lines = run[0]["mesh.obj"].decode().splitlines()
+        line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith("v "))
+        lines[line_no - 1] = bad_line
+        path.write_text("\n".join(lines) + "\n")
+        rc, artifacts = invoke(tmp_path / "out", "eval", *layer_flags(tile, LAYERS),
+                               "--mesh", str(path))
+        assert (rc, artifacts) == (2, {})
+        assert capsys.readouterr().err == f"stage metrics: {path}:{line_no}: {message}\n"
