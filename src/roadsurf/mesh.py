@@ -1,10 +1,11 @@
 """Triangulated meshes from fitted surfaces and rasters.
 
 Surface meshing samples the height field on two nested lattices, dense on
-road cells and coarse elsewhere, then triangulates the plan positions with an
-incremental Bowyer-Watson Delaunay construction.  Regular-grid triangulation
-of a raster and a least-squares plane provide reference meshes of known
-shape.
+road cells and coarse elsewhere, then triangulates the plan positions in
+whole arrays: a start triangulation zips adjacent columns of equal x and
+fills the pockets up to the convex hull, and rounds of Lawson edge flips
+make it Delaunay.  Regular-grid triangulation of a raster and a least-squares
+plane provide reference meshes of known shape.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import numpy as np
 from .grid import Mask, Raster
 from .nurbs import NurbsSurface, evaluate_grid
 
-# relative slack on in-circle tests; exact cocircular quads may take either diagonal
-_INCIRCLE_REL_TOL = 1e-12
-
+# relative tolerance of the Delaunay predicates, against their permanents
+_TOL = 1e-12
 
 @dataclass
 class SamplingConfig:
@@ -95,127 +95,155 @@ def dynamic_sample(surface: NurbsSurface, mask_plus: Mask,
         sel = on_road if want_road else ~on_road
         return np.column_stack([gx[sel], gy[sel], z[sel]])
 
+    def plan_key(samples: np.ndarray) -> np.ndarray:
+        return np.round(samples[:, 0], 6) + 1j * np.round(samples[:, 1], 6)
+
     road = class_samples(config.road_rate, True)
     terrain = class_samples(config.terrain_rate, False)
-    taken = {(round(x, 6), round(y, 6)) for x, y in road[:, :2]}
-    keep = [k for k, (x, y) in enumerate(terrain[:, :2])
-            if (round(x, 6), round(y, 6)) not in taken]
-    return np.vstack([road, terrain[keep]])
+    return np.vstack([road, terrain[~np.isin(plan_key(terrain), plan_key(road))]])
 
 
-def _orient(ax, ay, bx, by, px, py) -> float:
-    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+def _incircle(p: np.ndarray, a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """In-circle determinants (Guibas & Stolfi 1985), positive where d lies
+    inside the circumcircle of the counter-clockwise triangle (a, b, c), and
+    their permanents: the same sums over the products' absolute values, which
+    bound the determinants' rounding error (Shewchuk 1997)."""
+    ax, ay = p[a, 0] - p[d, 0], p[a, 1] - p[d, 1]
+    bx, by = p[b, 0] - p[d, 0], p[b, 1] - p[d, 1]
+    cx, cy = p[c, 0] - p[d, 0], p[c, 1] - p[d, 1]
+    lift_a, lift_b, lift_c = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    bc, cb, ca, ac, ab, ba = bx * cy, by * cx, cx * ay, cy * ax, ax * by, ay * bx
+    det = lift_a * (bc - cb) + lift_b * (ca - ac) + lift_c * (ab - ba)
+    permanent = (lift_a * (abs(bc) + abs(cb)) + lift_b * (abs(ca) + abs(ac))
+                 + lift_c * (abs(ab) + abs(ba)))
+    return det, permanent
 
 
-def _circumcircle(ax, ay, bx, by, cx, cy) -> tuple[float, float, float]:
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        return 0.0, 0.0, float("inf")
-    a2 = ax * ax + ay * ay
-    b2 = bx * bx + by * by
-    c2 = cx * cx + cy * cy
-    ox = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
-    oy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    r2 = (ax - ox) ** 2 + (ay - oy) ** 2
-    return ox, oy, r2
+def _strip_start(p: np.ndarray) -> np.ndarray:
+    """A triangulation of points sorted by (x, y), not yet Delaunay.
 
-
-class _Triangulation:
-    """Bookkeeping for incremental insertion: live triangles, cached
-    circumcircles, and an edge-to-triangle map for adjacency walks."""
-
-    def __init__(self, verts: np.ndarray):
-        self.verts = verts
-        self.tri: list[tuple[int, int, int]] = []
-        self.circ: list[tuple[float, float, float]] = []
-        self.alive: list[bool] = []
-        self.edges: dict[tuple[int, int], list[int]] = {}
-
-    def add(self, a: int, b: int, c: int) -> int:
-        v = self.verts
-        if _orient(v[a, 0], v[a, 1], v[b, 0], v[b, 1], v[c, 0], v[c, 1]) < 0:
-            b, c = c, b
-        tid = len(self.tri)
-        self.tri.append((a, b, c))
-        self.circ.append(_circumcircle(v[a, 0], v[a, 1], v[b, 0], v[b, 1], v[c, 0], v[c, 1]))
-        self.alive.append(True)
-        for u, w in ((a, b), (b, c), (c, a)):
-            self.edges.setdefault((min(u, w), max(u, w)), []).append(tid)
-        return tid
-
-    def kill(self, tid: int) -> None:
-        self.alive[tid] = False
-        a, b, c = self.tri[tid]
-        for u, w in ((a, b), (b, c), (c, a)):
-            self.edges[(min(u, w), max(u, w))].remove(tid)
-
-    def neighbor(self, tid: int, u: int, w: int) -> int | None:
-        for other in self.edges.get((min(u, w), max(u, w)), ()):
-            if other != tid and self.alive[other]:
-                return other
-        return None
-
-    def in_circle(self, tid: int, px: float, py: float) -> bool:
-        ox, oy, r2 = self.circ[tid]
-        if math.isinf(r2):
-            return True
-        return (px - ox) ** 2 + (py - oy) ** 2 < r2 * (1.0 - _INCIRCLE_REL_TOL)
-
-    def contains(self, tid: int, px: float, py: float) -> bool:
-        a, b, c = self.tri[tid]
-        v = self.verts
-        for u, w in ((a, b), (b, c), (c, a)):
-            if _orient(v[u, 0], v[u, 1], v[w, 0], v[w, 1], px, py) < 0:
-                return False
-        return True
-
-    def locate(self, px: float, py: float, start: int) -> int:
-        """A live triangle whose circumdisk holds (px, py), found by walking
-        from ``start`` and falling back to a scan if the walk stalls."""
-        tid = start
-        v = self.verts
-        for _ in range(4 * len(self.tri) + 16):
-            if not self.alive[tid]:
-                break
-            a, b, c = self.tri[tid]
-            moved = False
-            for u, w in ((a, b), (b, c), (c, a)):
-                if _orient(v[u, 0], v[u, 1], v[w, 0], v[w, 1], px, py) < 0:
-                    nxt = self.neighbor(tid, u, w)
-                    if nxt is None:
-                        break
-                    tid = nxt
-                    moved = True
+    The points form columns of equal x.  Each pair of adjacent columns, A on
+    the left and B on the right, is zipped from its two bottoms upward: the
+    other points of both columns are merged by y, B first on equal y, and
+    each one closes a triangle with the current top of either column.  The
+    pockets between the hull and the chains of column bottoms and tops are
+    filled by Andrew's monotone chain, one triangle per pop; a pop needs a
+    turn larger than _TOL times the sum of the orientation's two products'
+    absolute values, so collinear points stay on the hull.
+    """
+    n = len(p)
+    new_col = np.r_[True, p[1:, 0] != p[:-1, 0]]
+    bottom = np.flatnonzero(new_col)
+    top = np.r_[bottom[1:], n] - 1
+    col = np.cumsum(new_col) - 1
+    # every point above its column's bottom is an A event in the strip on its
+    # right and a B event in the strip on its left
+    above = np.flatnonzero(~new_col)
+    a_pts = above[col[above] < len(bottom) - 1]
+    b_pts = above[col[above] > 0]
+    pid = np.r_[a_pts, b_pts]
+    strip = np.r_[col[a_pts], col[b_pts] - 1]
+    is_a = np.r_[np.ones(len(a_pts), bool), np.zeros(len(b_pts), bool)]
+    order = np.lexsort((is_a, p[pid, 1], strip))
+    pid, strip, is_a = pid[order], strip[order], is_a[order]
+    # point ids grow from column to column, so running maxima give each
+    # strip's current tops without crossing into the strip before
+    tops_a = np.maximum.accumulate(np.where(is_a, pid, bottom[strip]))
+    tops_b = np.maximum.accumulate(np.where(is_a, bottom[strip + 1], pid))
+    cur_a = np.maximum(bottom[strip], np.r_[-1, tops_a[:-1]])
+    cur_b = np.maximum(bottom[strip + 1], np.r_[-1, tops_b[:-1]])
+    pockets = []
+    xy = p.tolist()
+    for chain, sign in ((bottom, 1.0), (top, -1.0)):
+        stack: list[int] = []
+        for v in chain.tolist():
+            vx, vy = xy[v]
+            while len(stack) >= 2:
+                (ax, ay), (bx, by) = xy[stack[-2]], xy[stack[-1]]
+                left, right = (bx - ax) * (vy - ay), (by - ay) * (vx - ax)
+                if sign * (left - right) >= -_TOL * (abs(left) + abs(right)):
                     break
-            if not moved:
-                return tid
-        for tid, ok in enumerate(self.alive):
-            if ok and (self.contains(tid, px, py) or self.in_circle(tid, px, py)):
-                return tid
-        raise RuntimeError("point location failed")
+                pockets.append((stack[-2], stack.pop(), v))
+            stack.append(v)
+    tri = np.concatenate([np.column_stack([cur_a, cur_b, pid]),
+                          np.array(pockets, dtype=np.int64).reshape(-1, 3)])
+    a, b, c = (p[tri[:, k]] for k in range(3))
+    cw = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) < (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    tri[cw] = tri[cw][:, [0, 2, 1]]
+    return tri
 
 
-def _insertion_order(pts: np.ndarray) -> np.ndarray:
-    """Serpentine bin order for spatial locality during insertion."""
-    n = len(pts)
-    x0, y0 = pts.min(axis=0)
-    x1, y1 = pts.max(axis=0)
-    nb = max(1, int(math.ceil(math.sqrt(n / 4.0))))
-    span_x = (x1 - x0) or 1.0
-    span_y = (y1 - y0) or 1.0
-    bi = np.minimum((pts[:, 0] - x0) / span_x * nb, nb - 1).astype(int)
-    bj = np.minimum((pts[:, 1] - y0) / span_y * nb, nb - 1).astype(int)
-    bi_serp = np.where(bj % 2 == 0, bi, nb - 1 - bi)
-    return np.lexsort((pts[:, 0], pts[:, 1], bi_serp, bj))
+def _flip_to_delaunay(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
+    """Lawson flips in rounds until no interior edge is illegal.
+
+    An edge is illegal when the far vertex of one of its triangles lies
+    inside the other's circumcircle by an in-circle value above _TOL times
+    its permanent.  Each round numbers the interior edges by key, lets every
+    triangle claim its lowest-numbered illegal edge, and flips the edges
+    claimed by both of their triangles, so no triangle takes part in two
+    flips.  The lowest illegal edge always flips, and flips reach a Delaunay
+    triangulation from any triangulation (Lawson 1977; de Berg et al.,
+    Computational Geometry, ch. 9).  The next round tests only the edges of
+    triangles that had an illegal edge, flipped or not: an edge's test reads
+    just its two triangles, so a legal edge between untouched triangles stays
+    legal.  Raises RuntimeError after more rounds than points, far beyond
+    what any input has needed (pipeline samples 14 to 34, uniform random
+    points about 40 at 50k; points on a line below a parabola about n / 4).
+    """
+    n = len(p)
+    changed = np.ones(len(tri), dtype=bool)
+    for _ in range(n + 1):
+        # half-edge 3 t + k runs u -> v in triangle t, opposite w
+        u = tri.ravel()
+        v = tri[:, [1, 2, 0]].ravel()
+        w = tri[:, [2, 0, 1]].ravel()
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(key, kind="stable")
+        twin = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+        h1, h2 = order[twin], order[twin + 1]
+        edge = np.flatnonzero(changed[h1 // 3] | changed[h2 // 3])
+        h1, h2 = h1[edge], h2[edge]
+        a, b, c, d = u[h1], v[h1], w[h1], w[h2]
+        det, permanent = _incircle(p, a, b, c, d)
+        illegal = np.flatnonzero(det > _TOL * permanent)
+        if len(illegal) == 0:
+            return tri
+        edge = edge[illegal]
+        t1, t2 = h1[illegal] // 3, h2[illegal] // 3
+        claim = np.full(len(tri), len(twin))
+        np.minimum.at(claim, t1, edge)
+        np.minimum.at(claim, t2, edge)
+        go = (claim[t1] == edge) & (claim[t2] == edge)
+        changed[:] = False
+        changed[t1] = changed[t2] = True
+        a, b, c, d = (x[illegal[go]] for x in (a, b, c, d))
+        t1, t2 = t1[go], t2[go]
+        tri[t1] = np.column_stack([a, d, c])
+        tri[t2] = np.column_stack([d, b, c])
+    raise RuntimeError(f"delaunay: edges still illegal after {n + 1} flip rounds")
 
 
 def delaunay(points_xy: np.ndarray) -> np.ndarray:
-    """Delaunay triangulation of 2D points by incremental insertion.
+    """Delaunay triangulation of 2D points by Lawson flips from column strips.
 
-    Returns a (T, 3) index array, each row counter-clockwise, in a canonical
-    row order.  Raises ValueError for fewer than 3 points, duplicate points,
-    or an all-collinear input.  Exactly cocircular point sets may resolve to
-    either diagonal.
+    The points are sorted by (x, y) and triangulated by _strip_start, whose
+    zip takes the right column's point first on equal y.  On a lattice this
+    splits every square along its lower-left to upper-right diagonal, the
+    diagonal of rgt_mesh, and the flips keep it.  Both predicates run in
+    float64 on coordinates centred on the bounding box and count a value as
+    zero when it is within _TOL = 1e-12 times its permanent, far above the
+    rounding bound of about 1e-15 times the permanent (Shewchuk 1997).  The
+    tolerance scales with each quad and each turn, so a small cluster in a
+    wide set is held to the rule as tightly as the set itself.  A lattice
+    square's in-circle value carries only the rounding of its corners, so
+    cocircular ties keep the start's diagonal; any other quad of lattice
+    points with step q has an in-circle value of at least q^4, above the
+    tolerance while it spans fewer than 500 steps each way.  Off a lattice,
+    a quad within the tolerance of cocircular is not flipped.
+
+    Returns a (T, 3) index array, each row counter-clockwise with its
+    smallest index first, rows in ascending order.  Raises ValueError for
+    fewer than 3 points, duplicate points, or an all-collinear input.
     """
     pts = np.asarray(points_xy, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 2:
@@ -226,72 +254,23 @@ def delaunay(points_xy: np.ndarray) -> np.ndarray:
         raise ValueError("need at least 3 points")
     if len(np.unique(pts, axis=0)) != n:
         raise ValueError("duplicate points")
-    x0, y0 = pts.min(axis=0)
-    x1, y1 = pts.max(axis=0)
-    scale = max(x1 - x0, y1 - y0)
-    anchor = pts[0]
-    rel = pts - anchor
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = float((hi - lo).max())
+    rel = pts - pts[0]
     # collinearity: farthest point from pts[0] spans the direction; all cross
     # products against it must vanish
-    far = int(np.argmax((rel ** 2).sum(axis=1)))
-    direction = rel[far]
+    direction = rel[np.argmax((rel ** 2).sum(axis=1))]
     cross = np.abs(rel[:, 0] * direction[1] - rel[:, 1] * direction[0])
-    if cross.max() <= 1e-12 * scale * scale:
+    if cross.max() <= 1e-12 * span * span:
         raise ValueError("points are collinear")
 
-    cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
-    d = scale
-    verts = np.vstack([
-        pts,
-        [cx - 16.0 * d, cy - 10.0 * d],
-        [cx + 16.0 * d, cy - 10.0 * d],
-        [cx, cy + 16.0 * d],
-    ])
-    tr = _Triangulation(verts)
-    last = tr.add(n, n + 1, n + 2)
-
-    for pid in _insertion_order(pts):
-        px, py = pts[pid]
-        seed = tr.locate(px, py, last)
-        bad = {seed}
-        stack = [seed]
-        while stack:
-            tid = stack.pop()
-            a, b, c = tr.tri[tid]
-            for u, w in ((a, b), (b, c), (c, a)):
-                nb_id = tr.neighbor(tid, u, w)
-                if nb_id is not None and nb_id not in bad and tr.in_circle(nb_id, px, py):
-                    bad.add(nb_id)
-                    stack.append(nb_id)
-        boundary = []
-        for tid in bad:
-            a, b, c = tr.tri[tid]
-            for u, w in ((a, b), (b, c), (c, a)):
-                nb_id = tr.neighbor(tid, u, w)
-                if nb_id is None or nb_id not in bad:
-                    boundary.append((u, w))
-        for tid in bad:
-            tr.kill(tid)
-        for u, w in boundary:
-            last = tr.add(u, w, int(pid))
-
-    out = []
-    for tid, ok in enumerate(tr.alive):
-        if not ok:
-            continue
-        a, b, c = tr.tri[tid]
-        if a >= n or b >= n or c >= n:
-            continue
-        # rotate the smallest index first, preserving orientation
-        if b < a and b <= c:
-            a, b, c = b, c, a
-        elif c < a and c < b:
-            a, b, c = c, a, b
-        out.append((a, b, c))
-    if not out:
-        raise ValueError("triangulation is empty")
-    result = np.array(sorted(out), dtype=np.int64)
-    return result
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    p = pts[order] - (lo + hi) / 2.0
+    tri = order[_flip_to_delaunay(p, _strip_start(p))]
+    # rotate the smallest index first, preserving orientation, and sort rows
+    first = np.argmin(tri, axis=1)
+    tri = tri[np.arange(len(tri))[:, None], (first[:, None] + np.arange(3)) % 3]
+    return tri[np.lexsort(tri.T[::-1])]
 
 
 def build_tin(surface: NurbsSurface, mask_plus: Mask, config: SamplingConfig) -> TinMesh:

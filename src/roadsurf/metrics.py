@@ -174,14 +174,22 @@ def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _B
                 covered[owner[_in_footprint(p, batch, area_eps[ids])]] = True
         if k > max_ring:
             return
-        # everything beyond ring k sits outside the explored rectangle
+        # the unexplored bins are the grid box outside the explored rectangle,
+        # one band beyond each side the rings have not pushed past the grid:
+        # (band exists, gap from the point to the side, offset along the side)
         px, py = pts[open_, 0], pts[open_, 1]
-        rx0 = lo[0] + (bi[open_] - k) * cell
-        rx1 = lo[0] + (bi[open_] + k + 1) * cell
-        ry0 = lo[1] + (bj[open_] - k) * cell
-        ry1 = lo[1] + (bj[open_] + k + 1) * cell
-        bound = np.minimum(np.minimum(px - rx0, rx1 - px), np.minimum(py - ry0, ry1 - py))
-        open_ = open_[~(best[open_] <= np.maximum(bound, 0.0))]
+        i, j = bi[open_], bj[open_]
+        off_x = np.maximum(np.maximum(lo[0] - px, px - (lo[0] + nb[0] * cell)), 0.0)
+        off_y = np.maximum(np.maximum(lo[1] - py, py - (lo[1] + nb[1] * cell)), 0.0)
+        bands = (
+            (i - k > 0, px - (lo[0] + (i - k) * cell), off_y),
+            (i + k < nb[0] - 1, lo[0] + (i + k + 1) * cell - px, off_y),
+            (j - k > 0, py - (lo[1] + (j - k) * cell), off_x),
+            (j + k < nb[1] - 1, lo[1] + (j + k + 1) * cell - py, off_x),
+        )
+        bound = np.minimum.reduce([np.where(exists, np.hypot(np.maximum(gap, 0.0), offset), np.inf)
+                                   for exists, gap, offset in bands])
+        open_ = open_[~(best[open_] <= bound)]
         k += 1
 
 
@@ -195,8 +203,10 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     most ``_PAIR_CHUNK`` at a time, which go through ``_closest_point_batch``
     together and are reduced with ``np.minimum.at``; ring 0 also decides
     coverage.  A point closes once its best distance is no more than its
-    plan distance to the edge of the explored rings, since no triangle
-    outside them can be nearer, or once the rings cover every bin.  The
+    plan distance to the bins still unexplored, the part of the bin grid
+    outside the explored rings, since no triangle lies anywhere else; a side
+    whose rings have passed the grid edge bounds nothing, so a point beside
+    the mesh is not held open by the empty plane on its own side.  The
     distances therefore equal, bit for bit, the minimum of
     ``_closest_point_batch`` over every triangle, whatever the block and
     chunk sizes.

@@ -26,8 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Raster
-
 
 def uniform_clamped_knots(num_ctrl: int, degree: int, low: float = 0.0,
                           high: float = 1.0) -> np.ndarray:
@@ -228,7 +226,7 @@ def _grid_terms(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray):
 
     Returns (bu, bv, z, den): bu is (len(xs), nu), bv is (len(ys), nv), and z
     and den are (len(ys), len(xs)) with z the height field and den the
-    rational denominator.  Shared by rasterization and the fit gradients.
+    rational denominator.  Shared by evaluate_grid and the fit gradients.
     """
     us, _ = surface.world_to_param(xs, np.full(np.size(xs), surface.xy_extent()[2]))
     _, vs = surface.world_to_param(np.full(np.size(ys), surface.xy_extent()[0]), ys)
@@ -246,15 +244,6 @@ def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.n
     Output has shape (len(ys), len(xs)).
     """
     return _grid_terms(surface, xs, ys)[2]
-
-
-def rasterize(surface: NurbsSurface, template: Raster) -> Raster:
-    """Surface heights at every cell center of the template grid."""
-    xs = template.origin_x + np.arange(template.width) * template.cell_size_x
-    ys = template.origin_y + np.arange(template.height) * template.cell_size_y
-    values = evaluate_grid(surface, xs, ys)
-    return Raster(template.width, template.height, template.cell_size_x,
-                  template.cell_size_y, template.origin_x, template.origin_y, values)
 
 
 def save_surface(surface: NurbsSurface, path: str | Path) -> None:

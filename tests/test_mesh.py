@@ -9,16 +9,29 @@ circumcircle exactly when
     | cx-px  cy-py  (cx-px)^2 + (cy-py)^2 |
 
 It is evaluated for every triangle against every input point that is not one
-of its vertices, without any spatial structure.
+of its vertices, without any spatial structure.  Larger sets are checked edge
+by edge instead: the far vertex of one triangle against the other, with the
+determinant divided by its permanent (the same expansion over the products'
+absolute values), so the rule reads the same at every scale.  Coverage is
+checked against scipy's convex hull: the triangles' areas sum to the hull's
+area, and their count is the Euler count 2n - 2 - h, with h the points on the
+hull boundary, collinear ones included.
 """
+
+import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from roadsurf.mesh import delaunay
+from roadsurf.grid import Mask, Raster
+from roadsurf.mesh import SamplingConfig, delaunay, dynamic_sample, rgt_mesh
+from roadsurf.nurbs import lattice_surface
 
 # in-circle determinants carry length^4; slack relative to the squared-squared span
 INCIRCLE_TOL = 1e-9
+# slack of an edge's in-circle determinant relative to its permanent
+EDGE_TOL = 1e-10
 
 
 def orientation(points, triangles):
@@ -50,7 +63,40 @@ def assert_delaunay(points):
     det[np.arange(len(tri))[:, None], tri] = -np.inf
     span = np.ptp(points, axis=0).max()
     assert det.max() <= INCIRCLE_TOL * span ** 4
+    assert_tiles_hull(points, tri)
     return tri
+
+
+def edge_incircle(points, triangles):
+    """In-circle determinant over permanent for every interior edge: the far
+    vertex of the edge's twin triangle against the counter-clockwise one."""
+    far = {}
+    for a, b, c in triangles.tolist():
+        far[a, b], far[b, c], far[c, a] = c, a, b
+    quads = np.array([(u, v, w, far[v, u]) for (u, v), w in far.items()
+                      if u < v and (v, u) in far])
+    rel = points[quads[:, :3]] - points[quads[:, 3:]]  # (E, 3, 2)
+    m = np.concatenate([rel, (rel ** 2).sum(axis=-1, keepdims=True)], axis=-1)
+    permanent = sum(np.abs(m[:, 0, i] * m[:, 1, j] * m[:, 2, k])
+                    for i, j, k in itertools.permutations(range(3)))
+    return np.linalg.det(m) / permanent
+
+
+def assert_tiles_hull(points, tri):
+    """The triangles tile the convex hull, every point a vertex."""
+    n = len(points)
+    span = np.ptp(points, axis=0).max()
+    hull = ConvexHull(points)
+    assert orientation(points, tri).sum() / 2 == pytest.approx(hull.volume, rel=1e-12)
+    on_hull = np.abs(points @ hull.equations[:, :2].T + hull.equations[:, 2]).min(axis=1)
+    assert len(tri) == 2 * n - 2 - int((on_hull <= 1e-9 * span).sum())
+    assert np.array_equal(np.unique(tri), np.arange(n))
+
+
+def lattice_points(cols, rows, step=1.0, x0=0.0, y0=0.0):
+    """Row-major lattice, the vertex order of rgt_mesh."""
+    jj, ii = np.mgrid[0:rows, 0:cols]
+    return np.column_stack([x0 + ii.ravel() * step, y0 + jj.ravel() * step])
 
 
 def test_random_points_are_delaunay():
@@ -85,3 +131,103 @@ def test_jittered_lattice_is_delaunay():
 def test_degenerate_inputs_raise(points, message):
     with pytest.raises(ValueError, match=message):
         delaunay(np.array(points))
+
+
+def test_random_sets_cover_their_hull():
+    # 40 uniform sets of 10 to 400 points in a 100 m square
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        n = int(rng.integers(10, 401))
+        assert_delaunay(rng.uniform(0.0, 100.0, (n, 2)))
+
+
+def clusters(spread, seed):
+    """Twenty Gaussian clusters of 100 points over 500 uniform ones, in a
+    100 m square."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(0.0, 100.0, (20, 1, 2))
+    blobs = centres + rng.normal(0.0, spread, (20, 100, 2))
+    return np.concatenate([blobs.reshape(-1, 2), rng.uniform(0.0, 100.0, (500, 2))])
+
+
+def small_cluster_in_a_wide_set(seed):
+    """300 points in a 5 cm square among 200 points spread over 500 m."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(250.0, 250.05, (300, 2)),
+                           rng.uniform(0.0, 500.0, (200, 2))])
+
+
+def dent_in_the_hull(seed):
+    """200 points over 500 m above three on its bottom edge, 5 cm apart, the
+    middle one 1 um above the line through the others."""
+    rng = np.random.default_rng(seed)
+    bottom = [[250.0, 0.0], [250.025, 1e-6], [250.05, 0.0]]
+    return np.concatenate([bottom, rng.uniform([0.0, 1.0], [500.0, 500.0], (200, 2))])
+
+
+@pytest.mark.parametrize("points", [
+    np.random.default_rng(1).uniform(0.0, 100.0, (3000, 2)),
+    clusters(1e-1, 2),
+    clusters(1e-3, 3),
+    clusters(1e-4, 4),
+    small_cluster_in_a_wide_set(5),
+    dent_in_the_hull(6),
+], ids=["uniform", "clusters-0.1", "clusters-0.001", "clusters-0.0001", "small-cluster",
+        "hull-dent"])
+def test_every_interior_edge_is_locally_delaunay(points):
+    tri = delaunay(points)
+    assert edge_incircle(points, tri).max() <= EDGE_TOL
+    assert_tiles_hull(points, tri)
+
+
+def test_lattice_squares_take_the_rgt_diagonal():
+    # every square is cocircular; the tie goes to the lower-left to
+    # upper-right diagonal, triangle for triangle the split of rgt_mesh
+    points = lattice_points(13, 7, step=0.4, x0=-3.0, y0=2.0)
+    tri = assert_delaunay(points)
+    raster = Raster(width=13, height=7, cell_size_x=0.4, cell_size_y=0.4,
+                    origin_x=-3.0, origin_y=2.0, values=np.zeros((7, 13)))
+    expected = rgt_mesh(raster).triangles
+    assert np.array_equal(tri, expected[np.lexsort(expected.T[::-1])])
+
+
+def test_collinear_points_inside_a_lattice():
+    # half-step points along an inner row and an inner column, and a run of
+    # points along a diagonal, each making collinear triples inside the hull
+    base = lattice_points(9, 9)
+    row = np.column_stack([np.arange(8) + 0.5, np.full(8, 4.0)])
+    column = np.column_stack([np.full(8, 3.0), np.arange(8) + 0.5])
+    diagonal = np.column_stack([np.arange(1, 6) + 0.25, np.arange(1, 6) + 0.25])
+    points = np.concatenate([base, row, column[column[:, 1] != 4.0], diagonal])
+    rng = np.random.default_rng(5)
+    assert_delaunay(points[rng.permutation(len(points))])
+
+
+LATTICE = lattice_points(7, 6)
+LINE = np.column_stack([np.zeros(6), np.arange(6.0)])
+
+
+@pytest.mark.parametrize("points", [
+    np.vstack([LATTICE, [[-1.0, 2.5]]]),               # left of the lattice
+    np.vstack([LATTICE, [[7.0, -2.0]]]),               # right of it, below the bottom row
+    np.vstack([LATTICE, [[-1.0, 2.5], [7.0, 6.5]]]),   # one at each end
+    np.vstack([LATTICE, [[3.5, -1.0], [-2.0, 2.0]]]),  # below an inner column, and left
+    np.vstack([LINE, [[2.0, 1.5]]]),                   # beside a single column
+    np.vstack([LINE[:, ::-1], [[1.5, -2.0]]]),         # below a row of one-point columns
+])
+def test_one_point_column_on_the_hull(points):
+    assert_delaunay(points)
+
+
+@pytest.mark.parametrize("rates", [(1.0, 5.0), (0.5, 5.0), (1.0, 2.5)])
+def test_dual_rate_samples_are_delaunay(rates):
+    # a curved band of road cells sampled densely, terrain coarsely; 1/2.5
+    # lattices do not nest
+    surface = lattice_surface((0.0, 20.0), (0.0, 15.0), 6, 5,
+                              control_z=np.random.default_rng(3).normal(0.0, 1.0, (6, 5)))
+    jj, ii = np.mgrid[0:16, 0:21]
+    bits = (np.abs(jj - 7.0 - 4.0 * np.sin(ii / 4.0)) < 2.0).astype(np.uint8)
+    mask = Mask(width=21, height=16, cell_size_x=1.0, cell_size_y=1.0,
+                origin_x=0.0, origin_y=0.0, bits=bits)
+    samples = dynamic_sample(surface, mask, SamplingConfig(*rates))
+    assert_delaunay(samples[:, :2])

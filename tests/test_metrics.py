@@ -9,6 +9,8 @@ search must match it bit for bit.  Edge adjacency is checked against an
 O(T^2) scan of shared edges.
 """
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,58 @@ def test_distances_are_exact_on_a_plane():
     assert np.array_equal(dist, indexless_distances(mesh, points))
     inside = ((points[:, :2] >= 0.0) & (points[:, :2] <= [50.0, 30.0])).all(1)
     assert covered.tolist() == inside.tolist()
+
+
+def test_points_beside_the_mesh_close_without_a_full_search():
+    # 10 to 40 m beside each side of a 101 x 101 regular grid (20k
+    # triangles), off its corners, and far below it; no triangle lies beyond
+    # the bin grid, so points beside it stop widening their rings early
+    rng = np.random.default_rng(13)
+    raster = Raster(width=101, height=101, cell_size_x=1.0, cell_size_y=1.0, origin_x=0.0,
+                    origin_y=0.0, values=rng.normal(0.0, 0.3, (101, 101)))
+    grid_mesh = rgt_mesh(raster)
+    along, off = rng.uniform(0.0, 100.0, 60), rng.uniform(10.0, 40.0, 60)
+    beside = np.concatenate([np.column_stack([-off, along]), np.column_stack([100.0 + off, along]),
+                             np.column_stack([along, -off]), np.column_stack([along, 100.0 + off])])
+    signs = np.array([[-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]).repeat(15, axis=0)
+    corners = 50.0 + signs * (50.0 + rng.uniform(5.0, 30.0, (60, 2)))
+    below = np.column_stack([rng.uniform(0.0, 100.0, (6, 2)), np.full(6, -500.0)])
+    points = np.concatenate([np.column_stack([np.concatenate([beside, corners]),
+                                              rng.normal(0.0, 0.3, 300)]), below])
+
+    def too_slow(signum, frame):
+        raise TimeoutError("points beside the mesh searched every bin")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        dist, covered = point_mesh_distances(grid_mesh, points)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert np.array_equal(dist, indexless_distances(grid_mesh, points))
+    assert covered.tolist() == [False] * 300 + [True] * 6
+
+
+@pytest.mark.parametrize("turns", range(4))
+def test_bound_beyond_a_side_ignores_the_offset_along_it(turns):
+    # 8 triangles on a 60 m by 1 m strip make two 30 m bins.  A point 40 m
+    # beyond the strip's end first meets, in its own bin, triangles 65 m
+    # below it (76.3 m away); the band of the other bin starts 70 m away, so
+    # the search must go on and find the level triangles there (70.1 m).  Its
+    # 40 m offset from the grid runs along that band and must not enter the
+    # bound, which would close the point at 76.3 m.
+    level = [[27.0, 0.0, 0.0], [29.9, 0.0, 0.0], [29.9, 1.0, 0.0]]
+    low = [[58.0, 0.0, -65.0], [60.0, 0.0, -65.0], [60.0, 1.0, -65.0]]
+    filler = [[0.0, 0.0, 500.0], [2.0, 0.0, 500.0], [1.0, 1.0, 500.0]]
+    corners = np.array([filler] * 2 + [level] * 3 + [low] * 3).reshape(-1, 3)
+    point = np.array([[100.0, 0.5, 0.0]])
+    c, s = np.round(np.cos(turns * np.pi / 2)), np.round(np.sin(turns * np.pi / 2))
+    turn = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    mesh = TinMesh(corners @ turn.T, np.arange(24).reshape(8, 3))
+    dist, _ = point_mesh_distances(mesh, point @ turn.T)
+    assert np.array_equal(dist, indexless_distances(mesh, point @ turn.T))
+    assert dist[0] == pytest.approx(70.1)
 
 
 def test_points_on_shared_vertices_and_edges(lattice):

@@ -21,10 +21,18 @@ from roadsurf.nurbs import (
     gradients,
     lattice_surface,
     load_surface,
-    rasterize,
     save_surface,
     uniform_clamped_knots,
 )
+
+
+def rasterize(surface, template):
+    """Surface heights at every cell center of the template grid."""
+    xs = template.origin_x + np.arange(template.width) * template.cell_size_x
+    ys = template.origin_y + np.arange(template.height) * template.cell_size_y
+    values = evaluate_grid(surface, xs, ys)
+    return Raster(template.width, template.height, template.cell_size_x,
+                  template.cell_size_y, template.origin_x, template.origin_y, values)
 
 
 def naive_basis(knots, degree, i, u):
