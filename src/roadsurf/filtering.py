@@ -6,7 +6,9 @@ an elevation continuity constraint, merges clusters that are close in both
 plan distance and elevation, and keeps only the largest clusters.
 
 Growing and merging are both connected components, of neighbor point pairs
-and of cluster label pairs; one whole-array union-find serves both.
+and of cluster label pairs; one whole-array union-find serves both.  Only
+points outside the largest grown cluster can pair two labels, so merging
+looks up the plan-distance disc of those points alone, in bounded blocks.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Mask, Raster
+
+
+# offset lookups per block of merge_clusters; bounds its temporary arrays to
+# a few megabytes whatever theta_xy and the cell size
+_MERGE_BLOCK = 1 << 17
 
 
 @dataclass
@@ -107,6 +114,76 @@ def grow_regions(points: Raster, neighbors: np.ndarray) -> LabelGrid:
     return LabelGrid(labels, count)
 
 
+def _disc_offsets(points: Raster, theta_xy: float):
+    """Lattice offsets (di, dj) other than (0, 0) within theta_xy of a cell,
+    bounded by the grid, as arrays, and for each whether it lies within a
+    relative 1e-6 of the theta_xy ring.  Offsets inside the ring pair cells
+    within theta_xy whatever the rounding of their world coordinates; ring
+    offsets need the exact check on those coordinates."""
+    cx, cy = points.cell_size_x, points.cell_size_y
+    # offsets beyond the grid can never pair two cells
+    ki = min(int(theta_xy / cx * (1 + 1e-9)) + 1, points.width - 1)
+    kj = min(int(theta_xy / cy * (1 + 1e-9)) + 1, points.height - 1)
+    dj, di = (a.ravel() for a in np.mgrid[-kj:kj + 1, -ki:ki + 1])
+    d2 = (di * cx) ** 2 + (dj * cy) ** 2
+    thr2 = theta_xy * theta_xy
+    keep = (d2 <= thr2 * (1 + 1e-6) + 1e-12) & ((di != 0) | (dj != 0))
+    return di[keep], dj[keep], d2[keep] > thr2 * (1 - 1e-6)
+
+
+def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
+                       theta_z: float) -> np.ndarray:
+    """Label pairs (la, lb), la != lb, of point pairs within theta_xy in plan
+    and theta_z in elevation, as an (E, 2) array, each pair at most once per
+    block.
+
+    Every such pair has a point outside the largest cluster, so only those
+    points look up their disc of offsets, in blocks of at most _MERGE_BLOCK
+    lookups, on flat indices into grids padded by the disc radius.  Padding
+    reads as NaN elevation, which no elevation test passes; neither do
+    cells without a point.
+    """
+    di, dj, ring = _disc_offsets(points, theta_xy)
+    if not len(di):
+        return np.zeros((0, 2), dtype=np.int64)
+    h, w = lab.shape
+    ki, kj = int(np.abs(di).max()), int(np.abs(dj).max())
+    z_pad = np.full((h + 2 * kj, w + 2 * ki), np.nan)
+    z_pad[kj:kj + h, ki:ki + w] = points.values
+    lab_pad = np.zeros(z_pad.shape, dtype=np.int64)
+    lab_pad[kj:kj + h, ki:ki + w] = lab
+    step = dj * z_pad.shape[1] + di
+    occ = points.valid
+    largest = np.argmax(np.bincount(lab[occ]))
+    sj, si = np.nonzero(occ & (lab != largest))
+    src = np.ravel_multi_index((sj + kj, si + ki), z_pad.shape)
+    z_pad, lab_pad = z_pad.ravel(), lab_pad.ravel()
+    xs = points.origin_x + np.arange(w) * points.cell_size_x
+    ys = points.origin_y + np.arange(h) * points.cell_size_y
+    thr2 = theta_xy * theta_xy
+    span = int(lab.max()) + 1
+    found = [np.zeros(0, dtype=np.int64)]
+    block = max(1, _MERGE_BLOCK // len(step))
+    for first in range(0, len(src), block):
+        s = src[first:first + block]
+        t = s[:, None] + step
+        gap = z_pad[t]
+        gap -= z_pad[s][:, None]
+        near = np.abs(gap, out=gap) <= theta_z
+        near &= lab_pad[t] != lab_pad[s][:, None]
+        row, col = np.divmod(np.flatnonzero(near), len(step))
+        edge = np.flatnonzero(ring[col])
+        if edge.size:
+            i, j = si[first + row[edge]], sj[first + row[edge]]
+            dx = xs[i + di[col[edge]]] - xs[i]
+            dy = ys[j + dj[col[edge]]] - ys[j]
+            far = edge[dx * dx + dy * dy > thr2]
+            row, col = np.delete(row, far), np.delete(col, far)
+        # pair (la, lb) as la * span + lb, so that np.unique drops repeats
+        found.append(np.unique(lab_pad[s[row]] * span + lab_pad[t[row, col]]))
+    return np.stack(np.divmod(np.concatenate(found), span), axis=1)
+
+
 def merge_clusters(points: Raster, labels: LabelGrid,
                    theta_xy: float, theta_z: float) -> LabelGrid:
     """Merge clusters that have at least one point pair within theta_xy in
@@ -117,35 +194,10 @@ def merge_clusters(points: Raster, labels: LabelGrid,
     """
     occ = points.valid
     lab = labels.labels
-    pairs = [np.zeros((0, 2), dtype=lab.dtype)]
+    pairs = np.zeros((0, 2), dtype=lab.dtype)
     if labels.label_count > 1:
-        z = points.values
-        xs = points.origin_x + np.arange(points.width) * points.cell_size_x
-        ys = points.origin_y + np.arange(points.height) * points.cell_size_y
-        x_grid = np.broadcast_to(xs, (points.height, points.width))
-        y_grid = np.broadcast_to(ys[:, None], (points.height, points.width))
-        # offsets beyond the grid can never pair two cells
-        ki = min(int(theta_xy / points.cell_size_x * (1 + 1e-9)) + 1, points.width - 1)
-        kj = min(int(theta_xy / points.cell_size_y * (1 + 1e-9)) + 1, points.height - 1)
-        thr2 = theta_xy * theta_xy
-        for dj in range(0, kj + 1):
-            for di in range(-ki, ki + 1):
-                if dj == 0 and di <= 0:
-                    continue  # each unordered pair once
-                # loose prefilter on the lattice step; exact check below
-                if (di * points.cell_size_x) ** 2 + (dj * points.cell_size_y) ** 2 > thr2 * (1 + 1e-6) + 1e-12:
-                    continue
-                a, b = _shift_slices(di, dj, points.width, points.height)
-                ok = occ[a] & occ[b]
-                if not ok.any():
-                    continue
-                ok &= np.abs(z[a] - z[b]) <= theta_z
-                ok &= lab[a] != lab[b]
-                dx = x_grid[b] - x_grid[a]
-                dy = y_grid[b] - y_grid[a]
-                ok &= dx * dx + dy * dy <= thr2
-                pairs.append(np.stack([lab[a][ok], lab[b][ok]], axis=1))
-    root = _components(labels.label_count + 1, np.concatenate(pairs))
+        pairs = _close_label_pairs(points, lab, theta_xy, theta_z)
+    root = _components(labels.label_count + 1, pairs)
     out = np.zeros_like(lab)
     out[occ], count = _first_seen(root[lab[occ]])
     return LabelGrid(out, count)

@@ -221,21 +221,25 @@ def gradients(surface: NurbsSurface, u: float, v: float) -> tuple[np.ndarray, np
     return coeff / den, coeff / surface.weights * (z - sz) / den
 
 
-def _grid_terms(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray):
-    """Basis matrices and rational terms for a world-aligned grid of queries.
-
-    Returns (bu, bv, z, den): bu is (len(xs), nu), bv is (len(ys), nv), and z
-    and den are (len(ys), len(xs)) with z the height field and den the
-    rational denominator.  Shared by evaluate_grid and the fit gradients.
-    """
+def grid_basis(surface: NurbsSurface, xs: np.ndarray,
+               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis matrices of the tensor grid of world columns xs and rows ys:
+    bu is (len(xs), nu) and bv is (len(ys), nv).  They depend only on the
+    frozen lattice, so one pair serves any control elevations and weights."""
     us, _ = surface.world_to_param(xs, np.full(np.size(xs), surface.xy_extent()[2]))
     _, vs = surface.world_to_param(np.full(np.size(ys), surface.xy_extent()[0]), ys)
-    bu = basis_matrix(surface.knots_u, surface.degree_u, us)
-    bv = basis_matrix(surface.knots_v, surface.degree_v, vs)
-    wz = surface.weights * surface.control_points[:, :, 2]
-    den = bv @ surface.weights.T @ bu.T
-    z = (bv @ wz.T @ bu.T) / den
-    return bu, bv, z, den
+    return (basis_matrix(surface.knots_u, surface.degree_u, us),
+            basis_matrix(surface.knots_v, surface.degree_v, vs))
+
+
+def grid_heights(bu: np.ndarray, bv: np.ndarray, control_z: np.ndarray,
+                 weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Height field and rational denominator, each (len(ys), len(xs)), on the
+    grid of ``grid_basis`` for the given control elevations and weights."""
+    den = bv @ weights.T @ bu.T
+    height = bv @ (weights * control_z).T @ bu.T
+    height /= den
+    return height, den
 
 
 def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -243,7 +247,8 @@ def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.n
 
     Output has shape (len(ys), len(xs)).
     """
-    return _grid_terms(surface, xs, ys)[2]
+    bu, bv = grid_basis(surface, xs, ys)
+    return grid_heights(bu, bv, surface.control_points[:, :, 2], surface.weights)[0]
 
 
 def save_surface(surface: NurbsSurface, path: str | Path) -> None:

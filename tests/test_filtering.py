@@ -3,7 +3,8 @@
 The oracles deliberately take the slow road: all-pairs loops for adjacency
 and merge criteria, with connected components delegated to scipy's graph
 routines.  Partitions are compared as sets of point sets so label numbering
-stays a separate, explicitly tested contract.
+stays a separate, explicitly tested contract.  ``loop_merge`` keeps the
+whole-grid per-offset merge as a reference whose labels must be equal.
 """
 
 import signal
@@ -23,7 +24,8 @@ from roadsurf.filtering import (
     merge_clusters,
     run_filter,
 )
-from roadsurf.grid import Raster
+from roadsurf import synth
+from roadsurf.grid import Raster, extract_road_points
 
 
 def make_points(z, cell=1.0, origin=(0.0, 0.0)):
@@ -133,6 +135,47 @@ def brute_merge(points, labels, theta_xy, theta_z):
         la = labels.labels[a[1], a[0]]
         groups.setdefault(comp[la - 1], set()).add(a)
     return {frozenset(g) for g in groups.values()}
+
+
+def loop_merge(points, labels, theta_xy, theta_z):
+    """Merged labels by the per-offset loop: one whole-grid comparison of
+    shifted arrays for every offset of the half disc within theta_xy, the
+    exact distance check on every pair, scipy components and first-seen
+    renumbering."""
+    occ = points.valid
+    lab = labels.labels
+    z = points.values
+    h, w = lab.shape
+    cx, cy = points.cell_size_x, points.cell_size_y
+    x_grid, y_grid = np.meshgrid(points.origin_x + np.arange(w) * cx,
+                                 points.origin_y + np.arange(h) * cy)
+    ki = min(int(theta_xy / cx * (1 + 1e-9)) + 1, w - 1)
+    kj = min(int(theta_xy / cy * (1 + 1e-9)) + 1, h - 1)
+    thr2 = theta_xy * theta_xy
+    rows, cols = [], []
+    for dj in range(0, kj + 1):
+        for di in range(-ki, ki + 1):
+            if (dj == 0 and di <= 0) or (di * cx) ** 2 + (dj * cy) ** 2 > thr2 * (1 + 1e-6) + 1e-12:
+                continue
+            a = (slice(max(0, -dj), max(0, h - max(0, dj))),
+                 slice(max(0, -di), max(0, w - max(0, di))))
+            b = (slice(max(0, dj), max(0, h - max(0, -dj))),
+                 slice(max(0, di), max(0, w - max(0, -di))))
+            dx = x_grid[b] - x_grid[a]
+            dy = y_grid[b] - y_grid[a]
+            ok = (occ[a] & occ[b] & (np.abs(z[a] - z[b]) <= theta_z)
+                  & (lab[a] != lab[b]) & (dx * dx + dy * dy <= thr2))
+            rows += list(lab[a][ok])
+            cols += list(lab[b][ok])
+    n = labels.label_count + 1
+    _, comp = connected_components(
+        coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)), directed=False)
+    _, first, inverse = np.unique(comp[lab[occ]], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=lab.dtype)
+    rank[np.argsort(first)] = np.arange(1, len(first) + 1)
+    out = np.zeros_like(lab)
+    out[occ] = rank[inverse]
+    return out
 
 
 def random_point_grid(rng, max_side=20):
@@ -382,6 +425,76 @@ class TestMergeClusters:
             signal.signal(signal.SIGALRM, previous)
         npt.assert_array_equal(huge.labels, spanning.labels)
         assert huge.label_count == spanning.label_count
+
+
+    def test_anisotropic_cells_match_bruteforce(self):
+        rng = np.random.default_rng(606)
+        for cx, cy in ((0.5, 2.0), (2.0, 0.7), (1.0, 0.4)):
+            for _ in range(6):
+                grid = random_point_grid(rng, max_side=14)
+                points = Raster(grid.width, grid.height, cx, cy, 3.0, -7.0, grid.values)
+                theta_z = float(rng.uniform(0.2, 3.0))
+                theta_xy = float(rng.uniform(1.5, 6.0)) * max(cx, cy)
+                labels = grow_regions(points, get_neighbors(points, theta_z))
+                merged = merge_clusters(points, labels, theta_xy, theta_z)
+                assert partition_from_labels(merged.labels) == \
+                    brute_merge(points, labels, theta_xy, theta_z)
+                npt.assert_array_equal(merged.labels,
+                                       loop_merge(points, labels, theta_xy, theta_z))
+
+    def test_two_clusters_tied_for_the_largest(self):
+        # two 6-cell clusters 4 m apart across empty columns, a one-cell
+        # cluster near the first and one out of reach in elevation
+        z = np.full((6, 20), np.nan)
+        z[0:2, 0:3] = 0.0
+        z[0:2, 6:9] = 0.2
+        z[4, 2] = 0.4
+        z[5, 12] = 5.0
+        points = make_points(z)
+        grown = grow_regions(points, get_neighbors(points, 0.5))
+        sizes = np.bincount(grown.labels[points.valid])
+        assert sizes[1] == sizes[2] == sizes.max()
+        # either tied cluster may be the one whose cells are not looked up
+        flipped = np.where(grown.labels > 0, grown.label_count + 1 - grown.labels, 0)
+        for labels in (grown, LabelGrid(flipped, grown.label_count)):
+            merged = merge_clusters(points, labels, 4.0, 0.5)
+            assert partition_from_labels(merged.labels) == brute_merge(points, labels, 4.0, 0.5)
+            assert merged.labels[0, 0] == merged.labels[0, 6] == merged.labels[4, 2]
+            assert merged.label_count == 2
+
+    @pytest.mark.parametrize("offset, theta_xy", [((4, 0), 1.6), ((0, 4), 1.6), ((3, 4), 2.0)])
+    def test_utm_origin_pairs_exactly_theta_xy_apart(self, offset, theta_xy):
+        # 0.4 m cells at x0 = 5e5, y0 = 5.4e6: every pair is exactly theta_xy
+        # apart on the lattice, and the rounding of its world coordinates puts
+        # it a hair inside or outside; only the exact check decides
+        di, dj = offset
+        pairs = 40
+        # pair k starts 9 k cells along the row (or column), and 0-8 cells
+        # across it; 9-cell strides keep the pairs out of each other's reach
+        z = np.full((9 * pairs, 13), np.nan) if dj and not di else np.full((13, 9 * pairs), np.nan)
+        for k in range(pairs):
+            i, j = (k % 9, 9 * k) if dj and not di else (9 * k, k % 9)
+            z[j, i] = z[j + dj, i + di] = 0.0
+        points = make_points(z, cell=0.4, origin=(5e5, 5.4e6))
+        labels = grow_regions(points, get_neighbors(points, 0.5))
+        assert labels.label_count == 2 * pairs
+        merged = merge_clusters(points, labels, theta_xy, 0.5)
+        assert partition_from_labels(merged.labels) == \
+            brute_merge(points, labels, theta_xy, 0.5)
+        assert pairs < merged.label_count < 2 * pairs  # both outcomes occur
+        npt.assert_array_equal(merged.labels, loop_merge(points, labels, theta_xy, 0.5))
+
+    @pytest.mark.parametrize("cell_size, theta_xy", [(1.0, 10.0), (1.0, 3.0), (0.4, 10.0)])
+    def test_equals_the_per_offset_loop_on_synth_tiles(self, cell_size, theta_xy):
+        for seed in (1, 2) if cell_size == 1.0 else (1,):
+            scene = synth.generate(synth.SceneSpec(
+                cell_size=cell_size, vehicles=6, trees=8, facades=2,
+                corrupt_mask=True, jitter_sigma=0.02, seed=seed))
+            points = extract_road_points(scene.dsm, scene.mask)
+            labels = grow_regions(points, get_neighbors(points, 0.5))
+            assert labels.label_count > 1
+            merged = merge_clusters(points, labels, theta_xy, 0.5)
+            npt.assert_array_equal(merged.labels, loop_merge(points, labels, theta_xy, 0.5))
 
 
 class TestCleanClusters:
