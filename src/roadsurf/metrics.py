@@ -3,12 +3,13 @@
 Accuracy is the mean unsigned Euclidean distance from ground-truth points to
 the mesh, using exact closest-point-on-triangle queries (Ericson, Real-Time
 Collision Detection, 5.1.5) accelerated by a plan-view bin grid.  The bins
-are CSR arrays, triangle ids sorted by bin and a start offset per bin, and
-the search runs over whole blocks of points: every point whose search is
-still open expands its next ring of bins into (point, triangle) pairs, and
-all pairs go through the closest-point routine together.  Each point meets
-the same triangles through the same float operations as it would alone, and
-the minimum is exact, so distances do not depend on how points are batched.
+are CSR arrays, triangle ids sorted by bin and a start offset per bin.  The
+search runs over whole blocks of points, ring by ring of bins around each
+point's home bin, and expands only the (point, triangle) pairs that could
+still beat a point's best distance (the four rules of point_mesh_distances),
+which go through the closest-point routine together.  A pruned pair cannot
+beat the best, a pair's float operations do not depend on its batch, and the
+minimum is exact, so distances do not depend on batching or pruning.
 Smoothness is the mean angular difference between normals of edge-adjacent
 triangle pairs.  Both can be split by a road mask using the plan-view
 centroid of each triangle.
@@ -39,49 +40,48 @@ class MetricReport:
     terrain_coverage: float = 1.0
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products over axis 0, summed x, then y, then z, as ``sum`` does."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _closest_point_batch(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
-    """Closest points to p on each triangle of a (K, 3, 3) batch."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    """Closest points to p on each triangle of a (K, 3, 3) batch.
+
+    The work runs on contiguous (3, K) coordinate rows; a region test that
+    holds takes precedence over every later one."""
+    a, b, c = np.ascontiguousarray(tri.transpose(1, 2, 0))
+    p = np.ascontiguousarray(np.broadcast_to(p, (len(tri), 3)).T)
     ab = b - a
     ac = c - a
     ap = p - a
-    d1 = (ab * ap).sum(1)
-    d2 = (ac * ap).sum(1)
+    d1, d2 = _dot(ab, ap), _dot(ac, ap)
     bp = p - b
-    d3 = (ab * bp).sum(1)
-    d4 = (ac * bp).sum(1)
+    d3, d4 = _dot(ab, bp), _dot(ac, bp)
     cp = p - c
-    d5 = (ab * cp).sum(1)
-    d6 = (ac * cp).sum(1)
+    d5, d6 = _dot(ab, cp), _dot(ac, cp)
     va = d3 * d6 - d5 * d4
     vb = d5 * d2 - d1 * d6
     vc = d1 * d4 - d3 * d2
-
-    out = np.empty_like(a)
-    done = np.zeros(len(tri), dtype=bool)
-
-    def assign(mask: np.ndarray, value: np.ndarray) -> None:
-        take = mask & ~done
-        if take.any():
-            out[take] = value[take]
-            done[take] = True
-
-    assign((d1 <= 0) & (d2 <= 0), a)                          # vertex a
-    assign((d3 >= 0) & (d4 <= d3), b)                         # vertex b
     with np.errstate(divide="ignore", invalid="ignore"):
         t_ab = np.where(d1 - d3 != 0, d1 / (d1 - d3), 0.0)
-        assign((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + t_ab[:, None] * ab)
-        assign((d6 >= 0) & (d5 <= d6), c)                     # vertex c
         t_ac = np.where(d2 - d6 != 0, d2 / (d2 - d6), 0.0)
-        assign((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + t_ac[:, None] * ac)
         den_bc = (d4 - d3) + (d5 - d6)
         t_bc = np.where(den_bc != 0, (d4 - d3) / den_bc, 0.0)
-        assign((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), b + t_bc[:, None] * (c - b))
         s = va + vb + vc
         s = np.where(s != 0, s, 1.0)
-        q = a + (vb / s)[:, None] * ab + (vc / s)[:, None] * ac
-    assign(np.ones(len(tri), dtype=bool), q)                  # interior
-    return out
+        out = a + (vb / s) * ab + (vc / s) * ac                     # interior
+        regions = (
+            ((d1 <= 0) & (d2 <= 0), a),                              # vertex a
+            ((d3 >= 0) & (d4 <= d3), b),                             # vertex b
+            ((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + t_ab * ab),
+            ((d6 >= 0) & (d5 <= d6), c),                             # vertex c
+            ((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + t_ac * ac),
+            ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0), b + t_bc * (c - b)),
+        )
+    for mask, value in regions[::-1]:
+        np.copyto(out, value, where=mask)
+    return out.T
 
 
 def _runs(counts: np.ndarray) -> np.ndarray:
@@ -93,8 +93,9 @@ def _runs(counts: np.ndarray) -> np.ndarray:
 class _Bins:
     """Plan-view bins over triangle bounding boxes, as CSR arrays: bin
     ``bi * nb[1] + bj`` holds triangles ``members[starts[b]:starts[b + 1]]``,
-    in ascending id order; ``fill`` is the largest bin's size.  Each
-    triangle goes into every bin its bounding box touches."""
+    in ascending id order.  Triangle t goes into every bin its plan bounding
+    box ``box[t]`` (x min, y min, x max, y max) touches: bins (i, j) from
+    ``first[t]`` to ``last[t]``, both included."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         """Bins for the triangles with (T, 3) plan coordinates x and y."""
@@ -104,23 +105,21 @@ class _Bins:
         cell = span / max(1.0, np.sqrt(len(x) / 2.0))
         nb = (np.maximum(1, np.ceil((hi - lo) / cell))).astype(int)
         self.lo, self.cell, self.nb = lo, cell, nb
-        t_lo, size = [], []
-        for axis, v in enumerate((x, y)):
-            first = np.clip(np.floor((v.min(axis=1) - lo[axis]) / cell), 0, nb[axis] - 1)
-            last = np.clip(np.floor((v.max(axis=1) - lo[axis]) / cell), 0, nb[axis] - 1)
-            t_lo.append(first.astype(np.int32))
-            size.append((last - first).astype(np.int32) + 1)
-        per_tri = size[0] * size[1]
+        self.box = np.column_stack([x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)])
+        bounds = np.clip(np.floor((self.box - np.tile(lo, 2)) / cell), 0,
+                         np.tile(nb, 2) - 1).astype(np.int32)
+        self.first, self.last = bounds[:, :2].copy(), bounds[:, 2:].copy()
+        size = self.last - self.first + 1
+        per_tri = size[:, 0] * size[:, 1]
         ids = np.repeat(np.arange(len(x), dtype=np.int32), per_tri)
-        step_i, step_j = np.divmod(_runs(per_tri), size[1][ids])
+        step_i, step_j = np.divmod(_runs(per_tri), size[ids, 1])
         nbj = int(nb[1])  # a Python int keeps the products in int32
-        bins = (t_lo[0] * nbj + t_lo[1])[ids] + step_i * nbj + step_j
+        bins = (self.first[:, 0] * nbj + self.first[:, 1])[ids] + step_i * nbj + step_j
         del step_i, step_j
         counts = np.bincount(bins, minlength=nb[0] * nbj)
-        starts = np.zeros(len(counts) + 1, dtype=np.int32)
-        np.cumsum(counts, out=starts[1:])
+        self.starts = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=self.starts[1:])
         self.members = ids[np.argsort(bins, kind="stable")]
-        self.starts, self.fill = starts, int(counts.max())
 
 
 def _ring(k: int) -> np.ndarray:
@@ -142,43 +141,68 @@ def _in_footprint(p: np.ndarray, batch: np.ndarray, eps: np.ndarray) -> np.ndarr
     return (s1 >= -eps) & (s2 >= -eps) & (s3 >= -eps)
 
 
+def _box_distance(xy: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Plan distance from each point xy[m] to the closed box [lo[m], hi[m]]."""
+    gap = np.maximum(np.maximum(lo - xy, xy - hi), 0.0)
+    return np.hypot(gap[:, 0], gap[:, 1])
+
+
 def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _Bins,
                   best: np.ndarray, covered: np.ndarray) -> None:
     """Ring search for one block of points, writing distances into ``best``
     (all inf on entry) and ring-0 containment into ``covered``."""
     lo, cell, nb = bins.lo, bins.cell, bins.nb
-    bi = np.clip(np.floor((pts[:, 0] - lo[0]) / cell), 0, nb[0] - 1).astype(np.int32)
-    bj = np.clip(np.floor((pts[:, 1] - lo[1]) / cell), 0, nb[1] - 1).astype(np.int32)
+    plan = np.ascontiguousarray(pts[:, :2])
+    home = np.clip(np.floor((plan - lo) / cell), 0, nb - 1).astype(np.int32)
     max_ring = int(max(nb))
     open_ = np.arange(len(pts), dtype=np.int32)
     k = 0
     while len(open_):
         ring = _ring(k)
-        # at most _PAIR_CHUNK pairs per pass, unless one point's ring holds more
-        step = max(1, _PAIR_CHUNK // (len(ring) * bins.fill))
+        step = max(1, _PAIR_CHUNK // len(ring))
         for s in range(0, len(open_), step):
             sel = open_[s:s + step]
-            ci = bi[sel, None] + ring[:, 0]
-            cj = bj[sel, None] + ring[:, 1]
-            inside = (ci >= 0) & (ci < nb[0]) & (cj >= 0) & (cj < nb[1])
-            b = (ci * nb[1] + cj)[inside]
-            first = bins.starts[b]
-            count = bins.starts[b + 1] - first
-            owner = np.repeat(np.broadcast_to(sel[:, None], ci.shape)[inside], count)
-            ids = bins.members[np.repeat(first, count) + _runs(count)]
-            p = pts[owner]
-            batch = mesh.vertices[mesh.triangles[ids]]
-            dist = np.sqrt(((_closest_point_batch(p, batch) - p) ** 2).sum(1))
-            np.minimum.at(best, owner, dist)
-            if k == 0:
-                covered[owner[_in_footprint(p, batch, area_eps[ids])]] = True
+            ij = home[sel, None] + ring
+            inside = ((ij >= 0) & (ij < nb)).all(2)
+            owner, ij = np.broadcast_to(sel[:, None], inside.shape)[inside], ij[inside]
+            # window: a bin whose plan box lies beyond the best so far holds
+            # nothing closer; limit keeps that best for the pairs below
+            limit = best[owner]
+            keep = ~(_box_distance(plan.take(owner, 0), lo + ij * cell, lo + (ij + 1) * cell) > limit)
+            owner, ij, limit = owner[keep], ij[keep], limit[keep]
+            b = ij[:, 0] * nb[1] + ij[:, 1]
+            count = bins.starts[b + 1] - bins.starts[b]
+            ends = np.cumsum(count)
+            skip = bins.starts[b] - (ends - count)
+            for q in range(0, ends[-1] if len(ends) else 0, _PAIR_CHUNK):
+                pair = np.arange(q, min(q + _PAIR_CHUNK, ends[-1]))
+                w = np.searchsorted(ends, pair, side="right")
+                ids, o = bins.members[skip[w] + pair], owner[w]
+                if k:
+                    # each triangle once, in its bin nearest the home bin, and
+                    # only if its plan box lies within the best so far (ring 0
+                    # is every triangle's nearest bin, and best is still inf)
+                    nearest = np.maximum(bins.first.take(ids, 0),
+                                         np.minimum(home.take(o, 0), bins.last.take(ids, 0)))
+                    keep = (nearest == ij.take(w, 0)).all(1)
+                    ids, o, w = ids[keep], o[keep], w[keep]
+                    box = bins.box.take(ids, 0)
+                    keep = ~(_box_distance(plan.take(o, 0), box[:, :2], box[:, 2:]) > limit[w])
+                    ids, o = ids[keep], o[keep]
+                p = pts.take(o, 0)
+                batch = mesh.vertices.take(mesh.triangles.take(ids, 0), 0)
+                gap = (_closest_point_batch(p, batch) - p).T
+                dist = np.sqrt(_dot(gap, gap))
+                np.minimum.at(best, o, dist)
+                if k == 0:
+                    covered[o[_in_footprint(p, batch, area_eps[ids])]] = True
         if k > max_ring:
             return
         # the unexplored bins are the grid box outside the explored rectangle,
         # one band beyond each side the rings have not pushed past the grid:
         # (band exists, gap from the point to the side, offset along the side)
         px, py = pts[open_, 0], pts[open_, 1]
-        i, j = bi[open_], bj[open_]
+        i, j = home[open_, 0], home[open_, 1]
         off_x = np.maximum(np.maximum(lo[0] - px, px - (lo[0] + nb[0] * cell)), 0.0)
         off_y = np.maximum(np.maximum(lo[1] - py, py - (lo[1] + nb[1] * cell)), 0.0)
         bands = (
@@ -198,18 +222,28 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     falls inside some triangle's plan footprint.
 
     Points are searched in blocks of ``_POINT_BLOCK``.  Ring k of a bin is
-    the square of bins at Chebyshev distance k.  For every point of a block
-    whose search is open, ring k expands into (point, triangle) pairs, at
-    most ``_PAIR_CHUNK`` at a time, which go through ``_closest_point_batch``
-    together and are reduced with ``np.minimum.at``; ring 0 also decides
-    coverage.  A point closes once its best distance is no more than its
-    plan distance to the bins still unexplored, the part of the bin grid
-    outside the explored rings, since no triangle lies anywhere else; a side
-    whose rings have passed the grid edge bounds nothing, so a point beside
-    the mesh is not held open by the empty plane on its own side.  The
-    distances therefore equal, bit for bit, the minimum of
-    ``_closest_point_batch`` over every triangle, whatever the block and
-    chunk sizes.
+    the square of bins at Chebyshev distance k.  Ring k of each point of a
+    block whose search is open expands into (point, triangle) pairs, which
+    go through ``_closest_point_batch`` together and are reduced with
+    ``np.minimum.at``; ring 0, the home bin, also decides coverage.  Only
+    pairs that could lower the best distance the ring started with expand:
+    (1) window: ring bins whose plan box lies farther than the best are
+    skipped; (2) nearest bin: a triangle expands only in its bin nearest the
+    home bin, the home index clamped into the triangle's bin range, so it
+    meets a point once; (3) bounding box: a pair whose triangle's plan box
+    lies farther than the best is dropped; (4) pass size: a cumsum of the
+    surviving bins' pair counts cuts passes of at most ``_PAIR_CHUNK`` pairs,
+    over ``_PAIR_CHUNK // len(ring)`` points at a time.  A triangle lies no
+    nearer than its plan box, which lies in the closed boxes of its bins
+    (floor rounding is monotone), the clamped one nearest; so a pruned pair
+    cannot beat the best, and a tie keeps the pair.  A point closes once its
+    best is no more than its plan distance to the bins still unexplored, the
+    part of the bin grid outside the explored rings, since no triangle lies
+    anywhere else; a side whose rings have passed the grid edge bounds
+    nothing, so a point beside the mesh is not held open by the empty plane
+    on its own side.  The distances therefore equal, bit for bit, the
+    minimum of ``_closest_point_batch`` over every triangle, whatever the
+    block and chunk sizes.
     """
     if len(mesh.triangles) == 0:
         raise ValueError("mesh has no triangles")
@@ -296,8 +330,11 @@ def evaluate_all(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
     terrain_xyz = gt_terrain.xyz()
     if len(road_xyz) == 0 or len(terrain_xyz) == 0:
         raise ValueError("ground truth must be non-empty for both classes")
-    d_road, c_road = point_mesh_distances(mesh, road_xyz)
-    d_terr, c_terr = point_mesh_distances(mesh, terrain_xyz)
+    # one search over both sets builds the bins once; distances do not
+    # depend on how points are batched
+    dist, inside = point_mesh_distances(mesh, np.concatenate([road_xyz, terrain_xyz]))
+    n = len(road_xyz)
+    d_road, d_terr, c_road, c_terr = dist[:n], dist[n:], inside[:n], inside[n:]
     for name, covered in (("road", c_road), ("terrain", c_terr)):
         if not covered.any():
             raise ValueError(f"no {name} ground-truth point lies over the mesh")

@@ -14,6 +14,7 @@ import signal
 import numpy as np
 import pytest
 
+from roadsurf import metrics
 from roadsurf.grid import Mask, Raster
 from roadsurf.mesh import PlaneModel, TinMesh, delaunay, plane_mesh, rgt_mesh
 from roadsurf.metrics import (_adjacent_pairs, _closest_point_batch, evaluate_all,
@@ -50,6 +51,38 @@ def indexless_distances(mesh, points):
     tri = mesh.vertices[mesh.triangles]
     return np.array([np.sqrt(((_closest_point_batch(p, tri) - p) ** 2).sum(1)).min()
                      for p in points])
+
+
+def sequential_closest_points(p, tri):
+    """Ericson's closest-point regions tested in order on (K, 3) rows, each
+    point taking the first region that holds."""
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    ab, ac = b - a, c - a
+    d1, d2 = ((ab * (p - a)).sum(1), (ac * (p - a)).sum(1))
+    d3, d4 = ((ab * (p - b)).sum(1), (ac * (p - b)).sum(1))
+    d5, d6 = ((ab * (p - c)).sum(1), (ac * (p - c)).sum(1))
+    va, vb, vc = d3 * d6 - d5 * d4, d5 * d2 - d1 * d6, d1 * d4 - d3 * d2
+    out = np.empty_like(a)
+    done = np.zeros(len(tri), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ab = np.where(d1 - d3 != 0, d1 / (d1 - d3), 0.0)
+        t_ac = np.where(d2 - d6 != 0, d2 / (d2 - d6), 0.0)
+        den_bc = (d4 - d3) + (d5 - d6)
+        t_bc = np.where(den_bc != 0, (d4 - d3) / den_bc, 0.0)
+        s = va + vb + vc
+        s = np.where(s != 0, s, 1.0)
+        for mask, value in [((d1 <= 0) & (d2 <= 0), a), ((d3 >= 0) & (d4 <= d3), b),
+                            ((vc <= 0) & (d1 >= 0) & (d3 <= 0), a + t_ab[:, None] * ab),
+                            ((d6 >= 0) & (d5 <= d6), c),
+                            ((vb <= 0) & (d2 >= 0) & (d6 <= 0), a + t_ac[:, None] * ac),
+                            ((va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0),
+                             b + t_bc[:, None] * (c - b)),
+                            (np.ones(len(tri), dtype=bool),
+                             a + (vb / s)[:, None] * ab + (vc / s)[:, None] * ac)]:
+            take = mask & ~done
+            out[take] = value[take]
+            done |= take
+    return out
 
 
 def shared_edge_pairs(triangles):
@@ -93,6 +126,27 @@ def test_distances_match_brute_force(mesh, queries):
     tri = mesh.vertices[mesh.triangles]
     expected = [min(triangle_distance(p, *t) for t in tri) for p in queries]
     np.testing.assert_allclose(dist, expected, rtol=0, atol=1e-12)
+
+
+def test_closest_points_match_the_sequential_regions():
+    # random triangles at three scales and UTM-sized offsets, and small
+    # integer triangles with repeated vertices, collinear corners and points
+    # on their vertices, where several regions hold at once
+    rng = np.random.default_rng(16)
+    tri = (rng.normal(size=(3000, 3, 3)) * rng.choice([1e-6, 1.0, 1e3], (3000, 1, 1))
+           + rng.choice([0.0, 5e5], (3000, 1, 3)))
+    p = tri[:, 0] + rng.normal(0.0, 3.0, (3000, 3))
+    small = rng.integers(-2, 3, (3000, 3, 3)).astype(float)
+    small[:500, 1] = small[:500, 0]
+    small[500:1000, 2] = small[500:1000, 1]
+    small[1000:1200] = small[1000:1200, :1]
+    small[1200:1700, 2] = 2.0 * small[1200:1700, 1] - small[1200:1700, 0]
+    on = np.where(rng.random((3000, 1)) < 0.4, small[np.arange(3000), rng.integers(0, 3, 3000)],
+                  rng.integers(-3, 4, (3000, 3)) * 0.5)
+    for points, batch in ((p, tri), (on, small), (p[0], tri), (on[:1], small[:1])):
+        assert np.array_equal(_closest_point_batch(points, batch),
+                              sequential_closest_points(np.broadcast_to(points, batch[:, 0].shape),
+                                                        batch))
 
 
 def test_coverage_is_plan_view_containment(mesh, queries):
@@ -228,6 +282,86 @@ def test_points_on_shared_vertices_and_edges(lattice):
     assert covered.all()
     assert (dist[:len(v)] == 0.0).all()
     np.testing.assert_allclose(dist, 0.0, rtol=0, atol=1e-12)
+
+
+def test_regular_grid_points_meet_each_triangle_once(monkeypatch):
+    # ground truth sits on the raster lattice, so with 1 m bins every vertex
+    # lies on a bin corner, touching three bins of its first ring, and each
+    # triangle's box spans up to four bins; still every (point, triangle)
+    # pair goes through the closest-point routine at most once, and few do
+    rng = np.random.default_rng(14)
+    raster = Raster(width=31, height=31, cell_size_x=1.0, cell_size_y=1.0, origin_x=0.0,
+                    origin_y=0.0, values=rng.normal(0.0, 0.3, (31, 31)))
+    grid_mesh = rgt_mesh(raster)
+    v = grid_mesh.vertices
+    edges = np.unique(np.sort(np.concatenate([grid_mesh.triangles[:, [0, 1]],
+                                              grid_mesh.triangles[:, [1, 2]],
+                                              grid_mesh.triangles[:, [2, 0]]]), axis=1), axis=0)
+    points = np.concatenate([v + [0.0, 0.0, 0.02], 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])])
+    pairs = []
+
+    def recording(p, tri):
+        pairs.append(np.column_stack([p, tri.reshape(len(tri), 9)]))
+        return _closest_point_batch(p, tri)
+
+    monkeypatch.setattr(metrics, "_closest_point_batch", recording)
+    dist, covered = point_mesh_distances(grid_mesh, points)
+    monkeypatch.undo()
+    assert np.array_equal(dist, indexless_distances(grid_mesh, points))
+    assert covered.all()
+    pairs = np.concatenate(pairs)
+    assert len(np.unique(pairs, axis=0)) == len(pairs)
+    # 7.74 pairs per point (the search that expanded every ring bin met 29.9)
+    assert len(pairs) <= 8.0 * len(points)
+
+
+def random_meshes(rng):
+    """Delaunay meshes of random sets and of jittered dual-rate lattices, and
+    regular grids, with random heights; some lie at UTM-sized coordinates."""
+    for n in (3, 12, 150, 600):
+        xy = rng.uniform(0.0, rng.uniform(1.0, 60.0), (n, 2))
+        yield TinMesh(np.column_stack([xy, rng.normal(0.0, 2.0, n)]), delaunay(xy))
+    for fine, coarse, origin in ((0.5, 2.0, 0.0), (1.0, 5.0, 5e5), (0.4, 2.5, -300.0)):
+        xy = np.unique(np.concatenate([lattice_xy((0.0, 30.0), (0.0, 20.0), coarse),
+                                       lattice_xy((6.0, 24.0), (8.0, 12.0), fine)]).round(9),
+                       axis=0)
+        xy += origin + rng.uniform(-1e-3, 1e-3, xy.shape)
+        yield TinMesh(np.column_stack([xy, rng.normal(0.0, 0.5, len(xy))]), delaunay(xy))
+    for size, cell, origin in ((5, 1.0, 0.0), (23, 0.4, 5.4e6), (17, 2.5, -40.0)):
+        yield rgt_mesh(Raster(width=size, height=size + 3, cell_size_x=cell, cell_size_y=cell,
+                              origin_x=origin, origin_y=origin + 7.0,
+                              values=rng.normal(0.0, 0.3, (size + 3, size))))
+
+
+def lattice_xy(x_range, y_range, step):
+    x, y = (np.arange(lo, hi + step / 2, step) for lo, hi in (x_range, y_range))
+    return np.stack(np.meshgrid(x, y), axis=-1).reshape(-1, 2)
+
+
+def test_random_meshes_match_the_indexless_minimum():
+    # per mesh: plan positions inside its extent at mesh heights and above,
+    # beside each side, far away, exactly on vertices, and far below
+    rng = np.random.default_rng(15)
+    for tin in random_meshes(rng):
+        v = tin.vertices
+        lo, hi = v[:, :2].min(0), v[:, :2].max(0)
+        span = (hi - lo).max()
+        inside = np.column_stack([rng.uniform(lo, hi, (40, 2)), rng.normal(0.0, 2.0, 40)])
+        side = rng.integers(0, 2, (20, 2))
+        beside = np.where(side, hi + rng.uniform(0.0, 0.3 * span, (20, 2)),
+                          lo - rng.uniform(0.0, 0.3 * span, (20, 2)))
+        beside[:5, 0] = rng.uniform(lo[0], hi[0], 5)
+        beside[5:10, 1] = rng.uniform(lo[1], hi[1], 5)
+        far = lo + rng.choice([-1.0, 1.0], (6, 2)) * rng.uniform(3.0, 10.0, (6, 2)) * span
+        below = np.column_stack([rng.uniform(lo, hi, (6, 2)), np.full(6, -40.0 * span)])
+        points = np.concatenate([
+            inside,
+            np.column_stack([beside, rng.normal(0.0, 2.0, 20)]),
+            np.column_stack([far, rng.normal(0.0, 2.0, 6)]),
+            v[rng.choice(len(v), min(len(v), 20), replace=False)],
+            below])
+        dist, _ = point_mesh_distances(tin, points)
+        assert np.array_equal(dist, indexless_distances(tin, points))
 
 
 def test_no_points_and_no_triangles(mesh):
