@@ -17,6 +17,13 @@ raster, the per-cell gradient coefficients and the regularizer's gather
 table.  Each iteration then costs the rational height field, one residual
 pass and the back-projection through the basis.  ``total_loss`` builds one
 and evaluates it once, so one-off evaluations take the fit loop's path.
+
+The objective also keeps its per-call working rasters resident (height
+field, denominator, residual and masked absolute residuals) and writes into
+them in place, with the same arithmetic in the same order.  A raster of a
+251 x 251 tile is 0.5 MB, and a block that large, allocated fresh on every
+call, is page-faulted in from the system each time, at a cost above that of
+the arithmetic on it.
 """
 
 from __future__ import annotations
@@ -77,6 +84,8 @@ class FitConfig:
             raise ValueError("max_iters must be at least 1")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be at least 1")
+        if self.early_stop_min_delta < 0:
+            raise ValueError("early_stop_min_delta must be non-negative")
 
 
 @dataclass
@@ -126,18 +135,21 @@ class Roughness:
             a, b = aa + da, bb + db
             inside = ((a >= 0) & (a < nu) & (b >= 0) & (b < nv)).ravel()
             self.neighbors[k, inside] = (a * nv + b).ravel()[inside]
-        self._offset = np.arange(len(_CTRL_OFFSETS))[:, None]
 
-    def _first(self, stack: np.ndarray, extreme: np.ndarray) -> np.ndarray:
-        # earliest offset holding the extreme; a node whose neighbors are
-        # all NaN (NaN elevations) falls to the last offset and reads NaN
-        last = len(_CTRL_OFFSETS) - 1
-        return np.where(stack == extreme, self._offset, last).min(axis=0)
+    @staticmethod
+    def _first(stack: np.ndarray, extreme: np.ndarray) -> np.ndarray:
+        # earliest offset holding the extreme; the last row is set so that a
+        # node without a hit, whose neighbors are all NaN (NaN elevations),
+        # falls to the last offset and reads NaN
+        hit = stack == extreme
+        hit[-1] = True
+        return hit.argmax(axis=0)
 
     def __call__(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss value and its gradient with respect to the elevations z."""
         n = self.count
-        stack = np.append(z, np.nan)[self.neighbors]  # (8, n)
+        # take: a gather faster than fancy indexing on these sizes
+        stack = np.append(z, np.nan).take(self.neighbors)  # (8, n)
         # diff to neighbor l is z - stack[l]; its max/min over l swap the roles
         # of the neighbor extrema, so the range is max(stack) - min(stack)
         hi = np.fmax.reduce(stack)
@@ -145,24 +157,30 @@ class Roughness:
         rng = hi - lo
         value = float((rng ** 2).sum() / n)
         step = 2.0 * rng / n
-        node = np.arange(n)
         hi_at, lo_at = self._first(stack, hi), self._first(stack, lo)
+        del stack  # keeps the (8, n) gather out of the gradient's peak memory
         # one bincount adds the terms in the order of a scatter per offset,
         # argmax terms before argmin terms, nodes in row-major order; uint8
         # keys take numpy's radix sort
         order = np.argsort(np.concatenate([hi_at, lo_at]).astype(np.uint8), kind="stable")
-        to = np.concatenate([self.neighbors[hi_at, node], self.neighbors[lo_at, node]])
-        grad = np.bincount(to[order], weights=np.concatenate([step, -step])[order],
+        node = np.arange(n)
+        to = self.neighbors.take(np.concatenate([hi_at * n + node, lo_at * n + node]))
+        grad = np.bincount(to.take(order), weights=np.concatenate([step, -step]).take(order),
                            minlength=n + 1)
         return value, grad[:n].reshape(z.shape)
 
 
-def _zero_outside(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``np.where(mask, values, 0.0)`` for a float64 array, with ``keep`` the
-    mask as int64 all-ones/all-zeros words: a bitwise AND keeps every value,
-    NaN and infinities included, bit for bit and writes +0.0 elsewhere, at
-    a fraction of the cost of ``where``."""
-    return np.bitwise_and(values.view(np.int64), keep).view(np.float64)
+def _abs_sum(values: np.ndarray, keep: np.ndarray, out: np.ndarray) -> float:
+    """Sum of ``np.where(mask, np.abs(values), 0.0)`` for a float64 array,
+    with ``keep`` the mask as int64 words holding every bit but the sign bit
+    on masked cells and zero elsewhere.  One bitwise AND into ``out`` clears
+    the sign bit, which is all ``np.abs`` does to a float64, NaN and
+    infinities included, and writes +0.0 outside the mask; so the sum is the
+    one of the masked absolute values bit for bit, at a fraction of the cost
+    of ``abs`` and ``where``."""
+    words = out.view(np.int64)
+    np.bitwise_and(values.view(np.int64), keep, out=words)
+    return out.sum()
 
 
 class Objective:
@@ -175,6 +193,15 @@ class Objective:
     gradient coefficient of each cell, the road and terrain cell masks and
     the regularizer's gather table.  Keeps four rasters of 8-byte words
     resident (target, coefficients, two masks) besides the basis.
+
+    A call also works in place, in a workspace allocated here: four more
+    rasters (height field, rational denominator, residual, and the masked
+    absolute residuals, whose buffer then takes the scaled back-projection)
+    and one (H, nu) buffer for the matrix products.  Fresh raster
+    temporaries cost more than the arithmetic on them: at 251² each is
+    0.5 MB, and blocks that large go back to the system when freed, so each
+    new one is page-faulted in again.  A call still allocates its
+    control-grid-sized results and the regularizer's (8, nu * nv) stacks.
     """
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,
@@ -186,42 +213,56 @@ class Objective:
         target = np.where(road, dsm.values, dtm.values)
         self.no_target = np.flatnonzero(np.isnan(target))
         self.target = np.nan_to_num(target, nan=0.0)
-        self.road_bits = -road.astype(np.int64)  # all ones on road cells
-        self.terrain_bits = ~self.road_bits
+        magnitude = np.iinfo(np.int64).max  # every bit but the sign bit
+        self.road_bits = road * magnitude
+        self.terrain_bits = ~road * magnitude
         self.cells = dsm.height * dsm.width
         # d |residual| mean / d height, up to the residual's sign
         self.coef = np.where(road, -1 / self.cells, weights.lambda_terrain * (-1 / self.cells))
         self.roughness = Roughness(surface.num_ctrl_u, surface.num_ctrl_v)
         self.weights = weights
+        self._height, self._den, self._residual, self._words = (
+            np.empty(road.shape) for _ in range(4))
+        # the forward (H, nu) and backward (nu, H) products never overlap
+        products = np.empty(dsm.height * surface.num_ctrl_u)
+        self._rows = products.reshape(dsm.height, surface.num_ctrl_u)
+        self._cols = products.reshape(surface.num_ctrl_u, dsm.height)
 
     def __call__(self, z: np.ndarray, w: np.ndarray
                  ) -> tuple[float, dict[str, float], np.ndarray, np.ndarray]:
         """(value, per-term values, d/d z, d/d log w) at elevations z and
         weights w.  Non-finite values are returned, not warned about: the
-        caller decides what a diverged loss means."""
+        caller decides what a diverged loss means.  The returned arrays are
+        fresh; only the workspace is reused from call to call."""
+        z_grid, den, residual = self._height, self._den, self._residual
         with np.errstate(all="ignore"):
-            z_grid, den = grid_heights(self.bu, self.bv, z, w)
+            grid_heights(self.bu, self.bv, z, w, z_grid, den, self._rows)
             # both data terms are mean absolute residuals over all cells;
             # cells without a target contribute zero
-            residual = self.target - z_grid
+            np.subtract(self.target, z_grid, out=residual)
             np.put(residual, self.no_target, 0.0)
-            size = np.abs(residual)
-            v_road = float(_zero_outside(size, self.road_bits).sum() / self.cells)
-            v_terr = float(_zero_outside(size, self.terrain_bits).sum() / self.cells)
+            v_road = float(_abs_sum(residual, self.road_bits, self._words) / self.cells)
+            v_terr = float(_abs_sum(residual, self.terrain_bits, self._words) / self.cells)
             v_reg, g_reg = self.roughness(z)
             # d loss / d raster cell over the denominator (zero subgradient
-            # where the residual vanishes)
-            scaled = np.sign(residual)
+            # where the residual vanishes), in the masked words' buffer: an
+            # in-place sign would take numpy's scalar loop
+            scaled = np.sign(residual, out=self._words)
             scaled *= self.coef
             scaled /= den
-            back = self.bu.T @ scaled.T @ self.bv  # (nu, nv): basis-weighted sums
+            back = self._back(scaled)  # (nu, nv): basis-weighted sums
             lam = self.weights
             d_z = back * w + lam.lambda_reg * g_reg
             scaled *= z_grid
-            d_w = z * back - self.bu.T @ scaled.T @ self.bv
+            d_w = z * back - self._back(scaled)
             value = v_road + lam.lambda_terrain * v_terr + lam.lambda_reg * v_reg
         parts = {"road": v_road, "terrain": v_terr, "reg": v_reg}
         return value, parts, d_z, d_w * w  # chain through w = exp(log w)
+
+    def _back(self, scaled: np.ndarray) -> np.ndarray:
+        """``bu.T @ scaled.T @ bv`` with the (nu, H) product written into the
+        workspace."""
+        return np.matmul(self.bu.T, scaled.T, out=self._cols) @ self.bv
 
 
 def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
@@ -243,7 +284,8 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     Runs up to max_iters iterations, stopping early when the best loss has
     not improved by at least early_stop_min_delta for early_stop_patience
     consecutive iterations.  The returned surface is the best iterate seen,
-    including the final post-update one.  Deterministic for fixed inputs.
+    including the post-update one that follows the last iteration when
+    max_iters ends the run.  Deterministic for fixed inputs.
     """
     objective = Objective(surface, dsm, dtm, mask_plus, weights)
     z = surface.control_points[:, :, 2].copy()
@@ -296,12 +338,12 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     else:
         report.iterations = config.max_iters
         report.stop_reason = "max_iters"
-
-    # the loop never evaluates the final update; give it a chance to win
-    final_value = objective(z, np.exp(wp))[0]
-    if np.isfinite(final_value) and final_value < best[0]:
-        best = (final_value, z.copy(), wp.copy())
-        report.best_iteration = report.iterations
+        # the loop never evaluates the final update; give it a chance to win.
+        # An early stop breaks before its step, so it has scored its last z.
+        final_value = objective(z, np.exp(wp))[0]
+        if np.isfinite(final_value) and final_value < best[0]:
+            best = (final_value, z.copy(), wp.copy())
+            report.best_iteration = report.iterations
     report.best_loss = best[0]
     fitted = surface.with_updates(control_z=best[1], weights=np.exp(best[2]))
     return fitted, report

@@ -233,13 +233,18 @@ def grid_basis(surface: NurbsSurface, xs: np.ndarray,
 
 
 def grid_heights(bu: np.ndarray, bv: np.ndarray, control_z: np.ndarray,
-                 weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Height field and rational denominator, each (len(ys), len(xs)), on the
-    grid of ``grid_basis`` for the given control elevations and weights."""
-    den = bv @ weights.T @ bu.T
-    height = bv @ (weights * control_z).T @ bu.T
+                 weights: np.ndarray, height: np.ndarray, den: np.ndarray,
+                 rows: np.ndarray) -> None:
+    """Write the height field and the rational denominator, each (len(ys),
+    len(xs)), on the grid of ``grid_basis`` for the given control elevations
+    and weights into ``height`` and ``den``.  ``rows`` is (len(ys), nu)
+    scratch space for the first of the two products; all three must be
+    C-contiguous float64 arrays that do not overlap."""
+    np.matmul(bv, weights.T, out=rows)
+    np.matmul(rows, bu.T, out=den)
+    np.matmul(bv, (weights * control_z).T, out=rows)
+    np.matmul(rows, bu.T, out=height)
     height /= den
-    return height, den
 
 
 def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -248,7 +253,10 @@ def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.n
     Output has shape (len(ys), len(xs)).
     """
     bu, bv = grid_basis(surface, xs, ys)
-    return grid_heights(bu, bv, surface.control_points[:, :, 2], surface.weights)[0]
+    height = np.empty((len(bv), len(bu)))
+    grid_heights(bu, bv, surface.control_points[:, :, 2], surface.weights,
+                 height, np.empty_like(height), np.empty((len(bv), surface.num_ctrl_u)))
+    return height
 
 
 def save_surface(surface: NurbsSurface, path: str | Path) -> None:

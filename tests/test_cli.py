@@ -192,6 +192,7 @@ def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
     ["fit", "--learning-rate", "nan"],
     ["fit", "--lambda-reg", "nan"],
     ["fit", "--early-stop-min-delta", "nan"],
+    ["fit", "--early-stop-min-delta", "-1"],
     ["ablate", "--param", "theta_xy", "--values", "inf"],
 ])
 def test_bad_flags_are_usage_errors(argv, capsys):

@@ -5,10 +5,14 @@ differences along random directions, on a seeded 41 x 41 synth tile with an
 8 x 8 control grid and perturbed weights.  The fit loop, which evaluates one
 objective built once per fit, must reproduce exactly an ADAM loop that calls
 ``total_loss`` on a fresh surface every step, and the regularizer must match
-a per-node loop over the 8-neighbourhood.
+a per-node loop over the 8-neighbourhood.  An objective reuses one raster
+workspace from call to call: its results must not change when it is called
+again, and a call on a 251 x 251 tile must allocate less than half a raster.
 """
 
+import copy
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -107,6 +111,71 @@ def test_fit_loop_equals_total_loss_on_fresh_surfaces(scene):
     assert report.best_loss == min(trace + [final])
 
 
+def test_early_stop_scores_each_iterate_once(scene, monkeypatch):
+    calls = []
+    score = fitmod.Objective.__call__
+
+    def counted(self, z, w):
+        calls.append(1)
+        return score(self, z, w)
+
+    monkeypatch.setattr(fitmod.Objective, "__call__", counted)
+    surface0 = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
+    # no step gains 10, so the stall count runs out after the patience
+    config = fitmod.FitConfig(max_iters=50, early_stop_patience=3, early_stop_min_delta=10.0)
+    surface, report = fitmod.fit(surface0, scene.dsm, scene.dtm, scene.mask,
+                                 fitmod.LossWeights(), config)
+    assert report.stop_reason == "early_stop"
+    assert report.iterations == len(report.loss_total) == 4
+    assert report.best_loss == min(report.loss_total)
+    assert len(calls) == report.iterations
+    value = fitmod.total_loss(surface, scene.dsm, scene.dtm, scene.mask,
+                              fitmod.LossWeights())[0]
+    assert value == report.best_loss
+
+
+def assert_same_results(got, expected):
+    assert got[0] == expected[0]
+    assert got[1] == expected[1]
+    npt.assert_array_equal(got[2], expected[2])
+    npt.assert_array_equal(got[3], expected[3])
+
+
+def test_objective_results_outlive_its_workspace(scene):
+    surface = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
+    weights = fitmod.LossWeights(lambda_terrain=0.7)
+    rng = np.random.default_rng(2)
+    z0 = surface.control_points[:, :, 2]
+    states = [(z0 + rng.normal(0.0, 0.5, z0.shape), np.exp(rng.uniform(-0.5, 0.5, z0.shape)))
+              for _ in range(2)]
+    objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
+    first = objective(*states[0])
+    kept = copy.deepcopy(first)
+    second = objective(*states[1])
+    assert first[0] != second[0]
+    assert_same_results(first, kept)
+    for got, state in zip((first, second), states):
+        fresh = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
+        assert_same_results(got, fresh(*state))
+
+
+def test_objective_call_allocates_no_raster():
+    scene = synth.generate(synth.SceneSpec(cell_size=0.4, seed=1))  # 251 x 251
+    surface = fitmod.initialize_surface(scene.dsm, scene.dtm)
+    objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask,
+                                 fitmod.LossWeights())
+    state = (surface.control_points[:, :, 2], surface.weights)
+    objective(*state)
+    tracemalloc.start()
+    try:
+        objective(*state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # what a call still allocates is sized by the 35 x 35 control grid
+    assert peak < scene.dsm.values.nbytes / 2
+
+
 def per_node_roughness(z):
     """Value and gradient of the regularizer, one control node at a time."""
     nu, nv = z.shape
@@ -178,6 +247,16 @@ def test_roughness_matches_a_per_node_loop(lattice):
     npt.assert_allclose(grad, expected_grad, rtol=1e-13, atol=1e-15)
     if lattice == "constant":
         assert value == 0.0 and not grad.any()
+
+
+def test_roughness_of_nan_elevations_falls_to_the_last_offset():
+    # no neighborhood holds a number, so no node finds its extremes, and each
+    # node's NaN step lands on its last-offset neighbor (+1, +1), or nowhere
+    value, grad = fitmod.Roughness(4, 5)(np.full((4, 5), np.nan))
+    assert math.isnan(value)
+    expected = np.zeros((4, 5))
+    expected[1:, 1:] = np.nan
+    npt.assert_array_equal(grad, expected)
 
 
 def test_roughness_needs_a_2x2_grid():
