@@ -25,8 +25,10 @@ mesh, metrics.
 Configuration comes from an INI-style file (sections [paths], [filter],
 [surface], [fit], [sampling], [metrics]) and each key can be overridden by
 a command line flag of the same name, for example theta_xy in [filter] by
---theta-xy.  Defaults: 35x35 cubic control grid, learning rate 0.1, 200
-iterations, 1 m road / 10 m terrain sampling, theta_xy 10 m, theta_z 0.5 m.
+--theta-xy.  Defaults: a 35x35 cubic control grid, and the defaults of the
+stages' own config classes (FilterParams, LossWeights, FitConfig,
+SamplingConfig).  Booleans take configparser's spellings (1/yes/true/on,
+0/no/false/off).
 
 All emitted CSV and OBJ artifacts are byte-stable: rerunning on identical
 inputs reproduces them exactly.
@@ -48,9 +50,12 @@ from . import mesh as meshmod
 from . import metrics as metricsmod
 from . import synth as synthmod
 from .filtering import FilterParams, run_filter
+from .fit import FitConfig, LossWeights
 from .grid import Raster
+from .mesh import SamplingConfig
 from .metrics import MetricReport
 from .nurbs import load_surface, save_surface
+from .synth import boolean
 
 
 class StageError(RuntimeError):
@@ -78,7 +83,8 @@ class PipelineConfig:
     """Every pipeline knob in one flat record.
 
     Each field's INI key is its name without the "<section>_" prefix.  The
-    stages' own config classes are built on demand so their validation applies.
+    stages' own config classes are built on demand so their validation
+    applies, and their defaults are the ones used here.
     """
 
     dsm: Path | None = _key("paths", None)
@@ -88,21 +94,21 @@ class PipelineConfig:
     gt_terrain: Path | None = _key("paths", None)
     out_dir: Path = _key("paths", Path("out"))
     filter_enabled: bool = _key("filter", True)
-    theta_xy: float = _key("filter", 10.0)
-    theta_z: float = _key("filter", 0.5)
-    top_k: int = _key("filter", 1)
+    theta_xy: float = _key("filter", FilterParams.theta_xy)
+    theta_z: float = _key("filter", FilterParams.theta_z)
+    top_k: int = _key("filter", FilterParams.top_k)
     num_ctrl_u: int = _key("surface", 35)
     num_ctrl_v: int = _key("surface", 35)
     degree_u: int = _key("surface", 3)
     degree_v: int = _key("surface", 3)
-    lambda_terrain: float = _key("fit", 1.0)
-    lambda_reg: float = _key("fit", 0.05)
-    learning_rate: float = _key("fit", 0.1)
-    max_iters: int = _key("fit", 200)
-    early_stop_patience: int = _key("fit", 10)
-    early_stop_min_delta: float = _key("fit", 1e-4)
-    road_rate: float = _key("sampling", 1.0)
-    terrain_rate: float = _key("sampling", 10.0)
+    lambda_terrain: float = _key("fit", LossWeights.lambda_terrain)
+    lambda_reg: float = _key("fit", LossWeights.lambda_reg)
+    learning_rate: float = _key("fit", FitConfig.learning_rate)
+    max_iters: int = _key("fit", FitConfig.max_iters)
+    early_stop_patience: int = _key("fit", FitConfig.early_stop_patience)
+    early_stop_min_delta: float = _key("fit", FitConfig.early_stop_min_delta)
+    road_rate: float = _key("sampling", SamplingConfig.road_rate)
+    terrain_rate: float = _key("sampling", SamplingConfig.terrain_rate)
     baselines: bool = _key("metrics", True)
 
     def stage_config(self, cls):
@@ -115,18 +121,10 @@ class PipelineConfig:
             value = getattr(self, spec.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{spec.name} must be finite, got {value}")
-        for cls in (FilterParams, fitmod.LossWeights, fitmod.FitConfig,
-                    meshmod.SamplingConfig):
+        for cls in (FilterParams, LossWeights, FitConfig, SamplingConfig):
             self.stage_config(cls)
         if self.num_ctrl_u < self.degree_u + 1 or self.num_ctrl_v < self.degree_v + 1:
             raise ValueError("control grid must have at least degree+1 points per axis")
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 # the stage each INI section feeds; [metrics] baselines also switches the
@@ -136,7 +134,7 @@ _SECTION_STAGE = {"paths": "grid", "filter": "filter", "surface": "fit", "fit": 
 _SECTIONS = {spec.name: spec.metadata["section"] for spec in fields(PipelineConfig)}
 _INI_KEYS = {(section, name.removeprefix(section + "_")): name
              for name, section in _SECTIONS.items()}
-_CASTERS = {spec.name: {"bool": _parse_bool, "int": int, "float": float}.get(spec.type, Path)
+_CASTERS = {spec.name: {"bool": boolean, "int": int, "float": float}.get(spec.type, Path)
             for spec in fields(PipelineConfig)}
 
 
@@ -145,13 +143,13 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig()
     path = getattr(args, "config", None)
     if path is not None:
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
-            parser.read(path)
+            read = parser.read(path)
         except configparser.Error as err:
             raise UsageError(f"{path}: {err}") from None
+        if not read:  # read skips a file it cannot open: missing, a directory
+            raise UsageError(f"cannot read config file: {path}")
         for section in parser.sections():
             for key, raw in parser.items(section):
                 name = _INI_KEYS.get((section, key))
@@ -202,15 +200,14 @@ def grid_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     if not mask.georef_equals(dsm):
         mask = gridmod.resample_mask(mask, dsm)
     state.dsm, state.mask = dsm, mask
-    state.road_points = gridmod.extract_road_points(dsm, mask)
+    state.road_points = dsm.subset(mask.bits == 1)
     state.filtered_points, state.mask_plus = state.road_points, mask  # until filtered
     if "fit" in state.stages or "metrics" in state.stages:
         state.dtm = gridmod.load_raster(_require(config.dtm, "dtm"))
         if not state.dtm.georef_equals(dsm):
             raise ValueError("dsm and dtm grids do not match")
         state.gt_road = _ground_truth(config.gt_road, state.road_points)
-        state.gt_terrain = _ground_truth(config.gt_terrain,
-                                         gridmod.extract_terrain_points(state.dtm, mask))
+        state.gt_terrain = _ground_truth(config.gt_terrain, state.dtm.subset(mask.bits == 0))
 
 
 def filter_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -227,7 +224,7 @@ def fit_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
         degree_v=config.degree_v)
     state.surface, state.fit_report = fitmod.fit(
         surface0, state.dsm, state.dtm, state.mask_plus,
-        config.stage_config(fitmod.LossWeights), config.stage_config(fitmod.FitConfig))
+        config.stage_config(LossWeights), config.stage_config(FitConfig))
 
 
 def mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -235,7 +232,7 @@ def mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     if "fit" not in state.stages:
         state.surface = load_surface(_require(state.args.surface, "surface"))
     state.tin = meshmod.build_tin(state.surface, state.mask_plus,
-                                  config.stage_config(meshmod.SamplingConfig))
+                                  config.stage_config(SamplingConfig))
     state.meshes = {"nurbs": state.tin}
 
 
@@ -410,7 +407,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 SYNTH_FLAGS = {"seed": int, "vehicles": int, "trees": int, "facades": int,
                "jitter_sigma": float, "road_width": float, "target_road_fraction": float,
-               "corrupt_mask": _parse_bool}
+               "corrupt_mask": boolean}
 
 
 def cmd_synth(args: argparse.Namespace) -> int:

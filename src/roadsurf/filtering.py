@@ -120,12 +120,12 @@ def _disc_offsets(points: Raster, theta_xy: float):
     relative 1e-6 of the theta_xy ring.  Offsets inside the ring pair cells
     within theta_xy whatever the rounding of their world coordinates; ring
     offsets need the exact check on those coordinates."""
-    cx, cy = points.cell_size_x, points.cell_size_y
+    cell = points.cell_size
     # offsets beyond the grid can never pair two cells
-    ki = min(int(theta_xy / cx * (1 + 1e-9)) + 1, points.width - 1)
-    kj = min(int(theta_xy / cy * (1 + 1e-9)) + 1, points.height - 1)
+    k = int(theta_xy / cell * (1 + 1e-9)) + 1
+    ki, kj = min(k, points.width - 1), min(k, points.height - 1)
     dj, di = (a.ravel() for a in np.mgrid[-kj:kj + 1, -ki:ki + 1])
-    d2 = (di * cx) ** 2 + (dj * cy) ** 2
+    d2 = (di * cell) ** 2 + (dj * cell) ** 2
     thr2 = theta_xy * theta_xy
     keep = (d2 <= thr2 * (1 + 1e-6) + 1e-12) & ((di != 0) | (dj != 0))
     return di[keep], dj[keep], d2[keep] > thr2 * (1 - 1e-6)
@@ -158,8 +158,7 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     sj, si = np.nonzero(occ & (lab != largest))
     src = np.ravel_multi_index((sj + kj, si + ki), z_pad.shape)
     z_pad, lab_pad = z_pad.ravel(), lab_pad.ravel()
-    xs = points.origin_x + np.arange(w) * points.cell_size_x
-    ys = points.origin_y + np.arange(h) * points.cell_size_y
+    xs, ys = points.cell_to_world(np.arange(w), np.arange(h))
     thr2 = theta_xy * theta_xy
     span = int(lab.max()) + 1
     found = [np.zeros(0, dtype=np.int64)]
@@ -217,7 +216,7 @@ def clean_clusters(points: Raster, labels: LabelGrid,
     mapping = np.zeros(labels.label_count + 1, dtype=np.int32)
     mapping[kept] = np.arange(1, len(kept) + 1)
     out = mapping[lab]
-    mask = Mask(points.width, points.height, points.cell_size_x, points.cell_size_y,
+    mask = Mask(points.width, points.height, points.cell_size,
                 points.origin_x, points.origin_y, (out > 0).astype(np.uint8))
     return LabelGrid(out, len(kept)), mask
 
@@ -228,7 +227,7 @@ def run_filter(points: Raster, params: FilterParams) -> tuple[Raster, Mask]:
     Returns the retained points and the cleaned mask. The retained points are
     a subset of the input points.
     """
-    diag = math.hypot(points.cell_size_x, points.cell_size_y)
+    diag = math.hypot(points.cell_size, points.cell_size)
     if params.theta_xy <= diag:
         warnings.warn(
             f"theta_xy={params.theta_xy} does not exceed the cell diagonal {diag:.3f}; "
@@ -237,4 +236,4 @@ def run_filter(points: Raster, params: FilterParams) -> tuple[Raster, Mask]:
     grown = grow_regions(points, neighbors)
     merged = merge_clusters(points, grown, params.theta_xy, params.theta_z)
     _, mask = clean_clusters(points, merged, params.top_k)
-    return points.subset(mask), mask
+    return points.subset(mask.bits == 1), mask

@@ -48,6 +48,9 @@ _CTRL_OFFSETS = [
 # neighbors add no useful shape freedom for a height field
 _LOG_WEIGHT_CLIP = 2.0
 
+# ADAM moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class LossWeights:
@@ -73,9 +76,6 @@ class FitConfig:
     max_iters: int = 200
     early_stop_patience: int = 10
     early_stop_min_delta: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -104,14 +104,6 @@ class FitReport:
     stop_reason: str = ""
     best_iteration: int = -1
     best_loss: float = float("inf")
-
-
-class FitDivergedError(RuntimeError):
-    """Non-finite loss during optimization; carries the partial report."""
-
-    def __init__(self, message: str, report: FitReport):
-        super().__init__(message)
-        self.report = report
 
 
 class Roughness:
@@ -206,9 +198,8 @@ class Objective:
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,
                  mask_plus: Mask, weights: LossWeights):
-        xs = dsm.origin_x + np.arange(dsm.width) * dsm.cell_size_x
-        ys = dsm.origin_y + np.arange(dsm.height) * dsm.cell_size_y
-        self.bu, self.bv = grid_basis(surface, xs, ys)
+        self.bu, self.bv = grid_basis(
+            surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
         road = mask_plus.bits == 1
         target = np.where(road, dsm.values, dtm.values)
         self.no_target = np.flatnonzero(np.isnan(target))
@@ -301,11 +292,9 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     for it in range(config.max_iters):
         value, parts, g_z, g_w = objective(z, np.exp(wp))
         if not np.isfinite(value):
-            report.stop_reason = "diverged"
-            report.iterations = it
-            raise FitDivergedError(
+            raise RuntimeError(
                 f"non-finite loss at iteration {it}: road={parts['road']!r} "
-                f"terrain={parts['terrain']!r} reg={parts['reg']!r}", report)
+                f"terrain={parts['terrain']!r} reg={parts['reg']!r}")
         report.loss_total.append(value)
         report.loss_road.append(parts["road"])
         report.loss_terrain.append(parts["terrain"])
@@ -325,13 +314,13 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
             break
         t = it + 1
         for g, m, v, theta in ((g_z, m_z, v_z, z), (g_w, m_w, v_w, wp)):
-            m *= config.adam_beta1
-            m += (1 - config.adam_beta1) * g
-            v *= config.adam_beta2
-            v += (1 - config.adam_beta2) * g * g
-            m_hat = m / (1 - config.adam_beta1 ** t)
-            v_hat = v / (1 - config.adam_beta2 ** t)
-            theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            m *= _BETA1
+            m += (1 - _BETA1) * g
+            v *= _BETA2
+            v += (1 - _BETA2) * g * g
+            m_hat = m / (1 - _BETA1 ** t)
+            v_hat = v / (1 - _BETA2 ** t)
+            theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
         # projected step: constant-magnitude updates would otherwise let
         # log-weights drift without bound and degenerate the denominator
         np.clip(wp, -_LOG_WEIGHT_CLIP, _LOG_WEIGHT_CLIP, out=wp)
@@ -361,8 +350,7 @@ def initialize_surface(dsm: Raster, dtm: Raster, num_ctrl_u: int = 35,
     x0, x1, y0, y1 = dsm.center_extent
     surf = lattice_surface((x0, x1), (y0, y1), num_ctrl_u, num_ctrl_v,
                            degree_u, degree_v)
-    xs = dsm.origin_x + np.arange(dsm.width) * dsm.cell_size_x
-    ys = dsm.origin_y + np.arange(dsm.height) * dsm.cell_size_y
+    xs, ys = dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height))
     ia = np.clip(np.round((xs - x0) / (x1 - x0) * (num_ctrl_u - 1)), 0, num_ctrl_u - 1).astype(int)
     jb = np.clip(np.round((ys - y0) / (y1 - y0) * (num_ctrl_v - 1)), 0, num_ctrl_v - 1).astype(int)
     group = ia[None, :] * num_ctrl_v + jb[:, None]  # (H, W) lattice node id

@@ -9,8 +9,9 @@ Conventions shared by the whole package:
 * Arrays have shape ``(H, W)`` and are indexed ``[j, i]``, where ``i`` is the
   column (x axis, west to east) and ``j`` is the row (y axis, south to
   north).  Row ``j = 0`` is the southernmost row.
-* World coordinates refer to cell centers: ``x = origin_x + i * cell_size_x``
-  and ``y = origin_y + j * cell_size_y``.
+* Cells are square, as the one ``cellsize`` of the file format makes them.
+  World coordinates refer to cell centers: ``x = origin_x + i * cell_size``
+  and ``y = origin_y + j * cell_size``.
 * Missing elevations are held as NaN in memory and serialized as the NODATA
   value of the ASCII grid format.
 
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_NODATA = -9999.0
+NODATA = -9999.0
 
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
@@ -53,27 +54,26 @@ class GridGeoref:
 
     width: int
     height: int
-    cell_size_x: float
-    cell_size_y: float
+    cell_size: float
     origin_x: float
     origin_y: float
 
     def _check_georef(self) -> None:
         if self.width < 2 or self.height < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.width}x{self.height}")
-        if not (self.cell_size_x > 0 and self.cell_size_y > 0):
-            raise ValueError("cell sizes must be positive")
+        if not self.cell_size > 0:
+            raise ValueError("cell size must be positive")
 
     def cell_to_world(self, i, j):
         """World coordinates of the center of cell (i, j). Accepts arrays."""
-        x = self.origin_x + np.asarray(i) * self.cell_size_x
-        y = self.origin_y + np.asarray(j) * self.cell_size_y
+        x = self.origin_x + np.asarray(i) * self.cell_size
+        y = self.origin_y + np.asarray(j) * self.cell_size
         return x, y
 
     def world_to_cell(self, x, y):
         """Continuous cell coordinates of a world position. Accepts arrays."""
-        ci = (np.asarray(x) - self.origin_x) / self.cell_size_x
-        cj = (np.asarray(y) - self.origin_y) / self.cell_size_y
+        ci = (np.asarray(x) - self.origin_x) / self.cell_size
+        cj = (np.asarray(y) - self.origin_y) / self.cell_size
         return ci, cj
 
     def nearest_cell(self, x, y):
@@ -89,29 +89,28 @@ class GridGeoref:
         """(x_min, x_max, y_min, y_max) spanned by cell centers."""
         return (
             self.origin_x,
-            self.origin_x + (self.width - 1) * self.cell_size_x,
+            self.origin_x + (self.width - 1) * self.cell_size,
             self.origin_y,
-            self.origin_y + (self.height - 1) * self.cell_size_y,
+            self.origin_y + (self.height - 1) * self.cell_size,
         )
 
     @property
     def edge_extent(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max) of the outer cell edges."""
         return (
-            self.origin_x - 0.5 * self.cell_size_x,
-            self.origin_x + (self.width - 0.5) * self.cell_size_x,
-            self.origin_y - 0.5 * self.cell_size_y,
-            self.origin_y + (self.height - 0.5) * self.cell_size_y,
+            self.origin_x - 0.5 * self.cell_size,
+            self.origin_x + (self.width - 0.5) * self.cell_size,
+            self.origin_y - 0.5 * self.cell_size,
+            self.origin_y + (self.height - 0.5) * self.cell_size,
         )
 
-    def georef_equals(self, other: "GridGeoref", tol: float = 1e-9) -> bool:
+    def georef_equals(self, other: "GridGeoref") -> bool:
         return (
             self.width == other.width
             and self.height == other.height
-            and math.isclose(self.cell_size_x, other.cell_size_x, rel_tol=tol, abs_tol=tol)
-            and math.isclose(self.cell_size_y, other.cell_size_y, rel_tol=tol, abs_tol=tol)
-            and math.isclose(self.origin_x, other.origin_x, rel_tol=tol, abs_tol=tol)
-            and math.isclose(self.origin_y, other.origin_y, rel_tol=tol, abs_tol=tol)
+            and math.isclose(self.cell_size, other.cell_size, rel_tol=1e-9, abs_tol=1e-9)
+            and math.isclose(self.origin_x, other.origin_x, rel_tol=1e-9, abs_tol=1e-9)
+            and math.isclose(self.origin_y, other.origin_y, rel_tol=1e-9, abs_tol=1e-9)
         )
 
 
@@ -148,11 +147,13 @@ class Raster(GridGeoref):
         x, y = self.cell_to_world(ii, jj)
         return np.column_stack([x, y, self.values[jj, ii]])
 
-    def subset(self, mask: Mask) -> Raster:
-        """Cells of self whose mask bit is 1; the others become NaN."""
-        if (mask.height, mask.width) != (self.height, self.width):
+    def subset(self, selection: np.ndarray) -> Raster:
+        """Cells of self where the (H, W) boolean ``selection`` is true; the
+        others become NaN.  ``dsm.subset(mask.bits == 1)`` are the road
+        points, ``dtm.subset(mask.bits == 0)`` the terrain points."""
+        if np.shape(selection) != self.values.shape:
             raise ValueError("mask dimensions do not match raster")
-        return replace(self, values=np.where(mask.bits == 1, self.values, np.nan))
+        return replace(self, values=np.where(selection, self.values, np.nan))
 
 
 @dataclass
@@ -245,20 +246,17 @@ def load_raster(path: str | Path) -> Raster:
     return Raster(
         width=int(header["ncols"]),
         height=int(header["nrows"]),
-        cell_size_x=cell,
-        cell_size_y=cell,
+        cell_size=cell,
         origin_x=float(header["xllcorner"]) + 0.5 * cell,
         origin_y=float(header["yllcorner"]) + 0.5 * cell,
         values=values,
     )
 
 
-def save_raster(raster: Raster, path: str | Path, nodata: float = DEFAULT_NODATA) -> None:
-    """Write a Raster as an ASCII grid. Requires square cells."""
-    if not math.isclose(raster.cell_size_x, raster.cell_size_y, rel_tol=1e-12):
-        raise ValueError("ASCII grid format requires square cells")
-    cell = raster.cell_size_x
-    out = np.where(np.isnan(raster.values), nodata, raster.values)
+def save_raster(raster: Raster, path: str | Path) -> None:
+    """Write a Raster as an ASCII grid, NaN cells as NODATA."""
+    cell = raster.cell_size
+    out = np.where(np.isnan(raster.values), NODATA, raster.values)
     out = np.flipud(out)
     lines = [
         f"ncols {raster.width}",
@@ -266,7 +264,7 @@ def save_raster(raster: Raster, path: str | Path, nodata: float = DEFAULT_NODATA
         f"xllcorner {float(raster.origin_x - 0.5 * cell)!r}",
         f"yllcorner {float(raster.origin_y - 0.5 * cell)!r}",
         f"cellsize {float(cell)!r}",
-        f"NODATA_value {float(nodata)!r}",
+        f"NODATA_value {NODATA!r}",
     ]
     for row in out:
         lines.append(" ".join(repr(float(v)) for v in row))
@@ -279,12 +277,12 @@ def load_mask(path: str | Path) -> Mask:
     bits = np.where(np.isnan(raster.values), 0.0, raster.values)
     if not np.isin(bits, (0.0, 1.0)).all():
         raise AsciiGridError(path, 1, "mask values must be 0 or 1")
-    return Mask(raster.width, raster.height, raster.cell_size_x, raster.cell_size_y,
+    return Mask(raster.width, raster.height, raster.cell_size,
                 raster.origin_x, raster.origin_y, bits.astype(np.uint8))
 
 
 def save_mask(mask: Mask, path: str | Path) -> None:
-    raster = Raster(mask.width, mask.height, mask.cell_size_x, mask.cell_size_y,
+    raster = Raster(mask.width, mask.height, mask.cell_size,
                     mask.origin_x, mask.origin_y, mask.bits.astype(float))
     save_raster(raster, path)
 
@@ -295,29 +293,15 @@ def resample_mask(mask: Mask, target: Raster) -> Mask:
     The mask and the target must cover the same world extent to within half
     of one source cell.
     """
-    sx, sy = mask.cell_size_x, mask.cell_size_y
     a = mask.edge_extent
     b = target.edge_extent
-    tol = (0.5 * sx, 0.5 * sx, 0.5 * sy, 0.5 * sy)
-    for va, vb, t in zip(a, b, tol):
-        if abs(va - vb) > t:
+    for va, vb in zip(a, b):
+        if abs(va - vb) > 0.5 * mask.cell_size:
             raise ValueError(
                 f"mask extent {a} does not match target extent {b} within half a source cell")
     xs, ys = target.cell_to_world(np.arange(target.width), np.arange(target.height))
     si, _ = mask.nearest_cell(xs, np.zeros_like(xs))
     _, sj = mask.nearest_cell(np.zeros_like(ys), ys)
     bits = mask.bits[np.ix_(sj, si)]
-    return Mask(target.width, target.height, target.cell_size_x, target.cell_size_y,
+    return Mask(target.width, target.height, target.cell_size,
                 target.origin_x, target.origin_y, bits)
-
-
-def extract_road_points(dsm: Raster, mask: Mask) -> Raster:
-    """Cells of the DSM whose mask bit is 1 and whose value is present."""
-    return dsm.subset(mask)
-
-
-def extract_terrain_points(dtm: Raster, road_mask: Mask) -> Raster:
-    """Cells of the DTM outside the road mask with values present."""
-    if (road_mask.height, road_mask.width) != (dtm.height, dtm.width):
-        raise ValueError("mask dimensions do not match raster")
-    return replace(dtm, values=np.where(road_mask.bits == 0, dtm.values, np.nan))

@@ -372,8 +372,8 @@ def vertex_errors(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
 
 
 def _bilinear(layer: Raster, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    fx = np.clip((x - layer.origin_x) / layer.cell_size_x, 0, layer.width - 1)
-    fy = np.clip((y - layer.origin_y) / layer.cell_size_y, 0, layer.height - 1)
+    fx = np.clip((x - layer.origin_x) / layer.cell_size, 0, layer.width - 1)
+    fy = np.clip((y - layer.origin_y) / layer.cell_size, 0, layer.height - 1)
     i0 = np.clip(np.floor(fx).astype(int), 0, layer.width - 2)
     j0 = np.clip(np.floor(fy).astype(int), 0, layer.height - 2)
     tx = fx - i0

@@ -1,4 +1,4 @@
-"""Rational tensor-product B-spline surfaces over a frozen plan-view lattice.
+"""Rational tensor-product B-spline height fields over a plan-view lattice.
 
 A surface is defined by degrees (p, q), clamped knot vectors, a grid of 3D
 control points, and positive per-control weights:
@@ -9,14 +9,15 @@ Basis functions follow the standard recursion with the convention that
 degree-0 boxes are half-open on the right, except that the final span of the
 domain is closed so the upper domain end evaluates to the last control point.
 Only (p+1)(q+1) basis products are nonzero at any parameter; basis_matrix
-forms just those, for all parameters at once.  The single-point evaluate and
-gradients take full-grid basis rows, whose other entries are exact zeros.
+forms just those, for all parameters at once.
 
-Surfaces used for terrain work keep their control x/y fixed on a uniform
-lattice (``xy_frozen``); the lattice corners define an affine map between
-world x/y and the parameter domain, and only elevations and weights are ever
-optimized.  The z component of the rational sum is then read as a height
-field over the plan rectangle.
+Every surface is a lattice surface: its control x/y lie on a uniform grid
+over a plan rectangle and its knots clamp the domain [0, 1].  The lattice
+corners define an affine map between world x/y and the parameter domain,
+and only elevations and weights are ever optimized, so the z component of
+the rational sum is read as a height field over the plan rectangle.  The
+``xy_frozen 1`` line of the file format says so; it is kept so that
+surface files stay byte-stable, and any other value is rejected.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from pathlib import Path
 import numpy as np
 
 
-def uniform_clamped_knots(num_ctrl: int, degree: int, low: float = 0.0,
-                          high: float = 1.0) -> np.ndarray:
-    """Clamped knot vector with evenly spaced interior knots.
+def uniform_clamped_knots(num_ctrl: int, degree: int) -> np.ndarray:
+    """Clamped knot vector on [0, 1] with evenly spaced interior knots.
 
     Length is num_ctrl + degree + 1; the first and last degree+1 knots repeat
     the domain ends.
@@ -38,11 +38,9 @@ def uniform_clamped_knots(num_ctrl: int, degree: int, low: float = 0.0,
         raise ValueError("degree must be at least 1")
     if num_ctrl < degree + 1:
         raise ValueError(f"need at least degree+1={degree + 1} control points, got {num_ctrl}")
-    if not high > low:
-        raise ValueError("empty parameter domain")
     interior = num_ctrl - degree - 1
-    inner = np.linspace(low, high, interior + 2)[1:-1]
-    return np.concatenate([np.full(degree + 1, low), inner, np.full(degree + 1, high)])
+    inner = np.linspace(0.0, 1.0, interior + 2)[1:-1]
+    return np.concatenate([np.full(degree + 1, 0.0), inner, np.full(degree + 1, 1.0)])
 
 
 def basis_matrix(knots: np.ndarray, degree: int, params: np.ndarray) -> np.ndarray:
@@ -87,7 +85,6 @@ class NurbsSurface:
     knots_v: np.ndarray
     control_points: np.ndarray  # (nu, nv, 3), [a, b] with a along u and b along v
     weights: np.ndarray         # (nu, nv), strictly positive
-    xy_frozen: bool = False
 
     def __post_init__(self):
         self.knots_u = np.asarray(self.knots_u, dtype=float)
@@ -144,8 +141,6 @@ class NurbsSurface:
         Inputs up to a relative 1e-6 outside the extent are clamped onto the
         domain edge; anything further out raises ValueError. Accepts arrays.
         """
-        if not self.xy_frozen:
-            raise ValueError("world mapping requires an xy_frozen lattice surface")
         x0, x1, y0, y1 = self.xy_extent()
         u0, u1 = self.domain_u
         v0, v1 = self.domain_v
@@ -169,7 +164,7 @@ class NurbsSurface:
         w = self.weights.copy() if weights is None else np.asarray(weights, dtype=float)
         return NurbsSurface(self.degree_u, self.degree_v,
                             self.knots_u.copy(), self.knots_v.copy(),
-                            ctrl, w, self.xy_frozen)
+                            ctrl, w)
 
 
 def lattice_surface(x_range: tuple[float, float], y_range: tuple[float, float],
@@ -194,31 +189,7 @@ def lattice_surface(x_range: tuple[float, float], y_range: tuple[float, float],
         degree_u, degree_v,
         uniform_clamped_knots(num_u, degree_u),
         uniform_clamped_knots(num_v, degree_v),
-        ctrl, weights, xy_frozen=True)
-
-
-def evaluate(surface: NurbsSurface, u: float, v: float) -> np.ndarray:
-    """Surface point at (u, v) as an xyz array."""
-    bu = basis_matrix(surface.knots_u, surface.degree_u, [u])[0]
-    bv = basis_matrix(surface.knots_v, surface.degree_v, [v])[0]
-    coeff = np.outer(bu, bv) * surface.weights
-    return np.tensordot(coeff, surface.control_points, axes=([0, 1], [0, 1])) / coeff.sum()
-
-
-def gradients(surface: NurbsSurface, u: float, v: float) -> tuple[np.ndarray, np.ndarray]:
-    """Partials of the surface elevation at (u, v).
-
-    Returns (d_z / d_control_z, d_z / d_weight), each shaped like the control
-    grid; entries outside the active (p+1) x (q+1) window are zero.
-    """
-    bu = basis_matrix(surface.knots_u, surface.degree_u, [u])[0]
-    bv = basis_matrix(surface.knots_v, surface.degree_v, [v])[0]
-    coeff = np.outer(bu, bv) * surface.weights
-    den = coeff.sum()
-    z = surface.control_points[:, :, 2]
-    sz = float((coeff * z).sum() / den)
-    # for weights the basis product enters without the weight factor
-    return coeff / den, coeff / surface.weights * (z - sz) / den
+        ctrl, weights)
 
 
 def grid_basis(surface: NurbsSurface, xs: np.ndarray,
@@ -265,7 +236,7 @@ def save_surface(surface: NurbsSurface, path: str | Path) -> None:
         "roadsurf-surface 1",
         f"degree {surface.degree_u} {surface.degree_v}",
         f"shape {surface.num_ctrl_u} {surface.num_ctrl_v}",
-        f"xy_frozen {int(surface.xy_frozen)}",
+        "xy_frozen 1",
         "knots_u " + " ".join(repr(float(k)) for k in surface.knots_u),
         "knots_v " + " ".join(repr(float(k)) for k in surface.knots_v),
     ]
@@ -281,7 +252,7 @@ def load_surface(path: str | Path) -> NurbsSurface:
     """Read a surface written by save_surface.
 
     Format: a signature line, then ``degree p q``, ``shape nu nv``,
-    ``xy_frozen 0|1``, the two knot vectors, and one ``cp x y z w`` line per
+    ``xy_frozen 1``, the two knot vectors, and one ``cp x y z w`` line per
     control point in row-major (u-major) order.
     """
     lines = [(n, line.split()) for n, line in
@@ -301,6 +272,8 @@ def load_surface(path: str | Path) -> NurbsSurface:
             raise ValueError(f"{path}:{line_no}: {key} takes {arity[key]} value(s), got {len(values)}")
         if casts.get(key) is float and not np.isfinite(values).all():
             raise ValueError(f"{path}:{line_no}: {key} values must be finite")
+        if key == "xy_frozen" and values != [1]:
+            raise ValueError(f"{path}:{line_no}: xy_frozen must be 1 (lattice surfaces only)")
         if key == "cp":
             cps.append(values)
         else:
@@ -308,7 +281,6 @@ def load_surface(path: str | Path) -> NurbsSurface:
     try:
         p, q = fields["degree"]
         nu, nv = fields["shape"]
-        frozen = bool(fields["xy_frozen"][0])
         knots_u = np.array(fields["knots_u"])
         knots_v = np.array(fields["knots_v"])
     except KeyError as missing:
@@ -316,4 +288,4 @@ def load_surface(path: str | Path) -> NurbsSurface:
     if len(cps) != nu * nv:
         raise ValueError(f"{path}: expected {nu * nv} 'cp x y z w' lines")
     arr = np.array(cps).reshape(nu, nv, 4)
-    return NurbsSurface(p, q, knots_u, knots_v, arr[:, :, :3], arr[:, :, 3], frozen)
+    return NurbsSurface(p, q, knots_u, knots_v, arr[:, :, :3], arr[:, :, 3])

@@ -22,6 +22,7 @@ jitter), so equal specs give bit-identical tiles.
 
 from __future__ import annotations
 
+import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -217,8 +218,7 @@ def generate(spec: SceneSpec) -> Scene:
 
     mask_bits = ribbon | (prov > 0) if spec.corrupt_mask else ribbon
 
-    georef = dict(width=n, height=n, cell_size_x=cell, cell_size_y=cell,
-                  origin_x=0.0, origin_y=0.0)
+    georef = dict(width=n, height=n, cell_size=cell, origin_x=0.0, origin_y=0.0)
     return Scene(
         dsm=Raster(**georef, values=dsm),
         dtm=Raster(**georef, values=base.copy()),
@@ -250,6 +250,15 @@ def save_scene(scene: Scene, out_dir: str | Path) -> dict[str, Path]:
     return paths
 
 
+def boolean(text: str) -> bool:
+    """A boolean in one of configparser's spellings, in any case:
+    1/yes/true/on or 0/no/false/off."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
+
+
 def parse_scene_file(path: str | Path) -> SceneSpec:
     """Read a scene spec from a flat key-value text file.
 
@@ -265,7 +274,7 @@ def parse_scene_file(path: str | Path) -> SceneSpec:
         "slope_x": float, "slope_y": float, "road_width": float,
         "target_road_fraction": float, "vehicles": int, "trees": int,
         "facades": int, "jitter_sigma": float, "seed": int,
-        "corrupt_mask": lambda v: bool(int(v)),
+        "corrupt_mask": boolean,
     }
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

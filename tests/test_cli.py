@@ -11,7 +11,10 @@ import io
 
 import pytest
 
-from roadsurf.cli import main
+from roadsurf.cli import PipelineConfig, main
+from roadsurf.filtering import FilterParams
+from roadsurf.fit import FitConfig, LossWeights
+from roadsurf.mesh import SamplingConfig
 
 LAYERS = ("dsm", "dtm", "mask", "gt_road", "gt_terrain")
 FIT_FLAGS = ("--num-ctrl-u", "12", "--num-ctrl-v", "12", "--road-rate", "2.5")
@@ -194,13 +197,29 @@ def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
     ["fit", "--early-stop-min-delta", "nan"],
     ["fit", "--early-stop-min-delta", "-1"],
     ["ablate", "--param", "theta_xy", "--values", "inf"],
+    ["synth", "--out", "unused", "--corrupt-mask", "2"],
+    ["run", "--baselines", "maybe"],
 ])
 def test_bad_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: ")
+    assert err.startswith("usage error: ") and "_parse_bool" not in err
     if {"nan", "inf"} & set(argv):
         assert err.endswith(f" must be finite, got {argv[-1]}\n")
+
+
+def test_config_that_cannot_be_read_is_a_usage_error(tile, tmp_path, capsys):
+    for config in (tmp_path, tmp_path / "missing.ini"):  # a directory, an absent file
+        rc, artifacts = invoke(tmp_path / "out", "filter", *layer_flags(tile, ("dsm", "mask")),
+                               "--config", str(config))
+        assert (rc, artifacts) == (1, {})
+        assert capsys.readouterr().err == f"usage error: cannot read config file: {config}\n"
+
+
+def test_pipeline_defaults_are_the_stage_defaults():
+    config = PipelineConfig()
+    for cls in (FilterParams, LossWeights, FitConfig, SamplingConfig):
+        assert config.stage_config(cls) == cls()
 
 
 def test_out_dir_that_is_a_file_fails_before_any_stage(tile, tmp_path, capsys):
@@ -321,6 +340,28 @@ def test_unknown_scene_key_is_a_grid_failure(tmp_path, capsys):
     assert capsys.readouterr().err == f"stage grid: {scene}:2: unknown key 'bogus'\n"
 
 
+@pytest.mark.parametrize("spelling", ["yes", "On", "1", "TRUE"])
+def test_corrupt_mask_takes_the_same_booleans_in_a_scene_file_and_a_flag(tmp_path, spelling):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("cell_size 5\ntrees 3\n")
+    scene = tmp_path / "scene.txt"
+    scene.write_text(f"cell_size 5\ntrees 3\ncorrupt_mask {spelling}\n")
+    masks = {}
+    for name, argv in (("file", ["--scene", str(scene)]),
+                       ("flag", ["--scene", str(plain), "--corrupt-mask", spelling]),
+                       ("clean", ["--scene", str(plain)])):
+        assert main(["synth", *argv, "--out", str(tmp_path / name)]) == 0
+        masks[name] = (tmp_path / name / "mask.asc").read_bytes()
+    assert masks["file"] == masks["flag"] != masks["clean"]
+
+
+def test_non_boolean_corrupt_mask_in_a_scene_file_is_a_grid_failure(tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_text("cell_size 5\ncorrupt_mask 2\n")
+    assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"stage grid: {scene}:2: expected a boolean, got '2'\n"
+
+
 @pytest.mark.parametrize("param, values, message", [
     ("learning_rate", "0.1,-1", "learning_rate must be positive"),
     ("sampling_rates", "2.5/10,5/1", "need 0 < road_rate <= terrain_rate"),
@@ -340,6 +381,7 @@ def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
             ("cp ", "cp 0.0 0.0 nan 1.0", "cp values must be finite"),
             ("knots_u ", "knots_u 0.0 inf 1.0", "knots_u values must be finite"),
             ("xy_frozen ", "xy_frozen", "xy_frozen takes 1 value(s), got 0"),
+            ("xy_frozen ", "xy_frozen 0", "xy_frozen must be 1 (lattice surfaces only)"),
             ("degree ", "degree 3", "degree takes 2 value(s), got 1")]:
         lines = run[0]["surface.txt"].decode().splitlines()
         line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))

@@ -25,13 +25,13 @@ from roadsurf.filtering import (
     run_filter,
 )
 from roadsurf import synth
-from roadsurf.grid import Raster, extract_road_points
+from roadsurf.grid import Raster
 
 
 def make_points(z, cell=1.0, origin=(0.0, 0.0)):
     z = np.asarray(z, dtype=float)
     h, w = z.shape
-    return Raster(w, h, cell, cell, origin[0], origin[1], z)
+    return Raster(w, h, cell, origin[0], origin[1], z)
 
 
 def point_cells(points):
@@ -146,16 +146,16 @@ def loop_merge(points, labels, theta_xy, theta_z):
     lab = labels.labels
     z = points.values
     h, w = lab.shape
-    cx, cy = points.cell_size_x, points.cell_size_y
-    x_grid, y_grid = np.meshgrid(points.origin_x + np.arange(w) * cx,
-                                 points.origin_y + np.arange(h) * cy)
-    ki = min(int(theta_xy / cx * (1 + 1e-9)) + 1, w - 1)
-    kj = min(int(theta_xy / cy * (1 + 1e-9)) + 1, h - 1)
+    cell = points.cell_size
+    x_grid, y_grid = np.meshgrid(points.origin_x + np.arange(w) * cell,
+                                 points.origin_y + np.arange(h) * cell)
+    ki = min(int(theta_xy / cell * (1 + 1e-9)) + 1, w - 1)
+    kj = min(int(theta_xy / cell * (1 + 1e-9)) + 1, h - 1)
     thr2 = theta_xy * theta_xy
     rows, cols = [], []
     for dj in range(0, kj + 1):
         for di in range(-ki, ki + 1):
-            if (dj == 0 and di <= 0) or (di * cx) ** 2 + (dj * cy) ** 2 > thr2 * (1 + 1e-6) + 1e-12:
+            if (dj == 0 and di <= 0) or (di * cell) ** 2 + (dj * cell) ** 2 > thr2 * (1 + 1e-6) + 1e-12:
                 continue
             a = (slice(max(0, -dj), max(0, h - max(0, dj))),
                  slice(max(0, -di), max(0, w - max(0, di))))
@@ -375,7 +375,7 @@ class TestMergeClusters:
         for _ in range(25):
             points = random_point_grid(rng, max_side=14)
             theta_z = float(rng.uniform(0.2, 3.0))
-            theta_xy = float(rng.uniform(1.5, 8.0)) * points.cell_size_x
+            theta_xy = float(rng.uniform(1.5, 8.0)) * points.cell_size
             labels = grow_regions(points, get_neighbors(points, theta_z))
             merged = merge_clusters(points, labels, theta_xy, theta_z)
             assert partition_from_labels(merged.labels) == \
@@ -427,14 +427,14 @@ class TestMergeClusters:
         assert huge.label_count == spanning.label_count
 
 
-    def test_anisotropic_cells_match_bruteforce(self):
+    def test_square_cells_match_bruteforce(self):
         rng = np.random.default_rng(606)
-        for cx, cy in ((0.5, 2.0), (2.0, 0.7), (1.0, 0.4)):
+        for cell in (0.5, 2.0, 0.4):
             for _ in range(6):
                 grid = random_point_grid(rng, max_side=14)
-                points = Raster(grid.width, grid.height, cx, cy, 3.0, -7.0, grid.values)
+                points = Raster(grid.width, grid.height, cell, 3.0, -7.0, grid.values)
                 theta_z = float(rng.uniform(0.2, 3.0))
-                theta_xy = float(rng.uniform(1.5, 6.0)) * max(cx, cy)
+                theta_xy = float(rng.uniform(1.5, 6.0)) * cell
                 labels = grow_regions(points, get_neighbors(points, theta_z))
                 merged = merge_clusters(points, labels, theta_xy, theta_z)
                 assert partition_from_labels(merged.labels) == \
@@ -490,7 +490,7 @@ class TestMergeClusters:
             scene = synth.generate(synth.SceneSpec(
                 cell_size=cell_size, vehicles=6, trees=8, facades=2,
                 corrupt_mask=True, jitter_sigma=0.02, seed=seed))
-            points = extract_road_points(scene.dsm, scene.mask)
+            points = scene.dsm.subset(scene.mask.bits == 1)
             labels = grow_regions(points, get_neighbors(points, 0.5))
             assert labels.label_count > 1
             merged = merge_clusters(points, labels, theta_xy, 0.5)

@@ -94,13 +94,13 @@ def test_fit_loop_equals_total_loss_on_fresh_surfaces(scene):
         parts_trace.append((parts["road"], parts["terrain"], parts["reg"]))
         t = it + 1
         for g, m, v, theta in ((g_z, *moments[:2], z), (g_w, *moments[2:], wp)):
-            m *= config.adam_beta1
-            m += (1 - config.adam_beta1) * g
-            v *= config.adam_beta2
-            v += (1 - config.adam_beta2) * g * g
-            m_hat = m / (1 - config.adam_beta1 ** t)
-            v_hat = v / (1 - config.adam_beta2 ** t)
-            theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            m *= 0.9
+            m += (1 - 0.9) * g
+            v *= 0.999
+            v += (1 - 0.999) * g * g
+            m_hat = m / (1 - 0.9 ** t)
+            v_hat = v / (1 - 0.999 ** t)
+            theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
         np.clip(wp, -fitmod._LOG_WEIGHT_CLIP, fitmod._LOG_WEIGHT_CLIP, out=wp)
 
     assert report.iterations == config.max_iters
@@ -269,13 +269,12 @@ def test_start_heights_are_per_node_medians(scene, shape):
     dsm = scene.dsm
     values = np.round(dsm.values, 1)  # ties between cells
     values[::4, ::3] = np.nan         # nodes with odd and even counts
-    dsm = type(dsm)(dsm.width, dsm.height, dsm.cell_size_x, dsm.cell_size_y,
-                    dsm.origin_x, dsm.origin_y, values)
+    dsm = type(dsm)(dsm.width, dsm.height, dsm.cell_size, dsm.origin_x, dsm.origin_y, values)
     surface = fitmod.initialize_surface(dsm, scene.dtm, *shape)
     nu, nv = shape
     x0, x1, y0, y1 = dsm.center_extent
-    xs = dsm.origin_x + np.arange(dsm.width) * dsm.cell_size_x
-    ys = dsm.origin_y + np.arange(dsm.height) * dsm.cell_size_y
+    xs = dsm.origin_x + np.arange(dsm.width) * dsm.cell_size
+    ys = dsm.origin_y + np.arange(dsm.height) * dsm.cell_size
     expected = np.full(shape, float(np.median(scene.dtm.values)))
     for a in range(nu):
         for b in range(nv):

@@ -10,8 +10,6 @@ from roadsurf.grid import (
     GridGeoref,
     Mask,
     Raster,
-    extract_road_points,
-    extract_terrain_points,
     load_mask,
     load_raster,
     resample_mask,
@@ -111,7 +109,7 @@ class TestSaveRaster:
             values = rng.normal(100.0, 25.0, (h, w))
             values[rng.random((h, w)) < 0.2] = np.nan
             cell = float(rng.uniform(0.5, 5.0))
-            raster = Raster(w, h, cell, cell,
+            raster = Raster(w, h, cell,
                             float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50)),
                             values)
             path = tmp_path / f"r{k}.asc"
@@ -120,16 +118,11 @@ class TestSaveRaster:
             assert back.georef_equals(raster)
             npt.assert_allclose(back.values, raster.values, atol=1e-6, equal_nan=True)
 
-    def test_rect_cells_rejected(self, tmp_path):
-        raster = Raster(2, 2, 1.0, 2.0, 0.0, 0.0, np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="square"):
-            save_raster(raster, tmp_path / "r.asc")
-
 
 class TestMaskIO:
     def test_roundtrip(self, tmp_path):
         bits = np.array([[1, 0, 1], [0, 1, 0]])
-        mask = Mask(3, 2, 1.0, 1.0, 0.5, 0.5, bits)
+        mask = Mask(3, 2, 1.0, 0.5, 0.5, bits)
         path = tmp_path / "m.asc"
         save_mask(mask, path)
         back = load_mask(path)
@@ -152,15 +145,15 @@ class TestMaskIO:
 class TestResampleMask:
     def test_identity_when_equal(self):
         bits = np.array([[1, 0], [0, 1]])
-        mask = Mask(2, 2, 1.0, 1.0, 0.5, 0.5, bits)
-        target = Raster(2, 2, 1.0, 1.0, 0.5, 0.5, np.zeros((2, 2)))
+        mask = Mask(2, 2, 1.0, 0.5, 0.5, bits)
+        target = Raster(2, 2, 1.0, 0.5, 0.5, np.zeros((2, 2)))
         out = resample_mask(mask, target)
         npt.assert_array_equal(out.bits, bits)
 
     def test_upsample_replicates_quadrants(self):
         # source: 2x2 cells of size 2 over the square [0, 4]^2
-        mask = Mask(2, 2, 2.0, 2.0, 1.0, 1.0, np.array([[1, 0], [0, 1]]))
-        target = Raster(4, 4, 1.0, 1.0, 0.5, 0.5, np.zeros((4, 4)))
+        mask = Mask(2, 2, 2.0, 1.0, 1.0, np.array([[1, 0], [0, 1]]))
+        target = Raster(4, 4, 1.0, 0.5, 0.5, np.zeros((4, 4)))
         out = resample_mask(mask, target)
         expected = np.zeros((4, 4), dtype=int)
         for j in range(4):
@@ -176,30 +169,30 @@ class TestResampleMask:
         npt.assert_array_equal(out.bits[:2, 2:], 0)
 
     def test_all_ones_stays_all_ones(self):
-        mask = Mask(3, 3, 2.0, 2.0, 1.0, 1.0, np.ones((3, 3)))
-        target = Raster(6, 6, 1.0, 1.0, 0.5, 0.5, np.zeros((6, 6)))
+        mask = Mask(3, 3, 2.0, 1.0, 1.0, np.ones((3, 3)))
+        target = Raster(6, 6, 1.0, 0.5, 0.5, np.zeros((6, 6)))
         out = resample_mask(mask, target)
         npt.assert_array_equal(out.bits, 1)
 
     def test_extent_mismatch_rejected(self):
-        mask = Mask(2, 2, 1.0, 1.0, 0.5, 0.5, np.ones((2, 2)))
-        target = Raster(2, 2, 1.0, 1.0, 3.5, 0.5, np.zeros((2, 2)))
+        mask = Mask(2, 2, 1.0, 0.5, 0.5, np.ones((2, 2)))
+        target = Raster(2, 2, 1.0, 3.5, 0.5, np.zeros((2, 2)))
         with pytest.raises(ValueError, match="extent"):
             resample_mask(mask, target)
 
 
 class TestPointExtraction:
     def test_all_zero_mask_empty(self):
-        dsm = Raster(3, 3, 1.0, 1.0, 0.0, 0.0, np.full((3, 3), 5.0))
-        mask = Mask(3, 3, 1.0, 1.0, 0.0, 0.0, np.zeros((3, 3)))
-        assert extract_road_points(dsm, mask).count == 0
+        dsm = Raster(3, 3, 1.0, 0.0, 0.0, np.full((3, 3), 5.0))
+        mask = Mask(3, 3, 1.0, 0.0, 0.0, np.zeros((3, 3)))
+        assert dsm.subset(mask.bits == 1).count == 0
 
     def test_single_cell(self):
-        dsm = Raster(3, 3, 2.0, 2.0, 10.0, 20.0, np.full((3, 3), 5.0))
+        dsm = Raster(3, 3, 2.0, 10.0, 20.0, np.full((3, 3), 5.0))
         bits = np.zeros((3, 3))
         bits[1, 1] = 1
-        mask = Mask(3, 3, 2.0, 2.0, 10.0, 20.0, bits)
-        points = extract_road_points(dsm, mask)
+        mask = Mask(3, 3, 2.0, 10.0, 20.0, bits)
+        points = dsm.subset(mask.bits == 1)
         assert points.count == 1
         npt.assert_array_equal(points.xyz(), [[12.0, 22.0, 5.0]])
 
@@ -208,45 +201,45 @@ class TestPointExtraction:
         values = rng.normal(size=(6, 8))
         values[rng.random((6, 8)) < 0.3] = np.nan
         bits = (rng.random((6, 8)) < 0.5).astype(int)
-        dsm = Raster(8, 6, 1.0, 1.0, 0.0, 0.0, values)
-        mask = Mask(8, 6, 1.0, 1.0, 0.0, 0.0, bits)
-        points = extract_road_points(dsm, mask)
+        dsm = Raster(8, 6, 1.0, 0.0, 0.0, values)
+        mask = Mask(8, 6, 1.0, 0.0, 0.0, bits)
+        points = dsm.subset(mask.bits == 1)
         expected = int(((bits == 1) & ~np.isnan(values)).sum())
         assert points.count == expected
 
     def test_terrain_all_ones_empty(self):
-        dtm = Raster(2, 2, 1.0, 1.0, 0.0, 0.0, np.ones((2, 2)))
-        mask = Mask(2, 2, 1.0, 1.0, 0.0, 0.0, np.ones((2, 2)))
-        assert extract_terrain_points(dtm, mask).count == 0
+        dtm = Raster(2, 2, 1.0, 0.0, 0.0, np.ones((2, 2)))
+        mask = Mask(2, 2, 1.0, 0.0, 0.0, np.ones((2, 2)))
+        assert dtm.subset(mask.bits == 0).count == 0
 
     def test_terrain_all_zero_full(self):
-        dtm = Raster(2, 2, 1.0, 1.0, 0.0, 0.0, np.ones((2, 2)))
-        mask = Mask(2, 2, 1.0, 1.0, 0.0, 0.0, np.zeros((2, 2)))
-        assert extract_terrain_points(dtm, mask).count == 4
+        dtm = Raster(2, 2, 1.0, 0.0, 0.0, np.ones((2, 2)))
+        mask = Mask(2, 2, 1.0, 0.0, 0.0, np.zeros((2, 2)))
+        assert dtm.subset(mask.bits == 0).count == 4
 
     def test_partition_of_valid_cells(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(7, 5))
         values[rng.random((7, 5)) < 0.25] = np.nan
         bits = (rng.random((7, 5)) < 0.4).astype(int)
-        dsm = Raster(5, 7, 1.0, 1.0, 0.0, 0.0, values)
-        dtm = Raster(5, 7, 1.0, 1.0, 0.0, 0.0, values + 1.0)
-        mask = Mask(5, 7, 1.0, 1.0, 0.0, 0.0, bits)
-        road = extract_road_points(dsm, mask)
-        terrain = extract_terrain_points(dtm, mask)
+        dsm = Raster(5, 7, 1.0, 0.0, 0.0, values)
+        dtm = Raster(5, 7, 1.0, 0.0, 0.0, values + 1.0)
+        mask = Mask(5, 7, 1.0, 0.0, 0.0, bits)
+        road = dsm.subset(mask.bits == 1)
+        terrain = dtm.subset(mask.bits == 0)
         assert road.count + terrain.count == int(dsm.valid.sum())
         assert not (road.valid & terrain.valid).any()
 
     def test_dimension_mismatch(self):
-        dsm = Raster(3, 3, 1.0, 1.0, 0.0, 0.0, np.zeros((3, 3)))
-        mask = Mask(2, 2, 1.0, 1.0, 0.0, 0.0, np.zeros((2, 2)))
+        dsm = Raster(3, 3, 1.0, 0.0, 0.0, np.zeros((3, 3)))
+        mask = Mask(2, 2, 1.0, 0.0, 0.0, np.zeros((2, 2)))
         with pytest.raises(ValueError, match="dimensions"):
-            extract_road_points(dsm, mask)
+            dsm.subset(mask.bits == 1)
 
 
 class TestGeoref:
     def test_cell_world_inverse(self):
-        georef = GridGeoref(9, 4, 0.7, 1.3, -5.0, 12.0)
+        georef = GridGeoref(9, 4, 0.7, -5.0, 12.0)
         for j in range(4):
             for i in range(9):
                 x, y = georef.cell_to_world(i, j)
@@ -254,22 +247,22 @@ class TestGeoref:
                 npt.assert_allclose([ci, cj], [i, j], atol=1e-12)
 
     def test_extents(self):
-        georef = GridGeoref(3, 2, 2.0, 1.0, 10.0, 20.0)
-        assert georef.center_extent == (10.0, 14.0, 20.0, 21.0)
-        assert georef.edge_extent == (9.0, 15.0, 19.5, 21.5)
+        georef = GridGeoref(3, 2, 2.0, 10.0, 20.0)
+        assert georef.center_extent == (10.0, 14.0, 20.0, 22.0)
+        assert georef.edge_extent == (9.0, 15.0, 19.0, 23.0)
 
     def test_nearest_cell_clips(self):
-        georef = GridGeoref(3, 3, 1.0, 1.0, 0.0, 0.0)
+        georef = GridGeoref(3, 3, 1.0, 0.0, 0.0)
         i, j = georef.nearest_cell(-100.0, 100.0)
         assert (i, j) == (0, 2)
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="at least 2x2"):
-            Raster(1, 2, 1.0, 1.0, 0.0, 0.0, np.zeros((2, 1)))
+            Raster(1, 2, 1.0, 0.0, 0.0, np.zeros((2, 1)))
 
     def test_bad_cell_size_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            Mask(2, 2, 0.0, 1.0, 0.0, 0.0, np.zeros((2, 2)))
+            Mask(2, 2, 0.0, 0.0, 0.0, np.zeros((2, 2)))
 
 
 class TestDataModel:
@@ -277,26 +270,26 @@ class TestDataModel:
         values = np.zeros((2, 2))
         values[0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            Raster(2, 2, 1.0, 1.0, 0.0, 0.0, values)
+            Raster(2, 2, 1.0, 0.0, 0.0, values)
 
     def test_raster_shape_check(self):
         with pytest.raises(ValueError, match="shape"):
-            Raster(3, 2, 1.0, 1.0, 0.0, 0.0, np.zeros((3, 3)))
+            Raster(3, 2, 1.0, 0.0, 0.0, np.zeros((3, 3)))
 
     def test_mask_bit_check(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            Mask(2, 2, 1.0, 1.0, 0.0, 0.0, np.full((2, 2), 2))
+            Mask(2, 2, 1.0, 0.0, 0.0, np.full((2, 2), 2))
 
     def test_point_grid_xyz_row_major(self):
         z = np.array([[1.0, np.nan], [np.nan, 4.0]])
-        points = Raster(2, 2, 2.0, 2.0, 0.0, 0.0, z)
+        points = Raster(2, 2, 2.0, 0.0, 0.0, z)
         xyz = points.xyz()
         npt.assert_allclose(xyz, [[0.0, 0.0, 1.0], [2.0, 2.0, 4.0]])
 
     def test_point_grid_subset(self):
         z = np.arange(4.0).reshape(2, 2)
-        points = Raster(2, 2, 1.0, 1.0, 0.0, 0.0, z)
-        mask = Mask(2, 2, 1.0, 1.0, 0.0, 0.0, np.array([[0, 1], [0, 1]]))
-        sub = points.subset(mask)
+        points = Raster(2, 2, 1.0, 0.0, 0.0, z)
+        mask = Mask(2, 2, 1.0, 0.0, 0.0, np.array([[0, 1], [0, 1]]))
+        sub = points.subset(mask.bits == 1)
         assert sub.count == 2
         assert np.isnan(sub.values[0, 0]) and sub.values[0, 1] == 1.0

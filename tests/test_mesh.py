@@ -185,7 +185,7 @@ def test_lattice_squares_take_the_rgt_diagonal():
     # upper-right diagonal, triangle for triangle the split of rgt_mesh
     points = lattice_points(13, 7, step=0.4, x0=-3.0, y0=2.0)
     tri = assert_delaunay(points)
-    raster = Raster(width=13, height=7, cell_size_x=0.4, cell_size_y=0.4,
+    raster = Raster(width=13, height=7, cell_size=0.4,
                     origin_x=-3.0, origin_y=2.0, values=np.zeros((7, 13)))
     expected = rgt_mesh(raster).triangles
     assert np.array_equal(tri, expected[np.lexsort(expected.T[::-1])])
@@ -227,7 +227,7 @@ def test_dual_rate_samples_are_delaunay(rates):
                               control_z=np.random.default_rng(3).normal(0.0, 1.0, (6, 5)))
     jj, ii = np.mgrid[0:16, 0:21]
     bits = (np.abs(jj - 7.0 - 4.0 * np.sin(ii / 4.0)) < 2.0).astype(np.uint8)
-    mask = Mask(width=21, height=16, cell_size_x=1.0, cell_size_y=1.0,
+    mask = Mask(width=21, height=16, cell_size=1.0,
                 origin_x=0.0, origin_y=0.0, bits=bits)
     samples = dynamic_sample(surface, mask, SamplingConfig(*rates))
     assert_delaunay(samples[:, :2])

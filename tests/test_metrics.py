@@ -101,7 +101,7 @@ def lattice():
     bins, so each quad is one bin and each triangle's bounding box touches 4
     bins (fewer on the upper and right borders)."""
     rng = np.random.default_rng(9)
-    raster = Raster(width=9, height=9, cell_size_x=1.0, cell_size_y=1.0, origin_x=0.0,
+    raster = Raster(width=9, height=9, cell_size=1.0, origin_x=0.0,
                     origin_y=0.0, values=rng.normal(0.0, 0.3, (9, 9)))
     return rgt_mesh(raster)
 
@@ -164,7 +164,7 @@ def test_mad_of_a_fold_is_its_angle(angle):
     vertices = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 0.0], [-2.0, 1.0, 0.0],
                          [2.0 * np.cos(a), 1.0, 2.0 * np.sin(a)]])
     mesh = TinMesh(vertices, np.array([[0, 1, 2], [0, 3, 1]]))
-    georef = dict(width=3, height=3, cell_size_x=1.0, cell_size_y=1.0,
+    georef = dict(width=3, height=3, cell_size=1.0,
                   origin_x=-1.0, origin_y=0.0)
     points = Raster(**georef, values=np.zeros((3, 3)))
     report = evaluate_all(mesh, points, points, Mask(**georef, bits=np.ones((3, 3))))
@@ -225,7 +225,7 @@ def test_points_beside_the_mesh_close_without_a_full_search():
     # triangles), off its corners, and far below it; no triangle lies beyond
     # the bin grid, so points beside it stop widening their rings early
     rng = np.random.default_rng(13)
-    raster = Raster(width=101, height=101, cell_size_x=1.0, cell_size_y=1.0, origin_x=0.0,
+    raster = Raster(width=101, height=101, cell_size=1.0, origin_x=0.0,
                     origin_y=0.0, values=rng.normal(0.0, 0.3, (101, 101)))
     grid_mesh = rgt_mesh(raster)
     along, off = rng.uniform(0.0, 100.0, 60), rng.uniform(10.0, 40.0, 60)
@@ -290,7 +290,7 @@ def test_regular_grid_points_meet_each_triangle_once(monkeypatch):
     # triangle's box spans up to four bins; still every (point, triangle)
     # pair goes through the closest-point routine at most once, and few do
     rng = np.random.default_rng(14)
-    raster = Raster(width=31, height=31, cell_size_x=1.0, cell_size_y=1.0, origin_x=0.0,
+    raster = Raster(width=31, height=31, cell_size=1.0, origin_x=0.0,
                     origin_y=0.0, values=rng.normal(0.0, 0.3, (31, 31)))
     grid_mesh = rgt_mesh(raster)
     v = grid_mesh.vertices
@@ -328,7 +328,7 @@ def random_meshes(rng):
         xy += origin + rng.uniform(-1e-3, 1e-3, xy.shape)
         yield TinMesh(np.column_stack([xy, rng.normal(0.0, 0.5, len(xy))]), delaunay(xy))
     for size, cell, origin in ((5, 1.0, 0.0), (23, 0.4, 5.4e6), (17, 2.5, -40.0)):
-        yield rgt_mesh(Raster(width=size, height=size + 3, cell_size_x=cell, cell_size_y=cell,
+        yield rgt_mesh(Raster(width=size, height=size + 3, cell_size=cell,
                               origin_x=origin, origin_y=origin + 7.0,
                               values=rng.normal(0.0, 0.3, (size + 3, size))))
 

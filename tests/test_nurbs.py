@@ -2,9 +2,9 @@
 
 Basis values are checked against a naive textbook recursion, and their
 nonzero windows against a linear span scan, both written independently of
-the production whole-array triangular algorithm; analytic gradients
-against central finite differences, and midpoint evaluations against hand
-computed bilinear and Bezier values.
+the production whole-array triangular algorithm.  ``evaluate``, a pointwise
+rational sum over full basis rows, is checked against hand computed
+bilinear and Bezier values and is then the reference for ``evaluate_grid``.
 """
 
 import numpy as np
@@ -16,9 +16,7 @@ from roadsurf.grid import Raster
 from roadsurf.nurbs import (
     NurbsSurface,
     basis_matrix,
-    evaluate,
     evaluate_grid,
-    gradients,
     lattice_surface,
     load_surface,
     save_surface,
@@ -28,11 +26,19 @@ from roadsurf.nurbs import (
 
 def rasterize(surface, template):
     """Surface heights at every cell center of the template grid."""
-    xs = template.origin_x + np.arange(template.width) * template.cell_size_x
-    ys = template.origin_y + np.arange(template.height) * template.cell_size_y
+    xs, ys = template.cell_to_world(np.arange(template.width), np.arange(template.height))
     values = evaluate_grid(surface, xs, ys)
-    return Raster(template.width, template.height, template.cell_size_x,
-                  template.cell_size_y, template.origin_x, template.origin_y, values)
+    return Raster(template.width, template.height, template.cell_size,
+                  template.origin_x, template.origin_y, values)
+
+
+def evaluate(surface, u, v):
+    """Surface point at parameter (u, v) as an xyz array, from full basis
+    rows whose entries outside the active window are exact zeros."""
+    bu = basis_matrix(surface.knots_u, surface.degree_u, [u])[0]
+    bv = basis_matrix(surface.knots_v, surface.degree_v, [v])[0]
+    coeff = np.outer(bu, bv) * surface.weights
+    return np.tensordot(coeff, surface.control_points, axes=([0, 1], [0, 1])) / coeff.sum()
 
 
 def naive_basis(knots, degree, i, u):
@@ -92,18 +98,11 @@ class TestKnots:
             uniform_clamped_knots(6, 3),
             [0, 0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1, 1], atol=1e-15)
 
-    def test_custom_range(self):
-        knots = uniform_clamped_knots(5, 2, low=-2.0, high=2.0)
-        assert knots[0] == -2.0 and knots[-1] == 2.0
-        assert len(knots) == 5 + 2 + 1
-
     def test_rejects_bad_configs(self):
         with pytest.raises(ValueError):
             uniform_clamped_knots(4, 0)
         with pytest.raises(ValueError):
             uniform_clamped_knots(3, 3)
-        with pytest.raises(ValueError):
-            uniform_clamped_knots(4, 2, low=1.0, high=1.0)
 
 
 def basis_row(knots, degree, u):
@@ -317,54 +316,6 @@ class TestEvaluate:
         np.testing.assert_array_equal(surf.control_points[:, :, 2], z_before)
 
 
-class TestGradients:
-    def fd_check(self, surf, u, v, h=1e-6):
-        d_ctrl, d_w = gradients(surf, u, v)
-        z = surf.control_points[:, :, 2]
-        rng = np.random.default_rng(0)
-        num_u, num_v = surf.num_ctrl_u, surf.num_ctrl_v
-        picks = {(int(rng.integers(num_u)), int(rng.integers(num_v))) for _ in range(6)}
-        for a, b in picks:
-            bump = np.zeros_like(z)
-            bump[a, b] = h
-            fd = (evaluate(surf.with_updates(control_z=z + bump), u, v)[2]
-                  - evaluate(surf.with_updates(control_z=z - bump), u, v)[2]) / (2 * h)
-            assert d_ctrl[a, b] == pytest.approx(fd, abs=1e-7, rel=1e-5)
-            w_hi = surf.weights.copy()
-            w_lo = surf.weights.copy()
-            w_hi[a, b] += h
-            w_lo[a, b] -= h
-            fd_w = (evaluate(surf.with_updates(weights=w_hi), u, v)[2]
-                    - evaluate(surf.with_updates(weights=w_lo), u, v)[2]) / (2 * h)
-            assert d_w[a, b] == pytest.approx(fd_w, abs=1e-7, rel=1e-5)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(9)
-        for _ in range(4):
-            surf = random_lattice(rng)
-            for _ in range(3):
-                u = rng.uniform(*surf.domain_u)
-                v = rng.uniform(*surf.domain_v)
-                self.fd_check(surf, u, v)
-
-    def test_zero_outside_active_window(self):
-        rng = np.random.default_rng(10)
-        surf = random_lattice(rng, num_u=7, num_v=7, degree_u=2, degree_v=2)
-        d_ctrl, d_w = gradients(surf, 0.01, 0.01)
-        assert np.count_nonzero(d_ctrl) <= 9
-        assert np.count_nonzero(d_w) <= 9
-        assert d_ctrl[-1, -1] == 0.0 and d_w[-1, -1] == 0.0
-
-    def test_control_gradient_sums_to_one(self):
-        rng = np.random.default_rng(11)
-        surf = random_lattice(rng)
-        for _ in range(20):
-            u = rng.uniform(*surf.domain_u)
-            v = rng.uniform(*surf.domain_v)
-            d_ctrl, _ = gradients(surf, u, v)
-            assert d_ctrl.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 class TestGridEvaluation:
     def test_matches_pointwise_evaluation(self):
         rng = np.random.default_rng(12)
@@ -390,7 +341,7 @@ class TestGridEvaluation:
     def test_rasterize_constant_surface(self):
         surf = lattice_surface((0.0, 4.0), (0.0, 3.0), 4, 4,
                                control_z=np.full((4, 4), 2.5))
-        template = Raster(5, 4, 1.0, 1.0, 0.0, 0.0, np.zeros((4, 5)))
+        template = Raster(5, 4, 1.0, 0.0, 0.0, np.zeros((4, 5)))
         out = rasterize(surf, template)
         np.testing.assert_allclose(out.values, 2.5, atol=1e-12)
         assert (out.width, out.height) == (5, 4)
@@ -399,7 +350,7 @@ class TestGridEvaluation:
     def test_rasterize_bilinear_corners(self):
         z = np.array([[1.0, 3.0], [5.0, 9.0]])
         surf = lattice_surface((0.0, 4.0), (0.0, 3.0), 2, 2, 1, 1, control_z=z)
-        template = Raster(5, 4, 1.0, 1.0, 0.0, 0.0, np.zeros((4, 5)))
+        template = Raster(5, 4, 1.0, 0.0, 0.0, np.zeros((4, 5)))
         out = rasterize(surf, template)
         # row 0 is the southern row, so the y=0 lattice edge lands there
         assert out.values[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -432,13 +383,6 @@ class TestWorldToParam:
         with pytest.raises(ValueError, match="outside"):
             surf.world_to_param(x1 + 0.1 * (x1 - x0), y0)
 
-    def test_requires_frozen_lattice(self):
-        surf = NurbsSurface(
-            1, 1, np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]),
-            np.zeros((2, 2, 3)), np.ones((2, 2)), xy_frozen=False)
-        with pytest.raises(ValueError, match="xy_frozen"):
-            surf.world_to_param(0.0, 0.0)
-
 
 class TestSerialization:
     def test_roundtrip_is_exact(self, tmp_path):
@@ -448,7 +392,6 @@ class TestSerialization:
         save_surface(surf, path)
         back = load_surface(path)
         assert (back.degree_u, back.degree_v) == (surf.degree_u, surf.degree_v)
-        assert back.xy_frozen == surf.xy_frozen
         np.testing.assert_array_equal(back.knots_u, surf.knots_u)
         np.testing.assert_array_equal(back.knots_v, surf.knots_v)
         np.testing.assert_array_equal(back.control_points, surf.control_points)
