@@ -130,12 +130,16 @@ class Roughness:
 
     @staticmethod
     def _first(stack: np.ndarray, extreme: np.ndarray) -> np.ndarray:
-        # earliest offset holding the extreme; the last row is set so that a
-        # node without a hit, whose neighbors are all NaN (NaN elevations),
-        # falls to the last offset and reads NaN
+        # earliest offset holding the extreme: the offsets are written last
+        # to first over the nodes they hit, each a contiguous row (an argmax
+        # over axis 0 strides across the rows).  A node without a hit, whose
+        # neighbors are all NaN (NaN elevations), keeps the last offset and
+        # reads NaN
         hit = stack == extreme
-        hit[-1] = True
-        return hit.argmax(axis=0)
+        first = np.full(stack.shape[1], len(stack) - 1)
+        for k in range(len(stack) - 2, -1, -1):
+            np.copyto(first, k, where=hit[k])
+        return first
 
     def __call__(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss value and its gradient with respect to the elevations z."""

@@ -337,24 +337,21 @@ def export_mesh(mesh: TinMesh, path: str | Path) -> None:
     """
     if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
         raise ValueError("refusing to export an empty mesh")
-    lines = []
+    # rows as Python floats and ints, formatted without a numpy scalar each
+    vertices = mesh.vertices.tolist()
     attr = mesh.vertex_attr
-    if attr is not None:
+    if attr is None:
+        lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in vertices]
+    else:
         finite = np.isfinite(attr)
         lo = float(attr[finite].min()) if finite.any() else 0.0
         hi = float(attr[finite].max()) if finite.any() else 0.0
         span = hi - lo
         t = np.zeros_like(attr) if span == 0 else np.clip((attr - lo) / span, 0.0, 1.0)
         t = np.where(np.isfinite(attr), t, 0.0)
-    for k, (x, y, z) in enumerate(mesh.vertices):
-        if attr is None:
-            lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
-        else:
-            r = t[k]
-            lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r} "
-                         f"{r:.6f} 0.100000 {1.0 - r:.6f}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+        lines = [f"v {x!r} {y!r} {z!r} {r:.6f} 0.100000 {1.0 - r:.6f}"
+                 for (x, y, z), r in zip(vertices, t.tolist())]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

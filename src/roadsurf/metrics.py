@@ -3,13 +3,18 @@
 Accuracy is the mean unsigned Euclidean distance from ground-truth points to
 the mesh, using exact closest-point-on-triangle queries (Ericson, Real-Time
 Collision Detection, 5.1.5) accelerated by a plan-view bin grid.  The bins
-are CSR arrays, triangle ids sorted by bin and a start offset per bin.  The
-search runs over whole blocks of points, ring by ring of bins around each
-point's home bin, and expands only the (point, triangle) pairs that could
-still beat a point's best distance (the four rules of point_mesh_distances),
-which go through the closest-point routine together.  A pruned pair cannot
-beat the best, a pair's float operations do not depend on its batch, and the
-minimum is exact, so distances do not depend on batching or pruning.
+are CSR arrays, triangle ids sorted by bin and a start offset per bin.  Bin
+centres, not bin edges, lie on the lattice that starts at the smallest
+vertex coordinates: ground truth comes from raster cells, and a regular-grid
+mesh has its vertices on them, so such a point sits mid-bin rather than on a
+bin corner, where three bins of its first ring touch it and must be opened.
+The search runs over whole blocks of points, ring by ring of bins around
+each point's home bin, and expands only the (point, triangle) pairs that
+could still beat a point's best distance (the four rules of
+point_mesh_distances), which go through the closest-point routine together.
+A pruned pair cannot beat the best, a pair's float operations do not depend
+on its batch, and the minimum is exact, so distances do not depend on
+batching, pruning or where bin edges lie.
 Smoothness is the mean angular difference between normals of edge-adjacent
 triangle pairs.  Both can be split by a road mask using the plan-view
 centroid of each triangle.
@@ -95,7 +100,10 @@ class _Bins:
     ``bi * nb[1] + bj`` holds triangles ``members[starts[b]:starts[b + 1]]``,
     in ascending id order.  Triangle t goes into every bin its plan bounding
     box ``box[t]`` (x min, y min, x max, y max) touches: bins (i, j) from
-    ``first[t]`` to ``last[t]``, both included."""
+    ``first[t]`` to ``last[t]``, both included.  The grid starts half a bin
+    below the smallest vertex coordinates, so the vertices of a lattice with
+    the bin spacing lie at bin centres; where edges lie does not change the
+    distances, only how many bins a search opens."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         """Bins for the triangles with (T, 3) plan coordinates x and y."""
@@ -103,6 +111,7 @@ class _Bins:
         hi = np.array([x.max(), y.max()])
         span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)
         cell = span / max(1.0, np.sqrt(len(x) / 2.0))
+        lo = lo - cell / 2
         nb = (np.maximum(1, np.ceil((hi - lo) / cell))).astype(int)
         self.lo, self.cell, self.nb = lo, cell, nb
         self.box = np.column_stack([x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)])

@@ -237,14 +237,12 @@ def save_surface(surface: NurbsSurface, path: str | Path) -> None:
         f"degree {surface.degree_u} {surface.degree_v}",
         f"shape {surface.num_ctrl_u} {surface.num_ctrl_v}",
         "xy_frozen 1",
-        "knots_u " + " ".join(repr(float(k)) for k in surface.knots_u),
-        "knots_v " + " ".join(repr(float(k)) for k in surface.knots_v),
+        "knots_u " + " ".join(map(repr, surface.knots_u.tolist())),
+        "knots_v " + " ".join(map(repr, surface.knots_v.tolist())),
     ]
-    for a in range(surface.num_ctrl_u):
-        for b in range(surface.num_ctrl_v):
-            x, y, z = (float(c) for c in surface.control_points[a, b])
-            w = float(surface.weights[a, b])
-            lines.append(f"cp {x!r} {y!r} {z!r} {w!r}")
+    # one (x, y, z, w) row per control point, u-major, as Python floats
+    rows = np.concatenate([surface.control_points, surface.weights[..., None]], axis=2)
+    lines += [f"cp {x!r} {y!r} {z!r} {w!r}" for x, y, z, w in rows.reshape(-1, 4).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -264,13 +262,15 @@ def load_surface(path: str | Path) -> NurbsSurface:
     fields: dict[str, list] = {}
     cps: list[list[float]] = []
     for line_no, (key, *raw) in lines[1:]:
+        if key not in casts:
+            raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
         try:
-            values = [casts.get(key, str)(v) for v in raw]
+            values = [casts[key](v) for v in raw]
         except ValueError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from None
         if len(values) != arity.get(key, len(values)):
             raise ValueError(f"{path}:{line_no}: {key} takes {arity[key]} value(s), got {len(values)}")
-        if casts.get(key) is float and not np.isfinite(values).all():
+        if casts[key] is float and not np.isfinite(values).all():
             raise ValueError(f"{path}:{line_no}: {key} values must be finite")
         if key == "xy_frozen" and values != [1]:
             raise ValueError(f"{path}:{line_no}: xy_frozen must be 1 (lattice surfaces only)")

@@ -263,8 +263,9 @@ def parse_scene_file(path: str | Path) -> SceneSpec:
     """Read a scene spec from a flat key-value text file.
 
     One ``key value...`` pair per line; ``#`` starts a comment.  ``hill cx cy
-    amplitude sigma`` may repeat; ``road`` takes ``x,y`` waypoints.  Providing
-    any hill or road line replaces the respective default entirely.
+    amplitude sigma`` may repeat; ``road`` takes two or more ``x,y``
+    waypoints, every other key a fixed number of values.  Providing any hill
+    or road line replaces the respective default entirely.
     """
     spec = SceneSpec()
     hills: list[tuple[float, float, float, float]] = []
@@ -276,25 +277,29 @@ def parse_scene_file(path: str | Path) -> SceneSpec:
         "facades": int, "jitter_sigma": float, "seed": int,
         "corrupt_mask": boolean,
     }
+    # values per key; road's waypoints are checked where they are read
+    arity = {"hill": 4, "slope": 2, **dict.fromkeys(scalars, 1)}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, *rest = line.split()
         try:
+            if key != "road" and key not in arity:
+                raise ValueError(f"unknown key {key!r}")
+            if len(rest) != arity.get(key, len(rest)):
+                raise ValueError(f"{key} takes {arity[key]} value(s), got {len(rest)}")
             if key == "hill":
                 hills.append(tuple(float(v) for v in rest))
-                if len(hills[-1]) != 4:
-                    raise ValueError("hill needs cx cy amplitude sigma")
             elif key == "slope":
                 spec.slope_x, spec.slope_y = (float(v) for v in rest)
             elif key == "road":
                 road = [tuple(float(c) for c in pt.split(",")) for pt in rest]
-            elif key in scalars:
-                setattr(spec, key, scalars[key](rest[0]))
+                if len(road) < 2 or any(len(pt) != 2 for pt in road):
+                    raise ValueError("road takes two or more x,y waypoints")
             else:
-                raise ValueError(f"unknown key {key!r}")
-        except (ValueError, IndexError) as err:
+                setattr(spec, key, scalars[key](rest[0]))
+        except ValueError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from None
     if hills:
         spec.hills = hills

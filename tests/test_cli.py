@@ -340,6 +340,19 @@ def test_unknown_scene_key_is_a_grid_failure(tmp_path, capsys):
     assert capsys.readouterr().err == f"stage grid: {scene}:2: unknown key 'bogus'\n"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("cell_size 5 7", "cell_size takes 1 value(s), got 2"),
+    ("seed", "seed takes 1 value(s), got 0"),
+    ("road 0,35 50,50,1", "road takes two or more x,y waypoints"),
+    ("road", "road takes two or more x,y waypoints"),
+])
+def test_scene_value_count_is_a_grid_failure(tmp_path, capsys, line, message):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(f"cell_size 2.5\n{line}\n")
+    assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"stage grid: {scene}:2: {message}\n"
+
+
 @pytest.mark.parametrize("spelling", ["yes", "On", "1", "TRUE"])
 def test_corrupt_mask_takes_the_same_booleans_in_a_scene_file_and_a_flag(tmp_path, spelling):
     plain = tmp_path / "plain.txt"
@@ -382,7 +395,8 @@ def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
             ("knots_u ", "knots_u 0.0 inf 1.0", "knots_u values must be finite"),
             ("xy_frozen ", "xy_frozen", "xy_frozen takes 1 value(s), got 0"),
             ("xy_frozen ", "xy_frozen 0", "xy_frozen must be 1 (lattice surfaces only)"),
-            ("degree ", "degree 3", "degree takes 2 value(s), got 1")]:
+            ("degree ", "degree 3", "degree takes 2 value(s), got 1"),
+            ("xy_frozen ", "bogus 1 2", "unknown key 'bogus'")]:
         lines = run[0]["surface.txt"].decode().splitlines()
         line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))
         lines[line_no - 1] = bad_line

@@ -16,6 +16,9 @@ absolute values), so the rule reads the same at every scale.  Coverage is
 checked against scipy's convex hull: the triangles' areas sum to the hull's
 area, and their count is the Euler count 2n - 2 - h, with h the points on the
 hull boundary, collinear ones included.
+
+The OBJ writer is checked byte for byte against a formatter that converts
+one numpy scalar at a time.
 """
 
 import itertools
@@ -25,7 +28,8 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from roadsurf.grid import Mask, Raster
-from roadsurf.mesh import SamplingConfig, delaunay, dynamic_sample, rgt_mesh
+from roadsurf.mesh import (SamplingConfig, TinMesh, delaunay, dynamic_sample,
+                           export_mesh, rgt_mesh)
 from roadsurf.nurbs import lattice_surface
 
 # in-circle determinants carry length^4; slack relative to the squared-squared span
@@ -231,3 +235,46 @@ def test_dual_rate_samples_are_delaunay(rates):
                 origin_x=0.0, origin_y=0.0, bits=bits)
     samples = dynamic_sample(surface, mask, SamplingConfig(*rates))
     assert_delaunay(samples[:, :2])
+
+
+def reference_obj(mesh):
+    """OBJ text of export_mesh, formatted one numpy element at a time."""
+    lines = []
+    attr = mesh.vertex_attr
+    if attr is not None:
+        finite = np.isfinite(attr)
+        lo = float(attr[finite].min()) if finite.any() else 0.0
+        hi = float(attr[finite].max()) if finite.any() else 0.0
+        span = hi - lo
+        t = np.zeros_like(attr) if span == 0 else np.clip((attr - lo) / span, 0.0, 1.0)
+        t = np.where(np.isfinite(attr), t, 0.0)
+    for k, (x, y, z) in enumerate(mesh.vertices):
+        if attr is None:
+            lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r}")
+        else:
+            r = t[k]
+            lines.append(f"v {float(x)!r} {float(y)!r} {float(z)!r} "
+                         f"{r:.6f} 0.100000 {1.0 - r:.6f}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("attr", ["none", "random", "nan", "constant", "all_nan"])
+@pytest.mark.parametrize("origin", [(0.0, 0.0), (512345.678, 5412345.25)])
+def test_export_matches_the_elementwise_formatter(tmp_path, attr, origin):
+    rng = np.random.default_rng(21)
+    xy = lattice_points(6, 5, step=0.7, x0=origin[0], y0=origin[1])
+    xy = xy + rng.uniform(-0.05, 0.05, xy.shape)
+    z = rng.normal(250.0, 30.0, len(xy))
+    z[:3] = [-0.0, 1e-7, 1e16]
+    if origin == (0.0, 0.0):
+        xy[0] = [-0.0, 1e-7]
+    values = {"none": None, "random": rng.normal(0.0, 0.2, len(xy)),
+              "constant": np.full(len(xy), 0.3), "all_nan": np.full(len(xy), np.nan)}
+    values["nan"] = np.where(np.arange(len(xy)) % 4 == 1, np.nan, values["random"])
+    values["nan"][0] = -0.0
+    mesh = TinMesh(np.column_stack([xy, z]), delaunay(xy), values[attr])
+    path = tmp_path / "mesh.obj"
+    export_mesh(mesh, path)
+    assert path.read_text() == reference_obj(mesh)

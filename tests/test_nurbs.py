@@ -5,6 +5,8 @@ nonzero windows against a linear span scan, both written independently of
 the production whole-array triangular algorithm.  ``evaluate``, a pointwise
 rational sum over full basis rows, is checked against hand computed
 bilinear and Bezier values and is then the reference for ``evaluate_grid``.
+The text writer is checked byte for byte against a formatter that converts
+one numpy scalar at a time.
 """
 
 import numpy as np
@@ -384,7 +386,39 @@ class TestWorldToParam:
             surf.world_to_param(x1 + 0.1 * (x1 - x0), y0)
 
 
+def reference_surface_text(surface):
+    """Text of save_surface, formatted one numpy element at a time."""
+    lines = [
+        "roadsurf-surface 1",
+        f"degree {surface.degree_u} {surface.degree_v}",
+        f"shape {surface.num_ctrl_u} {surface.num_ctrl_v}",
+        "xy_frozen 1",
+        "knots_u " + " ".join(repr(float(k)) for k in surface.knots_u),
+        "knots_v " + " ".join(repr(float(k)) for k in surface.knots_v),
+    ]
+    for a in range(surface.num_ctrl_u):
+        for b in range(surface.num_ctrl_v):
+            x, y, z = (float(c) for c in surface.control_points[a, b])
+            w = float(surface.weights[a, b])
+            lines.append(f"cp {x!r} {y!r} {z!r} {w!r}")
+    return "\n".join(lines) + "\n"
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("origin", [(0.0, 0.0), (512345.678, 5412345.25)])
+    def test_text_matches_the_elementwise_formatter(self, tmp_path, origin):
+        rng = np.random.default_rng(22)
+        x0, y0 = origin
+        surf = lattice_surface((x0, x0 + 70.0), (y0, y0 + 30.0), 7, 4, 3, 2,
+                               control_z=rng.normal(250.0, 30.0, (7, 4)),
+                               weights=rng.uniform(0.5, 2.0, (7, 4)))
+        surf.control_points[0, 0] = [-0.0, 1e-7, 1e16]
+        surf.control_points[1, 1, 2] = -0.0
+        surf.weights[0, 1:3] = [1e-7, 1e16]
+        path = tmp_path / "surface.txt"
+        save_surface(surf, path)
+        assert path.read_text() == reference_surface_text(surf)
+
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(17)
         surf = random_lattice(rng)
@@ -411,6 +445,14 @@ class TestSerialization:
         lines = [l for l in path.read_text().splitlines() if not l.startswith("knots_u")]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="missing field"):
+            load_surface(path)
+
+    def test_rejects_unknown_key(self, tmp_path):
+        path = tmp_path / "surface.txt"
+        save_surface(random_lattice(np.random.default_rng(20)), path)
+        path.write_text(path.read_text() + "bogus 1 2\n")
+        line_no = len(path.read_text().splitlines())
+        with pytest.raises(ValueError, match=f":{line_no}: unknown key 'bogus'$"):
             load_surface(path)
 
     def test_rejects_wrong_control_count(self, tmp_path):
