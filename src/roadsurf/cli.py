@@ -405,9 +405,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
-SYNTH_FLAGS = {"seed": int, "vehicles": int, "trees": int, "facades": int,
-               "jitter_sigma": float, "road_width": float, "target_road_fraction": float,
-               "corrupt_mask": boolean}
+# the scene keys synth also takes as flags; synth.SCALAR_KEYS casts them
+SYNTH_FLAGS = ("seed", "vehicles", "trees", "facades", "jitter_sigma", "road_width",
+               "target_road_fraction", "corrupt_mask")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -493,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--scene", type=Path, default=None,
                        help="scene spec file (key value per line)")
     synth.add_argument("--out", type=Path, required=True)
-    for name, caster in SYNTH_FLAGS.items():
-        synth.add_argument("--" + name.replace("_", "-"), dest=name, type=caster,
-                           default=None)
+    for name in SYNTH_FLAGS:
+        synth.add_argument("--" + name.replace("_", "-"), dest=name,
+                           type=synthmod.SCALAR_KEYS[name], default=None)
     synth.set_defaults(func=cmd_synth)
 
     subcommands = {}

@@ -28,12 +28,12 @@ the arithmetic on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid import Mask, Raster
-from .nurbs import NurbsSurface, grid_basis, grid_heights, lattice_surface
+from .nurbs import NurbsSurface, grid_basis, grid_heights
 
 # control-grid 8-neighborhood (da, db), fixed order; ties in the neighborhood
 # range pick the earliest offset
@@ -269,7 +269,7 @@ def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     weight_params are the logs of the surface weights.
     """
     objective = Objective(surface, dsm, dtm, mask_plus, weights)
-    return objective(surface.control_points[:, :, 2], surface.weights)
+    return objective(surface.control_z, surface.weights)
 
 
 def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
@@ -283,7 +283,7 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     max_iters ends the run.  Deterministic for fixed inputs.
     """
     objective = Objective(surface, dsm, dtm, mask_plus, weights)
-    z = surface.control_points[:, :, 2].copy()
+    z = surface.control_z.copy()
     wp = np.log(surface.weights)
     m_z = np.zeros_like(z)
     v_z = np.zeros_like(z)
@@ -338,7 +338,7 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
             best = (final_value, z.copy(), wp.copy())
             report.best_iteration = report.iterations
     report.best_loss = best[0]
-    fitted = surface.with_updates(control_z=best[1], weights=np.exp(best[2]))
+    fitted = replace(surface, control_z=best[1], weights=np.exp(best[2]))
     return fitted, report
 
 
@@ -351,9 +351,12 @@ def initialize_surface(dsm: Raster, dtm: Raster, num_ctrl_u: int = 35,
     nearest to that lattice node; nodes whose footprint holds no valid cell
     fall back to the global DTM median, then to zero.
     """
-    x0, x1, y0, y1 = dsm.center_extent
-    surf = lattice_surface((x0, x1), (y0, y1), num_ctrl_u, num_ctrl_v,
-                           degree_u, degree_v)
+    dtm_values = dtm.values[dtm.valid]
+    fallback = float(np.median(dtm_values)) if dtm_values.size else 0.0
+    shape = (num_ctrl_u, num_ctrl_v)
+    surface = NurbsSurface(dsm.center_extent, degree_u, degree_v,
+                           np.full(shape, fallback), np.ones(shape))
+    x0, x1, y0, y1 = surface.extent
     xs, ys = dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height))
     ia = np.clip(np.round((xs - x0) / (x1 - x0) * (num_ctrl_u - 1)), 0, num_ctrl_u - 1).astype(int)
     jb = np.clip(np.round((ys - y0) / (y1 - y0) * (num_ctrl_v - 1)), 0, num_ctrl_v - 1).astype(int)
@@ -361,9 +364,7 @@ def initialize_surface(dsm: Raster, dtm: Raster, num_ctrl_u: int = 35,
     valid = dsm.valid
     ids = group[valid].ravel()
     vals = dsm.values[valid].ravel()
-    dtm_values = dtm.values[dtm.valid]
-    fallback = float(np.median(dtm_values)) if dtm_values.size else 0.0
-    z = np.full(num_ctrl_u * num_ctrl_v, fallback)
+    z = surface.control_z.reshape(-1)  # a view: node medians are written in place
     if ids.size:
         # one sort by node, then value, gives every node's median at once:
         # the middle value of an odd count, the mean of the two middle values
@@ -376,4 +377,4 @@ def initialize_surface(dsm: Raster, dtm: Raster, num_ctrl_u: int = 35,
         upper = vals[starts + counts // 2]
         lower = vals[starts + (counts - 1) // 2]
         z[ids[starts]] = np.where(counts % 2 == 1, upper, (lower + upper) / 2)
-    return surf.with_updates(control_z=z.reshape(num_ctrl_u, num_ctrl_v))
+    return surface

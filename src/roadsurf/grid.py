@@ -178,6 +178,12 @@ class Mask(GridGeoref):
     def count(self) -> int:
         return int(self.bits.sum())
 
+    def contains(self, x, y) -> np.ndarray:
+        """True where the cell nearest to (x, y) is set: for a road mask,
+        whether a plan position is on the road. Accepts arrays."""
+        i, j = self.nearest_cell(x, y)
+        return self.bits[j, i] == 1
+
 
 def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
     path = Path(path)
@@ -185,13 +191,12 @@ def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
     rows: list[np.ndarray] = []
     ncols = nrows = None
     with open(path, "r") as fh:
-        data_started = False
         for line_no, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
             key = parts[0].lower()
-            if not data_started and key in _HEADER_KEYS:
+            if ncols is None and key in _HEADER_KEYS:  # header lines precede the data
                 if len(parts) != 2:
                     raise AsciiGridError(path, line_no, f"header line needs one value, got {line.strip()!r}")
                 try:
@@ -205,7 +210,6 @@ def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
                 if key == "cellsize" and value <= 0:
                     raise AsciiGridError(path, line_no, "cellsize must be positive")
                 continue
-            data_started = True
             if ncols is None:
                 for req in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
                     if req not in header:

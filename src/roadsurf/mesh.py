@@ -83,16 +83,14 @@ def dynamic_sample(surface: NurbsSurface, mask_plus: Mask,
     samples take precedence over coincident terrain samples.  Returns an
     (N, 3) array, road samples first, each lattice in row-major order.
     """
-    x0, x1, y0, y1 = surface.xy_extent()
+    x0, x1, y0, y1 = surface.extent
 
     def class_samples(rate: float, want_road: bool) -> np.ndarray:
         xs = _lattice(x0, x1, rate)
         ys = _lattice(y0, y1, rate)
         z = evaluate_grid(surface, xs, ys)
         gx, gy = np.meshgrid(xs, ys)
-        ci, cj = mask_plus.nearest_cell(gx, gy)
-        on_road = mask_plus.bits[cj, ci] == 1
-        sel = on_road if want_road else ~on_road
+        sel = mask_plus.contains(gx, gy) == want_road
         return np.column_stack([gx[sel], gy[sel], z[sel]])
 
     def plan_key(samples: np.ndarray) -> np.ndarray:
@@ -309,11 +307,8 @@ def rgt_mesh(raster: Raster) -> TinMesh:
     its lower-left to upper-right diagonal.  Quads touching a missing cell
     are skipped."""
     valid = raster.valid
-    vid = np.full(valid.shape, -1, dtype=np.int64)
+    vid = np.full(valid.shape, -1, dtype=np.int64)  # row-major, as raster.xyz() lists them
     vid[valid] = np.arange(int(valid.sum()))
-    jj, ii = np.nonzero(valid)
-    x, y = raster.cell_to_world(ii, jj)
-    vertices = np.column_stack([x, y, raster.values[jj, ii]])
     quad = valid[:-1, :-1] & valid[:-1, 1:] & valid[1:, 1:] & valid[1:, :-1]
     jq, iq = np.nonzero(quad)
     if jq.size == 0:
@@ -325,7 +320,7 @@ def rgt_mesh(raster: Raster) -> TinMesh:
     tris = np.empty((2 * jq.size, 3), dtype=np.int64)
     tris[0::2] = np.column_stack([v00, v10, v11])
     tris[1::2] = np.column_stack([v00, v11, v01])
-    return TinMesh(vertices, tris)
+    return TinMesh(raster.xyz(), tris)
 
 
 def export_mesh(mesh: TinMesh, path: str | Path) -> None:

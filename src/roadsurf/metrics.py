@@ -312,8 +312,7 @@ def split_mesh_by_mask(mesh: TinMesh, mask_plus: Mask) -> tuple[TinMesh, TinMesh
     triangle's plan-view centroid.  Returns (road mesh, terrain mesh); both
     share the original vertex array."""
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    ci, cj = mask_plus.nearest_cell(centroids[:, 0], centroids[:, 1])
-    on_road = mask_plus.bits[cj, ci] == 1
+    on_road = mask_plus.contains(centroids[:, 0], centroids[:, 1])
     road = TinMesh(mesh.vertices, mesh.triangles[on_road], mesh.vertex_attr)
     terrain = TinMesh(mesh.vertices, mesh.triangles[~on_road], mesh.vertex_attr)
     return road, terrain
@@ -368,8 +367,7 @@ def vertex_errors(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
     with no finite support get error 0.
     """
     x, y, z = mesh.vertices.T
-    i, j = mask_plus.nearest_cell(x, y)
-    on_road = mask_plus.bits[j, i] == 1
+    on_road = mask_plus.contains(x, y)
     errors = np.zeros(len(x))
     for layer, sel in ((gt_road, on_road), (gt_terrain, ~on_road)):
         if not np.any(sel):

@@ -1,7 +1,7 @@
 """Rational tensor-product B-spline height fields over a plan-view lattice.
 
-A surface is defined by degrees (p, q), clamped knot vectors, a grid of 3D
-control points, and positive per-control weights:
+A surface is defined by degrees (p, q), knot vectors, a grid of control
+points and positive per-control weights:
 
     S(u, v) = sum_ij N_i(u) N_j(v) w_ij P_ij / sum_ij N_i(u) N_j(v) w_ij
 
@@ -9,15 +9,16 @@ Basis functions follow the standard recursion with the convention that
 degree-0 boxes are half-open on the right, except that the final span of the
 domain is closed so the upper domain end evaluates to the last control point.
 Only (p+1)(q+1) basis products are nonzero at any parameter; basis_matrix
-forms just those, for all parameters at once.
+forms just those, for all parameters at once, for any clamped knot vector.
 
-Every surface is a lattice surface: its control x/y lie on a uniform grid
-over a plan rectangle and its knots clamp the domain [0, 1].  The lattice
-corners define an affine map between world x/y and the parameter domain,
-and only elevations and weights are ever optimized, so the z component of
-the rational sum is read as a height field over the plan rectangle.  The
-``xy_frozen 1`` line of the file format says so; it is kept so that
-surface files stay byte-stable, and any other value is rejected.
+Every surface is a lattice surface whose control elevations and weights
+alone are free, so ``NurbsSurface`` holds just those, the degrees and the
+plan extent.  The rest is derived: the knots are ``uniform_clamped_knots``
+and the control x/y the ``np.linspace`` lattice over the extent, whose
+corners map world x/y affinely onto the domain [0, 1]; the z component of
+the rational sum is a height field over the plan rectangle.  Surface files
+still carry the knots, the control x/y and ``xy_frozen 1``, byte-stable,
+and ``load_surface`` rejects a file where any of them disagrees.
 """
 
 from __future__ import annotations
@@ -79,128 +80,68 @@ def basis_matrix(knots: np.ndarray, degree: int, params: np.ndarray) -> np.ndarr
 
 @dataclass
 class NurbsSurface:
+    extent: tuple[float, float, float, float]  # (x0, x1, y0, y1) of the lattice
     degree_u: int
     degree_v: int
-    knots_u: np.ndarray
-    knots_v: np.ndarray
-    control_points: np.ndarray  # (nu, nv, 3), [a, b] with a along u and b along v
-    weights: np.ndarray         # (nu, nv), strictly positive
+    control_z: np.ndarray  # (nu, nv), [a, b] with a along u (x) and b along v (y)
+    weights: np.ndarray    # (nu, nv), strictly positive
 
     def __post_init__(self):
-        self.knots_u = np.asarray(self.knots_u, dtype=float)
-        self.knots_v = np.asarray(self.knots_v, dtype=float)
-        self.control_points = np.asarray(self.control_points, dtype=float)
+        self.extent = tuple(map(float, self.extent))
+        self.control_z = np.asarray(self.control_z, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.control_points.ndim != 3 or self.control_points.shape[2] != 3:
-            raise ValueError("control_points must have shape (nu, nv, 3)")
-        nu, nv, _ = self.control_points.shape
-        if self.weights.shape != (nu, nv):
+        x0, x1, y0, y1 = self.extent
+        if not (np.isfinite(self.extent).all() and x0 < x1 and y0 < y1):
+            raise ValueError(f"extent must be finite with x0 < x1 and y0 < y1, got {self.extent}")
+        if self.control_z.ndim != 2:
+            raise ValueError("control_z must have shape (nu, nv)")
+        if self.weights.shape != self.control_z.shape:
             raise ValueError("weights shape must match the control grid")
         if not (self.weights > 0).all():
             raise ValueError("weights must be strictly positive")
-        for knots, degree, n, axis in ((self.knots_u, self.degree_u, nu, "u"),
-                                       (self.knots_v, self.degree_v, nv, "v")):
+        for axis, degree, n in zip("uv", (self.degree_u, self.degree_v), self.control_z.shape):
             if degree < 1:
                 raise ValueError(f"degree_{axis} must be at least 1")
-            if len(knots) != n + degree + 1:
-                raise ValueError(
-                    f"knots_{axis} must have {n + degree + 1} entries, got {len(knots)}")
-            if (np.diff(knots) < 0).any():
-                raise ValueError(f"knots_{axis} must be non-decreasing")
-            if not (np.all(knots[:degree + 1] == knots[0])
-                    and np.all(knots[-degree - 1:] == knots[-1])):
-                raise ValueError(f"knots_{axis} must be clamped")
-            if knots[0] == knots[-1]:
-                raise ValueError(f"knots_{axis} spans an empty domain")
+            if n <= degree:
+                raise ValueError(f"degree_{axis} {degree} needs at least {degree + 1} "
+                                 f"control points, got {n}")
 
     @property
     def num_ctrl_u(self) -> int:
-        return self.control_points.shape[0]
+        return self.control_z.shape[0]
 
     @property
     def num_ctrl_v(self) -> int:
-        return self.control_points.shape[1]
+        return self.control_z.shape[1]
 
-    @property
-    def domain_u(self) -> tuple[float, float]:
-        return float(self.knots_u[self.degree_u]), float(self.knots_u[-self.degree_u - 1])
+    def knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The uniform clamped knot vectors along u and v."""
+        return (uniform_clamped_knots(self.num_ctrl_u, self.degree_u),
+                uniform_clamped_knots(self.num_ctrl_v, self.degree_v))
 
-    @property
-    def domain_v(self) -> tuple[float, float]:
-        return float(self.knots_v[self.degree_v]), float(self.knots_v[-self.degree_v - 1])
-
-    def xy_extent(self) -> tuple[float, float, float, float]:
-        """(x_min, x_max, y_min, y_max) of the control lattice."""
-        xs = self.control_points[:, :, 0]
-        ys = self.control_points[:, :, 1]
-        return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
-
-    def world_to_param(self, x, y):
-        """Affine map from world x/y to (u, v) via the lattice extent.
-
-        Inputs up to a relative 1e-6 outside the extent are clamped onto the
-        domain edge; anything further out raises ValueError. Accepts arrays.
-        """
-        x0, x1, y0, y1 = self.xy_extent()
-        u0, u1 = self.domain_u
-        v0, v1 = self.domain_v
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        tol_x = 1e-6 * (x1 - x0)
-        tol_y = 1e-6 * (y1 - y0)
-        if (x < x0 - tol_x).any() or (x > x1 + tol_x).any() \
-                or (y < y0 - tol_y).any() or (y > y1 + tol_y).any():
-            raise ValueError("world position outside the surface extent")
-        u = u0 + (np.clip(x, x0, x1) - x0) / (x1 - x0) * (u1 - u0)
-        v = v0 + (np.clip(y, y0, y1) - y0) / (y1 - y0) * (v1 - v0)
-        return u, v
-
-    def with_updates(self, control_z: np.ndarray | None = None,
-                     weights: np.ndarray | None = None) -> "NurbsSurface":
-        """Copy of the surface with new control elevations and/or weights."""
-        ctrl = self.control_points.copy()
-        if control_z is not None:
-            ctrl[:, :, 2] = control_z
-        w = self.weights.copy() if weights is None else np.asarray(weights, dtype=float)
-        return NurbsSurface(self.degree_u, self.degree_v,
-                            self.knots_u.copy(), self.knots_v.copy(),
-                            ctrl, w)
-
-
-def lattice_surface(x_range: tuple[float, float], y_range: tuple[float, float],
-                    num_u: int, num_v: int, degree_u: int = 3, degree_v: int = 3,
-                    control_z: np.ndarray | None = None,
-                    weights: np.ndarray | None = None) -> NurbsSurface:
-    """Surface whose control x/y form a uniform lattice over the given ranges."""
-    x0, x1 = x_range
-    y0, y1 = y_range
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("lattice ranges must be non-degenerate")
-    xs = np.linspace(x0, x1, num_u)
-    ys = np.linspace(y0, y1, num_v)
-    ctrl = np.zeros((num_u, num_v, 3))
-    ctrl[:, :, 0] = xs[:, None]
-    ctrl[:, :, 1] = ys[None, :]
-    if control_z is not None:
-        ctrl[:, :, 2] = control_z
-    if weights is None:
-        weights = np.ones((num_u, num_v))
-    return NurbsSurface(
-        degree_u, degree_v,
-        uniform_clamped_knots(num_u, degree_u),
-        uniform_clamped_knots(num_v, degree_v),
-        ctrl, weights)
+    def control_xy(self) -> np.ndarray:
+        """(nu, nv, 2) plan positions of the control points."""
+        x0, x1, y0, y1 = self.extent
+        return np.stack(np.meshgrid(np.linspace(x0, x1, self.num_ctrl_u),
+                                    np.linspace(y0, y1, self.num_ctrl_v), indexing="ij"), axis=2)
 
 
 def grid_basis(surface: NurbsSurface, xs: np.ndarray,
                ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Basis matrices of the tensor grid of world columns xs and rows ys:
     bu is (len(xs), nu) and bv is (len(ys), nv).  They depend only on the
-    frozen lattice, so one pair serves any control elevations and weights."""
-    us, _ = surface.world_to_param(xs, np.full(np.size(xs), surface.xy_extent()[2]))
-    _, vs = surface.world_to_param(np.full(np.size(ys), surface.xy_extent()[0]), ys)
-    return (basis_matrix(surface.knots_u, surface.degree_u, us),
-            basis_matrix(surface.knots_v, surface.degree_v, vs))
+    frozen lattice, so one pair serves any control elevations and weights.
+    Positions up to a relative 1e-6 outside the extent are clamped onto its
+    edge; anything further out raises ValueError."""
+    bases = []
+    for t, (lo, hi), degree, knots in zip((xs, ys), np.reshape(surface.extent, (2, 2)),
+                                          (surface.degree_u, surface.degree_v), surface.knots()):
+        t = np.asarray(t, dtype=float)
+        tol = 1e-6 * (hi - lo)
+        if (t < lo - tol).any() or (t > hi + tol).any():
+            raise ValueError("world position outside the surface extent")
+        bases.append(basis_matrix(knots, degree, (np.clip(t, lo, hi) - lo) / (hi - lo)))
+    return bases[0], bases[1]
 
 
 def grid_heights(bu: np.ndarray, bv: np.ndarray, control_z: np.ndarray,
@@ -225,23 +166,25 @@ def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.n
     """
     bu, bv = grid_basis(surface, xs, ys)
     height = np.empty((len(bv), len(bu)))
-    grid_heights(bu, bv, surface.control_points[:, :, 2], surface.weights,
+    grid_heights(bu, bv, surface.control_z, surface.weights,
                  height, np.empty_like(height), np.empty((len(bv), surface.num_ctrl_u)))
     return height
 
 
 def save_surface(surface: NurbsSurface, path: str | Path) -> None:
     """Plain-text serialization; see load_surface for the layout."""
+    knots_u, knots_v = surface.knots()
     lines = [
         "roadsurf-surface 1",
         f"degree {surface.degree_u} {surface.degree_v}",
         f"shape {surface.num_ctrl_u} {surface.num_ctrl_v}",
         "xy_frozen 1",
-        "knots_u " + " ".join(map(repr, surface.knots_u.tolist())),
-        "knots_v " + " ".join(map(repr, surface.knots_v.tolist())),
+        "knots_u " + " ".join(map(repr, knots_u.tolist())),
+        "knots_v " + " ".join(map(repr, knots_v.tolist())),
     ]
     # one (x, y, z, w) row per control point, u-major, as Python floats
-    rows = np.concatenate([surface.control_points, surface.weights[..., None]], axis=2)
+    rows = np.concatenate([surface.control_xy(), surface.control_z[..., None],
+                           surface.weights[..., None]], axis=2)
     lines += [f"cp {x!r} {y!r} {z!r} {w!r}" for x, y, z, w in rows.reshape(-1, 4).tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -251,7 +194,11 @@ def load_surface(path: str | Path) -> NurbsSurface:
 
     Format: a signature line, then ``degree p q``, ``shape nu nv``,
     ``xy_frozen 1``, the two knot vectors, and one ``cp x y z w`` line per
-    control point in row-major (u-major) order.
+    control point in row-major (u-major) order.  Knots and control x/y are
+    redundant: the extent is read from the first and last control points,
+    and a file whose knots are not ``uniform_clamped_knots(n, degree)`` or
+    whose x/y are not exactly that extent's lattice is rejected with the
+    line that disagrees.
     """
     lines = [(n, line.split()) for n, line in
              enumerate(Path(path).read_text().splitlines(), start=1) if line.strip()]
@@ -259,8 +206,8 @@ def load_surface(path: str | Path) -> NurbsSurface:
         raise ValueError(f"{path}: not a surface file")
     casts = {"cp": float, "knots_u": float, "knots_v": float, "degree": int, "shape": int, "xy_frozen": int}
     arity = {"cp": 4, "degree": 2, "shape": 2, "xy_frozen": 1}
-    fields: dict[str, list] = {}
-    cps: list[list[float]] = []
+    fields: dict[str, list[list]] = {}  # the values of each line by key, in file order
+    where: dict[str, list[int]] = {}    # and the numbers of those lines
     for line_no, (key, *raw) in lines[1:]:
         if key not in casts:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
@@ -272,20 +219,31 @@ def load_surface(path: str | Path) -> NurbsSurface:
             raise ValueError(f"{path}:{line_no}: {key} takes {arity[key]} value(s), got {len(values)}")
         if casts[key] is float and not np.isfinite(values).all():
             raise ValueError(f"{path}:{line_no}: {key} values must be finite")
+        if key == "shape" and min(values) < 1:
+            raise ValueError(f"{path}:{line_no}: shape values must be positive")
         if key == "xy_frozen" and values != [1]:
             raise ValueError(f"{path}:{line_no}: xy_frozen must be 1 (lattice surfaces only)")
-        if key == "cp":
-            cps.append(values)
-        else:
-            fields[key] = values
-    try:
-        p, q = fields["degree"]
-        nu, nv = fields["shape"]
-        knots_u = np.array(fields["knots_u"])
-        knots_v = np.array(fields["knots_v"])
-    except KeyError as missing:
-        raise ValueError(f"{path}: missing field {missing}") from None
+        fields.setdefault(key, []).append(values)
+        where.setdefault(key, []).append(line_no)
+    missing = [key for key in ("degree", "shape", "knots_u", "knots_v") if key not in fields]
+    if missing:
+        raise ValueError(f"{path}: missing field {missing[0]!r}")
+    (p, q), (nu, nv) = fields["degree"][-1], fields["shape"][-1]
+    cps = fields.get("cp", [])
     if len(cps) != nu * nv:
         raise ValueError(f"{path}: expected {nu * nv} 'cp x y z w' lines")
     arr = np.array(cps).reshape(nu, nv, 4)
-    return NurbsSurface(p, q, knots_u, knots_v, arr[:, :, :3], arr[:, :, 3])
+    (x0, y0), (x1, y1) = arr[0, 0, :2], arr[-1, -1, :2]
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"{path}:{where['cp'][-1]}: the last control point must lie "
+                         f"east and north of the first")
+    surface = NurbsSurface((x0, x1, y0, y1), p, q, arr[:, :, 2], arr[:, :, 3])
+    for key, n, degree, knots in zip(("knots_u", "knots_v"), (nu, nv), (p, q), surface.knots()):
+        if not np.array_equal(fields[key][-1], knots):
+            raise ValueError(f"{path}:{where[key][-1]}: {key} must be the uniform clamped "
+                             f"knots of {n} control points of degree {degree}")
+    off = np.flatnonzero((arr[:, :, :2] != surface.control_xy()).any(axis=2))
+    if off.size:
+        raise ValueError(f"{path}:{where['cp'][off[0]]}: cp x y off the uniform lattice "
+                         f"between the first and last control points")
+    return surface

@@ -36,6 +36,15 @@ PROV_TREE = 2
 PROV_FACADE = 3
 
 
+class SceneSpecError(ValueError):
+    """A failed SceneSpec check.  ``keys`` are the fields it reads, the one
+    to blame first."""
+
+    def __init__(self, keys: tuple[str, ...], message: str):
+        super().__init__(message)
+        self.keys = keys
+
+
 @dataclass
 class SceneSpec:
     tile_size: float = 100.0
@@ -57,15 +66,17 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tile_size <= 0 or self.cell_size <= 0:
-            raise ValueError("tile_size and cell_size must be positive")
+        for key in ("tile_size", "cell_size"):
+            if not getattr(self, key) > 0:
+                raise SceneSpecError((key,), "tile_size and cell_size must be positive")
         if len(self.road) < 2:
-            raise ValueError("road polyline needs at least two waypoints")
+            raise SceneSpecError(("road",), "road polyline needs at least two waypoints")
         for x, y in self.road:
             if not (0 <= x <= self.tile_size and 0 <= y <= self.tile_size):
-                raise ValueError("road waypoint outside the tile")
+                raise SceneSpecError(("road", "tile_size"), "road waypoint outside the tile")
         if self.target_road_fraction is not None and not (0 < self.target_road_fraction < 1):
-            raise ValueError("target_road_fraction must be in (0, 1)")
+            raise SceneSpecError(("target_road_fraction",),
+                                 "target_road_fraction must be in (0, 1)")
 
 
 @dataclass
@@ -233,20 +244,10 @@ def save_scene(scene: Scene, out_dir: str | Path) -> dict[str, Path]:
     """Write all tile layers as .asc files; returns the paths by layer name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "dsm": out / "dsm.asc",
-        "dtm": out / "dtm.asc",
-        "mask": out / "mask.asc",
-        "gt_road": out / "gt_road.asc",
-        "gt_terrain": out / "gt_terrain.asc",
-        "provenance": out / "provenance.asc",
-    }
-    save_raster(scene.dsm, paths["dsm"])
-    save_raster(scene.dtm, paths["dtm"])
-    save_mask(scene.mask, paths["mask"])
-    save_raster(scene.gt_road, paths["gt_road"])
-    save_raster(scene.gt_terrain, paths["gt_terrain"])
-    save_raster(scene.provenance, paths["provenance"])
+    paths = {}
+    for layer in ("dsm", "dtm", "mask", "gt_road", "gt_terrain", "provenance"):
+        paths[layer] = out / f"{layer}.asc"
+        (save_mask if layer == "mask" else save_raster)(getattr(scene, layer), paths[layer])
     return paths
 
 
@@ -259,26 +260,31 @@ def boolean(text: str) -> bool:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
+# the SceneSpec fields a scene file sets with one value, and their casters
+SCALAR_KEYS = {
+    "tile_size": float, "cell_size": float, "base_elevation": float,
+    "slope_x": float, "slope_y": float, "road_width": float,
+    "target_road_fraction": float, "vehicles": int, "trees": int,
+    "facades": int, "jitter_sigma": float, "seed": int,
+    "corrupt_mask": boolean,
+}
+
+
 def parse_scene_file(path: str | Path) -> SceneSpec:
     """Read a scene spec from a flat key-value text file.
 
     One ``key value...`` pair per line; ``#`` starts a comment.  ``hill cx cy
     amplitude sigma`` may repeat; ``road`` takes two or more ``x,y``
     waypoints, every other key a fixed number of values.  Providing any hill
-    or road line replaces the respective default entirely.
+    or road line replaces the respective default entirely.  A failed
+    SceneSpec check names the line that last set the key it blames.
     """
     spec = SceneSpec()
     hills: list[tuple[float, float, float, float]] = []
     road: list[tuple[float, float]] = []
-    scalars = {
-        "tile_size": float, "cell_size": float, "base_elevation": float,
-        "slope_x": float, "slope_y": float, "road_width": float,
-        "target_road_fraction": float, "vehicles": int, "trees": int,
-        "facades": int, "jitter_sigma": float, "seed": int,
-        "corrupt_mask": boolean,
-    }
     # values per key; road's waypoints are checked where they are read
-    arity = {"hill": 4, "slope": 2, **dict.fromkeys(scalars, 1)}
+    arity = {"hill": 4, "slope": 2, **dict.fromkeys(SCALAR_KEYS, 1)}
+    set_by: dict[str, int] = {}  # the line that last set each key
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -298,12 +304,18 @@ def parse_scene_file(path: str | Path) -> SceneSpec:
                 if len(road) < 2 or any(len(pt) != 2 for pt in road):
                     raise ValueError("road takes two or more x,y waypoints")
             else:
-                setattr(spec, key, scalars[key](rest[0]))
+                setattr(spec, key, SCALAR_KEYS[key](rest[0]))
         except ValueError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from None
+        set_by[key] = line_no
     if hills:
         spec.hills = hills
     if road:
         spec.road = road
-    spec.__post_init__()
+    try:
+        spec.__post_init__()
+    except SceneSpecError as err:
+        # the defaults pass every check, so a failed one reads a key the file set
+        line_no = next(set_by[key] for key in err.keys if key in set_by)
+        raise ValueError(f"{path}:{line_no}: {err}") from None
     return spec

@@ -345,6 +345,9 @@ def test_unknown_scene_key_is_a_grid_failure(tmp_path, capsys):
     ("seed", "seed takes 1 value(s), got 0"),
     ("road 0,35 50,50,1", "road takes two or more x,y waypoints"),
     ("road", "road takes two or more x,y waypoints"),
+    ("road 0,35 150,50", "road waypoint outside the tile"),
+    ("cell_size 0", "tile_size and cell_size must be positive"),
+    ("target_road_fraction 1.5", "target_road_fraction must be in (0, 1)"),
 ])
 def test_scene_value_count_is_a_grid_failure(tmp_path, capsys, line, message):
     scene = tmp_path / "scene.txt"
@@ -396,7 +399,9 @@ def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
             ("xy_frozen ", "xy_frozen", "xy_frozen takes 1 value(s), got 0"),
             ("xy_frozen ", "xy_frozen 0", "xy_frozen must be 1 (lattice surfaces only)"),
             ("degree ", "degree 3", "degree takes 2 value(s), got 1"),
-            ("xy_frozen ", "bogus 1 2", "unknown key 'bogus'")]:
+            ("xy_frozen ", "bogus 1 2", "unknown key 'bogus'"),
+            ("knots_u ", "knots_u 0.0 0.0 0.0 0.0 1.0 1.0 1.0 1.0",
+             "knots_u must be the uniform clamped knots of 12 control points of degree 3")]:
         lines = run[0]["surface.txt"].decode().splitlines()
         line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))
         lines[line_no - 1] = bad_line

@@ -13,6 +13,7 @@ again, and a call on a 251 x 251 tile must allocate less than half a raster.
 import copy
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -29,7 +30,7 @@ def scene():
 
 
 def loss(surface, scene, control_z, log_weights, weights=None):
-    current = surface.with_updates(control_z=control_z, weights=np.exp(log_weights))
+    current = replace(surface, control_z=control_z, weights=np.exp(log_weights))
     return fitmod.total_loss(current, scene.dsm, scene.dtm, scene.mask,
                              weights or fitmod.LossWeights())
 
@@ -37,7 +38,7 @@ def loss(surface, scene, control_z, log_weights, weights=None):
 def assert_gradients_match_central_differences(scene, weights=None):
     rng = np.random.default_rng(0)
     surface = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
-    z0 = surface.control_points[:, :, 2]
+    z0 = surface.control_z
     lw0 = rng.uniform(-0.5, 0.5, surface.weights.shape)
     _, _, g_z, g_w = loss(surface, scene, z0, lw0, weights)
     h = 1e-5
@@ -77,17 +78,17 @@ def test_fit_returns_its_best_iterate(scene, learning_rate):
 def test_fit_loop_equals_total_loss_on_fresh_surfaces(scene):
     rng = np.random.default_rng(1)
     surface0 = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
-    surface0 = surface0.with_updates(weights=np.exp(rng.uniform(-0.5, 0.5, (8, 8))))
+    surface0 = replace(surface0, weights=np.exp(rng.uniform(-0.5, 0.5, (8, 8))))
     weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
     config = fitmod.FitConfig(learning_rate=0.05, max_iters=30, early_stop_patience=100)
     fitted, report = fitmod.fit(surface0, scene.dsm, scene.dtm, scene.mask, weights, config)
 
-    z = surface0.control_points[:, :, 2].copy()
+    z = surface0.control_z.copy()
     wp = np.log(surface0.weights)
     moments = [np.zeros_like(z) for _ in range(4)]
     trace, parts_trace = [], []
     for it in range(config.max_iters):
-        fresh = surface0.with_updates(control_z=z, weights=np.exp(wp))
+        fresh = replace(surface0, control_z=z, weights=np.exp(wp))
         value, parts, g_z, g_w = fitmod.total_loss(fresh, scene.dsm, scene.dtm, scene.mask,
                                                    weights)
         trace.append(value)
@@ -106,7 +107,7 @@ def test_fit_loop_equals_total_loss_on_fresh_surfaces(scene):
     assert report.iterations == config.max_iters
     assert report.loss_total == trace
     assert list(zip(report.loss_road, report.loss_terrain, report.loss_reg)) == parts_trace
-    final = fitmod.total_loss(surface0.with_updates(control_z=z, weights=np.exp(wp)),
+    final = fitmod.total_loss(replace(surface0, control_z=z, weights=np.exp(wp)),
                               scene.dsm, scene.dtm, scene.mask, weights)[0]
     assert report.best_loss == min(trace + [final])
 
@@ -145,7 +146,7 @@ def test_objective_results_outlive_its_workspace(scene):
     surface = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
     weights = fitmod.LossWeights(lambda_terrain=0.7)
     rng = np.random.default_rng(2)
-    z0 = surface.control_points[:, :, 2]
+    z0 = surface.control_z
     states = [(z0 + rng.normal(0.0, 0.5, z0.shape), np.exp(rng.uniform(-0.5, 0.5, z0.shape)))
               for _ in range(2)]
     objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
@@ -164,7 +165,7 @@ def test_objective_call_allocates_no_raster():
     surface = fitmod.initialize_surface(scene.dsm, scene.dtm)
     objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask,
                                  fitmod.LossWeights())
-    state = (surface.control_points[:, :, 2], surface.weights)
+    state = (surface.control_z, surface.weights)
     objective(*state)
     tracemalloc.start()
     try:
@@ -284,4 +285,4 @@ def test_start_heights_are_per_node_medians(scene, shape):
             cell_values = cell_values[~np.isnan(cell_values)]
             if cell_values.size:
                 expected[a, b] = np.median(cell_values)
-    npt.assert_array_equal(surface.control_points[:, :, 2], expected)
+    npt.assert_array_equal(surface.control_z, expected)

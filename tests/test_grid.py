@@ -256,6 +256,13 @@ class TestGeoref:
         i, j = georef.nearest_cell(-100.0, 100.0)
         assert (i, j) == (0, 2)
 
+    def test_mask_contains_reads_the_nearest_cell(self):
+        # row 0 is the southern row: the set cells are (1, 0) and (0, 1)
+        mask = Mask(2, 2, 1.0, 0.0, 0.0, np.array([[0, 1], [1, 0]]))
+        x = np.array([[0.9, -5.0], [0.2, 0.4]])
+        y = np.array([[0.4, 9.0], [0.6, 0.4]])
+        npt.assert_array_equal(mask.contains(x, y), [[True, True], [True, False]])
+
     def test_too_small_rejected(self):
         with pytest.raises(ValueError, match="at least 2x2"):
             Raster(1, 2, 1.0, 0.0, 0.0, np.zeros((2, 1)))

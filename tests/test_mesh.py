@@ -30,7 +30,7 @@ from scipy.spatial import ConvexHull
 from roadsurf.grid import Mask, Raster
 from roadsurf.mesh import (SamplingConfig, TinMesh, delaunay, dynamic_sample,
                            export_mesh, rgt_mesh)
-from roadsurf.nurbs import lattice_surface
+from roadsurf.nurbs import NurbsSurface
 
 # in-circle determinants carry length^4; slack relative to the squared-squared span
 INCIRCLE_TOL = 1e-9
@@ -227,8 +227,8 @@ def test_one_point_column_on_the_hull(points):
 def test_dual_rate_samples_are_delaunay(rates):
     # a curved band of road cells sampled densely, terrain coarsely; 1/2.5
     # lattices do not nest
-    surface = lattice_surface((0.0, 20.0), (0.0, 15.0), 6, 5,
-                              control_z=np.random.default_rng(3).normal(0.0, 1.0, (6, 5)))
+    surface = NurbsSurface((0.0, 20.0, 0.0, 15.0), 3, 3,
+                           np.random.default_rng(3).normal(0.0, 1.0, (6, 5)), np.ones((6, 5)))
     jj, ii = np.mgrid[0:16, 0:21]
     bits = (np.abs(jj - 7.0 - 4.0 * np.sin(ii / 4.0)) < 2.0).astype(np.uint8)
     mask = Mask(width=21, height=16, cell_size=1.0,

@@ -6,8 +6,12 @@ the production whole-array triangular algorithm.  ``evaluate``, a pointwise
 rational sum over full basis rows, is checked against hand computed
 bilinear and Bezier values and is then the reference for ``evaluate_grid``.
 The text writer is checked byte for byte against a formatter that converts
-one numpy scalar at a time.
+one numpy scalar at a time, and the reader must reject a file whose knots or
+control x/y are not the ones a lattice surface derives, naming the line.
 """
+
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from roadsurf.nurbs import (
     NurbsSurface,
     basis_matrix,
     evaluate_grid,
-    lattice_surface,
+    grid_basis,
     load_surface,
     save_surface,
     uniform_clamped_knots,
@@ -34,13 +38,24 @@ def rasterize(surface, template):
                   template.origin_x, template.origin_y, values)
 
 
+def control_points(surface):
+    """(nu, nv, 3) control points: the np.linspace lattice over the extent
+    and the elevations."""
+    x0, x1, y0, y1 = surface.extent
+    xs = np.linspace(x0, x1, surface.num_ctrl_u)
+    ys = np.linspace(y0, y1, surface.num_ctrl_v)
+    return np.array([[[x, y, z] for y, z in zip(ys, row)]
+                     for x, row in zip(xs, surface.control_z)])
+
+
 def evaluate(surface, u, v):
     """Surface point at parameter (u, v) as an xyz array, from full basis
     rows whose entries outside the active window are exact zeros."""
-    bu = basis_matrix(surface.knots_u, surface.degree_u, [u])[0]
-    bv = basis_matrix(surface.knots_v, surface.degree_v, [v])[0]
+    knots_u, knots_v = surface.knots()
+    bu = basis_matrix(knots_u, surface.degree_u, [u])[0]
+    bv = basis_matrix(knots_v, surface.degree_v, [v])[0]
     coeff = np.outer(bu, bv) * surface.weights
-    return np.tensordot(coeff, surface.control_points, axes=([0, 1], [0, 1])) / coeff.sum()
+    return np.tensordot(coeff, control_points(surface), axes=([0, 1], [0, 1])) / coeff.sum()
 
 
 def naive_basis(knots, degree, i, u):
@@ -85,8 +100,7 @@ def random_lattice(rng, num_u=None, num_v=None, degree_u=None, degree_v=None):
     num_v = num_v if num_v is not None else int(rng.integers(degree_v + 1, 8))
     z = rng.normal(2.0, 1.5, size=(num_u, num_v))
     w = rng.uniform(0.5, 2.0, size=(num_u, num_v))
-    return lattice_surface((0.0, 6.0), (-3.0, 5.0), num_u, num_v,
-                           degree_u, degree_v, control_z=z, weights=w)
+    return NurbsSurface((0.0, 6.0, -3.0, 5.0), degree_u, degree_v, z, w)
 
 
 class TestKnots:
@@ -200,19 +214,15 @@ class TestBasisFunctions:
 
 class TestSurfaceValidation:
     def kwargs(self):
-        return dict(
-            degree_u=1, degree_v=1,
-            knots_u=np.array([0.0, 0.0, 1.0, 1.0]),
-            knots_v=np.array([0.0, 0.0, 1.0, 1.0]),
-            control_points=np.zeros((2, 2, 3)),
-            weights=np.ones((2, 2)))
+        return dict(extent=(0.0, 1.0, 0.0, 1.0), degree_u=1, degree_v=1,
+                    control_z=np.zeros((2, 2)), weights=np.ones((2, 2)))
 
     def test_valid_config_accepted(self):
         NurbsSurface(**self.kwargs())
 
     def test_rejects_bad_control_shape(self):
         kw = self.kwargs()
-        kw["control_points"] = np.zeros((2, 2, 2))
+        kw["control_z"] = np.zeros((2, 2, 3))
         with pytest.raises(ValueError, match="shape"):
             NurbsSurface(**kw)
 
@@ -228,48 +238,48 @@ class TestSurfaceValidation:
         with pytest.raises(ValueError, match="positive"):
             NurbsSurface(**kw)
 
-    def test_rejects_wrong_knot_count(self):
-        kw = self.kwargs()
-        kw["knots_u"] = np.array([0.0, 0.0, 0.5, 1.0, 1.0])
-        with pytest.raises(ValueError, match="knots_u"):
-            NurbsSurface(**kw)
-
-    def test_rejects_decreasing_knots(self):
-        kw = self.kwargs()
-        kw["knots_v"] = np.array([0.0, 1.0, 0.5, 1.0])
-        with pytest.raises(ValueError, match="non-decreasing"):
-            NurbsSurface(**kw)
-
-    def test_rejects_unclamped_knots(self):
-        kw = self.kwargs()
-        kw["knots_u"] = np.array([0.0, 0.25, 1.0, 1.0])
-        with pytest.raises(ValueError, match="clamped"):
-            NurbsSurface(**kw)
-
     def test_rejects_degree_zero(self):
         kw = self.kwargs()
         kw["degree_u"] = 0
-        kw["knots_u"] = np.array([0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="degree_u"):
             NurbsSurface(**kw)
+
+    def test_rejects_too_few_control_points_for_the_degree(self):
+        kw = self.kwargs()
+        kw["degree_v"] = 2
+        with pytest.raises(ValueError, match="degree_v 2 needs at least 3 control points, got 2"):
+            NurbsSurface(**kw)
+
+    @pytest.mark.parametrize("extent", [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0),
+                                        (0.0, np.inf, 0.0, 1.0), (np.nan, 1.0, 0.0, 1.0)])
+    def test_rejects_an_extent_that_is_not_a_rectangle(self, extent):
+        kw = self.kwargs()
+        kw["extent"] = extent
+        with pytest.raises(ValueError, match="extent"):
+            NurbsSurface(**kw)
+
+    def test_replace_revalidates(self):
+        surf = NurbsSurface(**self.kwargs())
+        with pytest.raises(ValueError, match="positive"):
+            replace(surf, weights=np.zeros((2, 2)))
 
 
 class TestEvaluate:
     def test_bilinear_midpoint(self):
-        surf = lattice_surface((0.0, 2.0), (0.0, 10.0), 2, 2, 1, 1,
-                               control_z=np.array([[0.0, 1.0], [2.0, 4.0]]))
+        surf = NurbsSurface((0.0, 2.0, 0.0, 10.0), 1, 1,
+                            np.array([[0.0, 1.0], [2.0, 4.0]]), np.ones((2, 2)))
         np.testing.assert_allclose(evaluate(surf, 0.5, 0.5), [1.0, 5.0, 1.75], atol=1e-12)
 
     def test_rational_midpoint_hand_value(self):
-        surf = lattice_surface((0.0, 2.0), (0.0, 10.0), 2, 2, 1, 1,
-                               control_z=np.array([[0.0, 1.0], [2.0, 4.0]]),
-                               weights=np.array([[1.0, 2.0], [3.0, 4.0]]))
+        surf = NurbsSurface((0.0, 2.0, 0.0, 10.0), 1, 1,
+                            np.array([[0.0, 1.0], [2.0, 4.0]]),
+                            np.array([[1.0, 2.0], [3.0, 4.0]]))
         # weighted average with weights 1,2,3,4 over the four corners
         np.testing.assert_allclose(evaluate(surf, 0.5, 0.5), [1.4, 6.0, 2.4], atol=1e-12)
 
     def test_quadratic_ridge_midpoint(self):
         z = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        surf = lattice_surface((0.0, 4.0), (0.0, 1.0), 3, 2, 2, 1, control_z=z)
+        surf = NurbsSurface((0.0, 4.0, 0.0, 1.0), 2, 1, z, np.ones((3, 2)))
         for v in (0.0, 0.3, 1.0):
             point = evaluate(surf, 0.5, v)
             assert point[0] == pytest.approx(2.0, abs=1e-12)
@@ -279,70 +289,53 @@ class TestEvaluate:
         rng = np.random.default_rng(5)
         for _ in range(5):
             surf = random_lattice(rng)
-            u0, u1 = surf.domain_u
-            v0, v1 = surf.domain_v
-            np.testing.assert_allclose(
-                evaluate(surf, u0, v0), surf.control_points[0, 0], atol=1e-9)
-            np.testing.assert_allclose(
-                evaluate(surf, u1, v0), surf.control_points[-1, 0], atol=1e-9)
-            np.testing.assert_allclose(
-                evaluate(surf, u0, v1), surf.control_points[0, -1], atol=1e-9)
-            np.testing.assert_allclose(
-                evaluate(surf, u1, v1), surf.control_points[-1, -1], atol=1e-9)
+            net = control_points(surf)
+            np.testing.assert_allclose(evaluate(surf, 0.0, 0.0), net[0, 0], atol=1e-9)
+            np.testing.assert_allclose(evaluate(surf, 1.0, 0.0), net[-1, 0], atol=1e-9)
+            np.testing.assert_allclose(evaluate(surf, 0.0, 1.0), net[0, -1], atol=1e-9)
+            np.testing.assert_allclose(evaluate(surf, 1.0, 1.0), net[-1, -1], atol=1e-9)
 
     def test_weight_scaling_leaves_surface_unchanged(self):
         rng = np.random.default_rng(6)
         surf = random_lattice(rng)
-        scaled = surf.with_updates(weights=surf.weights * 3.7)
+        scaled = replace(surf, weights=surf.weights * 3.7)
         for _ in range(40):
-            u = rng.uniform(*surf.domain_u)
-            v = rng.uniform(*surf.domain_v)
+            u, v = rng.uniform(0.0, 1.0, 2)
             np.testing.assert_allclose(evaluate(surf, u, v), evaluate(scaled, u, v),
                                        rtol=0, atol=1e-12)
 
     def test_constant_control_z_gives_constant_height(self):
         rng = np.random.default_rng(7)
         surf = random_lattice(rng)
-        flat = surf.with_updates(control_z=np.full((surf.num_ctrl_u, surf.num_ctrl_v), 4.25))
+        flat = replace(surf, control_z=np.full((surf.num_ctrl_u, surf.num_ctrl_v), 4.25))
         for _ in range(200):
-            u = rng.uniform(*flat.domain_u)
-            v = rng.uniform(*flat.domain_v)
+            u, v = rng.uniform(0.0, 1.0, 2)
             assert evaluate(flat, u, v)[2] == pytest.approx(4.25, abs=1e-12)
-
-    def test_with_updates_does_not_mutate_original(self):
-        rng = np.random.default_rng(8)
-        surf = random_lattice(rng)
-        z_before = surf.control_points[:, :, 2].copy()
-        surf.with_updates(control_z=z_before + 10.0,
-                          weights=np.ones_like(surf.weights))
-        np.testing.assert_array_equal(surf.control_points[:, :, 2], z_before)
 
 
 class TestGridEvaluation:
     def test_matches_pointwise_evaluation(self):
         rng = np.random.default_rng(12)
         surf = random_lattice(rng)
-        x0, x1, y0, y1 = surf.xy_extent()
+        x0, x1, y0, y1 = surf.extent
         xs = np.linspace(x0, x1, 7)
         ys = np.linspace(y0, y1, 5)
         grid = evaluate_grid(surf, xs, ys)
         assert grid.shape == (5, 7)
         for r, y in enumerate(ys):
             for c, x in enumerate(xs):
-                u, v = surf.world_to_param(x, y)
-                assert grid[r, c] == pytest.approx(evaluate(surf, float(u), float(v))[2],
-                                                   abs=1e-12)
+                u, v = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
+                assert grid[r, c] == pytest.approx(evaluate(surf, u, v)[2], abs=1e-12)
 
     def test_query_outside_extent_raises(self):
         rng = np.random.default_rng(13)
         surf = random_lattice(rng)
-        x0, x1, y0, y1 = surf.xy_extent()
+        x0, x1, y0, y1 = surf.extent
         with pytest.raises(ValueError, match="outside the surface extent"):
             evaluate_grid(surf, np.array([x1 + 1.0]), np.array([y0]))
 
     def test_rasterize_constant_surface(self):
-        surf = lattice_surface((0.0, 4.0), (0.0, 3.0), 4, 4,
-                               control_z=np.full((4, 4), 2.5))
+        surf = NurbsSurface((0.0, 4.0, 0.0, 3.0), 3, 3, np.full((4, 4), 2.5), np.ones((4, 4)))
         template = Raster(5, 4, 1.0, 0.0, 0.0, np.zeros((4, 5)))
         out = rasterize(surf, template)
         np.testing.assert_allclose(out.values, 2.5, atol=1e-12)
@@ -351,7 +344,7 @@ class TestGridEvaluation:
 
     def test_rasterize_bilinear_corners(self):
         z = np.array([[1.0, 3.0], [5.0, 9.0]])
-        surf = lattice_surface((0.0, 4.0), (0.0, 3.0), 2, 2, 1, 1, control_z=z)
+        surf = NurbsSurface((0.0, 4.0, 0.0, 3.0), 1, 1, z, np.ones((2, 2)))
         template = Raster(5, 4, 1.0, 0.0, 0.0, np.zeros((4, 5)))
         out = rasterize(surf, template)
         # row 0 is the southern row, so the y=0 lattice edge lands there
@@ -362,28 +355,33 @@ class TestGridEvaluation:
 
 
 class TestWorldToParam:
+    """The affine map from world x/y onto the domain, through grid_basis: a
+    basis row of the domain start is the first unit vector, of the domain
+    end the last one."""
+
     def test_extent_corners_hit_domain_ends(self):
         rng = np.random.default_rng(14)
         surf = random_lattice(rng)
-        x0, x1, y0, y1 = surf.xy_extent()
-        u, v = surf.world_to_param(x0, y0)
-        assert (u, v) == surf.domain_u[:1] + surf.domain_v[:1]
-        u, v = surf.world_to_param(x1, y1)
-        assert u == surf.domain_u[1] and v == surf.domain_v[1]
+        x0, x1, y0, y1 = surf.extent
+        bu, bv = grid_basis(surf, np.array([x0, x1]), np.array([y0, y1]))
+        np.testing.assert_array_equal(bu, np.eye(surf.num_ctrl_u)[[0, -1]])
+        np.testing.assert_array_equal(bv, np.eye(surf.num_ctrl_v)[[0, -1]])
 
     def test_small_overhang_is_clamped(self):
         rng = np.random.default_rng(15)
         surf = random_lattice(rng)
-        x0, x1, y0, y1 = surf.xy_extent()
-        u, v = surf.world_to_param(x1 + 1e-7 * (x1 - x0), y0 - 1e-7 * (y1 - y0))
-        assert u == surf.domain_u[1] and v == surf.domain_v[0]
+        x0, x1, y0, y1 = surf.extent
+        bu, bv = grid_basis(surf, np.array([x1 + 1e-7 * (x1 - x0)]),
+                            np.array([y0 - 1e-7 * (y1 - y0)]))
+        np.testing.assert_array_equal(bu, np.eye(surf.num_ctrl_u)[[-1]])
+        np.testing.assert_array_equal(bv, np.eye(surf.num_ctrl_v)[[0]])
 
     def test_far_outside_raises(self):
         rng = np.random.default_rng(16)
         surf = random_lattice(rng)
-        x0, x1, y0, y1 = surf.xy_extent()
+        x0, x1, y0, y1 = surf.extent
         with pytest.raises(ValueError, match="outside"):
-            surf.world_to_param(x1 + 0.1 * (x1 - x0), y0)
+            grid_basis(surf, np.array([x1 + 0.1 * (x1 - x0)]), np.array([y0]))
 
 
 def reference_surface_text(surface):
@@ -393,12 +391,13 @@ def reference_surface_text(surface):
         f"degree {surface.degree_u} {surface.degree_v}",
         f"shape {surface.num_ctrl_u} {surface.num_ctrl_v}",
         "xy_frozen 1",
-        "knots_u " + " ".join(repr(float(k)) for k in surface.knots_u),
-        "knots_v " + " ".join(repr(float(k)) for k in surface.knots_v),
+        *(f"knots_{axis} " + " ".join(repr(float(k)) for k in vector)
+          for axis, vector in zip("uv", surface.knots())),
     ]
+    net = control_points(surface)
     for a in range(surface.num_ctrl_u):
         for b in range(surface.num_ctrl_v):
-            x, y, z = (float(c) for c in surface.control_points[a, b])
+            x, y, z = (float(c) for c in net[a, b])
             w = float(surface.weights[a, b])
             lines.append(f"cp {x!r} {y!r} {z!r} {w!r}")
     return "\n".join(lines) + "\n"
@@ -409,15 +408,17 @@ class TestSerialization:
     def test_text_matches_the_elementwise_formatter(self, tmp_path, origin):
         rng = np.random.default_rng(22)
         x0, y0 = origin
-        surf = lattice_surface((x0, x0 + 70.0), (y0, y0 + 30.0), 7, 4, 3, 2,
-                               control_z=rng.normal(250.0, 30.0, (7, 4)),
-                               weights=rng.uniform(0.5, 2.0, (7, 4)))
-        surf.control_points[0, 0] = [-0.0, 1e-7, 1e16]
-        surf.control_points[1, 1, 2] = -0.0
+        surf = NurbsSurface((x0, x0 + 70.0, y0, y0 + 30.0), 3, 2,
+                            rng.normal(250.0, 30.0, (7, 4)), rng.uniform(0.5, 2.0, (7, 4)))
+        surf.control_z[0, 0] = 1e16
+        surf.control_z[1, 1] = -0.0
         surf.weights[0, 1:3] = [1e-7, 1e16]
         path = tmp_path / "surface.txt"
         save_surface(surf, path)
         assert path.read_text() == reference_surface_text(surf)
+        back = tmp_path / "back.txt"
+        save_surface(load_surface(path), back)
+        assert back.read_bytes() == path.read_bytes()
 
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -426,9 +427,8 @@ class TestSerialization:
         save_surface(surf, path)
         back = load_surface(path)
         assert (back.degree_u, back.degree_v) == (surf.degree_u, surf.degree_v)
-        np.testing.assert_array_equal(back.knots_u, surf.knots_u)
-        np.testing.assert_array_equal(back.knots_v, surf.knots_v)
-        np.testing.assert_array_equal(back.control_points, surf.control_points)
+        assert back.extent == surf.extent
+        np.testing.assert_array_equal(back.control_z, surf.control_z)
         np.testing.assert_array_equal(back.weights, surf.weights)
 
     def test_rejects_wrong_signature(self, tmp_path):
@@ -464,4 +464,53 @@ class TestSerialization:
         lines = lines[:-1]  # drop one cp line
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="cp x y z w"):
+            load_surface(path)
+
+    def edited(self, tmp_path, edit):
+        """A saved 6 x 5 surface with its lines changed by ``edit(lines,
+        cp_line)``, where ``cp_line(a, b)`` is the index in ``lines`` of
+        control point (a, b); returns the path and the 1-based line number
+        that ``edit`` returns."""
+        surf = random_lattice(np.random.default_rng(21), num_u=6, num_v=5,
+                              degree_u=3, degree_v=2)
+        path = tmp_path / "surface.txt"
+        save_surface(surf, path)
+        lines = path.read_text().splitlines()
+        first = next(n for n, line in enumerate(lines) if line.startswith("cp "))
+        line_no = edit(lines, lambda a, b: first + a * 5 + b) + 1
+        path.write_text("\n".join(lines) + "\n")
+        return path, line_no
+
+    def test_rejects_control_x_reversed_along_u(self, tmp_path):
+        def reverse_x(lines, cp_line):
+            rows = [[lines[cp_line(a, b)].split() for b in range(5)] for a in range(6)]
+            for a in range(6):
+                for b in range(5):
+                    rows[a][b][1] = rows[5 - a][b][1]
+                    lines[cp_line(a, b)] = " ".join(rows[a][b])
+            return cp_line(5, 4)
+        path, line_no = self.edited(tmp_path, reverse_x)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: "
+                                             "the last control point must lie east"):
+            load_surface(path)
+
+    def test_rejects_a_moved_interior_control_point(self, tmp_path):
+        def move(lines, cp_line):
+            _, x, y, z, w = lines[cp_line(2, 3)].split()
+            lines[cp_line(2, 3)] = f"cp {float(x) + 7.0!r} {float(y) - 3.0!r} {z} {w}"
+            return cp_line(2, 3)
+        path, line_no = self.edited(tmp_path, move)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: "
+                                             "cp x y off the uniform lattice"):
+            load_surface(path)
+
+    def test_rejects_non_uniform_knots(self, tmp_path):
+        def skew(lines, cp_line):
+            n = next(n for n, line in enumerate(lines) if line.startswith("knots_u "))
+            assert lines[n].split()[5] == repr(1 / 3)
+            lines[n] = lines[n].replace(repr(1 / 3), "0.25")
+            return n
+        path, line_no = self.edited(tmp_path, skew)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: knots_u must be "
+                                             "the uniform clamped knots of 6 control points"):
             load_surface(path)
