@@ -315,12 +315,11 @@ def write_metrics_csv(path: Path, labels: tuple[str, ...],
 
 def _write_mesh(state: SimpleNamespace, path: Path) -> None:
     """The NURBS TIN, colored by its error where ground truth was loaded."""
-    tin = state.tin
+    errors = None
     if "metrics" in state.stages:
-        errors = metricsmod.vertex_errors(tin, state.gt_road, state.gt_terrain,
+        errors = metricsmod.vertex_errors(state.tin, state.gt_road, state.gt_terrain,
                                           state.mask_plus)
-        tin = meshmod.TinMesh(tin.vertices, tin.triangles, vertex_attr=errors)
-    meshmod.export_mesh(tin, path)
+    meshmod.export_mesh(state.tin, path, errors)
 
 
 # file name -> writer(state, path)
@@ -406,7 +405,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 # the scene keys synth also takes as flags; synth.SCALAR_KEYS casts them
-SYNTH_FLAGS = ("seed", "vehicles", "trees", "facades", "jitter_sigma", "road_width",
+SYNTH_FLAGS = ("seed", "vehicles", "trees", "facades", "jitter_sigma",
                "target_road_fraction", "corrupt_mask")
 
 
@@ -503,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
         subcommands[name] = sub = subs.add_parser(name, help=f"{name} stage")
         sub.add_argument("--config", type=Path, default=None,
                          help="INI config file; flags override its keys")
-        for key, caster in _CASTERS.items():
-            sub.add_argument("--" + key.replace("_", "-"), dest=key, type=caster,
-                             default=None, help=argparse.SUPPRESS)
+        for (section, ini_key), key in _INI_KEYS.items():
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, type=_CASTERS[key],
+                             default=None, help=f"overrides [{section}] {ini_key}")
         sub.set_defaults(func=cmd_ablate if name == "ablate" else cmd_pipeline)
     subcommands["mesh"].add_argument("--surface", type=Path, required=True,
                                      help="serialized surface from the fit stage")

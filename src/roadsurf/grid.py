@@ -220,6 +220,8 @@ def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
                 row = np.array([float(v) for v in parts], dtype=float)
             except ValueError:
                 raise AsciiGridError(path, line_no, f"cannot parse data row: {line.strip()[:60]!r}") from None
+            if (np.isinf(row) & (row != header.get("nodata_value", np.nan))).any():
+                raise AsciiGridError(path, line_no, "data values must be finite or NODATA")
             if row.size != ncols:
                 raise AsciiGridError(
                     path, line_no,

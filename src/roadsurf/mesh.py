@@ -36,20 +36,12 @@ class SamplingConfig:
 class TinMesh:
     vertices: np.ndarray   # (N, 3)
     triangles: np.ndarray  # (T, 3) indices
-    vertex_attr: np.ndarray | None = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.triangles = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertices must have shape (N, 3)")
-        if self.triangles.size and (self.triangles.min() < 0
-                                    or self.triangles.max() >= len(self.vertices)):
-            raise ValueError("triangle indices out of range")
-        if self.vertex_attr is not None:
-            self.vertex_attr = np.asarray(self.vertex_attr, dtype=float)
-            if self.vertex_attr.shape != (len(self.vertices),):
-                raise ValueError("vertex_attr must have one value per vertex")
 
     @property
     def triangle_count(self) -> int:
@@ -323,18 +315,17 @@ def rgt_mesh(raster: Raster) -> TinMesh:
     return TinMesh(raster.xyz(), tris)
 
 
-def export_mesh(mesh: TinMesh, path: str | Path) -> None:
+def export_mesh(mesh: TinMesh, path: str | Path, attr: np.ndarray | None = None) -> None:
     """Write a mesh as a Wavefront OBJ file.
 
-    Vertex lines carry ``x y z`` plus an ``r g b`` color triple when the mesh
-    has a vertex attribute (low values map to blue, high to red).  Face
+    Vertex lines carry ``x y z`` plus an ``r g b`` color triple when ``attr``
+    gives one value per vertex (low values map to blue, high to red).  Face
     indices are 1-based.  Raises ValueError for meshes without triangles.
     """
     if len(mesh.vertices) == 0 or len(mesh.triangles) == 0:
         raise ValueError("refusing to export an empty mesh")
     # rows as Python floats and ints, formatted without a numpy scalar each
     vertices = mesh.vertices.tolist()
-    attr = mesh.vertex_attr
     if attr is None:
         lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in vertices]
     else:
@@ -345,13 +336,14 @@ def export_mesh(mesh: TinMesh, path: str | Path) -> None:
         t = np.zeros_like(attr) if span == 0 else np.clip((attr - lo) / span, 0.0, 1.0)
         t = np.where(np.isfinite(attr), t, 0.0)
         lines = [f"v {x!r} {y!r} {z!r} {r:.6f} 0.100000 {1.0 - r:.6f}"
-                 for (x, y, z), r in zip(vertices, t.tolist())]
+                 for (x, y, z), r in zip(vertices, t.tolist(), strict=True)]
     lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_mesh(path: str | Path) -> TinMesh:
-    """Read vertices and faces of an OBJ written by export_mesh."""
+    """Read vertices and faces of an OBJ written by export_mesh: a face may
+    refer only to vertices listed above it."""
     vertices = []
     faces = []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -370,6 +362,8 @@ def load_mesh(path: str | Path) -> TinMesh:
                 if len(parts) != 4:
                     raise ValueError("only triangle faces are supported")
                 faces.append([int(v.split("/")[0]) - 1 for v in parts[1:]])
+                if not all(0 <= v < len(vertices) for v in faces[-1]):
+                    raise ValueError("triangle indices out of range")
         except ValueError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from None
     if not vertices or not faces:

@@ -313,9 +313,8 @@ def split_mesh_by_mask(mesh: TinMesh, mask_plus: Mask) -> tuple[TinMesh, TinMesh
     share the original vertex array."""
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
     on_road = mask_plus.contains(centroids[:, 0], centroids[:, 1])
-    road = TinMesh(mesh.vertices, mesh.triangles[on_road], mesh.vertex_attr)
-    terrain = TinMesh(mesh.vertices, mesh.triangles[~on_road], mesh.vertex_attr)
-    return road, terrain
+    return (TinMesh(mesh.vertices, mesh.triangles[on_road]),
+            TinMesh(mesh.vertices, mesh.triangles[~on_road]))
 
 
 def _mad_or_zero(submesh: TinMesh) -> float:

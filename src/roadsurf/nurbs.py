@@ -16,9 +16,8 @@ alone are free, so ``NurbsSurface`` holds just those, the degrees and the
 plan extent.  The rest is derived: the knots are ``uniform_clamped_knots``
 and the control x/y the ``np.linspace`` lattice over the extent, whose
 corners map world x/y affinely onto the domain [0, 1]; the z component of
-the rational sum is a height field over the plan rectangle.  Surface files
-still carry the knots, the control x/y and ``xy_frozen 1``, byte-stable,
-and ``load_surface`` rejects a file where any of them disagrees.
+the rational sum is a height field over the plan rectangle.  A surface file
+holds the same four things; see ``load_surface``.
 """
 
 from __future__ import annotations
@@ -33,12 +32,9 @@ def uniform_clamped_knots(num_ctrl: int, degree: int) -> np.ndarray:
     """Clamped knot vector on [0, 1] with evenly spaced interior knots.
 
     Length is num_ctrl + degree + 1; the first and last degree+1 knots repeat
-    the domain ends.
+    the domain ends.  Needs degree >= 1 and num_ctrl > degree, as the
+    NurbsSurface constructor checks.
     """
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    if num_ctrl < degree + 1:
-        raise ValueError(f"need at least degree+1={degree + 1} control points, got {num_ctrl}")
     interior = num_ctrl - degree - 1
     inner = np.linspace(0.0, 1.0, interior + 2)[1:-1]
     return np.concatenate([np.full(degree + 1, 0.0), inner, np.full(degree + 1, 1.0)])
@@ -78,6 +74,16 @@ def basis_matrix(knots: np.ndarray, degree: int, params: np.ndarray) -> np.ndarr
     return out
 
 
+class SurfaceError(ValueError):
+    """A failed NurbsSurface check.  ``field`` names the rejected field and
+    ``index`` its first rejected control point, u-major; 0 for a check of a
+    whole field."""
+
+    def __init__(self, field: str, message: str, index: int = 0):
+        super().__init__(message)
+        self.field, self.index = field, index
+
+
 @dataclass
 class NurbsSurface:
     extent: tuple[float, float, float, float]  # (x0, x1, y0, y1) of the lattice
@@ -92,19 +98,24 @@ class NurbsSurface:
         self.weights = np.asarray(self.weights, dtype=float)
         x0, x1, y0, y1 = self.extent
         if not (np.isfinite(self.extent).all() and x0 < x1 and y0 < y1):
-            raise ValueError(f"extent must be finite with x0 < x1 and y0 < y1, got {self.extent}")
+            raise SurfaceError("extent", f"extent must be finite with x0 < x1 and y0 < y1, "
+                                         f"got {self.extent}")
         if self.control_z.ndim != 2:
-            raise ValueError("control_z must have shape (nu, nv)")
+            raise SurfaceError("control_z", "control_z must have shape (nu, nv)")
         if self.weights.shape != self.control_z.shape:
-            raise ValueError("weights shape must match the control grid")
-        if not (self.weights > 0).all():
-            raise ValueError("weights must be strictly positive")
+            raise SurfaceError("weights", "weights shape must match the control grid")
+        for name, bad, rule in (
+                ("control_z", ~np.isfinite(self.control_z), "finite"),
+                ("weights", ~(np.isfinite(self.weights) & (self.weights > 0)),
+                 "finite and strictly positive")):
+            if bad.any():
+                raise SurfaceError(name, f"{name} must be {rule}", int(bad.argmax()))
         for axis, degree, n in zip("uv", (self.degree_u, self.degree_v), self.control_z.shape):
             if degree < 1:
-                raise ValueError(f"degree_{axis} must be at least 1")
+                raise SurfaceError(f"degree_{axis}", f"degree_{axis} must be at least 1")
             if n <= degree:
-                raise ValueError(f"degree_{axis} {degree} needs at least {degree + 1} "
-                                 f"control points, got {n}")
+                raise SurfaceError(f"degree_{axis}", f"degree_{axis} {degree} needs at least "
+                                                     f"{degree + 1} control points, got {n}")
 
     @property
     def num_ctrl_u(self) -> int:
@@ -118,12 +129,6 @@ class NurbsSurface:
         """The uniform clamped knot vectors along u and v."""
         return (uniform_clamped_knots(self.num_ctrl_u, self.degree_u),
                 uniform_clamped_knots(self.num_ctrl_v, self.degree_v))
-
-    def control_xy(self) -> np.ndarray:
-        """(nu, nv, 2) plan positions of the control points."""
-        x0, x1, y0, y1 = self.extent
-        return np.stack(np.meshgrid(np.linspace(x0, x1, self.num_ctrl_u),
-                                    np.linspace(y0, y1, self.num_ctrl_v), indexing="ij"), axis=2)
 
 
 def grid_basis(surface: NurbsSurface, xs: np.ndarray,
@@ -173,77 +178,65 @@ def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.n
 
 def save_surface(surface: NurbsSurface, path: str | Path) -> None:
     """Plain-text serialization; see load_surface for the layout."""
-    knots_u, knots_v = surface.knots()
     lines = [
-        "roadsurf-surface 1",
+        "roadsurf-surface 2",
         f"degree {surface.degree_u} {surface.degree_v}",
         f"shape {surface.num_ctrl_u} {surface.num_ctrl_v}",
-        "xy_frozen 1",
-        "knots_u " + " ".join(map(repr, knots_u.tolist())),
-        "knots_v " + " ".join(map(repr, knots_v.tolist())),
+        "extent " + " ".join(map(repr, surface.extent)),
     ]
-    # one (x, y, z, w) row per control point, u-major, as Python floats
-    rows = np.concatenate([surface.control_xy(), surface.control_z[..., None],
-                           surface.weights[..., None]], axis=2)
-    lines += [f"cp {x!r} {y!r} {z!r} {w!r}" for x, y, z, w in rows.reshape(-1, 4).tolist()]
+    # one (z, w) row per control point, u-major, as Python floats
+    rows = np.stack([surface.control_z, surface.weights], axis=2).reshape(-1, 2).tolist()
+    lines += [f"cp {z!r} {w!r}" for z, w in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# the value count and caster of each key; cp repeats, the others appear once
+_KEYS = {"degree": (2, int), "shape": (2, int), "extent": (4, float), "cp": (2, float)}
+# the key whose line sets each NurbsSurface field
+_FIELD_KEYS = {"extent": "extent", "degree_u": "degree", "degree_v": "degree",
+               "control_z": "cp", "weights": "cp"}
 
 
 def load_surface(path: str | Path) -> NurbsSurface:
     """Read a surface written by save_surface.
 
-    Format: a signature line, then ``degree p q``, ``shape nu nv``,
-    ``xy_frozen 1``, the two knot vectors, and one ``cp x y z w`` line per
-    control point in row-major (u-major) order.  Knots and control x/y are
-    redundant: the extent is read from the first and last control points,
-    and a file whose knots are not ``uniform_clamped_knots(n, degree)`` or
-    whose x/y are not exactly that extent's lattice is rejected with the
-    line that disagrees.
+    Layout: the signature line ``roadsurf-surface 2``, then ``degree p q``,
+    ``shape nu nv``, ``extent x0 x1 y0 y1`` and one ``cp z w`` line per
+    control point in u-major order.  Every value check is the NurbsSurface
+    constructor's; its error, like a parse error, names the line that set
+    the rejected value.
     """
     lines = [(n, line.split()) for n, line in
              enumerate(Path(path).read_text().splitlines(), start=1) if line.strip()]
-    if not lines or not lines[0][1][0].startswith("roadsurf-surface"):
-        raise ValueError(f"{path}: not a surface file")
-    casts = {"cp": float, "knots_u": float, "knots_v": float, "degree": int, "shape": int, "xy_frozen": int}
-    arity = {"cp": 4, "degree": 2, "shape": 2, "xy_frozen": 1}
-    fields: dict[str, list[list]] = {}  # the values of each line by key, in file order
-    where: dict[str, list[int]] = {}    # and the numbers of those lines
+    if not lines or lines[0][1] != ["roadsurf-surface", "2"]:
+        raise ValueError(f"{path}:{lines[0][0] if lines else 1}: not a surface file "
+                         f"(expected 'roadsurf-surface 2')")
+    values: dict[str, list[list]] = {key: [] for key in _KEYS}  # each line's values by key
+    where: dict[str, list[int]] = {key: [] for key in _KEYS}    # and its line number
     for line_no, (key, *raw) in lines[1:]:
-        if key not in casts:
+        if key not in _KEYS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        if key != "cp" and where[key]:
+            raise ValueError(f"{path}:{line_no}: repeated key {key!r}")
+        arity, cast = _KEYS[key]
+        if len(raw) != arity:
+            raise ValueError(f"{path}:{line_no}: {key} takes {arity} value(s), got {len(raw)}")
         try:
-            values = [casts[key](v) for v in raw]
+            values[key].append([cast(v) for v in raw])
         except ValueError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from None
-        if len(values) != arity.get(key, len(values)):
-            raise ValueError(f"{path}:{line_no}: {key} takes {arity[key]} value(s), got {len(values)}")
-        if casts[key] is float and not np.isfinite(values).all():
-            raise ValueError(f"{path}:{line_no}: {key} values must be finite")
-        if key == "shape" and min(values) < 1:
-            raise ValueError(f"{path}:{line_no}: shape values must be positive")
-        if key == "xy_frozen" and values != [1]:
-            raise ValueError(f"{path}:{line_no}: xy_frozen must be 1 (lattice surfaces only)")
-        fields.setdefault(key, []).append(values)
-        where.setdefault(key, []).append(line_no)
-    missing = [key for key in ("degree", "shape", "knots_u", "knots_v") if key not in fields]
+        where[key].append(line_no)
+    missing = [key for key in ("degree", "shape", "extent") if not where[key]]
     if missing:
         raise ValueError(f"{path}: missing field {missing[0]!r}")
-    (p, q), (nu, nv) = fields["degree"][-1], fields["shape"][-1]
-    cps = fields.get("cp", [])
-    if len(cps) != nu * nv:
-        raise ValueError(f"{path}: expected {nu * nv} 'cp x y z w' lines")
-    arr = np.array(cps).reshape(nu, nv, 4)
-    (x0, y0), (x1, y1) = arr[0, 0, :2], arr[-1, -1, :2]
-    if not (x0 < x1 and y0 < y1):
-        raise ValueError(f"{path}:{where['cp'][-1]}: the last control point must lie "
-                         f"east and north of the first")
-    surface = NurbsSurface((x0, x1, y0, y1), p, q, arr[:, :, 2], arr[:, :, 3])
-    for key, n, degree, knots in zip(("knots_u", "knots_v"), (nu, nv), (p, q), surface.knots()):
-        if not np.array_equal(fields[key][-1], knots):
-            raise ValueError(f"{path}:{where[key][-1]}: {key} must be the uniform clamped "
-                             f"knots of {n} control points of degree {degree}")
-    off = np.flatnonzero((arr[:, :, :2] != surface.control_xy()).any(axis=2))
-    if off.size:
-        raise ValueError(f"{path}:{where['cp'][off[0]]}: cp x y off the uniform lattice "
-                         f"between the first and last control points")
-    return surface
+    (p, q), (nu, nv) = values["degree"][0], values["shape"][0]
+    if min(nu, nv) < 1:
+        raise ValueError(f"{path}:{where['shape'][0]}: shape values must be positive")
+    if len(values["cp"]) != nu * nv:
+        raise ValueError(f"{path}:{where['shape'][0]}: shape {nu} {nv} needs {nu * nv} "
+                         f"'cp z w' lines, got {len(values['cp'])}")
+    cps = np.array(values["cp"]).reshape(nu, nv, 2)
+    try:
+        return NurbsSurface(values["extent"][0], p, q, cps[..., 0], cps[..., 1])
+    except SurfaceError as err:
+        raise ValueError(f"{path}:{where[_FIELD_KEYS[err.field]][err.index]}: {err}") from None

@@ -56,8 +56,7 @@ class SceneSpec:
         default_factory=lambda: [(30.0, 40.0, 3.0, 40.0), (75.0, 20.0, 5.0, 50.0)])
     road: list[tuple[float, float]] = field(
         default_factory=lambda: [(0.0, 35.0), (35.0, 45.0), (65.0, 55.0), (100.0, 70.0)])
-    road_width: float = 7.0
-    target_road_fraction: float | None = 0.18  # when set, road_width is solved for
+    target_road_fraction: float = 0.18  # the road width is solved for
     vehicles: int = 0
     trees: int = 0
     facades: int = 0
@@ -74,7 +73,7 @@ class SceneSpec:
         for x, y in self.road:
             if not (0 <= x <= self.tile_size and 0 <= y <= self.tile_size):
                 raise SceneSpecError(("road", "tile_size"), "road waypoint outside the tile")
-        if self.target_road_fraction is not None and not (0 < self.target_road_fraction < 1):
+        if not (0 < self.target_road_fraction < 1):
             raise SceneSpecError(("target_road_fraction",),
                                  "target_road_fraction must be in (0, 1)")
 
@@ -134,13 +133,9 @@ def _base_field(spec: SceneSpec, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return z
 
 
-def _road_ribbon(spec: SceneSpec, gx: np.ndarray, gy: np.ndarray,
-                 dist: np.ndarray) -> tuple[np.ndarray, float]:
-    if spec.target_road_fraction is None:
-        return dist <= spec.road_width / 2.0, spec.road_width
+def _road_ribbon(spec: SceneSpec, dist: np.ndarray) -> tuple[np.ndarray, float]:
     lo, hi = spec.cell_size * 0.5, spec.tile_size
     target = spec.target_road_fraction
-    width = spec.road_width
     for _ in range(48):
         width = 0.5 * (lo + hi)
         frac = float((dist <= width / 2.0).mean())
@@ -164,7 +159,7 @@ def generate(spec: SceneSpec) -> Scene:
 
     base = _base_field(spec, gx, gy)
     dist, seg_id = _segment_geometry(gx, gy, waypoints)
-    ribbon, width = _road_ribbon(spec, gx, gy, dist)
+    ribbon, width = _road_ribbon(spec, dist)
 
     noise = np.zeros_like(base)
     prov = np.zeros(base.shape, dtype=np.uint8)
@@ -263,10 +258,9 @@ def boolean(text: str) -> bool:
 # the SceneSpec fields a scene file sets with one value, and their casters
 SCALAR_KEYS = {
     "tile_size": float, "cell_size": float, "base_elevation": float,
-    "slope_x": float, "slope_y": float, "road_width": float,
-    "target_road_fraction": float, "vehicles": int, "trees": int,
-    "facades": int, "jitter_sigma": float, "seed": int,
-    "corrupt_mask": boolean,
+    "slope_x": float, "slope_y": float, "target_road_fraction": float,
+    "vehicles": int, "trees": int, "facades": int, "jitter_sigma": float,
+    "seed": int, "corrupt_mask": boolean,
 }
 
 

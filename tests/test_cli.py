@@ -8,6 +8,7 @@ set of artifacts it writes; failures by their exit code and the
 
 import csv
 import io
+from dataclasses import fields
 
 import pytest
 
@@ -156,7 +157,7 @@ def test_ablate_reruns_from_the_swept_stage(tile, run, tmp_path):
     assert cells(disabled) != cells(enabled)
 
 
-def test_ini_config_equals_flags(tile, run, tmp_path):
+def test_ini_config_equals_flags(tile, run, tmp_path, capsys):
     config = tmp_path / "roadsurf.ini"
     config.write_text("\n".join([
         "[paths]",
@@ -172,6 +173,11 @@ def test_ini_config_equals_flags(tile, run, tmp_path):
     assert rc == 0
     assert artifacts == {name: run[0][name] for name in ("surface.txt", "loss_trace.csv")}
     assert not (tmp_path / "unused").exists()  # --out-dir overrides the file
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    usage = capsys.readouterr().out
+    assert all(f"--{spec.name.replace('_', '-')} " in usage for spec in fields(PipelineConfig))
+    assert "--filter-enabled FILTER_ENABLED\n" in usage and "overrides [filter] enabled\n" in usage
 
 
 def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
@@ -393,15 +399,18 @@ def test_invalid_ablation_value_is_a_usage_error(tile, tmp_path, capsys, param, 
 def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
     path = tmp_path / "surface.txt"
     for key, bad_line, message in [
-            ("cp ", "cp 0.0 0.0 abc 1.0", "could not convert string to float: 'abc'"),
-            ("cp ", "cp 0.0 0.0 nan 1.0", "cp values must be finite"),
-            ("knots_u ", "knots_u 0.0 inf 1.0", "knots_u values must be finite"),
-            ("xy_frozen ", "xy_frozen", "xy_frozen takes 1 value(s), got 0"),
-            ("xy_frozen ", "xy_frozen 0", "xy_frozen must be 1 (lattice surfaces only)"),
+            ("roadsurf-surface ", "roadsurf-surface 1",
+             "not a surface file (expected 'roadsurf-surface 2')"),
+            ("cp ", "cp abc 1.0", "could not convert string to float: 'abc'"),
+            ("cp ", "cp nan 1.0", "control_z must be finite"),
+            ("cp ", "cp 0.0 0.0", "weights must be finite and strictly positive"),
             ("degree ", "degree 3", "degree takes 2 value(s), got 1"),
-            ("xy_frozen ", "bogus 1 2", "unknown key 'bogus'"),
-            ("knots_u ", "knots_u 0.0 0.0 0.0 0.0 1.0 1.0 1.0 1.0",
-             "knots_u must be the uniform clamped knots of 12 control points of degree 3")]:
+            ("degree ", "degree 0 3", "degree_u must be at least 1"),
+            ("degree ", "degree 40 3", "degree_u 40 needs at least 41 control points, got 12"),
+            ("extent ", "extent 100.0 0.0 0.0 100.0", "extent must be finite with "
+             "x0 < x1 and y0 < y1, got (100.0, 0.0, 0.0, 100.0)"),
+            ("extent ", "degree 3 3", "repeated key 'degree'"),
+            ("extent ", "bogus 1 2", "unknown key 'bogus'")]:
         lines = run[0]["surface.txt"].decode().splitlines()
         line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))
         lines[line_no - 1] = bad_line
@@ -414,12 +423,13 @@ def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
 
 def test_malformed_mesh_names_file_and_line(tile, run, tmp_path, capsys):
     path = tmp_path / "mesh.obj"
-    for bad_line, message in [
-            ("v 0.0 nan? 1.0", "could not convert string to float: 'nan?'"),
-            ("v 0 0 nan", "vertex coordinates must be finite"),
-            ("v inf 0 0", "vertex coordinates must be finite")]:
+    for key, bad_line, message in [
+            ("v ", "v 0.0 nan? 1.0", "could not convert string to float: 'nan?'"),
+            ("v ", "v 0 0 nan", "vertex coordinates must be finite"),
+            ("v ", "v inf 0 0", "vertex coordinates must be finite"),
+            ("f ", "f 0 1 2", "triangle indices out of range")]:
         lines = run[0]["mesh.obj"].decode().splitlines()
-        line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith("v "))
+        line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))
         lines[line_no - 1] = bad_line
         path.write_text("\n".join(lines) + "\n")
         rc, artifacts = invoke(tmp_path / "out", "eval", *layer_flags(tile, LAYERS),

@@ -61,6 +61,14 @@ class TestLoadRaster:
         with pytest.raises(AsciiGridError, match="cannot parse"):
             load_raster(path)
 
+    def test_infinite_value_names_its_line(self, tmp_path):
+        path = write_asc(tmp_path / "g.asc", ["1 2", "3 -inf"], 2, 2, nodata=-9999)
+        with pytest.raises(AsciiGridError) as err:
+            load_raster(path)
+        assert str(err.value) == f"{path}:8: data values must be finite or NODATA"
+        path = write_asc(tmp_path / "g.asc", ["1 2", "3 -inf"], 2, 2, nodata="-inf")
+        assert load_raster(path).count == 3
+
     @pytest.mark.parametrize("header, line_no, message", [
         ({"xll": "nan"}, 3, "xllcorner must be finite, got 'nan'"),
         ({"xll": "inf"}, 3, "xllcorner must be finite, got 'inf'"),

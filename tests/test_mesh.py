@@ -237,10 +237,9 @@ def test_dual_rate_samples_are_delaunay(rates):
     assert_delaunay(samples[:, :2])
 
 
-def reference_obj(mesh):
+def reference_obj(mesh, attr):
     """OBJ text of export_mesh, formatted one numpy element at a time."""
     lines = []
-    attr = mesh.vertex_attr
     if attr is not None:
         finite = np.isfinite(attr)
         lo = float(attr[finite].min()) if finite.any() else 0.0
@@ -274,7 +273,7 @@ def test_export_matches_the_elementwise_formatter(tmp_path, attr, origin):
               "constant": np.full(len(xy), 0.3), "all_nan": np.full(len(xy), np.nan)}
     values["nan"] = np.where(np.arange(len(xy)) % 4 == 1, np.nan, values["random"])
     values["nan"][0] = -0.0
-    mesh = TinMesh(np.column_stack([xy, z]), delaunay(xy), values[attr])
+    mesh = TinMesh(np.column_stack([xy, z]), delaunay(xy))
     path = tmp_path / "mesh.obj"
-    export_mesh(mesh, path)
-    assert path.read_text() == reference_obj(mesh)
+    export_mesh(mesh, path, values[attr])
+    assert path.read_text() == reference_obj(mesh, values[attr])

@@ -6,8 +6,8 @@ the production whole-array triangular algorithm.  ``evaluate``, a pointwise
 rational sum over full basis rows, is checked against hand computed
 bilinear and Bezier values and is then the reference for ``evaluate_grid``.
 The text writer is checked byte for byte against a formatter that converts
-one numpy scalar at a time, and the reader must reject a file whose knots or
-control x/y are not the ones a lattice surface derives, naming the line.
+one numpy scalar at a time, and the reader must name the line that set a
+value the NurbsSurface constructor rejects.
 """
 
 import re
@@ -113,12 +113,6 @@ class TestKnots:
         np.testing.assert_allclose(
             uniform_clamped_knots(6, 3),
             [0, 0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1, 1], atol=1e-15)
-
-    def test_rejects_bad_configs(self):
-        with pytest.raises(ValueError):
-            uniform_clamped_knots(4, 0)
-        with pytest.raises(ValueError):
-            uniform_clamped_knots(3, 3)
 
 
 def basis_row(knots, degree, u):
@@ -387,19 +381,15 @@ class TestWorldToParam:
 def reference_surface_text(surface):
     """Text of save_surface, formatted one numpy element at a time."""
     lines = [
-        "roadsurf-surface 1",
+        "roadsurf-surface 2",
         f"degree {surface.degree_u} {surface.degree_v}",
         f"shape {surface.num_ctrl_u} {surface.num_ctrl_v}",
-        "xy_frozen 1",
-        *(f"knots_{axis} " + " ".join(repr(float(k)) for k in vector)
-          for axis, vector in zip("uv", surface.knots())),
+        "extent " + " ".join(repr(float(e)) for e in surface.extent),
     ]
-    net = control_points(surface)
     for a in range(surface.num_ctrl_u):
         for b in range(surface.num_ctrl_v):
-            x, y, z = (float(c) for c in net[a, b])
-            w = float(surface.weights[a, b])
-            lines.append(f"cp {x!r} {y!r} {z!r} {w!r}")
+            z, w = float(surface.control_z[a, b]), float(surface.weights[a, b])
+            lines.append(f"cp {z!r} {w!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -442,9 +432,9 @@ class TestSerialization:
         surf = random_lattice(rng)
         path = tmp_path / "surface.txt"
         save_surface(surf, path)
-        lines = [l for l in path.read_text().splitlines() if not l.startswith("knots_u")]
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("extent")]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="missing field"):
+        with pytest.raises(ValueError, match="missing field 'extent'"):
             load_surface(path)
 
     def test_rejects_unknown_key(self, tmp_path):
@@ -463,7 +453,7 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         lines = lines[:-1]  # drop one cp line
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="cp x y z w"):
+        with pytest.raises(ValueError, match=":3: shape .* needs .* 'cp z w' lines"):
             load_surface(path)
 
     def edited(self, tmp_path, edit):
@@ -481,36 +471,12 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         return path, line_no
 
-    def test_rejects_control_x_reversed_along_u(self, tmp_path):
-        def reverse_x(lines, cp_line):
-            rows = [[lines[cp_line(a, b)].split() for b in range(5)] for a in range(6)]
-            for a in range(6):
-                for b in range(5):
-                    rows[a][b][1] = rows[5 - a][b][1]
-                    lines[cp_line(a, b)] = " ".join(rows[a][b])
-            return cp_line(5, 4)
-        path, line_no = self.edited(tmp_path, reverse_x)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: "
-                                             "the last control point must lie east"):
-            load_surface(path)
-
-    def test_rejects_a_moved_interior_control_point(self, tmp_path):
-        def move(lines, cp_line):
-            _, x, y, z, w = lines[cp_line(2, 3)].split()
-            lines[cp_line(2, 3)] = f"cp {float(x) + 7.0!r} {float(y) - 3.0!r} {z} {w}"
+    def test_a_rejected_weight_names_its_cp_line(self, tmp_path):
+        def zero_weight(lines, cp_line):
+            _, z, _ = lines[cp_line(2, 3)].split()
+            lines[cp_line(2, 3)] = f"cp {z} 0.0"
             return cp_line(2, 3)
-        path, line_no = self.edited(tmp_path, move)
+        path, line_no = self.edited(tmp_path, zero_weight)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: "
-                                             "cp x y off the uniform lattice"):
-            load_surface(path)
-
-    def test_rejects_non_uniform_knots(self, tmp_path):
-        def skew(lines, cp_line):
-            n = next(n for n, line in enumerate(lines) if line.startswith("knots_u "))
-            assert lines[n].split()[5] == repr(1 / 3)
-            lines[n] = lines[n].replace(repr(1 / 3), "0.25")
-            return n
-        path, line_no = self.edited(tmp_path, skew)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: knots_u must be "
-                                             "the uniform clamped knots of 6 control points"):
+                                             "weights must be finite and strictly positive$"):
             load_surface(path)
