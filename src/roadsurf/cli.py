@@ -13,7 +13,10 @@ mesh -> metrics; its stages, required inputs and artifacts (in --out-dir):
   ablate  the stages before the swept key's stage once, the rest once per
           --values entry, no baselines; dsm, dtm, mask; ablate.csv
 
-mesh meshes the --surface file and eval scores the --mesh file.  A slice
+mesh meshes the --surface file and eval scores the --mesh file.  ablate
+sweeps one --param: a key of [filter], [surface], [fit] or [sampling], or
+sampling_rates with road/terrain values such as 0.5/5.  It scores only the
+NURBS TIN, so baselines is a usage error, as is a [paths] key.  A slice
 without the filter stage uses the input mask as the filtered mask.  Ground
 truth defaults to the masked DSM and the unmasked DTM cells.  synth writes a
 synthetic tile: dsm, dtm, mask, gt_road, gt_terrain and provenance layers.
@@ -54,7 +57,7 @@ from .fit import FitConfig, LossWeights
 from .grid import Raster
 from .mesh import SamplingConfig
 from .metrics import MetricReport
-from .nurbs import load_surface, save_surface
+from .nurbs import check_degrees, load_surface, save_surface
 from .synth import boolean
 
 
@@ -123,8 +126,7 @@ class PipelineConfig:
                 raise ValueError(f"{spec.name} must be finite, got {value}")
         for cls in (FilterParams, LossWeights, FitConfig, SamplingConfig):
             self.stage_config(cls)
-        if self.num_ctrl_u < self.degree_u + 1 or self.num_ctrl_v < self.degree_v + 1:
-            raise ValueError("control grid must have at least degree+1 points per axis")
+        check_degrees((self.degree_u, self.degree_v), (self.num_ctrl_u, self.num_ctrl_v))
 
 
 # the stage each INI section feeds; [metrics] baselines also switches the
@@ -438,6 +440,8 @@ def _ablation_variant(config: PipelineConfig, param: str, raw: str) -> PipelineC
             raise UsageError(
                 f"sampling_rates values look like road/terrain, got {raw!r}") from None
         changes = {"road_rate": road, "terrain_rate": terrain}
+    elif param == "baselines":
+        raise UsageError("ablate scores only the NURBS TIN, so it cannot sweep baselines")
     elif param in _SECTIONS and _SECTIONS[param] != "paths":
         changes = {param: raw}
     else:

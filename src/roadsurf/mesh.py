@@ -163,53 +163,87 @@ def _strip_start(p: np.ndarray) -> np.ndarray:
     return tri
 
 
+def _turn(h: np.ndarray, k: int) -> np.ndarray:
+    """The half-edge k steps after h around h's triangle."""
+    return h - h % 3 + (h + k) % 3
+
+
 def _flip_to_delaunay(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
     """Lawson flips in rounds until no interior edge is illegal.
 
+    Half-edge 3 t + k runs from tri[t, k] to tri[t, (k + 1) % 3], and an edge
+    is named by its lower half-edge.  One stable argsort of the half-edges by
+    edge key, min(u, v) n + max(u, v), pairs them into an int32 twin array
+    (-1 on the hull) before the first round; from then on each flip patches
+    the twins of its quad's four outer half-edges and new diagonal (Guibas &
+    Stolfi 1985), carrying an outer twin that another flip of the same round
+    moved to where that flip put it.
+
     An edge is illegal when the far vertex of one of its triangles lies
     inside the other's circumcircle by an in-circle value above _TOL times
-    its permanent.  Each round numbers the interior edges by key, lets every
-    triangle claim its lowest-numbered illegal edge, and flips the edges
-    claimed by both of their triangles, so no triangle takes part in two
-    flips.  The lowest illegal edge always flips, and flips reach a Delaunay
-    triangulation from any triangulation (Lawson 1977; de Berg et al.,
-    Computational Geometry, ch. 9).  The next round tests only the edges of
-    triangles that had an illegal edge, flipped or not: an edge's test reads
-    just its two triangles, so a legal edge between untouched triangles stays
-    legal.  Raises RuntimeError after more rounds than points, far beyond
-    what any input has needed (pipeline samples 14 to 34, uniform random
-    points about 40 at 50k; points on a line below a parabola about n / 4).
+    its permanent.  Each round lets every triangle claim its illegal edge of
+    least key and flips the edges claimed by both of their triangles, so no
+    triangle takes part in two flips.  The least illegal edge always flips,
+    and flips reach a Delaunay triangulation from any triangulation (Lawson
+    1977; de Berg et al., Computational Geometry, ch. 9).  The next round
+    tests only the interior edges of triangles that had an illegal edge,
+    flipped or not: an edge's test reads just its two triangles, so a legal
+    edge between untouched triangles stays legal.  So after the first round
+    a round costs what it touches: its arrays are sized by those triangles,
+    and only the twins and the per-triangle claims span the whole
+    triangulation.  Raises RuntimeError after more rounds than points, far
+    beyond what any input has needed (pipeline samples 14 to 34, uniform
+    random points about 40 at 50k; points on a line below a parabola n / 4
+    to n / 2, each round touching nearly every triangle).
     """
     n = len(p)
-    changed = np.ones(len(tri), dtype=bool)
+    flat = tri.reshape(-1)  # a view: flips write through it
+    head = tri[:, [1, 2, 0]].ravel()
+    key = np.minimum(flat, head) * n + np.maximum(flat, head)
+    order = np.argsort(key, kind="stable")
+    pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    h1, h2 = order[pair], order[pair + 1]
+    twin = np.full(len(flat), -1, dtype=np.int32)
+    twin[h1], twin[h2] = h2, h1
+    del head, key, order, pair  # freed before the first round's in-circle temporaries
+    unclaimed = np.iinfo(np.int64).max
+    claim = np.full(len(tri), unclaimed)
     for _ in range(n + 1):
-        # half-edge 3 t + k runs u -> v in triangle t, opposite w
-        u = tri.ravel()
-        v = tri[:, [1, 2, 0]].ravel()
-        w = tri[:, [2, 0, 1]].ravel()
-        key = np.minimum(u, v) * n + np.maximum(u, v)
-        order = np.argsort(key, kind="stable")
-        twin = np.flatnonzero(key[order[1:]] == key[order[:-1]])
-        h1, h2 = order[twin], order[twin + 1]
-        edge = np.flatnonzero(changed[h1 // 3] | changed[h2 // 3])
-        h1, h2 = h1[edge], h2[edge]
-        a, b, c, d = u[h1], v[h1], w[h1], w[h2]
+        h2 = twin[h1]
+        a, b, c, d = flat[h1], flat[_turn(h1, 1)], flat[_turn(h1, 2)], flat[_turn(h2, 2)]
         det, permanent = _incircle(p, a, b, c, d)
         illegal = np.flatnonzero(det > _TOL * permanent)
         if len(illegal) == 0:
             return tri
-        edge = edge[illegal]
-        t1, t2 = h1[illegal] // 3, h2[illegal] // 3
-        claim = np.full(len(tri), len(twin))
-        np.minimum.at(claim, t1, edge)
-        np.minimum.at(claim, t2, edge)
-        go = (claim[t1] == edge) & (claim[t2] == edge)
-        changed[:] = False
-        changed[t1] = changed[t2] = True
-        a, b, c, d = (x[illegal[go]] for x in (a, b, c, d))
-        t1, t2 = t1[go], t2[go]
+        h1, h2, a, b, c, d = (x[illegal] for x in (h1, h2, a, b, c, d))
+        t1, t2 = h1 // 3, h2 // 3
+        key = np.minimum(a, b) * n + np.maximum(a, b)
+        np.minimum.at(claim, t1, key)
+        np.minimum.at(claim, t2, key)
+        go = (claim[t1] == key) & (claim[t2] == key)
+        claim[t1] = claim[t2] = unclaimed
+        touched = np.concatenate([t1, t2])
+        h1, h2, a, b, c, d, t1, t2 = (x[go] for x in (h1, h2, a, b, c, d, t1, t2))
+        # the quad's outer half-edges a->d, c->a, d->b, b->c, and where the
+        # flip to (a, d, c) and (d, b, c) puts them
+        old = np.concatenate([_turn(h2, 1), _turn(h1, 2), _turn(h2, 2), _turn(h1, 1)])
+        new = np.concatenate([3 * t1, 3 * t1 + 2, 3 * t2, 3 * t2 + 1])
+        outer = twin[old]
+        by_old = np.argsort(old)
+        at = np.minimum(np.searchsorted(old, outer, sorter=by_old), len(old) - 1)
+        moved = old[by_old[at]] == outer
+        outer[moved] = new[by_old[at[moved]]]
+        twin[new] = outer
+        twin[outer[outer >= 0]] = new[outer >= 0]
+        twin[3 * t1 + 1], twin[3 * t2 + 2] = 3 * t2 + 2, 3 * t1 + 1
         tri[t1] = np.column_stack([a, d, c])
         tri[t2] = np.column_stack([d, b, c])
+        # the interior edges of the touched triangles, each by its lower half-edge
+        half = (3 * touched[:, None] + np.arange(3)).ravel()
+        other = twin[half]
+        half = np.minimum(half, other)[other >= 0]
+        half.sort()
+        h1 = half[np.concatenate([[True], half[1:] != half[:-1]])]
     raise RuntimeError(f"delaunay: edges still illegal after {n + 1} flip rounds")
 
 
@@ -217,12 +251,16 @@ def delaunay(points_xy: np.ndarray) -> np.ndarray:
     """Delaunay triangulation of 2D points by Lawson flips from column strips.
 
     The points are sorted by (x, y) and triangulated by _strip_start, whose
-    zip takes the right column's point first on equal y.  On a lattice this
-    splits every square along its lower-left to upper-right diagonal, the
-    diagonal of rgt_mesh, and the flips keep it.  Both predicates run in
-    float64 on coordinates centred on the bounding box and count a value as
-    zero when it is within _TOL = 1e-12 times its permanent, far above the
-    rounding bound of about 1e-15 times the permanent (Shewchuk 1997).  The
+    zip takes the right column's point first on equal y.  Equal points sort
+    next to each other, so that sort also finds duplicates, before the
+    collinear check: two points are one when both coordinates compare equal,
+    so -0.0 and 0.0 are one coordinate, as they are to the column split, and
+    points one ulp apart are distinct.  On a lattice the start splits every
+    square along its lower-left to upper-right diagonal, the diagonal of
+    rgt_mesh, and the flips keep it.  Both predicates run in float64 on
+    coordinates centred on the bounding box and count a value as zero when
+    it is within _TOL = 1e-12 times its permanent, far above the rounding
+    bound of about 1e-15 times the permanent (Shewchuk 1997).  The
     tolerance scales with each quad and each turn, so a small cluster in a
     wide set is held to the rule as tightly as the set itself.  A lattice
     square's in-circle value carries only the rounding of its corners, so
@@ -242,7 +280,9 @@ def delaunay(points_xy: np.ndarray) -> np.ndarray:
     n = len(pts)
     if n < 3:
         raise ValueError("need at least 3 points")
-    if len(np.unique(pts, axis=0)) != n:
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    p = pts[order]
+    if ((p[1:] == p[:-1]).all(axis=1)).any():
         raise ValueError("duplicate points")
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     span = float((hi - lo).max())
@@ -254,8 +294,7 @@ def delaunay(points_xy: np.ndarray) -> np.ndarray:
     if cross.max() <= 1e-12 * span * span:
         raise ValueError("points are collinear")
 
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p = pts[order] - (lo + hi) / 2.0
+    p = p - (lo + hi) / 2.0
     tri = order[_flip_to_delaunay(p, _strip_start(p))]
     # rotate the smallest index first, preserving orientation, and sort rows
     first = np.argmin(tri, axis=1)

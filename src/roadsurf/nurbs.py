@@ -84,6 +84,17 @@ class SurfaceError(ValueError):
         self.field, self.index = field, index
 
 
+def check_degrees(degrees: tuple[int, int], counts: tuple[int, int]) -> None:
+    """The NurbsSurface rule for its degrees (u, v) against its control
+    counts (nu, nv): each degree at least 1 and below its count."""
+    for axis, degree, n in zip("uv", degrees, counts):
+        if degree < 1:
+            raise SurfaceError(f"degree_{axis}", f"degree_{axis} must be at least 1")
+        if n <= degree:
+            raise SurfaceError(f"degree_{axis}", f"degree_{axis} {degree} needs at least "
+                                                 f"{degree + 1} control points, got {n}")
+
+
 @dataclass
 class NurbsSurface:
     extent: tuple[float, float, float, float]  # (x0, x1, y0, y1) of the lattice
@@ -110,12 +121,7 @@ class NurbsSurface:
                  "finite and strictly positive")):
             if bad.any():
                 raise SurfaceError(name, f"{name} must be {rule}", int(bad.argmax()))
-        for axis, degree, n in zip("uv", (self.degree_u, self.degree_v), self.control_z.shape):
-            if degree < 1:
-                raise SurfaceError(f"degree_{axis}", f"degree_{axis} must be at least 1")
-            if n <= degree:
-                raise SurfaceError(f"degree_{axis}", f"degree_{axis} {degree} needs at least "
-                                                     f"{degree + 1} control points, got {n}")
+        check_degrees((self.degree_u, self.degree_v), self.control_z.shape)
 
     @property
     def num_ctrl_u(self) -> int:

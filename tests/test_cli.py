@@ -190,6 +190,12 @@ def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
         f"usage error: {config}: unknown config key [filter] theta_xyz\n")
 
 
+# the NurbsSurface constructor's messages, which a surface file gets too
+SURFACE_FLAG_ERRORS = {"--num-ctrl-u": "degree_u 3 needs at least 4 control points, got 2",
+                       "--degree-u": "degree_u must be at least 1",
+                       "--degree-v": "degree_v must be at least 1"}
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--no-such-flag", "1"],
     ["filter", "--theta-xy", "abc"],
@@ -205,6 +211,8 @@ def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
     ["ablate", "--param", "theta_xy", "--values", "inf"],
     ["synth", "--out", "unused", "--corrupt-mask", "2"],
     ["run", "--baselines", "maybe"],
+    ["fit", "--degree-u", "0"],
+    ["fit", "--degree-v", "0"],
 ])
 def test_bad_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 1
@@ -212,6 +220,18 @@ def test_bad_flags_are_usage_errors(argv, capsys):
     assert err.startswith("usage error: ") and "_parse_bool" not in err
     if {"nan", "inf"} & set(argv):
         assert err.endswith(f" must be finite, got {argv[-1]}\n")
+    if argv[1] in SURFACE_FLAG_ERRORS:
+        assert err == f"usage error: {SURFACE_FLAG_ERRORS[argv[1]]}\n"
+
+
+def test_ablate_cannot_sweep_baselines(tile, tmp_path, capsys):
+    # ablate never runs the baseline stages: every value would score the
+    # same NURBS TIN
+    rc, artifacts = invoke(tmp_path / "out", "ablate", *layer_flags(tile, LAYERS),
+                           *FIT_FLAGS, "--param", "baselines", "--values", "0,1")
+    assert (rc, artifacts) == (1, {})
+    assert capsys.readouterr().err == (
+        "usage error: ablate scores only the NURBS TIN, so it cannot sweep baselines\n")
 
 
 def test_config_that_cannot_be_read_is_a_usage_error(tile, tmp_path, capsys):

@@ -7,8 +7,6 @@ stays a separate, explicitly tested contract.  ``loop_merge`` keeps the
 whole-grid per-offset merge as a reference whose labels must be equal.
 """
 
-import signal
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -405,24 +403,15 @@ class TestMergeClusters:
             npt.assert_array_equal(merged.labels,
                                    merge_clusters(points, grown, 3.0, 0.8).labels)
 
-    def test_theta_xy_beyond_the_grid_is_bounded(self):
+    def test_theta_xy_beyond_the_grid_is_bounded(self, time_limit):
         rng = np.random.default_rng(505)
         z = np.where(rng.random((5, 5)) < 0.6, rng.choice([0.0, 0.3, 9.0], (5, 5)), np.nan)
         points = make_points(z)
         labels = grow_regions(points, get_neighbors(points, 0.5))
         assert labels.label_count > 1
         spanning = merge_clusters(points, labels, 6.0, 0.5)  # 6 m > the 5.7 m diagonal
-
-        def too_slow(signum, frame):
-            raise TimeoutError("merge_clusters did not bound its offsets by the grid")
-
-        previous = signal.signal(signal.SIGALRM, too_slow)
-        signal.alarm(5)
-        try:
+        with time_limit(5, "merge_clusters did not bound its offsets by the grid"):
             huge = merge_clusters(points, labels, 1e9, 0.5)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         npt.assert_array_equal(huge.labels, spanning.labels)
         assert huge.label_count == spanning.label_count
 

@@ -17,6 +17,11 @@ checked against scipy's convex hull: the triangles' areas sum to the hull's
 area, and their count is the Euler count 2n - 2 - h, with h the points on the
 hull boundary, collinear ones included.
 
+The flip loop, which keeps its half-edge twins from round to round, is
+checked array for array against the loop it replaced, which pairs every
+half-edge again by an argsort each round: both flip the same edges in the
+same rounds, so from the same start they must give equal arrays.
+
 The OBJ writer is checked byte for byte against a formatter that converts
 one numpy scalar at a time.
 """
@@ -27,10 +32,13 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from roadsurf.filtering import FilterParams, run_filter
+from roadsurf.fit import initialize_surface
 from roadsurf.grid import Mask, Raster
-from roadsurf.mesh import (SamplingConfig, TinMesh, delaunay, dynamic_sample,
-                           export_mesh, rgt_mesh)
+from roadsurf.mesh import (_TOL, SamplingConfig, TinMesh, _flip_to_delaunay, _incircle,
+                           _strip_start, delaunay, dynamic_sample, export_mesh, rgt_mesh)
 from roadsurf.nurbs import NurbsSurface
+from roadsurf.synth import SceneSpec, generate
 
 # in-circle determinants carry length^4; slack relative to the squared-squared span
 INCIRCLE_TOL = 1e-9
@@ -110,11 +118,12 @@ def test_random_points_are_delaunay():
         assert_delaunay(points)
 
 
+# every unit square of the lattice is a cocircular quad
+COCIRCULAR_LATTICE = lattice_points(11, 9, step=2.5, x0=300.0, y0=-40.0)
+
+
 def test_lattice_with_cocircular_quads_is_delaunay():
-    # every unit square of the lattice is a cocircular quad
-    jj, ii = np.mgrid[0:9, 0:11]
-    points = np.column_stack([ii.ravel() * 2.5 + 300.0, jj.ravel() * 2.5 - 40.0])
-    tri = assert_delaunay(points)
+    tri = assert_delaunay(COCIRCULAR_LATTICE)
     # any diagonal choice splits each of the 80 squares into two triangles
     assert len(tri) == 2 * 10 * 8
 
@@ -131,18 +140,32 @@ def test_jittered_lattice_is_delaunay():
     ([[0.0, 0.0], [1.0, 0.0]], "need at least 3 points"),
     ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], "duplicate points"),
     ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], "collinear"),
+    # first and last of the input, with points between them in both coordinates
+    ([[5.0, 5.0], [0.0, 0.0], [1.0, 3.0], [2.0, 1.0], [9.0, 0.5], [5.0, 5.0]],
+     "duplicate points"),
+    ([[-0.0, 1.0], [2.0, 0.0], [1.0, 3.0], [0.0, 1.0]], "duplicate points"),
+    # the duplicate check comes before the collinear one
+    ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]], "duplicate points"),
+    # one ulp apart: distinct points, all of them vertices
+    ([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]], None),
 ])
 def test_degenerate_inputs_raise(points, message):
+    if message is None:
+        assert np.array_equal(np.unique(delaunay(np.array(points))), np.arange(len(points)))
+        return
     with pytest.raises(ValueError, match=message):
         delaunay(np.array(points))
 
 
-def test_random_sets_cover_their_hull():
-    # 40 uniform sets of 10 to 400 points in a 100 m square
+def random_sets():
+    """40 uniform sets of 10 to 400 points in a 100 m square."""
     rng = np.random.default_rng(0)
-    for _ in range(40):
-        n = int(rng.integers(10, 401))
-        assert_delaunay(rng.uniform(0.0, 100.0, (n, 2)))
+    return [rng.uniform(0.0, 100.0, (int(rng.integers(10, 401)), 2)) for _ in range(40)]
+
+
+def test_random_sets_cover_their_hull():
+    for points in random_sets():
+        assert_delaunay(points)
 
 
 def clusters(spread, seed):
@@ -169,15 +192,17 @@ def dent_in_the_hull(seed):
     return np.concatenate([bottom, rng.uniform([0.0, 1.0], [500.0, 500.0], (200, 2))])
 
 
-@pytest.mark.parametrize("points", [
-    np.random.default_rng(1).uniform(0.0, 100.0, (3000, 2)),
-    clusters(1e-1, 2),
-    clusters(1e-3, 3),
-    clusters(1e-4, 4),
-    small_cluster_in_a_wide_set(5),
-    dent_in_the_hull(6),
-], ids=["uniform", "clusters-0.1", "clusters-0.001", "clusters-0.0001", "small-cluster",
-        "hull-dent"])
+EDGE_SETS = {
+    "uniform": np.random.default_rng(1).uniform(0.0, 100.0, (3000, 2)),
+    "clusters-0.1": clusters(1e-1, 2),
+    "clusters-0.001": clusters(1e-3, 3),
+    "clusters-0.0001": clusters(1e-4, 4),
+    "small-cluster": small_cluster_in_a_wide_set(5),
+    "hull-dent": dent_in_the_hull(6),
+}
+
+
+@pytest.mark.parametrize("points", EDGE_SETS.values(), ids=EDGE_SETS.keys())
 def test_every_interior_edge_is_locally_delaunay(points):
     tri = delaunay(points)
     assert edge_incircle(points, tri).max() <= EDGE_TOL
@@ -235,6 +260,89 @@ def test_dual_rate_samples_are_delaunay(rates):
                 origin_x=0.0, origin_y=0.0, bits=bits)
     samples = dynamic_sample(surface, mask, SamplingConfig(*rates))
     assert_delaunay(samples[:, :2])
+
+
+def sort_per_round_flips(p, tri):
+    """The flip loop before its twins were kept: every round pairs all 3T
+    half-edges again by a stable argsort of their edge keys, numbers the
+    interior edges by their place in that order, and masks and claims over
+    all T triangles."""
+    n = len(p)
+    changed = np.ones(len(tri), dtype=bool)
+    for _ in range(n + 1):
+        # half-edge 3 t + k runs u -> v in triangle t, opposite w
+        u = tri.ravel()
+        v = tri[:, [1, 2, 0]].ravel()
+        w = tri[:, [2, 0, 1]].ravel()
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        order = np.argsort(key, kind="stable")
+        twin = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+        h1, h2 = order[twin], order[twin + 1]
+        edge = np.flatnonzero(changed[h1 // 3] | changed[h2 // 3])
+        h1, h2 = h1[edge], h2[edge]
+        a, b, c, d = u[h1], v[h1], w[h1], w[h2]
+        det, permanent = _incircle(p, a, b, c, d)
+        illegal = np.flatnonzero(det > _TOL * permanent)
+        if len(illegal) == 0:
+            return tri
+        edge = edge[illegal]
+        t1, t2 = h1[illegal] // 3, h2[illegal] // 3
+        claim = np.full(len(tri), len(twin))
+        np.minimum.at(claim, t1, edge)
+        np.minimum.at(claim, t2, edge)
+        go = (claim[t1] == edge) & (claim[t2] == edge)
+        changed[:] = False
+        changed[t1] = changed[t2] = True
+        a, b, c, d = (x[illegal[go]] for x in (a, b, c, d))
+        t1, t2 = t1[go], t2[go]
+        tri[t1] = np.column_stack([a, d, c])
+        tri[t2] = np.column_stack([d, b, c])
+    raise RuntimeError(f"delaunay: edges still illegal after {n + 1} flip rounds")
+
+
+def pipeline_samples():
+    """Plan positions of the pipeline's samples at the rate pairs 1/10,
+    0.5/5, 0.4/4 and 2.5/10 on the scene of a `run` reference tile (101 x
+    101 cells at 1 m) at seeds 1 and 2.  They depend on the filtered mask
+    and the surface extent only, so the unfitted start surface serves."""
+    sets = []
+    for seed in (1, 2):
+        scene = generate(SceneSpec(cell_size=1.0, vehicles=6, trees=8, facades=2,
+                                   corrupt_mask=True, jitter_sigma=0.02, seed=seed))
+        _, mask_plus = run_filter(scene.dsm.subset(scene.mask.bits == 1), FilterParams())
+        surface = initialize_surface(scene.dsm, scene.dtm)
+        for rates in ((1.0, 10.0), (0.5, 5.0), (0.4, 4.0), (2.5, 10.0)):
+            sets.append(dynamic_sample(surface, mask_plus, SamplingConfig(*rates))[:, :2])
+    return sets
+
+
+def line_under_parabola(count):
+    """count points on a line below count on a parabola.  The strip start is
+    far from Delaunay: the flips take about one round per column, and quads
+    side by side flip in the same round."""
+    x = np.linspace(0.0, 1.0, count)
+    return np.concatenate([np.column_stack([x, np.zeros(count)]),
+                           np.column_stack([x, 1.0 + (x - 0.5) ** 2])])
+
+
+FLIP_SETS = {
+    "pipeline": pipeline_samples,
+    "random": random_sets,
+    "edge-sets": lambda: list(EDGE_SETS.values()),
+    "cocircular-lattice": lambda: [COCIRCULAR_LATTICE],
+    "line-under-parabola": lambda: [line_under_parabola(300)],
+}
+
+
+@pytest.mark.parametrize("kind", FLIP_SETS)
+def test_flips_equal_the_sort_per_round_loop(kind):
+    for points in FLIP_SETS[kind]():
+        # sorted by (x, y) and centred, as delaunay hands them over
+        p = points[np.lexsort((points[:, 1], points[:, 0]))]
+        p = p - (p.min(axis=0) + p.max(axis=0)) / 2.0
+        start = _strip_start(p)
+        assert np.array_equal(_flip_to_delaunay(p, start.copy()),
+                              sort_per_round_flips(p, start.copy()))
 
 
 def reference_obj(mesh, attr):

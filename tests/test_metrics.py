@@ -9,8 +9,6 @@ search must match it bit for bit.  Edge adjacency is checked against an
 O(T^2) scan of shared edges.
 """
 
-import signal
-
 import numpy as np
 import pytest
 
@@ -220,7 +218,7 @@ def test_distances_are_exact_on_a_plane():
     assert covered.tolist() == inside.tolist()
 
 
-def test_points_beside_the_mesh_close_without_a_full_search():
+def test_points_beside_the_mesh_close_without_a_full_search(time_limit):
     # 10 to 40 m beside each side of a 101 x 101 regular grid (20k
     # triangles), off its corners, and far below it; no triangle lies beyond
     # the bin grid, so points beside it stop widening their rings early
@@ -236,17 +234,8 @@ def test_points_beside_the_mesh_close_without_a_full_search():
     below = np.column_stack([rng.uniform(0.0, 100.0, (6, 2)), np.full(6, -500.0)])
     points = np.concatenate([np.column_stack([np.concatenate([beside, corners]),
                                               rng.normal(0.0, 0.3, 300)]), below])
-
-    def too_slow(signum, frame):
-        raise TimeoutError("points beside the mesh searched every bin")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(5)
-    try:
+    with time_limit(5, "points beside the mesh searched every bin"):
         dist, covered = point_mesh_distances(grid_mesh, points)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert np.array_equal(dist, indexless_distances(grid_mesh, points))
     assert covered.tolist() == [False] * 300 + [True] * 6
 
