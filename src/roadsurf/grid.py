@@ -20,10 +20,20 @@ The on-disk format is the plain-text ASCII grid (``.asc``): a header of
 optional ``NODATA_value``, followed by ``nrows`` rows of ``ncols`` values
 ordered north to south.  Because files run north to south and arrays run
 south to north, rows are flipped on load and save.
+
+Data values are separated by any whitespace; blank lines between rows are
+skipped, and ``#`` starts no comment.  A value is a decimal number as
+numpy's text reader parses it: an optional sign, digits with an optional
+point and exponent (``+5``, ``.5``, ``5.``, ``1E+05``), or ``nan``, ``inf``
+or ``infinity`` in any case, correctly rounded as ``float`` rounds it.
+Unlike ``float``, the reader takes no digit-group underscores (``1_0``) and
+no non-ASCII digits.  An infinite value must equal ``NODATA_value``.
+Header values are read by ``float``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -185,56 +195,104 @@ class Mask(GridGeoref):
         return self.bits[j, i] == 1
 
 
-def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
-    path = Path(path)
+def _read_header(path: Path, lines: list[str]) -> tuple[dict, int]:
+    """Header values and the index of the first data line in ``lines``."""
     header: dict[str, float] = {}
-    rows: list[np.ndarray] = []
-    ncols = nrows = None
-    with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            key = parts[0].lower()
-            if ncols is None and key in _HEADER_KEYS:  # header lines precede the data
-                if len(parts) != 2:
-                    raise AsciiGridError(path, line_no, f"header line needs one value, got {line.strip()!r}")
-                try:
-                    value = header[key] = float(parts[1])
-                except ValueError:
-                    raise AsciiGridError(path, line_no, f"cannot parse header value {parts[1]!r}") from None
-                if key in ("ncols", "nrows") and not (value.is_integer() and value > 0):
-                    raise AsciiGridError(path, line_no, f"{key} must be a positive integer, got {parts[1]!r}")
-                if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(value):
-                    raise AsciiGridError(path, line_no, f"{key} must be finite, got {parts[1]!r}")
-                if key == "cellsize" and value <= 0:
-                    raise AsciiGridError(path, line_no, "cellsize must be positive")
-                continue
-            if ncols is None:
-                for req in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
-                    if req not in header:
-                        raise AsciiGridError(path, line_no, f"missing header line {req!r}")
-                ncols = int(header["ncols"])
-                nrows = int(header["nrows"])
-            try:
-                row = np.array([float(v) for v in parts], dtype=float)
-            except ValueError:
-                raise AsciiGridError(path, line_no, f"cannot parse data row: {line.strip()[:60]!r}") from None
-            if (np.isinf(row) & (row != header.get("nodata_value", np.nan))).any():
-                raise AsciiGridError(path, line_no, "data values must be finite or NODATA")
-            if row.size != ncols:
-                raise AsciiGridError(
-                    path, line_no,
-                    f"dimension mismatch: row has {row.size} values, header says ncols {ncols}")
-            rows.append(row)
-    if ncols is None:
-        raise AsciiGridError(path, 1, "no data rows found")
-    if len(rows) != nrows:
+    for index, line in enumerate(lines):
+        parts = line.split()
+        if not parts:
+            continue
+        line_no = index + 1
+        key = parts[0].lower()
+        if key not in _HEADER_KEYS:  # the first data line ends the header
+            for req in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+                if req not in header:
+                    raise AsciiGridError(path, line_no, f"missing header line {req!r}")
+            return header, index
+        if key in header:
+            raise AsciiGridError(path, line_no, f"repeated header key {key!r}")
+        if len(parts) != 2:
+            raise AsciiGridError(path, line_no, f"header line needs one value, got {line.strip()!r}")
+        try:
+            value = header[key] = float(parts[1])
+        except ValueError:
+            raise AsciiGridError(path, line_no, f"cannot parse header value {parts[1]!r}") from None
+        if key in ("ncols", "nrows") and not (value.is_integer() and value > 0):
+            raise AsciiGridError(path, line_no, f"{key} must be a positive integer, got {parts[1]!r}")
+        if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(value):
+            raise AsciiGridError(path, line_no, f"{key} must be finite, got {parts[1]!r}")
+        if key == "cellsize" and value <= 0:
+            raise AsciiGridError(path, line_no, "cellsize must be positive")
+    raise AsciiGridError(path, 1, "no data rows found")
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    """The numbers of ``lines`` as a (rows, columns) array; blank lines are
+    skipped. Raises ValueError on a token it cannot parse or on rows of
+    unequal length."""
+    return np.loadtxt(lines, comments=None, ndmin=2)
+
+
+def _data_lines(lines: list[str], start: int):
+    """(line number, line) of each non-blank line from index ``start`` on."""
+    for index in range(start, len(lines)):
+        if lines[index].split():
+            yield index + 1, lines[index]
+
+
+def _raise_at_first_bad_row(path: Path, lines: list[str], start: int,
+                            ncols: int, nodata: float) -> None:
+    """Check the data lines one at a time and raise AsciiGridError at the
+    first that fails: a token that does not parse, an infinity that is not
+    NODATA, or a length other than ``ncols``, checked in that order."""
+    for line_no, line in _data_lines(lines, start):
+        try:
+            row = _parse_rows([line])[0]
+        except ValueError:
+            raise AsciiGridError(path, line_no, f"cannot parse data row: {line.strip()[:60]!r}") from None
+        if (np.isinf(row) & (row != nodata)).any():
+            raise AsciiGridError(path, line_no, "data values must be finite or NODATA")
+        if row.size != ncols:
+            raise AsciiGridError(
+                path, line_no,
+                f"dimension mismatch: row has {row.size} values, header says ncols {ncols}")
+
+
+def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
+    """Header and data rows, in file order, of an ASCII grid file.
+
+    The data lines are parsed in one call; only a file that fails a check
+    is walked line by line, to name the first offending line.
+    """
+    path = Path(path)
+    with open(path) as fh:
+        lines = fh.readlines()
+    header, start = _read_header(path, lines)
+    ncols = int(header["ncols"])
+    nrows = int(header["nrows"])
+    nodata = header.get("nodata_value", np.nan)
+    try:
+        values = _parse_rows(lines[start:])
+    except ValueError:
+        _raise_at_first_bad_row(path, lines, start, ncols, nodata)
+        raise
+    if values.shape[1] != ncols or (np.isinf(values) & (values != nodata)).any():
+        _raise_at_first_bad_row(path, lines, start, ncols, nodata)
+    if len(values) != nrows:
         raise AsciiGridError(
-            path, line_no,
-            f"dimension mismatch: {len(rows)} data rows, header says nrows {nrows}")
-    values = np.vstack(rows)
+            path, len(lines),
+            f"dimension mismatch: {len(values)} data rows, header says nrows {nrows}")
     return header, values
+
+
+def _row_line(path: Path, row: int) -> int:
+    """Line number of data row ``row`` (file order, from 0) of a file that
+    parsed without error."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    _, start = _read_header(path, lines)
+    line_no, _ = next(itertools.islice(_data_lines(lines, start), row, None))
+    return line_no
 
 
 def load_raster(path: str | Path) -> Raster:
@@ -272,8 +330,8 @@ def save_raster(raster: Raster, path: str | Path) -> None:
         f"cellsize {float(cell)!r}",
         f"NODATA_value {NODATA!r}",
     ]
-    for row in out:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    for row in out.tolist():
+        lines.append(" ".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -281,8 +339,10 @@ def load_mask(path: str | Path) -> Mask:
     """Read a 0/1 ASCII grid as a Mask. NODATA cells become 0."""
     raster = load_raster(path)
     bits = np.where(np.isnan(raster.values), 0.0, raster.values)
-    if not np.isin(bits, (0.0, 1.0)).all():
-        raise AsciiGridError(path, 1, "mask values must be 0 or 1")
+    bad_rows = np.flatnonzero(~np.isin(bits, (0.0, 1.0)).all(axis=1))
+    if bad_rows.size:  # array rows run south to north, file rows north to south
+        line_no = _row_line(Path(path), raster.height - 1 - int(bad_rows[-1]))
+        raise AsciiGridError(path, line_no, "mask values must be 0 or 1")
     return Mask(raster.width, raster.height, raster.cell_size,
                 raster.origin_x, raster.origin_y, bits.astype(np.uint8))
 

@@ -271,7 +271,8 @@ def delaunay(points_xy: np.ndarray) -> np.ndarray:
 
     Returns a (T, 3) index array, each row counter-clockwise with its
     smallest index first, rows in ascending order.  Raises ValueError for
-    fewer than 3 points, duplicate points, or an all-collinear input.
+    fewer than 3 points, a NaN or infinite coordinate, duplicate points, or
+    an all-collinear input.
     """
     pts = np.asarray(points_xy, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 2:
@@ -280,6 +281,8 @@ def delaunay(points_xy: np.ndarray) -> np.ndarray:
     n = len(pts)
     if n < 3:
         raise ValueError("need at least 3 points")
+    if not np.isfinite(pts).all():
+        raise ValueError("point coordinates must be finite")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     p = pts[order]
     if ((p[1:] == p[:-1]).all(axis=1)).any():

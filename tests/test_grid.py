@@ -1,10 +1,12 @@
 """Raster and mask data model, point sets as rasters, and ASCII grid round trips."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from roadsurf import grid
+from roadsurf import grid, synth
 from roadsurf.grid import (
     AsciiGridError,
     GridGeoref,
@@ -18,12 +20,13 @@ from roadsurf.grid import (
 )
 
 
-def write_asc(path, body, ncols, nrows, xll=0.0, yll=0.0, cell=1.0, nodata=None):
+def write_asc(path, body, ncols, nrows, xll=0.0, yll=0.0, cell=1.0, nodata=None, extra=()):
+    """An ASCII grid whose header lines ``extra`` follow the standard ones."""
     lines = [f"ncols {ncols}", f"nrows {nrows}", f"xllcorner {xll}",
              f"yllcorner {yll}", f"cellsize {cell}"]
     if nodata is not None:
         lines.append(f"NODATA_value {nodata}")
-    path.write_text("\n".join(lines + body) + "\n")
+    path.write_text("\n".join(lines + list(extra) + body) + "\n")
     return path
 
 
@@ -82,6 +85,10 @@ class TestLoadRaster:
         ({"ncols": "2.5"}, 1, "ncols must be a positive integer, got '2.5'"),
         ({"nrows": "0"}, 2, "nrows must be a positive integer, got '0'"),
         ({"nrows": "-2"}, 2, "nrows must be a positive integer, got '-2'"),
+        ({"extra": ["ncols 3"]}, 6, "repeated header key 'ncols'"),
+        ({"extra": ["CellSize 1.0"]}, 6, "repeated header key 'cellsize'"),
+        ({"nodata": -9999, "extra": ["", "nodata_value 0"]}, 8,
+         "repeated header key 'nodata_value'"),
     ])
     def test_bad_header_value(self, tmp_path, header, line_no, message):
         path = write_asc(tmp_path / "g.asc", ["1 2", "3 4"], **{"ncols": 2, "nrows": 2, **header})
@@ -106,6 +113,157 @@ class TestLoadRaster:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_raster(tmp_path / "absent.asc")
+
+
+def parse_ascii_per_line(path):
+    """The ASCII grid parser before whole-array parsing: one ``float`` call
+    per token, every check on each line as it is read.  It lets a repeated
+    header key overwrite the earlier value."""
+    header = {}
+    rows = []
+    ncols = nrows = None
+    with open(path, "r") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            key = parts[0].lower()
+            if ncols is None and key in grid._HEADER_KEYS:  # header lines precede the data
+                if len(parts) != 2:
+                    raise AsciiGridError(path, line_no, f"header line needs one value, got {line.strip()!r}")
+                try:
+                    value = header[key] = float(parts[1])
+                except ValueError:
+                    raise AsciiGridError(path, line_no, f"cannot parse header value {parts[1]!r}") from None
+                if key in ("ncols", "nrows") and not (value.is_integer() and value > 0):
+                    raise AsciiGridError(path, line_no, f"{key} must be a positive integer, got {parts[1]!r}")
+                if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(value):
+                    raise AsciiGridError(path, line_no, f"{key} must be finite, got {parts[1]!r}")
+                if key == "cellsize" and value <= 0:
+                    raise AsciiGridError(path, line_no, "cellsize must be positive")
+                continue
+            if ncols is None:
+                for req in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
+                    if req not in header:
+                        raise AsciiGridError(path, line_no, f"missing header line {req!r}")
+                ncols = int(header["ncols"])
+                nrows = int(header["nrows"])
+            try:
+                row = np.array([float(v) for v in parts], dtype=float)
+            except ValueError:
+                raise AsciiGridError(path, line_no, f"cannot parse data row: {line.strip()[:60]!r}") from None
+            if (np.isinf(row) & (row != header.get("nodata_value", np.nan))).any():
+                raise AsciiGridError(path, line_no, "data values must be finite or NODATA")
+            if row.size != ncols:
+                raise AsciiGridError(
+                    path, line_no,
+                    f"dimension mismatch: row has {row.size} values, header says ncols {ncols}")
+            rows.append(row)
+    if ncols is None:
+        raise AsciiGridError(path, 1, "no data rows found")
+    if len(rows) != nrows:
+        raise AsciiGridError(
+            path, line_no,
+            f"dimension mismatch: {len(rows)} data rows, header says nrows {nrows}")
+    return header, np.vstack(rows)
+
+
+def assert_parses_like_per_line(path):
+    header, values = grid._parse_ascii(path)
+    want_header, want_values = parse_ascii_per_line(path)
+    assert header == want_header
+    assert np.array_equal(values, want_values, equal_nan=True)
+    assert np.array_equal(np.signbit(values), np.signbit(want_values))
+
+
+def per_line_error(path):
+    with pytest.raises(AsciiGridError) as err:
+        parse_ascii_per_line(path)
+    return str(err.value)
+
+
+class TestPerLineParity:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_synth_layers(self, tmp_path, seed):
+        paths = synth.save_scene(synth.generate(synth.SceneSpec(seed=seed)), tmp_path)
+        assert len(paths) == 6
+        for path in paths.values():
+            assert_parses_like_per_line(path)
+
+    def test_random_rasters_with_nodata_signed_zeros_and_extremes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        for k in range(12):
+            h, w = (int(n) for n in rng.integers(2, 12, 2))
+            values = rng.normal(0.0, 10.0 ** rng.uniform(-3, 5), (h, w))
+            pick = rng.random((h, w))
+            values[pick < 0.15] = np.nan
+            values[(pick >= 0.15) & (pick < 0.25)] = -0.0
+            values[(pick >= 0.25) & (pick < 0.3)] = 1e300
+            values[(pick >= 0.3) & (pick < 0.35)] = -1e300
+            raster = Raster(w, h, float(rng.uniform(0.1, 5.0)),
+                            float(rng.uniform(-1e6, 1e6)), float(rng.uniform(-1e6, 1e6)),
+                            values)
+            path = tmp_path / f"r{k}.asc"
+            save_raster(raster, path)
+            assert_parses_like_per_line(path)
+            back = load_raster(path)  # repr round trips every float exactly
+            assert np.array_equal(back.values, raster.values, equal_nan=True)
+            assert np.array_equal(np.signbit(back.values), np.signbit(raster.values))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_hand_written_body(self, tmp_path, newline):
+        text = newline.join([
+            "NCOLS 4", "", "nrows\t3", "  xllcorner -1.5", "yllcorner 2e3", "cellsize .5",
+            "nodata_value -9999", "",
+            "+5 .5 5. 1E+05",
+            "",
+            "\t-0.0\t nan  -9999 1e-300  ",
+            "   ",
+            "-1E-5 +.25e+2 NaN -nan",
+            "", "",
+        ])
+        path = tmp_path / "g.asc"
+        path.write_bytes(text.encode())
+        assert_parses_like_per_line(path)
+        header, values = grid._parse_ascii(path)
+        assert values.shape == (3, 4) and values[0].tolist() == [5.0, 0.5, 5.0, 1e5]
+
+    @pytest.mark.parametrize("body", [
+        ["1 x 3", "4 5 6", "7 8 9"],        # bad token on the first data line
+        ["1 2 3", "", "4 x 6", "7 8 9"],    # ... a middle one, after a blank line
+        ["1 2 3", "4 5 6", "7 8 x"],        # ... the last one
+        ["1 2 3", "4 5", "7 8 9"],          # short row
+        ["1 2", "4 5 6", "7 8 9"],          # short first row
+        ["1 2", "4 5", "7 8"],              # every row short
+        ["1 2 3", "4 5 6 7", "7 8 9"],      # long row
+        ["1 2 3", "4 5 6"],                 # too few rows
+        ["1 2 3", "4 5 6", "7 8 9", "1 2 3", "", ""],  # too many rows
+        ["1 2 3", "4 inf 6", "7 8 9"],      # an infinity that is not NODATA
+        ["1 2 3", "4 5 6", "7 8 9", "-inf 1 2"],  # ... on a row past nrows
+        ["1 2 3", "inf 5", "7 8 9"],        # the infinity is named before the width
+        ["inf 2", "4 5", "7 8"],
+        ["1 inf 3", "4 x 6", "7 8 9"],      # the first offending line wins
+        ["1 2 3", "x 5 6", "inf 8 9"],
+        ["1 2 3", "4 # 6", "7 8 9"],        # '#' starts no comment
+        ["1 2 3 # north row", "4 5 6", "7 8 9"],
+        ["1 2 3", "ncols 3", "7 8 9"],      # a header key after the data
+        [],                                 # empty body
+        ["", "   "],
+    ])
+    @pytest.mark.parametrize("nodata", [None, -9999])
+    def test_errors_name_the_same_line(self, tmp_path, body, nodata):
+        path = write_asc(tmp_path / "g.asc", body, 3, 3, nodata=nodata)
+        with pytest.raises(AsciiGridError) as err:
+            load_raster(path)
+        assert str(err.value) == per_line_error(path)
+
+    def test_digit_group_underscores_are_rejected(self, tmp_path):
+        # the one documented divergence: float() reads "1_0" as 10.0
+        path = write_asc(tmp_path / "g.asc", ["1 2", "1_0 4"], 2, 2)
+        assert parse_ascii_per_line(path)[1][1, 0] == 10.0
+        with pytest.raises(AsciiGridError) as err:
+            load_raster(path)
+        assert str(err.value) == f"{path}:7: cannot parse data row: '1_0 4'"
 
 
 class TestSaveRaster:
@@ -148,6 +306,11 @@ class TestMaskIO:
         path = write_asc(tmp_path / "m.asc", ["1 2", "0 1"], 2, 2)
         with pytest.raises(AsciiGridError, match="0 or 1"):
             load_mask(path)
+        # the first offending value in file order names the line, blank lines counted
+        path = write_asc(tmp_path / "m.asc", ["1 0", "", "0 2", "3 1"], 2, 3, nodata=-9999)
+        with pytest.raises(AsciiGridError) as err:
+            load_mask(path)
+        assert str(err.value) == f"{path}:9: mask values must be 0 or 1"
 
 
 class TestResampleMask:

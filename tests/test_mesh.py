@@ -148,6 +148,11 @@ def test_jittered_lattice_is_delaunay():
     ([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]], "duplicate points"),
     # one ulp apart: distinct points, all of them vertices
     ([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0], [1.0, np.nextafter(1.0, 2.0)]], None),
+    # NaN rows compare unequal, so no duplicate check would see them
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 1.0], [np.nan, 1.0]], "must be finite"),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, np.nan]], "must be finite"),
+    ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.inf, 1.0]], "must be finite"),
+    ([[0.0, 0.0], [1.0, -np.inf], [0.0, 1.0]], "must be finite"),
 ])
 def test_degenerate_inputs_raise(points, message):
     if message is None:
