@@ -1,7 +1,7 @@
 """Command line pipeline: load grids, filter the mask, fit, mesh, evaluate.
 
-Each subcommand runs a slice of the stage list grid -> filter -> fit ->
-mesh -> metrics; its stages, required inputs and artifacts (in --out-dir):
+Each subcommand runs a row of stages; its stages, required inputs and
+artifacts (in --out-dir):
 
   filter  grid, filter       dsm, mask               mask_filtered.asc
   fit     grid, filter, fit  dsm, dtm, mask          surface.txt, loss_trace.csv
@@ -13,13 +13,20 @@ mesh -> metrics; its stages, required inputs and artifacts (in --out-dir):
   ablate  the stages before the swept key's stage once, the rest once per
           --values entry, no baselines; dsm, dtm, mask; ablate.csv
 
-mesh meshes the --surface file and eval scores the --mesh file.  ablate
-sweeps one --param: a key of [filter], [surface], [fit] or [sampling], or
-sampling_rates with road/terrain values such as 0.5/5.  It scores only the
-NURBS TIN, so baselines is a usage error, as is a [paths] key.  A slice
-without the filter stage uses the input mask as the filtered mask.  Ground
-truth defaults to the masked DSM and the unmasked DTM cells.  synth writes a
-synthetic tile: dsm, dtm, mask, gt_road, gt_terrain and provenance layers.
+grid also loads the DTM and ground truth where a dtm is required, mesh the
+--surface file and metrics the --mesh file, scored as --method.  ablate
+sweeps one --param: a key of [filter], [surface], [fit] or
+[sampling], or sampling_rates with road/terrain values such as 0.5/5.  It
+scores only the NURBS TIN, so baselines is a usage error, as is a [paths]
+key.  A row without the filter stage uses the input mask as the filtered
+mask.  Ground truth defaults to the masked DSM and the unmasked DTM cells.
+synth writes a synthetic tile: dsm, dtm, mask, gt_road, gt_terrain and
+provenance layers.
+
+Each stage appends what it made to the run record, printed as one "label:
+key=value ..." line per entry (floats to six significant digits), then one
+"wrote <path>" line per artifact; ablate prints the stages it runs once, then
+one "<param>=<value>" entry of NURBS TIN scores per value.
 
 Exit codes: 0 success, 1 usage error, 2 stage failure (message
 "stage <name>: <reason>" on stderr).  Stage names are grid, filter, fit,
@@ -33,8 +40,10 @@ stages' own config classes (FilterParams, LossWeights, FitConfig,
 SamplingConfig).  Booleans take configparser's spellings (1/yes/true/on,
 0/no/false/off).
 
-All emitted CSV and OBJ artifacts are byte-stable: rerunning on identical
-inputs reproduces them exactly.
+Every artifact is byte-stable for a fixed BLAS build and thread count
+(OPENBLAS_NUM_THREADS): rerunning on identical inputs reproduces it exactly.
+The fit's last bits follow the BLAS summation order, which the thread count
+can change.  Text files are read and written as UTF-8.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -58,7 +67,6 @@ from .grid import Raster
 from .mesh import SamplingConfig
 from .metrics import MetricReport
 from .nurbs import check_degrees, load_surface, save_surface
-from .synth import boolean
 
 
 class StageError(RuntimeError):
@@ -136,8 +144,7 @@ _SECTION_STAGE = {"paths": "grid", "filter": "filter", "surface": "fit", "fit": 
 _SECTIONS = {spec.name: spec.metadata["section"] for spec in fields(PipelineConfig)}
 _INI_KEYS = {(section, name.removeprefix(section + "_")): name
              for name, section in _SECTIONS.items()}
-_CASTERS = {spec.name: {"bool": boolean, "int": int, "float": float}.get(spec.type, Path)
-            for spec in fields(PipelineConfig)}
+_CASTERS = {spec.name: synthmod.CASTERS.get(spec.type, Path) for spec in fields(PipelineConfig)}
 
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
@@ -147,11 +154,13 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
-            read = parser.read(path)
+            parser.read_string("\n".join(gridmod.read_lines(path)), source=str(path))
+        except OSError:
+            raise UsageError(f"cannot read config file: {path}") from None
+        except ValueError as err:  # a byte that is not UTF-8, named by its line
+            raise UsageError(str(err)) from None
         except configparser.Error as err:
             raise UsageError(f"{path}: {err}") from None
-        if not read:  # read skips a file it cannot open: missing, a directory
-            raise UsageError(f"cannot read config file: {path}")
         for section in parser.sections():
             for key, raw in parser.items(section):
                 name = _INI_KEYS.get((section, key))
@@ -175,8 +184,8 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 # stages
 #
-# A stage reads the config and what earlier stages left in the state, and
-# adds its own results.  ``state.stages`` names the slice being run.
+# A stage reads the config and what earlier stages left in the state, adds
+# its results, and appends what it made to state.record as (label, {key: value}).
 
 
 def _require(path: Path | None, name: str) -> Path:
@@ -188,28 +197,32 @@ def _require(path: Path | None, name: str) -> Path:
 
 
 def _ground_truth(path: Path | None, default: Raster) -> Raster:
-    if path is None:
-        return default
-    return gridmod.load_raster(_require(path, "ground truth"))
+    return default if path is None else gridmod.load_raster(_require(path, "ground truth"))
 
 
 def grid_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     """DSM, road mask on the DSM grid, and the masked DSM cells as road
-    points; slices that fit or score a surface also load the DTM and the
-    ground truth."""
+    points, which stand for the filtered points until a filter runs."""
     dsm = gridmod.load_raster(_require(config.dsm, "dsm"))
     mask = gridmod.load_mask(_require(config.mask, "mask"))
     if not mask.georef_equals(dsm):
         mask = gridmod.resample_mask(mask, dsm)
     state.dsm, state.mask = dsm, mask
     state.road_points = dsm.subset(mask.bits == 1)
-    state.filtered_points, state.mask_plus = state.road_points, mask  # until filtered
-    if "fit" in state.stages or "metrics" in state.stages:
-        state.dtm = gridmod.load_raster(_require(config.dtm, "dtm"))
-        if not state.dtm.georef_equals(dsm):
-            raise ValueError("dsm and dtm grids do not match")
-        state.gt_road = _ground_truth(config.gt_road, state.road_points)
-        state.gt_terrain = _ground_truth(config.gt_terrain, state.dtm.subset(mask.bits == 0))
+    state.filtered_points, state.mask_plus = state.road_points, mask
+    state.record.append(("grid", {"width": dsm.width, "height": dsm.height,
+                                  "road_cells": mask.count}))
+
+
+def truth_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """DTM on the DSM grid, and the road and terrain ground truth."""
+    dtm = state.dtm = gridmod.load_raster(_require(config.dtm, "dtm"))
+    if not dtm.georef_equals(state.dsm):
+        raise ValueError("dsm and dtm grids do not match")
+    state.gt_road = _ground_truth(config.gt_road, state.road_points)
+    state.gt_terrain = _ground_truth(config.gt_terrain, dtm.subset(state.mask.bits == 0))
+    state.record.append(("truth", {"road_points": state.gt_road.count,
+                                   "terrain_points": state.gt_terrain.count}))
 
 
 def filter_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -217,6 +230,8 @@ def filter_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     if config.filter_enabled:
         state.filtered_points, state.mask_plus = run_filter(
             state.road_points, config.stage_config(FilterParams))
+    kept = state.filtered_points.count
+    state.record.append(("filter", {"kept": kept, "removed": state.road_points.count - kept}))
 
 
 def fit_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -227,25 +242,38 @@ def fit_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     state.surface, state.fit_report = fitmod.fit(
         surface0, state.dsm, state.dtm, state.mask_plus,
         config.stage_config(LossWeights), config.stage_config(FitConfig))
+    state.record.append(("fit", {key: getattr(state.fit_report, key) for key in (
+        "iterations", "best_iteration", "best_loss", "stop_reason")}))
+
+
+def surface_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """The --surface file."""
+    surface = state.surface = load_surface(_require(state.args.surface, "surface"))
+    state.record.append(("surface", {"ctrl_u": surface.num_ctrl_u, "ctrl_v": surface.num_ctrl_v}))
 
 
 def mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    """Dual-rate TIN of the fitted surface, or of the --surface file."""
-    if "fit" not in state.stages:
-        state.surface = load_surface(_require(state.args.surface, "surface"))
-    state.tin = meshmod.build_tin(state.surface, state.mask_plus,
-                                  config.stage_config(SamplingConfig))
-    state.meshes = {"nurbs": state.tin}
+    """Dual-rate TIN of the surface."""
+    tin = state.tin = meshmod.build_tin(state.surface, state.mask_plus,
+                                        config.stage_config(SamplingConfig))
+    state.meshes = {"nurbs": tin}
+    state.record.append(("mesh", {"vertices": len(tin.vertices), "triangles": tin.triangle_count}))
+
+
+def mesh_file_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """The --mesh file, under the --method name."""
+    mesh = meshmod.load_mesh(_require(state.args.mesh, "mesh"))
+    state.meshes = {state.args.method: mesh}
+    state.record.append(("mesh", {"vertices": len(mesh.vertices),
+                                  "triangles": mesh.triangle_count}))
 
 
 def metrics_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    """Adds the scores of the meshes built last, or of the --mesh file under
-    the --method name, to state.reports."""
-    if "mesh" not in state.stages:
-        state.meshes = {state.args.method: meshmod.load_mesh(_require(state.args.mesh, "mesh"))}
-    state.reports = {**state.reports, **{
-        name: metricsmod.evaluate_all(mesh, state.gt_road, state.gt_terrain, state.mask_plus)
-        for name, mesh in state.meshes.items()}}
+    """Adds the scores of the meshes built or loaded last to state.reports."""
+    for name, mesh in state.meshes.items():
+        state.reports[name] = metricsmod.evaluate_all(
+            mesh, state.gt_road, state.gt_terrain, state.mask_plus)
+        state.record.append((name, asdict(state.reports[name])))
 
 
 def baseline_mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -258,13 +286,11 @@ def baseline_mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
                         "rgt": meshmod.rgt_mesh(state.dsm)}
 
 
-STAGES = (("grid", grid_stage), ("filter", filter_stage), ("fit", fit_stage),
-          ("mesh", mesh_stage), ("metrics", metrics_stage))
+# (name, stage) pairs; a stage's name is the one its failure is reported under
+STAGES = (("grid", grid_stage), ("grid", truth_stage), ("filter", filter_stage),
+          ("fit", fit_stage), ("mesh", mesh_stage), ("metrics", metrics_stage))
+GRID, TRUTH, FILTER, FIT, MESH, METRICS = STAGES
 BASELINES = (("mesh", baseline_mesh_stage), ("metrics", metrics_stage))
-
-
-def _slice(*names: str) -> tuple:
-    return tuple(stage for stage in STAGES if stage[0] in names)
 
 
 def run_stages(config: PipelineConfig, state: SimpleNamespace,
@@ -282,45 +308,30 @@ def run_stages(config: PipelineConfig, state: SimpleNamespace,
 # artifact writers (byte-stable: repr for floats, no timestamps)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _fmt(value) -> str:
+    return str(value) if isinstance(value, int) else repr(float(value))
 
 
 def _write_loss_trace(path: Path, report: fitmod.FitReport) -> None:
-    lines = ["iteration,total,road,terrain,reg"]
-    for it in range(len(report.loss_total)):
-        lines.append(",".join([str(it), _fmt(report.loss_total[it]),
-                               _fmt(report.loss_road[it]),
-                               _fmt(report.loss_terrain[it]),
-                               _fmt(report.loss_reg[it])]))
-    path.write_text("\n".join(lines) + "\n")
-
-
-METRIC_COLUMNS = ("l2_road", "l2_terrain", "mad_road", "mad_terrain",
-                  "triangles", "road_coverage", "terrain_coverage")
-
-
-def _metric_cells(report: MetricReport) -> list[str]:
-    return [_fmt(report.l2_road), _fmt(report.l2_terrain),
-            _fmt(report.mad_road), _fmt(report.mad_terrain),
-            str(report.triangle_count), _fmt(report.road_coverage),
-            _fmt(report.terrain_coverage)]
+    rows = zip(range(report.iterations), report.loss_total, report.loss_road,
+               report.loss_terrain, report.loss_reg, strict=True)
+    lines = ["iteration,total,road,terrain,reg"] + [",".join(map(_fmt, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_metrics_csv(path: Path, labels: tuple[str, ...],
                       rows: list[tuple[list[str], MetricReport]]) -> None:
-    """One row per report: its label cells, then METRIC_COLUMNS."""
-    lines = [",".join(labels + METRIC_COLUMNS)]
-    lines += [",".join(cells + _metric_cells(report)) for cells, report in rows]
-    path.write_text("\n".join(lines) + "\n")
+    """One row per report: its label cells, then the MetricReport fields."""
+    lines = [",".join(labels + tuple(spec.name for spec in fields(MetricReport)))]
+    lines += [",".join(cells + [_fmt(value) for value in asdict(report).values()])
+              for cells, report in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_mesh(state: SimpleNamespace, path: Path) -> None:
-    """The NURBS TIN, colored by its error where ground truth was loaded."""
-    errors = None
-    if "metrics" in state.stages:
-        errors = metricsmod.vertex_errors(state.tin, state.gt_road, state.gt_terrain,
-                                          state.mask_plus)
+    """The NURBS TIN, colored by its error where it was scored."""
+    errors = (metricsmod.vertex_errors(state.tin, state.gt_road, state.gt_terrain,
+                                       state.mask_plus) if state.reports else None)
     meshmod.export_mesh(state.tin, path, errors)
 
 
@@ -349,60 +360,35 @@ def _out_dir(config: PipelineConfig) -> Path:
 # subcommands
 
 
-def _metrics_line(name: str, report: MetricReport) -> str:
-    return (f"{name}: l2_road={report.l2_road:.4f} l2_terrain={report.l2_terrain:.4f} "
-            f"mad_road={report.mad_road:.4f} mad_terrain={report.mad_terrain:.4f} "
-            f"triangles={report.triangle_count}")
+def _report(record: list[tuple[str, dict]], paths: list[Path]) -> None:
+    """Prints each record entry as 'label: key=value ...', floats to six
+    significant digits, then 'wrote <path>' for each path."""
+    for label, entry in record:
+        print(" ".join([f"{label}:"] + [f"{key}={value:.6g}" if isinstance(value, float)
+                                        else f"{key}={value}" for key, value in entry.items()]))
+    for path in paths:
+        print(f"wrote {path}")
 
 
-def _grid_lines(state: SimpleNamespace) -> list[str]:
-    return [f"grid: {state.dsm.width}x{state.dsm.height} cells, {state.mask.count} road cells",
-            f"filter: kept {state.mask_plus.count} road cells"]
-
-
-def _filter_line(state: SimpleNamespace) -> list[str]:
-    kept, total = state.filtered_points.count, state.road_points.count
-    return [f"filter: kept {kept} of {total} road cells ({total - kept} removed)"]
-
-
-def _fit_line(state: SimpleNamespace) -> list[str]:
-    report = state.fit_report
-    return [f"fit: {report.iterations} iterations ({report.stop_reason}), "
-            f"best loss {report.best_loss:.6f}"]
-
-
-def _mesh_line(state: SimpleNamespace) -> list[str]:
-    tin = state.tin
-    return [f"mesh: {len(tin.vertices)} vertices, {tin.triangle_count} triangles"]
-
-
-def _metrics_lines(state: SimpleNamespace) -> list[str]:
-    return [_metrics_line(name, report) for name, report in state.reports.items()]
-
-
-# subcommand -> (stages it runs, artifacts in the order reported, summary lines)
+# subcommand -> (stages it runs, artifacts in the order reported)
 PIPELINES = {
-    "filter": (_slice("grid", "filter"), ("mask_filtered.asc",), (_filter_line,)),
-    "fit": (_slice("grid", "filter", "fit"), ("surface.txt", "loss_trace.csv"), (_fit_line,)),
-    "mesh": (_slice("grid", "mesh"), ("mesh.obj",), (_mesh_line,)),
-    "eval": (_slice("grid", "metrics"), ("metrics.csv",), (_metrics_lines,)),
-    "run": (STAGES + BASELINES, tuple(sorted(ARTIFACTS)),
-            (_grid_lines, _fit_line, _mesh_line, _metrics_lines)),
+    "filter": ((GRID, FILTER), ("mask_filtered.asc",)),
+    "fit": ((GRID, TRUTH, FILTER, FIT), ("surface.txt", "loss_trace.csv")),
+    "mesh": ((GRID, ("mesh", surface_stage), MESH), ("mesh.obj",)),
+    "eval": ((GRID, TRUTH, ("metrics", mesh_file_stage), METRICS), ("metrics.csv",)),
+    "run": (STAGES + BASELINES, tuple(sorted(ARTIFACTS))),
 }
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    """Run the subcommand's stages, write its artifacts, print its summary."""
-    stages, artifacts, summary = PIPELINES[args.command]
+    """Run the subcommand's stages, write its artifacts, print its record."""
+    stages, artifacts = PIPELINES[args.command]
     config = build_config(args)
     out = _out_dir(config)
-    state = SimpleNamespace(stages={name for name, _ in stages}, args=args, reports={})
-    run_stages(config, state, stages)
+    state = run_stages(config, SimpleNamespace(args=args, record=[], reports={}), stages)
     for name in artifacts:
         ARTIFACTS[name](state, out / name)
-    for line in [line for lines in summary for line in lines(state)] + [
-            f"wrote {out / name}" for name in artifacts]:
-        print(line)
+    _report(state.record, [out / name for name in artifacts])
     return 0
 
 
@@ -420,14 +406,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         paths = synthmod.save_scene(scene, args.out)
     except (ValueError, OSError) as err:
         raise StageError("grid", str(err)) from err
-    road_cells = int(scene.mask.count)
-    total = scene.mask.width * scene.mask.height
-    noise_cells = int((scene.provenance.values > 0).sum())
-    print(f"scene: {scene.dsm.width}x{scene.dsm.height} cells, "
-          f"{road_cells} road cells ({100.0 * road_cells / total:.1f}%), "
-          f"{noise_cells} noise cells")
-    for name in sorted(paths):
-        print(f"wrote {paths[name]}")
+    mask = scene.mask
+    _report([("scene", {"width": mask.width, "height": mask.height, "road_cells": mask.count,
+                        "road_fraction": mask.count / mask.bits.size,
+                        "noise_cells": int((scene.provenance.values > 0).sum())})],
+            [paths[name] for name in sorted(paths)])
     return 0
 
 
@@ -463,18 +446,17 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise UsageError("--values must list at least one value")
     variants = [_ablation_variant(config, args.param, raw) for raw in values]
     key = "road_rate" if args.param == "sampling_rates" else args.param
-    names = [name for name, _ in STAGES]
-    first = names.index(_SECTION_STAGE[_SECTIONS[key]])
+    first = [name for name, _ in STAGES].index(_SECTION_STAGE[_SECTIONS[key]])
     path = _out_dir(config) / "ablate.csv"
-    shared = run_stages(config, SimpleNamespace(stages=set(names), args=args, reports={}),
+    shared = run_stages(config, SimpleNamespace(args=args, record=[], reports={}),
                         STAGES[:first])
-    reports = [run_stages(variant, SimpleNamespace(**vars(shared)), STAGES[first:])
+    reports = [run_stages(variant, SimpleNamespace(**{**vars(shared), "record": [],
+                                                      "reports": {}}), STAGES[first:])
                .reports["nurbs"] for variant in variants]
     write_metrics_csv(path, ("param", "value"),
                       [([args.param, raw], report) for raw, report in zip(values, reports)])
-    for raw, report in zip(values, reports):
-        print(_metrics_line(f"{args.param}={raw}", report))
-    print(f"wrote {path}")
+    _report(shared.record + [(f"{args.param}={raw}", asdict(report))
+                             for raw, report in zip(values, reports)], [path])
     return 0
 
 

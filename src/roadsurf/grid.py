@@ -29,6 +29,9 @@ or ``infinity`` in any case, correctly rounded as ``float`` rounds it.
 Unlike ``float``, the reader takes no digit-group underscores (``1_0``) and
 no non-ASCII digits.  An infinite value must equal ``NODATA_value``.
 Header values are read by ``float``.
+
+Every text file the package reads or writes, ``.asc`` or not, is UTF-8 with
+lines ending at ``\\n``, ``\\r\\n`` or ``\\r``; ``read_lines`` reads them all.
 """
 
 from __future__ import annotations
@@ -52,6 +55,20 @@ class AsciiGridError(ValueError):
         super().__init__(f"{path}:{line_no}: {message}")
         self.path = str(path)
         self.line_no = line_no
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, without their endings.
+
+    Raises ValueError naming the file and line of a byte that is not UTF-8.
+    """
+    lines = []
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{path}:{line_no}: {err}") from None
+    return lines
 
 
 @dataclass
@@ -265,8 +282,7 @@ def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
     is walked line by line, to name the first offending line.
     """
     path = Path(path)
-    with open(path) as fh:
-        lines = fh.readlines()
+    lines = read_lines(path)
     header, start = _read_header(path, lines)
     ncols = int(header["ncols"])
     nrows = int(header["nrows"])
@@ -288,8 +304,7 @@ def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
 def _row_line(path: Path, row: int) -> int:
     """Line number of data row ``row`` (file order, from 0) of a file that
     parsed without error."""
-    with open(path) as fh:
-        lines = fh.readlines()
+    lines = read_lines(path)
     _, start = _read_header(path, lines)
     line_no, _ = next(itertools.islice(_data_lines(lines, start), row, None))
     return line_no
@@ -332,7 +347,7 @@ def save_raster(raster: Raster, path: str | Path) -> None:
     ]
     for row in out.tolist():
         lines.append(" ".join(map(repr, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_mask(path: str | Path) -> Mask:

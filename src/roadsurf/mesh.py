@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Mask, Raster
+from .grid import Mask, Raster, read_lines
 from .nurbs import NurbsSurface, evaluate_grid
 
 # relative tolerance of the Delaunay predicates, against their permanents
@@ -380,7 +380,7 @@ def export_mesh(mesh: TinMesh, path: str | Path, attr: np.ndarray | None = None)
         lines = [f"v {x!r} {y!r} {z!r} {r:.6f} 0.100000 {1.0 - r:.6f}"
                  for (x, y, z), r in zip(vertices, t.tolist(), strict=True)]
     lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_mesh(path: str | Path) -> TinMesh:
@@ -388,7 +388,7 @@ def load_mesh(path: str | Path) -> TinMesh:
     refer only to vertices listed above it."""
     vertices = []
     faces = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(read_lines(path), start=1):
         parts = line.split()
         if not parts:
             continue

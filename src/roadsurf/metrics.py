@@ -40,9 +40,9 @@ class MetricReport:
     l2_terrain: float
     mad_road: float
     mad_terrain: float
-    triangle_count: int
-    road_coverage: float = 1.0
-    terrain_coverage: float = 1.0
+    triangles: int
+    road_coverage: float
+    terrain_coverage: float
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -351,7 +351,7 @@ def evaluate_all(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
         l2_terrain=float(d_terr[c_terr].mean()),
         mad_road=_mad_or_zero(road_mesh),
         mad_terrain=_mad_or_zero(terrain_mesh),
-        triangle_count=len(mesh.triangles),
+        triangles=len(mesh.triangles),
         road_coverage=float(c_road.mean()),
         terrain_coverage=float(c_terr.mean()),
     )

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .grid import read_lines
+
 
 def uniform_clamped_knots(num_ctrl: int, degree: int) -> np.ndarray:
     """Clamped knot vector on [0, 1] with evenly spaced interior knots.
@@ -193,7 +195,7 @@ def save_surface(surface: NurbsSurface, path: str | Path) -> None:
     # one (z, w) row per control point, u-major, as Python floats
     rows = np.stack([surface.control_z, surface.weights], axis=2).reshape(-1, 2).tolist()
     lines += [f"cp {z!r} {w!r}" for z, w in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # the value count and caster of each key; cp repeats, the others appear once
@@ -213,7 +215,7 @@ def load_surface(path: str | Path) -> NurbsSurface:
     the rejected value.
     """
     lines = [(n, line.split()) for n, line in
-             enumerate(Path(path).read_text().splitlines(), start=1) if line.strip()]
+             enumerate(read_lines(path), start=1) if line.strip()]
     if not lines or lines[0][1] != ["roadsurf-surface", "2"]:
         raise ValueError(f"{path}:{lines[0][0] if lines else 1}: not a surface file "
                          f"(expected 'roadsurf-surface 2')")

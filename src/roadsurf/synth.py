@@ -23,12 +23,12 @@ jitter), so equal specs give bit-identical tiles.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .grid import Mask, Raster, save_mask, save_raster
+from .grid import Mask, Raster, read_lines, save_mask, save_raster
 
 PROV_CLEAN = 0
 PROV_VEHICLE = 1
@@ -255,13 +255,11 @@ def boolean(text: str) -> bool:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
+# the caster of each scalar field type, shared with the CLI's config keys
+CASTERS = {"float": float, "int": int, "bool": boolean}
 # the SceneSpec fields a scene file sets with one value, and their casters
-SCALAR_KEYS = {
-    "tile_size": float, "cell_size": float, "base_elevation": float,
-    "slope_x": float, "slope_y": float, "target_road_fraction": float,
-    "vehicles": int, "trees": int, "facades": int, "jitter_sigma": float,
-    "seed": int, "corrupt_mask": boolean,
-}
+SCALAR_KEYS = {spec.name: CASTERS[spec.type] for spec in fields(SceneSpec)
+               if spec.type in CASTERS}
 
 
 def parse_scene_file(path: str | Path) -> SceneSpec:
@@ -277,9 +275,9 @@ def parse_scene_file(path: str | Path) -> SceneSpec:
     hills: list[tuple[float, float, float, float]] = []
     road: list[tuple[float, float]] = []
     # values per key; road's waypoints are checked where they are read
-    arity = {"hill": 4, "slope": 2, **dict.fromkeys(SCALAR_KEYS, 1)}
+    arity = {"hill": 4, **dict.fromkeys(SCALAR_KEYS, 1)}
     set_by: dict[str, int] = {}  # the line that last set each key
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -291,8 +289,6 @@ def parse_scene_file(path: str | Path) -> SceneSpec:
                 raise ValueError(f"{key} takes {arity[key]} value(s), got {len(rest)}")
             if key == "hill":
                 hills.append(tuple(float(v) for v in rest))
-            elif key == "slope":
-                spec.slope_x, spec.slope_y = (float(v) for v in rest)
             elif key == "road":
                 road = [tuple(float(c) for c in pt.split(",")) for pt in rest]
                 if len(road) < 2 or any(len(pt) != 2 for pt in road):

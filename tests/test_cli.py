@@ -1,17 +1,24 @@
 """The command line contract, exercised through ``main()``.
 
 One small seeded tile (41 x 41 cells at 2.5 m) is generated by ``synth`` and
-shared by the module.  Every subcommand is pinned by its exit code and the
-set of artifacts it writes; failures by their exit code and the
-``stage <name>:`` or ``usage error:`` line on stderr.
+shared by the module.  Every subcommand is pinned by its exit code, the
+set of artifacts it writes and the labels of its summary lines; failures by
+their exit code and the ``stage <name>:`` or ``usage error:`` line on
+stderr.
 """
 
 import csv
 import io
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import roadsurf
 from roadsurf.cli import PipelineConfig, main
 from roadsurf.filtering import FilterParams
 from roadsurf.fit import FitConfig, LossWeights
@@ -121,7 +128,39 @@ def test_eval_scores_the_run_mesh_like_run(tile, run, tmp_path, capsys):
     # triangles by the unfiltered mask
     for key in ("l2_road", "l2_terrain", "triangles", "road_coverage", "terrain_coverage"):
         assert row[key] == nurbs[key]
-    assert capsys.readouterr().out.startswith("nurbs: l2_road=")
+    # the summary line shows the CSV row's values to six significant digits
+    assert capsys.readouterr().out.splitlines()[-2] == "nurbs: " + " ".join(
+        f"{key}={float(value):.6g}" for key, value in cells(row).items())
+
+
+# each subcommand's summary labels in the order printed, then its artifacts
+SUMMARIES = {
+    "filter": (["grid", "filter"], ["mask_filtered.asc"]),
+    "fit": (["grid", "truth", "filter", "fit"], ["surface.txt", "loss_trace.csv"]),
+    "mesh": (["grid", "surface", "mesh"], ["mesh.obj"]),
+    "eval": (["grid", "truth", "mesh", "nurbs"], ["metrics.csv"]),
+    "run": (["grid", "truth", "filter", "fit", "mesh", "nurbs", "plane", "rgt"],
+            sorted(RUN_ARTIFACTS)),
+    "ablate": (["grid", "truth", "filter", "fit", "road_rate=2.5", "road_rate=5"],
+               ["ablate.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(SUMMARIES))
+def test_stdout_is_the_run_record_then_the_artifacts(tile, run, tmp_path, capsys, command):
+    surface, mesh = tmp_path / "surface.txt", tmp_path / "mesh.obj"
+    surface.write_bytes(run[0]["surface.txt"])
+    mesh.write_bytes(run[0]["mesh.obj"])
+    extra = {"mesh": ["--surface", str(surface)],
+             "eval": ["--mesh", str(mesh), "--method", "nurbs"],
+             "ablate": ["--param", "road_rate", "--values", "2.5,5"]}.get(command, [])
+    rc, _ = invoke(tmp_path / "out", command, *layer_flags(tile, LAYERS), *FIT_FLAGS, *extra)
+    assert rc == 0
+    labels, artifacts = SUMMARIES[command]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ", 1)[0] for line in lines[:len(labels)]] == labels
+    assert all(re.fullmatch(r"[^ ]+:( [a-z0-9_]+=[^ =]+)+", line) for line in lines[:len(labels)])
+    assert lines[len(labels):] == [f"wrote {tmp_path / 'out' / name}" for name in artifacts]
 
 
 def test_ablate_rows_equal_runs_without_baselines(tile, run, tmp_path):
@@ -178,6 +217,17 @@ def test_ini_config_equals_flags(tile, run, tmp_path, capsys):
     usage = capsys.readouterr().out
     assert all(f"--{spec.name.replace('_', '-')} " in usage for spec in fields(PipelineConfig))
     assert "--filter-enabled FILTER_ENABLED\n" in usage and "overrides [filter] enabled\n" in usage
+
+
+def test_undecodable_config_is_a_usage_error(tile, tmp_path, capsys):
+    config = tmp_path / "roadsurf.ini"
+    config.write_bytes(b"[fit]\nmax_iters = 5\xff\n")
+    rc, artifacts = invoke(tmp_path / "out", "fit", *layer_flags(tile, LAYERS),
+                           "--config", str(config))
+    assert (rc, artifacts) == (1, {})
+    assert capsys.readouterr().err == (
+        f"usage error: {config}:2: 'utf-8' codec can't decode byte 0xff in position 13: "
+        "invalid start byte\n")
 
 
 def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
@@ -361,9 +411,10 @@ def test_missing_scene_file_is_a_grid_failure(tmp_path, capsys):
 
 def test_unknown_scene_key_is_a_grid_failure(tmp_path, capsys):
     scene = tmp_path / "scene.txt"
-    scene.write_text("cell_size 2.5\nbogus 1\n")
-    assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == f"stage grid: {scene}:2: unknown key 'bogus'\n"
+    for line, key in (("bogus 1", "bogus"), ("slope 1 2", "slope")):
+        scene.write_text(f"cell_size 2.5\n{line}\n")
+        assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"stage grid: {scene}:2: unknown key '{key}'\n"
 
 
 @pytest.mark.parametrize("line, message", [
@@ -456,3 +507,51 @@ def test_malformed_mesh_names_file_and_line(tile, run, tmp_path, capsys):
                                "--mesh", str(path))
         assert (rc, artifacts) == (2, {})
         assert capsys.readouterr().err == f"stage metrics: {path}:{line_no}: {message}\n"
+
+
+@pytest.mark.parametrize("text_format", ["asc", "surface", "obj", "scene"])
+def test_undecodable_byte_names_file_and_line(tile, run, tmp_path, capsys, text_format):
+    bad, out = tmp_path / f"bad.{text_format}", tmp_path / "out"
+    stage, source, argv = {
+        "asc": ("grid", (tile / "dsm.asc").read_bytes(),
+                ["filter", *layer_flags(tile, ("mask",)), "--dsm", str(bad), "--out-dir"]),
+        "surface": ("mesh", run[0]["surface.txt"],
+                    ["mesh", *layer_flags(tile, ("dsm", "mask")), "--surface", str(bad),
+                     "--out-dir"]),
+        "obj": ("metrics", run[0]["mesh.obj"],
+                ["eval", *layer_flags(tile, LAYERS), "--mesh", str(bad), "--out-dir"]),
+        "scene": ("grid", b"cell_size 5\ntrees 3\nvehicles 1\n",
+                  ["synth", "--scene", str(bad), "--out"]),
+    }[text_format]
+    lines = source.splitlines(keepends=True)
+    lines[2] = lines[2][:2] + b"\xff" + lines[2][2:]
+    bad.write_bytes(b"".join(lines))
+    assert main([*argv, str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"stage {stage}: {bad}:3: 'utf-8' codec can't decode byte 0xff in position 2: ")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_fit_bytes_repeat_at_each_blas_thread_count(tmp_path):
+    """The byte-stability contract holds for a fixed BLAS thread count; the
+    fit's last bits may differ between thread counts, so only runs at the
+    same count are compared."""
+    tile, scene = tmp_path / "tile", tmp_path / "scene.txt"
+    scene.write_text("cell_size 0.4\n")
+    assert main(["synth", "--scene", str(scene), "--out", str(tile), "--vehicles", "6",
+                 "--trees", "8", "--facades", "2", "--corrupt-mask", "true",
+                 "--jitter-sigma", "0.02", "--seed", "1"]) == 0
+    path = os.pathsep.join([str(Path(roadsurf.__file__).parents[1]),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    artifacts = {}
+    for run_no, threads in enumerate(["1", "1", "2", "2"]):
+        out = tmp_path / f"out{run_no}"
+        subprocess.run([sys.executable, "-m", "roadsurf.cli", "fit",
+                        *layer_flags(tile, ("dsm", "dtm", "mask")), "--max-iters", "20",
+                        "--out-dir", str(out)],
+                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                       check=True, capture_output=True, timeout=120)
+        artifacts.setdefault(threads, []).append(
+            {name: (out / name).read_bytes() for name in ("surface.txt", "loss_trace.csv")})
+    for threads, (first, second) in artifacts.items():
+        assert first == second, f"runs at {threads} BLAS thread(s) differ"
