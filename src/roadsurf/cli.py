@@ -13,9 +13,9 @@ artifacts (in --out-dir):
   ablate  the stages before the swept key's stage once, the rest once per
           --values entry, no baselines; dsm, dtm, mask; ablate.csv
 
-grid also loads the DTM and ground truth where a dtm is required, mesh the
---surface file and metrics the --mesh file, scored as --method.  ablate
-sweeps one --param: a key of [filter], [surface], [fit] or
+grid also loads the DTM where a dtm is required and the ground truth where
+metrics run, mesh the --surface file and metrics the --mesh file, scored as
+--method.  ablate sweeps one --param: a key of [filter], [surface], [fit] or
 [sampling], or sampling_rates with road/terrain values such as 0.5/5.  It
 scores only the NURBS TIN, so baselines is a usage error, as is a [paths]
 key.  A row without the filter stage uses the input mask as the filtered
@@ -214,13 +214,18 @@ def grid_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
                                   "road_cells": mask.count}))
 
 
-def truth_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    """DTM on the DSM grid, and the road and terrain ground truth."""
+def dtm_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """DTM on the DSM grid."""
     dtm = state.dtm = gridmod.load_raster(_require(config.dtm, "dtm"))
     if not dtm.georef_equals(state.dsm):
         raise ValueError("dsm and dtm grids do not match")
+
+
+def truth_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """The road and terrain ground truth."""
     state.gt_road = _ground_truth(config.gt_road, state.road_points)
-    state.gt_terrain = _ground_truth(config.gt_terrain, dtm.subset(state.mask.bits == 0))
+    state.gt_terrain = _ground_truth(config.gt_terrain,
+                                     state.dtm.subset(state.mask.bits == 0))
     state.record.append(("truth", {"road_points": state.gt_road.count,
                                    "terrain_points": state.gt_terrain.count}))
 
@@ -287,9 +292,10 @@ def baseline_mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
 
 
 # (name, stage) pairs; a stage's name is the one its failure is reported under
-STAGES = (("grid", grid_stage), ("grid", truth_stage), ("filter", filter_stage),
-          ("fit", fit_stage), ("mesh", mesh_stage), ("metrics", metrics_stage))
-GRID, TRUTH, FILTER, FIT, MESH, METRICS = STAGES
+STAGES = (("grid", grid_stage), ("grid", dtm_stage), ("grid", truth_stage),
+          ("filter", filter_stage), ("fit", fit_stage), ("mesh", mesh_stage),
+          ("metrics", metrics_stage))
+GRID, DTM, TRUTH, FILTER, FIT, MESH, METRICS = STAGES
 BASELINES = (("mesh", baseline_mesh_stage), ("metrics", metrics_stage))
 
 
@@ -373,9 +379,9 @@ def _report(record: list[tuple[str, dict]], paths: list[Path]) -> None:
 # subcommand -> (stages it runs, artifacts in the order reported)
 PIPELINES = {
     "filter": ((GRID, FILTER), ("mask_filtered.asc",)),
-    "fit": ((GRID, TRUTH, FILTER, FIT), ("surface.txt", "loss_trace.csv")),
+    "fit": ((GRID, DTM, FILTER, FIT), ("surface.txt", "loss_trace.csv")),
     "mesh": ((GRID, ("mesh", surface_stage), MESH), ("mesh.obj",)),
-    "eval": ((GRID, TRUTH, ("metrics", mesh_file_stage), METRICS), ("metrics.csv",)),
+    "eval": ((GRID, DTM, TRUTH, ("metrics", mesh_file_stage), METRICS), ("metrics.csv",)),
     "run": (STAGES + BASELINES, tuple(sorted(ARTIFACTS))),
 }
 

@@ -8,7 +8,9 @@ plan distance and elevation, and keeps only the largest clusters.
 Growing and merging are both connected components, of neighbor point pairs
 and of cluster label pairs; one whole-array union-find serves both.  Only
 points outside the largest grown cluster can pair two labels, so merging
-looks up the plan-distance disc of those points alone, in bounded blocks.
+visits the other clusters alone, a square of cells at a time, and tests
+them against the cells of other labels within reach in plan and elevation,
+in bounded blocks of cell pairs.
 """
 
 from __future__ import annotations
@@ -22,9 +24,13 @@ import numpy as np
 from .grid import Mask, Raster
 
 
-# offset lookups per block of merge_clusters; bounds its temporary arrays to
-# a few megabytes whatever theta_xy and the cell size
-_MERGE_BLOCK = 1 << 17
+# cell pairs per block of merge_clusters; bounds its temporary arrays to
+# a few megabytes whatever theta_xy, the cell size and the cluster sizes
+_PAIR_BLOCK = 1 << 16
+
+# clusters of fewer cells share their chunks in merge_clusters: a chunk costs
+# tens of numpy calls, more than the pair tests of a few cells
+_POOL_CELLS = 8
 
 
 @dataclass
@@ -114,73 +120,95 @@ def grow_regions(points: Raster, neighbors: np.ndarray) -> LabelGrid:
     return LabelGrid(labels, count)
 
 
-def _disc_offsets(points: Raster, theta_xy: float):
-    """Lattice offsets (di, dj) other than (0, 0) within theta_xy of a cell,
-    bounded by the grid, as arrays, and for each whether it lies within a
-    relative 1e-6 of the theta_xy ring.  Offsets inside the ring pair cells
-    within theta_xy whatever the rounding of their world coordinates; ring
-    offsets need the exact check on those coordinates."""
-    cell = points.cell_size
-    # offsets beyond the grid can never pair two cells
-    k = int(theta_xy / cell * (1 + 1e-9)) + 1
-    ki, kj = min(k, points.width - 1), min(k, points.height - 1)
-    dj, di = (a.ravel() for a in np.mgrid[-kj:kj + 1, -ki:ki + 1])
-    d2 = (di * cell) ** 2 + (dj * cell) ** 2
-    thr2 = theta_xy * theta_xy
-    keep = (d2 <= thr2 * (1 + 1e-6) + 1e-12) & ((di != 0) | (dj != 0))
-    return di[keep], dj[keep], d2[keep] > thr2 * (1 - 1e-6)
-
-
 def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
                        theta_z: float) -> np.ndarray:
-    """Label pairs (la, lb), la != lb, of point pairs within theta_xy in plan
-    and theta_z in elevation, as an (E, 2) array, each pair at most once per
-    block.
+    """Distinct label pairs (la, lb), la != lb, of point pairs within theta_xy
+    in plan and theta_z in elevation, as an (E, 2) array with la outside the
+    largest cluster.
 
-    Every such pair has a point outside the largest cluster, so only those
-    points look up their disc of offsets, in blocks of at most _MERGE_BLOCK
-    lookups, on flat indices into grids padded by the disc radius.  Padding
-    reads as NaN elevation, which no elevation test passes; neither do
-    cells without a point.
+    Only the other clusters are visited, a chunk at a time: a cluster's
+    cells in one square of max(k, 16) cells a side from its cell box's
+    corner, k the disc radius in cells, which bounds a chunk's pairs by a
+    multiple of its cells' disc area; clusters under _POOL_CELLS cells share
+    the chunks of the grid's squares.  A chunk's candidates are the cells,
+    of other labels unless pooled, in its box grown by k within theta_z of
+    its elevation range widened by 1e-9 of the elevations' scale, more than
+    ``z +- theta_z`` can round.  Cells and candidates are tested pairwise,
+    in blocks of at most _PAIR_BLOCK pairs, as a lattice scan tests them:
+    ``(di*cell)**2 + (dj*cell)**2`` against the disc, the exact distance of
+    the world coordinates within a relative 1e-6 of its ring, and
+    ``abs(z_t - z_s) <= theta_z``, which the NaN of an empty cell fails.
     """
-    di, dj, ring = _disc_offsets(points, theta_xy)
-    if not len(di):
-        return np.zeros((0, 2), dtype=np.int64)
-    h, w = lab.shape
-    ki, kj = int(np.abs(di).max()), int(np.abs(dj).max())
-    z_pad = np.full((h + 2 * kj, w + 2 * ki), np.nan)
-    z_pad[kj:kj + h, ki:ki + w] = points.values
-    lab_pad = np.zeros(z_pad.shape, dtype=np.int64)
-    lab_pad[kj:kj + h, ki:ki + w] = lab
-    step = dj * z_pad.shape[1] + di
     occ = points.valid
-    largest = np.argmax(np.bincount(lab[occ]))
-    sj, si = np.nonzero(occ & (lab != largest))
-    src = np.ravel_multi_index((sj + kj, si + ki), z_pad.shape)
-    z_pad, lab_pad = z_pad.ravel(), lab_pad.ravel()
-    xs, ys = points.cell_to_world(np.arange(w), np.arange(h))
+    z = points.values
+    cell = points.cell_size
+    h, w = lab.shape
+    k = int(theta_xy / cell * (1 + 1e-9)) + 1
     thr2 = theta_xy * theta_xy
+    disc, ring = thr2 * (1 + 1e-6) + 1e-12, thr2 * (1 - 1e-6)
+    xs, ys = points.cell_to_world(np.arange(w), np.arange(h))
+    sj, si = np.nonzero(occ & (lab != np.argmax(np.bincount(lab[occ]))))
+    sl = lab[sj, si].astype(np.int64)
     span = int(lab.max()) + 1
+    # chunk key: label, then the square (row, column) inside its cell box;
+    # small clusters go by label 0 and squares of the grid
+    top, left = np.full(span, h), np.full(span, w)
+    np.minimum.at(top, sl, sj)
+    np.minimum.at(left, sl, si)
+    pooled = np.bincount(sl)[sl] < _POOL_CELLS
+    top[0] = left[0] = 0
+    group = np.where(pooled, 0, sl)
+    side = max(k, 16)
+    key = (group * h + (sj - top[group]) // side) * w + (si - left[group]) // side
+    order = np.argsort(key, kind="stable")
+    sj, si, sl, group, key = sj[order], si[order], sl[order], group[order], key[order]
+    zs = z[sj, si]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    z_lo, z_hi = np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts)
+    margin = theta_z + 1e-9 * (np.maximum(np.abs(z_lo), np.abs(z_hi)) + theta_z)
+    chunks = zip(
+        starts.tolist(), np.append(starts[1:], len(key)).tolist(), group[starts].tolist(),
+        np.maximum(np.minimum.reduceat(sj, starts) - k, 0).tolist(),
+        (np.maximum.reduceat(sj, starts) + k + 1).tolist(),
+        np.maximum(np.minimum.reduceat(si, starts) - k, 0).tolist(),
+        (np.maximum.reduceat(si, starts) + k + 1).tolist(),
+        (z_lo - margin).tolist(), (z_hi + margin).tolist())
     found = [np.zeros(0, dtype=np.int64)]
-    block = max(1, _MERGE_BLOCK // len(step))
-    for first in range(0, len(src), block):
-        s = src[first:first + block]
-        t = s[:, None] + step
-        gap = z_pad[t]
-        gap -= z_pad[s][:, None]
-        near = np.abs(gap, out=gap) <= theta_z
-        near &= lab_pad[t] != lab_pad[s][:, None]
-        row, col = np.divmod(np.flatnonzero(near), len(step))
-        edge = np.flatnonzero(ring[col])
-        if edge.size:
-            i, j = si[first + row[edge]], sj[first + row[edge]]
-            dx = xs[i + di[col[edge]]] - xs[i]
-            dy = ys[j + dj[col[edge]]] - ys[j]
-            far = edge[dx * dx + dy * dy > thr2]
-            row, col = np.delete(row, far), np.delete(col, far)
-        # pair (la, lb) as la * span + lb, so that np.unique drops repeats
-        found.append(np.unique(lab_pad[s[row]] * span + lab_pad[t[row, col]]))
-    return np.stack(np.divmod(np.concatenate(found), span), axis=1)
+    for a0, b0, label, j0, j1, i0, i1, lo, hi in chunks:
+        box_z, box_lab = z[j0:j1, i0:i1], lab[j0:j1, i0:i1]
+        keep = box_z >= lo
+        keep &= box_z <= hi
+        keep &= box_lab != label
+        tj, ti = np.nonzero(keep)
+        if not len(tj):
+            continue
+        zt, lt = box_z[tj, ti], box_lab[tj, ti].astype(np.int64)
+        tj += j0
+        ti += i0
+        hit = np.zeros(len(tj), dtype=bool)
+        rows = max(1, _PAIR_BLOCK // len(tj))
+        for a in range(a0, b0, rows):
+            b = min(a + rows, b0)
+            d2 = np.square((ti - si[a:b, None]) * cell)
+            d2 += np.square((tj - sj[a:b, None]) * cell)
+            near = d2 <= disc
+            gap = zt - zs[a:b, None]
+            near &= np.abs(gap, out=gap) <= theta_z
+            row, col = np.nonzero(near)
+            edge = np.flatnonzero(d2[row, col] > ring)
+            if edge.size:
+                dx = xs[ti[col[edge]]] - xs[si[a + row[edge]]]
+                dy = ys[tj[col[edge]]] - ys[sj[a + row[edge]]]
+                far = edge[dx * dx + dy * dy > thr2]
+                row, col = np.delete(row, far), np.delete(col, far)
+            # pair (la, lb) as la * span + lb, so that np.unique drops repeats
+            if label:
+                hit[col] = True
+            else:  # a pooled chunk's labels vary from cell to cell
+                found.append(np.unique(sl[a + row] * span + lt[col]))
+        found.append(label * span + lt[hit])
+    la, lb = np.divmod(np.unique(np.concatenate(found)), span)
+    return np.stack([la, lb], axis=1)[la != lb]
 
 
 def merge_clusters(points: Raster, labels: LabelGrid,

@@ -92,6 +92,15 @@ def test_fit_writes_what_run_writes(tile, run, tmp_path):
     assert artifacts == {name: run[0][name] for name in artifacts}
 
 
+def test_fit_reads_no_ground_truth(tile, run, tmp_path):
+    missing = tmp_path / "missing.asc"
+    rc, artifacts = invoke(tmp_path / "fit", "fit", *layer_flags(tile, ("dsm", "dtm", "mask")),
+                           "--gt-road", str(missing), "--gt-terrain", str(missing),
+                           *FIT_FLAGS)
+    assert rc == 0
+    assert artifacts == {name: run[0][name] for name in ("surface.txt", "loss_trace.csv")}
+
+
 def test_filter_needs_no_dtm(tile, run, tmp_path):
     rc, artifacts = invoke(tmp_path / "filter", "filter",
                            *layer_flags(tile, ("dsm", "mask")))
@@ -136,7 +145,7 @@ def test_eval_scores_the_run_mesh_like_run(tile, run, tmp_path, capsys):
 # each subcommand's summary labels in the order printed, then its artifacts
 SUMMARIES = {
     "filter": (["grid", "filter"], ["mask_filtered.asc"]),
-    "fit": (["grid", "truth", "filter", "fit"], ["surface.txt", "loss_trace.csv"]),
+    "fit": (["grid", "filter", "fit"], ["surface.txt", "loss_trace.csv"]),
     "mesh": (["grid", "surface", "mesh"], ["mesh.obj"]),
     "eval": (["grid", "truth", "mesh", "nurbs"], ["metrics.csv"]),
     "run": (["grid", "truth", "filter", "fit", "mesh", "nurbs", "plane", "rgt"],

@@ -7,6 +7,8 @@ stays a separate, explicitly tested contract.  ``loop_merge`` keeps the
 whole-grid per-offset merge as a reference whose labels must be equal.
 """
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -475,7 +477,7 @@ class TestMergeClusters:
 
     @pytest.mark.parametrize("cell_size, theta_xy", [(1.0, 10.0), (1.0, 3.0), (0.4, 10.0)])
     def test_equals_the_per_offset_loop_on_synth_tiles(self, cell_size, theta_xy):
-        for seed in (1, 2) if cell_size == 1.0 else (1,):
+        for seed in (1, 2) if cell_size == 1.0 else (1, 2, 3):
             scene = synth.generate(synth.SceneSpec(
                 cell_size=cell_size, vehicles=6, trees=8, facades=2,
                 corrupt_mask=True, jitter_sigma=0.02, seed=seed))
@@ -484,6 +486,105 @@ class TestMergeClusters:
             assert labels.label_count > 1
             merged = merge_clusters(points, labels, theta_xy, 0.5)
             npt.assert_array_equal(merged.labels, loop_merge(points, labels, theta_xy, 0.5))
+
+    @staticmethod
+    def edge_of_theta_z(height, theta_z, up):
+        """The float farthest above (or below) height still within theta_z
+        of it by the filter's test, ``abs(a - b) <= theta_z``."""
+        away = np.inf if up else -np.inf
+        z = height + theta_z if up else height - theta_z
+        while abs(height - z) > theta_z:
+            z = np.nextafter(z, -away)
+        while abs(height - np.nextafter(z, away)) <= theta_z:
+            z = np.nextafter(z, away)
+        return z
+
+    @pytest.mark.parametrize("width", [1, 9])
+    @pytest.mark.parametrize("theta_z, height", [
+        (0.5, 4321.0987), (0.3, 9876.54321), (0.1, 1234.5),
+        # heights at which z +- theta_z rounds past one of the two edges
+        (0.5, -0.1533471020548487), (0.3, 0.24594227001676727),
+        (0.1, -0.04572374668373813)])
+    def test_elevation_gaps_exactly_theta_z(self, theta_z, height, width):
+        # clusters of one row of cells exactly theta_xy (5 cells of 0.4 m)
+        # beyond a strip that is the largest cluster, at UTM coordinates that
+        # round the distance a hair either way, on the last float within
+        # theta_z of the strip's height above or below it, or on the next
+        # one out; one cluster per 16 columns, so that each chunk holds one,
+        # pooled (one cell) or not (nine); the strip is never visited, so
+        # only the clusters' own candidate search can pair them
+        count = 24
+        z = np.full((6, 16 * count), np.nan)
+        z[0] = height
+        edges = [self.edge_of_theta_z(height, theta_z, up) for up in (True, False)]
+        for n in range(count):
+            edge = edges[n % 2]
+            z[5, 16 * n + 3:16 * n + 3 + width] = (
+                edge if n % 4 < 2 else np.nextafter(edge, edge - height))
+        points = make_points(z, cell=0.4, origin=(5e5, 5.4e6))
+        labels = grow_regions(points, get_neighbors(points, theta_z))
+        assert labels.label_count == 1 + count
+        merged = merge_clusters(points, labels, 2.0, theta_z)
+        assert 1 < merged.label_count < 1 + count  # both outcomes occur
+        npt.assert_array_equal(merged.labels, loop_merge(points, labels, 2.0, theta_z))
+
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_long_cluster_reaches_the_largest_past_its_squares(self, turns):
+        # a 45-cell line whose far end alone is within reach of the largest
+        # cluster, on each of the four sides; the largest cluster is never
+        # visited, so the line's last square must find it
+        z = np.full((70, 70), np.nan)
+        z[5:50, 30] = 0.0
+        z[52:67, 23:38] = 0.0
+        points = make_points(np.rot90(z, turns))
+        labels = grow_regions(points, get_neighbors(points, 0.5))
+        assert labels.label_count == 2
+        merged = merge_clusters(points, labels, 3.5, 0.5)
+        assert merged.label_count == 1
+        npt.assert_array_equal(merged.labels, loop_merge(points, labels, 3.5, 0.5))
+
+    def test_clusters_wider_than_their_squares(self):
+        # clusters spanning several squares of their cell box, of two
+        # elevation levels, so that the squares' elevation ranges differ
+        rng = np.random.default_rng(808)
+        for _ in range(4):
+            z = np.where(rng.random((50, 60)) < 0.8, 0.0, np.nan)
+            z[:, 20:40] += rng.choice([0.0, 0.4, 3.0], (50, 1))
+            z[rng.random(z.shape) < 0.05] = 9.0
+            points = make_points(z, cell=0.5)
+            labels = grow_regions(points, get_neighbors(points, 0.3))
+            merged = merge_clusters(points, labels, 2.0, 0.3)
+            npt.assert_array_equal(merged.labels, loop_merge(points, labels, 2.0, 0.3))
+
+    def test_two_long_strips_pair_only_near_their_gap(self, time_limit):
+        # two 19 x 4000 cell strips, one of them not the largest, across a
+        # two-row gap: testing the whole of one against every cell of the
+        # other within reach of its cell box would take 3e8 cell pairs
+        z = np.zeros((40, 4000))
+        z[19:21] = np.nan
+        z[21, :10] = np.nan  # the upper strip is the largest
+        points = make_points(z)
+        labels = grow_regions(points, get_neighbors(points, 0.5))
+        assert labels.label_count == 2
+        with time_limit(5, "merge_clusters tested a whole cluster against its box"):
+            merged = merge_clusters(points, labels, 3.0, 0.5)
+        assert merged.label_count == 1
+
+    def test_merge_call_stays_within_a_few_megabytes(self):
+        scene = synth.generate(synth.SceneSpec(
+            cell_size=0.4, vehicles=6, trees=8, facades=2,
+            corrupt_mask=True, jitter_sigma=0.02, seed=1))  # 251 x 251
+        points = scene.dsm.subset(scene.mask.bits == 1)
+        labels = grow_regions(points, get_neighbors(points, 0.5))
+        merge_clusters(points, labels, 10.0, 0.5)
+        tracemalloc.start()
+        try:
+            merge_clusters(points, labels, 10.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # bounded by the pair blocks, not by theta_xy's disc times the cells
+        assert peak < 4e6
 
 
 class TestCleanClusters:
