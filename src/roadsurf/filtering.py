@@ -8,8 +8,8 @@ plan distance and elevation, and keeps only the largest clusters.
 Growing and merging are both connected components, of neighbor point pairs
 and of cluster label pairs; one whole-array union-find serves both.  Only
 points outside the largest grown cluster can pair two labels, so merging
-visits the other clusters alone, a square of cells at a time, and tests
-them against the cells of other labels within reach in plan and elevation,
+tests only those points, grouped by label and square of cells, against the
+points of other labels within reach of their group in plan and elevation,
 in bounded blocks of cell pairs.
 """
 
@@ -24,13 +24,10 @@ import numpy as np
 from .grid import Mask, Raster
 
 
-# cell pairs per block of merge_clusters; bounds its temporary arrays to
-# a few megabytes whatever theta_xy, the cell size and the cluster sizes
-_PAIR_BLOCK = 1 << 16
-
-# clusters of fewer cells share their chunks in merge_clusters: a chunk costs
-# tens of numpy calls, more than the pair tests of a few cells
-_POOL_CELLS = 8
+# candidates, and cell pairs, per block of merge_clusters; bounds its
+# temporary arrays to a few megabytes whatever theta_xy, the cell size and
+# the cluster sizes
+_PAIR_BLOCK = 1 << 14
 
 
 @dataclass
@@ -120,95 +117,119 @@ def grow_regions(points: Raster, neighbors: np.ndarray) -> LabelGrid:
     return LabelGrid(labels, count)
 
 
+def _blocks(sizes: np.ndarray, limit: int):
+    """Bounds (a, b) of consecutive runs of sizes that sum to at most limit,
+    or of one size alone above it."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + limit, "right")))
+        yield a, b
+        a = b
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """range(f, f + c) for each f, c of first and counts, concatenated."""
+    before = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) + np.repeat(first - before, counts)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    # sorted distinct values; np.unique hashes int64 and is many times slower
+    values = np.sort(values)
+    return values[np.diff(values, prepend=-1) != 0]
+
+
 def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
                        theta_z: float) -> np.ndarray:
     """Distinct label pairs (la, lb), la != lb, of point pairs within theta_xy
     in plan and theta_z in elevation, as an (E, 2) array with la outside the
     largest cluster.
 
-    Only the other clusters are visited, a chunk at a time: a cluster's
-    cells in one square of max(k, 16) cells a side from its cell box's
-    corner, k the disc radius in cells, which bounds a chunk's pairs by a
-    multiple of its cells' disc area; clusters under _POOL_CELLS cells share
-    the chunks of the grid's squares.  A chunk's candidates are the cells,
-    of other labels unless pooled, in its box grown by k within theta_z of
-    its elevation range widened by 1e-9 of the elevations' scale, more than
-    ``z +- theta_z`` can round.  Cells and candidates are tested pairwise,
-    in blocks of at most _PAIR_BLOCK pairs, as a lattice scan tests them:
+    The points are sorted by bucket, a square of k x k cells (k the disc
+    radius in cells), and within a bucket by elevation.  A chunk is the
+    cells of one label in one bucket, for every label but the largest.  Its
+    candidates are the points of other labels in its cell box grown by k
+    whose elevations lie within theta_z of its elevation range, widened by
+    1e-9 of the elevations' scale, more than ``z +- theta_z`` can round:
+    one run of the sorted points in each of the 3 x 3 buckets around it,
+    found by binary search.  The candidates of all chunks, then their pairs
+    with their chunks' cells, are expanded in blocks of at most _PAIR_BLOCK,
+    and the pairs are tested as a lattice scan tests them:
     ``(di*cell)**2 + (dj*cell)**2`` against the disc, the exact distance of
     the world coordinates within a relative 1e-6 of its ring, and
-    ``abs(z_t - z_s) <= theta_z``, which the NaN of an empty cell fails.
+    ``abs(z_t - z_s) <= theta_z``.
     """
-    occ = points.valid
-    z = points.values
     cell = points.cell_size
     h, w = lab.shape
     k = int(theta_xy / cell * (1 + 1e-9)) + 1
     thr2 = theta_xy * theta_xy
     disc, ring = thr2 * (1 + 1e-6) + 1e-12, thr2 * (1 - 1e-6)
     xs, ys = points.cell_to_world(np.arange(w), np.arange(h))
-    sj, si = np.nonzero(occ & (lab != np.argmax(np.bincount(lab[occ]))))
-    sl = lab[sj, si].astype(np.int64)
-    span = int(lab.max()) + 1
-    # chunk key: label, then the square (row, column) inside its cell box;
-    # small clusters go by label 0 and squares of the grid
-    top, left = np.full(span, h), np.full(span, w)
-    np.minimum.at(top, sl, sj)
-    np.minimum.at(left, sl, si)
-    pooled = np.bincount(sl)[sl] < _POOL_CELLS
-    top[0] = left[0] = 0
-    group = np.where(pooled, 0, sl)
-    side = max(k, 16)
-    key = (group * h + (sj - top[group]) // side) * w + (si - left[group]) // side
-    order = np.argsort(key, kind="stable")
-    sj, si, sl, group, key = sj[order], si[order], sl[order], group[order], key[order]
-    zs = z[sj, si]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))
-    z_lo, z_hi = np.minimum.reduceat(zs, starts), np.maximum.reduceat(zs, starts)
+    bw, bh = -(-w // k), -(-h // k)
+    pj, pi = np.nonzero(points.valid)
+    n = len(pj)
+    by_z = np.argsort(points.values[pj, pi])
+    pj, pi = pj[by_z], pi[by_z]
+    z_sorted = points.values[pj, pi]
+    # key = bucket * n + elevation rank, sorted; unsigned buckets of the
+    # fewest bits sort by radix
+    bucket = pj // k * bw + pi // k
+    rank = np.argsort(bucket.astype(np.min_scalar_type(bw * bh)), kind="stable")
+    key = bucket[rank] * n + rank
+    pj, pi = pj[rank], pi[rank]
+    pz, pl = points.values[pj, pi], lab[pj, pi].astype(np.int64)
+    span = int(pl.max()) + 1
+    # the points outside the largest label, in runs of one label in one
+    # bucket (chunks); a stable sort keeps each run in elevation order
+    src = np.flatnonzero(pl != np.argmax(np.bincount(pl)))
+    chunk_key = key[src] // n * span + pl[src]
+    order = np.argsort(chunk_key, kind="stable")
+    src, chunk_key = src[order], chunk_key[order]
+    starts = np.flatnonzero(np.diff(chunk_key, prepend=-1))
+    cells = np.diff(starts, append=len(src))
+    sj, si, sz, sl = pj[src], pi[src], pz[src], pl[src]
+    bj, bi = np.divmod(chunk_key[starts] // span, bw)
+    label = sl[starts]
+    j0, j1 = np.minimum.reduceat(sj, starts) - k, np.maximum.reduceat(sj, starts) + k
+    i0, i1 = np.minimum.reduceat(si, starts) - k, np.maximum.reduceat(si, starts) + k
+    z_lo, z_hi = sz[starts], sz[starts + cells - 1]
     margin = theta_z + 1e-9 * (np.maximum(np.abs(z_lo), np.abs(z_hi)) + theta_z)
-    chunks = zip(
-        starts.tolist(), np.append(starts[1:], len(key)).tolist(), group[starts].tolist(),
-        np.maximum(np.minimum.reduceat(sj, starts) - k, 0).tolist(),
-        (np.maximum.reduceat(sj, starts) + k + 1).tolist(),
-        np.maximum(np.minimum.reduceat(si, starts) - k, 0).tolist(),
-        (np.maximum.reduceat(si, starts) + k + 1).tolist(),
-        (z_lo - margin).tolist(), (z_hi + margin).tolist())
+    # each chunk's runs of candidates, one per bucket around it
+    nj = bj[:, None] + np.repeat([-1, 0, 1], 3)
+    ni = bi[:, None] + np.tile([-1, 0, 1], 3)
+    around = (nj * bw + ni) * n
+    first = np.searchsorted(key, around + np.searchsorted(z_sorted, z_lo - margin)[:, None])
+    count = np.searchsorted(key, around + np.searchsorted(z_sorted, z_hi + margin, "right")[:, None])
+    count -= first
+    count[(nj < 0) | (nj >= bh) | (ni < 0) | (ni >= bw)] = 0
     found = [np.zeros(0, dtype=np.int64)]
-    for a0, b0, label, j0, j1, i0, i1, lo, hi in chunks:
-        box_z, box_lab = z[j0:j1, i0:i1], lab[j0:j1, i0:i1]
-        keep = box_z >= lo
-        keep &= box_z <= hi
-        keep &= box_lab != label
-        tj, ti = np.nonzero(keep)
-        if not len(tj):
-            continue
-        zt, lt = box_z[tj, ti], box_lab[tj, ti].astype(np.int64)
-        tj += j0
-        ti += i0
-        hit = np.zeros(len(tj), dtype=bool)
-        rows = max(1, _PAIR_BLOCK // len(tj))
-        for a in range(a0, b0, rows):
-            b = min(a + rows, b0)
-            d2 = np.square((ti - si[a:b, None]) * cell)
-            d2 += np.square((tj - sj[a:b, None]) * cell)
+    for a, b in _blocks(count.sum(axis=1), _PAIR_BLOCK):
+        runs = count[a:b].ravel()
+        t = _ranges(first[a:b].ravel(), runs)
+        c = np.repeat(np.arange(a, b).repeat(9), runs)
+        tj, ti = pj[t], pi[t]
+        keep = pl[t] != label[c]
+        keep &= (tj >= j0[c]) & (tj <= j1[c]) & (ti >= i0[c]) & (ti <= i1[c])
+        t, c = t[keep], c[keep]
+        # every candidate meets every cell of its chunk
+        for u, v in _blocks(cells[c], _PAIR_BLOCK):
+            tc, cc = t[u:v], cells[c[u:v]]
+            pt, ps = np.repeat(tc, cc), _ranges(starts[c[u:v]], cc)
+            d2 = np.square((pi[pt] - si[ps]) * cell)
+            d2 += np.square((pj[pt] - sj[ps]) * cell)
             near = d2 <= disc
-            gap = zt - zs[a:b, None]
+            gap = pz[pt] - sz[ps]
             near &= np.abs(gap, out=gap) <= theta_z
-            row, col = np.nonzero(near)
-            edge = np.flatnonzero(d2[row, col] > ring)
+            edge = np.flatnonzero(near & (d2 > ring))
             if edge.size:
-                dx = xs[ti[col[edge]]] - xs[si[a + row[edge]]]
-                dy = ys[tj[col[edge]]] - ys[sj[a + row[edge]]]
-                far = edge[dx * dx + dy * dy > thr2]
-                row, col = np.delete(row, far), np.delete(col, far)
-            # pair (la, lb) as la * span + lb, so that np.unique drops repeats
-            if label:
-                hit[col] = True
-            else:  # a pooled chunk's labels vary from cell to cell
-                found.append(np.unique(sl[a + row] * span + lt[col]))
-        found.append(label * span + lt[hit])
-    la, lb = np.divmod(np.unique(np.concatenate(found)), span)
-    return np.stack([la, lb], axis=1)[la != lb]
+                dx = xs[pi[pt[edge]]] - xs[si[ps[edge]]]
+                dy = ys[pj[pt[edge]]] - ys[sj[ps[edge]]]
+                near[edge[dx * dx + dy * dy > thr2]] = False
+            # pair (la, lb) as la * span + lb, so that repeats sort together
+            found.append(_distinct(sl[ps[near]] * span + pl[pt[near]]))
+    la, lb = np.divmod(_distinct(np.concatenate(found)), span)
+    return np.stack([la, lb], axis=1)
 
 
 def merge_clusters(points: Raster, labels: LabelGrid,

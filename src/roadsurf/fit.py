@@ -106,14 +106,6 @@ class FitReport:
     best_loss: float = float("inf")
 
 
-# lowest set bit of each 8-bit code of offsets holding a node's extreme: the
-# earliest such offset.  A node without a hit, whose neighbors are all NaN
-# (NaN elevations), takes the last offset and reads NaN
-_OFFSET_BITS = (1 << np.arange(len(_CTRL_OFFSETS), dtype=np.uint8))[:, None]
-_FIRST_HIT = np.array([(c & -c).bit_length() - 1 if c else len(_CTRL_OFFSETS) - 1
-                       for c in range(256)])
-
-
 class Roughness:
     """Squared elevation range over each control point's 8-neighborhood,
     averaged over a (nu, nv) control grid.
@@ -122,68 +114,55 @@ class Roughness:
     existing neighbors is squared; gradients flow only through the argmax and
     argmin neighbors, ties picking the earliest offset in ``_CTRL_OFFSETS``.
     The gather table of neighbor indices is built once; index nu * nv stands
-    for a neighbor outside the grid and reads as NaN.  So are the buffers of
-    the gather, its extrema and the gradient terms: one row per offset for
-    the argmax terms, each followed by one for the argmin terms, so that a
-    sum over the rows adds every node's terms in the order of a scatter per
-    offset, argmax before argmin.
+    for a neighbor outside the grid and reads as NaN.
     """
 
     def __init__(self, nu: int, nv: int):
         if nu < 2 or nv < 2:
             raise ValueError("regularizer needs a control grid of at least 2x2")
         aa, bb = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
-        n = self.count = nu * nv
-        self.neighbors = np.full((len(_CTRL_OFFSETS), n), n)
+        self.count = nu * nv
+        self.neighbors = np.full((len(_CTRL_OFFSETS), self.count), self.count)
         for k, (da, db) in enumerate(_CTRL_OFFSETS):
             a, b = aa + da, bb + db
             inside = ((a >= 0) & (a < nu) & (b >= 0) & (b < nv)).ravel()
             self.neighbors[k, inside] = (a * nv + b).ravel()[inside]
-        self._node = np.arange(n)
-        self._first_row = _FIRST_HIT * n  # code -> start of its offset's row
-        # flat index into the terms of the argmax (argmin) term of each
-        # (offset, node): row 2 k (2 k + 1), column the neighbor it lands on
-        self._land_hi = (self.neighbors + np.arange(len(_CTRL_OFFSETS))[:, None]
-                         * (2 * (n + 1))).ravel()
-        self._land_lo = self._land_hi + (n + 1)
-        self._heights = np.full(n + 1, np.nan)  # the elevations, then NaN
-        self._stack = np.empty(self.neighbors.shape)
-        self._hit = np.empty(self.neighbors.shape, dtype=bool)
-        self._bits = np.empty(self.neighbors.shape, dtype=np.uint8)
-        self._hi, self._lo, self._rng, self._step = (np.empty(n) for _ in range(4))
-        self._terms = np.zeros((2 * len(_CTRL_OFFSETS), n + 1))
 
-    def _landing(self, extreme: np.ndarray, land: np.ndarray) -> np.ndarray:
-        # where each node's term lands: found at its earliest offset holding
-        # the extreme, from the hits weighted 1, 2, ..., 128 by offset and
-        # summed to one code per node
-        np.equal(self._stack, extreme, out=self._hit)
-        bits = np.multiply(self._hit.view(np.uint8), _OFFSET_BITS, out=self._bits)
-        at = self._first_row.take(np.add.reduce(bits, axis=0, dtype=np.uint8))
-        at += self._node
-        return land.take(at)
+    @staticmethod
+    def _first(stack: np.ndarray, extreme: np.ndarray) -> np.ndarray:
+        # earliest offset holding the extreme: the offsets are written last
+        # to first over the nodes they hit, each a contiguous row (an argmax
+        # over axis 0 strides across the rows).  A node without a hit, whose
+        # neighbors are all NaN (NaN elevations), keeps the last offset and
+        # reads NaN
+        hit = stack == extreme
+        first = np.full(stack.shape[1], len(stack) - 1)
+        for k in range(len(stack) - 2, -1, -1):
+            np.copyto(first, k, where=hit[k])
+        return first
 
     def __call__(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss value and its gradient with respect to the elevations z."""
         n = self.count
-        self._heights[:n] = z.ravel()
         # take: a gather faster than fancy indexing on these sizes
-        stack = self._heights.take(self.neighbors, out=self._stack)  # (8, n)
+        stack = np.append(z, np.nan).take(self.neighbors)  # (8, n)
         # diff to neighbor l is z - stack[l]; its max/min over l swap the roles
         # of the neighbor extrema, so the range is max(stack) - min(stack)
-        hi = np.fmax.reduce(stack, out=self._hi)
-        lo = np.fmin.reduce(stack, out=self._lo)
-        rng = np.subtract(hi, lo, out=self._rng)
+        hi = np.fmax.reduce(stack)
+        lo = np.fmin.reduce(stack)
+        rng = hi - lo
         value = float((rng ** 2).sum() / n)
-        step = np.multiply(2.0, rng, out=self._step)
-        step /= n
-        at_hi, at_lo = self._landing(hi, self._land_hi), self._landing(lo, self._land_lo)
-        terms = self._terms
-        np.put(terms, at_hi, step)
-        np.put(terms, at_lo, -step)
-        grad = np.add.reduce(terms, axis=0)
-        np.put(terms, at_hi, 0.0)
-        np.put(terms, at_lo, 0.0)
+        step = 2.0 * rng / n
+        hi_at, lo_at = self._first(stack, hi), self._first(stack, lo)
+        del stack  # keeps the (8, n) gather out of the gradient's peak memory
+        # one bincount adds the terms in the order of a scatter per offset,
+        # argmax terms before argmin terms, nodes in row-major order; uint8
+        # keys take numpy's radix sort
+        order = np.argsort(np.concatenate([hi_at, lo_at]).astype(np.uint8), kind="stable")
+        node = np.arange(n)
+        to = self.neighbors.take(np.concatenate([hi_at * n + node, lo_at * n + node]))
+        grad = np.bincount(to.take(order), weights=np.concatenate([step, -step]).take(order),
+                           minlength=n + 1)
         return value, grad[:n].reshape(z.shape)
 
 
@@ -218,7 +197,7 @@ class Objective:
     temporaries cost more than the arithmetic on them: at 251² each is
     0.5 MB, and blocks that large go back to the system when freed, so each
     new one is page-faulted in again.  A call still allocates its
-    control-grid-sized results; the regularizer keeps its own buffers.
+    control-grid-sized results and the regularizer's (8, nu * nv) stacks.
     """
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,

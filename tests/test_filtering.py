@@ -510,9 +510,9 @@ class TestMergeClusters:
         # beyond a strip that is the largest cluster, at UTM coordinates that
         # round the distance a hair either way, on the last float within
         # theta_z of the strip's height above or below it, or on the next
-        # one out; one cluster per 16 columns, so that each chunk holds one,
-        # pooled (one cell) or not (nine); the strip is never visited, so
-        # only the clusters' own candidate search can pair them
+        # one out; one cluster of one cell or nine per 16 columns; the strip
+        # is never visited, so only the clusters' own candidate search can
+        # pair them
         count = 24
         z = np.full((6, 16 * count), np.nan)
         z[0] = height
@@ -555,6 +555,22 @@ class TestMergeClusters:
             labels = grow_regions(points, get_neighbors(points, 0.3))
             merged = merge_clusters(points, labels, 2.0, 0.3)
             npt.assert_array_equal(merged.labels, loop_merge(points, labels, 2.0, 0.3))
+
+    @pytest.mark.parametrize("share", [0.1, 0.02])
+    def test_fields_of_one_cell_clusters(self, share):
+        # isolated cells at three heights, within reach of each other and of
+        # a flat block, the largest cluster: hundreds of one-cell chunks
+        rng = np.random.default_rng(909)
+        z = np.full((60, 70), np.nan)
+        z[20:40, 25:45] = 0.0
+        spikes = rng.random(z.shape) < share
+        z[spikes] = rng.choice([0.0, 3.0, 6.0], spikes.sum())
+        points = make_points(z, cell=0.5, origin=(5e5, 5.4e6))
+        labels = grow_regions(points, get_neighbors(points, 0.5))
+        assert labels.label_count > 50
+        for theta_xy in (1.5, 4.0):
+            merged = merge_clusters(points, labels, theta_xy, 0.5)
+            npt.assert_array_equal(merged.labels, loop_merge(points, labels, theta_xy, 0.5))
 
     def test_two_long_strips_pair_only_near_their_gap(self, time_limit):
         # two 19 x 4000 cell strips, one of them not the largest, across a
