@@ -352,14 +352,21 @@ ARTIFACTS = {
 }
 
 
-def _out_dir(config: PipelineConfig) -> Path:
-    """--out-dir, created before any stage runs so a bad path fails fast."""
-    out = Path(config.out_dir)
+def _out_dir(path: Path, flag: str) -> Path:
+    """The directory of ``flag``, made before any stage runs so a bad path fails fast."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as err:
-        raise UsageError(f"--out-dir: {err}") from None
-    return out
+        raise UsageError(f"{flag}: {err}") from None
+    return path
+
+
+def _csv_cell(text: str, flag: str) -> str:
+    """A --method or --values entry, which becomes one cell of a CSV row: a
+    comma or a line break in it would split the row."""
+    if any(c in text for c in ",\r\n"):
+        raise UsageError(f"{flag}: {text!r} holds a comma or a line break")
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +397,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     """Run the subcommand's stages, write its artifacts, print its record."""
     stages, artifacts = PIPELINES[args.command]
     config = build_config(args)
-    out = _out_dir(config)
+    if args.command == "eval":
+        _csv_cell(args.method, "--method")
+    out = _out_dir(config.out_dir, "--out-dir")
     state = run_stages(config, SimpleNamespace(args=args, record=[], reports={}), stages)
     for name in artifacts:
         ARTIFACTS[name](state, out / name)
@@ -404,12 +413,13 @@ SYNTH_FLAGS = ("seed", "vehicles", "trees", "facades", "jitter_sigma",
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    out = _out_dir(args.out, "--out")
     try:
         spec = synthmod.parse_scene_file(args.scene) if args.scene else synthmod.SceneSpec()
         flags = {name: getattr(args, name) for name in SYNTH_FLAGS}
         spec = replace(spec, **{name: value for name, value in flags.items() if value is not None})
         scene = synthmod.generate(spec)
-        paths = synthmod.save_scene(scene, args.out)
+        paths = synthmod.save_scene(scene, out)
     except (ValueError, OSError) as err:
         raise StageError("grid", str(err)) from err
     mask = scene.mask
@@ -447,13 +457,13 @@ def _ablation_variant(config: PipelineConfig, param: str, raw: str) -> PipelineC
 def cmd_ablate(args: argparse.Namespace) -> int:
     """Stages before the one the swept key feeds run once; the rest once per value."""
     config = build_config(args)
-    values = [v for v in args.values.split(",") if v]
+    values = [_csv_cell(v, "--values") for v in args.values.split(",") if v]
     if not values:
         raise UsageError("--values must list at least one value")
     variants = [_ablation_variant(config, args.param, raw) for raw in values]
     key = "road_rate" if args.param == "sampling_rates" else args.param
     first = [name for name, _ in STAGES].index(_SECTION_STAGE[_SECTIONS[key]])
-    path = _out_dir(config) / "ablate.csv"
+    path = _out_dir(config.out_dir, "--out-dir") / "ablate.csv"
     shared = run_stages(config, SimpleNamespace(args=args, record=[], reports={}),
                         STAGES[:first])
     reports = [run_stages(variant, SimpleNamespace(**{**vars(shared), "record": [],

@@ -146,8 +146,8 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     in plan and theta_z in elevation, as an (E, 2) array with la outside the
     largest cluster.
 
-    The points are sorted by bucket, a square of k x k cells (k the disc
-    radius in cells), and within a bucket by elevation.  A chunk is the
+    The points are sorted by bucket, a square of k x k cells (k the cells
+    just past theta_xy), and within a bucket by elevation.  A chunk is the
     cells of one label in one bucket, for every label but the largest.  Its
     candidates are the points of other labels in its cell box grown by k
     whose elevations lie within theta_z of its elevation range, widened by
@@ -155,17 +155,12 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     one run of the sorted points in each of the 3 x 3 buckets around it,
     found by binary search.  The candidates of all chunks, then their pairs
     with their chunks' cells, are expanded in blocks of at most _PAIR_BLOCK,
-    and the pairs are tested as a lattice scan tests them:
-    ``(di*cell)**2 + (dj*cell)**2`` against the disc, the exact distance of
-    the world coordinates within a relative 1e-6 of its ring, and
-    ``abs(z_t - z_s) <= theta_z``.
+    and a pair is kept when ``dx*dx + dy*dy <= theta_xy**2`` on the
+    ``cell_to_world`` coordinates and ``abs(z_t - z_s) <= theta_z``.
     """
-    cell = points.cell_size
     h, w = lab.shape
-    k = int(theta_xy / cell * (1 + 1e-9)) + 1
+    k = int(theta_xy / points.cell_size * (1 + 1e-9)) + 1
     thr2 = theta_xy * theta_xy
-    disc, ring = thr2 * (1 + 1e-6) + 1e-12, thr2 * (1 - 1e-6)
-    xs, ys = points.cell_to_world(np.arange(w), np.arange(h))
     bw, bh = -(-w // k), -(-h // k)
     pj, pi = np.nonzero(points.valid)
     n = len(pj)
@@ -178,6 +173,7 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     rank = np.argsort(bucket.astype(np.min_scalar_type(bw * bh)), kind="stable")
     key = bucket[rank] * n + rank
     pj, pi = pj[rank], pi[rank]
+    px, py = points.cell_to_world(pi, pj)
     pz, pl = points.values[pj, pi], lab[pj, pi].astype(np.int64)
     span = int(pl.max()) + 1
     # the points outside the largest label, in runs of one label in one
@@ -189,6 +185,7 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     starts = np.flatnonzero(np.diff(chunk_key, prepend=-1))
     cells = np.diff(starts, append=len(src))
     sj, si, sz, sl = pj[src], pi[src], pz[src], pl[src]
+    sx, sy = px[src], py[src]
     bj, bi = np.divmod(chunk_key[starts] // span, bw)
     label = sl[starts]
     j0, j1 = np.minimum.reduceat(sj, starts) - k, np.maximum.reduceat(sj, starts) + k
@@ -216,16 +213,11 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
         for u, v in _blocks(cells[c], _PAIR_BLOCK):
             tc, cc = t[u:v], cells[c[u:v]]
             pt, ps = np.repeat(tc, cc), _ranges(starts[c[u:v]], cc)
-            d2 = np.square((pi[pt] - si[ps]) * cell)
-            d2 += np.square((pj[pt] - sj[ps]) * cell)
-            near = d2 <= disc
+            d2 = np.square(px[pt] - sx[ps])
+            d2 += np.square(py[pt] - sy[ps])
+            near = d2 <= thr2
             gap = pz[pt] - sz[ps]
             near &= np.abs(gap, out=gap) <= theta_z
-            edge = np.flatnonzero(near & (d2 > ring))
-            if edge.size:
-                dx = xs[pi[pt[edge]]] - xs[si[ps[edge]]]
-                dy = ys[pj[pt[edge]]] - ys[sj[ps[edge]]]
-                near[edge[dx * dx + dy * dy > thr2]] = False
             # pair (la, lb) as la * span + lb, so that repeats sort together
             found.append(_distinct(sl[ps[near]] * span + pl[pt[near]]))
     la, lb = np.divmod(_distinct(np.concatenate(found)), span)

@@ -114,7 +114,9 @@ class Roughness:
     existing neighbors is squared; gradients flow only through the argmax and
     argmin neighbors, ties picking the earliest offset in ``_CTRL_OFFSETS``.
     The gather table of neighbor indices is built once; index nu * nv stands
-    for a neighbor outside the grid and reads as NaN.
+    for a neighbor outside the grid and reads as -inf for the maximum and
+    +inf for the minimum.  The gradient adds the argmax terms in node order,
+    then the argmin terms.
     """
 
     def __init__(self, nu: int, nv: int):
@@ -122,47 +124,37 @@ class Roughness:
             raise ValueError("regularizer needs a control grid of at least 2x2")
         aa, bb = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
         self.count = nu * nv
-        self.neighbors = np.full((len(_CTRL_OFFSETS), self.count), self.count)
+        # one row per node, so that each node's extremes are a search
+        # along a contiguous row of 8
+        self.neighbors = np.full((self.count, len(_CTRL_OFFSETS)), self.count)
         for k, (da, db) in enumerate(_CTRL_OFFSETS):
             a, b = aa + da, bb + db
             inside = ((a >= 0) & (a < nu) & (b >= 0) & (b < nv)).ravel()
-            self.neighbors[k, inside] = (a * nv + b).ravel()[inside]
+            self.neighbors[inside, k] = (a * nv + b).ravel()[inside]
+        self.row_start = np.arange(0, self.neighbors.size, len(_CTRL_OFFSETS))
 
-    @staticmethod
-    def _first(stack: np.ndarray, extreme: np.ndarray) -> np.ndarray:
-        # earliest offset holding the extreme: the offsets are written last
-        # to first over the nodes they hit, each a contiguous row (an argmax
-        # over axis 0 strides across the rows).  A node without a hit, whose
-        # neighbors are all NaN (NaN elevations), keeps the last offset and
-        # reads NaN
-        hit = stack == extreme
-        first = np.full(stack.shape[1], len(stack) - 1)
-        for k in range(len(stack) - 2, -1, -1):
-            np.copyto(first, k, where=hit[k])
-        return first
+    def _extreme(self, padded: np.ndarray, pick) -> tuple[np.ndarray, np.ndarray]:
+        """Flat index into the gather table of each node's extreme neighbor,
+        by ``pick`` (argmax or argmin, the first on ties), and its elevation."""
+        # take: a gather faster than fancy indexing on these sizes
+        stack = padded.take(self.neighbors)  # (n, 8)
+        at = pick(stack, axis=1) + self.row_start
+        return at, stack.take(at)
 
     def __call__(self, z: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss value and its gradient with respect to the elevations z."""
         n = self.count
-        # take: a gather faster than fancy indexing on these sizes
-        stack = np.append(z, np.nan).take(self.neighbors)  # (8, n)
-        # diff to neighbor l is z - stack[l]; its max/min over l swap the roles
-        # of the neighbor extrema, so the range is max(stack) - min(stack)
-        hi = np.fmax.reduce(stack)
-        lo = np.fmin.reduce(stack)
+        # diff to neighbor l is z - z[l]; its max/min over l swap the roles
+        # of the neighbor extrema, so the range is max(z[l]) - min(z[l])
+        padded = np.append(z, -np.inf)
+        hi_at, hi = self._extreme(padded, np.argmax)
+        padded[n] = np.inf
+        lo_at, lo = self._extreme(padded, np.argmin)
         rng = hi - lo
         value = float((rng ** 2).sum() / n)
         step = 2.0 * rng / n
-        hi_at, lo_at = self._first(stack, hi), self._first(stack, lo)
-        del stack  # keeps the (8, n) gather out of the gradient's peak memory
-        # one bincount adds the terms in the order of a scatter per offset,
-        # argmax terms before argmin terms, nodes in row-major order; uint8
-        # keys take numpy's radix sort
-        order = np.argsort(np.concatenate([hi_at, lo_at]).astype(np.uint8), kind="stable")
-        node = np.arange(n)
-        to = self.neighbors.take(np.concatenate([hi_at * n + node, lo_at * n + node]))
-        grad = np.bincount(to.take(order), weights=np.concatenate([step, -step]).take(order),
-                           minlength=n + 1)
+        to = self.neighbors.take(np.concatenate([hi_at, lo_at]))
+        grad = np.bincount(to, weights=np.concatenate([step, -step]), minlength=n + 1)
         return value, grad[:n].reshape(z.shape)
 
 
@@ -197,7 +189,8 @@ class Objective:
     temporaries cost more than the arithmetic on them: at 251² each is
     0.5 MB, and blocks that large go back to the system when freed, so each
     new one is page-faulted in again.  A call still allocates its
-    control-grid-sized results and the regularizer's (8, nu * nv) stacks.
+    control-grid-sized results and the regularizer's (nu * nv, 8) gathers,
+    one at a time.
     """
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,

@@ -36,7 +36,6 @@ lines ending at ``\\n``, ``\\r\\n`` or ``\\r``; ``read_lines`` reads them all.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -257,11 +256,17 @@ def _data_lines(lines: list[str], start: int):
             yield index + 1, lines[index]
 
 
+def _not_binary(values: np.ndarray, nodata: float) -> np.ndarray:
+    """Where a mask value is none of 0, 1, NODATA and NaN."""
+    return ~(np.isin(values, (0.0, 1.0, nodata)) | np.isnan(values))
+
+
 def _raise_at_first_bad_row(path: Path, lines: list[str], start: int,
-                            ncols: int, nodata: float) -> None:
+                            ncols: int, nodata: float, mask: bool) -> None:
     """Check the data lines one at a time and raise AsciiGridError at the
     first that fails: a token that does not parse, an infinity that is not
-    NODATA, or a length other than ``ncols``, checked in that order."""
+    NODATA, a length other than ``ncols``, or in a mask a value that is not
+    binary, checked in that order."""
     for line_no, line in _data_lines(lines, start):
         try:
             row = _parse_rows([line])[0]
@@ -273,10 +278,12 @@ def _raise_at_first_bad_row(path: Path, lines: list[str], start: int,
             raise AsciiGridError(
                 path, line_no,
                 f"dimension mismatch: row has {row.size} values, header says ncols {ncols}")
+        if mask and _not_binary(row, nodata).any():
+            raise AsciiGridError(path, line_no, "mask values must be 0 or 1")
 
 
-def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
-    """Header and data rows, in file order, of an ASCII grid file.
+def _parse_ascii(path: str | Path, mask: bool = False) -> tuple[dict, np.ndarray]:
+    """Header and data rows, in file order, of an ASCII grid file (a mask if ``mask``).
 
     The data lines are parsed in one call; only a file that fails a check
     is walked line by line, to name the first offending line.
@@ -290,24 +297,18 @@ def _parse_ascii(path: str | Path) -> tuple[dict, np.ndarray]:
     try:
         values = _parse_rows(lines[start:])
     except ValueError:
-        _raise_at_first_bad_row(path, lines, start, ncols, nodata)
+        _raise_at_first_bad_row(path, lines, start, ncols, nodata, mask)
         raise
-    if values.shape[1] != ncols or (np.isinf(values) & (values != nodata)).any():
-        _raise_at_first_bad_row(path, lines, start, ncols, nodata)
+    bad = np.isinf(values) & (values != nodata)
+    if mask:
+        bad |= _not_binary(values, nodata)
+    if values.shape[1] != ncols or bad.any():
+        _raise_at_first_bad_row(path, lines, start, ncols, nodata, mask)
     if len(values) != nrows:
         raise AsciiGridError(
             path, len(lines),
             f"dimension mismatch: {len(values)} data rows, header says nrows {nrows}")
     return header, values
-
-
-def _row_line(path: Path, row: int) -> int:
-    """Line number of data row ``row`` (file order, from 0) of a file that
-    parsed without error."""
-    lines = read_lines(path)
-    _, start = _read_header(path, lines)
-    line_no, _ = next(itertools.islice(_data_lines(lines, start), row, None))
-    return line_no
 
 
 def load_raster(path: str | Path) -> Raster:
@@ -316,7 +317,11 @@ def load_raster(path: str | Path) -> Raster:
     Raises FileNotFoundError if the file is absent and AsciiGridError (with
     the offending line number) on malformed content.
     """
-    header, values = _parse_ascii(path)
+    return _read_grid(path, mask=False)
+
+
+def _read_grid(path: str | Path, mask: bool) -> Raster:
+    header, values = _parse_ascii(path, mask)
     cell = float(header["cellsize"])
     nodata = header.get("nodata_value")
     if nodata is not None:
@@ -352,12 +357,8 @@ def save_raster(raster: Raster, path: str | Path) -> None:
 
 def load_mask(path: str | Path) -> Mask:
     """Read a 0/1 ASCII grid as a Mask. NODATA cells become 0."""
-    raster = load_raster(path)
+    raster = _read_grid(path, mask=True)
     bits = np.where(np.isnan(raster.values), 0.0, raster.values)
-    bad_rows = np.flatnonzero(~np.isin(bits, (0.0, 1.0)).all(axis=1))
-    if bad_rows.size:  # array rows run south to north, file rows north to south
-        line_no = _row_line(Path(path), raster.height - 1 - int(bad_rows[-1]))
-        raise AsciiGridError(path, line_no, "mask values must be 0 or 1")
     return Mask(raster.width, raster.height, raster.cell_size,
                 raster.origin_x, raster.origin_y, bits.astype(np.uint8))
 

@@ -29,7 +29,10 @@ import numpy as np
 from .grid import Mask, Raster
 from .mesh import TinMesh
 
-# points searched together, and (point, triangle) pairs per closest-point batch
+# points searched together, and (point, triangle) pairs per closest-point batch;
+# blocks bound the search's per-point state, which the per-ring pass size does
+# not: the 63,001 points of a 251 x 251 tile in one block raise its tracemalloc
+# peak on a NURBS TIN from 3.6 to 12.6 MB (3.2 to 3.5 MB at 101 x 101)
 _POINT_BLOCK = 2048
 _PAIR_CHUNK = 4096
 

@@ -317,6 +317,36 @@ def test_out_dir_that_is_a_file_fails_before_any_stage(tile, tmp_path, capsys):
     assert out.read_text() == "not a directory\n"
 
 
+def test_synth_out_that_is_a_file_fails_before_generating(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["synth", "--out", str(out)]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.startswith("usage error: --out: ") and str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("eval", ["--method", "my,mesh"], "--method: 'my,mesh'"),
+    ("eval", ["--method", "my\rmesh"], "--method: 'my\\rmesh'"),
+    ("ablate", ["--param", "top_k", "--values", "1\n,2"], "--values: '1\\n'"),
+], ids=["method-comma", "method-return", "values-newline"])
+def test_text_that_would_split_a_csv_row_is_a_usage_error(tile, run, tmp_path, capsys,
+                                                         command, flags, message):
+    # without the check, eval writes 9 cells under the 8 of the header, and
+    # ablate a row split across two lines
+    if command == "eval":
+        mesh = tmp_path / "mesh.obj"
+        mesh.write_bytes(run[0]["mesh.obj"])
+        flags = ["--mesh", str(mesh), *flags]
+    rc, artifacts = invoke(tmp_path / "out", command, *layer_flags(tile, LAYERS), *FIT_FLAGS,
+                           *flags)
+    assert (rc, artifacts) == (1, {})
+    assert capsys.readouterr().err == (
+        f"usage error: {message} holds a comma or a line break\n")
+
+
 def write_zero_mask(tile, tmp_path):
     path = tmp_path / "mask.asc"
     lines = (tile / "mask.asc").read_text().splitlines()

@@ -198,29 +198,32 @@ def per_node_roughness(z):
 
 
 def per_offset_roughness(z):
-    """Value and gradient of the regularizer by the per-offset scatter it
-    was written as: a stack of shifted lattices, nanargmax/nanargmin over
-    it and one np.add.at per offset for the argmax terms, then the argmin
-    terms.  The arithmetic and its order are the regularizer's, so results
-    must be equal."""
+    """Value and gradient of the regularizer by its definition on arrays: a
+    stack of one shifted lattice per offset, padded with -inf for the
+    maximum and +inf for the minimum, argmax/argmin over it (the earliest
+    offset on ties), one np.add.at of the argmax terms in row-major node
+    order, then one of the argmin terms.  The arithmetic and its order are
+    the regularizer's, so results must be equal."""
     nu, nv = z.shape
-    offsets = fitmod._CTRL_OFFSETS
-    stack = np.full((len(offsets), nu, nv), np.nan)
-    for k, (da, db) in enumerate(offsets):
-        a_lo, a_hi = max(0, -da), nu - max(0, da)
-        b_lo, b_hi = max(0, -db), nv - max(0, db)
-        stack[k, a_lo:a_hi, b_lo:b_hi] = z[a_lo + da:a_hi + da, b_lo + db:b_hi + db]
-    hi_idx = np.nanargmax(stack, axis=0)
-    lo_idx = np.nanargmin(stack, axis=0)
-    spread = (np.take_along_axis(stack, hi_idx[None], axis=0)[0]
-              - np.take_along_axis(stack, lo_idx[None], axis=0)[0])
+    offsets = np.array(fitmod._CTRL_OFFSETS)
+
+    def shifted(fill):
+        stack = np.full((len(offsets), nu, nv), fill)
+        for k, (da, db) in enumerate(offsets):
+            a_lo, a_hi = max(0, -da), nu - max(0, da)
+            b_lo, b_hi = max(0, -db), nv - max(0, db)
+            stack[k, a_lo:a_hi, b_lo:b_hi] = z[a_lo + da:a_hi + da, b_lo + db:b_hi + db]
+        return stack
+
+    highs, lows = shifted(-np.inf), shifted(np.inf)
+    hi_idx, lo_idx = highs.argmax(axis=0), lows.argmin(axis=0)
+    spread = (np.take_along_axis(highs, hi_idx[None], axis=0)[0]
+              - np.take_along_axis(lows, lo_idx[None], axis=0)[0])
     count = nu * nv
     grad = np.zeros_like(z)
     aa, bb = np.meshgrid(np.arange(nu), np.arange(nv), indexing="ij")
-    for k, (da, db) in enumerate(offsets):
-        for idx, sign in ((hi_idx, 2.0), (lo_idx, -2.0)):
-            sel = idx == k
-            np.add.at(grad, (aa[sel] + da, bb[sel] + db), sign * spread[sel] / count)
+    for idx, sign in ((hi_idx, 2.0), (lo_idx, -2.0)):
+        np.add.at(grad, (aa + offsets[idx, 0], bb + offsets[idx, 1]), sign * spread / count)
     return float((spread ** 2).sum() / count), grad
 
 
@@ -250,13 +253,14 @@ def test_roughness_matches_a_per_node_loop(lattice):
         assert value == 0.0 and not grad.any()
 
 
-def test_roughness_of_nan_elevations_falls_to_the_last_offset():
-    # no neighborhood holds a number, so no node finds its extremes, and each
-    # node's NaN step lands on its last-offset neighbor (+1, +1), or nowhere
+def test_roughness_of_nan_elevations_falls_to_the_first_neighbor():
+    # every neighbor in the grid is NaN, which argmax and argmin both take
+    # first, so each node's NaN steps land on its earliest neighbor in the
+    # grid: (-1, -1) where it exists, and on the nodes of [:-1, :-1] always
     value, grad = fitmod.Roughness(4, 5)(np.full((4, 5), np.nan))
     assert math.isnan(value)
     expected = np.zeros((4, 5))
-    expected[1:, 1:] = np.nan
+    expected[:-1, :-1] = np.nan
     npt.assert_array_equal(grad, expected)
 
 
