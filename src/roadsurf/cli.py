@@ -285,9 +285,9 @@ def baseline_mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     """Plane fit on the filtered road points; regular grid triangulation of the DSM."""
     state.meshes = {}
     if config.baselines:
-        model = meshmod.fit_plane(state.filtered_points)
+        coeffs = meshmod.fit_plane(state.filtered_points)
         x0, x1, y0, y1 = state.dsm.center_extent
-        state.meshes = {"plane": meshmod.plane_mesh(model, (x0, x1), (y0, y1)),
+        state.meshes = {"plane": meshmod.plane_mesh(coeffs, (x0, x1), (y0, y1)),
                         "rgt": meshmod.rgt_mesh(state.dsm)}
 
 

@@ -84,11 +84,16 @@ class GridGeoref:
     origin_x: float
     origin_y: float
 
-    def _check_georef(self) -> None:
+    def _check_georef(self, array: np.ndarray, name: str) -> None:
+        """Checks the georeference and that ``array``, the grid's ``name``
+        field, has shape (height, width)."""
         if self.width < 2 or self.height < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.width}x{self.height}")
         if not self.cell_size > 0:
             raise ValueError("cell size must be positive")
+        if array.shape != (self.height, self.width):
+            raise ValueError(f"{name} shape {array.shape} does not match (H, W)="
+                             f"({self.height}, {self.width})")
 
     def cell_to_world(self, i, j):
         """World coordinates of the center of cell (i, j). Accepts arrays."""
@@ -148,13 +153,8 @@ class Raster(GridGeoref):
     values: np.ndarray = None
 
     def __post_init__(self):
-        self._check_georef()
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.height, self.width):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match (H, W)="
-                f"({self.height}, {self.width})"
-            )
+        self._check_georef(self.values, "values")
         bad = ~(np.isfinite(self.values) | np.isnan(self.values))
         if bad.any():
             raise ValueError("raster contains non-finite values that are not NODATA")
@@ -189,13 +189,8 @@ class Mask(GridGeoref):
     bits: np.ndarray = None
 
     def __post_init__(self):
-        self._check_georef()
         self.bits = np.asarray(self.bits)
-        if self.bits.shape != (self.height, self.width):
-            raise ValueError(
-                f"bits shape {self.bits.shape} does not match (H, W)="
-                f"({self.height}, {self.width})"
-            )
+        self._check_georef(self.bits, "bits")
         if not np.isin(self.bits, (0, 1)).all():
             raise ValueError("mask bits must be 0 or 1")
         self.bits = self.bits.astype(np.uint8)

@@ -48,18 +48,6 @@ class TinMesh:
         return len(self.triangles)
 
 
-@dataclass
-class PlaneModel:
-    """z = a * x + b * y + c"""
-
-    a: float
-    b: float
-    c: float
-
-    def predict(self, x, y):
-        return self.a * np.asarray(x) + self.b * np.asarray(y) + self.c
-
-
 def _lattice(lo: float, hi: float, rate: float) -> np.ndarray:
     count = int(math.floor((hi - lo) / rate + 1e-9)) + 1
     return lo + np.arange(count) * rate
@@ -313,8 +301,9 @@ def build_tin(surface: NurbsSurface, mask_plus: Mask, config: SamplingConfig) ->
     return TinMesh(samples, delaunay(samples[:, :2]))
 
 
-def fit_plane(points: Raster) -> PlaneModel:
-    """Least-squares plane through the valid cells of a raster."""
+def fit_plane(points: Raster) -> tuple[float, float, float]:
+    """Least-squares plane z = a * x + b * y + c through the valid cells of a
+    raster, as (a, b, c)."""
     xyz = points.xyz()
     if len(xyz) < 3:
         raise ValueError("need at least 3 points to fit a plane")
@@ -322,16 +311,18 @@ def fit_plane(points: Raster) -> PlaneModel:
     coeffs, _, rank, _ = np.linalg.lstsq(design, xyz[:, 2], rcond=None)
     if rank < 3:
         raise ValueError("points are rank deficient (collinear in plan view)")
-    return PlaneModel(*(float(c) for c in coeffs))
+    return tuple(float(c) for c in coeffs)
 
 
-def plane_mesh(model: PlaneModel, x_range: tuple[float, float],
+def plane_mesh(coeffs: tuple[float, float, float], x_range: tuple[float, float],
                y_range: tuple[float, float]) -> TinMesh:
-    """Two triangles covering a rectangle on the plane."""
+    """Two triangles covering a rectangle on the plane z = a * x + b * y + c,
+    given as coeffs (a, b, c)."""
     x0, x1 = x_range
     y0, y1 = y_range
     corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
-    z = model.predict(corners[:, 0], corners[:, 1])
+    a, b, c = coeffs
+    z = a * corners[:, 0] + b * corners[:, 1] + c
     vertices = np.column_stack([corners, z])
     return TinMesh(vertices, np.array([[0, 1, 2], [0, 2, 3]]))
 

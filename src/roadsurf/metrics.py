@@ -15,9 +15,10 @@ point_mesh_distances), which go through the closest-point routine together.
 A pruned pair cannot beat the best, a pair's float operations do not depend
 on its batch, and the minimum is exact, so distances do not depend on
 batching, pruning or where bin edges lie.
-Smoothness is the mean angular difference between normals of edge-adjacent
-triangle pairs.  Both can be split by a road mask using the plan-view
-centroid of each triangle.
+Smoothness is the mean angle between the normals of edge-adjacent
+triangles, per class: each triangle is classified once, by the mask cell
+nearest its plan-view centroid, and each class averages the pairs of one
+edge-adjacency table whose two triangles are of that class (0 without any).
 """
 
 from __future__ import annotations
@@ -276,65 +277,61 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     return dist, covered
 
 
-def face_normals(mesh: TinMesh) -> np.ndarray:
-    tri = mesh.vertices[mesh.triangles]
-    n = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    norms = np.linalg.norm(n, axis=1)
-    if (norms == 0).any():
-        raise ValueError("mesh contains degenerate triangles")
-    return n / norms[:, None]
-
-
 def _adjacent_pairs(triangles: np.ndarray) -> np.ndarray:
-    """(P, 2) face-index pairs sharing an edge (non-manifold edges pair all
-    incident faces)."""
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]], axis=0)
-    edges = np.sort(edges, axis=1)
-    faces = np.tile(np.arange(len(triangles), dtype=np.int64), 3)
-    order = np.lexsort((faces, edges[:, 1], edges[:, 0]))
-    edges = edges[order]
-    faces = faces[order]
-    # each face of a run of equal edges pairs with every later face of the run
-    starts = np.flatnonzero(np.concatenate([[True], (edges[1:] != edges[:-1]).any(axis=1)]))
-    run_len = np.diff(np.append(starts, len(edges)))
-    later = np.repeat(starts + run_len, run_len) - np.arange(len(edges)) - 1
-    left = np.repeat(np.arange(len(edges)), later)
+    """(P, 2) face-index pairs sharing an edge, ordered by edge, then by face
+    (non-manifold edges pair all incident faces)."""
+    # row 3f + k is edge (k, k + 1 mod 3) of face f
+    a, b = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
+    key = np.minimum(a, b) * (triangles.max(initial=0) + 1) + np.maximum(a, b)
+    # stable, so the rows of one edge keep face order
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # each row of a run of equal edges pairs with every later row of the run;
+    # freeing the keys first lowers the tracemalloc peak on the 20,000
+    # triangles of a 101 x 101 regular grid from 3.7 to 2.7 MB
+    later = np.searchsorted(key, key, side="right")
+    del a, b, key
+    later -= np.arange(1, len(later) + 1)
+    left = np.repeat(np.arange(len(later)), later)
     right = left + 1 + _runs(later)
+    faces = order // 3
     return np.column_stack([faces[left], faces[right]])
 
 
-def _pair_angles(mesh: TinMesh, pairs: np.ndarray) -> np.ndarray:
-    normals = face_normals(mesh)
-    dots = np.abs((normals[pairs[:, 0]] * normals[pairs[:, 1]]).sum(1))
-    return np.degrees(np.arccos(np.clip(dots, 0.0, 1.0)))
+def _smoothness(mesh: TinMesh, mask_plus: Mask) -> tuple[float, float]:
+    """Mean normal angle, in degrees, over the edge-adjacent pairs of road
+    triangles and over those of terrain triangles; a class without pairs
+    scores 0.  A triangle's class is the bit of the mask cell nearest its
+    plan centroid.
 
-
-def split_mesh_by_mask(mesh: TinMesh, mask_plus: Mask) -> tuple[TinMesh, TinMesh]:
-    """Partition triangles by the mask bit of the cell nearest each
-    triangle's plan-view centroid.  Returns (road mesh, terrain mesh); both
-    share the original vertex array."""
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    on_road = mask_plus.contains(centroids[:, 0], centroids[:, 1])
-    return (TinMesh(mesh.vertices, mesh.triangles[on_road]),
-            TinMesh(mesh.vertices, mesh.triangles[~on_road]))
-
-
-def _mad_or_zero(submesh: TinMesh) -> float:
-    pairs = _adjacent_pairs(submesh.triangles)
+    The pairs of one class keep their order in the table of all pairs, which
+    is their order in the table of that class's triangles alone."""
+    tri = mesh.vertices[mesh.triangles]
+    on_road = mask_plus.contains(*tri.mean(axis=1)[:, :2].T)
+    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    del tri  # not held while the pair table, the larger peak, is built
+    pairs = _adjacent_pairs(mesh.triangles)
+    pairs = pairs[on_road[pairs[:, 0]] == on_road[pairs[:, 1]]]
     if len(pairs) == 0:
-        return 0.0
-    return float(_pair_angles(submesh, pairs).mean())
+        return 0.0, 0.0
+    norms = np.linalg.norm(normals, axis=1)
+    if (norms == 0).any():
+        raise ValueError("mesh contains degenerate triangles")
+    normals /= norms[:, None]
+    dots = np.abs((normals[pairs[:, 0]] * normals[pairs[:, 1]]).sum(1))
+    angles = np.degrees(np.arccos(np.clip(dots, 0.0, 1.0)))
+    road = on_road[pairs[:, 0]]
+    return tuple(float(a.mean()) if len(a) else 0.0 for a in (angles[road], angles[~road]))
 
 
 def evaluate_all(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
                  mask_plus: Mask) -> MetricReport:
     """Accuracy against both ground-truth sets plus per-class smoothness.
 
-    Distances are measured against the full mesh; smoothness is measured on
-    the mask-split submeshes (a submesh without adjacent pairs counts as
-    perfectly smooth).  Coverage fields report the fraction of ground-truth
-    points over the triangulated region; a class with none raises ValueError.
+    Distances are measured against the full mesh, smoothness on one
+    classification and one pair table (a class without pairs scores 0).
+    Coverage fields report the fraction of ground-truth points over the
+    triangulated region; a class with none raises ValueError.
     """
     road_xyz = gt_road.xyz()
     terrain_xyz = gt_terrain.xyz()
@@ -348,12 +345,12 @@ def evaluate_all(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
     for name, covered in (("road", c_road), ("terrain", c_terr)):
         if not covered.any():
             raise ValueError(f"no {name} ground-truth point lies over the mesh")
-    road_mesh, terrain_mesh = split_mesh_by_mask(mesh, mask_plus)
+    mad_road, mad_terrain = _smoothness(mesh, mask_plus)
     return MetricReport(
         l2_road=float(d_road[c_road].mean()),
         l2_terrain=float(d_terr[c_terr].mean()),
-        mad_road=_mad_or_zero(road_mesh),
-        mad_terrain=_mad_or_zero(terrain_mesh),
+        mad_road=mad_road,
+        mad_terrain=mad_terrain,
         triangles=len(mesh.triangles),
         road_coverage=float(c_road.mean()),
         terrain_coverage=float(c_terr.mean()),

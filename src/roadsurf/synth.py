@@ -76,6 +76,17 @@ class SceneSpec:
         if not (0 < self.target_road_fraction < 1):
             raise SceneSpecError(("target_road_fraction",),
                                  "target_road_fraction must be in (0, 1)")
+        for key in ("vehicles", "trees", "facades"):
+            if getattr(self, key) < 0:
+                raise SceneSpecError((key,), "vehicles, trees and facades must be non-negative")
+        if not 0 <= self.jitter_sigma < np.inf:
+            raise SceneSpecError(("jitter_sigma",), "jitter_sigma must be finite and non-negative")
+        for key in ("base_elevation", "slope_x", "slope_y"):
+            if not np.isfinite(getattr(self, key)):
+                raise SceneSpecError((key,), "base_elevation, slope_x and slope_y must be finite")
+        for hill in self.hills:
+            if not (np.isfinite(hill).all() and hill[3] > 0):
+                raise SceneSpecError(("hills",), "hill values must be finite and sigma positive")
 
 
 @dataclass
@@ -297,7 +308,7 @@ def parse_scene_file(path: str | Path) -> SceneSpec:
                 setattr(spec, key, SCALAR_KEYS[key](rest[0]))
         except ValueError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from None
-        set_by[key] = line_no
+        set_by["hills" if key == "hill" else key] = line_no
     if hills:
         spec.hills = hills
     if road:

@@ -464,12 +464,33 @@ def test_unknown_scene_key_is_a_grid_failure(tmp_path, capsys):
     ("road 0,35 150,50", "road waypoint outside the tile"),
     ("cell_size 0", "tile_size and cell_size must be positive"),
     ("target_road_fraction 1.5", "target_road_fraction must be in (0, 1)"),
+    ("vehicles -2", "vehicles, trees and facades must be non-negative"),
+    ("trees -1", "vehicles, trees and facades must be non-negative"),
+    ("facades -3", "vehicles, trees and facades must be non-negative"),
+    ("jitter_sigma -0.5", "jitter_sigma must be finite and non-negative"),
+    ("jitter_sigma nan", "jitter_sigma must be finite and non-negative"),
+    ("jitter_sigma inf", "jitter_sigma must be finite and non-negative"),
+    ("base_elevation inf", "base_elevation, slope_x and slope_y must be finite"),
+    ("slope_x nan", "base_elevation, slope_x and slope_y must be finite"),
+    ("slope_y -inf", "base_elevation, slope_x and slope_y must be finite"),
+    ("hill 50 50 3 0", "hill values must be finite and sigma positive"),
+    ("hill 50 50 3 -4", "hill values must be finite and sigma positive"),
+    ("hill 50 nan 3 4", "hill values must be finite and sigma positive"),
 ])
 def test_scene_value_count_is_a_grid_failure(tmp_path, capsys, line, message):
     scene = tmp_path / "scene.txt"
     scene.write_text(f"cell_size 2.5\n{line}\n")
     assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"stage grid: {scene}:2: {message}\n"
+
+
+def test_negative_noise_flags_are_a_grid_failure(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["--vehicles", "-2", "--trees", "-1", "--jitter-sigma", "-0.5"]
+    assert main(["synth", "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err == "stage grid: vehicles, trees and facades must be non-negative\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("spelling", ["yes", "On", "1", "TRUE"])

@@ -23,7 +23,8 @@ half-edge again by an argsort each round: both flip the same edges in the
 same rounds, so from the same start they must give equal arrays.
 
 The OBJ writer is checked byte for byte against a formatter that converts
-one numpy scalar at a time.
+one numpy scalar at a time.  The plane fit must recover the plane its
+points were sampled from.
 """
 
 import itertools
@@ -36,7 +37,8 @@ from roadsurf.filtering import FilterParams, run_filter
 from roadsurf.fit import initialize_surface
 from roadsurf.grid import Mask, Raster
 from roadsurf.mesh import (_TOL, SamplingConfig, TinMesh, _flip_to_delaunay, _incircle,
-                           _strip_start, delaunay, dynamic_sample, export_mesh, rgt_mesh)
+                           _strip_start, delaunay, dynamic_sample, export_mesh, fit_plane,
+                           plane_mesh, rgt_mesh)
 from roadsurf.nurbs import NurbsSurface
 from roadsurf.synth import SceneSpec, generate
 
@@ -390,3 +392,27 @@ def test_export_matches_the_elementwise_formatter(tmp_path, attr, origin):
     path = tmp_path / "mesh.obj"
     export_mesh(mesh, path, values[attr])
     assert path.read_text() == reference_obj(mesh, values[attr])
+
+
+def test_fit_plane_recovers_the_sampled_plane():
+    rng = np.random.default_rng(23)
+    jj, ii = np.mgrid[:12, :15]
+    values = 0.03 * (100.0 + 0.5 * ii) - 0.07 * (250.0 + 0.5 * jj) + 412.5
+    values[rng.random(values.shape) < 0.3] = np.nan
+    points = Raster(width=15, height=12, cell_size=0.5, origin_x=100.0, origin_y=250.0,
+                    values=values)
+    coeffs = fit_plane(points)
+    assert all(type(c) is float for c in coeffs)
+    np.testing.assert_allclose(coeffs, (0.03, -0.07, 412.5), rtol=1e-9)
+    x0, x1, y0, y1 = points.center_extent
+    corners = plane_mesh(coeffs, (x0, x1), (y0, y1)).vertices
+    a, b, c = coeffs
+    assert corners[:, 2].tolist() == [a * x + b * y + c for x, y in corners[:, :2].tolist()]
+
+
+def test_fit_plane_rejects_points_collinear_in_plan():
+    values = np.full((4, 6), np.nan)
+    values[2] = np.arange(6.0)
+    points = Raster(width=6, height=4, cell_size=1.0, origin_x=0.0, origin_y=0.0, values=values)
+    with pytest.raises(ValueError, match="rank deficient"):
+        fit_plane(points)

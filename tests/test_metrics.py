@@ -6,17 +6,20 @@ the three edge segments; it takes the minimum over every triangle of the
 mesh, without any spatial index.  The exactness oracle runs the module's own
 closest-point routine one point at a time over every triangle, so the binned
 search must match it bit for bit.  Edge adjacency is checked against an
-O(T^2) scan of shared edges.
+O(T^2) scan of shared edges.  Per-class smoothness is checked against the
+mesh split into a road and a terrain submesh, each scored on its own.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadsurf import metrics
-from roadsurf.grid import Mask, Raster
-from roadsurf.mesh import PlaneModel, TinMesh, delaunay, plane_mesh, rgt_mesh
-from roadsurf.metrics import (_adjacent_pairs, _closest_point_batch, evaluate_all,
-                              point_mesh_distances)
+from roadsurf.grid import GridGeoref, Mask, Raster
+from roadsurf.mesh import TinMesh, delaunay, export_mesh, plane_mesh, rgt_mesh
+from roadsurf.metrics import (_adjacent_pairs, _bilinear, _closest_point_batch, evaluate_all,
+                              point_mesh_distances, vertex_errors)
 
 
 def barycentric(p, a, b, c):
@@ -209,7 +212,7 @@ def test_distances_are_exact_on_a_lattice(lattice):
 
 
 def test_distances_are_exact_on_a_plane():
-    mesh = plane_mesh(PlaneModel(0.01, -0.02, 3.0), (0.0, 50.0), (0.0, 30.0))
+    mesh = plane_mesh((0.01, -0.02, 3.0), (0.0, 50.0), (0.0, 30.0))
     rng = np.random.default_rng(11)
     points = np.column_stack([rng.uniform(-10.0, 60.0, (300, 2)), rng.normal(3.0, 1.0, 300)])
     dist, covered = point_mesh_distances(mesh, points)
@@ -405,6 +408,9 @@ def test_no_points_and_no_triangles(mesh):
     pytest.param([[1, 2, 0], [3, 0, 1], [0, 1, 4], [2, 1, 5]], id="non_manifold_edge"),
     pytest.param([[0, 1, 2], [2, 1, 3], [1, 2, 0], [3, 4, 2]], id="duplicated_triangle"),
     pytest.param(np.empty((0, 3), dtype=np.int64), id="empty"),
+    # 40 faces on 6 vertices: most edges are non-manifold, some faces repeat
+    pytest.param(np.argsort(np.random.default_rng(19).random((40, 6)), axis=1)[:, :3],
+                 id="random_non_manifold"),
 ])
 def test_adjacent_pairs_match_shared_edge_scan(triangles):
     pairs = _adjacent_pairs(np.asarray(triangles, dtype=np.int64).reshape(-1, 3))
@@ -416,3 +422,156 @@ def test_adjacent_pairs_match_shared_edge_scan(triangles):
 def test_adjacent_pairs_of_meshes(mesh, lattice):
     for m in (mesh, lattice):
         assert np.array_equal(_adjacent_pairs(m.triangles), shared_edge_pairs(m.triangles))
+
+
+def submesh_mads(mesh, mask_plus):
+    """(road, terrain) mean normal angles, each class's triangles split off
+    by the mask cell nearest their plan centroid into a submesh of their
+    own, which is paired, given normals and averaged alone (0 without
+    pairs)."""
+    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
+    on_road = mask_plus.contains(centroids[:, 0], centroids[:, 1])
+    mads = []
+    for triangles in (mesh.triangles[on_road], mesh.triangles[~on_road]):
+        pairs = _adjacent_pairs(triangles)
+        if len(pairs) == 0:
+            mads.append(0.0)
+            continue
+        tri = mesh.vertices[triangles]
+        normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        norms = np.linalg.norm(normals, axis=1)
+        if (norms == 0).any():
+            raise ValueError("mesh contains degenerate triangles")
+        normals = normals / norms[:, None]
+        dots = np.abs((normals[pairs[:, 0]] * normals[pairs[:, 1]]).sum(1))
+        mads.append(float(np.degrees(np.arccos(np.clip(dots, 0.0, 1.0))).mean()))
+    return tuple(mads)
+
+
+def mask_where(road, lo=(-3.0, -3.0), size=61, cell=0.1):
+    """A mask over [lo, lo + (size - 1) * cell]^2 set where road(x, y) holds."""
+    georef = dict(width=size, height=size, cell_size=cell, origin_x=lo[0], origin_y=lo[1])
+    ii, jj = np.meshgrid(np.arange(size), np.arange(size))
+    x, y = GridGeoref(**georef).cell_to_world(ii, jj)
+    return Mask(**georef, bits=road(x, y).astype(np.uint8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), width=st.integers(2, 12), height=st.integers(2, 12),
+       holes=st.sampled_from([0.0, 0.15]), road=st.floats(0.0, 1.0),
+       mask_cell=st.sampled_from([0.5, 1.0, 2.5]))
+def test_mad_matches_the_submesh_split(seed, width, height, holes, road, mask_cell):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 0.5, (height, width))
+    values[rng.random((height, width)) < holes] = np.nan
+    values[:2, :2] = rng.normal(0.0, 0.5, (2, 2))  # at least one quad
+    raster = Raster(width=width, height=height, cell_size=1.0, origin_x=0.0, origin_y=0.0,
+                    values=values)
+    mesh = rgt_mesh(raster)
+    size = int(max(width, height) / mask_cell) + 2
+    mask = Mask(width=size, height=size, cell_size=mask_cell,
+                origin_x=rng.uniform(-1.0, 0.0), origin_y=rng.uniform(-1.0, 0.0),
+                bits=rng.random((size, size)) < road)
+    report = evaluate_all(mesh, raster, raster, mask)
+    assert (report.mad_road, report.mad_terrain) == submesh_mads(mesh, mask)
+
+
+def test_mad_of_random_meshes_matches_the_submesh_split():
+    rng = np.random.default_rng(17)
+    for mesh in random_meshes(rng):
+        lo = mesh.vertices[:, :2].min(0)
+        span = (mesh.vertices[:, :2].max(0) - lo).max()
+        size = 12
+        mask = Mask(width=size, height=size, cell_size=span / (size - 1), origin_x=lo[0],
+                    origin_y=lo[1], bits=rng.random((size, size)) < 0.4)
+        assert metrics._smoothness(mesh, mask) == submesh_mads(mesh, mask)
+
+
+# edge (0, 1) is shared by faces 0 and 1 and by fin face 2 above face 0;
+# faces 0, 2 and 3 have centroids at y > 0, faces 1 and 4 below, and face 4
+# shares edge (1, 3) with face 1 alone
+NON_MANIFOLD = TinMesh(
+    np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.3], [0.5, -1.0, 0.2],
+              [0.5, 0.8, -0.5], [1.5, 1.2, 0.1], [1.5, -1.2, -0.3]]),
+    np.array([[1, 2, 0], [3, 0, 1], [0, 1, 4], [2, 1, 5], [3, 1, 6]]))
+
+
+# (road, terrain) expected: 0.0, or None for a class with pairs, which
+# scores above 0 since no two of these faces are parallel
+@pytest.mark.parametrize("mesh, road, expected", [
+    pytest.param(NON_MANIFOLD, lambda x, y: y > 0, (None, None), id="non_manifold_edge"),
+    pytest.param(NON_MANIFOLD, lambda x, y: y < -0.5, (0.0, None), id="road_without_pairs"),
+    pytest.param(NON_MANIFOLD, lambda x, y: y > -0.5, (None, 0.0), id="terrain_without_pairs"),
+    pytest.param(TinMesh(NON_MANIFOLD.vertices, NON_MANIFOLD.triangles[:2]),
+                 lambda x, y: y > 0, (0.0, 0.0), id="pair_across_classes"),
+    pytest.param(NON_MANIFOLD, lambda x, y: x < 10, (None, 0.0), id="all_road"),
+])
+def test_mad_of_small_meshes_matches_the_submesh_split(mesh, road, expected):
+    mask = mask_where(road)
+    mads = metrics._smoothness(mesh, mask)
+    assert mads == submesh_mads(mesh, mask)
+    for mad, want in zip(mads, expected, strict=True):
+        assert mad > 0.0 if want is None else mad == want
+
+
+def test_degenerate_triangle_in_a_paired_class_raises():
+    # face 5 repeats vertex 0 and shares edge (0, 2) with face 0
+    mesh = TinMesh(NON_MANIFOLD.vertices, np.concatenate([NON_MANIFOLD.triangles, [[0, 2, 0]]]))
+    mask = mask_where(lambda x, y: y > 0)
+    for score in (metrics._smoothness, submesh_mads):
+        with pytest.raises(ValueError, match="mesh contains degenerate triangles"):
+            score(mesh, mask)
+
+
+def tilted_plane(width=9, height=7, nan=()):
+    """A raster of z = 0.5 x - 0.25 y + 10 at 1 m cells, NaN at the (j, i)
+    cells in nan; bilinear samples of it at half-cell positions are exact."""
+    jj, ii = np.mgrid[:height, :width]
+    values = 0.5 * ii - 0.25 * jj + 10.0
+    for cell in nan:
+        values[cell] = np.nan
+    return Raster(width=width, height=height, cell_size=1.0, origin_x=0.0, origin_y=0.0,
+                  values=values)
+
+
+def half_cell_tin(plane, offset=0.0):
+    xy = lattice_xy((0.0, plane.width - 1.0), (0.0, plane.height - 1.0), 0.5)
+    z = 0.5 * xy[:, 0] - 0.25 * xy[:, 1] + 10.0 + offset
+    return TinMesh(np.column_stack([xy, z]), delaunay(xy))
+
+
+def test_a_tin_on_its_ground_truth_plane_has_no_error(tmp_path):
+    plane = tilted_plane()
+    tin = half_cell_tin(plane)
+    mask = mask_where(lambda x, y: x < 3.2, lo=(0.0, 0.0), size=9, cell=1.0)
+    errors = vertex_errors(tin, plane, plane, mask)
+    assert errors.tolist() == [0.0] * len(tin.vertices)
+    export_mesh(tin, tmp_path / "mesh.obj", errors)
+    colors = {" ".join(line.split()[4:]) for line in
+              (tmp_path / "mesh.obj").read_text().splitlines() if line.startswith("v ")}
+    assert colors == {"0.000000 0.100000 1.000000"}
+
+
+def test_a_constant_offset_is_the_error():
+    plane = tilted_plane()
+    tin = half_cell_tin(plane, offset=0.25)
+    mask = mask_where(lambda x, y: y > 2.6, lo=(0.0, 0.0), size=9, cell=1.0)
+    assert vertex_errors(tin, plane, plane, mask).tolist() == [0.25] * len(tin.vertices)
+
+
+def test_bilinear_skips_a_nan_corner():
+    plane = tilted_plane(nan=[(1, 1)])
+    # (0.5, 0.5): corners 10, 10.5, 9.75 and NaN at quarter weight each
+    ref = _bilinear(plane, np.array([0.5, 0.25, 1.0]), np.array([0.5, 0.5, 0.0]))
+    assert ref[0] == (10.0 + 10.5 + 9.75) / 3
+    assert ref[1] == (0.375 * 10.0 + 0.125 * 10.5 + 0.375 * 9.75) / 0.875
+    assert ref[2] == 10.5
+
+
+def test_a_vertex_without_finite_support_has_no_error():
+    plane = tilted_plane(nan=[(2, 3), (2, 4), (3, 3), (3, 4)])
+    vertices = np.array([[3.5, 2.5, 50.0], [1.0, 1.0, 10.0], [6.0, 1.0, 12.0]])
+    tin = TinMesh(vertices, np.array([[0, 1, 2]]))
+    for bits in (np.zeros((7, 9)), np.ones((7, 9))):
+        mask = Mask(width=9, height=7, cell_size=1.0, origin_x=0.0, origin_y=0.0, bits=bits)
+        assert vertex_errors(tin, plane, plane, mask).tolist() == [0.0, 0.25, 0.75]

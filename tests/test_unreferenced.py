@@ -1,13 +1,15 @@
-"""Every public name in the package and the benchmark has a caller.
+"""Every name in the package and the benchmark has a caller.
 
 The abstract syntax trees of ``src/roadsurf/*.py`` and ``bench/*.py`` are
-walked for public top-level functions and classes and the public methods of
-top-level classes.  Each must be named by a ``Name``, an ``Attribute`` or an
-import alias somewhere in those files outside its own definition; the tests
-do not count as callers.  A method that overrides one of a builtin or a
-library base class (``argparse.ArgumentParser.error``) is called by that
-library and is skipped.  Matching is by bare name, so the check can miss a
-dead name that shares its spelling with a live one.
+walked for top-level functions and classes and the methods of top-level
+classes, public and single-underscore private alike; dunder names
+(``__init__``, ``__post_init__``) are called by the language and exempt.
+Each must be named by a ``Name``, an ``Attribute`` or an import alias
+somewhere in those files outside its own definition; the tests do not count
+as callers.  A method that overrides one of a builtin or a library base
+class (``argparse.ArgumentParser.error``) is called by that library and is
+skipped.  Matching is by bare name, so the check can miss a dead name that
+shares its spelling with a live one.
 """
 
 import ast
@@ -19,8 +21,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "roadsurf").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
-def _public(name):
-    return not name.startswith("_")
+def _checked(name):
+    return not (name.startswith("__") and name.endswith("__"))
 
 
 def _library_bases(tree, node):
@@ -38,18 +40,18 @@ def _library_bases(tree, node):
 
 
 def _definitions(tree):
-    """(name, first line, last line) of the public top-level functions and
-    classes and of the public methods of top-level classes."""
+    """(name, first line, last line) of the top-level functions and classes
+    and of the methods of top-level classes, dunder names left out."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, kinds):
             continue
-        if _public(node.name):
+        if _checked(node.name):
             yield node.name, node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             bases = list(_library_bases(tree, node))
             for item in node.body:
-                if (isinstance(item, kinds[:2]) and _public(item.name)
+                if (isinstance(item, kinds[:2]) and _checked(item.name)
                         and not any(hasattr(base, item.name) for base in bases)):
                     yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
 
@@ -68,7 +70,7 @@ def _references(tree):
 
 
 def unreferenced(paths):
-    """``module:qualified.name`` of each public definition in ``paths`` that
+    """``module:qualified.name`` of each checked definition in ``paths`` that
     nothing in ``paths`` names outside its own definition."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
     refs = {}
@@ -95,11 +97,15 @@ def test_a_name_used_only_in_its_own_body_is_flagged(tmp_path):
         "import argparse, os\n"
         "def used():\n    return os.sep\n"
         "def recursive(n):\n    return recursive(n - 1)\n"
-        "class Box:\n    def size(self):\n        return 1\n"
-        "    def spare(self):\n        return self.size()\n"
+        "class Box:\n    def __init__(self):\n        self._size()\n"
+        "    def _size(self):\n        return 1\n"
+        "    def spare(self):\n        return self._size()\n"
         "def _private():\n    pass\n"
+        "def _helper():\n    return _helper()\n"
         "class Parser(argparse.ArgumentParser):\n"
         "    def error(self, message):\n        pass\n"
-        "print(used(), Box, Parser)\n")
+        "def __getattr__(name):\n    pass\n"
+        "print(used(), Box, Parser, _private)\n")
     assert unreferenced([source]) == [f"{tmp_path.name}/mod:recursive",
-                                      f"{tmp_path.name}/mod:Box.spare"]
+                                      f"{tmp_path.name}/mod:Box.spare",
+                                      f"{tmp_path.name}/mod:_helper"]
