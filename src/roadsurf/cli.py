@@ -262,7 +262,7 @@ def mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     tin = state.tin = meshmod.build_tin(state.surface, state.mask_plus,
                                         config.stage_config(SamplingConfig))
     state.meshes = {"nurbs": tin}
-    state.record.append(("mesh", {"vertices": len(tin.vertices), "triangles": tin.triangle_count}))
+    state.record.append(("mesh", {"vertices": len(tin.vertices), "triangles": len(tin.triangles)}))
 
 
 def mesh_file_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -270,7 +270,7 @@ def mesh_file_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     mesh = meshmod.load_mesh(_require(state.args.mesh, "mesh"))
     state.meshes = {state.args.method: mesh}
     state.record.append(("mesh", {"vertices": len(mesh.vertices),
-                                  "triangles": mesh.triangle_count}))
+                                  "triangles": len(mesh.triangles)}))
 
 
 def metrics_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -321,8 +321,8 @@ def _fmt(value) -> str:
 def _write_loss_trace(path: Path, report: fitmod.FitReport) -> None:
     rows = zip(range(report.iterations), report.loss_total, report.loss_road,
                report.loss_terrain, report.loss_reg, strict=True)
-    lines = ["iteration,total,road,terrain,reg"] + [",".join(map(_fmt, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gridmod.write_lines(path, ["iteration,total,road,terrain,reg"]
+                        + [",".join(map(_fmt, row)) for row in rows])
 
 
 def write_metrics_csv(path: Path, labels: tuple[str, ...],
@@ -331,7 +331,7 @@ def write_metrics_csv(path: Path, labels: tuple[str, ...],
     lines = [",".join(labels + tuple(spec.name for spec in fields(MetricReport)))]
     lines += [",".join(cells + [_fmt(value) for value in asdict(report).values()])
               for cells, report in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    gridmod.write_lines(path, lines)
 
 
 def _write_mesh(state: SimpleNamespace, path: Path) -> None:
@@ -401,8 +401,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         _csv_cell(args.method, "--method")
     out = _out_dir(config.out_dir, "--out-dir")
     state = run_stages(config, SimpleNamespace(args=args, record=[], reports={}), stages)
-    for name in artifacts:
-        ARTIFACTS[name](state, out / name)
+    try:
+        for name in artifacts:
+            ARTIFACTS[name](state, out / name)
+    except OSError as err:
+        raise UsageError(f"--out-dir: {err}") from None
     _report(state.record, [out / name for name in artifacts])
     return 0
 
@@ -469,8 +472,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     reports = [run_stages(variant, SimpleNamespace(**{**vars(shared), "record": [],
                                                       "reports": {}}), STAGES[first:])
                .reports["nurbs"] for variant in variants]
-    write_metrics_csv(path, ("param", "value"),
-                      [([args.param, raw], report) for raw, report in zip(values, reports)])
+    try:
+        write_metrics_csv(path, ("param", "value"),
+                          [([args.param, raw], report) for raw, report in zip(values, reports)])
+    except OSError as err:
+        raise UsageError(f"--out-dir: {err}") from None
     _report(shared.record + [(f"{args.param}={raw}", asdict(report))
                              for raw, report in zip(values, reports)], [path])
     return 0

@@ -51,16 +51,6 @@ class LabelGrid:
     label_count: int
 
 
-def _shift_slices(di: int, dj: int, width: int, height: int):
-    # Stops are clamped so offsets larger than the grid give empty slices on
-    # both sides instead of wrapping around through negative indices.
-    a = (slice(max(0, -dj), max(0, height - max(0, dj))),
-         slice(max(0, -di), max(0, width - max(0, di))))
-    b = (slice(max(0, dj), max(0, height - max(0, -dj))),
-         slice(max(0, di), max(0, width - max(0, -di))))
-    return a, b
-
-
 def get_neighbors(points: Raster, theta_z: float) -> np.ndarray:
     """Pairs of points on 8-connected cells whose elevation gap is at most
     theta_z (inclusive), as an (E, 2) array of flat cell indices
@@ -69,9 +59,12 @@ def get_neighbors(points: Raster, theta_z: float) -> np.ndarray:
     occ = points.valid
     z = points.values
     flat = np.arange(occ.size).reshape(occ.shape)
+    h, w = occ.shape
     pairs = []
     for di, dj in ((1, 0), (-1, 1), (0, 1), (1, 1)):
-        a, b = _shift_slices(di, dj, points.width, points.height)
+        # the cells a that have a neighbor b at offset (di, dj), and those b
+        a = slice(0, h - dj), slice(max(0, -di), w - max(0, di))
+        b = slice(dj, h), slice(max(0, di), w - max(0, -di))
         ok = occ[a] & occ[b] & (np.abs(z[a] - z[b]) <= theta_z)
         pairs.append(np.stack([flat[a][ok], flat[b][ok]], axis=1))
     return np.concatenate(pairs)
@@ -159,7 +152,9 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     ``cell_to_world`` coordinates and ``abs(z_t - z_s) <= theta_z``.
     """
     h, w = lab.shape
-    k = int(theta_xy / points.cell_size * (1 + 1e-9)) + 1
+    # past the grid's size, a larger k still makes one bucket; the clamp keeps
+    # the int finite and in range on tiny cells
+    k = int(min(theta_xy / points.cell_size * (1 + 1e-9), max(h, w))) + 1
     thr2 = theta_xy * theta_xy
     bw, bh = -(-w // k), -(-h // k)
     pj, pi = np.nonzero(points.valid)

@@ -177,10 +177,10 @@ class Objective:
 
     Built once from everything that stays fixed while they change: the
     lattice basis of the raster grid, one target raster (the DSM on road
-    cells, the DTM elsewhere) and the cells that have no target, the
-    gradient coefficient of each cell, the road and terrain cell masks and
-    the regularizer's gather table.  Keeps four rasters of 8-byte words
-    resident (target, coefficients, two masks) besides the basis.
+    cells, the DTM elsewhere), the gradient coefficient of each cell (0 where
+    the target is NaN), the road and terrain cell masks, which leave such
+    cells out, and the regularizer's gather table.  Keeps four rasters of
+    8-byte words resident (target, coefficients, two masks) besides the basis.
 
     A call also works in place, in a workspace allocated here: four more
     rasters (height field, rational denominator, residual, and the masked
@@ -199,14 +199,15 @@ class Objective:
             surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
         road = mask_plus.bits == 1
         target = np.where(road, dsm.values, dtm.values)
-        self.no_target = np.flatnonzero(np.isnan(target))
-        self.target = np.nan_to_num(target, nan=0.0)
+        has_target = ~np.isnan(target)
+        self.target = np.nan_to_num(target, nan=0.0, copy=False)
         magnitude = np.iinfo(np.int64).max  # every bit but the sign bit
-        self.road_bits = road * magnitude
-        self.terrain_bits = ~road * magnitude
+        self.road_bits = (road & has_target) * magnitude
+        self.terrain_bits = (~road & has_target) * magnitude
         self.cells = dsm.height * dsm.width
         # d |residual| mean / d height, up to the residual's sign
         self.coef = np.where(road, -1 / self.cells, weights.lambda_terrain * (-1 / self.cells))
+        self.coef[~has_target] = 0.0
         self.roughness = Roughness(surface.num_ctrl_u, surface.num_ctrl_v)
         self.weights = weights
         self._height, self._den, self._residual, self._words = (
@@ -226,9 +227,8 @@ class Objective:
         with np.errstate(all="ignore"):
             grid_heights(self.bu, self.bv, z, w, z_grid, den, self._rows)
             # both data terms are mean absolute residuals over all cells;
-            # cells without a target contribute zero
+            # cells without a target are outside both masks
             np.subtract(self.target, z_grid, out=residual)
-            np.put(residual, self.no_target, 0.0)
             v_road = float(_abs_sum(residual, self.road_bits, self._words) / self.cells)
             v_terr = float(_abs_sum(residual, self.terrain_bits, self._words) / self.cells)
             v_reg, g_reg = self.roughness(z)

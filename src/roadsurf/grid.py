@@ -30,8 +30,9 @@ Unlike ``float``, the reader takes no digit-group underscores (``1_0``) and
 no non-ASCII digits.  An infinite value must equal ``NODATA_value``.
 Header values are read by ``float``.
 
-Every text file the package reads or writes, ``.asc`` or not, is UTF-8 with
-lines ending at ``\\n``, ``\\r\\n`` or ``\\r``; ``read_lines`` reads them all.
+Every text file the package reads or writes, ``.asc`` or not, is UTF-8:
+``read_lines`` reads it with lines ending at ``\\n``, ``\\r\\n`` or ``\\r``, and
+``write_lines`` writes it with lines ending at ``\\n``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def read_lines(path: str | Path) -> list[str]:
         except UnicodeDecodeError as err:
             raise ValueError(f"{path}:{line_no}: {err}") from None
     return lines
+
+
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write lines to a UTF-8 text file, each ending at ``\\n``."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass
@@ -347,7 +353,7 @@ def save_raster(raster: Raster, path: str | Path) -> None:
     ]
     for row in out.tolist():
         lines.append(" ".join(map(repr, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_mask(path: str | Path) -> Mask:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Mask, Raster
-from .mesh import TinMesh
+from .mesh import TinMesh, edge_pairs, runs
 
 # points searched together, and (point, triangle) pairs per closest-point batch;
 # blocks bound the search's per-point state, which the per-ring pass size does
@@ -93,12 +93,6 @@ def _closest_point_batch(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _runs(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., c - 1 for each count c, concatenated, in the dtype of counts."""
-    ends = np.cumsum(counts, dtype=counts.dtype)
-    return np.arange(counts.sum(), dtype=counts.dtype) - np.repeat(ends - counts, counts)
-
-
 class _Bins:
     """Plan-view bins over triangle bounding boxes, as CSR arrays: bin
     ``bi * nb[1] + bj`` holds triangles ``members[starts[b]:starts[b + 1]]``,
@@ -125,7 +119,7 @@ class _Bins:
         size = self.last - self.first + 1
         per_tri = size[:, 0] * size[:, 1]
         ids = np.repeat(np.arange(len(x), dtype=np.int32), per_tri)
-        step_i, step_j = np.divmod(_runs(per_tri), size[ids, 1])
+        step_i, step_j = np.divmod(runs(per_tri), size[ids, 1])
         nbj = int(nb[1])  # a Python int keeps the products in int32
         bins = (self.first[:, 0] * nbj + self.first[:, 1])[ids] + step_i * nbj + step_j
         del step_i, step_j
@@ -277,27 +271,6 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     return dist, covered
 
 
-def _adjacent_pairs(triangles: np.ndarray) -> np.ndarray:
-    """(P, 2) face-index pairs sharing an edge, ordered by edge, then by face
-    (non-manifold edges pair all incident faces)."""
-    # row 3f + k is edge (k, k + 1 mod 3) of face f
-    a, b = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
-    key = np.minimum(a, b) * (triangles.max(initial=0) + 1) + np.maximum(a, b)
-    # stable, so the rows of one edge keep face order
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # each row of a run of equal edges pairs with every later row of the run;
-    # freeing the keys first lowers the tracemalloc peak on the 20,000
-    # triangles of a 101 x 101 regular grid from 3.7 to 2.7 MB
-    later = np.searchsorted(key, key, side="right")
-    del a, b, key
-    later -= np.arange(1, len(later) + 1)
-    left = np.repeat(np.arange(len(later)), later)
-    right = left + 1 + _runs(later)
-    faces = order // 3
-    return np.column_stack([faces[left], faces[right]])
-
-
 def _smoothness(mesh: TinMesh, mask_plus: Mask) -> tuple[float, float]:
     """Mean normal angle, in degrees, over the edge-adjacent pairs of road
     triangles and over those of terrain triangles; a class without pairs
@@ -310,7 +283,7 @@ def _smoothness(mesh: TinMesh, mask_plus: Mask) -> tuple[float, float]:
     on_road = mask_plus.contains(*tri.mean(axis=1)[:, :2].T)
     normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     del tri  # not held while the pair table, the larger peak, is built
-    pairs = _adjacent_pairs(mesh.triangles)
+    pairs = edge_pairs(mesh.triangles) // 3
     pairs = pairs[on_road[pairs[:, 0]] == on_road[pairs[:, 1]]]
     if len(pairs) == 0:
         return 0.0, 0.0

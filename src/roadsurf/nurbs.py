@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import read_lines
+from .grid import read_lines, write_lines
 
 
 def uniform_clamped_knots(num_ctrl: int, degree: int) -> np.ndarray:
@@ -195,7 +195,7 @@ def save_surface(surface: NurbsSurface, path: str | Path) -> None:
     # one (z, w) row per control point, u-major, as Python floats
     rows = np.stack([surface.control_z, surface.weights], axis=2).reshape(-1, 2).tolist()
     lines += [f"cp {z!r} {w!r}" for z, w in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 # the value count and caster of each key; cp repeats, the others appear once

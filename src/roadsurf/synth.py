@@ -73,6 +73,9 @@ class SceneSpec:
         for x, y in self.road:
             if not (0 <= x <= self.tile_size and 0 <= y <= self.tile_size):
                 raise SceneSpecError(("road", "tile_size"), "road waypoint outside the tile")
+        # the squared lengths the road's geometry divides by
+        if not ((np.diff(np.asarray(self.road, dtype=float), axis=0) ** 2).sum(axis=1) > 0).all():
+            raise SceneSpecError(("road",), "road segments must have positive length")
         if not (0 < self.target_road_fraction < 1):
             raise SceneSpecError(("target_road_fraction",),
                                  "target_road_fraction must be in (0, 1)")
@@ -109,7 +112,7 @@ def _segment_geometry(px: np.ndarray, py: np.ndarray,
         bx, by = waypoints[s + 1]
         vx, vy = bx - ax, by - ay
         vv = vx * vx + vy * vy
-        t = np.clip(((px - ax) * vx + (py - ay) * vy) / vv, 0.0, 1.0) if vv > 0 else 0.0
+        t = np.clip(((px - ax) * vx + (py - ay) * vy) / vv, 0.0, 1.0)
         dx = px - (ax + t * vx)
         dy = py - (ay + t * vy)
         d = np.hypot(dx, dy)
@@ -127,9 +130,9 @@ def _polyline_sample(waypoints: np.ndarray, s: float) -> tuple[np.ndarray, np.nd
     acc = 0.0
     for k, seg_len in enumerate(lengths):
         if s <= acc + seg_len or k == len(lengths) - 1:
-            t = 0.0 if seg_len == 0 else (s - acc) / seg_len
+            t = (s - acc) / seg_len
             a, b = waypoints[k], waypoints[k + 1]
-            tangent = (b - a) / (seg_len if seg_len else 1.0)
+            tangent = (b - a) / seg_len
             return a + t * (b - a), tangent
         acc += seg_len
     raise AssertionError("unreachable")

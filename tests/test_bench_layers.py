@@ -17,7 +17,7 @@ import layers  # noqa: E402
 
 # Spans whose functions were folded into fit.Objective.  They stay absent
 # until the benchmark reads a run manifest instead of wrapping module
-# attributes (ROADMAP direction 3); the set is exact, so no further span can
+# attributes (ROADMAP direction 5); the set is exact, so no further span can
 # go missing unnoticed.
 KNOWN_ABSENT = {"fit.loss_road", "fit.loss_terrain", "fit.loss_reg"}
 

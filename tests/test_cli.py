@@ -327,6 +327,22 @@ def test_synth_out_that_is_a_file_fails_before_generating(tmp_path, capsys):
     assert out.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command, layers, flags, artifact", [
+    ("filter", ("dsm", "mask"), [], "mask_filtered.asc"),
+    ("ablate", LAYERS, [*FIT_FLAGS, "--param", "top_k", "--values", "1"], "ablate.csv"),
+])
+def test_artifact_that_cannot_be_written_is_a_usage_error(tile, tmp_path, capsys, command,
+                                                          layers, flags, artifact):
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    argv = [command, *layer_flags(tile, layers), *flags, "--out-dir", str(out)]
+    assert main(argv) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == ""
+    assert err.startswith("usage error: --out-dir: ") and str(out / artifact) in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("eval", ["--method", "my,mesh"], "--method: 'my,mesh'"),
     ("eval", ["--method", "my\rmesh"], "--method: 'my\\rmesh'"),
@@ -462,6 +478,7 @@ def test_unknown_scene_key_is_a_grid_failure(tmp_path, capsys):
     ("road 0,35 50,50,1", "road takes two or more x,y waypoints"),
     ("road", "road takes two or more x,y waypoints"),
     ("road 0,35 150,50", "road waypoint outside the tile"),
+    ("road 0,35 0,35 35,45 65,55 100,70", "road segments must have positive length"),
     ("cell_size 0", "tile_size and cell_size must be positive"),
     ("target_road_fraction 1.5", "target_road_fraction must be in (0, 1)"),
     ("vehicles -2", "vehicles, trees and facades must be non-negative"),

@@ -417,6 +417,24 @@ class TestMergeClusters:
         npt.assert_array_equal(huge.labels, spanning.labels)
         assert huge.label_count == spanning.label_count
 
+    @pytest.mark.parametrize("cell", [1e-300, 1e-320])
+    def test_tiny_cells_merge_as_one_bucket(self, cell):
+        # theta_xy / cell is past int64 at 1e-300 and infinite at 1e-320; every
+        # point lies within theta_xy, as on 1 m cells with theta_xy past the
+        # 7.1 m diagonal, so only the elevation gate keeps clusters apart
+        z = np.full((6, 6), np.nan)
+        z[:2, :2] = 0.0
+        z[4:, 4:] = 0.3
+        z[0, 5] = 9.0
+        tiny = make_points(z, cell=cell)
+        labels = grow_regions(tiny, get_neighbors(tiny, 0.5))
+        assert labels.label_count == 3
+        merged = merge_clusters(tiny, labels, 10.0, 0.5)
+        assert merged.label_count == 2
+        unit = make_points(z)
+        npt.assert_array_equal(merged.labels,
+                               merge_clusters(unit, labels, 10.0, 0.5).labels)
+
 
     def test_square_cells_match_bruteforce(self):
         rng = np.random.default_rng(606)

@@ -2,12 +2,13 @@
 
 The analytic gradients of ``total_loss`` are checked against central finite
 differences along random directions, on a seeded 41 x 41 synth tile with an
-8 x 8 control grid and perturbed weights.  The fit loop, which evaluates one
-objective built once per fit, must reproduce exactly an ADAM loop that calls
-``total_loss`` on a fresh surface every step, and the regularizer must match
-a per-node loop over the 8-neighbourhood.  An objective reuses one raster
-workspace from call to call: its results must not change when it is called
-again, and a call on a 251 x 251 tile must allocate less than half a raster.
+8 x 8 control grid and perturbed weights, also with NODATA cells in both
+layers.  The fit loop, which evaluates one objective built once per fit,
+must reproduce exactly an ADAM loop that calls ``total_loss`` on a fresh
+surface every step, and the regularizer must match a per-node loop over the
+8-neighbourhood.  An objective reuses one raster workspace from call to
+call: its results must not change when it is called again, and a call on a
+251 x 251 tile must allocate less than half a raster.
 """
 
 import copy
@@ -59,6 +60,15 @@ def test_gradients_match_central_differences(scene):
 def test_gradients_match_central_differences_with_term_weights(scene):
     assert_gradients_match_central_differences(
         scene, fitmod.LossWeights(lambda_terrain=0.6, lambda_reg=0.3))
+
+
+def test_gradients_match_central_differences_without_some_targets(scene):
+    # NODATA cells in both layers: a cell without a target adds nothing to
+    # the loss, so it must add nothing to the gradient either
+    rng = np.random.default_rng(4)
+    holes = {layer: getattr(scene, layer).subset(rng.random(scene.dsm.values.shape) > 0.15)
+             for layer in ("dsm", "dtm")}
+    assert_gradients_match_central_differences(replace(scene, **holes))
 
 
 @pytest.mark.parametrize("learning_rate", [0.1, 2.0])

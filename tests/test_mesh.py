@@ -20,7 +20,9 @@ hull boundary, collinear ones included.
 The flip loop, which keeps its half-edge twins from round to round, is
 checked array for array against the loop it replaced, which pairs every
 half-edge again by an argsort each round: both flip the same edges in the
-same rounds, so from the same start they must give equal arrays.
+same rounds, so from the same start they must give equal arrays.  The
+half-edge pairs the flips start from are checked against a dictionary of
+each triangulation's edges.
 
 The OBJ writer is checked byte for byte against a formatter that converts
 one numpy scalar at a time.  The plane fit must recover the plane its
@@ -37,8 +39,8 @@ from roadsurf.filtering import FilterParams, run_filter
 from roadsurf.fit import initialize_surface
 from roadsurf.grid import Mask, Raster
 from roadsurf.mesh import (_TOL, SamplingConfig, TinMesh, _flip_to_delaunay, _incircle,
-                           _strip_start, delaunay, dynamic_sample, export_mesh, fit_plane,
-                           plane_mesh, rgt_mesh)
+                           _strip_start, delaunay, dynamic_sample, edge_pairs, export_mesh,
+                           fit_plane, plane_mesh, rgt_mesh)
 from roadsurf.nurbs import NurbsSurface
 from roadsurf.synth import SceneSpec, generate
 
@@ -214,6 +216,22 @@ def test_every_interior_edge_is_locally_delaunay(points):
     tri = delaunay(points)
     assert edge_incircle(points, tri).max() <= EDGE_TOL
     assert_tiles_hull(points, tri)
+
+
+@pytest.mark.parametrize("points", [*random_sets()[:5], COCIRCULAR_LATTICE])
+def test_edge_pairs_twin_each_interior_edge_once(points):
+    tri = delaunay(points)
+    tail, head = tri.ravel(), tri[:, [1, 2, 0]].ravel()
+    halves = {}
+    for h, edge in enumerate(zip(tail.tolist(), head.tolist())):
+        halves.setdefault(frozenset(edge), []).append(h)
+    assert max(map(len, halves.values())) == 2
+    interior = sorted(tuple(hs) for hs in halves.values() if len(hs) == 2)
+    pairs = edge_pairs(tri)
+    assert sorted(map(tuple, pairs.tolist())) == interior
+    # twins run opposite ways along their edge
+    h1, h2 = pairs.T
+    assert np.array_equal(tail[h1], head[h2]) and np.array_equal(head[h1], tail[h2])
 
 
 def test_lattice_squares_take_the_rgt_diagonal():

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from roadsurf import metrics
 from roadsurf.grid import GridGeoref, Mask, Raster
-from roadsurf.mesh import TinMesh, delaunay, export_mesh, plane_mesh, rgt_mesh
-from roadsurf.metrics import (_adjacent_pairs, _bilinear, _closest_point_batch, evaluate_all,
+from roadsurf.mesh import TinMesh, delaunay, edge_pairs, export_mesh, plane_mesh, rgt_mesh
+from roadsurf.metrics import (_bilinear, _closest_point_batch, evaluate_all,
                               point_mesh_distances, vertex_errors)
 
 
@@ -413,7 +413,7 @@ def test_no_points_and_no_triangles(mesh):
                  id="random_non_manifold"),
 ])
 def test_adjacent_pairs_match_shared_edge_scan(triangles):
-    pairs = _adjacent_pairs(np.asarray(triangles, dtype=np.int64).reshape(-1, 3))
+    pairs = edge_pairs(np.asarray(triangles, dtype=np.int64).reshape(-1, 3)) // 3
     expected = shared_edge_pairs(triangles)
     assert pairs.shape == expected.shape and pairs.dtype == expected.dtype
     assert np.array_equal(pairs, expected)
@@ -421,7 +421,7 @@ def test_adjacent_pairs_match_shared_edge_scan(triangles):
 
 def test_adjacent_pairs_of_meshes(mesh, lattice):
     for m in (mesh, lattice):
-        assert np.array_equal(_adjacent_pairs(m.triangles), shared_edge_pairs(m.triangles))
+        assert np.array_equal(edge_pairs(m.triangles) // 3, shared_edge_pairs(m.triangles))
 
 
 def submesh_mads(mesh, mask_plus):
@@ -433,7 +433,7 @@ def submesh_mads(mesh, mask_plus):
     on_road = mask_plus.contains(centroids[:, 0], centroids[:, 1])
     mads = []
     for triangles in (mesh.triangles[on_road], mesh.triangles[~on_road]):
-        pairs = _adjacent_pairs(triangles)
+        pairs = edge_pairs(triangles) // 3
         if len(pairs) == 0:
             mads.append(0.0)
             continue
