@@ -37,8 +37,9 @@ Configuration comes from an INI-style file (sections [paths], [filter],
 a command line flag of the same name, for example theta_xy in [filter] by
 --theta-xy.  Defaults: a 35x35 cubic control grid, and the defaults of the
 stages' own config classes (FilterParams, LossWeights, FitConfig,
-SamplingConfig).  Booleans take configparser's spellings (1/yes/true/on,
-0/no/false/off).
+SamplingConfig); the fit freezes its weights (weight_learning_rate 0, a
+B-spline) and ends on its seventh plateau, or at max_iters 1000.  Booleans
+take configparser's spellings (1/yes/true/on, 0/no/false/off).
 
 Every artifact is byte-stable for a fixed BLAS build and thread count
 (OPENBLAS_NUM_THREADS): rerunning on identical inputs reproduces it exactly.
@@ -115,6 +116,7 @@ class PipelineConfig:
     lambda_terrain: float = _key("fit", LossWeights.lambda_terrain)
     lambda_reg: float = _key("fit", LossWeights.lambda_reg)
     learning_rate: float = _key("fit", FitConfig.learning_rate)
+    weight_learning_rate: float = _key("fit", FitConfig.weight_learning_rate)
     max_iters: int = _key("fit", FitConfig.max_iters)
     early_stop_patience: int = _key("fit", FitConfig.early_stop_patience)
     early_stop_min_delta: float = _key("fit", FitConfig.early_stop_min_delta)
@@ -241,14 +243,14 @@ def filter_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
 
 def fit_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     surface0 = fitmod.initialize_surface(
-        state.dsm, state.dtm, num_ctrl_u=config.num_ctrl_u,
+        state.dsm, state.dtm, state.mask_plus, num_ctrl_u=config.num_ctrl_u,
         num_ctrl_v=config.num_ctrl_v, degree_u=config.degree_u,
         degree_v=config.degree_v)
     state.surface, state.fit_report = fitmod.fit(
         surface0, state.dsm, state.dtm, state.mask_plus,
         config.stage_config(LossWeights), config.stage_config(FitConfig))
     state.record.append(("fit", {key: getattr(state.fit_report, key) for key in (
-        "iterations", "best_iteration", "best_loss", "stop_reason")}))
+        "iterations", "best_iteration", "best_loss", "stop_reason", "drops")}))
 
 
 def surface_stage(config: PipelineConfig, state: SimpleNamespace) -> None:

@@ -1,5 +1,5 @@
 """Surface fitting: composite loss and gradient descent on control elevations
-and weights.
+and, when they are free, weights.
 
 The loss pulls the surface toward the DSM inside the road mask and toward the
 DTM outside it, both as mean absolute residuals over the raster, plus a
@@ -11,29 +11,31 @@ clipped to a fixed box after every step: the optimizer takes near-constant
 magnitude steps, so an unbounded parameterization would let weights drift to
 extremes that condition the rational denominator badly.
 
-A fit builds one ``Objective`` from what stays fixed while ADAM moves the
-elevations and weights: the lattice basis of the raster grid, one target
-raster, the per-cell gradient coefficients and the regularizer's gather
-table.  Each iteration then costs the rational height field, one residual
-pass and the back-projection through the basis.  ``total_loss`` builds one
-and evaluates it once, so one-off evaluations take the fit loop's path.
+The schedule: elevations start at node medians of the loss's own target,
+and ADAM's step drops on each plateau (see ``fit``), since the L1 terms'
+sign gradients keep the steps near the step size and the loss stalls at a
+level that size sets.  Weights move only when ``weight_learning_rate`` is
+above 0; at the default 0 they stay at 1, a B-spline fit.
 
-The objective also keeps its per-call working rasters resident (height
-field, denominator, residual and masked absolute residuals) and writes into
-them in place, with the same arithmetic in the same order.  A raster of a
-251 x 251 tile is 0.5 MB, and a block that large, allocated fresh on every
-call, is page-faulted in from the system each time, at a cost above that of
-the arithmetic on it.
+A fit builds one ``Objective`` from what stays fixed while ADAM moves the
+parameters: the lattice basis of the raster grid, one target raster, the
+per-cell gradient coefficients, the regularizer's gather table and, with
+frozen weights, the rational denominator.  Each iteration then costs the
+height field, one residual pass and the back-projection through the basis.
+``total_loss`` builds a free-weight one and evaluates it once, so one-off
+evaluations take the fit loop's path.  Its working rasters stay resident
+from call to call (see ``Objective``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid import Mask, Raster
-from .nurbs import NurbsSurface, grid_basis, grid_heights
+from .nurbs import NurbsSurface, grid_basis, grid_product
 
 # control-grid 8-neighborhood (da, db), fixed order; ties in the neighborhood
 # range pick the earliest offset
@@ -50,6 +52,9 @@ _LOG_WEIGHT_CLIP = 2.0
 
 # ADAM moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+# step factor of each plateau drop, and the drops before a plateau ends a fit
+_DROP_FACTOR, _MAX_DROPS = 0.3, 6
 
 
 @dataclass
@@ -72,14 +77,21 @@ class LossWeights:
 
 @dataclass
 class FitConfig:
+    """ADAM's start steps, the plateau test and a cap on iterations.  A
+    weight step of 0 freezes the weights (a B-spline fit); above 0 the fit
+    is rational.  A fit normally ends on a plateau well before max_iters."""
+
     learning_rate: float = 0.1
-    max_iters: int = 200
+    weight_learning_rate: float = 0.0
+    max_iters: int = 1000
     early_stop_patience: int = 10
     early_stop_min_delta: float = 1e-4
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not 0 <= self.weight_learning_rate < math.inf:
+            raise ValueError("weight_learning_rate must be finite and non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.early_stop_patience < 1:
@@ -93,7 +105,8 @@ class FitReport:
     """Loss trace and outcome of one optimization run.
 
     The history lists hold one entry per performed iteration, evaluated at
-    the iterate the step started from.
+    that iteration's iterate; a step after a plateau drop starts from the
+    best iterate instead.  ``drops`` counts the plateau drops taken.
     """
 
     loss_total: list[float] = field(default_factory=list)
@@ -102,6 +115,7 @@ class FitReport:
     loss_reg: list[float] = field(default_factory=list)
     iterations: int = 0
     stop_reason: str = ""
+    drops: int = 0
     best_iteration: int = -1
     best_loss: float = float("inf")
 
@@ -171,6 +185,11 @@ def _abs_sum(values: np.ndarray, keep: np.ndarray, out: np.ndarray) -> float:
     return out.sum()
 
 
+def _target(dsm: Raster, dtm: Raster, mask_plus: Mask) -> np.ndarray:
+    """The data terms' target: the DSM on road cells, the DTM elsewhere."""
+    return np.where(mask_plus.bits == 1, dsm.values, dtm.values)
+
+
 class Objective:
     """The composite loss of one fit problem as a function of control
     elevations and weights.
@@ -191,14 +210,19 @@ class Objective:
     new one is page-faulted in again.  A call still allocates its
     control-grid-sized results and the regularizer's (nu * nv, 8) gathers,
     one at a time.
+
+    With ``free_weights`` False the denominator of the surface's weights is
+    filled once here, and the coefficients divided by it; a call must pass
+    those weights, does two raster products instead of four, and returns the free call's value, parts and
+    d/d z bit for bit and None for d/d log w.
     """
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,
-                 mask_plus: Mask, weights: LossWeights):
+                 mask_plus: Mask, weights: LossWeights, free_weights: bool = True):
         self.bu, self.bv = grid_basis(
             surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
         road = mask_plus.bits == 1
-        target = np.where(road, dsm.values, dtm.values)
+        target = _target(dsm, dtm, mask_plus)
         has_target = ~np.isnan(target)
         self.target = np.nan_to_num(target, nan=0.0, copy=False)
         magnitude = np.iinfo(np.int64).max  # every bit but the sign bit
@@ -210,22 +234,30 @@ class Objective:
         self.coef[~has_target] = 0.0
         self.roughness = Roughness(surface.num_ctrl_u, surface.num_ctrl_v)
         self.weights = weights
+        self.free_weights = free_weights
         self._height, self._den, self._residual, self._words = (
             np.empty(road.shape) for _ in range(4))
         # the forward (H, nu) and backward (nu, H) products never overlap
         products = np.empty(dsm.height * surface.num_ctrl_u)
         self._rows = products.reshape(dsm.height, surface.num_ctrl_u)
         self._cols = products.reshape(surface.num_ctrl_u, dsm.height)
+        if not free_weights:
+            grid_product(self.bu, self.bv, surface.weights, self._den, self._rows)
+            # a sign times coef / den rounds as sign times coef, over den
+            self.coef /= self._den
 
     def __call__(self, z: np.ndarray, w: np.ndarray
-                 ) -> tuple[float, dict[str, float], np.ndarray, np.ndarray]:
+                 ) -> tuple[float, dict[str, float], np.ndarray, np.ndarray | None]:
         """(value, per-term values, d/d z, d/d log w) at elevations z and
         weights w.  Non-finite values are returned, not warned about: the
         caller decides what a diverged loss means.  The returned arrays are
         fresh; only the workspace is reused from call to call."""
         z_grid, den, residual = self._height, self._den, self._residual
         with np.errstate(all="ignore"):
-            grid_heights(self.bu, self.bv, z, w, z_grid, den, self._rows)
+            if self.free_weights:
+                grid_product(self.bu, self.bv, w, den, self._rows)
+            grid_product(self.bu, self.bv, w * z, z_grid, self._rows)
+            z_grid /= den
             # both data terms are mean absolute residuals over all cells;
             # cells without a target are outside both masks
             np.subtract(self.target, z_grid, out=residual)
@@ -237,15 +269,18 @@ class Objective:
             # in-place sign would take numpy's scalar loop
             scaled = np.sign(residual, out=self._words)
             scaled *= self.coef
-            scaled /= den
+            if self.free_weights:
+                scaled /= den
             back = self._back(scaled)  # (nu, nv): basis-weighted sums
             lam = self.weights
             d_z = back * w + lam.lambda_reg * g_reg
+            value = v_road + lam.lambda_terrain * v_terr + lam.lambda_reg * v_reg
+            parts = {"road": v_road, "terrain": v_terr, "reg": v_reg}
+            if not self.free_weights:
+                return value, parts, d_z, None
             scaled *= z_grid
             d_w = z * back - self._back(scaled)
-            value = v_road + lam.lambda_terrain * v_terr + lam.lambda_reg * v_reg
-        parts = {"road": v_road, "terrain": v_terr, "reg": v_reg}
-        return value, parts, d_z, d_w * w  # chain through w = exp(log w)
+            return value, parts, d_z, d_w * w  # chain through w = exp(log w)
 
     def _back(self, scaled: np.ndarray) -> np.ndarray:
         """``bu.T @ scaled.T @ bv`` with the (nu, H) product written into the
@@ -267,26 +302,36 @@ def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
 
 def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
         weights: LossWeights, config: FitConfig) -> tuple[NurbsSurface, FitReport]:
-    """ADAM descent on control elevations and log-weights.
+    """ADAM descent on control elevations, and on log-weights when
+    config.weight_learning_rate is above 0.
 
-    Runs up to max_iters iterations, stopping early when the best loss has
-    not improved by at least early_stop_min_delta for early_stop_patience
-    consecutive iterations.  The returned surface is the best iterate seen,
-    including the post-update one that follows the last iteration when
-    max_iters ends the run.  Deterministic for fixed inputs.
+    On each of the first ``_MAX_DROPS`` plateaus (early_stop_patience
+    iterations without a gain of early_stop_min_delta on the best loss) the
+    fit returns to the best iterate and its stored gradient, multiplies its
+    steps by ``_DROP_FACTOR`` and resets ADAM's moments and bias-correction
+    count; the next plateau ends it ("plateau") unless max_iters does first.
+    No iterate is scored twice.  Returns the best iterate seen, frozen
+    weights as the input's own array, including the update after the last
+    iteration when max_iters ends the run.  Deterministic for fixed inputs.
     """
-    objective = Objective(surface, dsm, dtm, mask_plus, weights)
-    # elevations and log-weights stacked, so each ADAM step is one pass
-    theta = np.stack([surface.control_z, np.log(surface.weights)])
-    z, wp = theta
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    free = config.weight_learning_rate > 0
+    objective = Objective(surface, dsm, dtm, mask_plus, weights, free_weights=free)
+    # elevations, and log-weights when they move, stacked so each ADAM step
+    # is one pass
+    theta = np.stack([surface.control_z, np.log(surface.weights)][:1 + free])
+    rate = np.array([config.learning_rate, config.weight_learning_rate])[:1 + free, None, None]
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     report = FitReport()
-    best = (float("inf"), theta.copy())
-    stall = 0
+    best = (float("inf"), theta.copy(), None)  # value, iterate, its gradient
+    stall = t = 0
+
+    def score(params):
+        value, parts, g_z, g_w = objective(params[0], np.exp(params[1]) if free
+                                           else surface.weights)
+        return value, parts, np.stack([g_z, g_w][:1 + free])
 
     for it in range(config.max_iters):
-        value, parts, g_z, g_w = objective(z, np.exp(wp))
+        value, parts, g = score(theta)
         if not np.isfinite(value):
             raise RuntimeError(
                 f"non-finite loss at iteration {it}: road={parts['road']!r} "
@@ -296,53 +341,56 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
         report.loss_terrain.append(parts["terrain"])
         report.loss_reg.append(parts["reg"])
         if value < best[0]:
-            if best[0] - value >= config.early_stop_min_delta:
-                stall = 0
-            else:
-                stall += 1
-            best = (value, theta.copy())
+            stall = 0 if best[0] - value >= config.early_stop_min_delta else stall + 1
+            best = (value, theta.copy(), g)
             report.best_iteration = it
         else:
             stall += 1
         if stall >= config.early_stop_patience:
-            report.iterations = it + 1
-            report.stop_reason = "early_stop"
-            break
-        t = it + 1
-        g = np.stack([g_z, g_w])
+            if report.drops == _MAX_DROPS:
+                report.iterations = it + 1
+                report.stop_reason = "plateau"
+                break
+            report.drops += 1
+            rate *= _DROP_FACTOR
+            theta[:], g = best[1:]
+            m[:] = v[:] = 0.0
+            stall = t = 0
+        t += 1
         m *= _BETA1
         m += (1 - _BETA1) * g
         v *= _BETA2
         v += (1 - _BETA2) * g * g
         m_hat = m / (1 - _BETA1 ** t)
         v_hat = v / (1 - _BETA2 ** t)
-        theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + _EPS)
-        # projected step: constant-magnitude updates would otherwise let
-        # log-weights drift without bound and degenerate the denominator
-        np.clip(wp, -_LOG_WEIGHT_CLIP, _LOG_WEIGHT_CLIP, out=wp)
+        theta -= rate * m_hat / (np.sqrt(v_hat) + _EPS)
+        # projected step on the log-weights, if free: constant-magnitude
+        # updates would let them drift and degenerate the denominator
+        np.clip(theta[1:], -_LOG_WEIGHT_CLIP, _LOG_WEIGHT_CLIP, out=theta[1:])
     else:
         report.iterations = config.max_iters
         report.stop_reason = "max_iters"
         # the loop never evaluates the final update; give it a chance to win.
-        # An early stop breaks before its step, so it has scored its last z.
-        final_value = objective(z, np.exp(wp))[0]
+        # A plateau breaks before its step, so it has scored its last iterate.
+        final_value = score(theta)[0]
         if np.isfinite(final_value) and final_value < best[0]:
-            best = (final_value, theta.copy())
+            best = (final_value, theta.copy(), None)
             report.best_iteration = report.iterations
     report.best_loss = best[0]
-    best_z, best_wp = best[1]
-    fitted = replace(surface, control_z=best_z, weights=np.exp(best_wp))
+    fitted = replace(surface, control_z=best[1][0],
+                     weights=np.exp(best[1][1]) if free else surface.weights)
     return fitted, report
 
 
-def initialize_surface(dsm: Raster, dtm: Raster, num_ctrl_u: int = 35,
+def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: int = 35,
                        num_ctrl_v: int = 35, degree_u: int = 3,
                        degree_v: int = 3) -> NurbsSurface:
-    """Lattice surface over the DSM extent with data-driven starting heights.
+    """Lattice surface over the DSM extent with unit weights.
 
-    Each control elevation starts at the median DSM value over the cells
-    nearest to that lattice node; nodes whose footprint holds no valid cell
-    fall back to the global DTM median, then to zero.
+    Each control elevation starts at the median of the loss's target (the
+    DSM on road cells of mask_plus, the DTM elsewhere, so trees and facades
+    off the road do not lift it) over the non-NaN cells nearest to its
+    node; nodes without one fall back to the global DTM median, then to 0.
     """
     dtm_values = dtm.values[dtm.valid]
     fallback = float(np.median(dtm_values)) if dtm_values.size else 0.0
@@ -354,9 +402,10 @@ def initialize_surface(dsm: Raster, dtm: Raster, num_ctrl_u: int = 35,
     ia = np.clip(np.round((xs - x0) / (x1 - x0) * (num_ctrl_u - 1)), 0, num_ctrl_u - 1).astype(int)
     jb = np.clip(np.round((ys - y0) / (y1 - y0) * (num_ctrl_v - 1)), 0, num_ctrl_v - 1).astype(int)
     group = ia[None, :] * num_ctrl_v + jb[:, None]  # (H, W) lattice node id
-    valid = dsm.valid
+    target = _target(dsm, dtm, mask_plus)
+    valid = ~np.isnan(target)
     ids = group[valid].ravel()
-    vals = dsm.values[valid].ravel()
+    vals = target[valid].ravel()
     z = surface.control_z.reshape(-1)  # a view: node medians are written in place
     if ids.size:
         # one sort by node, then value, gives every node's median at once:

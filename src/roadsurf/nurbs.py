@@ -157,19 +157,13 @@ def grid_basis(surface: NurbsSurface, xs: np.ndarray,
     return bases[0], bases[1]
 
 
-def grid_heights(bu: np.ndarray, bv: np.ndarray, control_z: np.ndarray,
-                 weights: np.ndarray, height: np.ndarray, den: np.ndarray,
-                 rows: np.ndarray) -> None:
-    """Write the height field and the rational denominator, each (len(ys),
-    len(xs)), on the grid of ``grid_basis`` for the given control elevations
-    and weights into ``height`` and ``den``.  ``rows`` is (len(ys), nu)
-    scratch space for the first of the two products; all three must be
-    C-contiguous float64 arrays that do not overlap."""
-    np.matmul(bv, weights.T, out=rows)
-    np.matmul(rows, bu.T, out=den)
-    np.matmul(bv, (weights * control_z).T, out=rows)
-    np.matmul(rows, bu.T, out=height)
-    height /= den
+def grid_product(bu: np.ndarray, bv: np.ndarray, coeffs: np.ndarray,
+                 out: np.ndarray, rows: np.ndarray) -> None:
+    """Write ``bv @ coeffs.T @ bu.T``, the (len(ys), len(xs)) field of the
+    control-grid coefficients on the grid of ``grid_basis``, into ``out``;
+    ``rows`` is (len(ys), nu) scratch space for the first product."""
+    np.matmul(bv, coeffs.T, out=rows)
+    np.matmul(rows, bu.T, out=out)
 
 
 def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -179,8 +173,10 @@ def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.n
     """
     bu, bv = grid_basis(surface, xs, ys)
     height = np.empty((len(bv), len(bu)))
-    grid_heights(bu, bv, surface.control_z, surface.weights,
-                 height, np.empty_like(height), np.empty((len(bv), surface.num_ctrl_u)))
+    den, rows = np.empty_like(height), np.empty((len(bv), surface.num_ctrl_u))
+    grid_product(bu, bv, surface.weights, den, rows)
+    grid_product(bu, bv, surface.weights * surface.control_z, height, rows)
+    height /= den
     return height
 
 

@@ -205,6 +205,36 @@ def test_ablate_reruns_from_the_swept_stage(tile, run, tmp_path):
     assert cells(disabled) != cells(enabled)
 
 
+def test_ablate_keeps_the_free_weight_fit_in_the_matrix(tile, run, tmp_path):
+    # 0 is the default B-spline fit; a weight step above 0 the rational one
+    rc, artifacts = invoke(tmp_path / "ablate", "ablate", *layer_flags(tile, LAYERS),
+                           *FIT_FLAGS, "--param", "weight_learning_rate", "--values", "0,0.1")
+    assert rc == 0
+    frozen, free = rows(artifacts["ablate.csv"])
+    assert [(row["param"], row["value"]) for row in (frozen, free)] == [
+        ("weight_learning_rate", "0"), ("weight_learning_rate", "0.1")]
+    assert cells(frozen) == cells(rows(run[0]["metrics.csv"])[0])
+    assert cells(free) != cells(frozen)
+
+
+def test_negative_weight_learning_rate_is_a_usage_error(tile, tmp_path, capsys):
+    rc, artifacts = invoke(tmp_path / "out", "fit", *layer_flags(tile, LAYERS),
+                           "--weight-learning-rate", "-0.1")
+    assert (rc, artifacts) == (1, {})
+    assert capsys.readouterr().err == (
+        "usage error: weight_learning_rate must be finite and non-negative\n")
+
+
+def test_default_fit_ends_on_the_plateau_after_six_drops(tile, tmp_path, capsys):
+    rc, _ = invoke(tmp_path / "fit", "fit", *layer_flags(tile, ("dsm", "dtm", "mask")))
+    assert rc == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("fit: ")]
+    entry = dict(item.split("=") for item in line.split()[1:])
+    assert (entry["stop_reason"], entry["drops"]) == ("plateau", "6")
+    assert int(entry["best_iteration"]) < int(entry["iterations"]) < 200
+
+
 def test_ini_config_equals_flags(tile, run, tmp_path, capsys):
     config = tmp_path / "roadsurf.ini"
     config.write_text("\n".join([
@@ -267,6 +297,8 @@ SURFACE_FLAG_ERRORS = {"--num-ctrl-u": "degree_u 3 needs at least 4 control poin
     ["fit", "--lambda-reg", "nan"],
     ["fit", "--early-stop-min-delta", "nan"],
     ["fit", "--early-stop-min-delta", "-1"],
+    ["fit", "--weight-learning-rate", "nan"],
+    ["fit", "--weight-learning-rate", "inf"],
     ["ablate", "--param", "theta_xy", "--values", "inf"],
     ["synth", "--out", "unused", "--corrupt-mask", "2"],
     ["run", "--baselines", "maybe"],

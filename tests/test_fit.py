@@ -4,11 +4,14 @@ The analytic gradients of ``total_loss`` are checked against central finite
 differences along random directions, on a seeded 41 x 41 synth tile with an
 8 x 8 control grid and perturbed weights, also with NODATA cells in both
 layers.  The fit loop, which evaluates one objective built once per fit,
-must reproduce exactly an ADAM loop that calls ``total_loss`` on a fresh
-surface every step, and the regularizer must match a per-node loop over the
+must reproduce exactly an ADAM loop with plateau drops that calls
+``total_loss`` on a fresh surface every step, with free and with frozen
+weights, and the regularizer must match a per-node loop over the
 8-neighbourhood.  An objective reuses one raster workspace from call to
 call: its results must not change when it is called again, and a call on a
-251 x 251 tile must allocate less than half a raster.
+251 x 251 tile must allocate less than half a raster.  A frozen-weight
+objective must give the free one's value and elevation gradient bit for
+bit with half its raster products.
 """
 
 import copy
@@ -22,12 +25,28 @@ import pytest
 
 from roadsurf import fit as fitmod
 from roadsurf import synth
+from roadsurf.filtering import FilterParams, run_filter
+from roadsurf.grid import Mask
 
 
 @pytest.fixture(scope="module")
 def scene():
     return synth.generate(synth.SceneSpec(cell_size=2.5, vehicles=2, trees=2, facades=1,
                                           corrupt_mask=True, jitter_sigma=0.02, seed=3))
+
+
+def all_road(raster):
+    """A mask that makes every cell of ``raster``'s grid a road cell."""
+    return Mask(raster.width, raster.height, raster.cell_size, raster.origin_x,
+                raster.origin_y, np.ones(raster.values.shape))
+
+
+def start_8x8(scene, mask=None):
+    """The 8 x 8 start surface at the node medians of the target under
+    ``mask``, the scene's own by default.  Under ``all_road`` the target is
+    the DSM everywhere: the DSM-median start."""
+    return fitmod.initialize_surface(scene.dsm, scene.dtm, mask or scene.mask, num_ctrl_u=8,
+                                     num_ctrl_v=8)
 
 
 def loss(surface, scene, control_z, log_weights, weights=None):
@@ -38,7 +57,10 @@ def loss(surface, scene, control_z, log_weights, weights=None):
 
 def assert_gradients_match_central_differences(scene, weights=None):
     rng = np.random.default_rng(0)
-    surface = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
+    # the DSM-median start: at the target start, near the optimum, some
+    # directional derivatives are about 6e-6, and the differences' rounding
+    # (about 1e-15 / h) there exceeds the relative tolerance
+    surface = start_8x8(scene, all_road(scene.dsm))
     z0 = surface.control_z
     lw0 = rng.uniform(-0.5, 0.5, surface.weights.shape)
     _, _, g_z, g_w = loss(surface, scene, z0, lw0, weights)
@@ -73,7 +95,7 @@ def test_gradients_match_central_differences_without_some_targets(scene):
 
 @pytest.mark.parametrize("learning_rate", [0.1, 2.0])
 def test_fit_returns_its_best_iterate(scene, learning_rate):
-    surface0 = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
+    surface0 = start_8x8(scene)
     surface, report = fitmod.fit(surface0, scene.dsm, scene.dtm, scene.mask,
                                  fitmod.LossWeights(),
                                  fitmod.FitConfig(learning_rate=learning_rate, max_iters=40))
@@ -85,41 +107,87 @@ def test_fit_returns_its_best_iterate(scene, learning_rate):
         assert report.loss_total[report.best_iteration] == report.best_loss
 
 
-def test_fit_loop_equals_total_loss_on_fresh_surfaces(scene):
-    rng = np.random.default_rng(1)
-    surface0 = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
-    surface0 = replace(surface0, weights=np.exp(rng.uniform(-0.5, 0.5, (8, 8))))
-    weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
-    config = fitmod.FitConfig(learning_rate=0.05, max_iters=30, early_stop_patience=100)
-    fitted, report = fitmod.fit(surface0, scene.dsm, scene.dtm, scene.mask, weights, config)
-
-    z = surface0.control_z.copy()
-    wp = np.log(surface0.weights)
+def replay_fit(surface0, scene, weights, config):
+    """The fit's schedule written out with ``total_loss`` on a fresh surface
+    each iteration: ADAM per parameter block and, on each plateau, a return
+    to the best iterate and its gradient, steps times 0.3 and fresh moments,
+    until the seventh plateau or max_iters.  Returns the loss trace, the
+    parts trace, the stop reason, the drops and the best loss."""
+    free = config.weight_learning_rate > 0
+    z, wp = surface0.control_z.copy(), np.log(surface0.weights)
+    rates = [config.learning_rate, config.weight_learning_rate]
     moments = [np.zeros_like(z) for _ in range(4)]
+
+    def score(z, wp):
+        fresh = replace(surface0, control_z=z,
+                        weights=np.exp(wp) if free else surface0.weights)
+        return fitmod.total_loss(fresh, scene.dsm, scene.dtm, scene.mask, weights)
+
     trace, parts_trace = [], []
-    for it in range(config.max_iters):
-        fresh = replace(surface0, control_z=z, weights=np.exp(wp))
-        value, parts, g_z, g_w = fitmod.total_loss(fresh, scene.dsm, scene.dtm, scene.mask,
-                                                   weights)
+    best = (math.inf, None, None)  # value, (z, wp), (g_z, g_w)
+    stall = t = drops = 0
+    for _ in range(config.max_iters):
+        value, parts, g_z, g_w = score(z, wp)
         trace.append(value)
         parts_trace.append((parts["road"], parts["terrain"], parts["reg"]))
-        t = it + 1
-        for g, m, v, theta in ((g_z, *moments[:2], z), (g_w, *moments[2:], wp)):
+        if value < best[0]:
+            stall = 0 if best[0] - value >= config.early_stop_min_delta else stall + 1
+            best = (value, (z.copy(), wp.copy()), (g_z, g_w))
+        else:
+            stall += 1
+        if stall >= config.early_stop_patience:
+            if drops == 6:
+                return trace, parts_trace, "plateau", drops, best[0]
+            drops += 1
+            rates = [rate * 0.3 for rate in rates]
+            z, wp = (a.copy() for a in best[1])
+            g_z, g_w = best[2]
+            for m in moments:
+                m[:] = 0.0
+            stall = t = 0
+        t += 1
+        blocks = ((g_z, *moments[:2], z, rates[0]), (g_w, *moments[2:], wp, rates[1]))
+        for g, m, v, theta, rate in blocks[:1 + free]:
             m *= 0.9
             m += (1 - 0.9) * g
             v *= 0.999
             v += (1 - 0.999) * g * g
             m_hat = m / (1 - 0.9 ** t)
             v_hat = v / (1 - 0.999 ** t)
-            theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-        np.clip(wp, -fitmod._LOG_WEIGHT_CLIP, fitmod._LOG_WEIGHT_CLIP, out=wp)
+            theta -= rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        if free:
+            np.clip(wp, -fitmod._LOG_WEIGHT_CLIP, fitmod._LOG_WEIGHT_CLIP, out=wp)
+    return trace, parts_trace, "max_iters", drops, min(best[0], score(z, wp)[0])
 
-    assert report.iterations == config.max_iters
+
+def assert_fit_replays(scene, weight_learning_rate, max_iters, stop_reason):
+    rng = np.random.default_rng(1)
+    surface0 = replace(start_8x8(scene), weights=np.exp(rng.uniform(-0.5, 0.5, (8, 8))))
+    weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
+    config = fitmod.FitConfig(learning_rate=0.05, weight_learning_rate=weight_learning_rate,
+                              max_iters=max_iters, early_stop_patience=4,
+                              early_stop_min_delta=1e-3)
+    fitted, report = fitmod.fit(surface0, scene.dsm, scene.dtm, scene.mask, weights, config)
+    trace, parts_trace, stop, drops, best_loss = replay_fit(surface0, scene, weights, config)
+    assert (report.stop_reason, stop) == (stop_reason, stop_reason)
+    assert report.drops == drops >= 1
+    assert report.iterations == len(trace)
     assert report.loss_total == trace
     assert list(zip(report.loss_road, report.loss_terrain, report.loss_reg)) == parts_trace
-    final = fitmod.total_loss(replace(surface0, control_z=z, weights=np.exp(wp)),
-                              scene.dsm, scene.dtm, scene.mask, weights)[0]
-    assert report.best_loss == min(trace + [final])
+    assert report.best_loss == best_loss
+    return fitted, surface0
+
+
+def test_fit_loop_equals_total_loss_on_fresh_surfaces(scene):
+    # free weights at their own step, ended by the seventh plateau and by
+    # max_iters after a drop
+    for max_iters, stop_reason in ((200, "plateau"), (105, "max_iters")):
+        assert_fit_replays(scene, 0.02, max_iters, stop_reason)
+
+
+def test_frozen_fit_loop_equals_total_loss_on_fresh_surfaces(scene):
+    fitted, surface0 = assert_fit_replays(scene, 0.0, 200, "plateau")
+    assert fitted.weights is surface0.weights
 
 
 def test_early_stop_scores_each_iterate_once(scene, monkeypatch):
@@ -131,13 +199,14 @@ def test_early_stop_scores_each_iterate_once(scene, monkeypatch):
         return score(self, z, w)
 
     monkeypatch.setattr(fitmod.Objective, "__call__", counted)
-    surface0 = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
-    # no step gains 10, so the stall count runs out after the patience
+    surface0 = start_8x8(scene)
+    # no step gains 10, so each patience-th iteration after the first ends a
+    # plateau: drops at iterations 3, 6, ..., 18, and the end at 21
     config = fitmod.FitConfig(max_iters=50, early_stop_patience=3, early_stop_min_delta=10.0)
     surface, report = fitmod.fit(surface0, scene.dsm, scene.dtm, scene.mask,
                                  fitmod.LossWeights(), config)
-    assert report.stop_reason == "early_stop"
-    assert report.iterations == len(report.loss_total) == 4
+    assert (report.stop_reason, report.drops) == ("plateau", 6)
+    assert report.iterations == len(report.loss_total) == 22
     assert report.best_loss == min(report.loss_total)
     assert len(calls) == report.iterations
     value = fitmod.total_loss(surface, scene.dsm, scene.dtm, scene.mask,
@@ -153,7 +222,7 @@ def assert_same_results(got, expected):
 
 
 def test_objective_results_outlive_its_workspace(scene):
-    surface = fitmod.initialize_surface(scene.dsm, scene.dtm, num_ctrl_u=8, num_ctrl_v=8)
+    surface = start_8x8(scene)
     weights = fitmod.LossWeights(lambda_terrain=0.7)
     rng = np.random.default_rng(2)
     z0 = surface.control_z
@@ -172,19 +241,90 @@ def test_objective_results_outlive_its_workspace(scene):
 
 def test_objective_call_allocates_no_raster():
     scene = synth.generate(synth.SceneSpec(cell_size=0.4, seed=1))  # 251 x 251
-    surface = fitmod.initialize_surface(scene.dsm, scene.dtm)
-    objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask,
-                                 fitmod.LossWeights())
-    state = (surface.control_z, surface.weights)
-    objective(*state)
-    tracemalloc.start()
-    try:
+    surface = fitmod.initialize_surface(scene.dsm, scene.dtm, scene.mask)
+    for free_weights in (True, False):
+        objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask,
+                                     fitmod.LossWeights(), free_weights)
+        state = (surface.control_z, surface.weights)
         objective(*state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # what a call still allocates is sized by the 35 x 35 control grid
-    assert peak < scene.dsm.values.nbytes / 2
+        tracemalloc.start()
+        try:
+            objective(*state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # what a call still allocates is sized by the 35 x 35 control grid
+        assert peak < scene.dsm.values.nbytes / 2
+
+
+def test_frozen_objective_equals_the_free_one_with_half_the_raster_products(
+        scene, monkeypatch):
+    products = []
+    product, back = fitmod.grid_product, fitmod.Objective._back
+    monkeypatch.setattr(fitmod, "grid_product", lambda *args: products.append("grid")
+                        or product(*args))
+    monkeypatch.setattr(fitmod.Objective, "_back", lambda self, scaled: products.append("back")
+                        or back(self, scaled))
+    surface = start_8x8(scene)  # unit weights
+    weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
+    free, frozen = (fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights,
+                                     free_weights) for free_weights in (True, False))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        z = surface.control_z + rng.normal(0.0, 0.5, surface.control_z.shape)
+        products.clear()
+        expected = free(z, surface.weights)
+        assert sorted(products) == ["back", "back", "grid", "grid"]
+        products.clear()
+        got = frozen(z, surface.weights)
+        assert sorted(products) == ["back", "grid"]
+        assert got[:2] == expected[:2]
+        assert got[2].tobytes() == expected[2].tobytes()
+        assert got[3] is None
+
+
+def test_frozen_fit_returns_unit_weights(scene):
+    surface, report = fitmod.fit(start_8x8(scene), scene.dsm, scene.dtm, scene.mask,
+                                 fitmod.LossWeights(), fitmod.FitConfig())
+    assert report.stop_reason == "plateau"
+    assert (surface.weights == 1.0).all()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_target_start_ends_no_higher_than_the_dsm_start(seed):
+    """The target start begins lower and ends in fewer iterations.  Its best
+    loss may end higher by less than the plateau test can tell apart
+    (early_stop_min_delta): on twelve bench scenes at 1 to 2.5 m it ended
+    lower on ten, by up to 1.5e-4, and higher on two, by at most 2e-5."""
+    scene = synth.generate(synth.SceneSpec(cell_size=2.5, vehicles=6, trees=8, facades=2,
+                                           corrupt_mask=True, jitter_sigma=0.02, seed=seed))
+    _, mask_plus = run_filter(scene.dsm.subset(scene.mask.bits == 1), FilterParams())
+    config = fitmod.FitConfig()
+    target, dsm = (fitmod.fit(fitmod.initialize_surface(scene.dsm, scene.dtm, mask),
+                              scene.dsm, scene.dtm, mask_plus, fitmod.LossWeights(), config)[1]
+                   for mask in (mask_plus, all_road(scene.dsm)))
+    assert target.loss_total[0] < dsm.loss_total[0]
+    assert target.iterations < dsm.iterations
+    assert target.best_loss <= dsm.best_loss + config.early_stop_min_delta
+
+
+@pytest.mark.parametrize("weight_learning_rate", [0.0, 0.1])
+def test_two_fits_of_one_tile_are_byte_identical(scene, weight_learning_rate):
+    config = fitmod.FitConfig(weight_learning_rate=weight_learning_rate)
+    runs = [fitmod.fit(start_8x8(scene), scene.dsm, scene.dtm, scene.mask,
+                       fitmod.LossWeights(), config) for _ in range(2)]
+    (first, first_report), (second, second_report) = runs
+    for trace in ("loss_total", "loss_road", "loss_terrain", "loss_reg"):
+        assert (np.array(getattr(first_report, trace)).tobytes()
+                == np.array(getattr(second_report, trace)).tobytes())
+    assert first.control_z.tobytes() == second.control_z.tobytes()
+    assert first.weights.tobytes() == second.weights.tobytes()
+
+
+@pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf])
+def test_weight_learning_rate_must_be_finite_and_non_negative(rate):
+    with pytest.raises(ValueError, match="weight_learning_rate must be finite and non-negative"):
+        fitmod.FitConfig(weight_learning_rate=rate)
 
 
 def per_node_roughness(z):
@@ -281,21 +421,26 @@ def test_roughness_needs_a_2x2_grid():
 
 @pytest.mark.parametrize("shape", [(8, 8), (13, 6), (35, 35)])
 def test_start_heights_are_per_node_medians(scene, shape):
-    dsm = scene.dsm
-    values = np.round(dsm.values, 1)  # ties between cells
-    values[::4, ::3] = np.nan         # nodes with odd and even counts
-    dsm = type(dsm)(dsm.width, dsm.height, dsm.cell_size, dsm.origin_x, dsm.origin_y, values)
-    surface = fitmod.initialize_surface(dsm, scene.dtm, *shape)
+    layers = {}
+    for name, holes in (("dsm", np.s_[::4, ::3]), ("dtm", np.s_[1::3, ::2])):
+        raster = getattr(scene, name)
+        values = np.round(raster.values, 1)  # ties between cells
+        values[holes] = np.nan               # nodes with odd and even counts, and none
+        layers[name] = replace(raster, values=values)
+    dsm, dtm = layers["dsm"], layers["dtm"]
+    surface = fitmod.initialize_surface(dsm, dtm, scene.mask, *shape)
+    # the loss's own target: the DSM on road cells, the DTM elsewhere
+    target = np.where(scene.mask.bits == 1, dsm.values, dtm.values)
     nu, nv = shape
     x0, x1, y0, y1 = dsm.center_extent
     xs = dsm.origin_x + np.arange(dsm.width) * dsm.cell_size
     ys = dsm.origin_y + np.arange(dsm.height) * dsm.cell_size
-    expected = np.full(shape, float(np.median(scene.dtm.values)))
+    expected = np.full(shape, float(np.median(dtm.values[~np.isnan(dtm.values)])))
     for a in range(nu):
         for b in range(nv):
             cols = np.clip(np.round((xs - x0) / (x1 - x0) * (nu - 1)), 0, nu - 1) == a
             rows = np.clip(np.round((ys - y0) / (y1 - y0) * (nv - 1)), 0, nv - 1) == b
-            cell_values = values[np.ix_(rows, cols)]
+            cell_values = target[np.ix_(rows, cols)]
             cell_values = cell_values[~np.isnan(cell_values)]
             if cell_values.size:
                 expected[a, b] = np.median(cell_values)

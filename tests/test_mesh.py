@@ -335,7 +335,7 @@ def pipeline_samples():
         scene = generate(SceneSpec(cell_size=1.0, vehicles=6, trees=8, facades=2,
                                    corrupt_mask=True, jitter_sigma=0.02, seed=seed))
         _, mask_plus = run_filter(scene.dsm.subset(scene.mask.bits == 1), FilterParams())
-        surface = initialize_surface(scene.dsm, scene.dtm)
+        surface = initialize_surface(scene.dsm, scene.dtm, mask_plus)
         for rates in ((1.0, 10.0), (0.5, 5.0), (0.4, 4.0), (2.5, 10.0)):
             sets.append(dynamic_sample(surface, mask_plus, SamplingConfig(*rates))[:, :2])
     return sets
