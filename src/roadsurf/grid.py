@@ -30,6 +30,10 @@ Unlike ``float``, the reader takes no digit-group underscores (``1_0``) and
 no non-ASCII digits.  An infinite value must equal ``NODATA_value``.
 Header values are read by ``float``.
 
+The writer puts each cell down as ``repr`` of its float, NaN as NODATA, so
+a saved raster loads back bit for bit, -0.0 with its sign; ``save_rasters``
+writes several files and formats each distinct value once for all of them.
+
 Every text file the package reads or writes, ``.asc`` or not, is UTF-8:
 ``read_lines`` reads it with lines ending at ``\\n``, ``\\r\\n`` or ``\\r``, and
 ``write_lines`` writes it with lines ending at ``\\n``.
@@ -338,22 +342,36 @@ def _read_grid(path: str | Path, mask: bool) -> Raster:
     )
 
 
+def save_rasters(rasters: dict[str | Path, Raster]) -> None:
+    """Write each Raster of ``rasters``, keyed by path, as an ASCII grid.
+
+    Each distinct cell value, told apart by its bit pattern so that -0.0
+    stays apart from 0.0, is formatted once for all the rasters of a call:
+    the layers of a scene share most of their values."""
+    cells = np.concatenate([np.flipud(np.where(np.isnan(r.values), NODATA, r.values)).ravel()
+                            for r in rasters.values()])
+    distinct, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+    del cells
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    start = 0
+    for path, raster in rasters.items():
+        rows = text[inverse[start:start + raster.values.size]].reshape(raster.values.shape)
+        start += raster.values.size
+        cell = raster.cell_size
+        write_lines(path, [
+            f"ncols {raster.width}",
+            f"nrows {raster.height}",
+            f"xllcorner {float(raster.origin_x - 0.5 * cell)!r}",
+            f"yllcorner {float(raster.origin_y - 0.5 * cell)!r}",
+            f"cellsize {float(cell)!r}",
+            f"NODATA_value {NODATA!r}",
+            *(" ".join(row) for row in rows.tolist()),
+        ])
+
+
 def save_raster(raster: Raster, path: str | Path) -> None:
     """Write a Raster as an ASCII grid, NaN cells as NODATA."""
-    cell = raster.cell_size
-    out = np.where(np.isnan(raster.values), NODATA, raster.values)
-    out = np.flipud(out)
-    lines = [
-        f"ncols {raster.width}",
-        f"nrows {raster.height}",
-        f"xllcorner {float(raster.origin_x - 0.5 * cell)!r}",
-        f"yllcorner {float(raster.origin_y - 0.5 * cell)!r}",
-        f"cellsize {float(cell)!r}",
-        f"NODATA_value {NODATA!r}",
-    ]
-    for row in out.tolist():
-        lines.append(" ".join(map(repr, row)))
-    write_lines(path, lines)
+    save_rasters({path: raster})
 
 
 def load_mask(path: str | Path) -> Mask:
@@ -364,10 +382,14 @@ def load_mask(path: str | Path) -> Mask:
                 raster.origin_x, raster.origin_y, bits.astype(np.uint8))
 
 
+def mask_raster(mask: Mask) -> Raster:
+    """The mask as a raster of 0.0 and 1.0, as ``save_mask`` writes it."""
+    return Raster(mask.width, mask.height, mask.cell_size,
+                  mask.origin_x, mask.origin_y, mask.bits.astype(float))
+
+
 def save_mask(mask: Mask, path: str | Path) -> None:
-    raster = Raster(mask.width, mask.height, mask.cell_size,
-                    mask.origin_x, mask.origin_y, mask.bits.astype(float))
-    save_raster(raster, path)
+    save_raster(mask_raster(mask), path)
 
 
 def resample_mask(mask: Mask, target: Raster) -> Mask:

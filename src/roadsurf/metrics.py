@@ -104,21 +104,21 @@ class _Bins:
     distances, only how many bins a search opens."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        """Bins for the triangles with (T, 3) plan coordinates x and y."""
+        """Bins for the triangles with (3, T) plan coordinates x and y, a row per vertex."""
         lo = np.array([x.min(), y.min()])
         hi = np.array([x.max(), y.max()])
         span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)
-        cell = span / max(1.0, np.sqrt(len(x) / 2.0))
+        cell = span / max(1.0, np.sqrt(x.shape[1] / 2.0))
         lo = lo - cell / 2
         nb = (np.maximum(1, np.ceil((hi - lo) / cell))).astype(int)
         self.lo, self.cell, self.nb = lo, cell, nb
-        self.box = np.column_stack([x.min(axis=1), y.min(axis=1), x.max(axis=1), y.max(axis=1)])
+        self.box = np.column_stack([x.min(0), y.min(0), x.max(0), y.max(0)])
         bounds = np.clip(np.floor((self.box - np.tile(lo, 2)) / cell), 0,
                          np.tile(nb, 2) - 1).astype(np.int32)
         self.first, self.last = bounds[:, :2].copy(), bounds[:, 2:].copy()
         size = self.last - self.first + 1
         per_tri = size[:, 0] * size[:, 1]
-        ids = np.repeat(np.arange(len(x), dtype=np.int32), per_tri)
+        ids = np.repeat(np.arange(x.shape[1], dtype=np.int32), per_tri)
         step_i, step_j = np.divmod(runs(per_tri), size[ids, 1])
         nbj = int(nb[1])  # a Python int keeps the products in int32
         bins = (self.first[:, 0] * nbj + self.first[:, 1])[ids] + step_i * nbj + step_j
@@ -170,7 +170,8 @@ def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _B
         for s in range(0, len(open_), step):
             sel = open_[s:s + step]
             ij = home[sel, None] + ring
-            inside = ((ij >= 0) & (ij < nb)).all(2)
+            inside = ((ij[..., 0] >= 0) & (ij[..., 0] < nb[0])
+                      & (ij[..., 1] >= 0) & (ij[..., 1] < nb[1]))
             owner, ij = np.broadcast_to(sel[:, None], inside.shape)[inside], ij[inside]
             # window: a bin whose plan box lies beyond the best so far holds
             # nothing closer; limit keeps that best for the pairs below
@@ -191,7 +192,8 @@ def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _B
                     # is every triangle's nearest bin, and best is still inf)
                     nearest = np.maximum(bins.first.take(ids, 0),
                                          np.minimum(home.take(o, 0), bins.last.take(ids, 0)))
-                    keep = (nearest == ij.take(w, 0)).all(1)
+                    bin_ij = ij.take(w, 0)
+                    keep = (nearest[:, 0] == bin_ij[:, 0]) & (nearest[:, 1] == bin_ij[:, 1])
                     ids, o, w = ids[keep], o[keep], w[keep]
                     box = bins.box.take(ids, 0)
                     keep = ~(_box_distance(plan.take(o, 0), box[:, :2], box[:, 2:]) > limit[w])
@@ -255,12 +257,12 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     if len(mesh.triangles) == 0:
         raise ValueError("mesh has no triangles")
     pts = np.asarray(points_xyz, dtype=float).reshape(-1, 3)
-    x = mesh.vertices[:, 0][mesh.triangles]
-    y = mesh.vertices[:, 1][mesh.triangles]
+    x = mesh.vertices[:, 0][mesh.triangles.T]
+    y = mesh.vertices[:, 1][mesh.triangles.T]
     bins = _Bins(x, y)
     # squared-length scale per triangle for the containment tolerance
-    e1 = (x[:, 1] - x[:, 0]) ** 2 + (y[:, 1] - y[:, 0]) ** 2
-    e2 = (x[:, 2] - x[:, 0]) ** 2 + (y[:, 2] - y[:, 0]) ** 2
+    e1 = (x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2
+    e2 = (x[2] - x[0]) ** 2 + (y[2] - y[0]) ** 2
     area_eps = 1e-9 * np.maximum(e1, e2)
     del x, y, e1, e2
     dist = np.full(len(pts), np.inf)
@@ -279,19 +281,19 @@ def _smoothness(mesh: TinMesh, mask_plus: Mask) -> tuple[float, float]:
 
     The pairs of one class keep their order in the table of all pairs, which
     is their order in the table of that class's triangles alone."""
-    tri = mesh.vertices[mesh.triangles]
-    on_road = mask_plus.contains(*tri.mean(axis=1)[:, :2].T)
-    normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    del tri  # not held while the pair table, the larger peak, is built
+    v0, v1, v2 = mesh.vertices.take(mesh.triangles.T, 0)
+    on_road = mask_plus.contains(*((v0 + v1 + v2) / 3)[:, :2].T)
+    normals = np.ascontiguousarray(np.cross(v1 - v0, v2 - v0).T)
+    del v0, v1, v2  # not held while the pair table, the larger peak, is built
     pairs = edge_pairs(mesh.triangles) // 3
     pairs = pairs[on_road[pairs[:, 0]] == on_road[pairs[:, 1]]]
     if len(pairs) == 0:
         return 0.0, 0.0
-    norms = np.linalg.norm(normals, axis=1)
+    norms = np.sqrt(_dot(normals, normals))
     if (norms == 0).any():
         raise ValueError("mesh contains degenerate triangles")
-    normals /= norms[:, None]
-    dots = np.abs((normals[pairs[:, 0]] * normals[pairs[:, 1]]).sum(1))
+    normals /= norms
+    dots = np.abs(_dot(normals.take(pairs[:, 0], 1), normals.take(pairs[:, 1], 1)))
     angles = np.degrees(np.arccos(np.clip(dots, 0.0, 1.0)))
     road = on_road[pairs[:, 0]]
     return tuple(float(a.mean()) if len(a) else 0.0 for a in (angles[road], angles[~road]))

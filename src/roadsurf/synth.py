@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Mask, Raster, read_lines, save_mask, save_raster
+from .grid import Mask, Raster, mask_raster, read_lines, save_rasters
 
 PROV_CLEAN = 0
 PROV_VEHICLE = 1
@@ -250,13 +250,13 @@ def generate(spec: SceneSpec) -> Scene:
 
 
 def save_scene(scene: Scene, out_dir: str | Path) -> dict[str, Path]:
-    """Write all tile layers as .asc files; returns the paths by layer name."""
+    """Write all tile layers as .asc files in one ``save_rasters`` call, which
+    formats a value the layers share once; returns the paths by layer name."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for layer in ("dsm", "dtm", "mask", "gt_road", "gt_terrain", "provenance"):
-        paths[layer] = out / f"{layer}.asc"
-        (save_mask if layer == "mask" else save_raster)(getattr(scene, layer), paths[layer])
+    paths = {layer.name: out / f"{layer.name}.asc" for layer in fields(Scene)}
+    save_rasters({path: mask_raster(scene.mask) if layer == "mask" else getattr(scene, layer)
+                  for layer, path in paths.items()})
     return paths
 
 

@@ -235,7 +235,7 @@ def test_default_fit_ends_on_the_plateau_after_six_drops(tile, tmp_path, capsys)
     assert int(entry["best_iteration"]) < int(entry["iterations"]) < 200
 
 
-def test_ini_config_equals_flags(tile, run, tmp_path, capsys):
+def test_ini_config_equals_flags(tile, tmp_path, capsys):
     config = tmp_path / "roadsurf.ini"
     config.write_text("\n".join([
         "[paths]",
@@ -243,13 +243,18 @@ def test_ini_config_equals_flags(tile, run, tmp_path, capsys):
         f"out_dir = {tmp_path / 'unused'}",
         "[filter]", "enabled = yes", "theta_xy = 10.0  # metres",
         "[surface]", "num_ctrl_u = 12", "num_ctrl_v = 12",
-        "[fit]", "max_iters = 200",
+        "[fit]", "max_iters = 60",
         "[sampling]", "road_rate = 2.5",
         "[metrics]", "baselines = off",
     ]) + "\n")
     rc, artifacts = invoke(tmp_path / "fit", "fit", "--config", str(config))
     assert rc == 0
-    assert artifacts == {name: run[0][name] for name in ("surface.txt", "loss_trace.csv")}
+    # the same max_iters on both routes, short enough to end the fit before
+    # its plateau, so the comparison also shows the [fit] key was read
+    flags = invoke(tmp_path / "flags", "fit", *layer_flags(tile, ("dsm", "dtm", "mask")),
+                   *FIT_FLAGS, "--max-iters", "60")
+    assert flags[0] == 0 and artifacts == flags[1]
+    assert len(rows(artifacts["loss_trace.csv"])) == 60
     assert not (tmp_path / "unused").exists()  # --out-dir overrides the file
     with pytest.raises(SystemExit):
         main(["run", "--help"])

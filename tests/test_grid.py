@@ -5,6 +5,9 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from roadsurf import grid, synth
 from roadsurf.grid import (
@@ -14,9 +17,11 @@ from roadsurf.grid import (
     Raster,
     load_mask,
     load_raster,
+    mask_raster,
     resample_mask,
     save_mask,
     save_raster,
+    save_rasters,
 )
 
 
@@ -266,6 +271,38 @@ class TestPerLineParity:
         assert str(err.value) == f"{path}:7: cannot parse data row: '1_0 4'"
 
 
+def per_row_bytes(raster):
+    """The ASCII grid of ``raster`` as a writer that formats every cell with
+    its own ``repr``, row by row, writes it: the reference for the bytes."""
+    cell = raster.cell_size
+    out = np.flipud(np.where(np.isnan(raster.values), grid.NODATA, raster.values))
+    lines = [
+        f"ncols {raster.width}",
+        f"nrows {raster.height}",
+        f"xllcorner {float(raster.origin_x - 0.5 * cell)!r}",
+        f"yllcorner {float(raster.origin_y - 0.5 * cell)!r}",
+        f"cellsize {float(cell)!r}",
+        f"NODATA_value {grid.NODATA!r}",
+    ]
+    for row in out.tolist():
+        lines.append(" ".join(map(repr, row)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# values whose text is easy to get wrong: signed zeros, extremes, the
+# shortest repr that is not the %.17g one, subnormals and NODATA itself
+SPECIAL = [np.nan, 0.0, -0.0, 1e300, -1e300, 1e16, 9999999999999998.0, 1e-5, 5e-324,
+           -5e-324, grid.NODATA, 0.1, 1.0, -1.0]
+
+
+def special_raster(rng, h, w):
+    values = rng.normal(0.0, 10.0 ** rng.uniform(-3, 5), (h, w))
+    pick = rng.random((h, w)) < 0.6
+    values[pick] = rng.choice(SPECIAL, int(pick.sum()))
+    return Raster(w, h, float(rng.uniform(0.1, 5.0)),
+                  float(rng.uniform(-1e6, 1e6)), float(rng.uniform(-1e6, 1e6)), values)
+
+
 class TestSaveRaster:
     def test_roundtrip_random(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -282,7 +319,57 @@ class TestSaveRaster:
             save_raster(raster, path)
             back = load_raster(path)
             assert back.georef_equals(raster)
-            npt.assert_allclose(back.values, raster.values, atol=1e-6, equal_nan=True)
+            npt.assert_array_equal(back.values, raster.values)  # repr round trips exactly
+
+    @pytest.mark.parametrize("cell", [1.0, 0.4])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scene_layers_equal_the_per_row_writer(self, tmp_path, cell, seed):
+        scene = synth.generate(synth.SceneSpec(cell_size=cell, vehicles=6, trees=8, facades=2,
+                                               corrupt_mask=True, jitter_sigma=0.02, seed=seed))
+        paths = synth.save_scene(scene, tmp_path)
+        for layer, path in paths.items():
+            raster = getattr(scene, layer)
+            if layer == "mask":
+                raster = mask_raster(raster)
+            assert path.read_bytes() == per_row_bytes(raster), layer
+
+    def test_special_values_equal_the_per_row_writer(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for k in range(12):
+            raster = special_raster(rng, *(int(n) for n in rng.integers(2, 12, 2)))
+            save_raster(raster, tmp_path / f"r{k}.asc")
+            assert (tmp_path / f"r{k}.asc").read_bytes() == per_row_bytes(raster)
+            mask = Mask(raster.width, raster.height, raster.cell_size, raster.origin_x,
+                        raster.origin_y, rng.random(raster.values.shape) < 0.5)
+            save_mask(mask, tmp_path / f"m{k}.asc")
+            assert (tmp_path / f"m{k}.asc").read_bytes() == per_row_bytes(mask_raster(mask))
+
+    def test_one_call_for_many_rasters_equals_one_call_each(self, tmp_path):
+        rng = np.random.default_rng(11)
+        first = special_raster(rng, 7, 5)
+        values = first.values.copy()[::-1, :4]  # shared values in other cells
+        values[0] = -0.0
+        second = Raster(4, 7, 0.5, 3.0, -2.0, values)
+        save_rasters({tmp_path / "a.asc": first, tmp_path / "b.asc": second})
+        save_raster(first, tmp_path / "a1.asc")
+        save_raster(second, tmp_path / "b1.asc")
+        assert (tmp_path / "a.asc").read_bytes() == (tmp_path / "a1.asc").read_bytes()
+        assert (tmp_path / "b.asc").read_bytes() == (tmp_path / "b1.asc").read_bytes()
+        assert (tmp_path / "b.asc").read_bytes() == per_row_bytes(second)
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=arrays(np.float64, st.tuples(st.integers(2, 6), st.integers(2, 6)),
+                         elements=st.floats(allow_infinity=False)))
+    def test_any_grid_equals_the_per_row_writer_and_loads_back(self, tmp_path_factory, values):
+        raster = Raster(values.shape[1], values.shape[0], 1.0, 0.0, 0.0, values)
+        path = tmp_path_factory.mktemp("h") / "g.asc"
+        save_raster(raster, path)
+        assert path.read_bytes() == per_row_bytes(raster)
+        back = load_raster(path).values
+        expected = np.where(values == grid.NODATA, np.nan, values)
+        npt.assert_array_equal(back, expected)
+        valid = ~np.isnan(expected)
+        assert np.array_equal(np.signbit(back[valid]), np.signbit(expected[valid]))
 
 
 class TestMaskIO:
