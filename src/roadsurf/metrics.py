@@ -9,12 +9,18 @@ vertex coordinates: ground truth comes from raster cells, and a regular-grid
 mesh has its vertices on them, so such a point sits mid-bin rather than on a
 bin corner, where three bins of its first ring touch it and must be opened.
 The search runs over whole blocks of points, ring by ring of bins around
-each point's home bin, and expands only the (point, triangle) pairs that
-could still beat a point's best distance (the four rules of
-point_mesh_distances), which go through the closest-point routine together.
-A pruned pair cannot beat the best, a pair's float operations do not depend
-on its batch, and the minimum is exact, so distances do not depend on
-batching, pruning or where bin edges lie.
+each point's home bin.  The home bin is searched in two steps, locate and
+then bound: the triangles that contain a point in plan, of either winding
+and however many overlap there, are scored first, and their best is an
+upper bound on its distance; each other triangle there is scored only if
+its plan half-plane bound, which no distance to it undercuts, does not
+exceed that best by more than a rounding margin.  Later rings expand only
+the (point, triangle) pairs that could still beat a point's best.  Pairs go
+through the closest-point routine together (the rules are in
+point_mesh_distances).  A pruned pair cannot beat the best, a pair's float
+operations do not depend on its batch, and the minimum is exact, so
+distances do not depend on batching, pruning, the order pairs are scored in
+or where bin edges lie.
 Smoothness is the mean angle between the normals of edge-adjacent
 triangles, per class: each triangle is classified once, by the mask cell
 nearest its plan-view centroid, and each class averages the pairs of one
@@ -30,12 +36,18 @@ import numpy as np
 from .grid import Mask, Raster
 from .mesh import TinMesh, edge_pairs, runs
 
-# points searched together, and (point, triangle) pairs per closest-point batch;
-# blocks bound the search's per-point state, which the per-ring pass size does
-# not: the 63,001 points of a 251 x 251 tile in one block raise its tracemalloc
-# peak on a NURBS TIN from 3.6 to 12.6 MB (3.2 to 3.5 MB at 101 x 101)
+# points searched together, (point, triangle) pairs per closest-point batch,
+# and home-bin pairs per locate pass.  Blocks bound the search's per-point
+# state, which the pass sizes do not: the 63,001 points of a 251 x 251 tile
+# in one block raise its tracemalloc peak on a NURBS TIN from 3.4 to 13.2 MB
+# (1.8 to 2.6 MB at 101 x 101).  A locate pass holds each pair that waits for
+# its plan bound, 16 bytes with the bound, until the pass is located.
 _POINT_BLOCK = 2048
 _PAIR_CHUNK = 4096
+_HELD_PAIRS = 4 * _PAIR_CHUNK
+# the rounding margin of the plan bound, a share of the largest coordinate
+# magnitude of mesh and points
+_MARGIN = 1e-12
 
 
 @dataclass
@@ -137,15 +149,31 @@ def _ring(k: int) -> np.ndarray:
     return np.column_stack([di[edge], dj[edge]])
 
 
-def _in_footprint(p: np.ndarray, batch: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Plan-view containment of each point p[m] in triangle batch[m], up to
-    the per-triangle tolerance eps[m]."""
+def _locate(p: np.ndarray, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plan containment of each point p[m] in triangle batch[m], of either
+    winding, and a lower bound on their distance: the largest distance of
+    p[m] outside one of the triangle's edge lines, 0 for zero plan area.
+
+    Edge u -> v scores t = (p - u) x (v - u), negated on a clockwise
+    triangle, so that p lies t / |v - u| outside the edge's line where t > 0.
+    Containment allows t up to 1e-9 times the larger squared plan length of
+    edges ab and ac."""
     px, py = p[:, 0], p[:, 1]
-    a, b, c = batch[:, 0, :2], batch[:, 1, :2], batch[:, 2, :2]
-    s1 = (b[:, 0] - a[:, 0]) * (py - a[:, 1]) - (b[:, 1] - a[:, 1]) * (px - a[:, 0])
-    s2 = (c[:, 0] - b[:, 0]) * (py - b[:, 1]) - (c[:, 1] - b[:, 1]) * (px - b[:, 0])
-    s3 = (a[:, 0] - c[:, 0]) * (py - c[:, 1]) - (a[:, 1] - c[:, 1]) * (px - c[:, 0])
-    return (s1 >= -eps) & (s2 >= -eps) & (s3 >= -eps)
+    ax, ay, bx, by, cx, cy = (batch[:, i, j] for i in range(3) for j in range(2))
+    abx, aby, bcx, bcy, cax, cay = bx - ax, by - ay, cx - bx, cy - by, ax - cx, ay - cy
+    # (b - a) x (c - a), twice the signed plan area, is left - right
+    left, right = aby * cax, abx * cay
+    sign = np.where(left < right, 1.0, -1.0)
+    t1 = sign * (abx * (py - ay) - aby * (px - ax))
+    t2 = sign * (bcx * (py - by) - bcy * (px - bx))
+    t3 = sign * (cax * (py - cy) - cay * (px - cx))
+    l1, l2, l3 = abx ** 2 + aby ** 2, bcx ** 2 + bcy ** 2, cax ** 2 + cay ** 2
+    eps = 1e-9 * np.maximum(l1, l3)
+    inside = (t1 <= eps) & (t2 <= eps) & (t3 <= eps)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.maximum(np.maximum(t1 / np.sqrt(l1), t2 / np.sqrt(l2)), t3 / np.sqrt(l3))
+    bound[left == right] = 0.0  # zero area, a repeated vertex included: no inside to bound
+    return inside, bound
 
 
 def _box_distance(xy: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -154,7 +182,18 @@ def _box_distance(xy: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.hypot(gap[:, 0], gap[:, 1])
 
 
-def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _Bins,
+def _corners(mesh: TinMesh, ids: np.ndarray) -> np.ndarray:
+    """(K, 3, 3) vertex coordinates of triangles ids."""
+    return mesh.vertices.take(mesh.triangles.take(ids, 0), 0)
+
+
+def _score(best: np.ndarray, owner: np.ndarray, p: np.ndarray, batch: np.ndarray) -> None:
+    """Lowers best[owner[m]] to the distance from point p[m] to triangle batch[m]."""
+    gap = (_closest_point_batch(p, batch) - p).T
+    np.minimum.at(best, owner, np.sqrt(_dot(gap, gap)))
+
+
+def _search_block(pts: np.ndarray, mesh: TinMesh, bins: _Bins, margin: float,
                   best: np.ndarray, covered: np.ndarray) -> None:
     """Ring search for one block of points, writing distances into ``best``
     (all inf on entry) and ring-0 containment into ``covered``."""
@@ -166,9 +205,16 @@ def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _B
     k = 0
     while len(open_):
         ring = _ring(k)
-        step = max(1, _PAIR_CHUNK // len(ring))
-        for s in range(0, len(open_), step):
-            sel = open_[s:s + step]
+        if k:
+            cuts = np.arange(0, len(open_), max(1, _PAIR_CHUNK // len(ring)))
+        else:
+            # every point is open; a pass ends after about _HELD_PAIRS pairs
+            home_bin = home[:, 0] * nb[1] + home[:, 1]
+            total = np.cumsum(bins.starts[home_bin + 1] - bins.starts[home_bin])
+            cuts = np.unique(np.concatenate([[0], np.searchsorted(
+                total, np.arange(_HELD_PAIRS, total[-1], _HELD_PAIRS), side="right")]))
+        for s, e in zip(cuts, [*cuts[1:], len(open_)]):
+            sel = open_[s:e]
             ij = home[sel, None] + ring
             inside = ((ij[..., 0] >= 0) & (ij[..., 0] < nb[0])
                       & (ij[..., 1] >= 0) & (ij[..., 1] < nb[1]))
@@ -182,6 +228,7 @@ def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _B
             count = bins.starts[b + 1] - bins.starts[b]
             ends = np.cumsum(count)
             skip = bins.starts[b] - (ends - count)
+            held = []
             for q in range(0, ends[-1] if len(ends) else 0, _PAIR_CHUNK):
                 pair = np.arange(q, min(q + _PAIR_CHUNK, ends[-1]))
                 w = np.searchsorted(ends, pair, side="right")
@@ -189,7 +236,7 @@ def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _B
                 if k:
                     # each triangle once, in its bin nearest the home bin, and
                     # only if its plan box lies within the best so far (ring 0
-                    # is every triangle's nearest bin, and best is still inf)
+                    # is every triangle's nearest bin)
                     nearest = np.maximum(bins.first.take(ids, 0),
                                          np.minimum(home.take(o, 0), bins.last.take(ids, 0)))
                     bin_ij = ij.take(w, 0)
@@ -198,13 +245,27 @@ def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _B
                     box = bins.box.take(ids, 0)
                     keep = ~(_box_distance(plan.take(o, 0), box[:, :2], box[:, 2:]) > limit[w])
                     ids, o = ids[keep], o[keep]
-                p = pts.take(o, 0)
-                batch = mesh.vertices.take(mesh.triangles.take(ids, 0), 0)
-                gap = (_closest_point_batch(p, batch) - p).T
-                dist = np.sqrt(_dot(gap, gap))
-                np.minimum.at(best, o, dist)
-                if k == 0:
-                    covered[o[_in_footprint(p, batch, area_eps[ids])]] = True
+                    _score(best, o, pts.take(o, 0), _corners(mesh, ids))
+                    continue
+                # locate: the triangles that contain their point in plan are
+                # scored first; the others wait with their plan bounds
+                p, batch = pts.take(o, 0), _corners(mesh, ids)
+                contains, bound = _locate(p, batch)
+                hit, miss = np.flatnonzero(contains), np.flatnonzero(~contains)
+                held.append((ids.take(miss), o.take(miss), bound.take(miss)))
+                covered[o.take(hit)] = True
+                # rebinding frees the whole chunk's rows before the routine runs
+                p, batch = p.take(hit, 0), batch.take(hit, 0)
+                _score(best, o.take(hit), p, batch)
+            if held:
+                # bound: a triangle lies at least its plan bound away, so one
+                # whose bound exceeds the best by more than the margin cannot win
+                ids, o, bound = (np.concatenate(part) for part in zip(*held))
+                keep = np.flatnonzero(~(bound > best.take(o) + margin))
+                ids, o = ids.take(keep), o.take(keep)
+                for q in range(0, len(ids), _PAIR_CHUNK):
+                    o_q = o[q:q + _PAIR_CHUNK]
+                    _score(best, o_q, pts.take(o_q, 0), _corners(mesh, ids[q:q + _PAIR_CHUNK]))
         if k > max_ring:
             return
         # the unexplored bins are the grid box outside the explored rectangle,
@@ -228,48 +289,69 @@ def _search_block(pts: np.ndarray, mesh: TinMesh, area_eps: np.ndarray, bins: _B
 
 def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each point to the mesh and whether its plan position
-    falls inside some triangle's plan footprint.
+    falls inside some triangle's plan footprint, of either winding.
 
     Points are searched in blocks of ``_POINT_BLOCK``.  Ring k of a bin is
-    the square of bins at Chebyshev distance k.  Ring k of each point of a
-    block whose search is open expands into (point, triangle) pairs, which
-    go through ``_closest_point_batch`` together and are reduced with
-    ``np.minimum.at``; ring 0, the home bin, also decides coverage.  Only
-    pairs that could lower the best distance the ring started with expand:
-    (1) window: ring bins whose plan box lies farther than the best are
-    skipped; (2) nearest bin: a triangle expands only in its bin nearest the
-    home bin, the home index clamped into the triangle's bin range, so it
-    meets a point once; (3) bounding box: a pair whose triangle's plan box
-    lies farther than the best is dropped; (4) pass size: a cumsum of the
-    surviving bins' pair counts cuts passes of at most ``_PAIR_CHUNK`` pairs,
-    over ``_PAIR_CHUNK // len(ring)`` points at a time.  A triangle lies no
-    nearer than its plan box, which lies in the closed boxes of its bins
-    (floor rounding is monotone), the clamped one nearest; so a pruned pair
-    cannot beat the best, and a tie keeps the pair.  A point closes once its
-    best is no more than its plan distance to the bins still unexplored, the
-    part of the bin grid outside the explored rings, since no triangle lies
-    anywhere else; a side whose rings have passed the grid edge bounds
-    nothing, so a point beside the mesh is not held open by the empty plane
-    on its own side.  The distances therefore equal, bit for bit, the
-    minimum of ``_closest_point_batch`` over every triangle, whatever the
-    block and chunk sizes.
+    the square of bins at Chebyshev distance k.  Ring 0, the home bin, holds
+    every triangle whose plan footprint contains the point, and is searched
+    in two steps.  (1) Locate: each pair of the home bin is tested for plan
+    containment by ``_locate``, the triangle's three edge functions, with
+    their sign turned for a clockwise triangle, all on the inner side within
+    a tolerance.  The containing pairs decide coverage and go through
+    ``_closest_point_batch`` first; their best is an upper bound on the
+    point's distance.  (2) Bound: each other pair's plan bound is the
+    largest distance of the point outside one of the triangle's edge lines
+    (0 for a triangle of zero plan area, which has no inner side).  The
+    triangle lies on the inner side of each line and no distance is shorter
+    than its plan part, so the bound is a lower bound on the pair's
+    distance; a pair whose bound exceeds the best by more than the margin
+    cannot win and is dropped, and the rest go through the routine.  The
+    margin is ``_MARGIN`` times the largest coordinate magnitude of mesh
+    and points: the routine works in absolute coordinates, so a distance it
+    returns can fall short of the exact one by a few ulps of the
+    coordinates (about 1e-10 at 5e5), while the bound, taken from
+    coordinate differences, errs by a few ulps of the distances; the margin
+    exceeds both, so no dropped pair's computed distance is below the best.
+    Both steps hold for any winding and for meshes that overlap in plan:
+    every containing triangle goes first, and each bound belongs to its own
+    pair.  The pairs waiting for their bound are held until their pass is
+    located, so a ring-0 pass ends after about ``_HELD_PAIRS`` pairs.
+
+    Ring k >= 1 of each point of a block whose search is open expands into
+    pairs, which go through ``_closest_point_batch`` together and are
+    reduced with ``np.minimum.at``.  Only pairs that could lower the best
+    distance the ring started with expand: (3) window: ring bins whose plan
+    box lies farther than the best are skipped; (4) nearest bin: a triangle
+    expands only in its bin nearest the home bin, the home index clamped
+    into the triangle's bin range, so it meets a point once; (5) bounding
+    box: a pair whose triangle's plan box lies farther than the best is
+    dropped; (6) pass size: a cumsum of the surviving bins' pair counts cuts
+    passes of at most ``_PAIR_CHUNK`` pairs, over ``_PAIR_CHUNK //
+    len(ring)`` points at a time.  A triangle lies no nearer than its plan
+    box, which lies in the closed boxes of its bins (floor rounding is
+    monotone), the clamped one nearest; so a pruned pair cannot beat the
+    best, and a tie keeps the pair.  A point closes once its best is no more
+    than its plan distance to the bins still unexplored, the part of the bin
+    grid outside the explored rings, since no triangle lies anywhere else; a
+    side whose rings have passed the grid edge bounds nothing, so a point
+    beside the mesh is not held open by the empty plane on its own side.
+    The minimum is exact, so the order pairs are scored in does not matter,
+    and the distances equal, bit for bit, the minimum of
+    ``_closest_point_batch`` over every triangle, whatever the block and
+    chunk sizes.
     """
     if len(mesh.triangles) == 0:
         raise ValueError("mesh has no triangles")
     pts = np.asarray(points_xyz, dtype=float).reshape(-1, 3)
-    x = mesh.vertices[:, 0][mesh.triangles.T]
-    y = mesh.vertices[:, 1][mesh.triangles.T]
-    bins = _Bins(x, y)
-    # squared-length scale per triangle for the containment tolerance
-    e1 = (x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2
-    e2 = (x[2] - x[0]) ** 2 + (y[2] - y[0]) ** 2
-    area_eps = 1e-9 * np.maximum(e1, e2)
-    del x, y, e1, e2
+    # take, unlike indexing by the transposed view, returns C-ordered (3, T)
+    # rows, which _Bins reduces over axis 0 about 40 times faster
+    bins = _Bins(*(mesh.vertices[:, i].take(mesh.triangles.T) for i in (0, 1)))
+    margin = _MARGIN * max(np.abs(mesh.vertices).max(), np.abs(pts).max(initial=0.0))
     dist = np.full(len(pts), np.inf)
     covered = np.zeros(len(pts), dtype=bool)
     for s in range(0, len(pts), _POINT_BLOCK):
         block = slice(s, s + _POINT_BLOCK)
-        _search_block(pts[block], mesh, area_eps, bins, dist[block], covered[block])
+        _search_block(pts[block], mesh, bins, margin, dist[block], covered[block])
     return dist, covered
 
 

@@ -3,15 +3,16 @@
 The analytic gradients of ``total_loss`` are checked against central finite
 differences along random directions, on a seeded 41 x 41 synth tile with an
 8 x 8 control grid and perturbed weights, also with NODATA cells in both
-layers.  The fit loop, which evaluates one objective built once per fit,
-must reproduce exactly an ADAM loop with plateau drops that calls
-``total_loss`` on a fresh surface every step, with free and with frozen
-weights, and the regularizer must match a per-node loop over the
-8-neighbourhood.  An objective reuses one raster workspace from call to
-call: its results must not change when it is called again, and a call on a
-251 x 251 tile must allocate less than half a raster.  A frozen-weight
-objective must give the free one's value and elevation gradient bit for
-bit with half its raster products.
+layers, and near the optimum, at the target start, where the rounding of
+the differences sets an absolute floor.  The fit loop, which evaluates one
+objective built once per fit, must reproduce exactly an ADAM loop with
+plateau drops that calls ``total_loss`` on a fresh surface every step, with
+free and with frozen weights, and the regularizer must match a per-node
+loop over the 8-neighbourhood.  An objective reuses one raster workspace
+from call to call: its results must not change when it is called again,
+and a call on a 251 x 251 tile must allocate less than half a raster.  A
+frozen-weight objective must give the free one's value and elevation
+gradient bit for bit with half its raster products.
 """
 
 import copy
@@ -55,28 +56,40 @@ def loss(surface, scene, control_z, log_weights, weights=None):
                              weights or fitmod.LossWeights())
 
 
-def assert_gradients_match_central_differences(scene, weights=None):
+def assert_gradients_match_central_differences(scene, weights=None, surface=None,
+                                               rounding_floor=False):
+    """Central differences at step h along 40 random directions, from
+    ``surface`` (the DSM-median start by default) with perturbed weights,
+    within a relative 1e-5.  With ``rounding_floor`` they may also differ by
+    64 * eps * |L| / h, L the loss there: each loss value carries a few ulps
+    of L, and the difference quotient divides that by h."""
     rng = np.random.default_rng(0)
-    # the DSM-median start: at the target start, near the optimum, some
-    # directional derivatives are about 6e-6, and the differences' rounding
-    # (about 1e-15 / h) there exceeds the relative tolerance
-    surface = start_8x8(scene, all_road(scene.dsm))
+    surface = surface or start_8x8(scene, all_road(scene.dsm))
     z0 = surface.control_z
     lw0 = rng.uniform(-0.5, 0.5, surface.weights.shape)
-    _, _, g_z, g_w = loss(surface, scene, z0, lw0, weights)
+    value, _, g_z, g_w = loss(surface, scene, z0, lw0, weights)
     h = 1e-5
+    floor = 64 * np.finfo(float).eps * abs(value) / h if rounding_floor else None
     for _ in range(40):
         d = rng.normal(size=z0.shape)
         numeric = (loss(surface, scene, z0 + h * d, lw0, weights)[0]
                    - loss(surface, scene, z0 - h * d, lw0, weights)[0]) / (2 * h)
-        assert numeric == pytest.approx((g_z * d).sum(), rel=1e-5)
+        assert numeric == pytest.approx((g_z * d).sum(), rel=1e-5, abs=floor)
         numeric = (loss(surface, scene, z0, lw0 + h * d, weights)[0]
                    - loss(surface, scene, z0, lw0 - h * d, weights)[0]) / (2 * h)
-        assert numeric == pytest.approx((g_w * d).sum(), rel=1e-5)
+        assert numeric == pytest.approx((g_w * d).sum(), rel=1e-5, abs=floor)
 
 
 def test_gradients_match_central_differences(scene):
     assert_gradients_match_central_differences(scene)
+
+
+def test_gradients_match_central_differences_at_the_target_start(scene):
+    # near the optimum some directional derivatives are about 6e-6; there
+    # the rounding of the two loss values, not the gradient, sets the
+    # differences' error, which grows as h shrinks
+    assert_gradients_match_central_differences(scene, surface=start_8x8(scene),
+                                               rounding_floor=True)
 
 
 def test_gradients_match_central_differences_with_term_weights(scene):

@@ -5,9 +5,13 @@ the projection when it falls inside the triangle, otherwise the nearest of
 the three edge segments; it takes the minimum over every triangle of the
 mesh, without any spatial index.  The exactness oracle runs the module's own
 closest-point routine one point at a time over every triangle, so the binned
-search must match it bit for bit.  Edge adjacency is checked against an
-O(T^2) scan of shared edges.  Per-class smoothness is checked against the
-mesh split into a road and a terrain submesh, each scored on its own.
+search must match it bit for bit, also where only rounding separates a
+pruned triangle from the best one and on faces of either winding or of zero
+area.  Coverage is checked against barycentric coordinates in plan, and the
+search's work is counted on regular grids and dual-rate TINs.  Edge
+adjacency is checked against an O(T^2) scan of shared edges.  Per-class
+smoothness is checked against the mesh split into a road and a terrain
+submesh, each scored on its own.
 """
 
 import numpy as np
@@ -17,9 +21,11 @@ from hypothesis import strategies as st
 
 from roadsurf import metrics
 from roadsurf.grid import GridGeoref, Mask, Raster
-from roadsurf.mesh import TinMesh, delaunay, edge_pairs, export_mesh, plane_mesh, rgt_mesh
+from roadsurf.mesh import (SamplingConfig, TinMesh, build_tin, delaunay, edge_pairs, export_mesh,
+                           plane_mesh, rgt_mesh)
 from roadsurf.metrics import (_bilinear, _closest_point_batch, evaluate_all,
                               point_mesh_distances, vertex_errors)
+from roadsurf.nurbs import NurbsSurface, evaluate_grid
 
 
 def barycentric(p, a, b, c):
@@ -150,12 +156,37 @@ def test_closest_points_match_the_sequential_regions():
                                                         batch))
 
 
+def plan_containment(mesh, points):
+    """Whether each point's plan position has barycentric coordinates all
+    >= 0 in some triangle, whichever way the triangle is wound."""
+    tri = mesh.vertices[mesh.triangles][:, :, :2]
+    return [any((barycentric(p[:2], *t) >= 0).all() for t in tri) for p in points]
+
+
+def face_reversed(mesh):
+    return TinMesh(mesh.vertices, mesh.triangles[:, ::-1].copy())
+
+
 def test_coverage_is_plan_view_containment(mesh, queries):
     _, covered = point_mesh_distances(mesh, queries)
-    tri = mesh.vertices[mesh.triangles][:, :, :2]
-    expected = [any((barycentric(p[:2], *t) >= 0).all() for t in tri) for p in queries]
-    assert covered.tolist() == expected
+    assert covered.tolist() == plan_containment(mesh, queries)
     assert 0 < covered.sum() < len(queries)
+
+
+def test_clockwise_faces_keep_coverage_and_distances(mesh, queries):
+    # every face wound clockwise; the plane's first two points, (10, 10) and
+    # (25, 5), lie inside its two faces, which used to leave them uncovered
+    plane = plane_mesh((0.01, -0.02, 3.0), (0.0, 50.0), (0.0, 30.0))
+    rng = np.random.default_rng(21)
+    plane_points = np.column_stack([rng.uniform(-10.0, 60.0, (100, 2)), rng.normal(3.0, 1.0, 100)])
+    plane_points[:2] = [[10.0, 10.0, 3.0], [25.0, 5.0, 3.0]]
+    for tin, points in ((mesh, queries), (plane, plane_points)):
+        clockwise = face_reversed(tin)
+        dist, covered = point_mesh_distances(clockwise, points)
+        assert covered.tolist() == plan_containment(clockwise, points)
+        assert covered.tolist() == point_mesh_distances(tin, points)[1].tolist()
+        assert np.array_equal(dist, indexless_distances(clockwise, points))
+    assert point_mesh_distances(face_reversed(plane), plane_points[:2])[1].all()
 
 
 @pytest.mark.parametrize("angle", [0.0, 12.5, 40.0, 90.0])
@@ -276,6 +307,45 @@ def test_points_on_shared_vertices_and_edges(lattice):
     np.testing.assert_allclose(dist, 0.0, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("origin", [0.0, 5e5])
+def test_pruning_is_sound_on_mixed_windings_and_degenerate_faces(origin):
+    # a flat 1 m lattice with half its faces clockwise, two collinear faces
+    # and two with a repeated vertex; over every other vertex a level roof
+    # face, of either winding, whose near edge passes 0.4 m from the vertex
+    # in plan.  A point 0.4 m above that vertex is 0.4 m from the lattice
+    # face that contains it and from the roof's edge, so only rounding tells
+    # the two apart, and the roof's plan bound is as large as its distance.
+    # The other points lie on the lattice's shared vertices and edges.
+    rng = np.random.default_rng(22)
+    lattice = rgt_mesh(Raster(width=13, height=13, cell_size=1.0, origin_x=origin,
+                              origin_y=origin, values=np.zeros((13, 13))))
+    v, tri = lattice.vertices, lattice.triangles.copy()
+    turned = rng.random(len(tri)) < 0.5
+    tri[turned] = tri[turned, ::-1]
+    centres = v.reshape(13, 13, 3)[::2, ::2].reshape(-1, 3)
+    angle = rng.uniform(0.0, 2.0 * np.pi, len(centres))
+    out = np.column_stack([np.cos(angle), np.sin(angle)])
+    along = np.column_stack([-out[:, 1], out[:, 0]])
+    foot = centres[:, :2] + 0.4 * out
+    roofs = np.stack([foot - 0.7 * along, foot + 0.9 * along, foot + 0.6 * out + 0.1 * along],
+                     axis=1)
+    roofs = np.concatenate([roofs, np.full((len(centres), 3, 1), 0.4)], axis=2)
+    turned = rng.random(len(roofs)) < 0.5
+    roofs[turned] = roofs[turned, ::-1]
+    degenerate = [[0, 1, 2], [0, 13, 26], [30, 30, 31], [40, 40, 40]]
+    mesh = TinMesh(np.concatenate([v, roofs.reshape(-1, 3)]),
+                   np.concatenate([tri, len(v) + np.arange(roofs.size // 3).reshape(-1, 3),
+                                   degenerate]))
+    edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]),
+                              axis=1), axis=0)
+    mid = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
+    points = np.concatenate([centres + [0.0, 0.0, 0.4], v, v + [0.0, 0.0, 0.25], mid,
+                             mid + [0.0, 0.0, -0.3]])
+    dist, covered = point_mesh_distances(mesh, points)
+    assert np.array_equal(dist, indexless_distances(mesh, points))
+    assert covered.all()
+
+
 def test_regular_grid_points_meet_each_triangle_once(monkeypatch):
     # ground truth sits on the raster lattice, and the 1 m bins are centred
     # on its points, so every vertex lies at a bin centre and every edge
@@ -304,8 +374,9 @@ def test_regular_grid_points_meet_each_triangle_once(monkeypatch):
     assert covered.all()
     pairs = np.concatenate(pairs)
     assert len(np.unique(pairs, axis=0)) == len(pairs)
-    # 7.61 pairs per point (7.74 with bin edges on the lattice points; the
-    # search that expanded every ring bin met 29.9)
+    # 2.90 pairs per point (7.61 when every triangle of the home bin was
+    # scored, 7.74 with bin edges on the lattice points as well; the search
+    # that expanded every ring bin met 29.9)
     assert len(pairs) <= 7.7 * len(points)
 
 
@@ -339,10 +410,47 @@ def test_lattice_points_open_few_bins(monkeypatch):
     # the brute-force minimum over every triangle, on one point in fifty
     assert np.array_equal(dist[::50], indexless_distances(grid_mesh, points[::50]))
     assert covered.all()
-    # 2.53 box rows and 7.96 pairs per point (18.73 and 8.04 with bin edges
-    # on the lattice points, where every point opened its first ring)
+    # 2.53 box rows and 6.10 pairs per point, most of them the six faces
+    # around a point's vertex (7.96 pairs when every triangle of the home bin
+    # was scored; 18.73 box rows and 8.04 pairs with bin edges on the lattice
+    # points as well, where every point opened its first ring)
     assert rows["box"] <= 4.0 * len(points)
     assert rows["pairs"] <= 8.7 * len(points)
+
+
+@pytest.mark.parametrize("rates", [(1.0, 10.0), (0.5, 5.0)])
+def test_tin_points_score_few_triangles(monkeypatch, rates):
+    # a dual-rate TIN as a run or an ablation builds it, over a 6 m wide
+    # curved road on a 61 x 41 tile at 1 m, and ground truth on the raster
+    # lattice within centimetres of the surface, one point in twenty 1 m
+    # above it.  Work is counted: (point, triangle) pairs through the
+    # closest-point routine
+    rng = np.random.default_rng(23)
+    surface = NurbsSurface((0.0, 60.0, 0.0, 40.0), 3, 3, rng.normal(0.0, 0.5, (8, 10)),
+                           np.ones((8, 10)))
+    jj, ii = np.mgrid[0:41, 0:61]
+    bits = (np.abs(jj - 20.0 - 8.0 * np.sin(ii / 9.0)) < 3.0).astype(np.uint8)
+    tin = build_tin(surface, Mask(width=61, height=41, cell_size=1.0, origin_x=0.0,
+                                  origin_y=0.0, bits=bits), SamplingConfig(*rates))
+    xs, ys = np.arange(61.0), np.arange(41.0)
+    z = evaluate_grid(surface, xs, ys)
+    gx, gy = np.meshgrid(xs, ys)
+    points = np.column_stack([gx.ravel(), gy.ravel(), z.ravel() + rng.normal(0.0, 0.02, z.size)])
+    points[::20, 2] += 1.0
+    pairs = [0]
+
+    def counted(p, tri):
+        pairs[0] += len(tri)
+        return _closest_point_batch(p, tri)
+
+    monkeypatch.setattr(metrics, "_closest_point_batch", counted)
+    dist, covered = point_mesh_distances(tin, points)
+    monkeypatch.undo()
+    assert np.array_equal(dist[::25], indexless_distances(tin, points[::25]))
+    assert covered.all()
+    # 2.06 and 2.48 pairs per point (9.0 and 8.8 when every triangle of the
+    # home bin was scored)
+    assert pairs[0] <= 2.6 * len(points)
 
 
 def random_meshes(rng):
