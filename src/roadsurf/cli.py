@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -130,10 +129,7 @@ class PipelineConfig:
                       if spec.name in _SECTIONS})
 
     def validate(self) -> None:
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{spec.name} must be finite, got {value}")
+        gridmod.check_finite(self)
         for cls in (FilterParams, LossWeights, FitConfig, SamplingConfig):
             self.stage_config(cls)
         check_degrees((self.degree_u, self.degree_v), (self.num_ctrl_u, self.num_ctrl_v))
@@ -198,20 +194,23 @@ def _require(path: Path | None, name: str) -> Path:
     return Path(path)
 
 
-def _ground_truth(path: Path | None, default: Raster) -> Raster:
-    return default if path is None else gridmod.load_raster(_require(path, "ground truth"))
+def _ground_truth(path: Path | None, raster: Raster, selection) -> Raster:
+    """The ground truth at path, or by default the cells of raster in selection."""
+    if path is None:
+        return raster.subset(selection)
+    return gridmod.load_raster(_require(path, "ground truth"))
 
 
 def grid_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    """DSM, road mask on the DSM grid, and the masked DSM cells as road
-    points, which stand for the filtered points until a filter runs."""
+    """DSM and road mask on the DSM grid; the mask stands for mask_plus
+    until a filter runs.  The state holds masks, not point rasters: a stage
+    that reads points takes the DSM cells of a mask where it reads them."""
     dsm = gridmod.load_raster(_require(config.dsm, "dsm"))
     mask = gridmod.load_mask(_require(config.mask, "mask"))
     if not mask.georef_equals(dsm):
         mask = gridmod.resample_mask(mask, dsm)
     state.dsm, state.mask = dsm, mask
-    state.road_points = dsm.subset(mask.bits == 1)
-    state.filtered_points, state.mask_plus = state.road_points, mask
+    state.mask_plus = mask
     state.record.append(("grid", {"width": dsm.width, "height": dsm.height,
                                   "road_cells": mask.count}))
 
@@ -225,20 +224,22 @@ def dtm_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
 
 def truth_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     """The road and terrain ground truth."""
-    state.gt_road = _ground_truth(config.gt_road, state.road_points)
-    state.gt_terrain = _ground_truth(config.gt_terrain,
-                                     state.dtm.subset(state.mask.bits == 0))
+    state.gt_road = _ground_truth(config.gt_road, state.dsm, state.mask.bits == 1)
+    state.gt_terrain = _ground_truth(config.gt_terrain, state.dtm, state.mask.bits == 0)
     state.record.append(("truth", {"road_points": state.gt_road.count,
                                    "terrain_points": state.gt_terrain.count}))
 
 
 def filter_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    """Cluster filter of the road points into mask_plus."""
+    """Cluster filter of the road points, the DSM cells of the road mask,
+    into mask_plus.  Counts points, not mask cells: a NODATA cell of the
+    mask holds none."""
+    points = state.dsm.subset(state.mask.bits == 1)
+    kept = total = points.count
     if config.filter_enabled:
-        state.filtered_points, state.mask_plus = run_filter(
-            state.road_points, config.stage_config(FilterParams))
-    kept = state.filtered_points.count
-    state.record.append(("filter", {"kept": kept, "removed": state.road_points.count - kept}))
+        filtered, state.mask_plus = run_filter(points, config.stage_config(FilterParams))
+        kept = filtered.count
+    state.record.append(("filter", {"kept": kept, "removed": total - kept}))
 
 
 def fit_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -284,10 +285,11 @@ def metrics_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
 
 
 def baseline_mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    """Plane fit on the filtered road points; regular grid triangulation of the DSM."""
+    """Plane fit on the filtered road points, the DSM cells of mask_plus;
+    regular grid triangulation of the DSM."""
     state.meshes = {}
     if config.baselines:
-        coeffs = meshmod.fit_plane(state.filtered_points)
+        coeffs = meshmod.fit_plane(state.dsm.subset(state.mask_plus.bits == 1))
         x0, x1, y0, y1 = state.dsm.center_extent
         state.meshes = {"plane": meshmod.plane_mesh(coeffs, (x0, x1), (y0, y1)),
                         "rgt": meshmod.rgt_mesh(state.dsm)}

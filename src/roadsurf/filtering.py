@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Mask, Raster
+from .grid import Mask, Raster, check_finite
 
 
 # candidates, and cell pairs, per block of merge_clusters; bounds its
@@ -41,6 +41,7 @@ class FilterParams:
             raise ValueError("thresholds must be positive")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
+        check_finite(self)  # NaN passes every comparison above
 
 
 @dataclass
@@ -53,20 +54,21 @@ class LabelGrid:
 
 def get_neighbors(points: Raster, theta_z: float) -> np.ndarray:
     """Pairs of points on 8-connected cells whose elevation gap is at most
-    theta_z (inclusive), as an (E, 2) array of flat cell indices
+    theta_z (inclusive), as an (E, 2) int32 array of flat cell indices
     ``j * width + i``.  Each unordered pair appears once, found through the
     four forward offsets."""
-    occ = points.valid
     z = points.values
-    flat = np.arange(occ.size).reshape(occ.shape)
-    h, w = occ.shape
+    h, w = z.shape
+    flat = np.arange(z.size, dtype=np.int32).reshape(h, w)
     pairs = []
     for di, dj in ((1, 0), (-1, 1), (0, 1), (1, 1)):
-        # the cells a that have a neighbor b at offset (di, dj), and those b
+        # the cells a that have a neighbor b at offset (di, dj), and those b;
+        # a NaN gap compares false, so a cell without a point pairs with none
         a = slice(0, h - dj), slice(max(0, -di), w - max(0, di))
         b = slice(dj, h), slice(max(0, di), w - max(0, -di))
-        ok = occ[a] & occ[b] & (np.abs(z[a] - z[b]) <= theta_z)
-        pairs.append(np.stack([flat[a][ok], flat[b][ok]], axis=1))
+        gap = np.subtract(z[a], z[b])
+        first = flat[a][np.abs(gap, out=gap) <= theta_z]
+        pairs.append(np.stack([first, first + np.int32(dj * w + di)], axis=1))
     return np.concatenate(pairs)
 
 
@@ -76,7 +78,7 @@ def _components(n: int, pairs: np.ndarray) -> np.ndarray:
     still spanning two trees onto the smaller, then jumps pointers until each
     node points at a root (Shiloach & Vishkin 1982).  Roots never exceed their
     nodes, so a component's last root is its smallest node."""
-    root = np.arange(n)
+    root = np.arange(n, dtype=pairs.dtype)
     a, b = pairs[:, 0], pairs[:, 1]
     while len(a):
         ra, rb = root[a], root[b]
@@ -101,12 +103,16 @@ def grow_regions(points: Raster, neighbors: np.ndarray) -> LabelGrid:
     """Connected components of the neighbor pairs from ``get_neighbors``.
 
     Labels are assigned in order of first appearance in a row-major scan, so
-    the same input always produces the same labeling.
+    the same input always produces the same labeling.  The components run
+    over the points, numbered in that scan order, not over every cell.
     """
-    occ = points.valid
-    root = _components(occ.size, neighbors).reshape(occ.shape)
-    labels = np.zeros(occ.shape, dtype=np.int32)
-    labels[occ], count = _first_seen(root[occ])
+    cells = np.flatnonzero(points.valid)  # the points in scan order
+    labels = np.zeros(points.values.shape, dtype=np.int32)
+    flat = labels.reshape(-1)  # a view
+    # each point's number, until its label overwrites it
+    flat[cells] = np.arange(len(cells), dtype=np.int32)
+    root = _components(len(cells), flat.take(neighbors))
+    flat[cells], count = _first_seen(root)
     return LabelGrid(labels, count)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Mask, Raster
+from .grid import Mask, Raster, check_finite
 from .nurbs import NurbsSurface, grid_basis, grid_product
 
 # control-grid 8-neighborhood (da, db), fixed order; ties in the neighborhood
@@ -73,6 +73,7 @@ class LossWeights:
     def __post_init__(self):
         if self.lambda_terrain < 0 or self.lambda_reg < 0:
             raise ValueError("loss weights must be non-negative")
+        check_finite(self)  # NaN passes the comparison above
 
 
 @dataclass
@@ -98,6 +99,7 @@ class FitConfig:
             raise ValueError("early_stop_patience must be at least 1")
         if self.early_stop_min_delta < 0:
             raise ValueError("early_stop_min_delta must be non-negative")
+        check_finite(self)  # NaN passes every comparison above
 
 
 @dataclass
@@ -201,20 +203,21 @@ class Objective:
     cells out, and the regularizer's gather table.  Keeps four rasters of
     8-byte words resident (target, coefficients, two masks) besides the basis.
 
-    A call also works in place, in a workspace allocated here: four more
-    rasters (height field, rational denominator, residual, and the masked
-    absolute residuals, whose buffer then takes the scaled back-projection)
-    and one (H, nu) buffer for the matrix products.  Fresh raster
-    temporaries cost more than the arithmetic on them: at 251² each is
-    0.5 MB, and blocks that large go back to the system when freed, so each
-    new one is page-faulted in again.  A call still allocates its
-    control-grid-sized results and the regularizer's (nu * nv, 8) gathers,
-    one at a time.
+    A call also works in place, in a workspace allocated here: three more
+    rasters (height field, rational denominator, and the masked absolute
+    residuals, whose buffer then takes the scaled back-projection), one
+    (H, nu) buffer for the matrix products and, only when the weights are
+    free, a separate residual raster; frozen weights write the residual over
+    the height field.  Fresh raster temporaries cost more than the
+    arithmetic on them: at 251² each is 0.5 MB, and blocks that large go
+    back to the system when freed, so each new one is page-faulted in again.
+    A call still allocates its control-grid-sized results and the
+    regularizer's (nu * nv, 8) gathers, one at a time.
 
     With ``free_weights`` False the denominator of the surface's weights is
     filled once here, and the coefficients divided by it; a call must pass
-    those weights, does two raster products instead of four, and returns the free call's value, parts and
-    d/d z bit for bit and None for d/d log w.
+    those weights, does two raster products instead of four, and returns the
+    free call's value, parts and d/d z bit for bit and None for d/d log w.
     """
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,
@@ -235,8 +238,10 @@ class Objective:
         self.roughness = Roughness(surface.num_ctrl_u, surface.num_ctrl_v)
         self.weights = weights
         self.free_weights = free_weights
-        self._height, self._den, self._residual, self._words = (
-            np.empty(road.shape) for _ in range(4))
+        self._height, self._den, self._words = (np.empty(road.shape) for _ in range(3))
+        # frozen weights read no height field after the residual, so the
+        # residual overwrites it
+        self._residual = np.empty(road.shape) if free_weights else self._height
         # the forward (H, nu) and backward (nu, H) products never overlap
         products = np.empty(dsm.height * surface.num_ctrl_u)
         self._rows = products.reshape(dsm.height, surface.num_ctrl_u)
@@ -399,19 +404,25 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: in
                            np.full(shape, fallback), np.ones(shape))
     x0, x1, y0, y1 = surface.extent
     xs, ys = dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height))
-    ia = np.clip(np.round((xs - x0) / (x1 - x0) * (num_ctrl_u - 1)), 0, num_ctrl_u - 1).astype(int)
-    jb = np.clip(np.round((ys - y0) / (y1 - y0) * (num_ctrl_v - 1)), 0, num_ctrl_v - 1).astype(int)
-    group = ia[None, :] * num_ctrl_v + jb[:, None]  # (H, W) lattice node id
+    ia = np.clip(np.round((xs - x0) / (x1 - x0) * (num_ctrl_u - 1)), 0, num_ctrl_u - 1)
+    jb = np.clip(np.round((ys - y0) / (y1 - y0) * (num_ctrl_v - 1)), 0, num_ctrl_v - 1)
     target = _target(dsm, dtm, mask_plus)
     valid = ~np.isnan(target)
-    ids = group[valid].ravel()
-    vals = target[valid].ravel()
+    vals = target[valid]
+    # lattice node id ia * num_ctrl_v + jb of each valid cell, row-major, in
+    # the fewest unsigned bytes, which a stable sort sorts by radix
+    node = np.min_scalar_type(num_ctrl_u * num_ctrl_v - 1)
+    ids = np.broadcast_to((ia * num_ctrl_v).astype(node), valid.shape)[valid]
+    ids += np.broadcast_to(jb.astype(node)[:, None], valid.shape)[valid]
+    del target, valid  # not held while the sorts run
     z = surface.control_z.reshape(-1)  # a view: node medians are written in place
     if ids.size:
         # one sort by node, then value, gives every node's median at once:
         # the middle value of an odd count, the mean of the two middle values
-        # of an even count, as np.median takes them
-        order = np.lexsort((vals, ids))
+        # of an even count, as np.median takes them.  A stable sort by value,
+        # then one by node, gives the order of np.lexsort((vals, ids)).
+        order = np.argsort(vals, kind="stable")
+        order = order[np.argsort(ids[order], kind="stable")]
         ids = ids[order]
         vals = vals[order]
         starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])

@@ -42,7 +42,7 @@ Every text file the package reads or writes, ``.asc`` or not, is UTF-8:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +78,15 @@ def read_lines(path: str | Path) -> list[str]:
 def write_lines(path: str | Path, lines: list[str]) -> None:
     """Write lines to a UTF-8 text file, each ending at ``\\n``."""
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def check_finite(record) -> None:
+    """Raise ValueError naming the first float field of the dataclass
+    ``record`` that is NaN or infinite."""
+    for spec in fields(record):
+        value = getattr(record, spec.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{spec.name} must be finite, got {value}")
 
 
 @dataclass

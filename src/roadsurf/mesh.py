@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Mask, Raster, read_lines, write_lines
+from .grid import Mask, Raster, check_finite, read_lines, write_lines
 from .nurbs import NurbsSurface, evaluate_grid
 
 # relative tolerance of the Delaunay predicates, against their permanents
@@ -30,6 +30,7 @@ class SamplingConfig:
     def __post_init__(self):
         if not (0 < self.road_rate <= self.terrain_rate):
             raise ValueError("need 0 < road_rate <= terrain_rate")
+        check_finite(self)
 
 
 @dataclass

@@ -13,12 +13,16 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import roadsurf
+from roadsurf import grid as gridmod
+from roadsurf import mesh as meshmod
+from roadsurf import metrics as metricsmod
 from roadsurf.cli import PipelineConfig, main
 from roadsurf.filtering import FilterParams
 from roadsurf.fit import FitConfig, LossWeights
@@ -398,6 +402,71 @@ def test_text_that_would_split_a_csv_row_is_a_usage_error(tile, run, tmp_path, c
     assert (rc, artifacts) == (1, {})
     assert capsys.readouterr().err == (
         f"usage error: {message} holds a comma or a line break\n")
+
+
+def record(out):
+    """The run record printed to ``out``: {label: {key: value text}}."""
+    return {line.split(": ", 1)[0]: dict(item.split("=") for item in line.split()[1:])
+            for line in out.splitlines() if not line.startswith("wrote ")}
+
+
+def dsm_with_road_holes(tile, tmp_path, step):
+    """The tile's DSM with NODATA on every ``step``-th road cell of the mask,
+    written beside the test, and its path, the raster and the holes."""
+    mask = gridmod.load_mask(tile / "mask.asc")
+    holes = np.zeros(mask.bits.shape, dtype=bool)
+    holes.flat[np.flatnonzero(mask.bits)[::step]] = True
+    dsm = gridmod.load_raster(tile / "dsm.asc").subset(~holes)
+    path = tmp_path / "dsm_holes.asc"
+    gridmod.save_raster(dsm, path)
+    return path, dsm, mask, holes
+
+
+@pytest.mark.parametrize("enabled", ["true", "false"])
+def test_nodata_under_the_mask_is_no_road_point(tile, tmp_path, capsys, enabled):
+    path, dsm, mask, holes = dsm_with_road_holes(tile, tmp_path, 7)
+    rc, artifacts = invoke(tmp_path / "run", "run", "--dsm", str(path),
+                           *layer_flags(tile, ("dtm", "mask")), *FIT_FLAGS,
+                           "--filter-enabled", enabled)
+    assert rc == 0
+    entries = record(capsys.readouterr().out)
+    points = mask.count - int(holes.sum())
+    kept, removed = int(entries["filter"]["kept"]), int(entries["filter"]["removed"])
+    # the filter and the default ground truth count DSM cells, not mask cells
+    assert kept + removed == points == int(entries["truth"]["road_points"])
+    mask_plus = gridmod.load_mask(tmp_path / "run" / "mask_filtered.asc")
+    if enabled == "true":
+        assert kept == mask_plus.count and not mask_plus.bits[holes].any()
+    else:
+        assert removed == 0
+        assert artifacts["mask_filtered.asc"] == (tile / "mask.asc").read_bytes()
+    # the plane baseline fits the DSM points of mask_plus and is scored
+    # against the default ground truth, the DSM points of the input mask
+    x0, x1, y0, y1 = dsm.center_extent
+    plane = meshmod.plane_mesh(meshmod.fit_plane(dsm.subset(mask_plus.bits == 1)),
+                               (x0, x1), (y0, y1))
+    dtm = gridmod.load_raster(tile / "dtm.asc")
+    expected = metricsmod.evaluate_all(plane, dsm.subset(mask.bits == 1),
+                                       dtm.subset(mask.bits == 0), mask_plus)
+    (row,) = [row for row in rows(artifacts["metrics.csv"]) if row["method"] == "plane"]
+    assert {key: float(value) for key, value in cells(row).items()} == asdict(expected)
+
+    rc, fitted = invoke(tmp_path / "fit", "fit", "--dsm", str(path),
+                        *layer_flags(tile, ("dtm", "mask")), *FIT_FLAGS,
+                        "--filter-enabled", enabled)
+    assert rc == 0
+    assert fitted == {name: artifacts[name] for name in ("surface.txt", "loss_trace.csv")}
+
+
+@pytest.mark.parametrize("enabled", ["true", "false"])
+def test_a_road_of_nodata_holds_no_point(tile, tmp_path, capsys, enabled):
+    path, _, mask, _ = dsm_with_road_holes(tile, tmp_path, 1)
+    rc, _ = invoke(tmp_path / "filter", "filter", "--dsm", str(path),
+                   *layer_flags(tile, ("mask",)), "--filter-enabled", enabled)
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1] == "filter: kept=0 removed=0"
+    mask_plus = gridmod.load_mask(tmp_path / "filter" / "mask_filtered.asc")
+    assert mask_plus.count == (0 if enabled == "true" else mask.count)
 
 
 def write_zero_mask(tile, tmp_path):

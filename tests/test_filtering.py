@@ -7,6 +7,7 @@ stays a separate, explicitly tested contract.  ``loop_merge`` keeps the
 whole-grid per-offset merge as a reference whose labels must be equal.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -215,7 +216,7 @@ class TestNeighbors:
             pairs = get_neighbors(points, theta_z)
             assert adjacency(points, pairs) == brute_neighbors(points, theta_z)
             # flat indices j * width + i, each unordered pair once, no self-pairs
-            assert pairs.shape == (len(pairs), 2)
+            assert pairs.shape == (len(pairs), 2) and pairs.dtype == np.int32
             assert (pairs[:, 0] != pairs[:, 1]).all()
             unordered = {frozenset(map(int, p)) for p in pairs}
             assert len(unordered) == len(pairs)
@@ -326,6 +327,27 @@ class TestGrowRegions:
         points = make_points(z)
         labels = self.assert_components(points)
         assert labels.label_count == len(np.unique((ii + jj)[on]))
+
+
+    def test_working_set_is_sized_by_points_not_cells(self):
+        # 320 points on a 501 x 501 raster: a union-find over every cell
+        # would alone take the bytes of the float64 raster
+        z = np.full((501, 501), np.nan)
+        z[100:110, 200:210] = 0.0
+        z[300, 50:250] = 1.0
+        z[450, 400:420] = 9.0
+        points = make_points(z)
+        neighbors = get_neighbors(points, 0.5)
+        tracemalloc.start()
+        try:
+            labels = grow_regions(points, neighbors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert labels.label_count == 3
+        assert partition_from_labels(labels.labels) == brute_components(points, 0.5)
+        # the int32 labels it returns and the occupancy are 5 bytes a cell
+        assert peak < z.nbytes
 
 
 class TestMergeClusters:
@@ -729,3 +751,11 @@ class TestRunFilter:
             FilterParams(theta_z=-1.0)
         with pytest.raises(ValueError, match="top_k"):
             FilterParams(top_k=0)
+
+    @pytest.mark.parametrize("name", ["theta_xy", "theta_z", "top_k"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_params_are_rejected(self, name, value):
+        # NaN passes the sign checks; unchecked, a NaN theta_z would keep one
+        # cell of a road and a NaN theta_xy fail converting the reach to cells
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            FilterParams(**{name: value})

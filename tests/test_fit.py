@@ -270,6 +270,27 @@ def test_objective_call_allocates_no_raster():
         assert peak < scene.dsm.values.nbytes / 2
 
 
+def test_frozen_objective_keeps_one_raster_less():
+    scene = synth.generate(synth.SceneSpec(cell_size=0.4, seed=1))  # 251 x 251
+    surface = fitmod.initialize_surface(scene.dsm, scene.dtm, scene.mask)
+    raster = scene.dsm.values.nbytes
+    resident = {}
+    for free_weights in (True, False):
+        tracemalloc.start()
+        try:
+            objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask,
+                                         fitmod.LossWeights(), free_weights)
+            resident[free_weights] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del objective
+    # target, coefficients, two masks, height, denominator and the masked
+    # words, plus the basis and the control-grid buffers; free weights keep
+    # a separate residual raster
+    assert resident[False] < 8 * raster
+    assert resident[True] - resident[False] > 0.9 * raster
+
+
 def test_frozen_objective_equals_the_free_one_with_half_the_raster_products(
         scene, monkeypatch):
     products = []
@@ -338,6 +359,19 @@ def test_two_fits_of_one_tile_are_byte_identical(scene, weight_learning_rate):
 def test_weight_learning_rate_must_be_finite_and_non_negative(rate):
     with pytest.raises(ValueError, match="weight_learning_rate must be finite and non-negative"):
         fitmod.FitConfig(weight_learning_rate=rate)
+
+
+@pytest.mark.parametrize("cls, name", [
+    (fitmod.LossWeights, "lambda_terrain"), (fitmod.LossWeights, "lambda_reg"),
+    (fitmod.FitConfig, "learning_rate"), (fitmod.FitConfig, "max_iters"),
+    (fitmod.FitConfig, "early_stop_patience"), (fitmod.FitConfig, "early_stop_min_delta"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_settings_are_rejected(cls, name, value):
+    # NaN passes the sign checks; unchecked, a NaN early_stop_min_delta
+    # would count every iteration toward a plateau and end the fit early
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+        cls(**{name: value})
 
 
 def per_node_roughness(z):

@@ -30,6 +30,7 @@ points were sampled from.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -285,6 +286,14 @@ def test_dual_rate_samples_are_delaunay(rates):
                 origin_x=0.0, origin_y=0.0, bits=bits)
     samples = dynamic_sample(surface, mask, SamplingConfig(*rates))
     assert_delaunay(samples[:, :2])
+
+
+@pytest.mark.parametrize("rates", [(1.0, math.inf), (math.inf, math.inf)])
+def test_infinite_sampling_rates_are_rejected(rates):
+    # 0 < road_rate <= terrain_rate holds for them, but a lattice of
+    # infinite spacing has no size
+    with pytest.raises(ValueError, match="must be finite, got inf"):
+        SamplingConfig(*rates)
 
 
 def sort_per_round_flips(p, tri):
