@@ -305,12 +305,16 @@ BASELINES = (("mesh", baseline_mesh_stage), ("metrics", metrics_stage))
 
 def run_stages(config: PipelineConfig, state: SimpleNamespace,
                stages: tuple) -> SimpleNamespace:
-    """Runs (name, stage) pairs in order; what a stage raises becomes StageError(name)."""
+    """Runs (name, stage) pairs in order; what a stage raises becomes
+    StageError(name), an allocation it cannot make included (a sampling
+    lattice too large for memory, say)."""
     for name, stage in stages:
         try:
             stage(config, state)
         except (OSError, ValueError, RuntimeError) as err:
             raise StageError(name, str(err)) from err
+        except MemoryError as err:  # numpy's message names the array it could not allocate
+            raise StageError(name, str(err) or "out of memory") from err
     return state
 
 

@@ -3,9 +3,10 @@
 Surface meshing samples the height field on two nested lattices, dense on
 road cells and coarse elsewhere, then triangulates the plan positions in
 whole arrays: a start triangulation zips adjacent columns of equal x and
-fills the pockets up to the convex hull, and rounds of Lawson edge flips
-make it Delaunay.  Regular-grid triangulation of a raster and a least-squares
-plane provide reference meshes of known shape.
+fills the pockets up to the convex hull, and rounds of Lawson edge flips,
+their in-circle tests taken in blocks of bounded size, make it Delaunay.
+Regular-grid triangulation of a raster and a least-squares plane provide
+reference meshes of known shape.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from .nurbs import NurbsSurface, evaluate_grid
 
 # relative tolerance of the Delaunay predicates, against their permanents
 _TOL = 1e-12
+# edges one in-circle test takes at once; any size gives the same flips
+_EDGE_BLOCK = 4096
 
 @dataclass
 class SamplingConfig:
@@ -59,6 +62,11 @@ def dynamic_sample(surface: NurbsSurface, mask_plus: Mask,
     sample belongs to the road class when its nearest mask cell is 1.  Road
     samples take precedence over coincident terrain samples.  Returns an
     (N, 3) array, road samples first, each lattice in row-major order.
+
+    A sample's nearest mask column depends on its x alone and its nearest
+    row on its y alone, so the mask is read on the lattice's outer index,
+    without full-lattice coordinate grids: a lattice holds its heights, one
+    boolean per node and the samples it keeps.
     """
     x0, x1, y0, y1 = surface.extent
 
@@ -66,9 +74,9 @@ def dynamic_sample(surface: NurbsSurface, mask_plus: Mask,
         xs = _lattice(x0, x1, rate)
         ys = _lattice(y0, y1, rate)
         z = evaluate_grid(surface, xs, ys)
-        gx, gy = np.meshgrid(xs, ys)
-        sel = mask_plus.contains(gx, gy) == want_road
-        return np.column_stack([gx[sel], gy[sel], z[sel]])
+        sel = mask_plus.contains(xs[None, :], ys[:, None]) == want_road
+        rows, cols = np.nonzero(sel)
+        return np.column_stack([xs[cols], ys[rows], z[sel]])
 
     def plan_key(samples: np.ndarray) -> np.ndarray:
         return np.round(samples[:, 0], 6) + 1j * np.round(samples[:, 1], 6)
@@ -95,16 +103,23 @@ def _incircle(p: np.ndarray, a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _strip_start(p: np.ndarray) -> np.ndarray:
-    """A triangulation of points sorted by (x, y), not yet Delaunay.
+    """A counter-clockwise triangulation of points sorted by (x, y), not yet
+    Delaunay.
 
     The points form columns of equal x.  Each pair of adjacent columns, A on
     the left and B on the right, is zipped from its two bottoms upward: the
     other points of both columns are merged by y, B first on equal y, and
-    each one closes a triangle with the current top of either column.  The
-    pockets between the hull and the chains of column bottoms and tops are
-    filled by Andrew's monotone chain, one triangle per pop; a pop needs a
-    turn larger than _TOL times the sum of the orientation's two products'
-    absolute values, so collinear points stay on the hull.
+    each one closes a triangle with the current top of either column.  Such a
+    triangle has an edge up its column and its third corner across, so it
+    is counter-clockwise in floating point too: x differences across the
+    strip are positive, y differences up a column are positive, and
+    rounding keeps their order.  The pockets between the hull and the chains
+    of column bottoms and tops are filled by Andrew's monotone chain, one
+    triangle per pop; a pop needs a turn larger than _TOL times the sum of the
+    orientation's two products' absolute values, so collinear points stay
+    on the hull, and its turn is clockwise on the bottom chain and
+    counter-clockwise on the top one, which sets each pocket's vertex order.
+    Only the chain points are converted to Python floats.
     """
     n = len(p)
     new_col = np.r_[True, p[1:, 0] != p[:-1, 0]]
@@ -128,24 +143,21 @@ def _strip_start(p: np.ndarray) -> np.ndarray:
     cur_a = np.maximum(bottom[strip], np.r_[-1, tops_a[:-1]])
     cur_b = np.maximum(bottom[strip + 1], np.r_[-1, tops_b[:-1]])
     pockets = []
-    xy = p.tolist()
     for chain, sign in ((bottom, 1.0), (top, -1.0)):
+        # the stack holds places in the chain
+        ids, xy = chain.tolist(), p[chain].tolist()
         stack: list[int] = []
-        for v in chain.tolist():
-            vx, vy = xy[v]
+        for v, (vx, vy) in enumerate(xy):
             while len(stack) >= 2:
                 (ax, ay), (bx, by) = xy[stack[-2]], xy[stack[-1]]
                 left, right = (bx - ax) * (vy - ay), (by - ay) * (vx - ax)
                 if sign * (left - right) >= -_TOL * (abs(left) + abs(right)):
                     break
-                pockets.append((stack[-2], stack.pop(), v))
+                u, w = ids[stack[-2]], ids[stack.pop()]
+                pockets.append((u, ids[v], w) if sign > 0 else (u, w, ids[v]))
             stack.append(v)
-    tri = np.concatenate([np.column_stack([cur_a, cur_b, pid]),
-                          np.array(pockets, dtype=np.int64).reshape(-1, 3)])
-    a, b, c = (p[tri[:, k]] for k in range(3))
-    cw = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) < (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    tri[cw] = tri[cw][:, [0, 2, 1]]
-    return tri
+    return np.concatenate([np.column_stack([cur_a, cur_b, pid]),
+                           np.array(pockets, dtype=np.int64).reshape(-1, 3)])
 
 
 def runs(counts: np.ndarray) -> np.ndarray:
@@ -161,19 +173,24 @@ def edge_pairs(triangles: np.ndarray) -> np.ndarray:
     Each half-edge of a run on one edge pairs with every later one, so a
     non-manifold edge pairs all its half-edges."""
     a, b = triangles.ravel(), triangles[:, [1, 2, 0]].ravel()
-    key = np.minimum(a, b) * (triangles.max(initial=0) + 1) + np.maximum(a, b)
-    # stable, so the rows of one edge keep half-edge order
+    key = np.minimum(a, b)
+    key *= triangles.max(initial=0) + 1
+    key += np.maximum(a, b, out=b)
+    del a, b
+    # stable, so the rows of one edge keep half-edge order; sorting the keys
+    # in place sorts them without a third key-sized array beside the order
     order = np.argsort(key, kind="stable")
-    key = key[order]
+    key.sort()
     # each edge is now a run of rows, each row pairing with every later row of
     # its run; the rows with a later one form one stretch per run.  Freeing
-    # the keys first lowers the tracemalloc peak on the 20,000 triangles of a
-    # 101 x 101 regular grid from 3.6 to 2.6 MB
+    # each array once it is read holds the tracemalloc peak on the 20,000
+    # triangles of a 101 x 101 regular grid to 2.2 MB
     more = np.flatnonzero(key[1:] == key[:-1])
-    del a, b, key
+    del key
     last = np.flatnonzero(np.diff(more, append=-1) != 1)
     later = np.repeat(more[last] + 1, np.diff(last, prepend=-1)) - more
     left = np.repeat(more, later)
+    del more, last
     right = left + 1 + runs(later)
     return np.column_stack([order[left], order[right]])
 
@@ -181,6 +198,20 @@ def edge_pairs(triangles: np.ndarray) -> np.ndarray:
 def _turn(h: np.ndarray, k: int) -> np.ndarray:
     """The half-edge k steps after h around h's triangle."""
     return h - h % 3 + (h + k) % 3
+
+
+def _illegal(p: np.ndarray, flat: np.ndarray, twin: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The interior half-edges of h, in order, whose edge fails the in-circle
+    test: the far vertex of h's twin lies inside the circumcircle of h's
+    triangle by more than _TOL times the permanent.  Tested _EDGE_BLOCK at a
+    time, so the in-circle arrays stay bounded however many edges h holds."""
+    illegal = [h[:0]]
+    for start in range(0, len(h), _EDGE_BLOCK):
+        block = h[start:start + _EDGE_BLOCK]
+        det, permanent = _incircle(p, flat[block], flat[_turn(block, 1)], flat[_turn(block, 2)],
+                                   flat[_turn(twin[block], 2)])
+        illegal.append(block[det > _TOL * permanent])
+    return np.concatenate(illegal)
 
 
 def _flip_to_delaunay(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -200,16 +231,19 @@ def _flip_to_delaunay(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
     least key and flips the edges claimed by both of their triangles, so no
     triangle takes part in two flips.  The least illegal edge always flips,
     and flips reach a Delaunay triangulation from any triangulation (Lawson
-    1977; de Berg et al., Computational Geometry, ch. 9).  The next round
-    tests only the interior edges of triangles that had an illegal edge,
-    flipped or not: an edge's test reads just its two triangles, so a legal
-    edge between untouched triangles stays legal.  So after the first round
-    a round costs what it touches: its arrays are sized by those triangles,
-    and only the twins and the per-triangle claims span the whole
-    triangulation.  Raises RuntimeError after more rounds than points, far
-    beyond what any input has needed (pipeline samples 14 to 34, uniform
-    random points about 40 at 50k; points on a line below a parabola n / 4
-    to n / 2, each round touching nearly every triangle).
+    1977; de Berg et al., Computational Geometry, ch. 9).  The first round
+    tests every interior edge, the next only the interior edges of triangles
+    that had an illegal edge, flipped or not: an edge's test reads just its
+    two triangles, so a legal edge between untouched triangles stays legal.
+    Each round tests its edges _EDGE_BLOCK at a time and keeps only the
+    illegal ones, so its in-circle arrays are bounded by the block and the
+    rest of the round is sized by the illegal edges and the triangles they
+    touch; only the twins, the per-triangle claims and the first round's
+    edge list span the whole triangulation.  Which edges a round flips does
+    not depend on the block size.  Raises RuntimeError after more rounds
+    than points, far beyond what any input has needed (pipeline samples 14
+    to 34, uniform random points about 40 at 50k; points on a line below a
+    parabola n / 4 to n / 2, each round touching nearly every triangle).
     """
     n = len(p)
     flat = tri.reshape(-1)  # a view: flips write through it
@@ -217,19 +251,17 @@ def _flip_to_delaunay(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
     twin = np.full(len(flat), -1, dtype=np.int32)
     twin[h1], twin[h2] = h2, h1
     # h1 and h2 view the pair table; copying h1 frees the table before the
-    # first round's in-circle temporaries
+    # first round
     h1 = h1.copy()
     del h2
     unclaimed = np.iinfo(np.int64).max
     claim = np.full(len(tri), unclaimed)
     for _ in range(n + 1):
+        h1 = _illegal(p, flat, twin, h1)
+        if len(h1) == 0:
+            return tri
         h2 = twin[h1]
         a, b, c, d = flat[h1], flat[_turn(h1, 1)], flat[_turn(h1, 2)], flat[_turn(h2, 2)]
-        det, permanent = _incircle(p, a, b, c, d)
-        illegal = np.flatnonzero(det > _TOL * permanent)
-        if len(illegal) == 0:
-            return tri
-        h1, h2, a, b, c, d = (x[illegal] for x in (h1, h2, a, b, c, d))
         t1, t2 = h1 // 3, h2 // 3
         key = np.minimum(a, b) * n + np.maximum(a, b)
         np.minimum.at(claim, t1, key)
@@ -310,6 +342,7 @@ def delaunay(points_xy: np.ndarray) -> np.ndarray:
     cross = np.abs(rel[:, 0] * direction[1] - rel[:, 1] * direction[0])
     if cross.max() <= 1e-12 * span * span:
         raise ValueError("points are collinear")
+    del rel, cross  # not held while triangulating
 
     p = p - (lo + hi) / 2.0
     tri = order[_flip_to_delaunay(p, _strip_start(p))]

@@ -115,8 +115,11 @@ class _Bins:
     the bin spacing lie at bin centres; where edges lie does not change the
     distances, only how many bins a search opens."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        """Bins for the triangles with (3, T) plan coordinates x and y, a row per vertex."""
+    def __init__(self, mesh: TinMesh):
+        """Bins for the triangles of mesh."""
+        # take, unlike indexing by the transposed view, returns C-ordered (3, T)
+        # rows, a row per vertex, which reduce over axis 0 about 40 times faster
+        x, y = (mesh.vertices[:, i].take(mesh.triangles.T) for i in (0, 1))
         lo = np.array([x.min(), y.min()])
         hi = np.array([x.max(), y.max()])
         span = max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)
@@ -125,12 +128,12 @@ class _Bins:
         nb = (np.maximum(1, np.ceil((hi - lo) / cell))).astype(int)
         self.lo, self.cell, self.nb = lo, cell, nb
         self.box = np.column_stack([x.min(0), y.min(0), x.max(0), y.max(0)])
-        bounds = np.clip(np.floor((self.box - np.tile(lo, 2)) / cell), 0,
-                         np.tile(nb, 2) - 1).astype(np.int32)
-        self.first, self.last = bounds[:, :2].copy(), bounds[:, 2:].copy()
+        del x, y  # the corners are not held while the bins are filled
+        self.first, self.last = (np.clip(np.floor((self.box[:, k:k + 2] - lo) / cell), 0,
+                                         nb - 1).astype(np.int32) for k in (0, 2))
         size = self.last - self.first + 1
         per_tri = size[:, 0] * size[:, 1]
-        ids = np.repeat(np.arange(x.shape[1], dtype=np.int32), per_tri)
+        ids = np.repeat(np.arange(len(per_tri), dtype=np.int32), per_tri)
         step_i, step_j = np.divmod(runs(per_tri), size[ids, 1])
         nbj = int(nb[1])  # a Python int keeps the products in int32
         bins = (self.first[:, 0] * nbj + self.first[:, 1])[ids] + step_i * nbj + step_j
@@ -343,9 +346,7 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     if len(mesh.triangles) == 0:
         raise ValueError("mesh has no triangles")
     pts = np.asarray(points_xyz, dtype=float).reshape(-1, 3)
-    # take, unlike indexing by the transposed view, returns C-ordered (3, T)
-    # rows, which _Bins reduces over axis 0 about 40 times faster
-    bins = _Bins(*(mesh.vertices[:, i].take(mesh.triangles.T) for i in (0, 1)))
+    bins = _Bins(mesh)
     margin = _MARGIN * max(np.abs(mesh.vertices).max(), np.abs(pts).max(initial=0.0))
     dist = np.full(len(pts), np.inf)
     covered = np.zeros(len(pts), dtype=bool)
@@ -363,21 +364,31 @@ def _smoothness(mesh: TinMesh, mask_plus: Mask) -> tuple[float, float]:
 
     The pairs of one class keep their order in the table of all pairs, which
     is their order in the table of that class's triangles alone."""
-    v0, v1, v2 = mesh.vertices.take(mesh.triangles.T, 0)
-    on_road = mask_plus.contains(*((v0 + v1 + v2) / 3)[:, :2].T)
-    normals = np.ascontiguousarray(np.cross(v1 - v0, v2 - v0).T)
-    del v0, v1, v2  # not held while the pair table, the larger peak, is built
+    # (3, T) rows of each coordinate, a row per corner
+    x, y, z = (mesh.vertices[:, i].take(mesh.triangles.T) for i in range(3))
+    on_road = mask_plus.contains((x[0] + x[1] + x[2]) / 3, (y[0] + y[1] + y[2]) / 3)
+    # edges v1 - v0 and v2 - v0 and their cross product, a row per coordinate,
+    # in the products and order of np.cross
+    u, w = ([c[k] - c[0] for c in (x, y, z)] for k in (1, 2))
+    del x, y, z
+    normals = np.array([u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2],
+                        u[0] * w[1] - u[1] * w[0]])
+    del u, w  # not held while the pair table is built
     pairs = edge_pairs(mesh.triangles) // 3
-    pairs = pairs[on_road[pairs[:, 0]] == on_road[pairs[:, 1]]]
-    if len(pairs) == 0:
+    first, second = np.ascontiguousarray(pairs[on_road[pairs[:, 0]] == on_road[pairs[:, 1]]].T)
+    del pairs
+    if len(first) == 0:
         return 0.0, 0.0
     norms = np.sqrt(_dot(normals, normals))
     if (norms == 0).any():
         raise ValueError("mesh contains degenerate triangles")
     normals /= norms
-    dots = np.abs(_dot(normals.take(pairs[:, 0], 1), normals.take(pairs[:, 1], 1)))
-    angles = np.degrees(np.arccos(np.clip(dots, 0.0, 1.0)))
-    road = on_road[pairs[:, 0]]
+    # _dot's sum, one coordinate's gathers at a time
+    dots = normals[0].take(first) * normals[0].take(second)
+    for k in (1, 2):
+        dots += normals[k].take(first) * normals[k].take(second)
+    angles = np.degrees(np.arccos(np.clip(np.abs(dots), 0.0, 1.0)))
+    road = on_road[first]
     return tuple(float(a.mean()) if len(a) else 0.0 for a in (angles[road], angles[~road]))
 
 

@@ -562,6 +562,33 @@ def test_single_fault_names_its_stage(tile, tmp_path, capsys, stage, fault):
     assert message in err
 
 
+def refuses_huge_allocations():
+    """Linux's heuristic (0) and strict (2) overcommit modes refuse a single
+    allocation far beyond RAM and swap; mode 1 would grant it and let the
+    writes exhaust the machine's memory."""
+    try:
+        return Path("/proc/sys/vm/overcommit_memory").read_text().strip() in ("0", "2")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not refuses_huge_allocations(),
+                    reason="needs an OS that refuses a 1.8 TiB allocation")
+@pytest.mark.parametrize("command", [
+    ("run", "--road-rate", "0.0002"),
+    ("ablate", "--param", "sampling_rates", "--values", "0.0002/10"),
+])
+def test_lattice_too_large_for_memory_is_a_mesh_failure(tile, tmp_path, capsys, command):
+    # 500,001 samples a side over the 100 m tile: the basis matrices take
+    # about 50 MB each, the height grid 1.8 TiB
+    rc, artifacts = invoke(tmp_path / "out", command[0], *layer_flags(tile, LAYERS),
+                           *FIT_FLAGS[:4], *command[1:])
+    assert (rc, artifacts) == (2, {})
+    err = capsys.readouterr().err
+    assert err.startswith("stage mesh: Unable to allocate")
+    assert "(500001, 500001)" in err
+
+
 def test_missing_scene_file_is_a_grid_failure(tmp_path, capsys):
     scene = tmp_path / "missing.txt"
     assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 2

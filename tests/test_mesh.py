@@ -20,9 +20,13 @@ hull boundary, collinear ones included.
 The flip loop, which keeps its half-edge twins from round to round, is
 checked array for array against the loop it replaced, which pairs every
 half-edge again by an argsort each round: both flip the same edges in the
-same rounds, so from the same start they must give equal arrays.  The
-half-edge pairs the flips start from are checked against a dictionary of
-each triangulation's edges.
+same rounds, so from the same start they must give equal arrays, and the
+start must already be counter-clockwise.  The flips test their edges in
+blocks, and the triangulation must not depend on the block size, down to
+one edge at a time.  The half-edge pairs the flips start from are checked
+against a dictionary of each triangulation's edges.  A memory guard bounds
+the tracemalloc peaks of sampling and Delaunay per sample on a dual-rate
+set of about 20,000 samples.
 
 The OBJ writer is checked byte for byte against a formatter that converts
 one numpy scalar at a time.  The plane fit must recover the plane its
@@ -31,11 +35,13 @@ points were sampled from.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from roadsurf import mesh as meshmod
 from roadsurf.filtering import FilterParams, run_filter
 from roadsurf.fit import initialize_surface
 from roadsurf.grid import Mask, Raster
@@ -375,8 +381,64 @@ def test_flips_equal_the_sort_per_round_loop(kind):
         p = points[np.lexsort((points[:, 1], points[:, 0]))]
         p = p - (p.min(axis=0) + p.max(axis=0)) / 2.0
         start = _strip_start(p)
+        # the start sets each vertex order without an orientation test
+        assert (orientation(p, start) > 0).all()
         assert np.array_equal(_flip_to_delaunay(p, start.copy()),
                               sort_per_round_flips(p, start.copy()))
+
+
+def sinuous_road(rates):
+    """dynamic_sample's arguments: a random surface over a 100 x 80 m tile, a
+    sinuous band of road cells 12 m wide, and the rates."""
+    surface = NurbsSurface((0.0, 100.0, 0.0, 80.0), 3, 3,
+                           np.random.default_rng(4).normal(0.0, 1.0, (12, 10)), np.ones((12, 10)))
+    jj, ii = np.mgrid[0:81, 0:101]
+    bits = (np.abs(jj - 40.0 - 15.0 * np.sin(ii / 10.0)) < 6.0).astype(np.uint8)
+    mask = Mask(width=101, height=81, cell_size=1.0, origin_x=0.0, origin_y=0.0, bits=bits)
+    return surface, mask, SamplingConfig(*rates)
+
+
+BLOCK_SETS = {
+    "random": lambda: [*random_sets()[:6], np.random.default_rng(9).uniform(0.0, 100.0, (600, 2))],
+    "lattice": lambda: [COCIRCULAR_LATTICE, lattice_points(40, 30, step=0.5)],
+    "dual-rate": lambda: [dynamic_sample(*sinuous_road((1.0, 5.0)))[:, :2]],
+    "line-under-parabola": lambda: [line_under_parabola(60)],
+    # no interior edge; one interior edge
+    "three-points": lambda: [np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])],
+    "convex-quad": lambda: [np.array([[0.0, 0.0], [2.0, -1.0], [3.0, 1.0], [1.0, 2.0]])],
+}
+
+
+@pytest.mark.parametrize("kind", BLOCK_SETS)
+def test_flips_do_not_depend_on_the_edge_block(kind, monkeypatch):
+    for points in BLOCK_SETS[kind]():
+        expected = delaunay(points)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(meshmod, "_EDGE_BLOCK", block)
+            assert np.array_equal(delaunay(points), expected)
+            monkeypatch.undo()
+
+
+def traced_peak(call, *args):
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_meshing_memory_grows_with_what_it_keeps():
+    # a Delaunay that tested every edge of its first round at once peaked at
+    # about 730 bytes per sample, and sampling over full-lattice coordinate
+    # grids at about 350; the blocked flips peak near 300 and sampling near
+    # 110, and the bounds leave room for allocator and numpy differences
+    args = sinuous_road((0.25, 2.5))
+    samples = dynamic_sample(*args)
+    assert len(samples) > 15_000
+    assert traced_peak(dynamic_sample, *args) < 200 * len(samples)
+    assert traced_peak(delaunay, samples[:, :2]) < 450 * len(samples)
 
 
 def reference_obj(mesh, attr):
