@@ -8,19 +8,19 @@ centres, not bin edges, lie on the lattice that starts at the smallest
 vertex coordinates: ground truth comes from raster cells, and a regular-grid
 mesh has its vertices on them, so such a point sits mid-bin rather than on a
 bin corner, where three bins of its first ring touch it and must be opened.
-The search runs over whole blocks of points, ring by ring of bins around
-each point's home bin.  The home bin is searched in two steps, locate and
-then bound: the triangles that contain a point in plan, of either winding
-and however many overlap there, are scored first, and their best is an
-upper bound on its distance; each other triangle there is scored only if
-its plan half-plane bound, which no distance to it undercuts, does not
-exceed that best by more than a rounding margin.  Later rings expand only
-the (point, triangle) pairs that could still beat a point's best.  Pairs go
-through the closest-point routine together (the rules are in
-point_mesh_distances).  A pruned pair cannot beat the best, a pair's float
-operations do not depend on its batch, and the minimum is exact, so
-distances do not depend on batching, pruning, the order pairs are scored in
-or where bin edges lie.
+The search runs over all points at once, ring by ring of bins around each
+point's home bin, in passes of bounded size.  The home bin is searched in
+two steps, locate and then bound: the triangles that contain a point in
+plan, of either winding and however many overlap there, are scored first,
+and their best is an upper bound on its distance; each other triangle there
+is scored only if its plan half-plane bound, which no distance to it
+undercuts, does not exceed that best by more than a rounding margin.  Later
+rings expand only the (point, triangle) pairs that could still beat a
+point's best.  Pairs go through the closest-point routine together (the
+rules are in point_mesh_distances).  A pruned pair cannot beat the best, a
+pair's float operations do not depend on its batch, and the minimum is
+exact, so distances do not depend on batching, pruning, the order pairs are
+scored in or where bin edges lie.
 Smoothness is the mean angle between the normals of edge-adjacent
 triangles, per class: each triangle is classified once, by the mask cell
 nearest its plan-view centroid, and each class averages the pairs of one
@@ -36,13 +36,13 @@ import numpy as np
 from .grid import Mask, Raster
 from .mesh import TinMesh, edge_pairs, runs
 
-# points searched together, (point, triangle) pairs per closest-point batch,
-# and home-bin pairs per locate pass.  Blocks bound the search's per-point
-# state, which the pass sizes do not: the 63,001 points of a 251 x 251 tile
-# in one block raise its tracemalloc peak on a NURBS TIN from 3.4 to 13.2 MB
-# (1.8 to 2.6 MB at 101 x 101).  A locate pass holds each pair that waits for
-# its plan bound, 16 bytes with the bound, until the pass is located.
-_POINT_BLOCK = 2048
+# (point, triangle) pairs per closest-point batch, and home-bin pairs per
+# locate pass.  The passes bound the search's working memory: a locate pass
+# holds each pair that waits for its plan bound, 16 bytes with the bound,
+# until the pass is located, and each pass closes only its own points.  What
+# grows with the point count is 21 bytes of state a point, so one search of
+# the 63,001 points of a 251 x 251 tile peaks at 3.3 MB of tracemalloc on a
+# NURBS TIN of 3,585 triangles (2.3 MB when blocks of 2,048 points held it).
 _PAIR_CHUNK = 4096
 _HELD_PAIRS = 4 * _PAIR_CHUNK
 # the rounding margin of the plan bound, a share of the largest coordinate
@@ -196,120 +196,39 @@ def _score(best: np.ndarray, owner: np.ndarray, p: np.ndarray, batch: np.ndarray
     np.minimum.at(best, owner, np.sqrt(_dot(gap, gap)))
 
 
-def _search_block(pts: np.ndarray, mesh: TinMesh, bins: _Bins, margin: float,
-                  best: np.ndarray, covered: np.ndarray) -> None:
-    """Ring search for one block of points, writing distances into ``best``
-    (all inf on entry) and ring-0 containment into ``covered``."""
-    lo, cell, nb = bins.lo, bins.cell, bins.nb
-    plan = np.ascontiguousarray(pts[:, :2])
-    home = np.clip(np.floor((plan - lo) / cell), 0, nb - 1).astype(np.int32)
-    max_ring = int(max(nb))
-    open_ = np.arange(len(pts), dtype=np.int32)
-    k = 0
-    while len(open_):
-        ring = _ring(k)
-        if k:
-            cuts = np.arange(0, len(open_), max(1, _PAIR_CHUNK // len(ring)))
-        else:
-            # every point is open; a pass ends after about _HELD_PAIRS pairs
-            home_bin = home[:, 0] * nb[1] + home[:, 1]
-            total = np.cumsum(bins.starts[home_bin + 1] - bins.starts[home_bin])
-            cuts = np.unique(np.concatenate([[0], np.searchsorted(
-                total, np.arange(_HELD_PAIRS, total[-1], _HELD_PAIRS), side="right")]))
-        for s, e in zip(cuts, [*cuts[1:], len(open_)]):
-            sel = open_[s:e]
-            ij = home[sel, None] + ring
-            inside = ((ij[..., 0] >= 0) & (ij[..., 0] < nb[0])
-                      & (ij[..., 1] >= 0) & (ij[..., 1] < nb[1]))
-            owner, ij = np.broadcast_to(sel[:, None], inside.shape)[inside], ij[inside]
-            # window: a bin whose plan box lies beyond the best so far holds
-            # nothing closer; limit keeps that best for the pairs below
-            limit = best[owner]
-            keep = ~(_box_distance(plan.take(owner, 0), lo + ij * cell, lo + (ij + 1) * cell) > limit)
-            owner, ij, limit = owner[keep], ij[keep], limit[keep]
-            b = ij[:, 0] * nb[1] + ij[:, 1]
-            count = bins.starts[b + 1] - bins.starts[b]
-            ends = np.cumsum(count)
-            skip = bins.starts[b] - (ends - count)
-            held = []
-            for q in range(0, ends[-1] if len(ends) else 0, _PAIR_CHUNK):
-                pair = np.arange(q, min(q + _PAIR_CHUNK, ends[-1]))
-                w = np.searchsorted(ends, pair, side="right")
-                ids, o = bins.members[skip[w] + pair], owner[w]
-                if k:
-                    # each triangle once, in its bin nearest the home bin, and
-                    # only if its plan box lies within the best so far (ring 0
-                    # is every triangle's nearest bin)
-                    nearest = np.maximum(bins.first.take(ids, 0),
-                                         np.minimum(home.take(o, 0), bins.last.take(ids, 0)))
-                    bin_ij = ij.take(w, 0)
-                    keep = (nearest[:, 0] == bin_ij[:, 0]) & (nearest[:, 1] == bin_ij[:, 1])
-                    ids, o, w = ids[keep], o[keep], w[keep]
-                    box = bins.box.take(ids, 0)
-                    keep = ~(_box_distance(plan.take(o, 0), box[:, :2], box[:, 2:]) > limit[w])
-                    ids, o = ids[keep], o[keep]
-                    _score(best, o, pts.take(o, 0), _corners(mesh, ids))
-                    continue
-                # locate: the triangles that contain their point in plan are
-                # scored first; the others wait with their plan bounds
-                p, batch = pts.take(o, 0), _corners(mesh, ids)
-                contains, bound = _locate(p, batch)
-                hit, miss = np.flatnonzero(contains), np.flatnonzero(~contains)
-                held.append((ids.take(miss), o.take(miss), bound.take(miss)))
-                covered[o.take(hit)] = True
-                # rebinding frees the whole chunk's rows before the routine runs
-                p, batch = p.take(hit, 0), batch.take(hit, 0)
-                _score(best, o.take(hit), p, batch)
-            if held:
-                # bound: a triangle lies at least its plan bound away, so one
-                # whose bound exceeds the best by more than the margin cannot win
-                ids, o, bound = (np.concatenate(part) for part in zip(*held))
-                keep = np.flatnonzero(~(bound > best.take(o) + margin))
-                ids, o = ids.take(keep), o.take(keep)
-                for q in range(0, len(ids), _PAIR_CHUNK):
-                    o_q = o[q:q + _PAIR_CHUNK]
-                    _score(best, o_q, pts.take(o_q, 0), _corners(mesh, ids[q:q + _PAIR_CHUNK]))
-        if k > max_ring:
-            return
-        # the unexplored bins are the grid box outside the explored rectangle,
-        # one band beyond each side the rings have not pushed past the grid:
-        # (band exists, gap from the point to the side, offset along the side)
-        px, py = pts[open_, 0], pts[open_, 1]
-        i, j = home[open_, 0], home[open_, 1]
-        off_x = np.maximum(np.maximum(lo[0] - px, px - (lo[0] + nb[0] * cell)), 0.0)
-        off_y = np.maximum(np.maximum(lo[1] - py, py - (lo[1] + nb[1] * cell)), 0.0)
-        bands = (
-            (i - k > 0, px - (lo[0] + (i - k) * cell), off_y),
-            (i + k < nb[0] - 1, lo[0] + (i + k + 1) * cell - px, off_y),
-            (j - k > 0, py - (lo[1] + (j - k) * cell), off_x),
-            (j + k < nb[1] - 1, lo[1] + (j + k + 1) * cell - py, off_x),
-        )
-        bound = np.minimum.reduce([np.where(exists, np.hypot(np.maximum(gap, 0.0), offset), np.inf)
-                                   for exists, gap, offset in bands])
-        open_ = open_[~(best[open_] <= bound)]
-        k += 1
+def _pairs(bins: _Bins, b: np.ndarray):
+    """The (row, triangle id) pairs of bins b, ``_PAIR_CHUNK`` at a time:
+    the triangles of bin b[w] pair with row w."""
+    count = bins.starts[b + 1] - bins.starts[b]
+    ends = np.cumsum(count)
+    skip = bins.starts[b] - (ends - count)
+    total = int(ends[-1]) if len(ends) else 0
+    for q in range(0, total, _PAIR_CHUNK):
+        pair = np.arange(q, min(q + _PAIR_CHUNK, total))
+        w = np.searchsorted(ends, pair, side="right")
+        yield w, bins.members[skip[w] + pair]
 
 
 def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance from each point to the mesh and whether its plan position
     falls inside some triangle's plan footprint, of either winding.
 
-    Points are searched in blocks of ``_POINT_BLOCK``.  Ring k of a bin is
-    the square of bins at Chebyshev distance k.  Ring 0, the home bin, holds
-    every triangle whose plan footprint contains the point, and is searched
-    in two steps.  (1) Locate: each pair of the home bin is tested for plan
-    containment by ``_locate``, the triangle's three edge functions, with
-    their sign turned for a clockwise triangle, all on the inner side within
-    a tolerance.  The containing pairs decide coverage and go through
-    ``_closest_point_batch`` first; their best is an upper bound on the
-    point's distance.  (2) Bound: each other pair's plan bound is the
-    largest distance of the point outside one of the triangle's edge lines
-    (0 for a triangle of zero plan area, which has no inner side).  The
-    triangle lies on the inner side of each line and no distance is shorter
-    than its plan part, so the bound is a lower bound on the pair's
-    distance; a pair whose bound exceeds the best by more than the margin
-    cannot win and is dropped, and the rest go through the routine.  The
-    margin is ``_MARGIN`` times the largest coordinate magnitude of mesh
+    All points are searched together, ring by ring, in passes of bounded
+    size.  Ring k of a bin is the square of bins at Chebyshev distance k.
+    Ring 0, the home bin, holds every triangle whose plan footprint contains
+    the point, and is searched in two steps.  (1) Locate: each pair of the
+    home bin is tested for plan containment by ``_locate``, the triangle's
+    three edge functions, with their sign turned for a clockwise triangle,
+    all on the inner side within a tolerance.  The containing pairs decide
+    coverage and go through ``_closest_point_batch`` first; their best is an
+    upper bound on the point's distance.  (2) Bound: each other pair's plan
+    bound is the largest distance of the point outside one of the triangle's
+    edge lines (0 for a triangle of zero plan area, which has no inner
+    side).  The triangle lies on the inner side of each line and no distance
+    is shorter than its plan part, so the bound is a lower bound on the
+    pair's distance; a pair whose bound exceeds the best by more than the
+    margin cannot win and is dropped, and the rest go through the routine.
+    The margin is ``_MARGIN`` times the largest coordinate magnitude of mesh
     and points: the routine works in absolute coordinates, so a distance it
     returns can fall short of the exact one by a few ulps of the
     coordinates (about 1e-10 at 5e5), while the bound, taken from
@@ -320,40 +239,131 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     pair.  The pairs waiting for their bound are held until their pass is
     located, so a ring-0 pass ends after about ``_HELD_PAIRS`` pairs.
 
-    Ring k >= 1 of each point of a block whose search is open expands into
-    pairs, which go through ``_closest_point_batch`` together and are
-    reduced with ``np.minimum.at``.  Only pairs that could lower the best
-    distance the ring started with expand: (3) window: ring bins whose plan
-    box lies farther than the best are skipped; (4) nearest bin: a triangle
-    expands only in its bin nearest the home bin, the home index clamped
-    into the triangle's bin range, so it meets a point once; (5) bounding
-    box: a pair whose triangle's plan box lies farther than the best is
-    dropped; (6) pass size: a cumsum of the surviving bins' pair counts cuts
-    passes of at most ``_PAIR_CHUNK`` pairs, over ``_PAIR_CHUNK //
-    len(ring)`` points at a time.  A triangle lies no nearer than its plan
-    box, which lies in the closed boxes of its bins (floor rounding is
+    Ring k >= 1 of each point whose search is open expands into pairs, which
+    go through ``_closest_point_batch`` together and are reduced with
+    ``np.minimum.at``.  Only pairs that could lower the best distance the
+    ring started with expand: (3) window: ring bins whose plan box lies
+    farther than the best are skipped; (4) nearest bin: a triangle expands
+    only in its bin nearest the home bin, the home index clamped into the
+    triangle's bin range, so it meets a point once; (5) bounding box: a pair
+    whose triangle's plan box lies farther than the best is dropped; (6)
+    pass size: a pass takes ``_PAIR_CHUNK // len(ring)`` points, and a
+    cumsum of its surviving bins' pair counts cuts batches of at most
+    ``_PAIR_CHUNK`` pairs.  A triangle lies no nearer than its plan box,
+    which lies in the closed boxes of its bins (floor rounding is
     monotone), the clamped one nearest; so a pruned pair cannot beat the
-    best, and a tie keeps the pair.  A point closes once its best is no more
-    than its plan distance to the bins still unexplored, the part of the bin
-    grid outside the explored rings, since no triangle lies anywhere else; a
-    side whose rings have passed the grid edge bounds nothing, so a point
-    beside the mesh is not held open by the empty plane on its own side.
-    The minimum is exact, so the order pairs are scored in does not matter,
-    and the distances equal, bit for bit, the minimum of
-    ``_closest_point_batch`` over every triangle, whatever the block and
-    chunk sizes.
+    best, and a tie keeps the pair.  After each pass, each of its points
+    closes once its best is no more than its plan distance to the bins
+    still unexplored, the part of the bin grid outside the explored rings,
+    since no triangle lies anywhere else; a side whose rings have passed the
+    grid edge bounds nothing, so a point beside the mesh is not held open by
+    the empty plane on its own side.  A pass holds every pair of one point,
+    so its points' bests are final when it closes them.  The minimum is
+    exact, so the order pairs are scored in does not matter, and the
+    distances equal, bit for bit, the minimum of ``_closest_point_batch``
+    over every triangle, whatever the pass and batch sizes.  Passes bound
+    the working memory; what grows with the point count is the points' home
+    bins, bests, coverage and open ids, 21 bytes a point.
     """
     if len(mesh.triangles) == 0:
         raise ValueError("mesh has no triangles")
     pts = np.asarray(points_xyz, dtype=float).reshape(-1, 3)
     bins = _Bins(mesh)
     margin = _MARGIN * max(np.abs(mesh.vertices).max(), np.abs(pts).max(initial=0.0))
-    dist = np.full(len(pts), np.inf)
+    lo, cell, nb = bins.lo, bins.cell, bins.nb
+    nbj = int(nb[1])  # a Python int keeps bin ids in int32
+    home = np.clip(np.floor((pts[:, :2] - lo) / cell), 0, nb - 1).astype(np.int32)
+    best = np.full(len(pts), np.inf)
     covered = np.zeros(len(pts), dtype=bool)
-    for s in range(0, len(pts), _POINT_BLOCK):
-        block = slice(s, s + _POINT_BLOCK)
-        _search_block(pts[block], mesh, bins, margin, dist[block], covered[block])
-    return dist, covered
+    if not len(pts):
+        return best, covered
+    # a ring-0 pass ends after about _HELD_PAIRS pairs
+    total = np.cumsum(np.diff(bins.starts).take(home[:, 0] * nbj + home[:, 1]))
+    cuts = np.unique(np.concatenate([[0], np.searchsorted(
+        total, np.arange(_HELD_PAIRS, total[-1], _HELD_PAIRS), side="right")]))
+    del total
+    passes = (np.arange(s, e, dtype=np.int32) for s, e in zip(cuts, [*cuts[1:], len(pts)]))
+    # ring max(nb) - 1 reaches every bin from any home bin
+    for k in range(int(max(nb))):
+        ring = _ring(k)
+        if k:
+            step = max(1, _PAIR_CHUNK // len(ring))
+            passes = (open_[s:s + step] for s in range(0, len(open_), step))
+        still = []
+        for sel in passes:
+            if not k:
+                # locate: the triangles that contain their point in plan are
+                # scored first; the others wait with their plan bounds
+                held = []
+                for w, ids in _pairs(bins, home[sel, 0] * nbj + home[sel, 1]):
+                    o = sel.take(w)
+                    p, batch = pts.take(o, 0), _corners(mesh, ids)
+                    contains, bound = _locate(p, batch)
+                    hit, miss = np.flatnonzero(contains), np.flatnonzero(~contains)
+                    held.append((ids.take(miss), o.take(miss), bound.take(miss)))
+                    covered[o.take(hit)] = True
+                    if len(hit):
+                        # rebinding frees the whole chunk's rows before the routine runs
+                        p, batch = p.take(hit, 0), batch.take(hit, 0)
+                        _score(best, o.take(hit), p, batch)
+                if held:
+                    # bound: a triangle lies at least its plan bound away, so
+                    # one whose bound exceeds the best by more than the margin
+                    # cannot win
+                    ids, o, bound = (np.concatenate(part) for part in zip(*held))
+                    keep = np.flatnonzero(~(bound > best.take(o) + margin))
+                    ids, o = ids.take(keep), o.take(keep)
+                    for q in range(0, len(ids), _PAIR_CHUNK):
+                        o_q = o[q:q + _PAIR_CHUNK]
+                        _score(best, o_q, pts.take(o_q, 0),
+                               _corners(mesh, ids[q:q + _PAIR_CHUNK]))
+            else:
+                ij = home[sel, None] + ring
+                inside = ((ij[..., 0] >= 0) & (ij[..., 0] < nb[0])
+                          & (ij[..., 1] >= 0) & (ij[..., 1] < nb[1]))
+                owner, ij = np.broadcast_to(sel[:, None], inside.shape)[inside], ij[inside]
+                # window: a bin whose plan box lies beyond the best so far
+                # holds nothing closer; limit keeps that best for the pairs
+                limit = best[owner]
+                keep = ~(_box_distance(pts.take(owner, 0)[:, :2], lo + ij * cell,
+                                       lo + (ij + 1) * cell) > limit)
+                owner, ij, limit = owner[keep], ij[keep], limit[keep]
+                for w, ids in _pairs(bins, ij[:, 0] * nbj + ij[:, 1]):
+                    # each triangle once, in its bin nearest the home bin,
+                    # and only if its plan box lies within the best so far
+                    o = owner[w]
+                    nearest = np.maximum(bins.first.take(ids, 0),
+                                         np.minimum(home.take(o, 0), bins.last.take(ids, 0)))
+                    bin_ij = ij.take(w, 0)
+                    keep = (nearest[:, 0] == bin_ij[:, 0]) & (nearest[:, 1] == bin_ij[:, 1])
+                    ids, o, w = ids[keep], o[keep], w[keep]
+                    box = bins.box.take(ids, 0)
+                    xy = pts.take(o, 0)[:, :2]
+                    keep = ~(_box_distance(xy, box[:, :2], box[:, 2:]) > limit[w])
+                    ids, o = ids[keep], o[keep]
+                    if len(ids):
+                        _score(best, o, pts.take(o, 0), _corners(mesh, ids))
+            # close: the unexplored bins are the grid box outside the explored
+            # rectangle, one band beyond each side the rings have not pushed
+            # past the grid: (band exists, gap from the point to the side,
+            # offset along the side)
+            px, py = pts[sel, 0], pts[sel, 1]
+            i, j = home[sel, 0], home[sel, 1]
+            off_x = np.maximum(np.maximum(lo[0] - px, px - (lo[0] + nb[0] * cell)), 0.0)
+            off_y = np.maximum(np.maximum(lo[1] - py, py - (lo[1] + nb[1] * cell)), 0.0)
+            bands = (
+                (i - k > 0, px - (lo[0] + (i - k) * cell), off_y),
+                (i + k < nb[0] - 1, lo[0] + (i + k + 1) * cell - px, off_y),
+                (j - k > 0, py - (lo[1] + (j - k) * cell), off_x),
+                (j + k < nb[1] - 1, lo[1] + (j + k + 1) * cell - py, off_x),
+            )
+            bound = np.minimum.reduce([np.where(exists, np.hypot(np.maximum(gap, 0.0), offset),
+                                                np.inf) for exists, gap, offset in bands])
+            still.append(sel[~(best[sel] <= bound)])
+        open_ = np.concatenate(still)
+        if not len(open_):
+            break
+    return best, covered
 
 
 def _smoothness(mesh: TinMesh, mask_plus: Mask) -> tuple[float, float]:

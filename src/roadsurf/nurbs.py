@@ -169,11 +169,13 @@ def grid_product(bu: np.ndarray, bv: np.ndarray, coeffs: np.ndarray,
 def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Height field sampled on the tensor grid of world columns xs and rows ys.
 
-    Output has shape (len(ys), len(xs)).
+    Output has shape (len(ys), len(xs)).  The output grids are allocated
+    before the dense bases, so a grid too large for memory fails before
+    the bases fill.
     """
+    height = np.empty((len(ys), len(xs)))
+    den, rows = np.empty_like(height), np.empty((len(ys), surface.num_ctrl_u))
     bu, bv = grid_basis(surface, xs, ys)
-    height = np.empty((len(bv), len(bu)))
-    den, rows = np.empty_like(height), np.empty((len(bv), surface.num_ctrl_u))
     grid_product(bu, bv, surface.weights, den, rows)
     grid_product(bu, bv, surface.weights * surface.control_z, height, rows)
     height /= den

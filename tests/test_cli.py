@@ -579,8 +579,8 @@ def refuses_huge_allocations():
     ("ablate", "--param", "sampling_rates", "--values", "0.0002/10"),
 ])
 def test_lattice_too_large_for_memory_is_a_mesh_failure(tile, tmp_path, capsys, command):
-    # 500,001 samples a side over the 100 m tile: the basis matrices take
-    # about 50 MB each, the height grid 1.8 TiB
+    # 500,001 samples a side over the 100 m tile: the height grid, allocated
+    # first, takes 1.8 TiB, and the basis matrices would take about 50 MB each
     rc, artifacts = invoke(tmp_path / "out", command[0], *layer_flags(tile, LAYERS),
                            *FIT_FLAGS[:4], *command[1:])
     assert (rc, artifacts) == (2, {})

@@ -26,7 +26,8 @@ blocks, and the triangulation must not depend on the block size, down to
 one edge at a time.  The half-edge pairs the flips start from are checked
 against a dictionary of each triangulation's edges.  A memory guard bounds
 the tracemalloc peaks of sampling and Delaunay per sample on a dual-rate
-set of about 20,000 samples.
+set of about 20,000 samples, and a sampling lattice too large for memory
+must fail before its dense bases are built.
 
 The OBJ writer is checked byte for byte against a formatter that converts
 one numpy scalar at a time.  The plane fit must recover the plane its
@@ -42,6 +43,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from roadsurf import mesh as meshmod
+from roadsurf import nurbs as nurbsmod
 from roadsurf.filtering import FilterParams, run_filter
 from roadsurf.fit import initialize_surface
 from roadsurf.grid import Mask, Raster
@@ -300,6 +302,21 @@ def test_infinite_sampling_rates_are_rejected(rates):
     # infinite spacing has no size
     with pytest.raises(ValueError, match="must be finite, got inf"):
         SamplingConfig(*rates)
+
+
+def test_a_lattice_too_large_for_memory_fails_before_its_bases(monkeypatch):
+    # 5,000,001 nodes a side make a 182 TiB height grid, beyond the address
+    # space of a process, while each dense basis of 4 control points would
+    # take 160 MB; the height grid must fail first
+    def no_basis(*args):
+        raise AssertionError("a basis was built before the height grid")
+
+    monkeypatch.setattr(nurbsmod, "grid_basis", no_basis)
+    surface = NurbsSurface((0.0, 5e5, 0.0, 5e5), 3, 3, np.zeros((4, 4)), np.ones((4, 4)))
+    mask = Mask(width=2, height=2, cell_size=5e5, origin_x=0.0, origin_y=0.0,
+                bits=np.ones((2, 2), dtype=np.uint8))
+    with pytest.raises(MemoryError):
+        dynamic_sample(surface, mask, SamplingConfig(0.1, 0.1))
 
 
 def sort_per_round_flips(p, tri):

@@ -8,11 +8,14 @@ closest-point routine one point at a time over every triangle, so the binned
 search must match it bit for bit, also where only rounding separates a
 pruned triangle from the best one and on faces of either winding or of zero
 area.  Coverage is checked against barycentric coordinates in plan, and the
-search's work is counted on regular grids and dual-rate TINs.  Edge
+search's work is counted on regular grids and dual-rate TINs; its memory
+peak is bounded per point, and its pass sizes change no distance.  Edge
 adjacency is checked against an O(T^2) scan of shared edges.  Per-class
 smoothness is checked against the mesh split into a road and a terrain
 submesh, each scored on its own.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,21 +413,20 @@ def test_lattice_points_open_few_bins(monkeypatch):
     # the brute-force minimum over every triangle, on one point in fifty
     assert np.array_equal(dist[::50], indexless_distances(grid_mesh, points[::50]))
     assert covered.all()
-    # 2.53 box rows and 6.10 pairs per point, most of them the six faces
-    # around a point's vertex (7.96 pairs when every triangle of the home bin
-    # was scored; 18.73 box rows and 8.04 pairs with bin edges on the lattice
-    # points as well, where every point opened its first ring)
+    # 1.53 box rows and 6.10 pairs per point, most of them the six faces
+    # around a point's vertex (2.53 box rows when the home bin was windowed
+    # too; 7.96 pairs when every triangle of the home bin was scored; 18.73
+    # box rows and 8.04 pairs with bin edges on the lattice points as well,
+    # where every point opened its first ring)
     assert rows["box"] <= 4.0 * len(points)
     assert rows["pairs"] <= 8.7 * len(points)
 
 
-@pytest.mark.parametrize("rates", [(1.0, 10.0), (0.5, 5.0)])
-def test_tin_points_score_few_triangles(monkeypatch, rates):
-    # a dual-rate TIN as a run or an ablation builds it, over a 6 m wide
-    # curved road on a 61 x 41 tile at 1 m, and ground truth on the raster
-    # lattice within centimetres of the surface, one point in twenty 1 m
-    # above it.  Work is counted: (point, triangle) pairs through the
-    # closest-point routine
+def road_tin(rates):
+    """A dual-rate TIN as a run or an ablation builds it, over a 6 m wide
+    curved road on a 61 x 41 tile at 1 m, and ground truth on the raster
+    lattice within centimetres of the surface, one point in twenty 1 m
+    above it."""
     rng = np.random.default_rng(23)
     surface = NurbsSurface((0.0, 60.0, 0.0, 40.0), 3, 3, rng.normal(0.0, 0.5, (8, 10)),
                            np.ones((8, 10)))
@@ -437,6 +439,14 @@ def test_tin_points_score_few_triangles(monkeypatch, rates):
     gx, gy = np.meshgrid(xs, ys)
     points = np.column_stack([gx.ravel(), gy.ravel(), z.ravel() + rng.normal(0.0, 0.02, z.size)])
     points[::20, 2] += 1.0
+    return tin, points
+
+
+@pytest.mark.parametrize("rates", [(1.0, 10.0), (0.5, 5.0)])
+def test_tin_points_score_few_triangles(monkeypatch, rates):
+    # work is counted: (point, triangle) pairs through the closest-point
+    # routine
+    tin, points = road_tin(rates)
     pairs = [0]
 
     def counted(p, tri):
@@ -451,6 +461,55 @@ def test_tin_points_score_few_triangles(monkeypatch, rates):
     # 2.06 and 2.48 pairs per point (9.0 and 8.8 when every triangle of the
     # home bin was scored)
     assert pairs[0] <= 2.6 * len(points)
+
+
+@pytest.mark.parametrize("shift", [0.0, 37.0])
+@pytest.mark.parametrize("kind", ["rgt", "tin", "plane"])
+def test_pass_sizes_do_not_change_a_distance(monkeypatch, kind, shift):
+    # passes of 13 home-bin pairs, batches of 7 pairs that split one point's
+    # pairs, and ring passes of one point give the same distances and
+    # coverage as the default sizes, over the mesh and 37 m beside it
+    rng = np.random.default_rng(41)
+    if kind == "rgt":
+        mesh = rgt_mesh(Raster(width=25, height=25, cell_size=1.0, origin_x=0.0,
+                               origin_y=0.0, values=rng.normal(0.0, 0.3, (25, 25))))
+        points = mesh.vertices + np.column_stack([np.zeros((625, 2)), rng.normal(0.0, 0.1, 625)])
+    elif kind == "tin":
+        mesh, points = road_tin((0.5, 5.0))
+        points = points[::3]
+    else:
+        mesh = plane_mesh((0.01, -0.02, 3.0), (0.0, 50.0), (0.0, 30.0))
+        points = np.column_stack([rng.uniform(-10.0, 60.0, (300, 2)),
+                                  rng.normal(3.0, 1.0, 300)])
+    points = points + [shift, shift, 0.0]
+    dist, covered = point_mesh_distances(mesh, points)
+    monkeypatch.setattr(metrics, "_PAIR_CHUNK", 7)
+    monkeypatch.setattr(metrics, "_HELD_PAIRS", 13)
+    small_dist, small_covered = point_mesh_distances(mesh, points)
+    assert np.array_equal(small_dist, dist)
+    assert np.array_equal(small_covered, covered)
+    assert not covered.all() if shift else covered.any()
+
+
+def test_search_memory_is_bounded_by_its_passes():
+    # 60,025 lattice points over a regular grid of 800 triangles at 5 m, all
+    # searched at once: the search keeps 21 bytes of state a point and each
+    # pass a working set of fixed size, so one call peaked at 47.7 bytes a
+    # point of tracemalloc (39.3 in blocks of 2,048 points); closing every
+    # open point of a ring at once, not each pass's own, peaked at 179.7
+    rng = np.random.default_rng(31)
+    grid_mesh = rgt_mesh(Raster(width=21, height=21, cell_size=5.0, origin_x=0.0,
+                                origin_y=0.0, values=rng.normal(0.0, 0.3, (21, 21))))
+    gx, gy = np.meshgrid(np.linspace(0.0, 100.0, 245), np.linspace(0.0, 100.0, 245))
+    points = np.column_stack([gx.ravel(), gy.ravel(), rng.normal(0.0, 0.5, gx.size)])
+    point_mesh_distances(grid_mesh, points[:100])  # numpy's lazy imports are not counted
+    tracemalloc.start()
+    try:
+        point_mesh_distances(grid_mesh, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * len(points)
 
 
 def random_meshes(rng):
