@@ -24,6 +24,8 @@ from .nurbs import NurbsSurface, evaluate_grid
 _TOL = 1e-12
 # edges one in-circle test takes at once; any size gives the same flips
 _EDGE_BLOCK = 4096
+# _TURN[k, j] is the place in a triangle k steps on from place j
+_TURN = (np.arange(3) + np.arange(3)[:, None]) % 3
 
 @dataclass
 class SamplingConfig:
@@ -66,36 +68,44 @@ def dynamic_sample(surface: NurbsSurface, mask_plus: Mask,
     A sample's nearest mask column depends on its x alone and its nearest
     row on its y alone, so the mask is read on the lattice's outer index,
     without full-lattice coordinate grids: a lattice holds its heights, one
-    boolean per node and the samples it keeps.
+    boolean per node and the samples it keeps.  Coincidence, of plan
+    positions rounded to 6 decimals, is found on columns and rows too.
     """
     x0, x1, y0, y1 = surface.extent
 
-    def class_samples(rate: float, want_road: bool) -> np.ndarray:
-        xs = _lattice(x0, x1, rate)
-        ys = _lattice(y0, y1, rate)
+    def class_samples(rate: float, want_road: bool):
+        xs, ys = _lattice(x0, x1, rate), _lattice(y0, y1, rate)
         z = evaluate_grid(surface, xs, ys)
-        sel = mask_plus.contains(xs[None, :], ys[:, None]) == want_road
-        rows, cols = np.nonzero(sel)
-        return np.column_stack([xs[cols], ys[rows], z[sel]])
+        rows, cols = np.nonzero(mask_plus.contains(xs[None, :], ys[:, None]) == want_road)
+        return xs, ys, rows, cols, np.column_stack([xs[cols], ys[rows], z[rows, cols]])
 
-    def plan_key(samples: np.ndarray) -> np.ndarray:
-        return np.round(samples[:, 0], 6) + 1j * np.round(samples[:, 1], 6)
+    xs, ys, rows, cols, road = class_samples(config.road_rate, True)
+    # a grid over the road's distinct rounded columns and rows marks its
+    # samples; rounding keeps order, so bisection places the terrain's in it
+    (ux, ix), (uy, iy) = (np.unique(np.round(c, 6), return_inverse=True) for c in (xs, ys))
+    held = np.zeros((len(uy), len(ux)), dtype=bool)
+    held[iy[rows], ix[cols]] = True
+    xs, ys, rows, cols, terrain = class_samples(config.terrain_rate, False)
+    tx, ty = np.round(xs, 6), np.round(ys, 6)
+    kx, ky = (np.searchsorted(u, t).clip(max=len(u) - 1) for u, t in ((ux, tx), (uy, ty)))
+    shared = held[ky[rows], kx[cols]] & (uy[ky] == ty)[rows] & (ux[kx] == tx)[cols]
+    return np.vstack([road, terrain[~shared]])
 
-    road = class_samples(config.road_rate, True)
-    terrain = class_samples(config.terrain_rate, False)
-    return np.vstack([road, terrain[~np.isin(plan_key(terrain), plan_key(road))]])
 
-
-def _incircle(p: np.ndarray, a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+def _incircle(x: np.ndarray, y: np.ndarray, a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
     """In-circle determinants (Guibas & Stolfi 1985), positive where d lies
     inside the circumcircle of the counter-clockwise triangle (a, b, c), and
     their permanents: the same sums over the products' absolute values, which
-    bound the determinants' rounding error (Shewchuk 1997)."""
-    ax, ay = p[a, 0] - p[d, 0], p[a, 1] - p[d, 1]
-    bx, by = p[b, 0] - p[d, 0], p[b, 1] - p[d, 1]
-    cx, cy = p[c, 0] - p[d, 0], p[c, 1] - p[d, 1]
+    bound the determinants' rounding error (Shewchuk 1997).  The corners are
+    gathered with take from the coordinates x and y, best contiguous."""
+    xd, yd = x.take(d), y.take(d)
+    ax, ay = x.take(a) - xd, y.take(a) - yd
+    bx, by = x.take(b) - xd, y.take(b) - yd
+    cx, cy = x.take(c) - xd, y.take(c) - yd
+    del xd, yd
     lift_a, lift_b, lift_c = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     bc, cb, ca, ac, ab, ba = bx * cy, by * cx, cx * ay, cy * ax, ax * by, ay * bx
+    del ax, ay, bx, by, cx, cy
     det = lift_a * (bc - cb) + lift_b * (ca - ac) + lift_c * (ab - ba)
     permanent = (lift_a * (abs(bc) + abs(cb)) + lift_b * (abs(ca) + abs(ac))
                  + lift_c * (abs(ab) + abs(ba)))
@@ -131,11 +141,12 @@ def _strip_start(p: np.ndarray) -> np.ndarray:
     above = np.flatnonzero(~new_col)
     a_pts = above[col[above] < len(bottom) - 1]
     b_pts = above[col[above] > 0]
-    pid = np.r_[a_pts, b_pts]
-    strip = np.r_[col[a_pts], col[b_pts] - 1]
-    is_a = np.r_[np.ones(len(a_pts), bool), np.zeros(len(b_pts), bool)]
-    order = np.lexsort((is_a, p[pid, 1], strip))
-    pid, strip, is_a = pid[order], strip[order], is_a[order]
+    # B events, then A events, each sorted by strip and y: a stable sort merges them, B first
+    pid = np.r_[b_pts, a_pts]
+    strip = np.r_[col[b_pts] - 1, col[a_pts]]
+    y_rank = np.unique(p[:, 1], return_inverse=True)[1]
+    order = np.argsort(strip * n + y_rank[pid], kind="stable")
+    pid, strip, is_a = pid[order], strip[order], order >= len(b_pts)
     # point ids grow from column to column, so running maxima give each
     # strip's current tops without crossing into the strip before
     tops_a = np.maximum.accumulate(np.where(is_a, pid, bottom[strip]))
@@ -195,23 +206,24 @@ def edge_pairs(triangles: np.ndarray) -> np.ndarray:
     return np.column_stack([order[left], order[right]])
 
 
-def _turn(h: np.ndarray, k: int) -> np.ndarray:
-    """The half-edge k steps after h around h's triangle."""
-    return h - h % 3 + (h + k) % 3
-
-
-def _illegal(p: np.ndarray, flat: np.ndarray, twin: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The interior half-edges of h, in order, whose edge fails the in-circle
-    test: the far vertex of h's twin lies inside the circumcircle of h's
-    triangle by more than _TOL times the permanent.  Tested _EDGE_BLOCK at a
-    time, so the in-circle arrays stay bounded however many edges h holds."""
-    illegal = [h[:0]]
+def _illegal(x: np.ndarray, y: np.ndarray, flat: np.ndarray, twin: np.ndarray,
+             h: np.ndarray) -> np.ndarray:
+    """The interior half-edges of h, in order, over their twins, whose edge
+    fails the in-circle test: the far vertex of the twin lies inside the
+    circumcircle of h's triangle by more than _TOL times the permanent, tested
+    _EDGE_BLOCK at a time to bound the in-circle arrays however long h is."""
+    illegal = [np.empty((2, 0), dtype=np.int64)]
     for start in range(0, len(h), _EDGE_BLOCK):
         block = h[start:start + _EDGE_BLOCK]
-        det, permanent = _incircle(p, flat[block], flat[_turn(block, 1)], flat[_turn(block, 2)],
-                                   flat[_turn(twin[block], 2)])
-        illegal.append(block[det > _TOL * permanent])
-    return np.concatenate(illegal)
+        pair = np.stack([block, twin.take(block)])
+        base = pair // 3 * 3
+        place = pair - base
+        prev = base + _TURN[2].take(place)
+        det, permanent = _incircle(x, y, flat.take(block),
+                                   flat.take(base[0] + _TURN[1].take(place[0])),
+                                   flat.take(prev[0]), flat.take(prev[1]))
+        illegal.append(pair[:, det > _TOL * permanent])
+    return np.concatenate(illegal, axis=1)
 
 
 def _flip_to_delaunay(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
@@ -220,10 +232,12 @@ def _flip_to_delaunay(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
     Half-edge 3 t + k runs from tri[t, k] to tri[t, (k + 1) % 3], and an edge
     is named by its lower half-edge and keyed min(u, v) n + max(u, v).
     edge_pairs pairs the half-edges, in key order, into an int32 twin array
-    (-1 on the hull) before the first round; from then on each flip patches
-    the twins of its quad's four outer half-edges and new diagonal (Guibas &
-    Stolfi 1985), carrying an outer twin that another flip of the same round
-    moved to where that flip put it.
+    (-1 on the hull) before the first round; from then on each flip writes
+    its triangles' corners through the flat view of tri and patches the twins
+    of its quad's four outer half-edges and new diagonal (Guibas & Stolfi
+    1985), carrying an outer twin that another flip of the same round moved
+    through an int32 map of where the round's flips put each half-edge.  A
+    round's edges travel as (2, k) arrays, the half-edges over their twins.
 
     An edge is illegal when the far vertex of one of its triangles lies
     inside the other's circumcircle by an in-circle value above _TOL times
@@ -246,47 +260,53 @@ def _flip_to_delaunay(p: np.ndarray, tri: np.ndarray) -> np.ndarray:
     parabola n / 4 to n / 2, each round touching nearly every triangle).
     """
     n = len(p)
+    x, y = p[:, 0], p[:, 1]
     flat = tri.reshape(-1)  # a view: flips write through it
     h1, h2 = edge_pairs(tri).T
-    twin = np.full(len(flat), -1, dtype=np.int32)
+    twin = np.full(len(flat) + 1, -1, dtype=np.int32)  # the last slot takes hull writes
     twin[h1], twin[h2] = h2, h1
     # h1 and h2 view the pair table; copying h1 frees the table before the
     # first round
     h1 = h1.copy()
     del h2
+    moved = np.arange(len(flat) + 1, dtype=np.int32)  # each half-edge to itself, -1 to -1
+    moved[-1] = -1
     unclaimed = np.iinfo(np.int64).max
     claim = np.full(len(tri), unclaimed)
     for _ in range(n + 1):
-        h1 = _illegal(p, flat, twin, h1)
-        if len(h1) == 0:
+        # row 0 runs a -> b in t1 = (a, b, c), row 1 b -> a in t2 = (b, a, d)
+        pair = _illegal(x, y, flat, twin, h1)
+        if pair.shape[1] == 0:
             return tri
-        h2 = twin[h1]
-        a, b, c, d = flat[h1], flat[_turn(h1, 1)], flat[_turn(h1, 2)], flat[_turn(h2, 2)]
-        t1, t2 = h1 // 3, h2 // 3
-        key = np.minimum(a, b) * n + np.maximum(a, b)
-        np.minimum.at(claim, t1, key)
-        np.minimum.at(claim, t2, key)
-        go = (claim[t1] == key) & (claim[t2] == key)
-        claim[t1] = claim[t2] = unclaimed
-        touched = np.concatenate([t1, t2])
-        h1, h2, a, b, c, d, t1, t2 = (x[go] for x in (h1, h2, a, b, c, d, t1, t2))
-        # the quad's outer half-edges a->d, c->a, d->b, b->c, and where the
-        # flip to (a, d, c) and (d, b, c) puts them
-        old = np.concatenate([_turn(h2, 1), _turn(h1, 2), _turn(h2, 2), _turn(h1, 1)])
-        new = np.concatenate([3 * t1, 3 * t1 + 2, 3 * t2, 3 * t2 + 1])
-        outer = twin[old]
-        by_old = np.argsort(old)
-        at = np.minimum(np.searchsorted(old, outer, sorter=by_old), len(old) - 1)
-        moved = old[by_old[at]] == outer
-        outer[moved] = new[by_old[at[moved]]]
+        face, ab = pair // 3, flat.take(pair)
+        key = np.minimum(ab[0], ab[1]) * n + np.maximum(ab[0], ab[1])
+        np.minimum.at(claim, face[0], key)
+        np.minimum.at(claim, face[1], key)
+        won = claim.take(face) == key
+        claim[face] = unclaimed
+        # t1 becomes (a, d, c) and t2 (d, b, c); base holds 3 t1 over 3 t2
+        go = np.flatnonzero(won[0] & won[1])
+        touched = 3 * face
+        base, pair = touched[:, go], pair[:, go]
+        # the quad's outer half-edges b->c, a->d, c->a, d->b, where the flips
+        # put them, and the new diagonal, d->c over c->d
+        place = pair - base
+        old = np.concatenate([base + _TURN[1].take(place), base + _TURN[2].take(place)]).ravel()
+        new = np.concatenate([base[1] + 1, base[0], base[0] + 2, base[1]])
+        diag = base + [[1], [2]]
+        corner = flat.take(old)
+        flat[new] = corner
+        flat[diag] = corner.reshape(4, -1)[[3, 2]]
+        # an outer twin that another flip moved goes where that flip put it
+        moved[old] = new
+        outer = moved.take(twin.take(old))
+        moved[old] = old
         twin[new] = outer
-        twin[outer[outer >= 0]] = new[outer >= 0]
-        twin[3 * t1 + 1], twin[3 * t2 + 2] = 3 * t2 + 2, 3 * t1 + 1
-        tri[t1] = np.column_stack([a, d, c])
-        tri[t2] = np.column_stack([d, b, c])
+        twin[outer] = new
+        twin[diag] = diag[::-1]
         # the interior edges of the touched triangles, each by its lower half-edge
-        half = (3 * touched[:, None] + np.arange(3)).ravel()
-        other = twin[half]
+        half = (touched[..., None] + _TURN[0]).ravel()
+        other = twin.take(half)
         half = np.minimum(half, other)[other >= 0]
         half.sort()
         h1 = half[np.concatenate([[True], half[1:] != half[:-1]])]
@@ -330,27 +350,28 @@ def delaunay(points_xy: np.ndarray) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("point coordinates must be finite")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p = pts[order]
-    if ((p[1:] == p[:-1]).all(axis=1)).any():
+    p = np.asfortranarray(pts[order])  # sorted, each coordinate a contiguous column
+    if ((p[1:, 0] == p[:-1, 0]) & (p[1:, 1] == p[:-1, 1])).any():
         raise ValueError("duplicate points")
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = p.min(axis=0), p.max(axis=0)
     span = float((hi - lo).max())
-    rel = pts - pts[0]
-    # collinearity: farthest point from pts[0] spans the direction; all cross
-    # products against it must vanish
-    direction = rel[np.argmax((rel ** 2).sum(axis=1))]
-    cross = np.abs(rel[:, 0] * direction[1] - rel[:, 1] * direction[0])
-    if cross.max() <= 1e-12 * span * span:
+    # collinearity: the farthest point from pts[0] spans the direction; all
+    # cross products against it must vanish
+    rx, ry = pts[:, 0] - pts[0, 0], pts[:, 1] - pts[0, 1]
+    far = np.argmax(rx * rx + ry * ry)
+    if np.abs(rx * ry[far] - ry * rx[far]).max() <= 1e-12 * span * span:
         raise ValueError("points are collinear")
-    del rel, cross  # not held while triangulating
+    del rx, ry  # not held while triangulating
 
-    p = p - (lo + hi) / 2.0
+    p -= (lo + hi) / 2.0
     tri = order[_flip_to_delaunay(p, _strip_start(p))]
     # rotate the smallest index first, preserving orientation, and sort rows;
     # a directed edge lies in one triangle, so the first two indices order them
-    first = np.argmin(tri, axis=1)[:, None]
-    tri = np.where(first == 0, tri, np.where(first == 1, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]]))
-    return tri[np.argsort(tri[:, 0] * n + tri[:, 1])]
+    a, b, c = tri.T
+    a_least, b_least = (a < b) & (a < c), b < c  # b_least holds where a is not
+    tri = np.stack([np.where(a_least, u, np.where(b_least, v, w))
+                    for u, v, w in ((a, b, c), (b, c, a), (c, a, b))], axis=1)
+    return tri.take(np.argsort(tri[:, 0] * n + tri[:, 1]), axis=0)
 
 
 def build_tin(surface: NurbsSurface, mask_plus: Mask, config: SamplingConfig) -> TinMesh:

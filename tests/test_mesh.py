@@ -26,8 +26,11 @@ blocks, and the triangulation must not depend on the block size, down to
 one edge at a time.  The half-edge pairs the flips start from are checked
 against a dictionary of each triangulation's edges.  A memory guard bounds
 the tracemalloc peaks of sampling and Delaunay per sample on a dual-rate
-set of about 20,000 samples, and a sampling lattice too large for memory
-must fail before its dense bases are built.
+set of about 20,000 samples, and Delaunay's also on the 7,399 samples of
+the reference tile's 0.5/5 TIN, and a sampling lattice too large for memory
+must fail before its dense bases are built.  The sampler is checked node by
+node against its documented rules, on nested and non-nested rates and on
+terrain nodes 5e-8 m and 2e-6 m beside a road node.
 
 The OBJ writer is checked byte for byte against a formatter that converts
 one numpy scalar at a time.  The plane fit must recover the plane its
@@ -296,6 +299,60 @@ def test_dual_rate_samples_are_delaunay(rates):
     assert_delaunay(samples[:, :2])
 
 
+def patchy_road():
+    """A random surface over a 20 x 15 m tile under a random road mask of
+    1 m cells whose column 2 is road and column 3 is not, so a node on their
+    border, x = 2.5, is road and a node just right of it is terrain."""
+    surface = NurbsSurface((0.0, 20.0, 0.0, 15.0), 3, 3,
+                           np.random.default_rng(5).normal(0.0, 1.0, (6, 5)), np.ones((6, 5)))
+    bits = (np.random.default_rng(6).random((16, 21)) < 0.4).astype(np.uint8)
+    bits[:, 2], bits[:, 3] = 1, 0
+    return surface, Mask(width=21, height=16, cell_size=1.0, origin_x=0.0, origin_y=0.0, bits=bits)
+
+
+def sample_oracle(surface, mask, config):
+    """dynamic_sample's rules node by node: each lattice's nodes of its class
+    in row-major order, road first, and a terrain node dropped when a road
+    sample holds its plan position rounded to 6 decimals.  Returns the
+    samples and the dropped nodes' plan positions."""
+    def rounded(node):
+        return float(np.round(node[0], 6)), float(np.round(node[1], 6))
+
+    x0, x1, y0, y1 = surface.extent
+    classes = []
+    for rate, road in ((config.road_rate, True), (config.terrain_rate, False)):
+        xs, ys = meshmod._lattice(x0, x1, rate), meshmod._lattice(y0, y1, rate)
+        z = nurbsmod.evaluate_grid(surface, xs, ys)
+        classes.append([(x, y, z[j, i]) for j, y in enumerate(ys.tolist())
+                        for i, x in enumerate(xs.tolist()) if bool(mask.contains(x, y)) == road])
+    road, terrain = classes
+    held = {rounded(node) for node in road}
+    kept = [node for node in terrain if rounded(node) not in held]
+    return np.array(road + kept), [node[:2] for node in terrain if rounded(node) in held]
+
+
+@pytest.mark.parametrize("rates, dropped, kept", [
+    ((1.0, 10.0), None, None),
+    ((0.5, 5.0), None, None),
+    ((1.0, 2.5), None, None),
+    ((0.3, 1.0), None, None),
+    # a terrain node 5e-8 m right of the road node (2.5, 0), and one 2e-6 m
+    ((0.5, 2.5 + 5e-8), (2.5 + 5e-8, 0.0), None),
+    ((0.5, 2.5 + 2e-6), None, (2.5 + 2e-6, 0.0)),
+])
+def test_samples_follow_their_rules(rates, dropped, kept):
+    surface, mask = patchy_road()
+    samples = dynamic_sample(surface, mask, SamplingConfig(*rates))
+    expected, dropped_nodes = sample_oracle(surface, mask, SamplingConfig(*rates))
+    assert samples.dtype == np.float64 and np.array_equal(samples, expected)
+    plan = {(float(np.round(x, 6)), float(np.round(y, 6))) for x, y in samples[:, :2].tolist()}
+    assert len(plan) == len(samples)
+    if dropped is not None:
+        assert dropped in dropped_nodes
+    if kept is not None:
+        assert {kept, (2.5, 0.0)} <= set(map(tuple, samples[:, :2].tolist()))
+
+
 @pytest.mark.parametrize("rates", [(1.0, math.inf), (math.inf, math.inf)])
 def test_infinite_sampling_rates_are_rejected(rates):
     # 0 < road_rate <= terrain_rate holds for them, but a lattice of
@@ -338,7 +395,7 @@ def sort_per_round_flips(p, tri):
         edge = np.flatnonzero(changed[h1 // 3] | changed[h2 // 3])
         h1, h2 = h1[edge], h2[edge]
         a, b, c, d = u[h1], v[h1], w[h1], w[h2]
-        det, permanent = _incircle(p, a, b, c, d)
+        det, permanent = _incircle(p[:, 0], p[:, 1], a, b, c, d)
         illegal = np.flatnonzero(det > _TOL * permanent)
         if len(illegal) == 0:
             return tri
@@ -357,17 +414,22 @@ def sort_per_round_flips(p, tri):
     raise RuntimeError(f"delaunay: edges still illegal after {n + 1} flip rounds")
 
 
+def pipeline_scene(seed):
+    """The start surface and filtered mask of a `run` reference tile (101 x
+    101 cells at 1 m) at a seed.  Sample plan positions depend on the mask
+    and the surface extent only, so the unfitted start surface serves."""
+    scene = generate(SceneSpec(cell_size=1.0, vehicles=6, trees=8, facades=2,
+                               corrupt_mask=True, jitter_sigma=0.02, seed=seed))
+    _, mask_plus = run_filter(scene.dsm.subset(scene.mask.bits == 1), FilterParams())
+    return initialize_surface(scene.dsm, scene.dtm, mask_plus), mask_plus
+
+
 def pipeline_samples():
     """Plan positions of the pipeline's samples at the rate pairs 1/10,
-    0.5/5, 0.4/4 and 2.5/10 on the scene of a `run` reference tile (101 x
-    101 cells at 1 m) at seeds 1 and 2.  They depend on the filtered mask
-    and the surface extent only, so the unfitted start surface serves."""
+    0.5/5, 0.4/4 and 2.5/10 on the reference tile's scene at seeds 1 and 2."""
     sets = []
     for seed in (1, 2):
-        scene = generate(SceneSpec(cell_size=1.0, vehicles=6, trees=8, facades=2,
-                                   corrupt_mask=True, jitter_sigma=0.02, seed=seed))
-        _, mask_plus = run_filter(scene.dsm.subset(scene.mask.bits == 1), FilterParams())
-        surface = initialize_surface(scene.dsm, scene.dtm, mask_plus)
+        surface, mask_plus = pipeline_scene(seed)
         for rates in ((1.0, 10.0), (0.5, 5.0), (0.4, 4.0), (2.5, 10.0)):
             sets.append(dynamic_sample(surface, mask_plus, SamplingConfig(*rates))[:, :2])
     return sets
@@ -449,13 +511,18 @@ def traced_peak(call, *args):
 def test_meshing_memory_grows_with_what_it_keeps():
     # a Delaunay that tested every edge of its first round at once peaked at
     # about 730 bytes per sample, and sampling over full-lattice coordinate
-    # grids at about 350; the blocked flips peak near 300 and sampling near
-    # 110, and the bounds leave room for allocator and numpy differences
+    # grids at about 350; the blocked flips peak near 290 and sampling near
+    # 115, and the bounds leave room for allocator and numpy differences.
+    # A flip loop keeping three int64 tables per half-edge peaked at 406
+    # bytes per sample on the sinuous set but at 483 on the reference tile's
+    # 0.5/5 samples, where the fixed per-block arrays weigh more per sample
     args = sinuous_road((0.25, 2.5))
     samples = dynamic_sample(*args)
     assert len(samples) > 15_000
     assert traced_peak(dynamic_sample, *args) < 200 * len(samples)
-    assert traced_peak(delaunay, samples[:, :2]) < 450 * len(samples)
+    bench_set = dynamic_sample(*pipeline_scene(1), SamplingConfig(0.5, 5.0))
+    for plan in (samples[:, :2], bench_set[:, :2]):
+        assert traced_peak(delaunay, plan) < 350 * len(plan)
 
 
 def reference_obj(mesh, attr):
