@@ -18,6 +18,13 @@ and the control x/y the ``np.linspace`` lattice over the extent, whose
 corners map world x/y affinely onto the domain [0, 1]; the z component of
 the rational sum is a height field over the plan rectangle.  A surface file
 holds the same four things; see ``load_surface``.
+
+The control x/y lattice is nominal: world x/y map onto u/v affinely, and
+with unit weights a planar surface a·u + b·v + c has the control elevations
+a·g_i + b·g_j + c, linear in each axis's Greville abscissae g (the mean of
+the degree inner knots of each basis function's support), which bunch
+toward the clamped ends.  Elevations linear in the ``np.linspace``
+lattice do not give a plane.
 """
 
 from __future__ import annotations
