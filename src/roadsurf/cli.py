@@ -43,8 +43,9 @@ take configparser's spellings (1/yes/true/on, 0/no/false/off).
 
 Every artifact is byte-stable for a fixed BLAS build and thread count
 (OPENBLAS_NUM_THREADS): rerunning on identical inputs reproduces it exactly.
-The fit's last bits follow the BLAS summation order, which the thread count
-can change.  Text files are read and written as UTF-8.
+The fit's last bits follow the BLAS summation order, of its data-term sums
+as of its raster products, which the thread count can change.  Text files
+are read and written as UTF-8.
 """
 
 from __future__ import annotations
@@ -250,8 +251,8 @@ def fit_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     state.surface, state.fit_report = fitmod.fit(
         surface0, state.dsm, state.dtm, state.mask_plus,
         config.stage_config(LossWeights), config.stage_config(FitConfig))
-    state.record.append(("fit", {key: getattr(state.fit_report, key) for key in (
-        "iterations", "best_iteration", "best_loss", "stop_reason", "drops")}))
+    state.record.append(("fit", {key: value for key, value in vars(state.fit_report).items()
+                                 if not key.startswith("loss_")}))
 
 
 def surface_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -513,15 +514,16 @@ def build_parser() -> argparse.ArgumentParser:
                            type=synthmod.SCALAR_KEYS[name], default=None)
     synth.set_defaults(func=cmd_synth)
 
-    subcommands = {}
-    for name in ("filter", "fit", "mesh", "eval", "run", "ablate"):
-        subcommands[name] = sub = subs.add_parser(name, help=f"{name} stage")
-        sub.add_argument("--config", type=Path, default=None,
-                         help="INI config file; flags override its keys")
-        for (section, ini_key), key in _INI_KEYS.items():
-            sub.add_argument("--" + key.replace("_", "-"), dest=key, type=_CASTERS[key],
-                             default=None, help=f"overrides [{section}] {ini_key}")
-        sub.set_defaults(func=cmd_ablate if name == "ablate" else cmd_pipeline)
+    config = argparse.ArgumentParser(add_help=False)  # each pipeline subcommand's flags
+    config.add_argument("--config", type=Path, default=None,
+                        help="INI config file; flags override its keys")
+    for (section, ini_key), key in _INI_KEYS.items():
+        config.add_argument("--" + key.replace("_", "-"), dest=key, type=_CASTERS[key],
+                            default=None, help=f"overrides [{section}] {ini_key}")
+    config.set_defaults(func=cmd_pipeline)
+    subcommands = {name: subs.add_parser(name, parents=[config], help=f"{name} stage")
+                   for name in ("filter", "fit", "mesh", "eval", "run", "ablate")}
+    subcommands["ablate"].set_defaults(func=cmd_ablate)
     subcommands["mesh"].add_argument("--surface", type=Path, required=True,
                                      help="serialized surface from the fit stage")
     subcommands["eval"].add_argument("--mesh", type=Path, required=True,

@@ -19,13 +19,12 @@ level that size sets.  Weights move only when ``weight_learning_rate`` is
 above 0; at the default 0 they stay at 1, a B-spline fit.
 
 A fit builds one ``Objective`` from what stays fixed while ADAM moves the
-parameters: the lattice basis of the raster grid, one target raster, the
-per-cell gradient coefficients, the regularizer's difference matrices and,
-with frozen weights, the rational denominator.  Each iteration then costs
-the height field, one residual pass and the back-projection through the
-basis.  ``total_loss`` builds a free-weight one and evaluates it once, so
-one-off evaluations take the fit loop's path.  Its working rasters stay
-resident from call to call (see ``Objective``).
+parameters: the raster grid's lattice basis, the target, the regularizer's
+matrices and, with frozen weights, the rational denominator, folded into the
+target, sum weights and gradient magnitudes.  A frozen-weight iteration then
+costs the height field, one residual pass, one product for both data terms
+and the back-projection.  ``total_loss`` evaluates a free-weight one once,
+so one-off evaluations take the fit loop's path.
 """
 
 from __future__ import annotations
@@ -101,7 +100,9 @@ class FitReport:
 
     The history lists hold one entry per performed iteration, evaluated at
     that iteration's iterate; a step after a plateau drop starts from the
-    best iterate instead.  ``drops`` counts the plateau drops taken.
+    best iterate instead.  ``drops`` counts the plateau drops taken,
+    ``final_step`` is the elevation step at the end, and ``plateau_gain``
+    the best loss at the last drop less the final one (0 without a drop).
     """
 
     loss_total: list[float] = field(default_factory=list)
@@ -109,10 +110,12 @@ class FitReport:
     loss_terrain: list[float] = field(default_factory=list)
     loss_reg: list[float] = field(default_factory=list)
     iterations: int = 0
-    stop_reason: str = ""
-    drops: int = 0
     best_iteration: int = -1
     best_loss: float = float("inf")
+    stop_reason: str = ""
+    drops: int = 0
+    final_step: float = 0.0
+    plateau_gain: float = 0.0
 
 
 def _differences(knots: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,51 +152,39 @@ class Roughness:
         return float(value), grad * (2 / self.count)
 
 
-def _abs_sum(values: np.ndarray, keep: np.ndarray, out: np.ndarray) -> float:
-    """Sum of ``np.where(mask, np.abs(values), 0.0)`` for a float64 array,
-    with ``keep`` the mask as int64 words holding every bit but the sign bit
-    on masked cells and zero elsewhere.  One bitwise AND into ``out`` clears
-    the sign bit, which is all ``np.abs`` does to a float64, NaN and
-    infinities included, and writes +0.0 outside the mask; so the sum is the
-    one of the masked absolute values bit for bit, at a fraction of the cost
-    of ``abs`` and ``where``."""
-    words = out.view(np.int64)
-    np.bitwise_and(values.view(np.int64), keep, out=words)
-    return out.sum()
-
-
 def _target(dsm: Raster, dtm: Raster, mask_plus: Mask) -> np.ndarray:
     """The data terms' target: the DSM on road cells, the DTM elsewhere."""
     return np.where(mask_plus.bits == 1, dsm.values, dtm.values)
+
+
+_SIGN, _MAGNITUDE = np.iinfo(np.int64).min, np.iinfo(np.int64).max  # float64 bit masks
 
 
 class Objective:
     """The composite loss of one fit problem as a function of control
     elevations and weights.
 
-    Built once from everything that stays fixed while they change: the
-    lattice basis of the raster grid, one target raster (the DSM on road
-    cells, the DTM elsewhere), the gradient coefficient of each cell (0 where
-    the target is NaN), the road and terrain cell masks, which leave such
-    cells out, and the regularizer's difference matrices.  Keeps four
-    rasters of 8-byte words resident (target, coefficients, two masks)
-    besides the basis.
+    With P = bv (w z)^T bu^T the weighted height field, den the weights'
+    field and t the target (the DSM on road cells, the DTM elsewhere, 0
+    where NaN), a cell's data term is |P - t'| / (den cells), t' = t den.
+    Built once: the lattice basis of the raster grid, t, the road and
+    terrain cells with a target and the regularizer's matrices; ``_fold``
+    fills from den t', the (2, cells) road and terrain sum weights
+    1 / (den cells) and the gradient magnitudes k, those times 1 or
+    lambda_terrain.  A call works in rasters allocated here, P and one that
+    takes |P - t'| and then d loss / d P, and an (H, nu) product buffer: a
+    fresh raster (0.5 MB at 251²) goes back to the system when freed and is
+    page-faulted in anew.  A call allocates only control-grid-sized arrays.
 
-    A call also works in place, in a workspace allocated here: three more
-    rasters (height field, rational denominator, and the masked absolute
-    residuals, whose buffer then takes the scaled back-projection), one
-    (H, nu) buffer for the matrix products and, only when the weights are
-    free, a separate residual raster; frozen weights write the residual over
-    the height field.  Fresh raster temporaries cost more than the
-    arithmetic on them: at 251² each is 0.5 MB, and blocks that large go
-    back to the system when freed, so each new one is page-faulted in again.
-    A call still allocates its control-grid-sized results and the
-    regularizer's differences, one at a time.
-
-    With ``free_weights`` False the denominator of the surface's weights is
-    filled once here, and the coefficients divided by it; a call must pass
-    those weights, does two raster products instead of four, and returns the
-    free call's value, parts and d/d z bit for bit and None for d/d log w.
+    With ``free_weights`` False den is folded once here, t' over t, so six
+    rasters stay resident.  A call must pass those weights and does no
+    raster division and two raster products, not four: r' = P - t' over P,
+    |r'| by an AND, both data terms in one matrix-vector product and
+    copysign(k, r') by an AND and an OR.  It returns the free call's value,
+    parts and d/d z bit for bit and None for d/d log w.  Free weights fold
+    their den on each call, into a t' raster that then takes r'.  Where r'
+    is an exact zero the gradient takes +k or -k by the zero's sign, not
+    np.sign's 0: each is a subgradient of |r'|.
     """
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,
@@ -201,31 +192,40 @@ class Objective:
         self.bu, self.bv = grid_basis(
             surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
         road = mask_plus.bits == 1
-        target = _target(dsm, dtm, mask_plus)
-        has_target = ~np.isnan(target)
-        self.target = np.nan_to_num(target, nan=0.0, copy=False)
-        magnitude = np.iinfo(np.int64).max  # every bit but the sign bit
-        self.road_bits = (road & has_target) * magnitude
-        self.terrain_bits = (~road & has_target) * magnitude
+        self.target = _target(dsm, dtm, mask_plus)
+        has_target = ~np.isnan(self.target)
+        np.nan_to_num(self.target, nan=0.0, copy=False)
+        self._road, self._terrain = road & has_target, ~road & has_target
         self.cells = dsm.height * dsm.width
-        # d |residual| mean / d height, up to the residual's sign
-        self.coef = np.where(road, -1 / self.cells, weights.lambda_terrain * (-1 / self.cells))
-        self.coef[~has_target] = 0.0
-        self.roughness = Roughness(surface)
-        self.weights = weights
-        self.free_weights = free_weights
-        self._height, self._den, self._words = (np.empty(road.shape) for _ in range(3))
-        # frozen weights read no height field after the residual, so the
-        # residual overwrites it
-        self._residual = np.empty(road.shape) if free_weights else self._height
+        self.roughness, self.weights, self.free_weights = Roughness(surface), weights, free_weights
+        self.sums = np.empty((2, self.cells))
+        self.magnitude, self._height, self._words = (np.empty(self.target.shape)
+                                                     for _ in range(3))
         # the forward (H, nu) and backward (nu, H) products never overlap
         products = np.empty(dsm.height * surface.num_ctrl_u)
         self._rows = products.reshape(dsm.height, surface.num_ctrl_u)
         self._cols = products.reshape(surface.num_ctrl_u, dsm.height)
-        if not free_weights:
-            grid_product(self.bu, self.bv, surface.weights, self._den, self._rows)
-            # a sign times coef / den rounds as sign times coef, over den
-            self.coef /= self._den
+        if free_weights:
+            self._den, self._shifted = (np.empty_like(self.target) for _ in range(2))
+            self._residual = self._shifted  # P is still needed after r'
+        else:
+            # den is needed only here, so the |r'| raster holds it
+            grid_product(self.bu, self.bv, surface.weights, self._words, self._rows)
+            self._shifted, self._residual = self.target, self._height
+            self._fold(self._words)
+            self._road = self._terrain = None
+
+    def _fold(self, den: np.ndarray) -> None:
+        """Fill t', the sum weights and k from den, in the same passes for
+        free and frozen weights, so both give the same bits."""
+        k, (road, terrain) = self.magnitude, self.sums.reshape(2, *den.shape)
+        np.multiply(den, self.cells, out=k)
+        np.divide(1.0, k, out=k)
+        np.multiply(k, self._road, out=road)
+        np.multiply(k, self._terrain, out=terrain)
+        np.multiply(terrain, self.weights.lambda_terrain, out=k)
+        k += road
+        np.multiply(self.target, den, out=self._shifted)
 
     def __call__(self, z: np.ndarray, w: np.ndarray
                  ) -> tuple[float, dict[str, float], np.ndarray, np.ndarray | None]:
@@ -233,34 +233,32 @@ class Objective:
         weights w.  Non-finite values are returned, not warned about: the
         caller decides what a diverged loss means.  The returned arrays are
         fresh; only the workspace is reused from call to call."""
-        z_grid, den, residual = self._height, self._den, self._residual
+        height, words = self._height, self._words
+        bits = words.view(np.int64)
         with np.errstate(all="ignore"):
             if self.free_weights:
-                grid_product(self.bu, self.bv, w, den, self._rows)
-            grid_product(self.bu, self.bv, w * z, z_grid, self._rows)
-            z_grid /= den
-            # both data terms are mean absolute residuals over all cells;
-            # cells without a target are outside both masks
-            np.subtract(self.target, z_grid, out=residual)
-            v_road = float(_abs_sum(residual, self.road_bits, self._words) / self.cells)
-            v_terr = float(_abs_sum(residual, self.terrain_bits, self._words) / self.cells)
+                grid_product(self.bu, self.bv, w, self._den, self._rows)
+                self._fold(self._den)
+            grid_product(self.bu, self.bv, w * z, height, self._rows)
+            residual = np.subtract(height, self._shifted, out=self._residual).view(np.int64)
+            # |r'| clears the sign bit, as np.abs does to a float64; cells
+            # without a target weigh 0 in both terms' sums
+            np.bitwise_and(residual, _MAGNITUDE, out=bits)
+            v_road, v_terr = (self.sums @ words.reshape(-1)).tolist()
             v_reg, g_reg = self.roughness(z)
-            # d loss / d raster cell over the denominator (zero subgradient
-            # where the residual vanishes), in the masked words' buffer: an
-            # in-place sign would take numpy's scalar loop
-            scaled = np.sign(residual, out=self._words)
-            scaled *= self.coef
-            if self.free_weights:
-                scaled /= den
-            back = self._back(scaled)  # (nu, nv): basis-weighted sums
+            # d loss / d P: copysign(k, r'), k's sign bit being clear
+            np.bitwise_and(residual, _SIGN, out=bits)
+            bits |= self.magnitude.view(np.int64)
+            back = self._back(words)  # (nu, nv): basis-weighted sums
             lam = self.weights
             d_z = back * w + lam.lambda_reg * g_reg
             value = v_road + lam.lambda_terrain * v_terr + lam.lambda_reg * v_reg
             parts = {"road": v_road, "terrain": v_terr, "reg": v_reg}
             if not self.free_weights:
                 return value, parts, d_z, None
-            scaled *= z_grid
-            d_w = z * back - self._back(scaled)
+            height /= self._den  # the height field
+            words *= height
+            d_w = z * back - self._back(words)
             return value, parts, d_z, d_w * w  # chain through w = exp(log w)
 
     def _back(self, scaled: np.ndarray) -> np.ndarray:
@@ -305,6 +303,7 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     report = FitReport()
     best = (float("inf"), theta.copy(), None)  # value, iterate, its gradient
     stall = t = 0
+    drop_loss = math.inf  # the best loss at the last drop
 
     def score(params):
         value, parts, g_z, g_w = objective(params[0], np.exp(params[1]) if free
@@ -317,10 +316,8 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
             raise RuntimeError(
                 f"non-finite loss at iteration {it}: road={parts['road']!r} "
                 f"terrain={parts['terrain']!r} reg={parts['reg']!r}")
-        report.loss_total.append(value)
-        report.loss_road.append(parts["road"])
-        report.loss_terrain.append(parts["terrain"])
-        report.loss_reg.append(parts["reg"])
+        for key, part in {"total": value, **parts}.items():
+            getattr(report, "loss_" + key).append(part)
         if value < best[0]:
             stall = 0 if best[0] - value >= config.early_stop_min_delta else stall + 1
             best = (value, theta.copy(), g)
@@ -329,10 +326,10 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
             stall += 1
         if stall >= config.early_stop_patience:
             if report.drops == _MAX_DROPS:
-                report.iterations = it + 1
-                report.stop_reason = "plateau"
+                report.iterations, report.stop_reason = it + 1, "plateau"
                 break
             report.drops += 1
+            drop_loss = best[0]
             rate *= _DROP_FACTOR
             theta[:], g = best[1:]
             m[:] = v[:] = 0.0
@@ -349,8 +346,7 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
         # updates would let them drift and degenerate the denominator
         np.clip(theta[1:], -_LOG_WEIGHT_CLIP, _LOG_WEIGHT_CLIP, out=theta[1:])
     else:
-        report.iterations = config.max_iters
-        report.stop_reason = "max_iters"
+        report.iterations, report.stop_reason = config.max_iters, "max_iters"
         # the loop never evaluates the final update; give it a chance to win.
         # A plateau breaks before its step, so it has scored its last iterate.
         final_value = score(theta)[0]
@@ -358,6 +354,8 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
             best = (final_value, theta.copy(), None)
             report.best_iteration = report.iterations
     report.best_loss = best[0]
+    report.final_step = float(rate[0, 0, 0])
+    report.plateau_gain = drop_loss - best[0] if report.drops else 0.0
     fitted = replace(surface, control_z=best[1][0],
                      weights=np.exp(best[1][1]) if free else surface.weights)
     return fitted, report

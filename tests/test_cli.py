@@ -237,6 +237,9 @@ def test_default_fit_ends_on_the_plateau_after_six_drops(tile, tmp_path, capsys)
     entry = dict(item.split("=") for item in line.split()[1:])
     assert (entry["stop_reason"], entry["drops"]) == ("plateau", "6")
     assert int(entry["best_iteration"]) < int(entry["iterations"]) < 200
+    # the default step 0.1 after six drops by 0.3, to six significant digits
+    assert entry["final_step"] == "7.29e-05"
+    assert float(entry["plateau_gain"]) >= 0.0
 
 
 def test_ini_config_equals_flags(tile, tmp_path, capsys):
@@ -260,11 +263,16 @@ def test_ini_config_equals_flags(tile, tmp_path, capsys):
     assert flags[0] == 0 and artifacts == flags[1]
     assert len(rows(artifacts["loss_trace.csv"])) == 60
     assert not (tmp_path / "unused").exists()  # --out-dir overrides the file
-    with pytest.raises(SystemExit):
-        main(["run", "--help"])
-    usage = capsys.readouterr().out
-    assert all(f"--{spec.name.replace('_', '-')} " in usage for spec in fields(PipelineConfig))
-    assert "--filter-enabled FILTER_ENABLED\n" in usage and "overrides [filter] enabled\n" in usage
+    capsys.readouterr()
+    for command in ("filter", "fit", "mesh", "eval", "run", "ablate"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert all(f"--{spec.name.replace('_', '-')} " in usage
+                   for spec in fields(PipelineConfig))
+        assert "--config CONFIG" in usage
+        assert ("--filter-enabled FILTER_ENABLED\n" in usage
+                and "overrides [filter] enabled\n" in usage)
 
 
 def test_undecodable_config_is_a_usage_error(tile, tmp_path, capsys):

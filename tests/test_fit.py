@@ -11,11 +11,17 @@ free and with frozen weights.  The thin-plate regularizer must read 0 on
 every control net linear in the Greville abscissae, and a fit of a
 noise-free plane must recover it.  With frozen unit weights the loss is
 convex, and ADAM's best loss must match a reweighted least-squares (IRLS)
-solve of it on a 41 x 41 tile with a 12 x 12 net.  An objective reuses one
-raster workspace from call to call: its results must not change when it is
-called again, and a call on a 251 x 251 tile must allocate less than half a
-raster.  A frozen-weight objective must give the free one's value and
-elevation gradient bit for bit with half its raster products.
+solve of it on a 41 x 41 tile with a 12 x 12 net.  The objective's value
+and parts, which it folds over the rational denominator, must match a dense
+reference (the ``evaluate_grid`` height field and plain masked means of
+|r|) within 1e-12 relative, at random states with non-unit weights and
+NODATA cells, free and frozen.  An objective reuses one raster workspace
+from call to call: its results must not change when it is called again,
+and a call on a 251 x 251 tile must allocate less than half a raster.  A
+frozen-weight objective keeps fewer than seven rasters resident, and must
+give the free one's value and elevation gradient bit for bit with half its
+raster products.  A fit report's final step and last plateau gain must
+agree with the drops that its loss trace shows.
 """
 
 import copy
@@ -288,10 +294,11 @@ def test_frozen_objective_keeps_one_raster_less():
         finally:
             tracemalloc.stop()
         del objective
-    # target, coefficients, two masks, height, denominator and the masked
-    # words, plus the basis and the control-grid buffers; free weights keep
-    # a separate residual raster
-    assert resident[False] < 8 * raster
+    # the folded target t', the road and terrain sum weights, the gradient
+    # magnitudes, the height field and the |r'| raster, plus the basis and
+    # the control-grid buffers; free weights also keep the raw target, the
+    # masks, the denominator and a t' raster
+    assert resident[False] < 7 * raster
     assert resident[True] - resident[False] > 0.9 * raster
 
 
@@ -319,6 +326,80 @@ def test_frozen_objective_equals_the_free_one_with_half_the_raster_products(
         assert got[:2] == expected[:2]
         assert got[2].tobytes() == expected[2].tobytes()
         assert got[3] is None
+
+
+def reference_loss(surface, dsm, dtm, mask, weights):
+    """The composite loss written out densely: the height field of
+    ``evaluate_grid``, each data term the mean over all cells of |target -
+    height| on its cells with a target, and the thin-plate term."""
+    height = evaluate_grid(surface, *dsm.cell_to_world(np.arange(dsm.width),
+                                                      np.arange(dsm.height)))
+    road = mask.bits == 1
+    target = np.where(road, dsm.values, dtm.values)
+    residual = np.abs(target - height)
+    has_target = ~np.isnan(target)
+    road_term = residual[road & has_target].sum() / residual.size
+    terrain_term = residual[~road & has_target].sum() / residual.size
+    reg = fitmod.Roughness(surface)(surface.control_z)[0]
+    value = road_term + weights.lambda_terrain * terrain_term + weights.lambda_reg * reg
+    return value, {"road": road_term, "terrain": terrain_term, "reg": reg}
+
+
+def test_objective_matches_a_dense_reference(scene):
+    rng = np.random.default_rng(6)
+    holes = {layer: getattr(scene, layer).subset(rng.random(scene.dsm.values.shape) > 0.15)
+             for layer in ("dsm", "dtm")}
+    scene = replace(scene, **holes)
+    weights = fitmod.LossWeights(lambda_terrain=0.6, lambda_reg=0.3)
+    start = start_8x8(scene)
+    for _ in range(4):
+        surface = replace(start, control_z=start.control_z + rng.normal(0.0, 0.5, (8, 8)),
+                          weights=np.exp(rng.uniform(-0.5, 0.5, (8, 8))))
+        expected, expected_parts = reference_loss(surface, scene.dsm, scene.dtm, scene.mask,
+                                                  weights)
+        for free_weights in (True, False):
+            objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights,
+                                         free_weights)
+            value, parts, _, _ = objective(surface.control_z, surface.weights)
+            assert value == pytest.approx(expected, rel=1e-12)
+            assert parts == pytest.approx(expected_parts, rel=1e-12)
+
+
+def plateau_drops(trace, patience, min_delta):
+    """The best loss at each plateau drop of a fit that scored ``trace``,
+    read off the trace by the plateau rule: a drop after ``patience`` scores
+    without a gain of ``min_delta`` on the best loss; the last plateau ends
+    the fit, so it takes no drop."""
+    best, stall, drops = math.inf, 0, []
+    for value in trace:
+        if value < best:
+            stall = 0 if best - value >= min_delta else stall + 1
+            best = value
+        else:
+            stall += 1
+        if stall >= patience:
+            drops.append(best)
+            stall = 0
+    return drops[:6]
+
+
+@pytest.mark.parametrize("max_iters", [1000, 5])
+def test_fit_report_keeps_its_final_step_and_last_plateau_gain(scene, max_iters):
+    config = fitmod.FitConfig(learning_rate=0.2, max_iters=max_iters)
+    _, report = fitmod.fit(start_8x8(scene), scene.dsm, scene.dtm, scene.mask,
+                           fitmod.LossWeights(), config)
+    drops = plateau_drops(report.loss_total, config.early_stop_patience,
+                          config.early_stop_min_delta)
+    assert report.drops == len(drops)
+    step = config.learning_rate
+    for _ in drops:
+        step *= 0.3
+    assert report.final_step == step
+    if drops:
+        assert report.stop_reason == "plateau"
+        assert report.plateau_gain == drops[-1] - report.best_loss >= 0.0
+    else:
+        assert (report.stop_reason, report.plateau_gain) == ("max_iters", 0.0)
 
 
 def test_frozen_fit_returns_unit_weights(scene):
