@@ -7,9 +7,9 @@ artifacts (in --out-dir):
   fit     grid, filter, fit  dsm, dtm, mask          surface.txt, loss_trace.csv
   mesh    grid, mesh         dsm, mask, --surface    mesh.obj
   eval    grid, metrics      dsm, dtm, mask, --mesh  metrics.csv
-  run     all five, then the plane and RGT baselines unless baselines is
-          off; dsm, dtm, mask; the five artifacts above, mesh.obj colored
-          by its error
+  run     all five, then the plane and RGT baselines (mesh, metrics) unless
+          baselines is off; dsm, dtm, mask; the five artifacts above,
+          mesh.obj colored by its error
   ablate  the stages before the swept key's stage once, the rest once per
           --values entry, no baselines; dsm, dtm, mask; ablate.csv
 
@@ -27,6 +27,20 @@ Each stage appends what it made to the run record, printed as one "label:
 key=value ..." line per entry (floats to six significant digits), then one
 "wrote <path>" line per artifact; ablate prints the stages it runs once, then
 one "<param>=<value>" entry of NURBS TIN scores per value.
+
+After the stages they share, some rows of stages are independent: run's
+NURBS row (fit, mesh, metrics) and its baseline row, which needs the
+filtered mask but not the fit, and ablate's rows, one per --values entry.
+Such rows run at once: row i in lane i mod L, L being at most the CPUs the
+process may use, lane 0 in this process and each other lane in one forked
+worker that sends back its rows' scores and record entries.  With one
+usable CPU, or where os.fork does not exist, the rows run here one after
+another.  Output, artifacts and exit codes are the same either way: the
+record keeps row order, the rows' warnings are shown after the last row,
+in row order, and where rows fail, the lowest one's failure is the one
+reported.  A worker that ends without a result fails its row under the
+row's first stage.  A worker's memory peak is its own: it is not in this
+process's ru_maxrss, only in RUSAGE_CHILDREN.
 
 Exit codes: 0 success, 1 usage error, 2 stage failure (message
 "stage <name>: <reason>" on stderr).  Stage names are grid, filter, fit,
@@ -52,7 +66,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
+import os
+import pickle
+import signal
 import sys
+import traceback
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -75,6 +95,7 @@ class StageError(RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
+        self.stage, self.message = stage, message
 
 
 class UsageError(ValueError):
@@ -288,12 +309,10 @@ def metrics_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
 def baseline_mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     """Plane fit on the filtered road points, the DSM cells of mask_plus;
     regular grid triangulation of the DSM."""
-    state.meshes = {}
-    if config.baselines:
-        coeffs = meshmod.fit_plane(state.dsm.subset(state.mask_plus.bits == 1))
-        x0, x1, y0, y1 = state.dsm.center_extent
-        state.meshes = {"plane": meshmod.plane_mesh(coeffs, (x0, x1), (y0, y1)),
-                        "rgt": meshmod.rgt_mesh(state.dsm)}
+    coeffs = meshmod.fit_plane(state.dsm.subset(state.mask_plus.bits == 1))
+    x0, x1, y0, y1 = state.dsm.center_extent
+    state.meshes = {"plane": meshmod.plane_mesh(coeffs, (x0, x1), (y0, y1)),
+                    "rgt": meshmod.rgt_mesh(state.dsm)}
 
 
 # (name, stage) pairs; a stage's name is the one its failure is reported under
@@ -317,6 +336,146 @@ def run_stages(config: PipelineConfig, state: SimpleNamespace,
         except MemoryError as err:  # numpy's message names the array it could not allocate
             raise StageError(name, str(err) or "out of memory") from err
     return state
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_row(state: SimpleNamespace, row: tuple) -> tuple[list, SimpleNamespace | StageError]:
+    """A row's stages, run on a copy of state with an empty record and
+    reports: (the warnings they raised, as warn_explicit's first four
+    arguments, unshown; the row's state, or its StageError)."""
+    config, stages = row
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # run_rows applies the filters when it shows them
+        try:
+            done = run_stages(config, SimpleNamespace(**{**vars(state), "record": [],
+                                                         "reports": {}}), stages)
+        except StageError as err:
+            done = err
+    return [(w.message, w.category, w.filename, w.lineno) for w in caught], done
+
+
+def _send(fd: int, outcome) -> None:
+    data = memoryview(pickle.dumps(outcome))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _fork_lane(state: SimpleNamespace, rows: list, lane: int, lanes: int):
+    """A worker that runs rows lane, lane + lanes, ... and pickles into a
+    pipe, for each, (warnings, True, (reports, record)) or, stopping at the
+    first that fails, (warnings, False, (stage, message)): a StageError does
+    not survive a pickle round trip.  Returns (pid, the pipe's read end,
+    lane)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            for row in rows[lane::lanes]:
+                caught, done = _run_row(state, row)
+                if isinstance(done, StageError):
+                    _send(write, (caught, False, (done.stage, done.message)))
+                    break
+                _send(write, (caught, True, (done.reports, done.record)))
+            status = 0
+        except Exception:  # a fault of the program: its traceback, for the caller to report
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            # no exit handler or inherited stdio buffer may run twice
+            os._exit(status)
+    os.close(write)
+    return pid, read, lane
+
+
+def _collect(worker, rows: list, lanes: int) -> dict:
+    """Reads a worker's results to the end of its pipe and reaps it; a row
+    it left without a result fails under its first stage's name."""
+    pid, read, lane = worker
+    chunks = []
+    while chunk := os.read(read, 1 << 16):
+        chunks.append(chunk)
+    results = io.BytesIO(b"".join(chunks))
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    outcomes = {}
+    for index in range(lane, len(rows), lanes):
+        try:
+            caught, ok, payload = pickle.load(results)  # bytes this program's worker wrote
+        except (EOFError, pickle.UnpicklingError):
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            outcomes[index] = [], StageError(rows[index][1][0][0],
+                                             f"worker ended without a result ({how})")
+            break
+        if not ok:
+            outcomes[index] = caught, StageError(*payload)
+            break
+        outcomes[index] = caught, SimpleNamespace(reports=payload[0], record=payload[1])
+    return outcomes
+
+
+def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
+             ) -> list[SimpleNamespace]:
+    """Runs each row of (config, stages) after the stages that left
+    ``state``, on its own copy of it with an empty record and reports, and
+    returns each row's state in row order: the first in full, the others as
+    their reports and record.
+
+    Row i runs in lane i mod L, L being at most the usable CPUs: lane 0 in
+    this process, each other lane in one forked worker.  With fewer than 2
+    usable CPUs, or no os.fork, every row runs here, in order.  Either way
+    the rows' warnings are shown at the end, in row order, and a failure
+    raises the StageError of the lowest failing row, after the warnings of
+    the rows up to it, as a run of the rows one after another would.  This
+    process reaps every worker before it returns or raises, ending those
+    whose rows all come after a failure of its own.
+    """
+    lanes = min(len(rows), usable_cpus()) if hasattr(os, "fork") else 1
+    workers, mine, outcomes = [], [0], {}
+    try:
+        for lane in range(1, lanes):
+            try:
+                workers.append(_fork_lane(state, rows, lane, lanes))
+            except OSError:  # no process to spare: this one runs the lane
+                mine.append(lane)
+        for index in range(len(rows)):
+            if index % lanes in mine:
+                caught, done = _run_row(state, rows[index])
+                if isinstance(done, StageError):
+                    outcomes[index] = caught, done
+                    for pid, _, lane in workers:
+                        if lane > index:
+                            os.kill(pid, signal.SIGKILL)
+                    break
+                outcomes[index] = caught, done if index == 0 else SimpleNamespace(
+                    reports=done.reports, record=done.record)
+        while workers:
+            outcomes.update(_collect(workers[0], rows, lanes))
+            os.close(workers.pop(0)[1])
+    finally:
+        for pid, read, _ in workers:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    registry = {}  # one, so a warning the filters show once is shown once over the rows
+    for index in range(len(rows)):
+        caught, done = outcomes[index]
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+        if isinstance(done, StageError):
+            raise done
+    return [outcomes[index][1] for index in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -392,24 +551,34 @@ def _report(record: list[tuple[str, dict]], paths: list[Path]) -> None:
         print(f"wrote {path}")
 
 
-# subcommand -> (stages it runs, artifacts in the order reported)
+# subcommand -> (stages it runs, rows of stages that run after them through
+# run_rows, artifacts in the order reported)
 PIPELINES = {
-    "filter": ((GRID, FILTER), ("mask_filtered.asc",)),
-    "fit": ((GRID, DTM, FILTER, FIT), ("surface.txt", "loss_trace.csv")),
-    "mesh": ((GRID, ("mesh", surface_stage), MESH), ("mesh.obj",)),
-    "eval": ((GRID, DTM, TRUTH, ("metrics", mesh_file_stage), METRICS), ("metrics.csv",)),
-    "run": (STAGES + BASELINES, tuple(sorted(ARTIFACTS))),
+    "filter": ((GRID, FILTER), (), ("mask_filtered.asc",)),
+    "fit": ((GRID, DTM, FILTER, FIT), (), ("surface.txt", "loss_trace.csv")),
+    "mesh": ((GRID, ("mesh", surface_stage), MESH), (), ("mesh.obj",)),
+    "eval": ((GRID, DTM, TRUTH, ("metrics", mesh_file_stage), METRICS), (), ("metrics.csv",)),
+    "run": ((GRID, DTM, TRUTH, FILTER), ((FIT, MESH, METRICS), BASELINES),
+            tuple(sorted(ARTIFACTS))),
 }
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    """Run the subcommand's stages, write its artifacts, print its record."""
-    stages, artifacts = PIPELINES[args.command]
+    """Run the subcommand's stages and rows, write its artifacts, print its
+    record: the rows' records and reports in row order."""
+    stages, rows, artifacts = PIPELINES[args.command]
     config = build_config(args)
     if args.command == "eval":
         _csv_cell(args.method, "--method")
     out = _out_dir(config.out_dir, "--out-dir")
     state = run_stages(config, SimpleNamespace(args=args, record=[], reports={}), stages)
+    rows = [(config, row) for row in rows if config.baselines or row is not BASELINES]
+    if rows:
+        done = run_rows(state, rows)
+        record = state.record + [entry for row in done for entry in row.record]
+        state = done[0]
+        state.record = record
+        state.reports = {name: report for row in done for name, report in row.reports.items()}
     try:
         for name in artifacts:
             ARTIFACTS[name](state, out / name)
@@ -478,9 +647,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     path = _out_dir(config.out_dir, "--out-dir") / "ablate.csv"
     shared = run_stages(config, SimpleNamespace(args=args, record=[], reports={}),
                         STAGES[:first])
-    reports = [run_stages(variant, SimpleNamespace(**{**vars(shared), "record": [],
-                                                      "reports": {}}), STAGES[first:])
-               .reports["nurbs"] for variant in variants]
+    reports = [row.reports["nurbs"]
+               for row in run_rows(shared, [(variant, STAGES[first:]) for variant in variants])]
     try:
         write_metrics_csv(path, ("param", "value"),
                           [([args.param, raw], report) for raw, report in zip(values, reports)])

@@ -208,6 +208,9 @@ class Objective:
         if free_weights:
             self._den, self._shifted = (np.empty_like(self.target) for _ in range(2))
             self._residual = self._shifted  # P is still needed after r'
+            # each call refolds; a product with a 0/1 float64 raster is faster
+            # than with a bool one, and the same bits for k > 0
+            self._road, self._terrain = self._road.astype(float), self._terrain.astype(float)
         else:
             # den is needed only here, so the |r'| raster holds it
             grid_product(self.bu, self.bv, surface.weights, self._words, self._rows)

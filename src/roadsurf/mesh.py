@@ -67,7 +67,8 @@ def dynamic_sample(surface: NurbsSurface, mask_plus: Mask,
 
     A sample's nearest mask column depends on its x alone and its nearest
     row on its y alone, so the mask is read on the lattice's outer index,
-    without full-lattice coordinate grids: a lattice holds its heights, one
+    its nearest rows and then their nearest columns, without full-lattice
+    coordinate or index grids: a lattice holds its heights, one
     boolean per node and the samples it keeps.  Coincidence, of plan
     positions rounded to 6 decimals, is found on columns and rows too.
     """
@@ -76,7 +77,8 @@ def dynamic_sample(surface: NurbsSurface, mask_plus: Mask,
     def class_samples(rate: float, want_road: bool):
         xs, ys = _lattice(x0, x1, rate), _lattice(y0, y1, rate)
         z = evaluate_grid(surface, xs, ys)
-        rows, cols = np.nonzero(mask_plus.contains(xs[None, :], ys[:, None]) == want_road)
+        (i, _), (_, j) = mask_plus.nearest_cell(xs, y0), mask_plus.nearest_cell(x0, ys)
+        rows, cols = np.nonzero((mask_plus.bits[j][:, i] == 1) == want_road)
         return xs, ys, rows, cols, np.column_stack([xs[cols], ys[rows], z[rows, cols]])
 
     xs, ys, rows, cols, road = class_samples(config.road_rate, True)

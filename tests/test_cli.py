@@ -8,11 +8,16 @@ stderr.
 """
 
 import csv
+import errno
 import io
 import os
 import re
+import shutil
+import signal
 import subprocess
 import sys
+import time
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -20,6 +25,8 @@ import numpy as np
 import pytest
 
 import roadsurf
+from roadsurf import cli
+from roadsurf import fit as fitmod
 from roadsurf import grid as gridmod
 from roadsurf import mesh as meshmod
 from roadsurf import metrics as metricsmod
@@ -219,6 +226,156 @@ def test_ablate_keeps_the_free_weight_fit_in_the_matrix(tile, run, tmp_path):
         ("weight_learning_rate", "0"), ("weight_learning_rate", "0.1")]
     assert cells(frozen) == cells(rows(run[0]["metrics.csv"])[0])
     assert cells(free) != cells(frozen)
+
+
+# ---------------------------------------------------------------------------
+# independent rows: run's NURBS and baseline rows, ablate's value rows
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+# usable CPUs the row executor is shown: 1 runs the rows in order, 2 forks
+ROW_PATHS = (1, 2) if hasattr(os, "fork") else (1,)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked during the test."""
+    real_fork, started = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return started
+
+
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# argv, and the number of rows after the shared stages
+ROWS = {
+    "run": (["run"], 2),
+    "ablate": (["ablate", "--param", "sampling_rates", "--values", "2.5/10,5/10,5/20,10/20"], 4),
+    # every row warns that theta_xy is below the 3.54 m cell diagonal
+    "ablate_warned": (["ablate", "--param", "theta_xy", "--values", "1,2,3,1"], 4),
+}
+
+
+@needs_fork
+@pytest.mark.parametrize("case", list(ROWS))
+def test_rows_print_and_write_the_same_forked_and_in_order(tile, tmp_path, capsys, monkeypatch,
+                                                           forks, case):
+    (command, *flags), rows = ROWS[case]
+    out, results = tmp_path / "out", {}
+    for usable in (1, 2, 3):
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        forks.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            rc, artifacts = invoke(out, command, *layer_flags(tile, LAYERS), *FIT_FLAGS, *flags)
+        results[usable] = (rc, capsys.readouterr(), artifacts,
+                           [str(w.message).split(" ", 1)[0] for w in caught])
+        # one worker per usable CPU but the caller's, and per row but the first
+        assert len(forks) == min(usable, rows) - 1
+        no_child_is_left()
+        shutil.rmtree(out)
+    assert results[1][0] == 0
+    assert results[2] == results[1] == results[3]
+    # in row order, and the repeated value's warning shown once, as the
+    # default filter does in a single process
+    assert results[1][3] == (["theta_xy=1.0", "theta_xy=2.0", "theta_xy=3.0"]
+                             if case == "ablate_warned" else [])
+
+
+@pytest.mark.parametrize("fork", ["fails", "missing"])
+def test_rows_run_in_order_without_a_worker(tile, run, tmp_path, monkeypatch, fork):
+    def no_process():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    if fork == "fails":
+        monkeypatch.setattr(os, "fork", no_process)
+    else:  # as on Windows
+        monkeypatch.delattr(os, "fork", raising=False)
+    rc, artifacts = invoke(tmp_path / "run", "run", *layer_flags(tile, LAYERS), *FIT_FLAGS)
+    assert (rc, artifacts) == (0, run[0])
+
+
+def test_a_failing_worker_row_fails_as_in_order(tile, tmp_path, capsys, monkeypatch, forks):
+    # forked workers inherit the patches
+    made, rgt_mesh, evaluate_all = [], meshmod.rgt_mesh, metricsmod.evaluate_all
+
+    def tagged_rgt_mesh(dsm):
+        made.append(rgt_mesh(dsm))
+        return made[-1]
+
+    def evaluate_all_but_rgt(mesh, *args):
+        if any(mesh is rgt for rgt in made):
+            raise ValueError("the rgt mesh cannot be scored")
+        return evaluate_all(mesh, *args)
+
+    monkeypatch.setattr(meshmod, "rgt_mesh", tagged_rgt_mesh)
+    monkeypatch.setattr(metricsmod, "evaluate_all", evaluate_all_but_rgt)
+    for usable in ROW_PATHS:
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        forks.clear()
+        rc, artifacts = invoke(tmp_path / f"out{usable}", "run", *layer_flags(tile, LAYERS),
+                               *FIT_FLAGS)
+        assert (rc, artifacts) == (2, {})
+        assert capsys.readouterr().err == "stage metrics: the rgt mesh cannot be scored\n"
+        assert len(forks) == usable - 1
+        no_child_is_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("fault", [ValueError("the fit diverged"), KeyboardInterrupt()])
+def test_a_failing_caller_row_ends_its_worker(tile, tmp_path, capsys, monkeypatch, forks,
+                                              time_limit, fault):
+    def fail(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(fitmod, "fit", fail)
+    # the worker's row would outlast the test's time limit
+    monkeypatch.setattr(meshmod, "fit_plane", lambda points: time.sleep(60))
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    argv = ("run", *layer_flags(tile, LAYERS), *FIT_FLAGS)
+    with time_limit(20, "the caller waited for a worker whose rows come after its failure"):
+        if isinstance(fault, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                invoke(tmp_path / "out", *argv)
+        else:
+            assert invoke(tmp_path / "out", *argv) == (2, {})
+            assert capsys.readouterr().err == "stage fit: the fit diverged\n"
+    assert len(forks) == 1
+    no_child_is_left()
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def crash():
+    raise TypeError("a fault in the program")
+
+
+@needs_fork
+@pytest.mark.parametrize("fault, how", [(kill_self, "killed by signal 9"),
+                                        (crash, "exit status 1")])
+def test_a_worker_that_ends_without_a_result_fails_its_row(tile, tmp_path, capfd, monkeypatch,
+                                                           fault, how):
+    monkeypatch.setattr(meshmod, "rgt_mesh", lambda dsm: fault())
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    rc, artifacts = invoke(tmp_path / "out", "run", *layer_flags(tile, LAYERS), *FIT_FLAGS)
+    assert (rc, artifacts) == (2, {})
+    trace, line = capfd.readouterr().err.rsplit("stage ", 1)
+    assert line == f"mesh: worker ended without a result ({how})\n"
+    # a fault of the program shows its traceback, written by the worker
+    assert trace.endswith("TypeError: a fault in the program\n") == (fault is crash)
+    no_child_is_left()
 
 
 def test_negative_weight_learning_rate_is_a_usage_error(tile, tmp_path, capsys):
@@ -561,13 +718,20 @@ def mesh_beside_the_tile(tile, tmp_path):
     ("metrics", empty_road),
     ("metrics", mesh_beside_the_tile),
 ])
-def test_single_fault_names_its_stage(tile, tmp_path, capsys, stage, fault):
+def test_single_fault_names_its_stage(tile, tmp_path, capsys, monkeypatch, stage, fault):
     argv, message = fault(tile, tmp_path)
-    rc, artifacts = invoke(tmp_path / "out", *argv, *FIT_FLAGS)
-    assert (rc, artifacts) == (2, {})
-    err = capsys.readouterr().err
-    assert err.startswith(f"stage {stage}: ")
-    assert message in err
+    errors = []
+    for usable in ROW_PATHS:
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        rc, artifacts = invoke(tmp_path / f"out{usable}", *argv, *FIT_FLAGS)
+        assert (rc, artifacts) == (2, {})
+        errors.append(capsys.readouterr().err)
+        no_child_is_left()
+    assert errors[0].startswith(f"stage {stage}: ")
+    assert message in errors[0]
+    # where both of run's rows fail, as with an empty road, the NURBS row's
+    # failure is reported, forked or not
+    assert errors == errors[:1] * len(ROW_PATHS)
 
 
 def refuses_huge_allocations():
