@@ -32,15 +32,17 @@ After the stages they share, some rows of stages are independent: run's
 NURBS row (fit, mesh, metrics) and its baseline row, which needs the
 filtered mask but not the fit, and ablate's rows, one per --values entry.
 Such rows run at once: row i in lane i mod L, L being at most the CPUs the
-process may use, lane 0 in this process and each other lane in one forked
-worker that sends back its rows' scores and record entries.  With one
-usable CPU, or where os.fork does not exist, the rows run here one after
-another.  Output, artifacts and exit codes are the same either way: the
-record keeps row order, the rows' warnings are shown after the last row,
-in row order, and where rows fail, the lowest one's failure is the one
-reported.  A worker that ends without a result fails its row under the
-row's first stage.  A worker's memory peak is its own: it is not in this
-process's ru_maxrss, only in RUSAGE_CHILDREN.
+process may use, and at most one more than the copies of this process, at
+its peak so far, that the free memory holds; lane 0 runs in this process
+and each other lane in one forked worker that sends back its rows' scores
+and record entries.  With one lane, or where os.fork does not exist, the
+rows run here one after another.  Output, artifacts and exit codes are the
+same either way: the record keeps row order; the warning filters act where
+a warning is raised, with its module, and the warnings they let through
+are shown after the last row, in row order; where rows fail, what the
+lowest failing row raised is raised here.  A worker that ends without a
+result fails its row under the row's first stage.  A worker's memory peak
+is its own: it is not in this process's ru_maxrss, only in RUSAGE_CHILDREN.
 
 Exit codes: 0 success, 1 usage error, 2 stage failure (message
 "stage <name>: <reason>" on stderr).  Stage names are grid, filter, fit,
@@ -96,6 +98,9 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"stage {stage}: {message}")
         self.stage, self.message = stage, message
+
+    def __reduce__(self):  # a forked worker pickles it to the caller
+        return StageError, (self.stage, self.message)
 
 
 class UsageError(ValueError):
@@ -346,19 +351,45 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_row(state: SimpleNamespace, row: tuple) -> tuple[list, SimpleNamespace | StageError]:
+def _lanes(rows: int) -> int:
+    """The lanes run_rows runs ``rows`` rows in: no more than the rows or
+    the usable CPUs, 1 without os.fork, and no more workers than the free
+    memory holds copies of this process at its peak so far."""
+    if not hasattr(os, "fork"):
+        return 1
+    lanes = min(rows, usable_cpus())
+    try:
+        free = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError):  # no free memory figure on this platform
+        return lanes
+    import resource  # Unix only, as os.fork is
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss << 10  # kB where sysconf has it
+    return max(1, min(lanes, 1 + free // max(peak, 1)))
+
+
+def _run_row(state: SimpleNamespace, row: tuple) -> tuple[list, SimpleNamespace | Exception]:
     """A row's stages, run on a copy of state with an empty record and
-    reports: (the warnings they raised, as warn_explicit's first four
-    arguments, unshown; the row's state, or its StageError)."""
+    reports: (the warnings the filters let through, unshown, as
+    warn_explicit's first five arguments; the row's state, or what it
+    raised).  The filters act where each warning is raised, with its module:
+    an error filter fails the row, an ignore filter drops the warning."""
     config, stages = row
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # run_rows applies the filters when it shows them
-        try:
-            done = run_stages(config, SimpleNamespace(**{**vars(state), "record": [],
-                                                         "reports": {}}), stages)
-        except StageError as err:
-            done = err
-    return [(w.message, w.category, w.filename, w.lineno) for w in caught], done
+    caught, show = [], warnings.showwarning
+    warnings.showwarning = lambda message, category, filename, lineno, *where: caught.append(
+        (message, category, filename, lineno))
+    try:
+        done = run_stages(config, SimpleNamespace(**{**vars(state), "record": [],
+                                                     "reports": {}}), stages)
+    except Exception as err:  # run_rows raises it in row order, as if raised here
+        done = err
+    finally:
+        warnings.showwarning = show
+    # the module a filter matches is the one the warning was raised in, else
+    # the name warn_explicit makes of the file (given None, it drops the warning)
+    modules = {getattr(module, "__file__", None): name
+               for name, module in list(sys.modules.items())} if caught else {}
+    return [(*shown, modules.get(shown[2], shown[2].removesuffix(".py")))
+            for shown in caught], done
 
 
 def _send(fd: int, outcome) -> None:
@@ -369,10 +400,9 @@ def _send(fd: int, outcome) -> None:
 
 def _fork_lane(state: SimpleNamespace, rows: list, lane: int, lanes: int):
     """A worker that runs rows lane, lane + lanes, ... and pickles into a
-    pipe, for each, (warnings, True, (reports, record)) or, stopping at the
-    first that fails, (warnings, False, (stage, message)): a StageError does
-    not survive a pickle round trip.  Returns (pid, the pipe's read end,
-    lane)."""
+    pipe, for each, what _run_row returns, the state cut to its reports and
+    record, stopping at the first row that fails.  Returns (pid, the pipe's
+    read end, lane)."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -386,42 +416,37 @@ def _fork_lane(state: SimpleNamespace, rows: list, lane: int, lanes: int):
             os.close(read)
             for row in rows[lane::lanes]:
                 caught, done = _run_row(state, row)
-                if isinstance(done, StageError):
-                    _send(write, (caught, False, (done.stage, done.message)))
+                if isinstance(done, SimpleNamespace):
+                    done = SimpleNamespace(reports=done.reports, record=done.record)
+                elif not isinstance(done, StageError):  # a fault of the program
+                    os.write(2, "".join(traceback.format_exception(done)).encode())
+                _send(write, (caught, done))
+                if isinstance(done, Exception):
                     break
-                _send(write, (caught, True, (done.reports, done.record)))
             status = 0
-        except Exception:  # a fault of the program: its traceback, for the caller to report
+        except Exception:  # a result that does not pickle: its traceback, and no result
             os.write(2, traceback.format_exc().encode())
         finally:
             # no exit handler or inherited stdio buffer may run twice
             os._exit(status)
     os.close(write)
-    return pid, read, lane
+    return pid, os.fdopen(read, "rb"), lane
 
 
-def _collect(worker, rows: list, lanes: int) -> dict:
-    """Reads a worker's results to the end of its pipe and reaps it; a row
-    it left without a result fails under its first stage's name."""
-    pid, read, lane = worker
-    chunks = []
-    while chunk := os.read(read, 1 << 16):
-        chunks.append(chunk)
-    results = io.BytesIO(b"".join(chunks))
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+def _outcomes(results: io.BytesIO, code: int, rows: list, lane: int, lanes: int) -> dict:
+    """A lane's outcomes by row, from what its worker sent before it ended
+    with exit code ``code``; the row it left without a result fails under
+    its first stage's name."""
     outcomes = {}
     for index in range(lane, len(rows), lanes):
         try:
-            caught, ok, payload = pickle.load(results)  # bytes this program's worker wrote
+            outcomes[index] = pickle.load(results)  # bytes this program's worker wrote
         except (EOFError, pickle.UnpicklingError):
             how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
             outcomes[index] = [], StageError(rows[index][1][0][0],
                                              f"worker ended without a result ({how})")
+        if isinstance(outcomes[index][1], Exception):
             break
-        if not ok:
-            outcomes[index] = caught, StageError(*payload)
-            break
-        outcomes[index] = caught, SimpleNamespace(reports=payload[0], record=payload[1])
     return outcomes
 
 
@@ -432,16 +457,17 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
     returns each row's state in row order: the first in full, the others as
     their reports and record.
 
-    Row i runs in lane i mod L, L being at most the usable CPUs: lane 0 in
-    this process, each other lane in one forked worker.  With fewer than 2
-    usable CPUs, or no os.fork, every row runs here, in order.  Either way
-    the rows' warnings are shown at the end, in row order, and a failure
-    raises the StageError of the lowest failing row, after the warnings of
-    the rows up to it, as a run of the rows one after another would.  This
-    process reaps every worker before it returns or raises, ending those
-    whose rows all come after a failure of its own.
+    Row i runs in lane i mod L, L from _lanes: lane 0 in this process,
+    each other lane in one forked worker.  With one lane (one usable CPU,
+    no os.fork, or too little free memory for a worker) every row runs
+    here, in order.  Either way the warnings the filters let through are
+    shown at the end, in row order, once where one process running the rows
+    in turn would show them once, and where rows fail, what the lowest
+    failing row raised is raised, after the warnings of the rows up to it.
+    This process reaps every worker before it returns or raises, ending
+    those whose rows all come after a failure of its own.
     """
-    lanes = min(len(rows), usable_cpus()) if hasattr(os, "fork") else 1
+    lanes = _lanes(len(rows))
     workers, mine, outcomes = [], [0], {}
     try:
         for lane in range(1, lanes):
@@ -452,7 +478,7 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
         for index in range(len(rows)):
             if index % lanes in mine:
                 caught, done = _run_row(state, rows[index])
-                if isinstance(done, StageError):
+                if isinstance(done, Exception):
                     outcomes[index] = caught, done
                     for pid, _, lane in workers:
                         if lane > index:
@@ -461,19 +487,24 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
                 outcomes[index] = caught, done if index == 0 else SimpleNamespace(
                     reports=done.reports, record=done.record)
         while workers:
-            outcomes.update(_collect(workers[0], rows, lanes))
-            os.close(workers.pop(0)[1])
+            pid, pipe, lane = workers[0]
+            with pipe:
+                results = io.BytesIO(pipe.read())
+            del workers[0]  # reaped here: the finally below must not signal its pid
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            outcomes.update(_outcomes(results, code, rows, lane, lanes))
     finally:
-        for pid, read, _ in workers:
-            os.close(read)
+        for pid, pipe, _ in workers:
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    registry = {}  # one, so a warning the filters show once is shown once over the rows
+    registries = {}  # one a module, kept over the rows as in one process
     for index in range(len(rows)):
         caught, done = outcomes[index]
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-        if isinstance(done, StageError):
+        for message, category, filename, lineno, module in caught:
+            warnings.warn_explicit(message, category, filename, lineno, module,
+                                   registries.setdefault(module, {}))
+        if isinstance(done, Exception):
             raise done
     return [outcomes[index][1] for index in range(len(rows))]
 

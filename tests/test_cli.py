@@ -20,6 +20,7 @@ import time
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,18 +292,22 @@ def test_rows_print_and_write_the_same_forked_and_in_order(tile, tmp_path, capsy
                              if case == "ablate_warned" else [])
 
 
-@pytest.mark.parametrize("fork", ["fails", "missing"])
-def test_rows_run_in_order_without_a_worker(tile, run, tmp_path, monkeypatch, fork):
+@pytest.mark.parametrize("fork", ["fails", "missing", "no_free_memory"])
+def test_rows_run_in_order_without_a_worker(tile, run, tmp_path, monkeypatch, forks, fork):
     def no_process():
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     if fork == "fails":
         monkeypatch.setattr(os, "fork", no_process)
-    else:  # as on Windows
+    elif fork == "missing":  # as on Windows
         monkeypatch.delattr(os, "fork", raising=False)
+    else:  # one free page: not enough for a copy of this process
+        sysconf = os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: 1 if name == "SC_AVPHYS_PAGES" else sysconf(name))
     rc, artifacts = invoke(tmp_path / "run", "run", *layer_flags(tile, LAYERS), *FIT_FLAGS)
-    assert (rc, artifacts) == (0, run[0])
+    assert (rc, artifacts, forks) == (0, run[0], [])
 
 
 def test_a_failing_worker_row_fails_as_in_order(tile, tmp_path, capsys, monkeypatch, forks):
@@ -358,13 +363,18 @@ def kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def crash():
-    raise TypeError("a fault in the program")
+class Unpicklable(TypeError):
+    def __reduce__(self):
+        raise TypeError("cannot pickle this fault")
+
+
+def unpicklable_fault():
+    raise Unpicklable("a fault that cannot reach the caller")
 
 
 @needs_fork
 @pytest.mark.parametrize("fault, how", [(kill_self, "killed by signal 9"),
-                                        (crash, "exit status 1")])
+                                        (unpicklable_fault, "exit status 1")])
 def test_a_worker_that_ends_without_a_result_fails_its_row(tile, tmp_path, capfd, monkeypatch,
                                                            fault, how):
     monkeypatch.setattr(meshmod, "rgt_mesh", lambda dsm: fault())
@@ -373,9 +383,101 @@ def test_a_worker_that_ends_without_a_result_fails_its_row(tile, tmp_path, capfd
     assert (rc, artifacts) == (2, {})
     trace, line = capfd.readouterr().err.rsplit("stage ", 1)
     assert line == f"mesh: worker ended without a result ({how})\n"
-    # a fault of the program shows its traceback, written by the worker
-    assert trace.endswith("TypeError: a fault in the program\n") == (fault is crash)
+    # a result that does not pickle shows its traceback, written by the worker
+    assert trace.endswith("TypeError: cannot pickle this fault\n") == (fault is unpicklable_fault)
     no_child_is_left()
+
+
+def test_a_fault_in_a_worker_row_is_raised_as_in_order(tile, tmp_path, capfd, monkeypatch):
+    def crash(dsm):
+        raise TypeError("a fault in the program")
+
+    monkeypatch.setattr(meshmod, "rgt_mesh", crash)
+    for usable in ROW_PATHS:
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        with pytest.raises(TypeError, match="a fault in the program"):
+            invoke(tmp_path / f"out{usable}", "run", *layer_flags(tile, LAYERS), *FIT_FLAGS)
+        # forked, the worker writes where the fault was raised
+        assert capfd.readouterr().err.endswith(
+            "TypeError: a fault in the program\n" if usable > 1 else "")
+        no_child_is_left()
+
+
+def warns_then(call, text, category):
+    """``call``, after a warning raised as if from the roadsurf line calling it."""
+    def warned(*args, **kwargs):
+        warnings.warn(text, category, stacklevel=2)
+        return call(*args, **kwargs)
+    return warned
+
+
+@pytest.mark.parametrize("patch", [(fitmod, "fit"), (meshmod, "rgt_mesh")],
+                         ids=["caller_row", "worker_row"])
+def test_an_error_filter_fails_run_where_the_warning_is_raised(tile, tmp_path, capsys,
+                                                               monkeypatch, patch):
+    module, name = patch
+    monkeypatch.setattr(module, name, warns_then(getattr(module, name), "overflow",
+                                                  RuntimeWarning))
+    for usable in ROW_PATHS:
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", category=RuntimeWarning, module="roadsurf")
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                invoke(tmp_path / f"out{usable}", "run", *layer_flags(tile, LAYERS),
+                       *FIT_FLAGS)
+        no_child_is_left()
+
+
+def warn_a(config, state):
+    warnings.warn("a", UserWarning)
+
+
+def warn_a_again(config, state):  # the same text from another line
+    warnings.warn("a", UserWarning)
+
+
+def warn_b(config, state):
+    warnings.warn("b", UserWarning)
+
+
+def warn_c(config, state):  # from no module: beyond the stack, warn names it "sys"
+    warnings.warn("c", UserWarning, stacklevel=99)
+
+
+WARNING_ROWS = [(None, (("fit", warn_a),)), (None, (("fit", warn_a_again), ("mesh", warn_b))),
+                (None, (("fit", warn_a), ("mesh", warn_c))),
+                (None, (("mesh", warn_b), ("mesh", warn_c), ("fit", warn_a)))]
+
+
+# (action, module) filters, the last added first matched; "" matches any module
+FILTERS = {action: [(action, "")] for action in
+           ("default", "always", "once", "module", "ignore", "error")}
+FILTERS["error_elsewhere"] = [("error", ""), ("always", __name__)]
+FILTERS["ignore_here"] = [("always", ""), ("ignore", __name__)]
+
+
+@pytest.mark.parametrize("filters", list(FILTERS))
+def test_row_warnings_are_shown_as_one_process_shows_them(monkeypatch, filters):
+    def shown(execute):
+        with warnings.catch_warnings(record=True) as caught:
+            for action, module in FILTERS[filters]:
+                warnings.filterwarnings(action, module=module)
+            try:  # b is raised before the rows too
+                execute(cli.run_stages(None, SimpleNamespace(record=[], reports={}),
+                                       (("grid", warn_b),)))
+            except UserWarning as err:
+                caught.append(f"raised {err}")
+        return [w if isinstance(w, str) else (str(w.message), w.lineno) for w in caught]
+
+    def in_turn(state):
+        for config, stages in WARNING_ROWS:
+            cli.run_stages(config, SimpleNamespace(**vars(state)), stages)
+
+    expected = shown(in_turn)
+    for usable in (1, 2, 3, 4) if hasattr(os, "fork") else (1,):
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        assert shown(lambda state: cli.run_rows(state, WARNING_ROWS)) == expected
+        no_child_is_left()
 
 
 def test_negative_weight_learning_rate_is_a_usage_error(tile, tmp_path, capsys):
