@@ -19,12 +19,17 @@ level that size sets.  Weights move only when ``weight_learning_rate`` is
 above 0; at the default 0 they stay at 1, a B-spline fit.
 
 A fit builds one ``Objective`` from what stays fixed while ADAM moves the
-parameters: the raster grid's lattice basis, the target, the regularizer's
+parameters: the raster grid's ``SpanGrid``, the target, the regularizer's
 matrices and, with frozen weights, the rational denominator, folded into the
-target, sum weights and gradient magnitudes.  A frozen-weight iteration then
+target, sum weights and gradient magnitudes.  Its rasters are laid out
+span-major, by u knot span, so the height field and the back-projection
+each take one stacked product with a cubic's 4 basis values per column, not
+a dense one with all 35 of a 35-point net.  A frozen-weight iteration then
 costs the height field, one residual pass, one product for both data terms
-and the back-projection.  ``total_loss`` evaluates a free-weight one once,
-so one-off evaluations take the fit loop's path.
+and the back-projection; ADAM's step and the loss bookkeeping work in
+control-grid buffers allocated once per fit, under one ``np.errstate``.
+``total_loss`` evaluates a free-weight one once, so one-off evaluations take
+the fit loop's path.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Mask, Raster, check_finite
-from .nurbs import NurbsSurface, grid_basis, grid_product
+from .nurbs import NurbsSurface, SpanGrid
 
 # bound on |log w| during fitting; weight ratios beyond e^4 between lattice
 # neighbors add no useful shape freedom for a height field
@@ -167,14 +172,18 @@ class Objective:
     With P = bv (w z)^T bu^T the weighted height field, den the weights'
     field and t the target (the DSM on road cells, the DTM elsewhere, 0
     where NaN), a cell's data term is |P - t'| / (den cells), t' = t den.
-    Built once: the lattice basis of the raster grid, t, the road and
-    terrain cells with a target and the regularizer's matrices; ``_fold``
-    fills from den t', the (2, cells) road and terrain sum weights
-    1 / (den cells) and the gradient magnitudes k, those times 1 or
-    lambda_terrain.  A call works in rasters allocated here, P and one that
-    takes |P - t'| and then d loss / d P, and an (H, nu) product buffer: a
-    fresh raster (0.5 MB at 251²) goes back to the system when freed and is
-    page-faulted in anew.  A call allocates only control-grid-sized arrays.
+    Built once: the raster grid's ``SpanGrid``, t, the road and terrain
+    cells with a target and the regularizer's matrices; ``_fold`` fills
+    from den t', the (2, cells) road and terrain sum weights 1 / (den cells)
+    and the gradient magnitudes k, those times 1 or lambda_terrain.  Every
+    raster is kept in the grid's padded span-major layout, so each raster
+    product touches only the p+1 control columns of a cell's knot span; pad
+    cells have no target, so they weigh 0 in both sums and take a 0
+    gradient.  A call works in rasters allocated here, P and one that takes
+    |P - t'| and then d loss / d P: a fresh raster (0.5 MB at 251²) goes
+    back to the system when freed and is page-faulted in anew.  The
+    back-projection spreads into the raster that held r', dead by then.  A
+    call allocates only control-grid-sized arrays.
 
     With ``free_weights`` False den is folded once here, t' over t, so six
     rasters stay resident.  A call must pass those weights and does no
@@ -185,35 +194,35 @@ class Objective:
     their den on each call, into a t' raster that then takes r'.  Where r'
     is an exact zero the gradient takes +k or -k by the zero's sign, not
     np.sign's 0: each is a subgradient of |r'|.
+
+    Non-finite values are returned, not raised: the caller decides what a
+    diverged loss means.  ``fit`` and ``total_loss`` call it under
+    ``np.errstate(all="ignore")``, entered once per fit, so that it does not
+    warn about them either.
     """
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,
                  mask_plus: Mask, weights: LossWeights, free_weights: bool = True):
-        self.bu, self.bv = grid_basis(
+        self.grid = grid = SpanGrid(
             surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
-        road = mask_plus.bits == 1
-        self.target = _target(dsm, dtm, mask_plus)
+        road = grid.to_spans(mask_plus.bits == 1, False)
+        self.target = grid.to_spans(_target(dsm, dtm, mask_plus), np.nan)  # pads: no target
         has_target = ~np.isnan(self.target)
         np.nan_to_num(self.target, nan=0.0, copy=False)
         self._road, self._terrain = road & has_target, ~road & has_target
         self.cells = dsm.height * dsm.width
         self.roughness, self.weights, self.free_weights = Roughness(surface), weights, free_weights
-        self.sums = np.empty((2, self.cells))
-        self.magnitude, self._height, self._words = (np.empty(self.target.shape)
-                                                     for _ in range(3))
-        # the forward (H, nu) and backward (nu, H) products never overlap
-        products = np.empty(dsm.height * surface.num_ctrl_u)
-        self._rows = products.reshape(dsm.height, surface.num_ctrl_u)
-        self._cols = products.reshape(surface.num_ctrl_u, dsm.height)
+        self.sums = np.empty((2, self.target.size))
+        self.magnitude, self._height, self._words = (np.empty(grid.shape) for _ in range(3))
         if free_weights:
-            self._den, self._shifted = (np.empty_like(self.target) for _ in range(2))
+            self._den, self._shifted = (np.empty(grid.shape) for _ in range(2))
             self._residual = self._shifted  # P is still needed after r'
             # each call refolds; a product with a 0/1 float64 raster is faster
             # than with a bool one, and the same bits for k > 0
             self._road, self._terrain = self._road.astype(float), self._terrain.astype(float)
         else:
             # den is needed only here, so the |r'| raster holds it
-            grid_product(self.bu, self.bv, surface.weights, self._words, self._rows)
+            grid.product(surface.weights, self._words)
             self._shifted, self._residual = self.target, self._height
             self._fold(self._words)
             self._road = self._terrain = None
@@ -233,41 +242,34 @@ class Objective:
     def __call__(self, z: np.ndarray, w: np.ndarray
                  ) -> tuple[float, dict[str, float], np.ndarray, np.ndarray | None]:
         """(value, per-term values, d/d z, d/d log w) at elevations z and
-        weights w.  Non-finite values are returned, not warned about: the
-        caller decides what a diverged loss means.  The returned arrays are
-        fresh; only the workspace is reused from call to call."""
-        height, words = self._height, self._words
+        weights w.  The returned arrays are fresh; only the workspace is
+        reused from call to call."""
+        grid, height, words = self.grid, self._height, self._words
         bits = words.view(np.int64)
-        with np.errstate(all="ignore"):
-            if self.free_weights:
-                grid_product(self.bu, self.bv, w, self._den, self._rows)
-                self._fold(self._den)
-            grid_product(self.bu, self.bv, w * z, height, self._rows)
-            residual = np.subtract(height, self._shifted, out=self._residual).view(np.int64)
-            # |r'| clears the sign bit, as np.abs does to a float64; cells
-            # without a target weigh 0 in both terms' sums
-            np.bitwise_and(residual, _MAGNITUDE, out=bits)
-            v_road, v_terr = (self.sums @ words.reshape(-1)).tolist()
-            v_reg, g_reg = self.roughness(z)
-            # d loss / d P: copysign(k, r'), k's sign bit being clear
-            np.bitwise_and(residual, _SIGN, out=bits)
-            bits |= self.magnitude.view(np.int64)
-            back = self._back(words)  # (nu, nv): basis-weighted sums
-            lam = self.weights
-            d_z = back * w + lam.lambda_reg * g_reg
-            value = v_road + lam.lambda_terrain * v_terr + lam.lambda_reg * v_reg
-            parts = {"road": v_road, "terrain": v_terr, "reg": v_reg}
-            if not self.free_weights:
-                return value, parts, d_z, None
-            height /= self._den  # the height field
-            words *= height
-            d_w = z * back - self._back(words)
-            return value, parts, d_z, d_w * w  # chain through w = exp(log w)
-
-    def _back(self, scaled: np.ndarray) -> np.ndarray:
-        """``bu.T @ scaled.T @ bv`` with the (nu, H) product written into the
-        workspace."""
-        return np.matmul(self.bu.T, scaled.T, out=self._cols) @ self.bv
+        if self.free_weights:
+            grid.product(w, self._den)
+            self._fold(self._den)
+        grid.product(w * z, height)
+        residual = np.subtract(height, self._shifted, out=self._residual).view(np.int64)
+        # |r'| clears the sign bit, as np.abs does to a float64; cells
+        # without a target weigh 0 in both terms' sums
+        np.bitwise_and(residual, _MAGNITUDE, out=bits)
+        v_road, v_terr = (self.sums @ words.reshape(-1)).tolist()
+        v_reg, g_reg = self.roughness(z)
+        # d loss / d P: copysign(k, r'), k's sign bit being clear
+        np.bitwise_and(residual, _SIGN, out=bits)
+        bits |= self.magnitude.view(np.int64)
+        back = grid.back(words, self._residual)  # (nu, nv): basis-weighted sums
+        lam = self.weights
+        d_z = back * w + lam.lambda_reg * g_reg
+        value = v_road + lam.lambda_terrain * v_terr + lam.lambda_reg * v_reg
+        parts = {"road": v_road, "terrain": v_terr, "reg": v_reg}
+        if not self.free_weights:
+            return value, parts, d_z, None
+        height /= self._den  # the height field
+        words *= height
+        d_w = z * back - grid.back(words, self._residual)
+        return value, parts, d_z, d_w * w  # chain through w = exp(log w)
 
 
 def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
@@ -279,7 +281,8 @@ def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     weight_params are the logs of the surface weights.
     """
     objective = Objective(surface, dsm, dtm, mask_plus, weights)
-    return objective(surface.control_z, surface.weights)
+    with np.errstate(all="ignore"):
+        return objective(surface.control_z, surface.weights)
 
 
 def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
@@ -302,65 +305,86 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     # is one pass
     theta = np.stack([surface.control_z, np.log(surface.weights)][:1 + free])
     rate = np.array([config.learning_rate, config.weight_learning_rate])[:1 + free, None, None]
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    # ADAM's moments, the gradient, the best iterate and its gradient and
+    # two step buffers, allocated once: a step allocates nothing
+    m, v, g, best_theta, best_g, step, scale = (np.zeros_like(theta) for _ in range(7))
+    z, w = theta[0], np.exp(theta[1]) if free else surface.weights
     report = FitReport()
-    best = (float("inf"), theta.copy(), None)  # value, iterate, its gradient
+    logs = (report.loss_total, report.loss_road, report.loss_terrain, report.loss_reg)
+    best_loss, drop_loss = math.inf, math.inf  # the best loss, and that at the last drop
     stall = t = 0
-    drop_loss = math.inf  # the best loss at the last drop
 
-    def score(params):
-        value, parts, g_z, g_w = objective(params[0], np.exp(params[1]) if free
-                                           else surface.weights)
-        return value, parts, np.stack([g_z, g_w][:1 + free])
+    def score():
+        """The loss and parts at theta, its gradient written into g."""
+        value, parts, g[0], g_w = objective(z, w)
+        if free:
+            g[1] = g_w
+        return value, parts
 
-    for it in range(config.max_iters):
-        value, parts, g = score(theta)
-        if not np.isfinite(value):
-            raise RuntimeError(
-                f"non-finite loss at iteration {it}: road={parts['road']!r} "
-                f"terrain={parts['terrain']!r} reg={parts['reg']!r}")
-        for key, part in {"total": value, **parts}.items():
-            getattr(report, "loss_" + key).append(part)
-        if value < best[0]:
-            stall = 0 if best[0] - value >= config.early_stop_min_delta else stall + 1
-            best = (value, theta.copy(), g)
-            report.best_iteration = it
+    with np.errstate(all="ignore"):
+        for it in range(config.max_iters):
+            value, parts = score()
+            if not np.isfinite(value):
+                raise RuntimeError(
+                    f"non-finite loss at iteration {it}: road={parts['road']!r} "
+                    f"terrain={parts['terrain']!r} reg={parts['reg']!r}")
+            for log, part in zip(logs, (value, *parts.values())):
+                log.append(part)
+            if value < best_loss:
+                stall = 0 if best_loss - value >= config.early_stop_min_delta else stall + 1
+                best_loss = value
+                np.copyto(best_theta, theta)
+                np.copyto(best_g, g)
+                report.best_iteration = it
+            else:
+                stall += 1
+            if stall >= config.early_stop_patience:
+                if report.drops == _MAX_DROPS:
+                    report.iterations, report.stop_reason = it + 1, "plateau"
+                    break
+                report.drops += 1
+                drop_loss = best_loss
+                rate *= _DROP_FACTOR
+                np.copyto(theta, best_theta)
+                np.copyto(g, best_g)
+                m.fill(0.0)
+                v.fill(0.0)
+                stall = t = 0
+            t += 1
+            m *= _BETA1
+            np.multiply(g, 1 - _BETA1, out=step)
+            m += step
+            v *= _BETA2
+            np.multiply(g, 1 - _BETA2, out=step)
+            step *= g
+            v += step
+            np.divide(v, 1 - _BETA2 ** t, out=scale)
+            np.sqrt(scale, out=scale)
+            scale += _EPS
+            np.divide(m, 1 - _BETA1 ** t, out=step)
+            step *= rate
+            step /= scale
+            theta -= step  # rate m_hat / (sqrt(v_hat) + eps)
+            if free:
+                # projected step on the log-weights: constant-magnitude
+                # updates would let them drift and degenerate the denominator
+                np.clip(theta[1], -_LOG_WEIGHT_CLIP, _LOG_WEIGHT_CLIP, out=theta[1])
+                np.exp(theta[1], out=w)
         else:
-            stall += 1
-        if stall >= config.early_stop_patience:
-            if report.drops == _MAX_DROPS:
-                report.iterations, report.stop_reason = it + 1, "plateau"
-                break
-            report.drops += 1
-            drop_loss = best[0]
-            rate *= _DROP_FACTOR
-            theta[:], g = best[1:]
-            m[:] = v[:] = 0.0
-            stall = t = 0
-        t += 1
-        m *= _BETA1
-        m += (1 - _BETA1) * g
-        v *= _BETA2
-        v += (1 - _BETA2) * g * g
-        m_hat = m / (1 - _BETA1 ** t)
-        v_hat = v / (1 - _BETA2 ** t)
-        theta -= rate * m_hat / (np.sqrt(v_hat) + _EPS)
-        # projected step on the log-weights, if free: constant-magnitude
-        # updates would let them drift and degenerate the denominator
-        np.clip(theta[1:], -_LOG_WEIGHT_CLIP, _LOG_WEIGHT_CLIP, out=theta[1:])
-    else:
-        report.iterations, report.stop_reason = config.max_iters, "max_iters"
-        # the loop never evaluates the final update; give it a chance to win.
-        # A plateau breaks before its step, so it has scored its last iterate.
-        final_value = score(theta)[0]
-        if np.isfinite(final_value) and final_value < best[0]:
-            best = (final_value, theta.copy(), None)
-            report.best_iteration = report.iterations
-    report.best_loss = best[0]
+            report.iterations, report.stop_reason = config.max_iters, "max_iters"
+            # the loop never evaluates the final update; give it a chance to
+            # win.  A plateau breaks before its step, so it has scored its
+            # last iterate.
+            final_value = score()[0]
+            if np.isfinite(final_value) and final_value < best_loss:
+                best_loss = final_value
+                np.copyto(best_theta, theta)
+                report.best_iteration = report.iterations
+    report.best_loss = best_loss
     report.final_step = float(rate[0, 0, 0])
-    report.plateau_gain = drop_loss - best[0] if report.drops else 0.0
-    fitted = replace(surface, control_z=best[1][0],
-                     weights=np.exp(best[1][1]) if free else surface.weights)
+    report.plateau_gain = drop_loss - best_loss if report.drops else 0.0
+    fitted = replace(surface, control_z=best_theta[0],
+                     weights=np.exp(best_theta[1]) if free else surface.weights)
     return fitted, report
 
 

@@ -409,30 +409,37 @@ def evaluate_all(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,
     Distances are measured against the full mesh, smoothness on one
     classification and one pair table (a class without pairs scores 0).
     Coverage fields report the fraction of ground-truth points over the
-    triangulated region; a class with none raises ValueError.
+    triangulated region; a class with none raises ValueError.  So does a
+    non-finite score, such as the overflow of distances to points near the
+    float limit; it is refused, not warned about.
     """
     road_xyz = gt_road.xyz()
     terrain_xyz = gt_terrain.xyz()
     if len(road_xyz) == 0 or len(terrain_xyz) == 0:
         raise ValueError("ground truth must be non-empty for both classes")
-    # one search over both sets builds the bins once; distances do not
-    # depend on how points are batched
-    dist, inside = point_mesh_distances(mesh, np.concatenate([road_xyz, terrain_xyz]))
-    n = len(road_xyz)
-    d_road, d_terr, c_road, c_terr = dist[:n], dist[n:], inside[:n], inside[n:]
-    for name, covered in (("road", c_road), ("terrain", c_terr)):
-        if not covered.any():
-            raise ValueError(f"no {name} ground-truth point lies over the mesh")
-    mad_road, mad_terrain = _smoothness(mesh, mask_plus)
-    return MetricReport(
-        l2_road=float(d_road[c_road].mean()),
-        l2_terrain=float(d_terr[c_terr].mean()),
-        mad_road=mad_road,
-        mad_terrain=mad_terrain,
-        triangles=len(mesh.triangles),
-        road_coverage=float(c_road.mean()),
-        terrain_coverage=float(c_terr.mean()),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one search over both sets builds the bins once; distances do not
+        # depend on how points are batched
+        dist, inside = point_mesh_distances(mesh, np.concatenate([road_xyz, terrain_xyz]))
+        n = len(road_xyz)
+        d_road, d_terr, c_road, c_terr = dist[:n], dist[n:], inside[:n], inside[n:]
+        for name, covered in (("road", c_road), ("terrain", c_terr)):
+            if not covered.any():
+                raise ValueError(f"no {name} ground-truth point lies over the mesh")
+        mad_road, mad_terrain = _smoothness(mesh, mask_plus)
+        report = MetricReport(
+            l2_road=float(d_road[c_road].mean()),
+            l2_terrain=float(d_terr[c_terr].mean()),
+            mad_road=mad_road,
+            mad_terrain=mad_terrain,
+            triangles=len(mesh.triangles),
+            road_coverage=float(c_road.mean()),
+            terrain_coverage=float(c_terr.mean()),
+        )
+    for name, value in vars(report).items():
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite score {name}={value}")
+    return report
 
 
 def vertex_errors(mesh: TinMesh, gt_road: Raster, gt_terrain: Raster,

@@ -113,6 +113,21 @@ def test_fit_reads_no_ground_truth(tile, run, tmp_path):
     assert artifacts == {name: run[0][name] for name in ("surface.txt", "loss_trace.csv")}
 
 
+def test_fit_of_a_tile_narrower_than_the_net_is_byte_stable(tmp_path):
+    # 21 x 21 cells under the default 35 x 35 net: 32 knot spans a side,
+    # 11 of them without a raster column
+    scene = tmp_path / "scene.txt"
+    scene.write_text("cell_size 5.0\n")
+    assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "tile"),
+                 "--seed", "2"]) == 0
+    assert gridmod.load_raster(tmp_path / "tile" / "dsm.asc").values.shape == (21, 21)
+    results = [invoke(tmp_path / name, "fit", *layer_flags(tmp_path / "tile", LAYERS[:3]))
+               for name in ("a", "b")]
+    assert [rc for rc, _ in results] == [0, 0]
+    assert set(results[0][1]) == {"surface.txt", "loss_trace.csv"}
+    assert results[0][1] == results[1][1]
+
+
 def test_filter_needs_no_dtm(tile, run, tmp_path):
     rc, artifacts = invoke(tmp_path / "filter", "filter",
                            *layer_flags(tile, ("dsm", "mask")))
@@ -834,6 +849,27 @@ def test_single_fault_names_its_stage(tile, tmp_path, capsys, monkeypatch, stage
     # where both of run's rows fail, as with an empty road, the NURBS row's
     # failure is reported, forked or not
     assert errors == errors[:1] * len(ROW_PATHS)
+
+
+def test_a_non_finite_score_is_a_metrics_failure(tile, tmp_path, capsys, monkeypatch):
+    # terrain ground truth of 1e300 everywhere: its squared distances to any
+    # mesh overflow, so l2_terrain is infinite on every row
+    path = tmp_path / "gt_terrain.asc"
+    raster = gridmod.load_raster(tile / "gt_terrain.asc")
+    gridmod.save_rasters({path: gridmod.Raster(raster.width, raster.height, raster.cell_size,
+                                               raster.origin_x, raster.origin_y,
+                                               np.full(raster.values.shape, 1e300))})
+    for usable in ROW_PATHS:
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, artifacts = invoke(tmp_path / f"out{usable}", "run",
+                                   *layer_flags(tile, LAYERS[:4]), "--gt-terrain", str(path),
+                                   *FIT_FLAGS)
+        assert (rc, artifacts) == (2, {})
+        assert [str(warning.message) for warning in caught] == []
+        assert capsys.readouterr().err == "stage metrics: non-finite score l2_terrain=inf\n"
+        no_child_is_left()
 
 
 def refuses_huge_allocations():

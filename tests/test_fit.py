@@ -12,10 +12,13 @@ every control net linear in the Greville abscissae, and a fit of a
 noise-free plane must recover it.  With frozen unit weights the loss is
 convex, and ADAM's best loss must match a reweighted least-squares (IRLS)
 solve of it on a 41 x 41 tile with a 12 x 12 net.  The objective's value
-and parts, which it folds over the rational denominator, must match a dense
-reference (the ``evaluate_grid`` height field and plain masked means of
-|r|) within 1e-12 relative, at random states with non-unit weights and
-NODATA cells, free and frozen.  An objective reuses one raster workspace
+and parts, which it folds over the rational denominator, and its
+gradients, which it forms over its span-major layout, must match a dense
+reference (the height field of the dense ``grid_basis`` matrices and plain
+masked means of |r|) within 1e-12 relative, at random states with non-unit
+weights and NODATA cells, free and frozen, on spans of unequal and of no
+columns, a one-span net and degrees 1 to 3; the layout's pad cells must
+change no bit of them.  An objective reuses one raster workspace
 from call to call: its results must not change when it is called again,
 and a call on a 251 x 251 tile must allocate less than half a raster.  A
 frozen-weight objective keeps fewer than seven rasters resident, and must
@@ -36,8 +39,8 @@ import pytest
 from roadsurf import fit as fitmod
 from roadsurf import synth
 from roadsurf.filtering import FilterParams, run_filter
-from roadsurf.grid import Mask
-from roadsurf.nurbs import NurbsSurface, evaluate_grid, grid_basis, uniform_clamped_knots
+from roadsurf.grid import Mask, Raster
+from roadsurf.nurbs import NurbsSurface, SpanGrid, evaluate_grid, grid_basis, uniform_clamped_knots
 
 
 @pytest.fixture(scope="module")
@@ -305,11 +308,11 @@ def test_frozen_objective_keeps_one_raster_less():
 def test_frozen_objective_equals_the_free_one_with_half_the_raster_products(
         scene, monkeypatch):
     products = []
-    product, back = fitmod.grid_product, fitmod.Objective._back
-    monkeypatch.setattr(fitmod, "grid_product", lambda *args: products.append("grid")
-                        or product(*args))
-    monkeypatch.setattr(fitmod.Objective, "_back", lambda self, scaled: products.append("back")
-                        or back(self, scaled))
+    product, back = SpanGrid.product, SpanGrid.back
+    monkeypatch.setattr(SpanGrid, "product", lambda self, *args: products.append("grid")
+                        or product(self, *args))
+    monkeypatch.setattr(SpanGrid, "back", lambda self, *args: products.append("back")
+                        or back(self, *args))
     surface = start_8x8(scene)  # unit weights
     weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
     free, frozen = (fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights,
@@ -328,21 +331,32 @@ def test_frozen_objective_equals_the_free_one_with_half_the_raster_products(
         assert got[3] is None
 
 
-def reference_loss(surface, dsm, dtm, mask, weights):
-    """The composite loss written out densely: the height field of
-    ``evaluate_grid``, each data term the mean over all cells of |target -
-    height| on its cells with a target, and the thin-plate term."""
-    height = evaluate_grid(surface, *dsm.cell_to_world(np.arange(dsm.width),
-                                                      np.arange(dsm.height)))
+def dense_reference(surface, dsm, dtm, mask, weights):
+    """The composite loss written out densely from the lattice bases of
+    ``grid_basis``: the height field h = N / D, N = bv (w z)^T bu^T and
+    D = bv w^T bu^T, each data term the mean over all cells of |target - h|
+    on its cells with a target, and the thin-plate term.  Returns (value,
+    parts, d/d z, d/d log w), from the per-cell slopes S = c sign(h - t) /
+    (D cells), c being 1 on road cells and lambda_terrain elsewhere:
+    d/d z = w (bu^T S^T bv) and d/d log w = w (z (bu^T S^T bv) - bu^T (S h)^T
+    bv), plus the thin-plate gradient in d/d z."""
+    bu, bv = grid_basis(surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
+    z, w = surface.control_z, surface.weights
+    den = bv @ w.T @ bu.T
+    height = bv @ (w * z).T @ bu.T / den
     road = mask.bits == 1
     target = np.where(road, dsm.values, dtm.values)
-    residual = np.abs(target - height)
     has_target = ~np.isnan(target)
-    road_term = residual[road & has_target].sum() / residual.size
-    terrain_term = residual[~road & has_target].sum() / residual.size
-    reg = fitmod.Roughness(surface)(surface.control_z)[0]
+    residual = np.where(has_target, height - np.nan_to_num(target), 0.0)
+    road_term = np.abs(residual[road]).sum() / residual.size
+    terrain_term = np.abs(residual[~road]).sum() / residual.size
+    reg, g_reg = fitmod.Roughness(surface)(z)
     value = road_term + weights.lambda_terrain * terrain_term + weights.lambda_reg * reg
-    return value, {"road": road_term, "terrain": terrain_term, "reg": reg}
+    slope = np.where(road, 1.0, weights.lambda_terrain) * np.sign(residual) / (den * residual.size)
+    spread = bu.T @ slope.T @ bv
+    d_z = w * spread + weights.lambda_reg * g_reg
+    d_log_w = w * (z * spread - bu.T @ (slope * height).T @ bv)
+    return value, {"road": road_term, "terrain": terrain_term, "reg": reg}, d_z, d_log_w
 
 
 def test_objective_matches_a_dense_reference(scene):
@@ -355,14 +369,67 @@ def test_objective_matches_a_dense_reference(scene):
     for _ in range(4):
         surface = replace(start, control_z=start.control_z + rng.normal(0.0, 0.5, (8, 8)),
                           weights=np.exp(rng.uniform(-0.5, 0.5, (8, 8))))
-        expected, expected_parts = reference_loss(surface, scene.dsm, scene.dtm, scene.mask,
-                                                  weights)
+        expected, expected_parts, _, _ = dense_reference(surface, scene.dsm, scene.dtm,
+                                                         scene.mask, weights)
         for free_weights in (True, False):
             objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights,
                                          free_weights)
             value, parts, _, _ = objective(surface.control_z, surface.weights)
             assert value == pytest.approx(expected, rel=1e-12)
             assert parts == pytest.approx(expected_parts, rel=1e-12)
+
+
+def random_tile(rng, width, height, cell_size=0.7):
+    """DSM, DTM and mask of a width x height tile about 100 m up, with
+    NODATA holes in both layers and a random road mask."""
+    def layer(values):
+        values[rng.random(values.shape) < 0.15] = np.nan
+        return Raster(width, height, cell_size, 10.0, -4.0, values)
+
+    base = 100.0 + rng.normal(0.0, 0.3, (height, width)).cumsum(axis=1)
+    dsm, dtm = layer(base + rng.exponential(0.2, base.shape)), layer(base.copy())
+    bits = (rng.random((height, width)) < 0.5).astype(np.uint8)
+    return dsm, dtm, Mask(width, height, cell_size, 10.0, -4.0, bits)
+
+
+# (raster width, height), control net (nu, nv), degrees (p, q): spans of 4
+# and 5 columns; 3 columns under 11 spans, 8 of them empty; a 4 x 4 net, one
+# span; and degrees 1, 2 and 3 mixed per axis
+SPAN_CASES = [((23, 17), (8, 7), (3, 2)), ((3, 11), (12, 6), (1, 3)), ((9, 8), (4, 4), (3, 3)),
+              ((16, 5), (7, 9), (2, 1)), ((13, 12), (4, 5), (1, 2))]
+
+
+@pytest.mark.parametrize("raster, net, degrees", SPAN_CASES)
+def test_span_layout_objective_matches_a_dense_reference(raster, net, degrees):
+    rng = np.random.default_rng(sum(raster + net + degrees))
+    dsm, dtm, mask = random_tile(rng, *raster)
+    weights = fitmod.LossWeights(lambda_terrain=0.6, lambda_reg=0.3)
+    start = NurbsSurface(dsm.center_extent, *degrees, np.full(net, 100.0), np.ones(net))
+    for log_weights in (np.zeros(net), rng.uniform(-0.5, 0.5, net)):
+        surface = replace(start, control_z=100.0 + rng.normal(0.0, 0.5, net),
+                          weights=np.exp(log_weights))
+        value, parts, d_z, d_log_w = dense_reference(surface, dsm, dtm, mask, weights)
+        for free_weights in (True, False):
+            objective = fitmod.Objective(surface, dsm, dtm, mask, weights, free_weights)
+            got = objective(surface.control_z, surface.weights)
+            assert got[0] == pytest.approx(value, rel=1e-12)
+            assert got[1] == pytest.approx(parts, rel=1e-12)
+            # relative to the gradient's scale: an entry may cancel to near 0
+            npt.assert_allclose(got[2], d_z, rtol=0, atol=1e-12 * np.abs(d_z).max())
+            if free_weights:
+                npt.assert_allclose(got[3], d_log_w, rtol=0, atol=1e-12 * np.abs(d_log_w).max())
+            # pad cells hold no raster column: other basis values there
+            # change no bit of the results.  Every case of more than one
+            # span has spans of unequal column counts, so it has pads
+            grid = objective.grid
+            pads = np.ones(grid.shape[0] * grid.shape[1], dtype=bool)
+            pads[grid.rows] = False
+            assert pads.any() == (grid.spans > 1)
+            grid.local.reshape(-1, degrees[0] + 1)[pads] = rng.uniform(0.1, 2.0)
+            again = objective(surface.control_z, surface.weights)
+            assert again[:2] == got[:2]
+            assert all(a is b is None or a.tobytes() == b.tobytes()
+                       for a, b in zip(again[2:], got[2:]))
 
 
 def plateau_drops(trace, patience, min_delta):

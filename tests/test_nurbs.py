@@ -321,6 +321,27 @@ class TestGridEvaluation:
                 u, v = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
                 assert grid[r, c] == pytest.approx(evaluate(surf, u, v)[2], abs=1e-12)
 
+    @pytest.mark.parametrize("shape, degrees, nodes", [
+        ((35, 35), (3, 3), (11, 11)),  # the 10 m terrain lattice of a 100 m tile: 32 spans
+        ((12, 5), (1, 2), (4, 9)),     # 11 spans, 7 of them empty
+        ((4, 4), (3, 3), (6, 3)),      # one span
+        ((9, 7), (2, 3), (30, 2)),     # spans of 4 and 5 columns
+    ])
+    def test_sparse_lattices_match_pointwise_evaluation(self, shape, degrees, nodes):
+        rng = np.random.default_rng(sum(shape + degrees + nodes))
+        surf = NurbsSurface((-20.0, 80.0, 5.0, 45.0), *degrees, rng.normal(100.0, 3.0, shape),
+                            np.exp(rng.uniform(-0.5, 0.5, shape)))
+        x0, x1, y0, y1 = surf.extent
+        for order in (np.arange(nodes[0]), rng.permutation(nodes[0])):  # columns in any order
+            xs = np.linspace(x0, x1, nodes[0])[order]
+            ys = np.linspace(y0, y1, nodes[1])
+            grid = evaluate_grid(surf, xs, ys)
+            assert grid.shape == (len(ys), len(xs)) and grid.flags.c_contiguous
+            for r, y in enumerate(ys):
+                for c, x in enumerate(xs):
+                    u, v = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
+                    assert grid[r, c] == pytest.approx(evaluate(surf, u, v)[2], rel=1e-13)
+
     def test_query_outside_extent_raises(self):
         rng = np.random.default_rng(13)
         surf = random_lattice(rng)
