@@ -53,9 +53,10 @@ Configuration comes from an INI-style file (sections [paths], [filter],
 a command line flag of the same name, for example theta_xy in [filter] by
 --theta-xy.  Defaults: a 35x35 cubic control grid, and the defaults of the
 stages' own config classes (FilterParams, LossWeights, FitConfig,
-SamplingConfig); the fit freezes its weights (weight_learning_rate 0, a
-B-spline) and ends on its seventh plateau, or at max_iters 1000.  Booleans
-take configparser's spellings (1/yes/true/on, 0/no/false/off).
+SamplingConfig); the fit moves only the control elevations, at unit
+weights (a B-spline), and ends on its seventh plateau, or at max_iters
+1000.  Booleans take configparser's spellings (1/yes/true/on,
+0/no/false/off).
 
 Every artifact is byte-stable for a fixed BLAS build and thread count
 (OPENBLAS_NUM_THREADS): rerunning on identical inputs reproduces it exactly.
@@ -142,7 +143,6 @@ class PipelineConfig:
     lambda_terrain: float = _key("fit", LossWeights.lambda_terrain)
     lambda_reg: float = _key("fit", LossWeights.lambda_reg)
     learning_rate: float = _key("fit", FitConfig.learning_rate)
-    weight_learning_rate: float = _key("fit", FitConfig.weight_learning_rate)
     max_iters: int = _key("fit", FitConfig.max_iters)
     early_stop_patience: int = _key("fit", FitConfig.early_stop_patience)
     early_stop_min_delta: float = _key("fit", FitConfig.early_stop_min_delta)

@@ -1,35 +1,29 @@
-"""Surface fitting: composite loss and gradient descent on control elevations
-and, when they are free, weights.
+"""Surface fitting: composite loss and gradient descent on control elevations.
 
 The loss pulls the surface toward the DSM inside the road mask and toward the
 DTM outside it, both as mean absolute residuals over the raster, plus a
 thin-plate penalty on the control elevations' second differences that keeps
 the surface smooth and leaves planes free.  Gradients are analytic
-throughout: the rasterized residual terms chain through the rational basis,
-and weights are optimized through a log reparameterization so they stay
-positive.  Log-weights are additionally clipped to a fixed box after every
-step: the optimizer takes near-constant magnitude steps, so an unbounded
-parameterization would let weights drift to extremes that condition the
-rational denominator badly.
+throughout: the rasterized residual terms chain through the rational basis.
+The surface's weights stay fixed at their given values, 1 for a surface of
+``initialize_surface`` (a B-spline fit); only the elevations move.
 
 The schedule: elevations start at node medians of the loss's own target,
 and ADAM's step drops on each plateau (see ``fit``), since the L1 terms'
 sign gradients keep the steps near the step size and the loss stalls at a
-level that size sets.  Weights move only when ``weight_learning_rate`` is
-above 0; at the default 0 they stay at 1, a B-spline fit.
+level that size sets.
 
 A fit builds one ``Objective`` from what stays fixed while ADAM moves the
-parameters: the raster grid's ``SpanGrid``, the target, the regularizer's
-matrices and, with frozen weights, the rational denominator, folded into the
+elevations: the raster grid's ``SpanGrid``, the target, the regularizer's
+matrices and the rational denominator of the weights, folded into the
 target, sum weights and gradient magnitudes.  Its rasters are laid out
 span-major, by u knot span, so the height field and the back-projection
 each take one stacked product with a cubic's 4 basis values per column, not
-a dense one with all 35 of a 35-point net.  A frozen-weight iteration then
-costs the height field, one residual pass, one product for both data terms
-and the back-projection; ADAM's step and the loss bookkeeping work in
-control-grid buffers allocated once per fit, under one ``np.errstate``.
-``total_loss`` evaluates a free-weight one once, so one-off evaluations take
-the fit loop's path.
+a dense one with all 35 of a 35-point net.  An iteration then costs the
+height field, one residual pass, one product for both data terms and the
+back-projection; ADAM's step and the loss bookkeeping work in control-grid
+buffers allocated once per fit, under one ``np.errstate``.  ``total_loss``
+evaluates the fit's objective once.
 """
 
 from __future__ import annotations
@@ -42,10 +36,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Mask, Raster, check_finite
 from .nurbs import NurbsSurface, SpanGrid
-
-# bound on |log w| during fitting; weight ratios beyond e^4 between lattice
-# neighbors add no useful shape freedom for a height field
-_LOG_WEIGHT_CLIP = 2.0
 
 # ADAM moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -75,12 +65,11 @@ class LossWeights:
 
 @dataclass
 class FitConfig:
-    """ADAM's start steps, the plateau test and a cap on iterations.  A
-    weight step of 0 freezes the weights (a B-spline fit); above 0 the fit
-    is rational.  A fit normally ends on a plateau well before max_iters."""
+    """ADAM's start step on the control elevations, the plateau test and a
+    cap on iterations.  A fit normally ends on a plateau well before
+    max_iters."""
 
     learning_rate: float = 0.1
-    weight_learning_rate: float = 0.0
     max_iters: int = 1000
     early_stop_patience: int = 10
     early_stop_min_delta: float = 1e-4
@@ -88,8 +77,6 @@ class FitConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not 0 <= self.weight_learning_rate < math.inf:
-            raise ValueError("weight_learning_rate must be finite and non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.early_stop_patience < 1:
@@ -167,32 +154,28 @@ _SIGN, _MAGNITUDE = np.iinfo(np.int64).min, np.iinfo(np.int64).max  # float64 bi
 
 class Objective:
     """The composite loss of one fit problem as a function of control
-    elevations and weights.
+    elevations, at the surface's own weights.
 
-    With P = bv (w z)^T bu^T the weighted height field, den the weights'
-    field and t the target (the DSM on road cells, the DTM elsewhere, 0
-    where NaN), a cell's data term is |P - t'| / (den cells), t' = t den.
-    Built once: the raster grid's ``SpanGrid``, t, the road and terrain
-    cells with a target and the regularizer's matrices; ``_fold`` fills
-    from den t', the (2, cells) road and terrain sum weights 1 / (den cells)
-    and the gradient magnitudes k, those times 1 or lambda_terrain.  Every
-    raster is kept in the grid's padded span-major layout, so each raster
-    product touches only the p+1 control columns of a cell's knot span; pad
-    cells have no target, so they weigh 0 in both sums and take a 0
-    gradient.  A call works in rasters allocated here, P and one that takes
-    |P - t'| and then d loss / d P: a fresh raster (0.5 MB at 251²) goes
-    back to the system when freed and is page-faulted in anew.  The
-    back-projection spreads into the raster that held r', dead by then.  A
-    call allocates only control-grid-sized arrays.
+    With P = bv (w z)^T bu^T the weighted height field, den = bv w^T bu^T
+    the weights' field and t the target (the DSM on road cells, the DTM
+    elsewhere, 0 where NaN), a cell's data term is |P - t'| / (den cells),
+    t' = t den.  Built once: the raster grid's ``SpanGrid``, the
+    regularizer's matrices and, folded over den, t', the (2, cells) road
+    and terrain sum weights 1 / (den cells) on cells with a target and the
+    gradient magnitudes k, those times 1 or lambda_terrain.  Every raster is
+    kept in the grid's padded span-major layout, so each raster product
+    touches only the p+1 control columns of a cell's knot span; pad cells
+    have no target, so they weigh 0 in both sums and take a 0 gradient.
 
-    With ``free_weights`` False den is folded once here, t' over t, so six
-    rasters stay resident.  A call must pass those weights and does no
-    raster division and two raster products, not four: r' = P - t' over P,
-    |r'| by an AND, both data terms in one matrix-vector product and
-    copysign(k, r') by an AND and an OR.  It returns the free call's value,
-    parts and d/d z bit for bit and None for d/d log w.  Free weights fold
-    their den on each call, into a t' raster that then takes r'.  Where r'
-    is an exact zero the gradient takes +k or -k by the zero's sign, not
+    Six rasters stay resident: t', the two sum weights, k and two that a
+    call reuses, P and one that takes |P - t'| and then d loss / d P.  A
+    fresh raster (0.5 MB at 251²) goes back to the system when freed and is
+    page-faulted in anew, so a call allocates only control-grid-sized
+    arrays.  It does no raster division and two raster products, P and the
+    back-projection: r' = P - t' over P, |r'| by an AND, both data terms in
+    one matrix-vector product, copysign(k, r') by an AND and an OR, and the
+    back-projection into the raster that held r', dead by then.  Where r' is
+    an exact zero the gradient takes +k or -k by the zero's sign, not
     np.sign's 0: each is a subgradient of |r'|.
 
     Non-finite values are returned, not raised: the caller decides what a
@@ -202,55 +185,34 @@ class Objective:
     """
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,
-                 mask_plus: Mask, weights: LossWeights, free_weights: bool = True):
+                 mask_plus: Mask, weights: LossWeights):
         self.grid = grid = SpanGrid(
             surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
         road = grid.to_spans(mask_plus.bits == 1, False)
         self.target = grid.to_spans(_target(dsm, dtm, mask_plus), np.nan)  # pads: no target
         has_target = ~np.isnan(self.target)
         np.nan_to_num(self.target, nan=0.0, copy=False)
-        self._road, self._terrain = road & has_target, ~road & has_target
-        self.cells = dsm.height * dsm.width
-        self.roughness, self.weights, self.free_weights = Roughness(surface), weights, free_weights
+        self.roughness, self.weights, self.control_w = Roughness(surface), weights, surface.weights
         self.sums = np.empty((2, self.target.size))
         self.magnitude, self._height, self._words = (np.empty(grid.shape) for _ in range(3))
-        if free_weights:
-            self._den, self._shifted = (np.empty(grid.shape) for _ in range(2))
-            self._residual = self._shifted  # P is still needed after r'
-            # each call refolds; a product with a 0/1 float64 raster is faster
-            # than with a bool one, and the same bits for k > 0
-            self._road, self._terrain = self._road.astype(float), self._terrain.astype(float)
-        else:
-            # den is needed only here, so the |r'| raster holds it
-            grid.product(surface.weights, self._words)
-            self._shifted, self._residual = self.target, self._height
-            self._fold(self._words)
-            self._road = self._terrain = None
-
-    def _fold(self, den: np.ndarray) -> None:
-        """Fill t', the sum weights and k from den, in the same passes for
-        free and frozen weights, so both give the same bits."""
-        k, (road, terrain) = self.magnitude, self.sums.reshape(2, *den.shape)
-        np.multiply(den, self.cells, out=k)
+        k, den = self.magnitude, self._words  # den is needed only here, so the |r'| raster holds it
+        grid.product(surface.weights, den)
+        road_sums, terrain_sums = self.sums.reshape(2, *den.shape)
+        np.multiply(den, dsm.height * dsm.width, out=k)
         np.divide(1.0, k, out=k)
-        np.multiply(k, self._road, out=road)
-        np.multiply(k, self._terrain, out=terrain)
-        np.multiply(terrain, self.weights.lambda_terrain, out=k)
-        k += road
-        np.multiply(self.target, den, out=self._shifted)
+        np.multiply(k, road & has_target, out=road_sums)
+        np.multiply(k, ~road & has_target, out=terrain_sums)
+        np.multiply(terrain_sums, weights.lambda_terrain, out=k)
+        k += road_sums
+        self.target *= den  # t'
 
-    def __call__(self, z: np.ndarray, w: np.ndarray
-                 ) -> tuple[float, dict[str, float], np.ndarray, np.ndarray | None]:
-        """(value, per-term values, d/d z, d/d log w) at elevations z and
-        weights w.  The returned arrays are fresh; only the workspace is
-        reused from call to call."""
+    def __call__(self, z: np.ndarray) -> tuple[float, dict[str, float], np.ndarray]:
+        """(value, per-term values, d/d z) at elevations z.  The returned
+        gradient is fresh; only the workspace is reused from call to call."""
         grid, height, words = self.grid, self._height, self._words
         bits = words.view(np.int64)
-        if self.free_weights:
-            grid.product(w, self._den)
-            self._fold(self._den)
-        grid.product(w * z, height)
-        residual = np.subtract(height, self._shifted, out=self._residual).view(np.int64)
+        grid.product(self.control_w * z, height)
+        residual = np.subtract(height, self.target, out=height).view(np.int64)
         # |r'| clears the sign bit, as np.abs does to a float64; cells
         # without a target weigh 0 in both terms' sums
         np.bitwise_and(residual, _MAGNITUDE, out=bits)
@@ -259,66 +221,48 @@ class Objective:
         # d loss / d P: copysign(k, r'), k's sign bit being clear
         np.bitwise_and(residual, _SIGN, out=bits)
         bits |= self.magnitude.view(np.int64)
-        back = grid.back(words, self._residual)  # (nu, nv): basis-weighted sums
+        back = grid.back(words, height)  # (nu, nv): basis-weighted sums
         lam = self.weights
-        d_z = back * w + lam.lambda_reg * g_reg
+        d_z = back * self.control_w + lam.lambda_reg * g_reg
         value = v_road + lam.lambda_terrain * v_terr + lam.lambda_reg * v_reg
-        parts = {"road": v_road, "terrain": v_terr, "reg": v_reg}
-        if not self.free_weights:
-            return value, parts, d_z, None
-        height /= self._den  # the height field
-        words *= height
-        d_w = z * back - grid.back(words, self._residual)
-        return value, parts, d_z, d_w * w  # chain through w = exp(log w)
+        return value, {"road": v_road, "terrain": v_terr, "reg": v_reg}, d_z
 
 
 def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
-               weights: LossWeights) -> tuple[float, dict[str, float], np.ndarray, np.ndarray]:
-    """Composite loss and its gradients at the surface's own elevations and
-    weights.
-
-    Returns (value, per-term values, d/d control_z, d/d weight_params) where
-    weight_params are the logs of the surface weights.
-    """
+               weights: LossWeights) -> tuple[float, dict[str, float], np.ndarray]:
+    """Composite loss, its per-term values and its gradient with respect to
+    control_z, at the surface's own elevations and weights."""
     objective = Objective(surface, dsm, dtm, mask_plus, weights)
     with np.errstate(all="ignore"):
-        return objective(surface.control_z, surface.weights)
+        return objective(surface.control_z)
 
 
 def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
         weights: LossWeights, config: FitConfig) -> tuple[NurbsSurface, FitReport]:
-    """ADAM descent on control elevations, and on log-weights when
-    config.weight_learning_rate is above 0.
+    """ADAM descent on the control elevations, at the surface's weights.
 
     On each of the first ``_MAX_DROPS`` plateaus (early_stop_patience
     iterations without a gain of early_stop_min_delta on the best loss) the
     fit returns to the best iterate and its stored gradient, multiplies its
-    steps by ``_DROP_FACTOR`` and resets ADAM's moments and bias-correction
+    step by ``_DROP_FACTOR`` and resets ADAM's moments and bias-correction
     count; the next plateau ends it ("plateau") unless max_iters does first.
-    No iterate is scored twice.  Returns the best iterate seen, frozen
-    weights as the input's own array, including the update after the last
-    iteration when max_iters ends the run.  Deterministic for fixed inputs.
+    No iterate is scored twice.  Returns the best iterate seen, including
+    the update after the last iteration when max_iters ends the run, with
+    the input's own weights array.  Deterministic for fixed inputs.
     """
-    free = config.weight_learning_rate > 0
-    objective = Objective(surface, dsm, dtm, mask_plus, weights, free_weights=free)
-    # elevations, and log-weights when they move, stacked so each ADAM step
-    # is one pass
-    theta = np.stack([surface.control_z, np.log(surface.weights)][:1 + free])
-    rate = np.array([config.learning_rate, config.weight_learning_rate])[:1 + free, None, None]
+    objective = Objective(surface, dsm, dtm, mask_plus, weights)
+    z, rate = surface.control_z.copy(), config.learning_rate
     # ADAM's moments, the gradient, the best iterate and its gradient and
     # two step buffers, allocated once: a step allocates nothing
-    m, v, g, best_theta, best_g, step, scale = (np.zeros_like(theta) for _ in range(7))
-    z, w = theta[0], np.exp(theta[1]) if free else surface.weights
+    m, v, g, best_z, best_g, step, scale = (np.zeros_like(z) for _ in range(7))
     report = FitReport()
     logs = (report.loss_total, report.loss_road, report.loss_terrain, report.loss_reg)
     best_loss, drop_loss = math.inf, math.inf  # the best loss, and that at the last drop
     stall = t = 0
 
     def score():
-        """The loss and parts at theta, its gradient written into g."""
-        value, parts, g[0], g_w = objective(z, w)
-        if free:
-            g[1] = g_w
+        """The loss and parts at z, its gradient written into g."""
+        value, parts, g[...] = objective(z)
         return value, parts
 
     with np.errstate(all="ignore"):
@@ -333,7 +277,7 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
             if value < best_loss:
                 stall = 0 if best_loss - value >= config.early_stop_min_delta else stall + 1
                 best_loss = value
-                np.copyto(best_theta, theta)
+                np.copyto(best_z, z)
                 np.copyto(best_g, g)
                 report.best_iteration = it
             else:
@@ -345,7 +289,7 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
                 report.drops += 1
                 drop_loss = best_loss
                 rate *= _DROP_FACTOR
-                np.copyto(theta, best_theta)
+                np.copyto(z, best_z)
                 np.copyto(g, best_g)
                 m.fill(0.0)
                 v.fill(0.0)
@@ -364,12 +308,7 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
             np.divide(m, 1 - _BETA1 ** t, out=step)
             step *= rate
             step /= scale
-            theta -= step  # rate m_hat / (sqrt(v_hat) + eps)
-            if free:
-                # projected step on the log-weights: constant-magnitude
-                # updates would let them drift and degenerate the denominator
-                np.clip(theta[1], -_LOG_WEIGHT_CLIP, _LOG_WEIGHT_CLIP, out=theta[1])
-                np.exp(theta[1], out=w)
+            z -= step  # rate m_hat / (sqrt(v_hat) + eps)
         else:
             report.iterations, report.stop_reason = config.max_iters, "max_iters"
             # the loop never evaluates the final update; give it a chance to
@@ -378,14 +317,12 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
             final_value = score()[0]
             if np.isfinite(final_value) and final_value < best_loss:
                 best_loss = final_value
-                np.copyto(best_theta, theta)
+                np.copyto(best_z, z)
                 report.best_iteration = report.iterations
     report.best_loss = best_loss
-    report.final_step = float(rate[0, 0, 0])
+    report.final_step = rate
     report.plateau_gain = drop_loss - best_loss if report.drops else 0.0
-    fitted = replace(surface, control_z=best_theta[0],
-                     weights=np.exp(best_theta[1]) if free else surface.weights)
-    return fitted, report
+    return replace(surface, control_z=best_z), report
 
 
 def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: int = 35,

@@ -18,7 +18,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,6 +35,7 @@ from roadsurf.cli import PipelineConfig, main
 from roadsurf.filtering import FilterParams
 from roadsurf.fit import FitConfig, LossWeights
 from roadsurf.mesh import SamplingConfig
+from roadsurf.nurbs import load_surface, save_surface
 
 LAYERS = ("dsm", "dtm", "mask", "gt_road", "gt_terrain")
 FIT_FLAGS = ("--num-ctrl-u", "12", "--num-ctrl-v", "12", "--road-rate", "2.5")
@@ -151,6 +152,26 @@ def test_mesh_needs_no_dtm(tile, run, tmp_path):
     assert set(artifacts) == {"mesh.obj"}
 
 
+def test_mesh_samples_a_rational_surface_file(tile, run, tmp_path):
+    # the fit keeps unit weights, but a surface file may carry any positive
+    # weights: mesh samples the rational height field they give
+    (tmp_path / "fitted.txt").write_bytes(run[0]["surface.txt"])
+    fitted = load_surface(tmp_path / "fitted.txt")
+    rng = np.random.default_rng(8)
+    rational = replace(fitted, weights=np.exp(rng.uniform(-0.5, 0.5, fitted.weights.shape)))
+    save_surface(rational, tmp_path / "surface.txt")
+    rc, _ = invoke(tmp_path / "mesh", "mesh", *layer_flags(tile, ("dsm", "mask")),
+                   *FIT_FLAGS, "--surface", str(tmp_path / "surface.txt"))
+    assert rc == 0
+    mesh = meshmod.load_mesh(tmp_path / "mesh" / "mesh.obj")
+    mask, config = gridmod.load_mask(tile / "mask.asc"), SamplingConfig(road_rate=2.5)
+    expected = meshmod.build_tin(rational, mask, config)
+    np.testing.assert_array_equal(mesh.vertices, expected.vertices)
+    np.testing.assert_array_equal(mesh.triangles, expected.triangles)
+    unit = meshmod.build_tin(fitted, mask, config)
+    assert np.abs(expected.vertices[:, 2] - unit.vertices[:, 2]).max() > 1e-3
+
+
 def test_eval_scores_the_run_mesh_like_run(tile, run, tmp_path, capsys):
     mesh = tmp_path / "mesh.obj"
     mesh.write_bytes(run[0]["mesh.obj"])
@@ -232,16 +253,16 @@ def test_ablate_reruns_from_the_swept_stage(tile, run, tmp_path):
     assert cells(disabled) != cells(enabled)
 
 
-def test_ablate_keeps_the_free_weight_fit_in_the_matrix(tile, run, tmp_path):
-    # 0 is the default B-spline fit; a weight step above 0 the rational one
+def test_ablate_keeps_the_unregularized_fit_in_the_matrix(tile, run, tmp_path):
+    # 0.5 is the default thin-plate weight; 0 fits the data terms alone
     rc, artifacts = invoke(tmp_path / "ablate", "ablate", *layer_flags(tile, LAYERS),
-                           *FIT_FLAGS, "--param", "weight_learning_rate", "--values", "0,0.1")
+                           *FIT_FLAGS, "--param", "lambda_reg", "--values", "0.5,0")
     assert rc == 0
-    frozen, free = rows(artifacts["ablate.csv"])
-    assert [(row["param"], row["value"]) for row in (frozen, free)] == [
-        ("weight_learning_rate", "0"), ("weight_learning_rate", "0.1")]
-    assert cells(frozen) == cells(rows(run[0]["metrics.csv"])[0])
-    assert cells(free) != cells(frozen)
+    default, unregularized = rows(artifacts["ablate.csv"])
+    assert [(row["param"], row["value"]) for row in (default, unregularized)] == [
+        ("lambda_reg", "0.5"), ("lambda_reg", "0")]
+    assert cells(default) == cells(rows(run[0]["metrics.csv"])[0])
+    assert cells(unregularized) != cells(default)
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +516,6 @@ def test_row_warnings_are_shown_as_one_process_shows_them(monkeypatch, filters):
         no_child_is_left()
 
 
-def test_negative_weight_learning_rate_is_a_usage_error(tile, tmp_path, capsys):
-    rc, artifacts = invoke(tmp_path / "out", "fit", *layer_flags(tile, LAYERS),
-                           "--weight-learning-rate", "-0.1")
-    assert (rc, artifacts) == (1, {})
-    assert capsys.readouterr().err == (
-        "usage error: weight_learning_rate must be finite and non-negative\n")
-
-
 def test_default_fit_ends_on_the_plateau_after_six_drops(tile, tmp_path, capsys):
     rc, _ = invoke(tmp_path / "fit", "fit", *layer_flags(tile, ("dsm", "dtm", "mask")))
     assert rc == 0
@@ -561,13 +574,15 @@ def test_undecodable_config_is_a_usage_error(tile, tmp_path, capsys):
 
 
 def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
-    config = tmp_path / "roadsurf.ini"
-    config.write_text("[filter]\ntheta_xyz = 3\n")
-    rc, artifacts = invoke(tmp_path / "out", "filter", *layer_flags(tile, ("dsm", "mask")),
-                           "--config", str(config))
-    assert (rc, artifacts) == (1, {})
-    assert capsys.readouterr().err == (
-        f"usage error: {config}: unknown config key [filter] theta_xyz\n")
+    # no fit takes a weight step: the weights stay those of the start surface
+    for section, key in (("filter", "theta_xyz"), ("fit", "weight_learning_rate")):
+        config = tmp_path / f"{section}.ini"
+        config.write_text(f"[{section}]\n{key} = 0.1\n")
+        rc, artifacts = invoke(tmp_path / "out", "fit",
+                               *layer_flags(tile, ("dsm", "dtm", "mask")), "--config", str(config))
+        assert (rc, artifacts) == (1, {})
+        assert capsys.readouterr().err == (
+            f"usage error: {config}: unknown config key [{section}] {key}\n")
 
 
 # the NurbsSurface constructor's messages, which a surface file gets too
@@ -588,8 +603,8 @@ SURFACE_FLAG_ERRORS = {"--num-ctrl-u": "degree_u 3 needs at least 4 control poin
     ["fit", "--lambda-reg", "nan"],
     ["fit", "--early-stop-min-delta", "nan"],
     ["fit", "--early-stop-min-delta", "-1"],
-    ["fit", "--weight-learning-rate", "nan"],
-    ["fit", "--weight-learning-rate", "inf"],
+    ["fit", "--max-iters", "0"],
+    ["fit", "--weight-learning-rate", "0.1"],
     ["ablate", "--param", "theta_xy", "--values", "inf"],
     ["synth", "--out", "unused", "--corrupt-mask", "2"],
     ["run", "--baselines", "maybe"],
@@ -604,6 +619,8 @@ def test_bad_flags_are_usage_errors(argv, capsys):
         assert err.endswith(f" must be finite, got {argv[-1]}\n")
     if argv[1] in SURFACE_FLAG_ERRORS:
         assert err == f"usage error: {SURFACE_FLAG_ERRORS[argv[1]]}\n"
+    if argv[1] in ("--no-such-flag", "--weight-learning-rate"):  # flags no parser knows
+        assert err == f"usage error: unrecognized arguments: {' '.join(argv[1:])}\n"
 
 
 def test_ablate_cannot_sweep_baselines(tile, tmp_path, capsys):
@@ -614,6 +631,16 @@ def test_ablate_cannot_sweep_baselines(tile, tmp_path, capsys):
     assert (rc, artifacts) == (1, {})
     assert capsys.readouterr().err == (
         "usage error: ablate scores only the NURBS TIN, so it cannot sweep baselines\n")
+
+
+@pytest.mark.parametrize("param", ["weight_learning_rate", "dsm"])
+def test_unknown_ablation_parameter_is_a_usage_error(tile, tmp_path, capsys, param):
+    # a key that no section has, and a [paths] key, which would swap the
+    # inputs that the rows' scores compare
+    rc, artifacts = invoke(tmp_path / "out", "ablate", *layer_flags(tile, LAYERS),
+                           *FIT_FLAGS, "--param", param, "--values", "0,1")
+    assert (rc, artifacts) == (1, {})
+    assert capsys.readouterr().err == f"usage error: unknown ablation parameter {param!r}\n"
 
 
 def test_config_that_cannot_be_read_is_a_usage_error(tile, tmp_path, capsys):

@@ -1,30 +1,29 @@
 """Fit loss gradients, the fit loop and the returned iterate.
 
-The analytic gradients of ``total_loss`` are checked against central finite
-differences along random directions, on a seeded 41 x 41 synth tile with an
-8 x 8 control grid and perturbed weights, also with NODATA cells in both
-layers, and near the optimum, at the target start, where the rounding of
-the differences sets an absolute floor.  The fit loop, which evaluates one
-objective built once per fit, must reproduce exactly an ADAM loop with
-plateau drops that calls ``total_loss`` on a fresh surface every step, with
-free and with frozen weights.  The thin-plate regularizer must read 0 on
-every control net linear in the Greville abscissae, and a fit of a
-noise-free plane must recover it.  With frozen unit weights the loss is
-convex, and ADAM's best loss must match a reweighted least-squares (IRLS)
-solve of it on a 41 x 41 tile with a 12 x 12 net.  The objective's value
-and parts, which it folds over the rational denominator, and its
-gradients, which it forms over its span-major layout, must match a dense
-reference (the height field of the dense ``grid_basis`` matrices and plain
-masked means of |r|) within 1e-12 relative, at random states with non-unit
-weights and NODATA cells, free and frozen, on spans of unequal and of no
-columns, a one-span net and degrees 1 to 3; the layout's pad cells must
-change no bit of them.  An objective reuses one raster workspace
-from call to call: its results must not change when it is called again,
-and a call on a 251 x 251 tile must allocate less than half a raster.  A
-frozen-weight objective keeps fewer than seven rasters resident, and must
-give the free one's value and elevation gradient bit for bit with half its
-raster products.  A fit report's final step and last plateau gain must
-agree with the drops that its loss trace shows.
+The analytic elevation gradient of ``total_loss`` is checked against
+central finite differences along random directions, on a seeded 41 x 41
+synth tile with an 8 x 8 control grid and perturbed weights, also with
+NODATA cells in both layers, and near the optimum, at the target start,
+where the rounding of the differences sets an absolute floor.  The fit
+loop, which evaluates one objective built once per fit, must reproduce
+exactly an ADAM loop with plateau drops that calls ``total_loss`` on a
+fresh surface every step, at perturbed weights, and return the input's
+weights array.  The thin-plate regularizer must read 0 on every control
+net linear in the Greville abscissae, and a fit of a noise-free plane must
+recover it.  With unit weights the loss is convex, and ADAM's best loss
+must match a reweighted least-squares (IRLS) solve of it on a 41 x 41 tile
+with a 12 x 12 net.  The objective's value and parts, which it folds over
+the rational denominator, and its gradient, which it forms over its
+span-major layout, must match a dense reference (the height field of the
+dense ``grid_basis`` matrices and plain masked means of |r|) within 1e-12
+relative, at random states with non-unit weights and NODATA cells, on spans
+of unequal and of no columns, a one-span net and degrees 1 to 3, with one
+raster product and one back-projection per call; the layout's pad cells
+must change no bit of them.  An objective reuses one raster workspace from
+call to call: its results must not change when it is called again, a call
+on a 251 x 251 tile must allocate less than half a raster, and it keeps
+fewer than seven rasters resident.  A fit report's final step and last
+plateau gain must agree with the drops that its loss trace shows.
 """
 
 import copy
@@ -63,8 +62,13 @@ def start_8x8(scene, mask=None):
                                      num_ctrl_v=8)
 
 
-def loss(surface, scene, control_z, log_weights, weights=None):
-    current = replace(surface, control_z=control_z, weights=np.exp(log_weights))
+def perturbed_weights(surface, rng):
+    """``surface`` with weights e^U(-0.5, 0.5): a rational height field."""
+    return replace(surface, weights=np.exp(rng.uniform(-0.5, 0.5, surface.weights.shape)))
+
+
+def loss(surface, scene, control_z, weights=None):
+    current = replace(surface, control_z=control_z)
     return fitmod.total_loss(current, scene.dsm, scene.dtm, scene.mask,
                              weights or fitmod.LossWeights())
 
@@ -78,19 +82,16 @@ def assert_gradients_match_central_differences(scene, weights=None, surface=None
     of L, and the difference quotient divides that by h."""
     rng = np.random.default_rng(0)
     surface = surface or start_8x8(scene, all_road(scene.dsm))
+    surface = perturbed_weights(surface, rng)
     z0 = surface.control_z
-    lw0 = rng.uniform(-0.5, 0.5, surface.weights.shape)
-    value, _, g_z, g_w = loss(surface, scene, z0, lw0, weights)
+    value, _, g_z = loss(surface, scene, z0, weights)
     h = 1e-5
     floor = 64 * np.finfo(float).eps * abs(value) / h if rounding_floor else None
     for _ in range(40):
         d = rng.normal(size=z0.shape)
-        numeric = (loss(surface, scene, z0 + h * d, lw0, weights)[0]
-                   - loss(surface, scene, z0 - h * d, lw0, weights)[0]) / (2 * h)
+        numeric = (loss(surface, scene, z0 + h * d, weights)[0]
+                   - loss(surface, scene, z0 - h * d, weights)[0]) / (2 * h)
         assert numeric == pytest.approx((g_z * d).sum(), rel=1e-5, abs=floor)
-        numeric = (loss(surface, scene, z0, lw0 + h * d, weights)[0]
-                   - loss(surface, scene, z0, lw0 - h * d, weights)[0]) / (2 * h)
-        assert numeric == pytest.approx((g_w * d).sum(), rel=1e-5, abs=floor)
 
 
 def test_gradients_match_central_differences(scene):
@@ -135,63 +136,54 @@ def test_fit_returns_its_best_iterate(scene, learning_rate):
 
 def replay_fit(surface0, scene, weights, config):
     """The fit's schedule written out with ``total_loss`` on a fresh surface
-    each iteration: ADAM per parameter block and, on each plateau, a return
-    to the best iterate and its gradient, steps times 0.3 and fresh moments,
+    each iteration: ADAM on the elevations and, on each plateau, a return to
+    the best iterate and its gradient, the step times 0.3 and fresh moments,
     until the seventh plateau or max_iters.  Returns the loss trace, the
     parts trace, the stop reason, the drops and the best loss."""
-    free = config.weight_learning_rate > 0
-    z, wp = surface0.control_z.copy(), np.log(surface0.weights)
-    rates = [config.learning_rate, config.weight_learning_rate]
-    moments = [np.zeros_like(z) for _ in range(4)]
+    z, rate = surface0.control_z.copy(), config.learning_rate
+    m, v = np.zeros_like(z), np.zeros_like(z)
 
-    def score(z, wp):
-        fresh = replace(surface0, control_z=z,
-                        weights=np.exp(wp) if free else surface0.weights)
+    def score(z):
+        fresh = replace(surface0, control_z=z)
         return fitmod.total_loss(fresh, scene.dsm, scene.dtm, scene.mask, weights)
 
     trace, parts_trace = [], []
-    best = (math.inf, None, None)  # value, (z, wp), (g_z, g_w)
+    best = (math.inf, None, None)  # value, z, g
     stall = t = drops = 0
     for _ in range(config.max_iters):
-        value, parts, g_z, g_w = score(z, wp)
+        value, parts, g = score(z)
         trace.append(value)
         parts_trace.append((parts["road"], parts["terrain"], parts["reg"]))
         if value < best[0]:
             stall = 0 if best[0] - value >= config.early_stop_min_delta else stall + 1
-            best = (value, (z.copy(), wp.copy()), (g_z, g_w))
+            best = (value, z.copy(), g)
         else:
             stall += 1
         if stall >= config.early_stop_patience:
             if drops == 6:
                 return trace, parts_trace, "plateau", drops, best[0]
             drops += 1
-            rates = [rate * 0.3 for rate in rates]
-            z, wp = (a.copy() for a in best[1])
-            g_z, g_w = best[2]
-            for m in moments:
-                m[:] = 0.0
+            rate *= 0.3
+            z, g = best[1].copy(), best[2]
+            m[:] = 0.0
+            v[:] = 0.0
             stall = t = 0
         t += 1
-        blocks = ((g_z, *moments[:2], z, rates[0]), (g_w, *moments[2:], wp, rates[1]))
-        for g, m, v, theta, rate in blocks[:1 + free]:
-            m *= 0.9
-            m += (1 - 0.9) * g
-            v *= 0.999
-            v += (1 - 0.999) * g * g
-            m_hat = m / (1 - 0.9 ** t)
-            v_hat = v / (1 - 0.999 ** t)
-            theta -= rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-        if free:
-            np.clip(wp, -fitmod._LOG_WEIGHT_CLIP, fitmod._LOG_WEIGHT_CLIP, out=wp)
-    return trace, parts_trace, "max_iters", drops, min(best[0], score(z, wp)[0])
+        m *= 0.9
+        m += (1 - 0.9) * g
+        v *= 0.999
+        v += (1 - 0.999) * g * g
+        m_hat = m / (1 - 0.9 ** t)
+        v_hat = v / (1 - 0.999 ** t)
+        z -= rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return trace, parts_trace, "max_iters", drops, min(best[0], score(z)[0])
 
 
-def assert_fit_replays(scene, weight_learning_rate, max_iters, stop_reason):
+def assert_fit_replays(scene, max_iters, stop_reason):
     rng = np.random.default_rng(1)
-    surface0 = replace(start_8x8(scene), weights=np.exp(rng.uniform(-0.5, 0.5, (8, 8))))
+    surface0 = perturbed_weights(start_8x8(scene), rng)
     weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
-    config = fitmod.FitConfig(learning_rate=0.05, weight_learning_rate=weight_learning_rate,
-                              max_iters=max_iters, early_stop_patience=4,
+    config = fitmod.FitConfig(learning_rate=0.05, max_iters=max_iters, early_stop_patience=4,
                               early_stop_min_delta=1e-3)
     fitted, report = fitmod.fit(surface0, scene.dsm, scene.dtm, scene.mask, weights, config)
     trace, parts_trace, stop, drops, best_loss = replay_fit(surface0, scene, weights, config)
@@ -205,14 +197,13 @@ def assert_fit_replays(scene, weight_learning_rate, max_iters, stop_reason):
 
 
 def test_fit_loop_equals_total_loss_on_fresh_surfaces(scene):
-    # free weights at their own step, ended by the seventh plateau and by
-    # max_iters after a drop
-    for max_iters, stop_reason in ((200, "plateau"), (70, "max_iters")):
-        assert_fit_replays(scene, 0.02, max_iters, stop_reason)
+    # ended by max_iters after a drop
+    assert_fit_replays(scene, 70, "max_iters")
 
 
 def test_frozen_fit_loop_equals_total_loss_on_fresh_surfaces(scene):
-    fitted, surface0 = assert_fit_replays(scene, 0.0, 200, "plateau")
+    # ended by the seventh plateau; the weights stay the input's own array
+    fitted, surface0 = assert_fit_replays(scene, 200, "plateau")
     assert fitted.weights is surface0.weights
 
 
@@ -220,9 +211,9 @@ def test_early_stop_scores_each_iterate_once(scene, monkeypatch):
     calls = []
     score = fitmod.Objective.__call__
 
-    def counted(self, z, w):
+    def counted(self, z):
         calls.append(1)
-        return score(self, z, w)
+        return score(self, z)
 
     monkeypatch.setattr(fitmod.Objective, "__call__", counted)
     surface0 = start_8x8(scene)
@@ -244,91 +235,56 @@ def assert_same_results(got, expected):
     assert got[0] == expected[0]
     assert got[1] == expected[1]
     npt.assert_array_equal(got[2], expected[2])
-    npt.assert_array_equal(got[3], expected[3])
 
 
 def test_objective_results_outlive_its_workspace(scene):
-    surface = start_8x8(scene)
     weights = fitmod.LossWeights(lambda_terrain=0.7)
     rng = np.random.default_rng(2)
+    surface = perturbed_weights(start_8x8(scene), rng)
     z0 = surface.control_z
-    states = [(z0 + rng.normal(0.0, 0.5, z0.shape), np.exp(rng.uniform(-0.5, 0.5, z0.shape)))
-              for _ in range(2)]
+    states = [z0 + rng.normal(0.0, 0.5, z0.shape) for _ in range(2)]
     objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
-    first = objective(*states[0])
+    first = objective(states[0])
     kept = copy.deepcopy(first)
-    second = objective(*states[1])
+    second = objective(states[1])
     assert first[0] != second[0]
     assert_same_results(first, kept)
     for got, state in zip((first, second), states):
         fresh = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
-        assert_same_results(got, fresh(*state))
+        assert_same_results(got, fresh(state))
 
 
 def test_objective_call_allocates_no_raster():
     scene = synth.generate(synth.SceneSpec(cell_size=0.4, seed=1))  # 251 x 251
     surface = fitmod.initialize_surface(scene.dsm, scene.dtm, scene.mask)
-    for free_weights in (True, False):
-        objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask,
-                                     fitmod.LossWeights(), free_weights)
-        state = (surface.control_z, surface.weights)
-        objective(*state)
-        tracemalloc.start()
-        try:
-            objective(*state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # what a call still allocates is sized by the 35 x 35 control grid
-        assert peak < scene.dsm.values.nbytes / 2
+    objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask,
+                                 fitmod.LossWeights())
+    objective(surface.control_z)
+    tracemalloc.start()
+    try:
+        objective(surface.control_z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # what a call still allocates is sized by the 35 x 35 control grid
+    assert peak < scene.dsm.values.nbytes / 2
 
 
-def test_frozen_objective_keeps_one_raster_less():
+def test_objective_keeps_fewer_than_seven_rasters():
     scene = synth.generate(synth.SceneSpec(cell_size=0.4, seed=1))  # 251 x 251
     surface = fitmod.initialize_surface(scene.dsm, scene.dtm, scene.mask)
-    raster = scene.dsm.values.nbytes
-    resident = {}
-    for free_weights in (True, False):
-        tracemalloc.start()
-        try:
-            objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask,
-                                         fitmod.LossWeights(), free_weights)
-            resident[free_weights] = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        del objective
+    tracemalloc.start()
+    try:
+        objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask,
+                                     fitmod.LossWeights())
+        resident = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del objective
     # the folded target t', the road and terrain sum weights, the gradient
     # magnitudes, the height field and the |r'| raster, plus the basis and
-    # the control-grid buffers; free weights also keep the raw target, the
-    # masks, the denominator and a t' raster
-    assert resident[False] < 7 * raster
-    assert resident[True] - resident[False] > 0.9 * raster
-
-
-def test_frozen_objective_equals_the_free_one_with_half_the_raster_products(
-        scene, monkeypatch):
-    products = []
-    product, back = SpanGrid.product, SpanGrid.back
-    monkeypatch.setattr(SpanGrid, "product", lambda self, *args: products.append("grid")
-                        or product(self, *args))
-    monkeypatch.setattr(SpanGrid, "back", lambda self, *args: products.append("back")
-                        or back(self, *args))
-    surface = start_8x8(scene)  # unit weights
-    weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
-    free, frozen = (fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights,
-                                     free_weights) for free_weights in (True, False))
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        z = surface.control_z + rng.normal(0.0, 0.5, surface.control_z.shape)
-        products.clear()
-        expected = free(z, surface.weights)
-        assert sorted(products) == ["back", "back", "grid", "grid"]
-        products.clear()
-        got = frozen(z, surface.weights)
-        assert sorted(products) == ["back", "grid"]
-        assert got[:2] == expected[:2]
-        assert got[2].tobytes() == expected[2].tobytes()
-        assert got[3] is None
+    # the control-grid buffers
+    assert resident < 7 * scene.dsm.values.nbytes
 
 
 def dense_reference(surface, dsm, dtm, mask, weights):
@@ -336,10 +292,9 @@ def dense_reference(surface, dsm, dtm, mask, weights):
     ``grid_basis``: the height field h = N / D, N = bv (w z)^T bu^T and
     D = bv w^T bu^T, each data term the mean over all cells of |target - h|
     on its cells with a target, and the thin-plate term.  Returns (value,
-    parts, d/d z, d/d log w), from the per-cell slopes S = c sign(h - t) /
-    (D cells), c being 1 on road cells and lambda_terrain elsewhere:
-    d/d z = w (bu^T S^T bv) and d/d log w = w (z (bu^T S^T bv) - bu^T (S h)^T
-    bv), plus the thin-plate gradient in d/d z."""
+    parts, d/d z), from the per-cell slopes S = c sign(h - t) / (D cells),
+    c being 1 on road cells and lambda_terrain elsewhere:
+    d/d z = w (bu^T S^T bv), plus the thin-plate gradient."""
     bu, bv = grid_basis(surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
     z, w = surface.control_z, surface.weights
     den = bv @ w.T @ bu.T
@@ -353,10 +308,16 @@ def dense_reference(surface, dsm, dtm, mask, weights):
     reg, g_reg = fitmod.Roughness(surface)(z)
     value = road_term + weights.lambda_terrain * terrain_term + weights.lambda_reg * reg
     slope = np.where(road, 1.0, weights.lambda_terrain) * np.sign(residual) / (den * residual.size)
-    spread = bu.T @ slope.T @ bv
-    d_z = w * spread + weights.lambda_reg * g_reg
-    d_log_w = w * (z * spread - bu.T @ (slope * height).T @ bv)
-    return value, {"road": road_term, "terrain": terrain_term, "reg": reg}, d_z, d_log_w
+    d_z = w * (bu.T @ slope.T @ bv) + weights.lambda_reg * g_reg
+    return value, {"road": road_term, "terrain": terrain_term, "reg": reg}, d_z
+
+
+def assert_matches(got, expected):
+    """Value and parts within 1e-12 relative, the gradient within 1e-12 of
+    its largest entry: an entry may cancel to near 0."""
+    assert got[0] == pytest.approx(expected[0], rel=1e-12)
+    assert got[1] == pytest.approx(expected[1], rel=1e-12)
+    npt.assert_allclose(got[2], expected[2], rtol=0, atol=1e-12 * np.abs(expected[2]).max())
 
 
 def test_objective_matches_a_dense_reference(scene):
@@ -369,14 +330,32 @@ def test_objective_matches_a_dense_reference(scene):
     for _ in range(4):
         surface = replace(start, control_z=start.control_z + rng.normal(0.0, 0.5, (8, 8)),
                           weights=np.exp(rng.uniform(-0.5, 0.5, (8, 8))))
-        expected, expected_parts, _, _ = dense_reference(surface, scene.dsm, scene.dtm,
-                                                         scene.mask, weights)
-        for free_weights in (True, False):
-            objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights,
-                                         free_weights)
-            value, parts, _, _ = objective(surface.control_z, surface.weights)
-            assert value == pytest.approx(expected, rel=1e-12)
-            assert parts == pytest.approx(expected_parts, rel=1e-12)
+        expected, expected_parts, _ = dense_reference(surface, scene.dsm, scene.dtm,
+                                                      scene.mask, weights)
+        objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
+        value, parts, _ = objective(surface.control_z)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert parts == pytest.approx(expected_parts, rel=1e-12)
+
+
+def test_objective_takes_one_product_and_one_back_per_call(scene, monkeypatch):
+    products = []
+    product, back = SpanGrid.product, SpanGrid.back
+    monkeypatch.setattr(SpanGrid, "product", lambda self, *args: products.append("grid")
+                        or product(self, *args))
+    monkeypatch.setattr(SpanGrid, "back", lambda self, *args: products.append("back")
+                        or back(self, *args))
+    rng = np.random.default_rng(5)
+    surface = perturbed_weights(start_8x8(scene), rng)
+    weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
+    objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
+    for _ in range(3):
+        z = surface.control_z + rng.normal(0.0, 0.5, surface.control_z.shape)
+        products.clear()
+        got = objective(z)
+        assert sorted(products) == ["back", "grid"]
+        assert_matches(got, dense_reference(replace(surface, control_z=z), scene.dsm,
+                                            scene.dtm, scene.mask, weights))
 
 
 def random_tile(rng, width, height, cell_size=0.7):
@@ -408,28 +387,20 @@ def test_span_layout_objective_matches_a_dense_reference(raster, net, degrees):
     for log_weights in (np.zeros(net), rng.uniform(-0.5, 0.5, net)):
         surface = replace(start, control_z=100.0 + rng.normal(0.0, 0.5, net),
                           weights=np.exp(log_weights))
-        value, parts, d_z, d_log_w = dense_reference(surface, dsm, dtm, mask, weights)
-        for free_weights in (True, False):
-            objective = fitmod.Objective(surface, dsm, dtm, mask, weights, free_weights)
-            got = objective(surface.control_z, surface.weights)
-            assert got[0] == pytest.approx(value, rel=1e-12)
-            assert got[1] == pytest.approx(parts, rel=1e-12)
-            # relative to the gradient's scale: an entry may cancel to near 0
-            npt.assert_allclose(got[2], d_z, rtol=0, atol=1e-12 * np.abs(d_z).max())
-            if free_weights:
-                npt.assert_allclose(got[3], d_log_w, rtol=0, atol=1e-12 * np.abs(d_log_w).max())
-            # pad cells hold no raster column: other basis values there
-            # change no bit of the results.  Every case of more than one
-            # span has spans of unequal column counts, so it has pads
-            grid = objective.grid
-            pads = np.ones(grid.shape[0] * grid.shape[1], dtype=bool)
-            pads[grid.rows] = False
-            assert pads.any() == (grid.spans > 1)
-            grid.local.reshape(-1, degrees[0] + 1)[pads] = rng.uniform(0.1, 2.0)
-            again = objective(surface.control_z, surface.weights)
-            assert again[:2] == got[:2]
-            assert all(a is b is None or a.tobytes() == b.tobytes()
-                       for a, b in zip(again[2:], got[2:]))
+        objective = fitmod.Objective(surface, dsm, dtm, mask, weights)
+        got = objective(surface.control_z)
+        assert_matches(got, dense_reference(surface, dsm, dtm, mask, weights))
+        # pad cells hold no raster column: other basis values there change
+        # no bit of the results.  Every case of more than one span has spans
+        # of unequal column counts, so it has pads
+        grid = objective.grid
+        pads = np.ones(grid.shape[0] * grid.shape[1], dtype=bool)
+        pads[grid.rows] = False
+        assert pads.any() == (grid.spans > 1)
+        grid.local.reshape(-1, degrees[0] + 1)[pads] = rng.uniform(0.1, 2.0)
+        again = objective(surface.control_z)
+        assert again[:2] == got[:2]
+        assert again[2].tobytes() == got[2].tobytes()
 
 
 def plateau_drops(trace, patience, min_delta):
@@ -494,23 +465,19 @@ def test_target_start_ends_no_higher_than_the_dsm_start(seed):
     assert target.best_loss <= dsm.best_loss + config.early_stop_min_delta
 
 
-@pytest.mark.parametrize("weight_learning_rate", [0.0, 0.1])
-def test_two_fits_of_one_tile_are_byte_identical(scene, weight_learning_rate):
-    config = fitmod.FitConfig(weight_learning_rate=weight_learning_rate)
-    runs = [fitmod.fit(start_8x8(scene), scene.dsm, scene.dtm, scene.mask,
-                       fitmod.LossWeights(), config) for _ in range(2)]
+# the spread of the log-weights: 0 gives unit weights, a B-spline fit
+@pytest.mark.parametrize("spread", [0.0, 0.5])
+def test_two_fits_of_one_tile_are_byte_identical(scene, spread):
+    rng = np.random.default_rng(7)
+    start = replace(start_8x8(scene), weights=np.exp(rng.uniform(-spread, spread, (8, 8))))
+    runs = [fitmod.fit(start, scene.dsm, scene.dtm, scene.mask, fitmod.LossWeights(),
+                       fitmod.FitConfig()) for _ in range(2)]
     (first, first_report), (second, second_report) = runs
     for trace in ("loss_total", "loss_road", "loss_terrain", "loss_reg"):
         assert (np.array(getattr(first_report, trace)).tobytes()
                 == np.array(getattr(second_report, trace)).tobytes())
     assert first.control_z.tobytes() == second.control_z.tobytes()
     assert first.weights.tobytes() == second.weights.tobytes()
-
-
-@pytest.mark.parametrize("rate", [-0.1, math.nan, math.inf])
-def test_weight_learning_rate_must_be_finite_and_non_negative(rate):
-    with pytest.raises(ValueError, match="weight_learning_rate must be finite and non-negative"):
-        fitmod.FitConfig(weight_learning_rate=rate)
 
 
 @pytest.mark.parametrize("cls, name", [
