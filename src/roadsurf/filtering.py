@@ -155,7 +155,9 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     found by binary search.  The candidates of all chunks, then their pairs
     with their chunks' cells, are expanded in blocks of at most _PAIR_BLOCK,
     and a pair is kept when ``dx*dx + dy*dy <= theta_xy**2`` on the
-    ``cell_to_world`` coordinates and ``abs(z_t - z_s) <= theta_z``.
+    ``cell_to_world`` coordinates and ``abs(z_t - z_s) <= theta_z``.  One
+    kept pair settles its labels, so a later block drops the candidates of
+    label pairs already found.
     """
     h, w = lab.shape
     # past the grid's size, a larger k still makes one bucket; the clamp keeps
@@ -201,7 +203,8 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     count = np.searchsorted(key, around + np.searchsorted(z_sorted, z_hi + margin, "right")[:, None])
     count -= first
     count[(nj < 0) | (nj >= bh) | (ni < 0) | (ni >= bw)] = 0
-    found = [np.zeros(0, dtype=np.int64)]
+    # the pairs (la, lb) found so far, as la * span + lb, sorted and distinct
+    found = np.zeros(0, dtype=np.int64)
     for a, b in _blocks(count.sum(axis=1), _PAIR_BLOCK):
         runs = count[a:b].ravel()
         t = _ranges(first[a:b].ravel(), runs)
@@ -209,19 +212,25 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
         tj, ti = pj[t], pi[t]
         keep = pl[t] != label[c]
         keep &= (tj >= j0[c]) & (tj <= j1[c]) & (ti >= i0[c]) & (ti <= i1[c])
+        if found.size:
+            keep &= np.isin(label[c] * span + pl[t], found, invert=True)
         t, c = t[keep], c[keep]
         # every candidate meets every cell of its chunk
         for u, v in _blocks(cells[c], _PAIR_BLOCK):
-            tc, cc = t[u:v], cells[c[u:v]]
-            pt, ps = np.repeat(tc, cc), _ranges(starts[c[u:v]], cc)
+            tc, cc = t[u:v], c[u:v]
+            if found.size:
+                fresh = np.isin(label[cc] * span + pl[tc], found, invert=True)
+                tc, cc = tc[fresh], cc[fresh]
+            n_cells = cells[cc]
+            pt, ps = np.repeat(tc, n_cells), _ranges(starts[cc], n_cells)
             d2 = np.square(px[pt] - sx[ps])
             d2 += np.square(py[pt] - sy[ps])
             near = d2 <= thr2
             gap = pz[pt] - sz[ps]
             near &= np.abs(gap, out=gap) <= theta_z
-            # pair (la, lb) as la * span + lb, so that repeats sort together
-            found.append(_distinct(sl[ps[near]] * span + pl[pt[near]]))
-    la, lb = np.divmod(_distinct(np.concatenate(found)), span)
+            if near.any():
+                found = _distinct(np.concatenate([found, sl[ps[near]] * span + pl[pt[near]]]))
+    la, lb = np.divmod(found, span)
     return np.stack([la, lb], axis=1)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Mask, Raster, check_finite
-from .nurbs import NurbsSurface, SpanGrid
+from .nurbs import NurbsSurface, grid_basis
 
 # ADAM moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
@@ -142,6 +142,77 @@ class Roughness:
         value = ((z_uu ** 2).sum() + (z_vv ** 2).sum() + 2 * (z_uv ** 2).sum()) / self.count
         grad = self.u2.T @ z_uu + z_vv @ self.v2 + 2 * (self.u1.T @ z_uv @ self.v1)
         return float(value), grad * (2 / self.count)
+
+
+class SpanGrid:
+    """The tensor grid of world columns xs and rows ys, laid out by u knot
+    span for products with a control grid.
+
+    A column's p+1 nonzero u-basis functions are those of its knot span, so
+    the u basis is banded (Piegl & Tiller, *The NURBS Book*, §2.2; Eilers &
+    Marx 1996).  A field on the grid is stored span-major, as an array of
+    ``shape`` (spans, C, len(ys)): span s owns C rows, its grid columns in
+    their order and then pad rows, C being the most columns any span holds
+    and at least p+1, so that such an array can take ``back``'s p+1 sums per
+    span.  ``rows[k]`` is the row of column k in the flattened
+    (spans * C) axis.  ``local`` holds each row's p+1 u-basis values; a pad
+    row takes the span's first function alone, so a denominator is positive
+    there.  The v basis ``bv`` stays dense: its products are control-grid
+    sized.
+    """
+
+    def __init__(self, surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray):
+        bu, self.bv = grid_basis(surface, xs, ys)
+        p = surface.degree_u
+        self.spans = surface.num_ctrl_u - p
+        # a column's first nonzero function starts its window; on a knot its
+        # last function is 0, so either neighbouring span holds it
+        first = np.minimum((bu > 0).argmax(axis=1), self.spans - 1)
+        counts = np.bincount(first, minlength=self.spans)
+        width = max(int(counts.max()), p + 1)
+        order = np.argsort(first, kind="stable")  # by span, in order within each
+        span = first[order]
+        self.rows = np.empty(len(first), dtype=np.intp)
+        self.rows[order] = span * width + np.arange(len(span)) - (np.cumsum(counts) - counts)[span]
+        local = np.zeros((self.spans * width, p + 1))
+        local[:, 0] = 1.0
+        local[self.rows] = np.take_along_axis(bu, first[:, None] + np.arange(p + 1), axis=1)
+        self.local = local.reshape(self.spans, width, p + 1)
+        self.shape = (self.spans, width, len(ys))
+        # the (nu, len(ys)) v products, and each span's p+1 rows of them
+        self._factor = np.empty((surface.num_ctrl_u, len(ys)))
+        self._windows = sliding_window_view(self._factor, p + 1, axis=0).swapaxes(1, 2)
+
+    def product(self, coeffs: np.ndarray, out: np.ndarray) -> None:
+        """Write the field of the control-grid coefficients ``coeffs``
+        (nu, nv) into ``out`` of this layout: one (nu, len(ys)) product with
+        the v basis, then one stacked product of each span's local u basis
+        with its p+1 rows of that."""
+        np.matmul(coeffs, self.bv.T, out=self._factor)
+        np.matmul(self.local, self._windows, out=out)
+
+    def back(self, field: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """The (nu, nv) basis-weighted sums of ``field``, in this layout, on
+        the control grid: the transpose of ``product``.  ``scratch``, an array
+        of this layout whose values are no longer needed, takes each span's
+        p+1 sums before they are added into place."""
+        p1 = self.local.shape[2]
+        # (p+1, spans, len(ys)), so that each shifted add reads one block;
+        # numpy would copy a strided operand through its ufunc buffer
+        spread = scratch.reshape(-1)[:p1 * self.spans * self.shape[2]].reshape(
+            p1, self.spans, self.shape[2])
+        np.matmul(self.local.swapaxes(1, 2), field, out=spread.swapaxes(0, 1))
+        sums = self._factor
+        sums.fill(0.0)
+        for j in range(p1):
+            sums[j:j + self.spans] += spread[j]
+        return sums @ self.bv
+
+    def to_spans(self, raster: np.ndarray, fill: float | bool) -> np.ndarray:
+        """A (len(ys), len(xs)) raster in this layout, ``fill`` in pad rows."""
+        out = np.full(self.shape, fill, dtype=raster.dtype)
+        out.reshape(-1, self.shape[2])[self.rows] = raster.T
+        return out
 
 
 def _target(dsm: Raster, dtm: Raster, mask_plus: Mask) -> np.ndarray:

@@ -10,10 +10,9 @@ degree-0 boxes are half-open on the right, except that the final span of the
 domain is closed so the upper domain end evaluates to the last control point.
 Only (p+1)(q+1) basis products are nonzero at any parameter; basis_matrix
 forms just those, for all parameters at once, for any clamped knot vector.
-A tensor grid of samples meets a control grid through ``SpanGrid``, which
-groups the grid's columns by u knot span, so that each column's product
-takes only its span's p+1 control columns: a banded product over a padded
-span-major layout, for the fit's rasters and ``evaluate_grid`` alike.
+``evaluate_grid`` samples a surface on a tensor grid with two products of
+the dense ``grid_basis`` matrices; the fit lays its raster grid out by knot
+span instead (``fit.SpanGrid``).
 
 Every surface is a lattice surface whose control elevations and weights
 alone are free, so ``NurbsSurface`` holds just those, the degrees and the
@@ -37,13 +36,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import read_lines, write_lines
-
-# grid columns per division pass of evaluate_grid, which bounds its one
-# temporary to this many columns
-_COLUMN_BLOCK = 64
 
 
 def uniform_clamped_knots(num_ctrl: int, degree: int) -> np.ndarray:
@@ -173,99 +167,21 @@ def grid_basis(surface: NurbsSurface, xs: np.ndarray,
     return bases[0], bases[1]
 
 
-class SpanGrid:
-    """The tensor grid of world columns xs and rows ys, laid out by u knot
-    span for products with a control grid.
-
-    A column's p+1 nonzero u-basis functions are those of its knot span, so
-    the u basis is banded (Piegl & Tiller, *The NURBS Book*, §2.2; Eilers &
-    Marx 1996).  A field on the grid is stored span-major, as an array of
-    ``shape`` (spans, C, len(ys)): span s owns C rows, its grid columns in
-    their order and then pad rows, C being the most columns any span holds
-    and at least p+1, so that such an array can take ``back``'s p+1 sums per
-    span.  ``rows[k]`` is the row of column k in the flattened
-    (spans * C) axis.  ``local`` holds each row's p+1 u-basis values; a pad
-    row takes the span's first function alone, so a denominator is positive
-    there.  The v basis ``bv`` stays dense: its products are control-grid
-    sized.
-    """
-
-    def __init__(self, surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray):
-        bu, self.bv = grid_basis(surface, xs, ys)
-        p = surface.degree_u
-        self.spans = surface.num_ctrl_u - p
-        # a column's first nonzero function starts its window; on a knot its
-        # last function is 0, so either neighbouring span holds it
-        first = np.minimum((bu > 0).argmax(axis=1), self.spans - 1)
-        counts = np.bincount(first, minlength=self.spans)
-        width = max(int(counts.max()), p + 1)
-        order = np.argsort(first, kind="stable")  # by span, in order within each
-        span = first[order]
-        self.rows = np.empty(len(first), dtype=np.intp)
-        self.rows[order] = span * width + np.arange(len(span)) - (np.cumsum(counts) - counts)[span]
-        local = np.zeros((self.spans * width, p + 1))
-        local[:, 0] = 1.0
-        local[self.rows] = np.take_along_axis(bu, first[:, None] + np.arange(p + 1), axis=1)
-        self.local = local.reshape(self.spans, width, p + 1)
-        self.shape = (self.spans, width, len(ys))
-        # the (nu, len(ys)) v products, and each span's p+1 rows of them
-        self._factor = np.empty((surface.num_ctrl_u, len(ys)))
-        self._windows = sliding_window_view(self._factor, p + 1, axis=0).swapaxes(1, 2)
-
-    def product(self, coeffs: np.ndarray, out: np.ndarray) -> None:
-        """Write the field of the control-grid coefficients ``coeffs``
-        (nu, nv) into ``out`` of this layout: one (nu, len(ys)) product with
-        the v basis, then one stacked product of each span's local u basis
-        with its p+1 rows of that."""
-        np.matmul(coeffs, self.bv.T, out=self._factor)
-        np.matmul(self.local, self._windows, out=out)
-
-    def back(self, field: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """The (nu, nv) basis-weighted sums of ``field``, in this layout, on
-        the control grid: the transpose of ``product``.  ``scratch``, an array
-        of this layout whose values are no longer needed, takes each span's
-        p+1 sums before they are added into place."""
-        p1 = self.local.shape[2]
-        # (p+1, spans, len(ys)), so that each shifted add reads one block;
-        # numpy would copy a strided operand through its ufunc buffer
-        spread = scratch.reshape(-1)[:p1 * self.spans * self.shape[2]].reshape(
-            p1, self.spans, self.shape[2])
-        np.matmul(self.local.swapaxes(1, 2), field, out=spread.swapaxes(0, 1))
-        sums = self._factor
-        sums.fill(0.0)
-        for j in range(p1):
-            sums[j:j + self.spans] += spread[j]
-        return sums @ self.bv
-
-    def to_spans(self, raster: np.ndarray, fill: float | bool) -> np.ndarray:
-        """A (len(ys), len(xs)) raster in this layout, ``fill`` in pad rows."""
-        out = np.full(self.shape, fill, dtype=raster.dtype)
-        out.reshape(-1, self.shape[2])[self.rows] = raster.T
-        return out
-
-
 def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Height field sampled on the tensor grid of world columns xs and rows ys.
 
-    Output has shape (len(ys), len(xs)).  Its transpose is allocated before
-    the bases, so a grid too large for memory fails before they fill.  It
-    takes the denominator's grid columns, then divides the numerator's into
-    them ``_COLUMN_BLOCK`` at a time, so the span-major field is the one
-    other grid-sized array.
+    Output has shape (len(ys), len(xs)).  The height and denominator grids
+    are allocated before the dense bases, so a grid too large for memory
+    fails before the bases fill.
     """
-    heights = np.empty((len(xs), len(ys)))
-    grid = SpanGrid(surface, xs, ys)
-    field = np.empty(grid.shape)
-    flat = field.reshape(-1, len(ys))
-    grid.product(surface.weights, field)
-    # mode "clip" gathers straight into heights; "raise" would buffer them
-    np.take(flat, grid.rows, axis=0, out=heights, mode="clip")
-    grid.product(surface.weights * surface.control_z, field)
-    for start in range(0, len(xs), _COLUMN_BLOCK):
-        block = heights[start:start + _COLUMN_BLOCK]
-        np.divide(flat[grid.rows[start:start + _COLUMN_BLOCK]], block, out=block)
-    del field, flat  # freed before the C-ordered copy is made
-    return np.ascontiguousarray(heights.T)
+    height = np.empty((len(ys), len(xs)))
+    den = np.empty_like(height)
+    bu, bv = grid_basis(surface, xs, ys)
+    w = surface.weights
+    np.matmul(bv @ w.T, bu.T, out=den)
+    np.matmul(bv @ (w * surface.control_z).T, bu.T, out=height)
+    height /= den
+    return height
 
 
 def save_surface(surface: NurbsSurface, path: str | Path) -> None:

@@ -25,7 +25,7 @@ from roadsurf.filtering import (
     merge_clusters,
     run_filter,
 )
-from roadsurf import synth
+from roadsurf import filtering, synth
 from roadsurf.grid import Raster
 
 
@@ -625,6 +625,30 @@ class TestMergeClusters:
         with time_limit(5, "merge_clusters tested a whole cluster against its box"):
             merged = merge_clusters(points, labels, 3.0, 0.5)
         assert merged.label_count == 1
+
+    def test_a_found_label_pair_is_not_tested_again(self, monkeypatch):
+        # two flat halves of a 251 x 251 tile at 0.4 m across a two-column
+        # gap: each chunk along the gap meets about 2,000 cells of the other
+        # half, and expanding every candidate against every cell of its
+        # chunk takes 11,467,314 candidates and cell pairs, though the first
+        # hit settles the one label pair
+        z = np.zeros((251, 251))
+        z[:, 125:127] = np.nan
+        points = make_points(z, cell=0.4)
+        labels = grow_regions(points, get_neighbors(points, 0.5))
+        assert labels.label_count == 2
+        expanded = []
+        ranges = filtering._ranges
+
+        def counted(first, counts):
+            out = ranges(first, counts)
+            expanded.append(out.size)
+            return out
+
+        monkeypatch.setattr(filtering, "_ranges", counted)
+        merged = merge_clusters(points, labels, 10.0, 0.5)
+        assert merged.label_count == 1
+        assert sum(expanded) < 11_467_314 // 10
 
     def test_merge_call_stays_within_a_few_megabytes(self):
         scene = synth.generate(synth.SceneSpec(

@@ -38,8 +38,9 @@ import pytest
 from roadsurf import fit as fitmod
 from roadsurf import synth
 from roadsurf.filtering import FilterParams, run_filter
+from roadsurf.fit import SpanGrid
 from roadsurf.grid import Mask, Raster
-from roadsurf.nurbs import NurbsSurface, SpanGrid, evaluate_grid, grid_basis, uniform_clamped_knots
+from roadsurf.nurbs import NurbsSurface, evaluate_grid, grid_basis, uniform_clamped_knots
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +402,34 @@ def test_span_layout_objective_matches_a_dense_reference(raster, net, degrees):
         again = objective(surface.control_z)
         assert again[:2] == got[:2]
         assert again[2].tobytes() == got[2].tobytes()
+
+
+# control net (nu, nv), degrees (p, q) and lattice nodes (columns, rows):
+# 11 columns under 32 spans; 11 spans, 7 of them empty; one span; and spans
+# of 4 and 5 columns
+LAYOUT_CASES = [((35, 35), (3, 3), (11, 11)), ((12, 5), (1, 2), (4, 9)),
+                ((4, 4), (3, 3), (6, 3)), ((9, 7), (2, 3), (30, 2))]
+
+
+@pytest.mark.parametrize("net, degrees, nodes", LAYOUT_CASES)
+def test_span_grid_products_match_dense_products(net, degrees, nodes):
+    rng = np.random.default_rng(sum(net + degrees + nodes))
+    surface = NurbsSurface((-20.0, 80.0, 5.0, 45.0), *degrees, np.zeros(net), np.ones(net))
+    x0, x1, y0, y1 = surface.extent
+    for order in (np.arange(nodes[0]), rng.permutation(nodes[0])):  # columns in any order
+        xs = np.linspace(x0, x1, nodes[0])[order]
+        ys = np.linspace(y0, y1, nodes[1])
+        bu, bv = grid_basis(surface, xs, ys)
+        grid = SpanGrid(surface, xs, ys)
+        # positive coefficients and fields, so that no sum cancels
+        coeffs = rng.uniform(0.5, 2.0, net)
+        field = np.empty(grid.shape)
+        grid.product(coeffs, field)
+        npt.assert_allclose(field.reshape(-1, len(ys))[grid.rows], bu @ coeffs @ bv.T,
+                            rtol=1e-12)
+        raster = rng.uniform(0.5, 2.0, (len(ys), len(xs)))
+        sums = grid.back(grid.to_spans(raster, 0.0), np.empty(grid.shape))
+        npt.assert_allclose(sums, bu.T @ raster.T @ bv, rtol=1e-12)
 
 
 def plateau_drops(trace, patience, min_delta):

@@ -4,13 +4,16 @@ Basis values are checked against a naive textbook recursion, and their
 nonzero windows against a linear span scan, both written independently of
 the production whole-array triangular algorithm.  ``evaluate``, a pointwise
 rational sum over full basis rows, is checked against hand computed
-bilinear and Bezier values and is then the reference for ``evaluate_grid``.
+bilinear and Bezier values and is then the reference for ``evaluate_grid``,
+whose tracemalloc peak on a 401 x 321 lattice must stay below 2.5 output
+grids.
 The text writer is checked byte for byte against a formatter that converts
 one numpy scalar at a time, and the reader must name the line that set a
 value the NurbsSurface constructor rejects.
 """
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -341,6 +344,22 @@ class TestGridEvaluation:
                 for c, x in enumerate(xs):
                     u, v = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
                     assert grid[r, c] == pytest.approx(evaluate(surf, u, v)[2], rel=1e-13)
+
+    def test_sampling_peaks_below_two_and_a_half_output_grids(self):
+        # the height and denominator grids, the two dense bases and their
+        # control-grid-sized products with the weights
+        rng = np.random.default_rng(17)
+        surf = NurbsSurface((0.0, 200.0, 0.0, 160.0), 3, 3, rng.normal(100.0, 3.0, (35, 35)),
+                            np.ones((35, 35)))
+        xs, ys = np.linspace(0.0, 200.0, 401), np.linspace(0.0, 160.0, 321)
+        evaluate_grid(surf, xs, ys)
+        tracemalloc.start()
+        try:
+            evaluate_grid(surf, xs, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(xs) * len(ys) * 8
 
     def test_query_outside_extent_raises(self):
         rng = np.random.default_rng(13)
