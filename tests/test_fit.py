@@ -19,7 +19,9 @@ dense ``grid_basis`` matrices and plain masked means of |r|) within 1e-12
 relative, at random states with non-unit weights and NODATA cells, on spans
 of unequal and of no columns, a one-span net and degrees 1 to 3, with one
 raster product and one back-projection per call; the layout's pad cells
-must change no bit of them.  An objective reuses one raster workspace from
+must change no bit of them.  ``SpanGrid``'s product and back-projection
+alone must match dense products within 1e-12 relative on such layouts,
+with columns in order and permuted.  An objective reuses one raster workspace from
 call to call: its results must not change when it is called again, a call
 on a 251 x 251 tile must allocate less than half a raster, and it keeps
 fewer than seven rasters resident.  A fit report's final step and last
