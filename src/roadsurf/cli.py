@@ -367,42 +367,42 @@ def _lanes(rows: int) -> int:
     return max(1, min(lanes, 1 + free // max(peak, 1)))
 
 
-def _run_row(state: SimpleNamespace, row: tuple) -> tuple[list, SimpleNamespace | Exception]:
-    """A row's stages, run on a copy of state with an empty record and
-    reports: (the warnings the filters let through, unshown, as
-    warn_explicit's first five arguments; the row's state, or what it
-    raised).  The filters act where each warning is raised, with its module:
-    an error filter fails the row, an ignore filter drops the warning."""
-    config, stages = row
-    caught, show = [], warnings.showwarning
-    warnings.showwarning = lambda message, category, filename, lineno, *where: caught.append(
-        (message, category, filename, lineno))
-    try:
-        done = run_stages(config, SimpleNamespace(**{**vars(state), "record": [],
-                                                     "reports": {}}), stages)
-    except Exception as err:  # run_rows raises it in row order, as if raised here
-        done = err
-    finally:
-        warnings.showwarning = show
-    # the module a filter matches is the one the warning was raised in, else
-    # the name warn_explicit makes of the file (given None, it drops the warning)
-    modules = {getattr(module, "__file__", None): name
-               for name, module in list(sys.modules.items())} if caught else {}
-    return [(*shown, modules.get(shown[2], shown[2].removesuffix(".py")))
-            for shown in caught], done
-
-
-def _send(fd: int, outcome) -> None:
-    data = memoryview(pickle.dumps(outcome))
-    while data:
-        data = data[os.write(fd, data):]
+def _run_lane(state: SimpleNamespace, rows: list, indices):
+    """Runs the rows at ``indices``, each on a copy of state with an empty
+    record and reports, and yields for each (index, the warnings the
+    filters let through, unshown, as warn_explicit's first five arguments,
+    the row's state or what it raised), the state of every row but row 0
+    cut to its reports and record; it stops after the first row that fails.
+    The filters act where each warning is raised, with its module: an error
+    filter fails the row, an ignore filter drops the warning."""
+    for index in indices:
+        config, stages = rows[index]
+        caught, show = [], warnings.showwarning
+        warnings.showwarning = lambda message, category, filename, lineno, *where: caught.append(
+            (message, category, filename, lineno))
+        try:
+            done = run_stages(config, SimpleNamespace(**{**vars(state), "record": [],
+                                                         "reports": {}}), stages)
+            if index:
+                done = SimpleNamespace(reports=done.reports, record=done.record)
+        except Exception as err:  # run_rows raises it in row order, as if raised here
+            done = err
+        finally:
+            warnings.showwarning = show
+        # the module a filter matches is the one the warning was raised in, else
+        # the name warn_explicit makes of the file (given None, it drops the warning)
+        modules = {getattr(module, "__file__", None): name
+                   for name, module in list(sys.modules.items())} if caught else {}
+        yield index, [(*shown, modules.get(shown[2], shown[2].removesuffix(".py")))
+                      for shown in caught], done
+        if isinstance(done, Exception):
+            return
 
 
 def _fork_lane(state: SimpleNamespace, rows: list, lane: int, lanes: int):
-    """A worker that runs rows lane, lane + lanes, ... and pickles into a
-    pipe, for each, what _run_row returns, the state cut to its reports and
-    record, stopping at the first row that fails.  Returns (pid, the pipe's
-    read end, lane)."""
+    """A worker that runs rows lane, lane + lanes, ... through _run_lane and
+    pickles into a pipe, as each row ends, its warnings and outcome.
+    Returns (pid, the pipe's read end, lane)."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -414,15 +414,12 @@ def _fork_lane(state: SimpleNamespace, rows: list, lane: int, lanes: int):
         status = 1
         try:
             os.close(read)
-            for row in rows[lane::lanes]:
-                caught, done = _run_row(state, row)
-                if isinstance(done, SimpleNamespace):
-                    done = SimpleNamespace(reports=done.reports, record=done.record)
-                elif not isinstance(done, StageError):  # a fault of the program
-                    os.write(2, "".join(traceback.format_exception(done)).encode())
-                _send(write, (caught, done))
-                if isinstance(done, Exception):
-                    break
+            with os.fdopen(write, "wb") as pipe:
+                for _, caught, done in _run_lane(state, rows, range(lane, len(rows), lanes)):
+                    if not isinstance(done, (SimpleNamespace, StageError)):  # a program fault
+                        os.write(2, "".join(traceback.format_exception(done)).encode())
+                    pipe.write(pickle.dumps((caught, done)))
+                    pipe.flush()  # this row's result outlives a later row that kills the worker
             status = 0
         except Exception:  # a result that does not pickle: its traceback, and no result
             os.write(2, traceback.format_exc().encode())
@@ -475,17 +472,13 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
                 workers.append(_fork_lane(state, rows, lane, lanes))
             except OSError:  # no process to spare: this one runs the lane
                 mine.append(lane)
-        for index in range(len(rows)):
-            if index % lanes in mine:
-                caught, done = _run_row(state, rows[index])
-                if isinstance(done, Exception):
-                    outcomes[index] = caught, done
-                    for pid, _, lane in workers:
-                        if lane > index:
-                            os.kill(pid, signal.SIGKILL)
-                    break
-                outcomes[index] = caught, done if index == 0 else SimpleNamespace(
-                    reports=done.reports, record=done.record)
+        for index, caught, done in _run_lane(
+                state, rows, (i for i in range(len(rows)) if i % lanes in mine)):
+            outcomes[index] = caught, done
+            if isinstance(done, Exception):
+                for pid, _, lane in workers:
+                    if lane > index:
+                        os.kill(pid, signal.SIGKILL)
         while workers:
             pid, pipe, lane = workers[0]
             with pipe:

@@ -30,7 +30,6 @@ import numpy as np
 
 from .grid import Mask, Raster, mask_raster, read_lines, save_rasters
 
-PROV_CLEAN = 0
 PROV_VEHICLE = 1
 PROV_TREE = 2
 PROV_FACADE = 3

@@ -424,6 +424,52 @@ def test_a_worker_that_ends_without_a_result_fails_its_row(tile, tmp_path, capfd
     no_child_is_left()
 
 
+# four rows of which only the last fails: 200 m between road samples leaves
+# too few samples for a mesh
+LAST_ROW_FAILS = ("--param", "sampling_rates", "--values", "2.5/10,5/10,5/20,200/400")
+
+
+def test_a_lane_that_fails_on_its_second_row_fails_as_in_order(tile, tmp_path, capfd,
+                                                               monkeypatch, forks):
+    # at 2 usable CPUs the worker's second row (3) fails, at 3 the caller's (0, 3)
+    for usable in (1, 2, 3) if hasattr(os, "fork") else (1,):
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        forks.clear()
+        rc, artifacts = invoke(tmp_path / f"out{usable}", "ablate", *layer_flags(tile, LAYERS),
+                               *FIT_FLAGS, *LAST_ROW_FAILS)
+        assert (rc, artifacts) == (2, {})
+        assert capfd.readouterr().err == "stage mesh: not enough samples to build a mesh\n"
+        assert len(forks) == min(usable, 4) - 1
+        no_child_is_left()
+
+
+@needs_fork
+def test_a_worker_killed_on_its_second_row_fails_that_row(tile, tmp_path, capfd, monkeypatch,
+                                                          forks):
+    build_tin = meshmod.build_tin
+
+    def killed_at_road_rate_200(surface, mask, config):
+        if config.road_rate == 200:
+            kill_self()
+        if (config.road_rate, config.terrain_rate) == (5, 10):
+            warnings.warn("row 1", UserWarning)
+        return build_tin(surface, mask, config)
+
+    monkeypatch.setattr(meshmod, "build_tin", killed_at_road_rate_200)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, artifacts = invoke(tmp_path / "out", "ablate", *layer_flags(tile, LAYERS),
+                               *FIT_FLAGS, *LAST_ROW_FAILS)
+    assert (rc, artifacts) == (2, {})
+    # what the worker sent for its first row reached the caller before the kill
+    assert [str(w.message) for w in caught] == ["row 1"]
+    assert capfd.readouterr().err == (
+        "stage mesh: worker ended without a result (killed by signal 9)\n")
+    assert len(forks) == 1
+    no_child_is_left()
+
+
 def test_a_fault_in_a_worker_row_is_raised_as_in_order(tile, tmp_path, capfd, monkeypatch):
     def crash(dsm):
         raise TypeError("a fault in the program")

@@ -1,9 +1,10 @@
 """Every name in the package and the benchmark has a caller.
 
 The abstract syntax trees of ``src/roadsurf/*.py`` and ``bench/*.py`` are
-walked for top-level functions and classes and the methods of top-level
-classes, public and single-underscore private alike; dunder names
-(``__init__``, ``__post_init__``) are called by the language and exempt.
+walked for top-level functions, classes and assigned names (module
+constants such as ``_SIGN``) and the methods of top-level classes, public
+and single-underscore private alike; dunder names (``__init__``,
+``__post_init__``) are called by the language and exempt.
 Each must be named by a ``Name``, an ``Attribute`` or an import alias
 somewhere in those files outside its own definition; the tests do not count
 as callers.  A method that overrides one of a builtin or a library base
@@ -40,10 +41,17 @@ def _library_bases(tree, node):
 
 
 def _definitions(tree):
-    """(name, first line, last line) of the top-level functions and classes
-    and of the methods of top-level classes, dunder names left out."""
+    """(name, first line, last line) of the top-level functions, classes and
+    assigned names and of the methods of top-level classes, dunder names
+    left out."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and _checked(name.id):
+                        yield name.id, node.lineno, node.end_lineno
         if not isinstance(node, kinds):
             continue
         if _checked(node.name):
@@ -105,7 +113,11 @@ def test_a_name_used_only_in_its_own_body_is_flagged(tmp_path):
         "class Parser(argparse.ArgumentParser):\n"
         "    def error(self, message):\n        pass\n"
         "def __getattr__(name):\n    pass\n"
+        "LIVE, _SPARE = 1, 2\n_DEAD: int = LIVE\n_SELF = (1,\n         _SELF)\n__all__ = []\n"
         "print(used(), Box, Parser, _private)\n")
     assert unreferenced([source]) == [f"{tmp_path.name}/mod:recursive",
                                       f"{tmp_path.name}/mod:Box.spare",
-                                      f"{tmp_path.name}/mod:_helper"]
+                                      f"{tmp_path.name}/mod:_helper",
+                                      f"{tmp_path.name}/mod:_SPARE",
+                                      f"{tmp_path.name}/mod:_DEAD",
+                                      f"{tmp_path.name}/mod:_SELF"]
