@@ -31,18 +31,9 @@ one "<param>=<value>" entry of NURBS TIN scores per value.
 After the stages they share, some rows of stages are independent: run's
 NURBS row (fit, mesh, metrics) and its baseline row, which needs the
 filtered mask but not the fit, and ablate's rows, one per --values entry.
-Such rows run at once: row i in lane i mod L, L being at most the CPUs the
-process may use, and at most one more than the copies of this process, at
-its peak so far, that the free memory holds; lane 0 runs in this process
-and each other lane in one forked worker that sends back its rows' scores
-and record entries.  With one lane, or where os.fork does not exist, the
-rows run here one after another.  Output, artifacts and exit codes are the
-same either way: the record keeps row order; the warning filters act where
-a warning is raised, with its module, and the warnings they let through
-are shown after the last row, in row order; where rows fail, what the
-lowest failing row raised is raised here.  A worker that ends without a
-result fails its row under the row's first stage.  A worker's memory peak
-is its own: it is not in this process's ru_maxrss, only in RUSAGE_CHILDREN.
+``run_rows`` runs such rows at once, in forked workers where the CPUs and
+the free memory allow; output, artifacts and exit codes are the same as
+when the rows run here one after another.
 
 Exit codes: 0 success, 1 usage error, 2 stage failure (message
 "stage <name>: <reason>" on stderr).  Stage names are grid, filter, fit,
@@ -462,7 +453,9 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
     in turn would show them once, and where rows fail, what the lowest
     failing row raised is raised, after the warnings of the rows up to it.
     This process reaps every worker before it returns or raises, ending
-    those whose rows all come after a failure of its own.
+    those whose rows all come after a failure of its own.  A worker's
+    memory peak is its own: it is not in this process's ru_maxrss, only in
+    RUSAGE_CHILDREN.
     """
     lanes = _lanes(len(rows))
     workers, mine, outcomes = [], [0], {}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Mask, Raster, check_finite
+from .grid import Mask, Raster, blocks, check_finite, runs
 
 
 # candidates, and cell pairs, per block of merge_clusters; bounds its
@@ -77,14 +77,16 @@ def _components(n: int, pairs: np.ndarray) -> np.ndarray:
     undirected (E, 2) pairs.  Each round hooks the larger root of every pair
     still spanning two trees onto the smaller, then jumps pointers until each
     node points at a root (Shiloach & Vishkin 1982).  Roots never exceed their
-    nodes, so a component's last root is its smallest node."""
+    nodes, so a component's last root is its smallest node.  A round keeps
+    the pairs' roots, not their nodes: after the jumps a node's root is the
+    root of its previous root."""
     root = np.arange(n, dtype=pairs.dtype)
     a, b = pairs[:, 0], pairs[:, 1]
     while len(a):
-        ra, rb = root[a], root[b]
-        apart = ra != rb
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
-        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        a, b = root[a], root[b]
+        apart = a != b
+        a, b = a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
         jumped = root[root]
         while not np.array_equal(jumped, root):
             root, jumped = jumped, jumped[jumped]
@@ -114,29 +116,6 @@ def grow_regions(points: Raster, neighbors: np.ndarray) -> LabelGrid:
     root = _components(len(cells), flat.take(neighbors))
     flat[cells], count = _first_seen(root)
     return LabelGrid(labels, count)
-
-
-def _blocks(sizes: np.ndarray, limit: int):
-    """Bounds (a, b) of consecutive runs of sizes that sum to at most limit,
-    or of one size alone above it."""
-    ends = np.cumsum(sizes)
-    a = 0
-    while a < len(sizes):
-        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + limit, "right")))
-        yield a, b
-        a = b
-
-
-def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """range(f, f + c) for each f, c of first and counts, concatenated."""
-    before = np.cumsum(counts) - counts
-    return np.arange(int(counts.sum())) + np.repeat(first - before, counts)
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    # sorted distinct values; np.unique hashes int64 and is many times slower
-    values = np.sort(values)
-    return values[np.diff(values, prepend=-1) != 0]
 
 
 def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
@@ -187,10 +166,10 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     src, chunk_key = src[order], chunk_key[order]
     starts = np.flatnonzero(np.diff(chunk_key, prepend=-1))
     cells = np.diff(starts, append=len(src))
-    sj, si, sz, sl = pj[src], pi[src], pz[src], pl[src]
+    sj, si, sz = pj[src], pi[src], pz[src]
     sx, sy = px[src], py[src]
     bj, bi = np.divmod(chunk_key[starts] // span, bw)
-    label = sl[starts]
+    label = pl[src[starts]]
     j0, j1 = np.minimum.reduceat(sj, starts) - k, np.maximum.reduceat(sj, starts) + k
     i0, i1 = np.minimum.reduceat(si, starts) - k, np.maximum.reduceat(si, starts) + k
     z_lo, z_hi = sz[starts], sz[starts + cells - 1]
@@ -205,10 +184,10 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     count[(nj < 0) | (nj >= bh) | (ni < 0) | (ni >= bw)] = 0
     # the pairs (la, lb) found so far, as la * span + lb, sorted and distinct
     found = np.zeros(0, dtype=np.int64)
-    for a, b in _blocks(count.sum(axis=1), _PAIR_BLOCK):
-        runs = count[a:b].ravel()
-        t = _ranges(first[a:b].ravel(), runs)
-        c = np.repeat(np.arange(a, b).repeat(9), runs)
+    for a, b in blocks(count.sum(axis=1), _PAIR_BLOCK):
+        counts = count[a:b].ravel()
+        t = np.repeat(first[a:b].ravel(), counts) + runs(counts)
+        c = np.repeat(np.arange(a, b).repeat(9), counts)
         tj, ti = pj[t], pi[t]
         keep = pl[t] != label[c]
         keep &= (tj >= j0[c]) & (tj <= j1[c]) & (ti >= i0[c]) & (ti <= i1[c])
@@ -216,20 +195,23 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
             keep &= np.isin(label[c] * span + pl[t], found, invert=True)
         t, c = t[keep], c[keep]
         # every candidate meets every cell of its chunk
-        for u, v in _blocks(cells[c], _PAIR_BLOCK):
+        for u, v in blocks(cells[c], _PAIR_BLOCK):
             tc, cc = t[u:v], c[u:v]
             if found.size:
                 fresh = np.isin(label[cc] * span + pl[tc], found, invert=True)
                 tc, cc = tc[fresh], cc[fresh]
             n_cells = cells[cc]
-            pt, ps = np.repeat(tc, n_cells), _ranges(starts[cc], n_cells)
+            pt, ps = np.repeat(tc, n_cells), np.repeat(starts[cc], n_cells) + runs(n_cells)
             d2 = np.square(px[pt] - sx[ps])
             d2 += np.square(py[pt] - sy[ps])
             near = d2 <= thr2
             gap = pz[pt] - sz[ps]
             near &= np.abs(gap, out=gap) <= theta_z
             if near.any():
-                found = _distinct(np.concatenate([found, sl[ps[near]] * span + pl[pt[near]]]))
+                # a candidate's label pair is its chunk's label and its own,
+                # so one near cell of its chunk finds it
+                hit = np.logical_or.reduceat(near, np.cumsum(n_cells) - n_cells)
+                found = np.unique(np.concatenate([found, label[cc[hit]] * span + pl[tc[hit]]]))
     la, lb = np.divmod(found, span)
     return np.stack([la, lb], axis=1)
 

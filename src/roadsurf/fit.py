@@ -392,7 +392,7 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: in
     valid = ~np.isnan(target)
     vals = target[valid]
     # lattice node id ia * num_ctrl_v + jb of each valid cell, row-major, in
-    # the fewest unsigned bytes, which a stable sort sorts by radix
+    # the fewest unsigned bytes, which np.lexsort sorts by radix
     node = np.min_scalar_type(num_ctrl_u * num_ctrl_v - 1)
     ids = np.broadcast_to((ia * num_ctrl_v).astype(node), valid.shape)[valid]
     ids += np.broadcast_to(jb.astype(node)[:, None], valid.shape)[valid]
@@ -401,10 +401,8 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: in
     if ids.size:
         # one sort by node, then value, gives every node's median at once:
         # the middle value of an odd count, the mean of the two middle values
-        # of an even count, as np.median takes them.  A stable sort by value,
-        # then one by node, gives the order of np.lexsort((vals, ids)).
-        order = np.argsort(vals, kind="stable")
-        order = order[np.argsort(ids[order], kind="stable")]
+        # of an even count, as np.median takes them
+        order = np.lexsort((vals, ids))
         ids = ids[order]
         vals = vals[order]
         starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])

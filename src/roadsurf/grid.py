@@ -37,6 +37,9 @@ writes several files and formats each distinct value once for all of them.
 Every text file the package reads or writes, ``.asc`` or not, is UTF-8:
 ``read_lines`` reads it with lines ending at ``\\n``, ``\\r\\n`` or ``\\r``, and
 ``write_lines`` writes it with lines ending at ``\\n``.
+
+``runs`` and ``blocks`` are the index helpers the other modules share: ``runs``
+expands counts into ranges, ``blocks`` cuts sizes into blocks of bounded sum.
 """
 
 from __future__ import annotations
@@ -87,6 +90,24 @@ def check_finite(record) -> None:
         value = getattr(record, spec.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{spec.name} must be finite, got {value}")
+
+
+def runs(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated, in the dtype of counts."""
+    out = np.arange(counts.sum(), dtype=counts.dtype)
+    out -= np.repeat(np.cumsum(counts, dtype=counts.dtype) - counts, counts)
+    return out
+
+
+def blocks(sizes: np.ndarray, limit: int):
+    """Bounds (a, b) of consecutive runs of sizes that sum to at most limit,
+    or of one size alone above it."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + limit, "right")))
+        yield a, b
+        a = b
 
 
 @dataclass

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Mask, Raster, check_finite, read_lines, write_lines
+from .grid import Mask, Raster, check_finite, read_lines, runs, write_lines
 from .nurbs import NurbsSurface, evaluate_grid
 
 # relative tolerance of the Delaunay predicates, against their permanents
@@ -171,12 +171,6 @@ def _strip_start(p: np.ndarray) -> np.ndarray:
             stack.append(v)
     return np.concatenate([np.column_stack([cur_a, cur_b, pid]),
                            np.array(pockets, dtype=np.int64).reshape(-1, 3)])
-
-
-def runs(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., c - 1 for each count c, concatenated, in the dtype of counts."""
-    ends = np.cumsum(counts, dtype=counts.dtype)
-    return np.arange(counts.sum(), dtype=counts.dtype) - np.repeat(ends - counts, counts)
 
 
 def edge_pairs(triangles: np.ndarray) -> np.ndarray:

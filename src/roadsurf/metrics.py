@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Mask, Raster
-from .mesh import TinMesh, edge_pairs, runs
+from .grid import Mask, Raster, blocks, runs
+from .mesh import TinMesh, edge_pairs
 
 # (point, triangle) pairs per closest-point batch, and home-bin pairs per
 # locate pass.  The passes bound the search's working memory: a locate pass
@@ -42,7 +42,7 @@ from .mesh import TinMesh, edge_pairs, runs
 # until the pass is located, and each pass closes only its own points.  What
 # grows with the point count is 21 bytes of state a point, so one search of
 # the 63,001 points of a 251 x 251 tile peaks at 3.3 MB of tracemalloc on a
-# NURBS TIN of 3,585 triangles (2.3 MB when blocks of 2,048 points held it).
+# NURBS TIN of 3,585 triangles.
 _PAIR_CHUNK = 4096
 _HELD_PAIRS = 4 * _PAIR_CHUNK
 # the rounding margin of the plan bound, a share of the largest coordinate
@@ -237,7 +237,8 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     Both steps hold for any winding and for meshes that overlap in plan:
     every containing triangle goes first, and each bound belongs to its own
     pair.  The pairs waiting for their bound are held until their pass is
-    located, so a ring-0 pass ends after about ``_HELD_PAIRS`` pairs.
+    located, so a ring-0 pass holds at most ``_HELD_PAIRS`` pairs, or the
+    pairs of one point alone above it.
 
     Ring k >= 1 of each point whose search is open expands into pairs, which
     go through ``_closest_point_batch`` together and are reduced with
@@ -277,12 +278,10 @@ def point_mesh_distances(mesh: TinMesh, points_xyz: np.ndarray) -> tuple[np.ndar
     covered = np.zeros(len(pts), dtype=bool)
     if not len(pts):
         return best, covered
-    # a ring-0 pass ends after about _HELD_PAIRS pairs
-    total = np.cumsum(np.diff(bins.starts).take(home[:, 0] * nbj + home[:, 1]))
-    cuts = np.unique(np.concatenate([[0], np.searchsorted(
-        total, np.arange(_HELD_PAIRS, total[-1], _HELD_PAIRS), side="right")]))
-    del total
-    passes = (np.arange(s, e, dtype=np.int32) for s, e in zip(cuts, [*cuts[1:], len(pts)]))
+    # a ring-0 pass holds at most _HELD_PAIRS pairs, or one point's above
+    # it; listing the bounds frees the per-point counts before the search
+    cuts = list(blocks(np.diff(bins.starts).take(home[:, 0] * nbj + home[:, 1]), _HELD_PAIRS))
+    passes = (np.arange(a, b, dtype=np.int32) for a, b in cuts)
     # ring max(nb) - 1 reaches every bin from any home bin
     for k in range(int(max(nb))):
         ring = _ring(k)

@@ -122,19 +122,15 @@ def _segment_geometry(px: np.ndarray, py: np.ndarray,
 
 
 def _polyline_sample(waypoints: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Point and unit tangent at arclength s along the polyline."""
+    """Point and unit tangent at arclength s along the polyline, on the first
+    segment whose end reaches s, or on the last."""
     lengths = np.hypot(*(np.diff(waypoints, axis=0).T))
-    total = lengths.sum()
-    s = np.clip(s, 0.0, total)
-    acc = 0.0
-    for k, seg_len in enumerate(lengths):
-        if s <= acc + seg_len or k == len(lengths) - 1:
-            t = (s - acc) / seg_len
-            a, b = waypoints[k], waypoints[k + 1]
-            tangent = (b - a) / seg_len
-            return a + t * (b - a), tangent
-        acc += seg_len
-    raise AssertionError("unreachable")
+    ends = np.cumsum(lengths)
+    s = np.clip(s, 0.0, lengths.sum())
+    k = min(int(np.searchsorted(ends, s)), len(lengths) - 1)
+    t = (s - (ends[k - 1] if k else 0.0)) / lengths[k]
+    a, b = waypoints[k], waypoints[k + 1]
+    return a + t * (b - a), (b - a) / lengths[k]
 
 
 def _base_field(spec: SceneSpec, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:

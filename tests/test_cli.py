@@ -31,8 +31,9 @@ from roadsurf import fit as fitmod
 from roadsurf import grid as gridmod
 from roadsurf import mesh as meshmod
 from roadsurf import metrics as metricsmod
+from roadsurf import synth as synthmod
 from roadsurf.cli import PipelineConfig, main
-from roadsurf.filtering import FilterParams
+from roadsurf.filtering import FilterParams, run_filter
 from roadsurf.fit import FitConfig, LossWeights
 from roadsurf.mesh import SamplingConfig
 from roadsurf.nurbs import load_surface, save_surface
@@ -134,6 +135,25 @@ def test_filter_needs_no_dtm(tile, run, tmp_path):
                            *layer_flags(tile, ("dsm", "mask")))
     assert rc == 0
     assert artifacts == {"mask_filtered.asc": run[0]["mask_filtered.asc"]}
+
+
+def test_filter_resamples_a_coarser_mask_onto_the_dsm_grid(tile, tmp_path):
+    # the 2.5 m tile's mask over a 1 m DSM of the same scene: the edge
+    # extents differ by 0.75 m, within half a mask cell, and the mask's
+    # cells on the scene's vehicles and trees are filtered out
+    dsm = synthmod.generate(synthmod.SceneSpec(
+        cell_size=1.0, vehicles=2, trees=2, facades=1, corrupt_mask=True,
+        jitter_sigma=0.02, seed=3)).dsm
+    gridmod.save_raster(dsm, tmp_path / "dsm.asc")
+    rc, artifacts = invoke(tmp_path / "filter", "filter", *layer_flags(tile, ("mask",)),
+                           "--dsm", str(tmp_path / "dsm.asc"))
+    assert (rc, set(artifacts)) == (0, {"mask_filtered.asc"})
+    filtered = gridmod.load_mask(tmp_path / "filter" / "mask_filtered.asc")
+    resampled = gridmod.resample_mask(gridmod.load_mask(tile / "mask.asc"), dsm)
+    assert filtered.georef_equals(dsm) and (dsm.width, dsm.height) == (101, 101)
+    _, expected = run_filter(dsm.subset(resampled.bits == 1), FilterParams())
+    assert 0 < filtered.count < resampled.count
+    np.testing.assert_array_equal(filtered.bits, expected.bits)
 
 
 def test_disabled_filter_writes_the_input_mask(tile, tmp_path):
@@ -631,6 +651,20 @@ def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
             f"usage error: {config}: unknown config key [{section}] {key}\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[filter]\ntheta_xy = abc\n",
+     "[filter] theta_xy: could not convert string to float: 'abc'\n"),
+    ("theta_xy = 5\n", "File contains no section headers.\n"),  # configparser's own text
+])
+def test_ini_that_does_not_parse_is_a_usage_error(tile, tmp_path, capsys, text, message):
+    config = tmp_path / "roadsurf.ini"
+    config.write_text(text)
+    rc, artifacts = invoke(tmp_path / "out", "filter", *layer_flags(tile, ("dsm", "mask")),
+                           "--config", str(config))
+    assert (rc, artifacts) == (1, {})
+    assert capsys.readouterr().err.startswith(f"usage error: {config}: {message}")
+
+
 # the NurbsSurface constructor's messages, which a surface file gets too
 SURFACE_FLAG_ERRORS = {"--num-ctrl-u": "degree_u 3 needs at least 4 control points, got 2",
                        "--degree-u": "degree_u must be at least 1",
@@ -866,6 +900,16 @@ def infinite_dsm_corner(tile, tmp_path):
             f"{path}:3: xllcorner must be finite, got 'inf'")
 
 
+def dtm_on_another_grid(tile, tmp_path):
+    path = tmp_path / "dtm.asc"
+    lines = (tile / "dtm.asc").read_text().splitlines()
+    assert lines[2].startswith("xllcorner ")
+    lines[2] = "xllcorner 2.5"
+    path.write_text("\n".join(lines) + "\n")
+    return (["fit", *layer_flags(tile, ("dsm", "mask")), "--dtm", str(path)],
+            "dsm and dtm grids do not match")
+
+
 def missing_ground_truth(tile, tmp_path):
     path = tmp_path / "gt_road.asc"
     return (["run", *layer_flags(tile, LAYERS[:3]), "--gt-road", str(path)],
@@ -901,6 +945,7 @@ def mesh_beside_the_tile(tile, tmp_path):
     ("grid", infinite_dsm_corner),
     ("grid", missing_ground_truth),
     ("grid", missing_dtm),
+    ("grid", dtm_on_another_grid),
     ("fit", diverging_fit),
     ("mesh", missing_surface),
     ("mesh", empty_road_with_ground_truth),
@@ -1060,6 +1105,34 @@ def test_invalid_ablation_value_is_a_usage_error(tile, tmp_path, capsys, param, 
     assert capsys.readouterr().err == f"usage error: --values: {message}\n"
 
 
+@pytest.mark.parametrize("values, message", [
+    (",", "--values must list at least one value"),
+    ("1", "sampling_rates values look like road/terrain, got '1'"),
+])
+def test_ablation_values_that_make_no_row_are_usage_errors(tile, tmp_path, capsys, values,
+                                                           message):
+    rc, artifacts = invoke(tmp_path / "out", "ablate", *layer_flags(tile, LAYERS),
+                           *FIT_FLAGS, "--param", "sampling_rates", "--values", values)
+    assert (rc, artifacts) == (1, {})
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("cellsize 1 2", "header line needs one value, got 'cellsize 1 2'"),
+    ("cellsize one", "cannot parse header value 'one'"),
+])
+def test_malformed_asc_header_names_file_and_line(tile, tmp_path, capsys, bad_line, message):
+    path = tmp_path / "dsm.asc"
+    lines = (tile / "dsm.asc").read_text().splitlines()
+    assert lines[4].startswith("cellsize ")
+    lines[4] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    rc, artifacts = invoke(tmp_path / "out", "filter", *layer_flags(tile, ("mask",)),
+                           "--dsm", str(path))
+    assert (rc, artifacts) == (2, {})
+    assert capsys.readouterr().err == f"stage grid: {path}:5: {message}\n"
+
+
 def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
     path = tmp_path / "surface.txt"
     for key, bad_line, message in [
@@ -1069,6 +1142,7 @@ def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
             ("cp ", "cp nan 1.0", "control_z must be finite"),
             ("cp ", "cp 0.0 0.0", "weights must be finite and strictly positive"),
             ("degree ", "degree 3", "degree takes 2 value(s), got 1"),
+            ("shape ", "shape 0 3", "shape values must be positive"),
             ("degree ", "degree 0 3", "degree_u must be at least 1"),
             ("degree ", "degree 40 3", "degree_u 40 needs at least 41 control points, got 12"),
             ("extent ", "extent 100.0 0.0 0.0 100.0", "extent must be finite with "
@@ -1091,7 +1165,9 @@ def test_malformed_mesh_names_file_and_line(tile, run, tmp_path, capsys):
             ("v ", "v 0.0 nan? 1.0", "could not convert string to float: 'nan?'"),
             ("v ", "v 0 0 nan", "vertex coordinates must be finite"),
             ("v ", "v inf 0 0", "vertex coordinates must be finite"),
-            ("f ", "f 0 1 2", "triangle indices out of range")]:
+            ("v ", "v 0 0", "vertex line needs 3 coordinates"),
+            ("f ", "f 0 1 2", "triangle indices out of range"),
+            ("f ", "f 1 2 3 4", "only triangle faces are supported")]:
         lines = run[0]["mesh.obj"].decode().splitlines()
         line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))
         lines[line_no - 1] = bad_line
@@ -1100,6 +1176,15 @@ def test_malformed_mesh_names_file_and_line(tile, run, tmp_path, capsys):
                                "--mesh", str(path))
         assert (rc, artifacts) == (2, {})
         assert capsys.readouterr().err == f"stage metrics: {path}:{line_no}: {message}\n"
+
+
+def test_mesh_file_without_vertices_or_faces_is_a_metrics_failure(tile, tmp_path, capsys):
+    path = tmp_path / "mesh.obj"
+    path.write_text("# no vertex and no face\n")
+    rc, artifacts = invoke(tmp_path / "out", "eval", *layer_flags(tile, LAYERS),
+                           "--mesh", str(path))
+    assert (rc, artifacts) == (2, {})
+    assert capsys.readouterr().err == f"stage metrics: {path}: no mesh content found\n"
 
 
 @pytest.mark.parametrize("text_format", ["asc", "surface", "obj", "scene"])

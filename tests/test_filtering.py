@@ -638,14 +638,14 @@ class TestMergeClusters:
         labels = grow_regions(points, get_neighbors(points, 0.5))
         assert labels.label_count == 2
         expanded = []
-        ranges = filtering._ranges
+        runs = filtering.runs
 
-        def counted(first, counts):
-            out = ranges(first, counts)
+        def counted(counts):
+            out = runs(counts)
             expanded.append(out.size)
             return out
 
-        monkeypatch.setattr(filtering, "_ranges", counted)
+        monkeypatch.setattr(filtering, "runs", counted)
         merged = merge_clusters(points, labels, 10.0, 0.5)
         assert merged.label_count == 1
         assert sum(expanded) < 11_467_314 // 10
