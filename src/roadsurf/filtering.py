@@ -120,9 +120,9 @@ def grow_regions(points: Raster, neighbors: np.ndarray) -> LabelGrid:
 
 def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
                        theta_z: float) -> np.ndarray:
-    """Distinct label pairs (la, lb), la != lb, of point pairs within theta_xy
-    in plan and theta_z in elevation, as an (E, 2) array with la outside the
-    largest cluster.
+    """Label pairs (la, lb), la != lb, of point pairs within theta_xy in plan
+    and theta_z in elevation, as an (E, 2) array with la outside the largest
+    cluster; a pair may repeat.
 
     The points are sorted by bucket, a square of k x k cells (k the cells
     just past theta_xy), and within a bucket by elevation.  A chunk is the
@@ -182,7 +182,7 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
     count = np.searchsorted(key, around + np.searchsorted(z_sorted, z_hi + margin, "right")[:, None])
     count -= first
     count[(nj < 0) | (nj >= bh) | (ni < 0) | (ni >= bw)] = 0
-    # the pairs (la, lb) found so far, as la * span + lb, sorted and distinct
+    # the pairs (la, lb) found so far, as la * span + lb, repeated only within a block
     found = np.zeros(0, dtype=np.int64)
     for a, b in blocks(count.sum(axis=1), _PAIR_BLOCK):
         counts = count[a:b].ravel()
@@ -211,7 +211,7 @@ def _close_label_pairs(points: Raster, lab: np.ndarray, theta_xy: float,
                 # a candidate's label pair is its chunk's label and its own,
                 # so one near cell of its chunk finds it
                 hit = np.logical_or.reduceat(near, np.cumsum(n_cells) - n_cells)
-                found = np.unique(np.concatenate([found, label[cc[hit]] * span + pl[tc[hit]]]))
+                found = np.concatenate([found, label[cc[hit]] * span + pl[tc[hit]]])
     la, lb = np.divmod(found, span)
     return np.stack([la, lb], axis=1)
 

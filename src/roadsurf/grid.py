@@ -38,6 +38,9 @@ Every text file the package reads or writes, ``.asc`` or not, is UTF-8:
 ``read_lines`` reads it with lines ending at ``\\n``, ``\\r\\n`` or ``\\r``, and
 ``write_lines`` writes it with lines ending at ``\\n``.
 
+A record check whose failure a file reader blames on a line raises
+``FieldError``, which names the fields the check read.
+
 ``runs`` and ``blocks`` are the index helpers the other modules share: ``runs``
 expands counts into ranges, ``blocks`` cuts sizes into blocks of bounded sum.
 """
@@ -81,6 +84,15 @@ def read_lines(path: str | Path) -> list[str]:
 def write_lines(path: str | Path, lines: list[str]) -> None:
     """Write lines to a UTF-8 text file, each ending at ``\\n``."""
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class FieldError(ValueError):
+    """A failed record check: ``keys`` are the fields it read, the one to blame
+    first, ``index`` an array field's first rejected element in C order or 0."""
+
+    def __init__(self, keys: tuple[str, ...], message: str, index: int = 0):
+        super().__init__(message)
+        self.keys, self.index = keys, index
 
 
 def check_finite(record) -> None:

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import read_lines, write_lines
+from .grid import FieldError, read_lines, write_lines
 
 
 def uniform_clamped_knots(num_ctrl: int, degree: int) -> np.ndarray:
@@ -86,25 +86,15 @@ def basis_matrix(knots: np.ndarray, degree: int, params: np.ndarray) -> np.ndarr
     return out
 
 
-class SurfaceError(ValueError):
-    """A failed NurbsSurface check.  ``field`` names the rejected field and
-    ``index`` its first rejected control point, u-major; 0 for a check of a
-    whole field."""
-
-    def __init__(self, field: str, message: str, index: int = 0):
-        super().__init__(message)
-        self.field, self.index = field, index
-
-
 def check_degrees(degrees: tuple[int, int], counts: tuple[int, int]) -> None:
     """The NurbsSurface rule for its degrees (u, v) against its control
     counts (nu, nv): each degree at least 1 and below its count."""
     for axis, degree, n in zip("uv", degrees, counts):
         if degree < 1:
-            raise SurfaceError(f"degree_{axis}", f"degree_{axis} must be at least 1")
+            raise FieldError((f"degree_{axis}",), f"degree_{axis} must be at least 1")
         if n <= degree:
-            raise SurfaceError(f"degree_{axis}", f"degree_{axis} {degree} needs at least "
-                                                 f"{degree + 1} control points, got {n}")
+            raise FieldError((f"degree_{axis}",), f"degree_{axis} {degree} needs at least "
+                                                  f"{degree + 1} control points, got {n}")
 
 
 @dataclass
@@ -121,18 +111,18 @@ class NurbsSurface:
         self.weights = np.asarray(self.weights, dtype=float)
         x0, x1, y0, y1 = self.extent
         if not (np.isfinite(self.extent).all() and x0 < x1 and y0 < y1):
-            raise SurfaceError("extent", f"extent must be finite with x0 < x1 and y0 < y1, "
-                                         f"got {self.extent}")
+            raise FieldError(("extent",), f"extent must be finite with x0 < x1 and y0 < y1, "
+                                          f"got {self.extent}")
         if self.control_z.ndim != 2:
-            raise SurfaceError("control_z", "control_z must have shape (nu, nv)")
+            raise FieldError(("control_z",), "control_z must have shape (nu, nv)")
         if self.weights.shape != self.control_z.shape:
-            raise SurfaceError("weights", "weights shape must match the control grid")
+            raise FieldError(("weights",), "weights shape must match the control grid")
         for name, bad, rule in (
                 ("control_z", ~np.isfinite(self.control_z), "finite"),
                 ("weights", ~(np.isfinite(self.weights) & (self.weights > 0)),
                  "finite and strictly positive")):
             if bad.any():
-                raise SurfaceError(name, f"{name} must be {rule}", int(bad.argmax()))
+                raise FieldError((name,), f"{name} must be {rule}", int(bad.argmax()))
         check_degrees((self.degree_u, self.degree_v), self.control_z.shape)
 
     @property
@@ -211,8 +201,8 @@ def load_surface(path: str | Path) -> NurbsSurface:
     Layout: the signature line ``roadsurf-surface 2``, then ``degree p q``,
     ``shape nu nv``, ``extent x0 x1 y0 y1`` and one ``cp z w`` line per
     control point in u-major order.  Every value check is the NurbsSurface
-    constructor's; its error, like a parse error, names the line that set
-    the rejected value.
+    constructor's; its ``grid.FieldError``, like a parse error, names the line
+    that set the rejected value.
     """
     lines = [(n, line.split()) for n, line in
              enumerate(read_lines(path), start=1) if line.strip()]
@@ -246,5 +236,5 @@ def load_surface(path: str | Path) -> NurbsSurface:
     cps = np.array(values["cp"]).reshape(nu, nv, 2)
     try:
         return NurbsSurface(values["extent"][0], p, q, cps[..., 0], cps[..., 1])
-    except SurfaceError as err:
-        raise ValueError(f"{path}:{where[_FIELD_KEYS[err.field]][err.index]}: {err}") from None
+    except FieldError as err:
+        raise ValueError(f"{path}:{where[_FIELD_KEYS[err.keys[0]]][err.index]}: {err}") from None

@@ -28,20 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Mask, Raster, mask_raster, read_lines, save_rasters
+from .grid import FieldError, Mask, Raster, mask_raster, read_lines, save_rasters
 
 PROV_VEHICLE = 1
 PROV_TREE = 2
 PROV_FACADE = 3
-
-
-class SceneSpecError(ValueError):
-    """A failed SceneSpec check.  ``keys`` are the fields it reads, the one
-    to blame first."""
-
-    def __init__(self, keys: tuple[str, ...], message: str):
-        super().__init__(message)
-        self.keys = keys
 
 
 @dataclass
@@ -66,29 +57,28 @@ class SceneSpec:
     def __post_init__(self):
         for key in ("tile_size", "cell_size"):
             if not getattr(self, key) > 0:
-                raise SceneSpecError((key,), "tile_size and cell_size must be positive")
+                raise FieldError((key,), "tile_size and cell_size must be positive")
         if len(self.road) < 2:
-            raise SceneSpecError(("road",), "road polyline needs at least two waypoints")
+            raise FieldError(("road",), "road polyline needs at least two waypoints")
         for x, y in self.road:
             if not (0 <= x <= self.tile_size and 0 <= y <= self.tile_size):
-                raise SceneSpecError(("road", "tile_size"), "road waypoint outside the tile")
+                raise FieldError(("road", "tile_size"), "road waypoint outside the tile")
         # the squared lengths the road's geometry divides by
         if not ((np.diff(np.asarray(self.road, dtype=float), axis=0) ** 2).sum(axis=1) > 0).all():
-            raise SceneSpecError(("road",), "road segments must have positive length")
+            raise FieldError(("road",), "road segments must have positive length")
         if not (0 < self.target_road_fraction < 1):
-            raise SceneSpecError(("target_road_fraction",),
-                                 "target_road_fraction must be in (0, 1)")
+            raise FieldError(("target_road_fraction",), "target_road_fraction must be in (0, 1)")
         for key in ("vehicles", "trees", "facades"):
             if getattr(self, key) < 0:
-                raise SceneSpecError((key,), "vehicles, trees and facades must be non-negative")
+                raise FieldError((key,), "vehicles, trees and facades must be non-negative")
         if not 0 <= self.jitter_sigma < np.inf:
-            raise SceneSpecError(("jitter_sigma",), "jitter_sigma must be finite and non-negative")
+            raise FieldError(("jitter_sigma",), "jitter_sigma must be finite and non-negative")
         for key in ("base_elevation", "slope_x", "slope_y"):
             if not np.isfinite(getattr(self, key)):
-                raise SceneSpecError((key,), "base_elevation, slope_x and slope_y must be finite")
+                raise FieldError((key,), "base_elevation, slope_x and slope_y must be finite")
         for hill in self.hills:
             if not (np.isfinite(hill).all() and hill[3] > 0):
-                raise SceneSpecError(("hills",), "hill values must be finite and sigma positive")
+                raise FieldError(("hills",), "hill values must be finite and sigma positive")
 
 
 @dataclass
@@ -276,8 +266,8 @@ def parse_scene_file(path: str | Path) -> SceneSpec:
 
     One ``key value...`` pair per line; ``#`` starts a comment.  ``hill cx cy
     amplitude sigma`` may repeat; ``road`` takes two or more ``x,y``
-    waypoints, every other key a fixed number of values.  Providing any hill
-    or road line replaces the respective default entirely.  A failed
+    waypoints, every other key a fixed number of values.  Any hill or road
+    line replaces its default entirely.  A ``grid.FieldError`` from a
     SceneSpec check names the line that last set the key it blames.
     """
     spec = SceneSpec()
@@ -313,7 +303,7 @@ def parse_scene_file(path: str | Path) -> SceneSpec:
         spec.road = road
     try:
         spec.__post_init__()
-    except SceneSpecError as err:
+    except FieldError as err:
         # the defaults pass every check, so a failed one reads a key the file set
         line_no = next(set_by[key] for key in err.keys if key in set_by)
         raise ValueError(f"{path}:{line_no}: {err}") from None

@@ -793,6 +793,15 @@ def test_text_that_would_split_a_csv_row_is_a_usage_error(tile, run, tmp_path, c
         f"usage error: {message} holds a comma or a line break\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--lambda-reg", "-1"], "loss weights must be non-negative"),
+    (["fit", "--early-stop-patience", "0"], "early_stop_patience must be at least 1"),
+])
+def test_fit_settings_out_of_range_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def record(out):
     """The run record printed to ``out``: {label: {key: value text}}."""
     return {line.split(": ", 1)[0]: dict(item.split("=") for item in line.split()[1:])
@@ -969,6 +978,29 @@ def test_single_fault_names_its_stage(tile, tmp_path, capsys, monkeypatch, stage
     assert errors == errors[:1] * len(ROW_PATHS)
 
 
+@pytest.mark.parametrize("baselines", ["true", "false"])
+def test_a_failed_baseline_fails_the_run(tile, tmp_path, capsys, monkeypatch, baselines):
+    # NODATA on every other cell, as on a checkerboard: the NURBS row meshes
+    # and scores its samples, but the RGT baseline finds no 2x2 block of
+    # points, and a failed baseline row fails the whole run
+    dsm = gridmod.load_raster(tile / "dsm.asc")
+    j, i = np.indices(dsm.values.shape)
+    path = tmp_path / "checkerboard.asc"
+    gridmod.save_raster(dsm.subset((i + j) % 2 == 0), path)
+    for usable in ROW_PATHS:
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        rc, artifacts = invoke(tmp_path / f"out{usable}", "run", "--dsm", str(path),
+                               *layer_flags(tile, ("dtm", "mask")), *FIT_FLAGS,
+                               "--baselines", baselines)
+        err = capsys.readouterr().err
+        if baselines == "true":
+            assert (rc, artifacts) == (2, {})
+            assert err == "stage mesh: raster has no 2x2 block of valid cells\n"
+        else:
+            assert (rc, set(artifacts), err) == (0, RUN_ARTIFACTS, "")
+        no_child_is_left()
+
+
 def test_a_non_finite_score_is_a_metrics_failure(tile, tmp_path, capsys, monkeypatch):
     # terrain ground truth of 1e300 everywhere: its squared distances to any
     # mesh overflow, so l2_terrain is infinite on every row
@@ -1060,6 +1092,25 @@ def test_scene_value_count_is_a_grid_failure(tmp_path, capsys, line, message):
     scene.write_text(f"cell_size 2.5\n{line}\n")
     assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"stage grid: {scene}:2: {message}\n"
+
+
+def test_scene_file_comments_and_blank_lines_set_nothing(tile, tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text("# the module's tile\ncell_size 2.5  # metres\n\n   \nvehicles 2\n"
+                     "trees 2\nfacades 1\ncorrupt_mask true\njitter_sigma 0.02\nseed 3\n")
+    assert main(["synth", "--scene", str(scene), "--out", str(tmp_path / "tile")]) == 0
+    for name in LAYERS + ("provenance",):
+        written = (tmp_path / "tile" / f"{name}.asc").read_bytes()
+        assert written == (tile / f"{name}.asc").read_bytes()
+
+
+def test_a_scene_spec_check_blames_the_keys_it_read():
+    with pytest.raises(gridmod.FieldError, match="road polyline needs at least two") as err:
+        synthmod.SceneSpec(road=[(0.0, 0.0)])
+    assert err.value.keys == ("road",)
+    with pytest.raises(gridmod.FieldError) as err:
+        synthmod.SceneSpec(tile_size=50.0)
+    assert err.value.keys == ("road", "tile_size")
 
 
 def test_negative_noise_flags_are_a_grid_failure(tmp_path, capsys):

@@ -33,8 +33,8 @@ node against its documented rules, on nested and non-nested rates and on
 terrain nodes 5e-8 m and 2e-6 m beside a road node.
 
 The OBJ writer is checked byte for byte against a formatter that converts
-one numpy scalar at a time.  The plane fit must recover the plane its
-points were sampled from.
+one numpy scalar at a time, and the reader must skip blank lines.  The
+plane fit must recover the plane its points were sampled from.
 """
 
 import itertools
@@ -52,7 +52,7 @@ from roadsurf.fit import initialize_surface
 from roadsurf.grid import Mask, Raster
 from roadsurf.mesh import (_TOL, SamplingConfig, TinMesh, _flip_to_delaunay, _incircle,
                            _strip_start, delaunay, dynamic_sample, edge_pairs, export_mesh,
-                           fit_plane, plane_mesh, rgt_mesh)
+                           fit_plane, load_mesh, plane_mesh, rgt_mesh)
 from roadsurf.nurbs import NurbsSurface
 from roadsurf.synth import SceneSpec, generate
 
@@ -565,6 +565,14 @@ def test_export_matches_the_elementwise_formatter(tmp_path, attr, origin):
     path = tmp_path / "mesh.obj"
     export_mesh(mesh, path, values[attr])
     assert path.read_text() == reference_obj(mesh, values[attr])
+
+
+def test_load_mesh_skips_blank_lines(tmp_path):
+    path = tmp_path / "mesh.obj"
+    path.write_text("v 0.0 0.0 1.0\n\nv 1.0 0.0 2.0\n  \nv 0.0 1.0 3.5\n\nf 1 2 3\n")
+    mesh = load_mesh(path)
+    assert mesh.vertices.tolist() == [[0.0, 0.0, 1.0], [1.0, 0.0, 2.0], [0.0, 1.0, 3.5]]
+    assert mesh.triangles.tolist() == [[0, 1, 2]]
 
 
 def test_fit_plane_recovers_the_sampled_plane():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadsurf.grid import Raster
+from roadsurf.grid import FieldError, Raster
 from roadsurf.nurbs import (
     NurbsSurface,
     basis_matrix,
@@ -254,6 +254,13 @@ class TestSurfaceValidation:
         kw["extent"] = extent
         with pytest.raises(ValueError, match="extent"):
             NurbsSurface(**kw)
+
+    def test_a_rejected_array_field_names_its_first_bad_element(self):
+        kw = self.kwargs()
+        kw["weights"] = np.array([[1.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(FieldError) as err:
+            NurbsSurface(**kw)
+        assert (err.value.keys, err.value.index) == (("weights",), 2)  # C order
 
     def test_replace_revalidates(self):
         surf = NurbsSurface(**self.kwargs())
