@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import os
 import pickle
 import signal
@@ -393,7 +392,7 @@ def _run_lane(state: SimpleNamespace, rows: list, indices):
 def _fork_lane(state: SimpleNamespace, rows: list, lane: int, lanes: int):
     """A worker that runs rows lane, lane + lanes, ... through _run_lane and
     pickles into a pipe, as each row ends, its warnings and outcome.
-    Returns (pid, the pipe's read end, lane)."""
+    Returns (pid, the pipe's read end)."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -418,24 +417,17 @@ def _fork_lane(state: SimpleNamespace, rows: list, lane: int, lanes: int):
             # no exit handler or inherited stdio buffer may run twice
             os._exit(status)
     os.close(write)
-    return pid, os.fdopen(read, "rb"), lane
+    return pid, os.fdopen(read, "rb")
 
 
-def _outcomes(results: io.BytesIO, code: int, rows: list, lane: int, lanes: int) -> dict:
-    """A lane's outcomes by row, from what its worker sent before it ended
-    with exit code ``code``; the row it left without a result fails under
-    its first stage's name."""
-    outcomes = {}
-    for index in range(lane, len(rows), lanes):
-        try:
-            outcomes[index] = pickle.load(results)  # bytes this program's worker wrote
-        except (EOFError, pickle.UnpicklingError):
-            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-            outcomes[index] = [], StageError(rows[index][1][0][0],
-                                             f"worker ended without a result ({how})")
-        if isinstance(outcomes[index][1], Exception):
-            break
-    return outcomes
+def _end(workers: dict, after: int) -> None:
+    """Closes the pipe of, kills and reaps each worker (lane: (pid, pipe))
+    whose lane is above ``after``: all of its rows come after row ``after``."""
+    for lane in [lane for lane in workers if lane > after]:
+        pid, pipe = workers.pop(lane)  # the finally of run_rows must not signal it again
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
@@ -446,53 +438,50 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
     their reports and record.
 
     Row i runs in lane i mod L, L from _lanes: lane 0 in this process,
-    each other lane in one forked worker.  With one lane (one usable CPU,
-    no os.fork, or too little free memory for a worker) every row runs
-    here, in order.  Either way the warnings the filters let through are
-    shown at the end, in row order, once where one process running the rows
-    in turn would show them once, and where rows fail, what the lowest
-    failing row raised is raised, after the warnings of the rows up to it.
-    This process reaps every worker before it returns or raises, ending
-    those whose rows all come after a failure of its own.  A worker's
-    memory peak is its own: it is not in this process's ru_maxrss, only in
-    RUSAGE_CHILDREN.
+    each other lane in one forked worker, or here if the fork fails.  With
+    one lane (one usable CPU, no os.fork, or too little free memory for a
+    worker) every row runs here, in order.  This process runs its own lanes
+    first, then takes every row's outcome in row order, a worker's from its
+    pipe as the row comes up.  The warnings the filters let through are
+    shown as each row is taken, once where one process running the rows in
+    turn would show them once, and the first failed row raises what it
+    raised.  _end ends the workers whose rows all come after a failure of
+    this process's own, and every worker is reaped before run_rows returns
+    or raises.  A worker's memory peak is its own: it is not in this
+    process's ru_maxrss, only in RUSAGE_CHILDREN.
     """
     lanes = _lanes(len(rows))
-    workers, mine, outcomes = [], [0], {}
+    workers, outcomes, registries = {}, {}, {}  # registries: one a module, as in one process
     try:
         for lane in range(1, lanes):
             try:
-                workers.append(_fork_lane(state, rows, lane, lanes))
+                workers[lane] = _fork_lane(state, rows, lane, lanes)
             except OSError:  # no process to spare: this one runs the lane
-                mine.append(lane)
+                pass
         for index, caught, done in _run_lane(
-                state, rows, (i for i in range(len(rows)) if i % lanes in mine)):
+                state, rows, [i for i in range(len(rows)) if i % lanes not in workers]):
             outcomes[index] = caught, done
             if isinstance(done, Exception):
-                for pid, _, lane in workers:
-                    if lane > index:
-                        os.kill(pid, signal.SIGKILL)
-        while workers:
-            pid, pipe, lane = workers[0]
-            with pipe:
-                results = io.BytesIO(pipe.read())
-            del workers[0]  # reaped here: the finally below must not signal its pid
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            outcomes.update(_outcomes(results, code, rows, lane, lanes))
+                _end(workers, index)
+        for index, (_, stages) in enumerate(rows):
+            if index % lanes in workers:
+                try:  # bytes this program's worker wrote
+                    outcomes[index] = pickle.load(workers[index % lanes][1])
+                except (EOFError, pickle.UnpicklingError):
+                    pid, pipe = workers.pop(index % lanes)
+                    pipe.close()
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    raise StageError(stages[0][0], f"worker ended without a result ({how})")
+            caught, done = outcomes[index]
+            for message, category, filename, lineno, module in caught:
+                warnings.warn_explicit(message, category, filename, lineno, module,
+                                       registries.setdefault(module, {}))
+            if isinstance(done, Exception):
+                raise done
+        return [outcomes[index][1] for index in range(len(rows))]
     finally:
-        for pid, pipe, _ in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    registries = {}  # one a module, kept over the rows as in one process
-    for index in range(len(rows)):
-        caught, done = outcomes[index]
-        for message, category, filename, lineno, module in caught:
-            warnings.warn_explicit(message, category, filename, lineno, module,
-                                   registries.setdefault(module, {}))
-        if isinstance(done, Exception):
-            raise done
-    return [outcomes[index][1] for index in range(len(rows))]
+        _end(workers, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -379,12 +379,7 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: in
     off the road do not lift it) over the non-NaN cells nearest to its
     node; nodes without one fall back to the global DTM median, then to 0.
     """
-    dtm_values = dtm.values[dtm.valid]
-    fallback = float(np.median(dtm_values)) if dtm_values.size else 0.0
-    shape = (num_ctrl_u, num_ctrl_v)
-    surface = NurbsSurface(dsm.center_extent, degree_u, degree_v,
-                           np.full(shape, fallback), np.ones(shape))
-    x0, x1, y0, y1 = surface.extent
+    x0, x1, y0, y1 = dsm.center_extent
     xs, ys = dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height))
     ia = np.clip(np.round((xs - x0) / (x1 - x0) * (num_ctrl_u - 1)), 0, num_ctrl_u - 1)
     jb = np.clip(np.round((ys - y0) / (y1 - y0) * (num_ctrl_v - 1)), 0, num_ctrl_v - 1)
@@ -397,7 +392,7 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: in
     ids = np.broadcast_to((ia * num_ctrl_v).astype(node), valid.shape)[valid]
     ids += np.broadcast_to(jb.astype(node)[:, None], valid.shape)[valid]
     del target, valid  # not held while the sorts run
-    z = surface.control_z.reshape(-1)  # a view: node medians are written in place
+    z = np.full(num_ctrl_u * num_ctrl_v, np.nan)
     if ids.size:
         # one sort by node, then value, gives every node's median at once:
         # the middle value of an odd count, the mean of the two middle values
@@ -410,4 +405,9 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: in
         upper = vals[starts + counts // 2]
         lower = vals[starts + (counts - 1) // 2]
         z[ids[starts]] = np.where(counts % 2 == 1, upper, (lower + upper) / 2)
-    return surface
+    empty = np.isnan(z)
+    if empty.any():  # np.median, which loads numpy.ma, only where a node needs it
+        dtm_values = dtm.values[dtm.valid]
+        z[empty] = float(np.median(dtm_values)) if dtm_values.size else 0.0
+    shape = (num_ctrl_u, num_ctrl_v)
+    return NurbsSurface(dsm.center_extent, degree_u, degree_v, z.reshape(shape), np.ones(shape))

@@ -415,6 +415,29 @@ def test_a_failing_caller_row_ends_its_worker(tile, tmp_path, capsys, monkeypatc
     no_child_is_left()
 
 
+@needs_fork
+def test_a_failing_worker_row_ends_the_workers_after_it(tile, tmp_path, capfd, monkeypatch,
+                                                        forks, time_limit):
+    build_tin = meshmod.build_tin
+
+    def slow_at_road_rate_5(surface, mask, config):
+        if config.road_rate == 5:
+            time.sleep(60)
+        return build_tin(surface, mask, config)
+
+    # forked workers inherit the patch: row 1 fails in one worker while row 2
+    # would outlast the test's time limit in the other
+    monkeypatch.setattr(meshmod, "build_tin", slow_at_road_rate_5)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    with time_limit(20, "the caller waited for a worker whose rows come after a failed row"):
+        rc, artifacts = invoke(tmp_path / "out", "ablate", *layer_flags(tile, LAYERS), *FIT_FLAGS,
+                               "--param", "sampling_rates", "--values", "2.5/10,200/400,5/10")
+    assert (rc, artifacts) == (2, {})
+    assert capfd.readouterr().err == "stage mesh: not enough samples to build a mesh\n"
+    assert len(forks) == 2
+    no_child_is_left()
+
+
 def kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
@@ -1259,6 +1282,21 @@ def test_undecodable_byte_names_file_and_line(tile, run, tmp_path, capsys, text_
     assert capsys.readouterr().err.startswith(
         f"stage {stage}: {bad}:3: 'utf-8' codec can't decode byte 0xff in position 2: ")
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["fit", "run"])
+def test_fit_and_run_leave_numpy_ma_unloaded(tile, tmp_path, command):
+    """numpy.ma costs milliseconds and megabytes on its first import, which
+    np.median makes; the fit takes the DTM median only for a node no cell
+    reaches, and every node of the CLI tile's net has one."""
+    argv = [command, *layer_flags(tile, LAYERS), *FIT_FLAGS, "--out-dir", str(tmp_path)]
+    code = ("import sys\nfrom roadsurf import cli\ncli.usable_cpus = lambda: 1\n"
+            f"assert cli.main({argv!r}) == 0\nprint('numpy.ma' in sys.modules)")
+    path = os.pathsep.join([str(Path(roadsurf.__file__).parents[1]),
+                            *filter(None, [os.environ.get("PYTHONPATH")])])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_fit_bytes_repeat_at_each_blas_thread_count(tmp_path):
