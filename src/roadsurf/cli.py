@@ -42,12 +42,13 @@ mesh, metrics.
 Configuration comes from an INI-style file (sections [paths], [filter],
 [surface], [fit], [sampling], [metrics]) and each key can be overridden by
 a command line flag of the same name, for example theta_xy in [filter] by
---theta-xy.  Defaults: a 35x35 cubic control grid, and the defaults of the
-stages' own config classes (FilterParams, LossWeights, FitConfig,
-SamplingConfig); the fit moves only the control elevations, at unit
-weights (a B-spline), and ends on its seventh plateau, or at max_iters
-1000.  Booleans take configparser's spellings (1/yes/true/on,
-0/no/false/off).
+--theta-xy.  Defaults: a cubic control net of max(degree + 1, ceil(E /
+ctrl_spacing) + 1) nodes along each axis of extent E, at most ctrl_spacing
+3 m apart (35 x 35 on a 100 m tile), and the defaults of the stages' own
+config classes (FilterParams, LossWeights, FitConfig, SamplingConfig); the
+fit moves only the control elevations, at unit weights (a B-spline), and
+ends on its seventh plateau, or at max_iters 1000.  Booleans take
+configparser's spellings (1/yes/true/on, 0/no/false/off).
 
 Every artifact is byte-stable for a fixed BLAS build and thread count
 (OPENBLAS_NUM_THREADS): rerunning on identical inputs reproduces it exactly.
@@ -80,7 +81,7 @@ from .fit import FitConfig, LossWeights
 from .grid import Raster
 from .mesh import SamplingConfig
 from .metrics import MetricReport
-from .nurbs import check_degrees, load_surface, save_surface
+from .nurbs import load_surface, save_surface
 
 
 class StageError(RuntimeError):
@@ -102,9 +103,9 @@ class UsageError(ValueError):
 # configuration
 
 
-def _key(section: str, default):
-    """A config field read from [section] of the INI file."""
-    return field(default=default, metadata={"section": section})
+def _key(section: str, default, note: str = ""):
+    """A config field read from [section] of the INI file; note ends its help."""
+    return field(default=default, metadata={"section": section, "note": note})
 
 
 @dataclass
@@ -126,10 +127,10 @@ class PipelineConfig:
     theta_xy: float = _key("filter", FilterParams.theta_xy)
     theta_z: float = _key("filter", FilterParams.theta_z)
     top_k: int = _key("filter", FilterParams.top_k)
-    num_ctrl_u: int = _key("surface", 35)
-    num_ctrl_v: int = _key("surface", 35)
-    degree_u: int = _key("surface", 3)
-    degree_v: int = _key("surface", 3)
+    ctrl_spacing: float = _key("surface", 3.0, ": the most metres between control nodes "
+                               "(default 3.0): max(degree + 1, ceil(E / ctrl_spacing) + 1) "
+                               "nodes on an axis of the DSM's cell-centre extent E")
+    degree: int = _key("surface", 3, ": the B-spline degree of both axes, at least 1 (default 3)")
     lambda_terrain: float = _key("fit", LossWeights.lambda_terrain)
     lambda_reg: float = _key("fit", LossWeights.lambda_reg)
     learning_rate: float = _key("fit", FitConfig.learning_rate)
@@ -149,14 +150,16 @@ class PipelineConfig:
         gridmod.check_finite(self)
         for cls in (FilterParams, LossWeights, FitConfig, SamplingConfig):
             self.stage_config(cls)
-        check_degrees((self.degree_u, self.degree_v), (self.num_ctrl_u, self.num_ctrl_v))
+        if not self.ctrl_spacing > 0:
+            raise ValueError(f"ctrl_spacing must be positive, got {self.ctrl_spacing}")
+        if self.degree < 1:
+            raise ValueError(f"degree must be at least 1, got {self.degree}")
 
 
-# the stage each INI section feeds; [metrics] baselines also switches the
-# baseline meshes that run scores after the NURBS TIN
-_SECTION_STAGE = {"paths": "grid", "filter": "filter", "surface": "fit", "fit": "fit",
-                  "sampling": "mesh", "metrics": "metrics"}
+# the stage each section that ablate can sweep feeds: not [paths] or [metrics]
+_SECTION_STAGE = {"filter": "filter", "surface": "fit", "fit": "fit", "sampling": "mesh"}
 _SECTIONS = {spec.name: spec.metadata["section"] for spec in fields(PipelineConfig)}
+_NOTES = {spec.name: spec.metadata["note"] for spec in fields(PipelineConfig)}
 _INI_KEYS = {(section, name.removeprefix(section + "_")): name
              for name, section in _SECTIONS.items()}
 _CASTERS = {spec.name: synthmod.CASTERS.get(spec.type, Path) for spec in fields(PipelineConfig)}
@@ -260,10 +263,8 @@ def filter_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
 
 
 def fit_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    surface0 = fitmod.initialize_surface(
-        state.dsm, state.dtm, state.mask_plus, num_ctrl_u=config.num_ctrl_u,
-        num_ctrl_v=config.num_ctrl_v, degree_u=config.degree_u,
-        degree_v=config.degree_v)
+    surface0 = fitmod.initialize_surface(state.dsm, state.dtm, state.mask_plus,
+                                         config.ctrl_spacing, config.degree)
     state.surface, state.fit_report = fitmod.fit(
         surface0, state.dsm, state.dtm, state.mask_plus,
         config.stage_config(LossWeights), config.stage_config(FitConfig))
@@ -322,11 +323,11 @@ def run_stages(config: PipelineConfig, state: SimpleNamespace,
                stages: tuple) -> SimpleNamespace:
     """Runs (name, stage) pairs in order; what a stage raises becomes
     StageError(name), an allocation it cannot make included (a sampling
-    lattice too large for memory, say)."""
+    lattice or a control net too large for memory, say)."""
     for name, stage in stages:
         try:
             stage(config, state)
-        except (OSError, ValueError, RuntimeError) as err:
+        except (OSError, ValueError, RuntimeError, OverflowError) as err:
             raise StageError(name, str(err)) from err
         except MemoryError as err:  # numpy's message names the array it could not allocate
             raise StageError(name, str(err) or "out of memory") from err
@@ -693,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="INI config file; flags override its keys")
     for (section, ini_key), key in _INI_KEYS.items():
         config.add_argument("--" + key.replace("_", "-"), dest=key, type=_CASTERS[key],
-                            default=None, help=f"overrides [{section}] {ini_key}")
+                            default=None, help=f"overrides [{section}] {ini_key}{_NOTES[key]}")
     config.set_defaults(func=cmd_pipeline)
     subcommands = {name: subs.add_parser(name, parents=[config], help=f"{name} stage")
                    for name in ("filter", "fit", "mesh", "eval", "run", "ablate")}

@@ -369,10 +369,12 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     return replace(surface, control_z=best_z), report
 
 
-def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: int = 35,
-                       num_ctrl_v: int = 35, degree_u: int = 3,
-                       degree_v: int = 3) -> NurbsSurface:
-    """Lattice surface over the DSM extent with unit weights.
+def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, ctrl_spacing: float = 3.0,
+                       degree: int = 3) -> NurbsSurface:
+    """Lattice surface of ``degree`` on both axes over the DSM's cell-centre
+    extent, with unit weights: an axis of extent E gets max(degree + 1,
+    ceil(E / ctrl_spacing) + 1) evenly spaced nodes, at most ctrl_spacing
+    apart (3 m by default, 35 on a 100 m tile).
 
     Each control elevation starts at the median of the loss's target (the
     DSM on road cells of mask_plus, the DTM elsewhere, so trees and facades
@@ -380,19 +382,21 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: in
     node; nodes without one fall back to the global DTM median, then to 0.
     """
     x0, x1, y0, y1 = dsm.center_extent
+    # the 1e-9 keeps the rounding of E / ctrl_spacing from adding a node
+    nu, nv = (max(degree + 1, math.ceil(e / ctrl_spacing - 1e-9) + 1) for e in (x1 - x0, y1 - y0))
+    z = np.full(nu * nv, np.nan)  # first: a net too large for memory fails here
     xs, ys = dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height))
-    ia = np.clip(np.round((xs - x0) / (x1 - x0) * (num_ctrl_u - 1)), 0, num_ctrl_u - 1)
-    jb = np.clip(np.round((ys - y0) / (y1 - y0) * (num_ctrl_v - 1)), 0, num_ctrl_v - 1)
+    ia = np.clip(np.round((xs - x0) / (x1 - x0) * (nu - 1)), 0, nu - 1)
+    jb = np.clip(np.round((ys - y0) / (y1 - y0) * (nv - 1)), 0, nv - 1)
     target = _target(dsm, dtm, mask_plus)
     valid = ~np.isnan(target)
     vals = target[valid]
-    # lattice node id ia * num_ctrl_v + jb of each valid cell, row-major, in
-    # the fewest unsigned bytes, which np.lexsort sorts by radix
-    node = np.min_scalar_type(num_ctrl_u * num_ctrl_v - 1)
-    ids = np.broadcast_to((ia * num_ctrl_v).astype(node), valid.shape)[valid]
+    # lattice node id ia * nv + jb of each valid cell, row-major, in the
+    # fewest unsigned bytes, which np.lexsort sorts by radix
+    node = np.min_scalar_type(nu * nv - 1)
+    ids = np.broadcast_to((ia * nv).astype(node), valid.shape)[valid]
     ids += np.broadcast_to(jb.astype(node)[:, None], valid.shape)[valid]
     del target, valid  # not held while the sorts run
-    z = np.full(num_ctrl_u * num_ctrl_v, np.nan)
     if ids.size:
         # one sort by node, then value, gives every node's median at once:
         # the middle value of an odd count, the mean of the two middle values
@@ -409,5 +413,4 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, num_ctrl_u: in
     if empty.any():  # np.median, which loads numpy.ma, only where a node needs it
         dtm_values = dtm.values[dtm.valid]
         z[empty] = float(np.median(dtm_values)) if dtm_values.size else 0.0
-    shape = (num_ctrl_u, num_ctrl_v)
-    return NurbsSurface(dsm.center_extent, degree_u, degree_v, z.reshape(shape), np.ones(shape))
+    return NurbsSurface(dsm.center_extent, degree, degree, z.reshape(nu, nv), np.ones((nu, nv)))

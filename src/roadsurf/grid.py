@@ -296,13 +296,6 @@ def _parse_rows(lines: list[str]) -> np.ndarray:
     return np.loadtxt(lines, comments=None, ndmin=2)
 
 
-def _data_lines(lines: list[str], start: int):
-    """(line number, line) of each non-blank line from index ``start`` on."""
-    for index in range(start, len(lines)):
-        if lines[index].split():
-            yield index + 1, lines[index]
-
-
 def _not_binary(values: np.ndarray, nodata: float) -> np.ndarray:
     """Where a mask value is none of 0, 1, NODATA and NaN."""
     return ~(np.isin(values, (0.0, 1.0, nodata)) | np.isnan(values))
@@ -314,7 +307,9 @@ def _raise_at_first_bad_row(path: Path, lines: list[str], start: int,
     first that fails: a token that does not parse, an infinity that is not
     NODATA, a length other than ``ncols``, or in a mask a value that is not
     binary, checked in that order."""
-    for line_no, line in _data_lines(lines, start):
+    for line_no, line in enumerate(lines[start:], start=start + 1):
+        if not line.split():
+            continue
         try:
             row = _parse_rows([line])[0]
         except ValueError:

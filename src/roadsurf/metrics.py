@@ -141,6 +141,7 @@ class _Bins:
         counts = np.bincount(bins, minlength=nb[0] * nbj)
         self.starts = np.zeros(len(counts) + 1, dtype=np.int32)
         np.cumsum(counts, out=self.starts[1:])
+        bins = bins.astype(np.min_scalar_type(len(counts) - 1))  # fewest unsigned bits: radix sort
         self.members = ids[np.argsort(bins, kind="stable")]
 
 

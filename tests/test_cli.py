@@ -39,7 +39,7 @@ from roadsurf.mesh import SamplingConfig
 from roadsurf.nurbs import load_surface, save_surface
 
 LAYERS = ("dsm", "dtm", "mask", "gt_road", "gt_terrain")
-FIT_FLAGS = ("--num-ctrl-u", "12", "--num-ctrl-v", "12", "--road-rate", "2.5")
+FIT_FLAGS = ("--ctrl-spacing", "9.5", "--road-rate", "2.5")  # a 12 x 12 net on the 100 m tile
 RUN_ARTIFACTS = {"mask_filtered.asc", "surface.txt", "loss_trace.csv", "mesh.obj",
                  "metrics.csv"}
 
@@ -283,6 +283,44 @@ def test_ablate_keeps_the_unregularized_fit_in_the_matrix(tile, run, tmp_path):
         ("lambda_reg", "0.5"), ("lambda_reg", "0")]
     assert cells(default) == cells(rows(run[0]["metrics.csv"])[0])
     assert cells(unregularized) != cells(default)
+
+
+def test_ablate_sweeps_the_control_spacing_one_fit_a_row(tile, run, tmp_path, monkeypatch):
+    # in order, so that this process makes every start surface: 3 m gives
+    # the default 35 x 35 net on the 100 m tile, 6 m an 18 x 18 one
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    shapes, start = [], fitmod.initialize_surface
+
+    def counted(*args):
+        surface = start(*args)
+        shapes.append(surface.control_z.shape)
+        return surface
+
+    monkeypatch.setattr(fitmod, "initialize_surface", counted)
+    rc, artifacts = invoke(tmp_path / "ablate", "ablate", *layer_flags(tile, LAYERS),
+                           *FIT_FLAGS, "--param", "ctrl_spacing", "--values", "3,6")
+    assert rc == 0
+    assert shapes == [(35, 35), (18, 18)]
+    fine, coarse = rows(artifacts["ablate.csv"])
+    assert [(row["param"], row["value"]) for row in (fine, coarse)] == [
+        ("ctrl_spacing", "3"), ("ctrl_spacing", "6")]
+    monkeypatch.undo()
+    rc, single = invoke(tmp_path / "run", "run", *layer_flags(tile, LAYERS), *FIT_FLAGS,
+                        "--ctrl-spacing", "6", "--baselines", "false")
+    assert rc == 0
+    assert cells(coarse) == cells(rows(single["metrics.csv"])[0])
+    assert cells(fine) != cells(coarse)
+
+
+@pytest.mark.parametrize("spacing", ["1e-300", "1e-320"])
+def test_a_net_too_large_to_hold_fails_the_fit(tile, tmp_path, capsys, spacing):
+    # more nodes than an array may hold, and more than an integer counts:
+    # E / 1e-320 is infinite
+    rc, artifacts = invoke(tmp_path / "out", "fit", *layer_flags(tile, LAYERS),
+                           "--ctrl-spacing", spacing)
+    assert (rc, artifacts) == (2, {})
+    err = capsys.readouterr().err
+    assert err.startswith("stage fit: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +663,7 @@ def test_ini_config_equals_flags(tile, tmp_path, capsys):
         *(f"{name} = {tile / name}.asc" for name in ("dsm", "dtm", "mask")),
         f"out_dir = {tmp_path / 'unused'}",
         "[filter]", "enabled = yes", "theta_xy = 10.0  # metres",
-        "[surface]", "num_ctrl_u = 12", "num_ctrl_v = 12",
+        "[surface]", "ctrl_spacing = 9.5",
         "[fit]", "max_iters = 60",
         "[sampling]", "road_rate = 2.5",
         "[metrics]", "baselines = off",
@@ -663,8 +701,10 @@ def test_undecodable_config_is_a_usage_error(tile, tmp_path, capsys):
 
 
 def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
-    # no fit takes a weight step: the weights stay those of the start surface
-    for section, key in (("filter", "theta_xyz"), ("fit", "weight_learning_rate")):
+    # no fit takes a weight step: the weights stay those of the start surface;
+    # ctrl_spacing and degree replace the per-axis [surface] keys
+    for section, key in (("filter", "theta_xyz"), ("fit", "weight_learning_rate"),
+                         ("surface", "num_ctrl_u"), ("surface", "degree_v")):
         config = tmp_path / f"{section}.ini"
         config.write_text(f"[{section}]\n{key} = 0.1\n")
         rc, artifacts = invoke(tmp_path / "out", "fit",
@@ -688,16 +728,15 @@ def test_ini_that_does_not_parse_is_a_usage_error(tile, tmp_path, capsys, text, 
     assert capsys.readouterr().err.startswith(f"usage error: {config}: {message}")
 
 
-# the NurbsSurface constructor's messages, which a surface file gets too
-SURFACE_FLAG_ERRORS = {"--num-ctrl-u": "degree_u 3 needs at least 4 control points, got 2",
-                       "--degree-u": "degree_u must be at least 1",
-                       "--degree-v": "degree_v must be at least 1"}
+SURFACE_FLAG_ERRORS = {("--ctrl-spacing", "0"): "ctrl_spacing must be positive, got 0.0",
+                       ("--ctrl-spacing", "-1"): "ctrl_spacing must be positive, got -1.0",
+                       ("--degree", "0"): "degree must be at least 1, got 0"}
 
 
 @pytest.mark.parametrize("argv", [
     ["run", "--no-such-flag", "1"],
     ["filter", "--theta-xy", "abc"],
-    ["fit", "--num-ctrl-u", "2"],
+    ["fit", "--ctrl-spacing", "0"],
     ["filter", "--theta-xy", "nan"],
     ["filter", "--theta-xy", "inf"],
     ["filter", "--theta-z", "nan"],
@@ -711,8 +750,12 @@ SURFACE_FLAG_ERRORS = {"--num-ctrl-u": "degree_u 3 needs at least 4 control poin
     ["ablate", "--param", "theta_xy", "--values", "inf"],
     ["synth", "--out", "unused", "--corrupt-mask", "2"],
     ["run", "--baselines", "maybe"],
-    ["fit", "--degree-u", "0"],
-    ["fit", "--degree-v", "0"],
+    ["fit", "--degree", "0"],
+    ["fit", "--ctrl-spacing", "-1"],
+    ["fit", "--ctrl-spacing", "nan"],
+    # the per-axis surface flags that ctrl_spacing and degree replace
+    ["fit", "--num-ctrl-u", "12"],
+    ["fit", "--degree-u", "3"],
 ])
 def test_bad_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 1
@@ -720,9 +763,10 @@ def test_bad_flags_are_usage_errors(argv, capsys):
     assert err.startswith("usage error: ") and "_parse_bool" not in err
     if {"nan", "inf"} & set(argv):
         assert err.endswith(f" must be finite, got {argv[-1]}\n")
-    if argv[1] in SURFACE_FLAG_ERRORS:
-        assert err == f"usage error: {SURFACE_FLAG_ERRORS[argv[1]]}\n"
-    if argv[1] in ("--no-such-flag", "--weight-learning-rate"):  # flags no parser knows
+    if tuple(argv[1:]) in SURFACE_FLAG_ERRORS:
+        assert err == f"usage error: {SURFACE_FLAG_ERRORS[tuple(argv[1:])]}\n"
+    if argv[1] in ("--no-such-flag", "--weight-learning-rate", "--num-ctrl-u",
+                   "--degree-u"):  # flags no parser knows
         assert err == f"usage error: unrecognized arguments: {' '.join(argv[1:])}\n"
 
 
@@ -758,6 +802,10 @@ def test_pipeline_defaults_are_the_stage_defaults():
     config = PipelineConfig()
     for cls in (FilterParams, LossWeights, FitConfig, SamplingConfig):
         assert config.stage_config(cls) == cls()
+    # the net: cubic, nodes at most 3 m apart, the same on both axes
+    assert [key for section, key in cli._INI_KEYS if section == "surface"] == [
+        "ctrl_spacing", "degree"]
+    assert (config.ctrl_spacing, config.degree) == (3.0, 3)
 
 
 def test_out_dir_that_is_a_file_fails_before_any_stage(tile, tmp_path, capsys):

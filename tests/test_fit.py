@@ -58,11 +58,11 @@ def all_road(raster):
 
 
 def start_8x8(scene, mask=None):
-    """The 8 x 8 start surface at the node medians of the target under
-    ``mask``, the scene's own by default.  Under ``all_road`` the target is
-    the DSM everywhere: the DSM-median start."""
-    return fitmod.initialize_surface(scene.dsm, scene.dtm, mask or scene.mask, num_ctrl_u=8,
-                                     num_ctrl_v=8)
+    """The 8 x 8 start surface (7 spans of 15 m at most on the 100 m tile)
+    at the node medians of the target under ``mask``, the scene's own by
+    default.  Under ``all_road`` the target is the DSM everywhere: the
+    DSM-median start."""
+    return fitmod.initialize_surface(scene.dsm, scene.dtm, mask or scene.mask, ctrl_spacing=15.0)
 
 
 def perturbed_weights(surface, rng):
@@ -563,7 +563,7 @@ def test_fit_recovers_a_noise_free_plane(slopes):
     # would bend the fit, the more the steeper the plane
     scene = synth.generate(synth.SceneSpec(cell_size=2.5, slope_x=slopes[0],
                                            slope_y=slopes[1], hills=[]))
-    start = fitmod.initialize_surface(scene.dsm, scene.dtm, scene.mask, 12, 12)
+    start = fitmod.initialize_surface(scene.dsm, scene.dtm, scene.mask, 9.5)  # 12 x 12
     surface, _ = fitmod.fit(start, scene.dsm, scene.dtm, scene.mask, fitmod.LossWeights(),
                             fitmod.FitConfig())
     height = evaluate_grid(surface, *scene.dtm.cell_to_world(np.arange(scene.dtm.width),
@@ -604,7 +604,7 @@ def test_fit_reaches_the_irls_optimum(seed):
     scene = synth.generate(synth.SceneSpec(cell_size=2.5, vehicles=6, trees=8, facades=2,
                                            corrupt_mask=True, jitter_sigma=0.02, seed=seed))
     weights = fitmod.LossWeights()
-    start = fitmod.initialize_surface(scene.dsm, scene.dtm, scene.mask, 12, 12)
+    start = fitmod.initialize_surface(scene.dsm, scene.dtm, scene.mask, 9.5)  # 12 x 12
     _, report = fitmod.fit(start, scene.dsm, scene.dtm, scene.mask, weights,
                            fitmod.FitConfig())
     oracle = replace(start, control_z=irls_control_z(start, scene, weights))
@@ -614,17 +614,22 @@ def test_fit_reaches_the_irls_optimum(seed):
 
 @pytest.mark.parametrize("shape", [(8, 8), (13, 6), (35, 35)])
 def test_start_heights_are_per_node_medians(scene, shape):
+    # nu - 1 spacings span the tile's 100 m in x; the (13, 6) net takes its
+    # first 16 rows, 37.5 m in y, which 5 of its 8.33 m spacings cover
+    nu, nv = shape
+    height = 41 if nu == nv else 16
+    mask = replace(scene.mask, height=height, bits=scene.mask.bits[:height])
     layers = {}
     for name, holes in (("dsm", np.s_[::4, ::3]), ("dtm", np.s_[1::3, ::2])):
         raster = getattr(scene, name)
-        values = np.round(raster.values, 1)  # ties between cells
-        values[holes] = np.nan               # nodes with odd and even counts, and none
-        layers[name] = replace(raster, values=values)
+        values = np.round(raster.values[:height], 1)  # ties between cells
+        values[holes] = np.nan  # nodes with odd and even counts, and none
+        layers[name] = replace(raster, height=height, values=values)
     dsm, dtm = layers["dsm"], layers["dtm"]
-    surface = fitmod.initialize_surface(dsm, dtm, scene.mask, *shape)
+    surface = fitmod.initialize_surface(dsm, dtm, mask, 100.0 / (nu - 1))
+    assert surface.control_z.shape == shape
     # the loss's own target: the DSM on road cells, the DTM elsewhere
-    target = np.where(scene.mask.bits == 1, dsm.values, dtm.values)
-    nu, nv = shape
+    target = np.where(mask.bits == 1, dsm.values, dtm.values)
     x0, x1, y0, y1 = dsm.center_extent
     xs = dsm.origin_x + np.arange(dsm.width) * dsm.cell_size
     ys = dsm.origin_y + np.arange(dsm.height) * dsm.cell_size
@@ -638,3 +643,24 @@ def test_start_heights_are_per_node_medians(scene, shape):
             if cell_values.size:
                 expected[a, b] = np.median(cell_values)
     npt.assert_array_equal(surface.control_z, expected)
+
+
+@pytest.mark.parametrize("cells, cell_size, spacing, degree, shape", [
+    ((101, 101), 1.0, 3.0, 3, (35, 35)),  # the bench tiles, 100 m a side
+    ((251, 251), 0.4, 3.0, 3, (35, 35)),
+    ((101, 41), 1.0, 3.0, 3, (35, 15)),   # 100 x 40 m
+    ((31, 31), 1.0, 3.0, 3, (11, 11)),    # 30 m: ten whole spacings
+    ((22, 22), 1.0, 0.7, 3, (31, 31)),    # 21 m / 0.7 m reads 30.000000000000004
+    ((3, 5), 1.0, 6.0, 3, (4, 4)),        # 2 x 4 m, shorter than one spacing
+    ((3, 5), 1.0, 6.0, 1, (2, 2)),
+])
+def test_control_net_is_sized_by_the_spacing(cells, cell_size, spacing, degree, shape):
+    # max(degree + 1, ceil(E / spacing) + 1) nodes on an axis of extent E,
+    # on a grid placed as synth places its tiles
+    width, height = cells
+    dsm = Raster(width, height, cell_size, 0.0, 0.0, np.zeros((height, width)))
+    mask = Mask(width, height, cell_size, 0.0, 0.0, np.zeros((height, width)))
+    surface = fitmod.initialize_surface(dsm, dsm, mask, spacing, degree)
+    assert surface.control_z.shape == shape
+    assert (surface.degree_u, surface.degree_v) == (degree, degree)
+    assert surface.extent == dsm.center_extent
