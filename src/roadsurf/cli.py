@@ -42,12 +42,11 @@ mesh, metrics.
 Configuration comes from an INI-style file (sections [paths], [filter],
 [surface], [fit], [sampling], [metrics]) and each key can be overridden by
 a command line flag of the same name, for example theta_xy in [filter] by
---theta-xy.  Defaults: a cubic control net of max(degree + 1, ceil(E /
-ctrl_spacing) + 1) nodes along each axis of extent E, at most ctrl_spacing
-3 m apart (35 x 35 on a 100 m tile), and the defaults of the stages' own
-config classes (FilterParams, LossWeights, FitConfig, SamplingConfig); the
-fit moves only the control elevations, at unit weights (a B-spline), and
-ends on its seventh plateau, or at max_iters 1000.  Booleans take
+--theta-xy.  Defaults: the cubic control net that fit.initialize_surface
+sizes for ctrl_spacing 3 m, and the defaults of the stages' own config
+classes (FilterParams, LossWeights, FitConfig, SamplingConfig); the fit
+moves only the control elevations, at unit weights (a B-spline), and ends
+on its seventh plateau, or at max_iters 1000.  Booleans take
 configparser's spellings (1/yes/true/on, 0/no/false/off).
 
 Every artifact is byte-stable for a fixed BLAS build and thread count

@@ -4,9 +4,10 @@ The loss pulls the surface toward the DSM inside the road mask and toward the
 DTM outside it, both as mean absolute residuals over the raster, plus a
 thin-plate penalty on the control elevations' second differences that keeps
 the surface smooth and leaves planes free.  Gradients are analytic
-throughout: the rasterized residual terms chain through the rational basis.
-The surface's weights stay fixed at their given values, 1 for a surface of
-``initialize_surface`` (a B-spline fit); only the elevations move.
+throughout: the rasterized residual terms chain through the basis.  The fit
+is a B-spline: its surface is a NURBS surface of unit weights, whose height
+field is linear in the elevations (Piegl & Tiller, *The NURBS Book*, ch. 4),
+and only the elevations move.
 
 The schedule: elevations start at node medians of the loss's own target,
 and ADAM's step drops on each plateau (see ``fit``), since the L1 terms'
@@ -15,15 +16,14 @@ level that size sets.
 
 A fit builds one ``Objective`` from what stays fixed while ADAM moves the
 elevations: the raster grid's ``SpanGrid``, the target, the regularizer's
-matrices and the rational denominator of the weights, folded into the
-target, sum weights and gradient magnitudes.  Its rasters are laid out
-span-major, by u knot span, so the height field and the back-projection
-each take one stacked product with a cubic's 4 basis values per column, not
-a dense one with all 35 of a 35-point net.  An iteration then costs the
-height field, one residual pass, one product for both data terms and the
-back-projection; ADAM's step is a few control-grid expressions, and the fit
-runs under one ``np.errstate``.  ``total_loss`` evaluates the fit's
-objective once.
+matrices, the data terms' sum weights and the gradient magnitudes.  Its
+rasters are laid out span-major, by u knot span, so the height field and
+the back-projection each take one stacked product with a cubic's 4 basis
+values per column, not a dense one with all 35 of a 35-point net.  An
+iteration then costs the height field, one residual pass, one product for
+both data terms and the back-projection; ADAM's step is a few control-grid
+expressions, and the fit runs under one ``np.errstate``.  ``total_loss``
+evaluates the fit's objective once.
 """
 
 from __future__ import annotations
@@ -155,9 +155,8 @@ class SpanGrid:
     their order and then pad rows, C being the most columns any span holds
     and at least p+1, so that such an array can take ``back``'s p+1 sums per
     span.  ``rows[k]`` is the row of column k in the flattened
-    (spans * C) axis.  ``local`` holds each row's p+1 u-basis values; a pad
-    row takes the span's first function alone, so a denominator is positive
-    there.  The v basis ``bv`` stays dense: its products are control-grid
+    (spans * C) axis.  ``local`` holds each row's p+1 u-basis values, 0 in
+    pad rows.  The v basis ``bv`` stays dense: its products are control-grid
     sized.
     """
 
@@ -175,7 +174,6 @@ class SpanGrid:
         self.rows = np.empty(len(first), dtype=np.intp)
         self.rows[order] = span * width + np.arange(len(span)) - (np.cumsum(counts) - counts)[span]
         local = np.zeros((self.spans * width, p + 1))
-        local[:, 0] = 1.0
         local[self.rows] = np.take_along_axis(bu, first[:, None] + np.arange(p + 1), axis=1)
         self.local = local.reshape(self.spans, width, p + 1)
         self.shape = (self.spans, width, len(ys))
@@ -225,29 +223,29 @@ _SIGN = np.iinfo(np.int64).min  # the float64 sign bit
 
 class Objective:
     """The composite loss of one fit problem as a function of control
-    elevations, at the surface's own weights.
+    elevations, for a surface of unit weights; any other weight raises
+    ``ValueError``.
 
-    With P = bv (w z)^T bu^T the weighted height field, den = bv w^T bu^T
-    the weights' field and t the target (the DSM on road cells, the DTM
-    elsewhere, 0 where NaN), a cell's data term is |P - t'| / (den cells),
-    t' = t den.  Built once: the raster grid's ``SpanGrid``, the
-    regularizer's matrices and, folded over den, t', the (2, cells) road
-    and terrain sum weights 1 / (den cells) on cells with a target and the
-    gradient magnitudes k, those times 1 or lambda_terrain.  Every raster is
-    kept in the grid's padded span-major layout, so each raster product
-    touches only the p+1 control columns of a cell's knot span; pad cells
-    have no target, so they weigh 0 in both sums and take a 0 gradient.
+    With P = bv z^T bu^T the height field and t the target (the DSM on road
+    cells, the DTM elsewhere, 0 where NaN), a cell's data term is
+    |P - t| / cells.  Built once: the raster grid's ``SpanGrid``, the
+    regularizer's matrices, t, the (2, cells) road and terrain sum weights
+    1 / cells on cells with a target and the gradient magnitudes k, those
+    times 1 or lambda_terrain.  Every raster is kept in the grid's padded
+    span-major layout, so each raster product touches only the p+1 control
+    columns of a cell's knot span; pad cells have no target, so they weigh 0
+    in both sums and take a 0 gradient.
 
-    Six rasters stay resident: t', the two sum weights, k and two that a
-    call reuses, P and one that takes |P - t'| and then d loss / d P.  A
-    fresh raster (0.5 MB at 251²) goes back to the system when freed and is
+    Six rasters stay resident: t, the two sum weights, k and two that a call
+    reuses, P and one that takes |P - t| and then d loss / d P.  A fresh
+    raster (0.5 MB at 251²) goes back to the system when freed and is
     page-faulted in anew, so a call allocates only control-grid-sized
-    arrays.  It does no raster division and two raster products, P and the
-    back-projection: r' = P - t' over P, np.abs(r') into the other raster,
-    both data terms in one matrix-vector product, copysign(k, r') by an AND
-    and an OR over it, and the back-projection into the raster that held r',
-    dead by then.  Where r' is an exact zero the gradient takes +k or -k by
-    the zero's sign, not np.sign's 0: each is a subgradient of |r'|.
+    arrays.  It does two raster products, P and the back-projection:
+    r = P - t over P, np.abs(r) into the other raster, both data terms in
+    one matrix-vector product, copysign(k, r) by an AND and an OR over it,
+    and the back-projection into the raster that held r, dead by then.
+    Where r is an exact zero the gradient takes +k or -k by the zero's sign,
+    not np.sign's 0: each is a subgradient of |r|.
 
     Non-finite values are returned, not raised: the caller decides what a
     diverged loss means.  ``fit`` and ``total_loss`` call it under
@@ -257,42 +255,37 @@ class Objective:
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,
                  mask_plus: Mask, weights: LossWeights):
+        if (surface.weights != 1.0).any():
+            raise ValueError("the fit takes a surface of unit weights, a B-spline")
         self.grid = grid = SpanGrid(
             surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
         road = grid.to_spans(mask_plus.bits == 1, False)
         self.target = grid.to_spans(_target(dsm, dtm, mask_plus), np.nan)  # pads: no target
         has_target = ~np.isnan(self.target)
         np.nan_to_num(self.target, nan=0.0, copy=False)
-        self.roughness, self.weights, self.control_w = Roughness(surface), weights, surface.weights
-        self.sums = np.empty((2, self.target.size))
-        self.magnitude, self._height, self._words = (np.empty(grid.shape) for _ in range(3))
-        k, den = self.magnitude, self._words  # den is needed only here, so the |r'| raster holds it
-        grid.product(surface.weights, den)
-        road_sums, terrain_sums = self.sums.reshape(2, *den.shape)
-        np.multiply(den, dsm.height * dsm.width, out=k)
-        np.divide(1.0, k, out=k)
-        np.multiply(k, road & has_target, out=road_sums)
-        np.multiply(k, ~road & has_target, out=terrain_sums)
-        np.multiply(terrain_sums, weights.lambda_terrain, out=k)
-        k += road_sums
-        self.target *= den  # t'
+        self.roughness, self.weights = Roughness(surface), weights
+        share = 1.0 / (dsm.height * dsm.width)  # a cell's share of a mean
+        self.sums = (np.stack((road, ~road)) & has_target).reshape(2, -1) * share
+        road_sums, terrain_sums = self.sums.reshape(2, *grid.shape)
+        self.magnitude = terrain_sums * weights.lambda_terrain + road_sums
+        self._height, self._words = np.empty(grid.shape), np.empty(grid.shape)
 
     def __call__(self, z: np.ndarray) -> tuple[float, dict[str, float], np.ndarray]:
         """(value, per-term values, d/d z) at elevations z.  The returned
         gradient is fresh; only the workspace is reused from call to call."""
         grid, height, words = self.grid, self._height, self._words
-        grid.product(self.control_w * z, height)
+        grid.product(z, height)
         residual = np.subtract(height, self.target, out=height)
         # cells without a target weigh 0 in both terms' sums
         v_road, v_terr = (self.sums @ np.abs(residual, out=words).reshape(-1)).tolist()
         v_reg, g_reg = self.roughness(z)
-        # d loss / d P: copysign(k, r') by bits, k's sign bit being clear;
+        # d loss / d P: copysign(k, r) by bits, k's sign bit being clear;
         # np.copysign takes about twice as long on a 72k-cell raster
         bits = np.bitwise_and(residual.view(np.int64), _SIGN, out=words.view(np.int64))
         bits |= self.magnitude.view(np.int64)
         back = grid.back(words, height)  # (nu, nv): basis-weighted sums
         lam = self.weights
-        d_z = back * self.control_w + lam.lambda_reg * g_reg
+        d_z = back + lam.lambda_reg * g_reg
         value = v_road + lam.lambda_terrain * v_terr + lam.lambda_reg * v_reg
         return value, {"road": v_road, "terrain": v_terr, "reg": v_reg}, d_z
 
@@ -300,7 +293,8 @@ class Objective:
 def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
                weights: LossWeights) -> tuple[float, dict[str, float], np.ndarray]:
     """Composite loss, its per-term values and its gradient with respect to
-    control_z, at the surface's own elevations and weights."""
+    control_z, at the surface's own elevations; its weights must all be 1
+    (see ``Objective``)."""
     objective = Objective(surface, dsm, dtm, mask_plus, weights)
     with np.errstate(all="ignore"):
         return objective(surface.control_z)
@@ -308,7 +302,8 @@ def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
 
 def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
         weights: LossWeights, config: FitConfig) -> tuple[NurbsSurface, FitReport]:
-    """ADAM descent on the control elevations, at the surface's weights.
+    """ADAM descent on the control elevations of a start surface of unit
+    weights, a B-spline; any other weight raises ``ValueError``.
 
     On each of the first ``_MAX_DROPS`` plateaus (early_stop_patience
     iterations without a gain of early_stop_min_delta on the best loss) the

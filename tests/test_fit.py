@@ -1,31 +1,33 @@
 """Fit loss gradients, the fit loop and the returned iterate.
 
-The analytic elevation gradient of ``total_loss`` is checked against
-central finite differences along random directions, on a seeded 41 x 41
-synth tile with an 8 x 8 control grid and perturbed weights, also with
-NODATA cells in both layers, and near the optimum, at the target start,
-where the rounding of the differences sets an absolute floor.  The fit
-loop, which evaluates one objective built once per fit, must reproduce
-exactly an ADAM loop with plateau drops that calls ``total_loss`` on a
-fresh surface every step, at perturbed weights, and return the input's
-weights array.  The thin-plate regularizer must read 0 on every control
-net linear in the Greville abscissae, and a fit of a noise-free plane must
-recover it.  With unit weights the loss is convex, and ADAM's best loss
-must match a reweighted least-squares (IRLS) solve of it on a 41 x 41 tile
-with a 12 x 12 net.  The objective's value and parts, which it folds over
-the rational denominator, and its gradient, which it forms over its
-span-major layout, must match a dense reference (the height field of the
-dense ``grid_basis`` matrices and plain masked means of |r|) within 1e-12
-relative, at random states with non-unit weights and NODATA cells, on spans
-of unequal and of no columns, a one-span net and degrees 1 to 3, with one
+The fit is a B-spline, stored and evaluated as a NURBS surface of unit
+weights; the objective refuses a start with any other weight.  The analytic
+elevation gradient of ``total_loss`` is checked against central finite
+differences along random directions, on a seeded 41 x 41 synth tile with an
+8 x 8 control grid, also with NODATA cells in both layers, and near the
+optimum, at the target start, where the rounding of the differences sets an
+absolute floor.  The fit loop, which evaluates one objective built once per
+fit, must reproduce exactly an ADAM loop with plateau drops that calls
+``total_loss`` on a fresh surface every step, and return the input's
+weights array.  The thin-plate regularizer must read 0 on every control net
+linear in the Greville abscissae, and a fit of a noise-free plane must
+recover it.  The loss is convex, and ADAM's best loss must match a
+reweighted least-squares (IRLS) solve of it on a 41 x 41 tile with a
+12 x 12 net.  The objective's value and parts, and its gradient, which it
+forms over its span-major layout, must match a dense reference (the height
+field of the dense ``grid_basis`` matrices and plain masked means of |r|)
+within 1e-12 relative, at random states with NODATA cells, on spans of
+unequal and of no columns, a one-span net and degrees 1 to 3, with one
 raster product and one back-projection per call; the layout's pad cells
 must change no bit of them.  ``SpanGrid``'s product and back-projection
 alone must match dense products within 1e-12 relative on such layouts,
-with columns in order and permuted.  An objective reuses one raster workspace from
-call to call: its results must not change when it is called again, a call
-on a 251 x 251 tile must allocate less than half a raster, and it keeps
-fewer than seven rasters resident.  A fit report's final step and last
-plateau gain must agree with the drops that its loss trace shows.
+with columns in order and permuted, and on a fitted 101 x 101 bench scene
+the height field the fit minimised must be the one ``evaluate_grid``
+samples for the mesh.  An objective reuses one raster workspace from call
+to call: its results must not change when it is called again, a call on a
+251 x 251 tile must allocate less than half a raster, and it keeps fewer
+than seven rasters resident.  A fit report's final step and last plateau
+gain must agree with the drops that its loss trace shows.
 """
 
 import copy
@@ -65,11 +67,6 @@ def start_8x8(scene, mask=None):
     return fitmod.initialize_surface(scene.dsm, scene.dtm, mask or scene.mask, ctrl_spacing=15.0)
 
 
-def perturbed_weights(surface, rng):
-    """``surface`` with weights e^U(-0.5, 0.5): a rational height field."""
-    return replace(surface, weights=np.exp(rng.uniform(-0.5, 0.5, surface.weights.shape)))
-
-
 def loss(surface, scene, control_z, weights=None):
     current = replace(surface, control_z=control_z)
     return fitmod.total_loss(current, scene.dsm, scene.dtm, scene.mask,
@@ -79,13 +76,12 @@ def loss(surface, scene, control_z, weights=None):
 def assert_gradients_match_central_differences(scene, weights=None, surface=None,
                                                rounding_floor=False):
     """Central differences at step h along 40 random directions, from
-    ``surface`` (the DSM-median start by default) with perturbed weights,
-    within a relative 1e-5.  With ``rounding_floor`` they may also differ by
-    64 * eps * |L| / h, L the loss there: each loss value carries a few ulps
-    of L, and the difference quotient divides that by h."""
+    ``surface`` (the DSM-median start by default), within a relative 1e-5.
+    With ``rounding_floor`` they may also differ by 64 * eps * |L| / h, L
+    the loss there: each loss value carries a few ulps of L, and the
+    difference quotient divides that by h."""
     rng = np.random.default_rng(0)
     surface = surface or start_8x8(scene, all_road(scene.dsm))
-    surface = perturbed_weights(surface, rng)
     z0 = surface.control_z
     value, _, g_z = loss(surface, scene, z0, weights)
     h = 1e-5
@@ -183,8 +179,7 @@ def replay_fit(surface0, scene, weights, config):
 
 
 def assert_fit_replays(scene, max_iters, stop_reason):
-    rng = np.random.default_rng(1)
-    surface0 = perturbed_weights(start_8x8(scene), rng)
+    surface0 = start_8x8(scene)
     weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
     config = fitmod.FitConfig(learning_rate=0.05, max_iters=max_iters, early_stop_patience=4,
                               early_stop_min_delta=1e-3)
@@ -243,7 +238,7 @@ def assert_same_results(got, expected):
 def test_objective_results_outlive_its_workspace(scene):
     weights = fitmod.LossWeights(lambda_terrain=0.7)
     rng = np.random.default_rng(2)
-    surface = perturbed_weights(start_8x8(scene), rng)
+    surface = start_8x8(scene)
     z0 = surface.control_z
     states = [z0 + rng.normal(0.0, 0.5, z0.shape) for _ in range(2)]
     objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
@@ -284,24 +279,23 @@ def test_objective_keeps_fewer_than_seven_rasters():
     finally:
         tracemalloc.stop()
     del objective
-    # the folded target t', the road and terrain sum weights, the gradient
-    # magnitudes, the height field and the |r'| raster, plus the basis and
-    # the control-grid buffers
+    # the target, the road and terrain sum weights, the gradient magnitudes,
+    # the height field and the |r| raster, plus the basis and the
+    # control-grid buffers
     assert resident < 7 * scene.dsm.values.nbytes
 
 
 def dense_reference(surface, dsm, dtm, mask, weights):
     """The composite loss written out densely from the lattice bases of
-    ``grid_basis``: the height field h = N / D, N = bv (w z)^T bu^T and
-    D = bv w^T bu^T, each data term the mean over all cells of |target - h|
-    on its cells with a target, and the thin-plate term.  Returns (value,
-    parts, d/d z), from the per-cell slopes S = c sign(h - t) / (D cells),
-    c being 1 on road cells and lambda_terrain elsewhere:
-    d/d z = w (bu^T S^T bv), plus the thin-plate gradient."""
+    ``grid_basis``: the height field h = bv z^T bu^T, each data term the
+    mean over all cells of |target - h| on its cells with a target, and the
+    thin-plate term.  Returns (value, parts, d/d z), from the per-cell
+    slopes S = c sign(h - t) / cells, c being 1 on road cells and
+    lambda_terrain elsewhere: d/d z = bu^T S^T bv, plus the thin-plate
+    gradient."""
     bu, bv = grid_basis(surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
-    z, w = surface.control_z, surface.weights
-    den = bv @ w.T @ bu.T
-    height = bv @ (w * z).T @ bu.T / den
+    z = surface.control_z
+    height = bv @ z.T @ bu.T
     road = mask.bits == 1
     target = np.where(road, dsm.values, dtm.values)
     has_target = ~np.isnan(target)
@@ -310,8 +304,8 @@ def dense_reference(surface, dsm, dtm, mask, weights):
     terrain_term = np.abs(residual[~road]).sum() / residual.size
     reg, g_reg = fitmod.Roughness(surface)(z)
     value = road_term + weights.lambda_terrain * terrain_term + weights.lambda_reg * reg
-    slope = np.where(road, 1.0, weights.lambda_terrain) * np.sign(residual) / (den * residual.size)
-    d_z = w * (bu.T @ slope.T @ bv) + weights.lambda_reg * g_reg
+    slope = np.where(road, 1.0, weights.lambda_terrain) * np.sign(residual) / residual.size
+    d_z = bu.T @ slope.T @ bv + weights.lambda_reg * g_reg
     return value, {"road": road_term, "terrain": terrain_term, "reg": reg}, d_z
 
 
@@ -331,8 +325,7 @@ def test_objective_matches_a_dense_reference(scene):
     weights = fitmod.LossWeights(lambda_terrain=0.6, lambda_reg=0.3)
     start = start_8x8(scene)
     for _ in range(4):
-        surface = replace(start, control_z=start.control_z + rng.normal(0.0, 0.5, (8, 8)),
-                          weights=np.exp(rng.uniform(-0.5, 0.5, (8, 8))))
+        surface = replace(start, control_z=start.control_z + rng.normal(0.0, 0.5, (8, 8)))
         expected, expected_parts, _ = dense_reference(surface, scene.dsm, scene.dtm,
                                                       scene.mask, weights)
         objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
@@ -349,9 +342,10 @@ def test_objective_takes_one_product_and_one_back_per_call(scene, monkeypatch):
     monkeypatch.setattr(SpanGrid, "back", lambda self, *args: products.append("back")
                         or back(self, *args))
     rng = np.random.default_rng(5)
-    surface = perturbed_weights(start_8x8(scene), rng)
+    surface = start_8x8(scene)
     weights = fitmod.LossWeights(lambda_terrain=0.7, lambda_reg=0.2)
     objective = fitmod.Objective(surface, scene.dsm, scene.dtm, scene.mask, weights)
+    assert products == []  # the build takes no raster product
     for _ in range(3):
         z = surface.control_z + rng.normal(0.0, 0.5, surface.control_z.shape)
         products.clear()
@@ -386,24 +380,23 @@ def test_span_layout_objective_matches_a_dense_reference(raster, net, degrees):
     rng = np.random.default_rng(sum(raster + net + degrees))
     dsm, dtm, mask = random_tile(rng, *raster)
     weights = fitmod.LossWeights(lambda_terrain=0.6, lambda_reg=0.3)
-    start = NurbsSurface(dsm.center_extent, *degrees, np.full(net, 100.0), np.ones(net))
-    for log_weights in (np.zeros(net), rng.uniform(-0.5, 0.5, net)):
-        surface = replace(start, control_z=100.0 + rng.normal(0.0, 0.5, net),
-                          weights=np.exp(log_weights))
-        objective = fitmod.Objective(surface, dsm, dtm, mask, weights)
-        got = objective(surface.control_z)
-        assert_matches(got, dense_reference(surface, dsm, dtm, mask, weights))
-        # pad cells hold no raster column: other basis values there change
-        # no bit of the results.  Every case of more than one span has spans
-        # of unequal column counts, so it has pads
-        grid = objective.grid
-        pads = np.ones(grid.shape[0] * grid.shape[1], dtype=bool)
-        pads[grid.rows] = False
-        assert pads.any() == (grid.spans > 1)
-        grid.local.reshape(-1, degrees[0] + 1)[pads] = rng.uniform(0.1, 2.0)
-        again = objective(surface.control_z)
-        assert again[:2] == got[:2]
-        assert again[2].tobytes() == got[2].tobytes()
+    surface = NurbsSurface(dsm.center_extent, *degrees, 100.0 + rng.normal(0.0, 0.5, net),
+                           np.ones(net))
+    objective = fitmod.Objective(surface, dsm, dtm, mask, weights)
+    got = objective(surface.control_z)
+    assert_matches(got, dense_reference(surface, dsm, dtm, mask, weights))
+    # pad cells hold no raster column: nonzero basis values there change no
+    # bit of the results.  Every case of more than one span has spans of
+    # unequal column counts, so it has pads
+    grid = objective.grid
+    pads = np.ones(grid.shape[0] * grid.shape[1], dtype=bool)
+    pads[grid.rows] = False
+    assert pads.any() == (grid.spans > 1)
+    assert not grid.local.reshape(-1, degrees[0] + 1)[pads].any()
+    grid.local.reshape(-1, degrees[0] + 1)[pads] = rng.uniform(0.1, 2.0)
+    again = objective(surface.control_z)
+    assert again[:2] == got[:2]
+    assert again[2].tobytes() == got[2].tobytes()
 
 
 # control net (nu, nv), degrees (p, q) and lattice nodes (columns, rows):
@@ -432,6 +425,22 @@ def test_span_grid_products_match_dense_products(net, degrees, nodes):
         raster = rng.uniform(0.5, 2.0, (len(ys), len(xs)))
         sums = grid.back(grid.to_spans(raster, 0.0), np.empty(grid.shape))
         npt.assert_allclose(sums, bu.T @ raster.T @ bv, rtol=1e-12)
+
+
+def test_fit_height_field_is_the_surface_that_mesh_samples():
+    # the fit's span product of the elevations, with no division, against
+    # evaluate_grid, which divides by the unit weights' denominator
+    scene = synth.generate(synth.SceneSpec(cell_size=1.0, vehicles=6, trees=8, facades=2,
+                                           corrupt_mask=True, jitter_sigma=0.02, seed=1))
+    start = fitmod.initialize_surface(scene.dsm, scene.dtm, scene.mask)  # the bench's 35 x 35
+    surface, _ = fitmod.fit(start, scene.dsm, scene.dtm, scene.mask, fitmod.LossWeights(),
+                            fitmod.FitConfig())
+    xs, ys = scene.dsm.cell_to_world(np.arange(scene.dsm.width), np.arange(scene.dsm.height))
+    grid = SpanGrid(surface, xs, ys)
+    field = np.empty(grid.shape)
+    grid.product(surface.control_z, field)
+    npt.assert_allclose(field.reshape(-1, len(ys))[grid.rows].T, evaluate_grid(surface, xs, ys),
+                        rtol=1e-12)
 
 
 def plateau_drops(trace, patience, min_delta):
@@ -478,6 +487,20 @@ def test_frozen_fit_returns_unit_weights(scene):
     assert (surface.weights == 1.0).all()
 
 
+@pytest.mark.parametrize("entry", ["Objective", "fit", "total_loss"])
+def test_a_start_of_other_than_unit_weights_is_refused(scene, entry):
+    # one weight an ulp above 1: a rational surface, not a B-spline
+    start = start_8x8(scene)
+    weights = start.weights.copy()
+    weights[3, 4] = np.nextafter(1.0, 2.0)
+    args = [replace(start, weights=weights), scene.dsm, scene.dtm, scene.mask,
+            fitmod.LossWeights()]
+    if entry == "fit":
+        args.append(fitmod.FitConfig())
+    with pytest.raises(ValueError, match="unit weights"):
+        getattr(fitmod, entry)(*args)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_target_start_ends_no_higher_than_the_dsm_start(seed):
     """The target start begins lower and ends in fewer iterations.  Its best
@@ -496,11 +519,8 @@ def test_target_start_ends_no_higher_than_the_dsm_start(seed):
     assert target.best_loss <= dsm.best_loss + config.early_stop_min_delta
 
 
-# the spread of the log-weights: 0 gives unit weights, a B-spline fit
-@pytest.mark.parametrize("spread", [0.0, 0.5])
-def test_two_fits_of_one_tile_are_byte_identical(scene, spread):
-    rng = np.random.default_rng(7)
-    start = replace(start_8x8(scene), weights=np.exp(rng.uniform(-spread, spread, (8, 8))))
+def test_two_fits_of_one_tile_are_byte_identical(scene):
+    start = start_8x8(scene)
     runs = [fitmod.fit(start, scene.dsm, scene.dtm, scene.mask, fitmod.LossWeights(),
                        fitmod.FitConfig()) for _ in range(2)]
     (first, first_report), (second, second_report) = runs
