@@ -45,9 +45,9 @@ a command line flag of the same name, for example theta_xy in [filter] by
 --theta-xy.  Defaults: the cubic control net that fit.initialize_surface
 sizes for ctrl_spacing 3 m, and the defaults of the stages' own config
 classes (FilterParams, LossWeights, FitConfig, SamplingConfig); the fit
-moves only the control elevations, at unit weights (a B-spline), and ends
-on its seventh plateau, or at max_iters 1000.  Booleans take
-configparser's spellings (1/yes/true/on, 0/no/false/off).
+moves the control elevations of a B-spline surface and ends on its seventh
+plateau, or at max_iters 1000.  Booleans take configparser's spellings
+(1/yes/true/on, 0/no/false/off).
 
 Every artifact is byte-stable for a fixed BLAS build and thread count
 (OPENBLAS_NUM_THREADS): rerunning on identical inputs reproduces it exactly.

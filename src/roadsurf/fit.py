@@ -4,10 +4,9 @@ The loss pulls the surface toward the DSM inside the road mask and toward the
 DTM outside it, both as mean absolute residuals over the raster, plus a
 thin-plate penalty on the control elevations' second differences that keeps
 the surface smooth and leaves planes free.  Gradients are analytic
-throughout: the rasterized residual terms chain through the basis.  The fit
-is a B-spline: its surface is a NURBS surface of unit weights, whose height
-field is linear in the elevations (Piegl & Tiller, *The NURBS Book*, ch. 4),
-and only the elevations move.
+throughout: the rasterized residual terms chain through the basis.  The
+surface is a B-spline, whose height field is linear in its control
+elevations, and only the elevations move.
 
 The schedule: elevations start at node medians of the loss's own target,
 and ADAM's step drops on each plateau (see ``fit``), since the L1 terms'
@@ -132,8 +131,7 @@ class Roughness:
 
     def __init__(self, surface: NurbsSurface):
         (self.u1, self.u2), (self.v1, self.v2) = (
-            _differences(knots, degree)
-            for knots, degree in zip(surface.knots(), (surface.degree_u, surface.degree_v)))
+            _differences(knots, surface.degree) for knots in surface.knots())
         self.count = surface.control_z.size
 
     def __call__(self, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -162,7 +160,7 @@ class SpanGrid:
 
     def __init__(self, surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray):
         bu, self.bv = grid_basis(surface, xs, ys)
-        p = surface.degree_u
+        p = surface.degree
         self.spans = surface.num_ctrl_u - p
         # a column's first nonzero function starts its window; on a knot its
         # last function is 0, so either neighbouring span holds it
@@ -222,9 +220,8 @@ _SIGN = np.iinfo(np.int64).min  # the float64 sign bit
 
 
 class Objective:
-    """The composite loss of one fit problem as a function of control
-    elevations, for a surface of unit weights; any other weight raises
-    ``ValueError``.
+    """The composite loss of one fit problem as a function of the control
+    elevations of a B-spline surface.
 
     With P = bv z^T bu^T the height field and t the target (the DSM on road
     cells, the DTM elsewhere, 0 where NaN), a cell's data term is
@@ -255,8 +252,6 @@ class Objective:
 
     def __init__(self, surface: NurbsSurface, dsm: Raster, dtm: Raster,
                  mask_plus: Mask, weights: LossWeights):
-        if (surface.weights != 1.0).any():
-            raise ValueError("the fit takes a surface of unit weights, a B-spline")
         self.grid = grid = SpanGrid(
             surface, *dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height)))
         road = grid.to_spans(mask_plus.bits == 1, False)
@@ -293,8 +288,7 @@ class Objective:
 def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
                weights: LossWeights) -> tuple[float, dict[str, float], np.ndarray]:
     """Composite loss, its per-term values and its gradient with respect to
-    control_z, at the surface's own elevations; its weights must all be 1
-    (see ``Objective``)."""
+    control_z, at the surface's own elevations (see ``Objective``)."""
     objective = Objective(surface, dsm, dtm, mask_plus, weights)
     with np.errstate(all="ignore"):
         return objective(surface.control_z)
@@ -302,8 +296,7 @@ def total_loss(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
 
 def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
         weights: LossWeights, config: FitConfig) -> tuple[NurbsSurface, FitReport]:
-    """ADAM descent on the control elevations of a start surface of unit
-    weights, a B-spline; any other weight raises ``ValueError``.
+    """ADAM descent on the control elevations of a start B-spline surface.
 
     On each of the first ``_MAX_DROPS`` plateaus (early_stop_patience
     iterations without a gain of early_stop_min_delta on the best loss) the
@@ -311,8 +304,8 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
     step by ``_DROP_FACTOR`` and resets ADAM's moments and bias-correction
     count; the next plateau ends it ("plateau") unless max_iters does first.
     No iterate is scored twice.  Returns the best iterate seen, including
-    the update after the last iteration when max_iters ends the run, with
-    the input's own weights array.  Deterministic for fixed inputs.
+    the update after the last iteration when max_iters ends the run.
+    Deterministic for fixed inputs.
     """
     objective = Objective(surface, dsm, dtm, mask_plus, weights)
     z, rate = surface.control_z.copy(), config.learning_rate
@@ -366,10 +359,10 @@ def fit(surface: NurbsSurface, dsm: Raster, dtm: Raster, mask_plus: Mask,
 
 def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, ctrl_spacing: float = 3.0,
                        degree: int = 3) -> NurbsSurface:
-    """Lattice surface of ``degree`` on both axes over the DSM's cell-centre
-    extent, with unit weights: an axis of extent E gets max(degree + 1,
-    ceil(E / ctrl_spacing) + 1) evenly spaced nodes, at most ctrl_spacing
-    apart (3 m by default, 35 on a 100 m tile).
+    """Lattice surface of ``degree`` over the DSM's cell-centre extent: an
+    axis of extent E gets max(degree + 1, ceil(E / ctrl_spacing) + 1) evenly
+    spaced nodes, at most ctrl_spacing apart (3 m by default, 35 on a 100 m
+    tile).
 
     Each control elevation starts at the median of the loss's target (the
     DSM on road cells of mask_plus, the DTM elsewhere, so trees and facades
@@ -408,4 +401,4 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, ctrl_spacing: 
     if empty.any():  # np.median, which loads numpy.ma, only where a node needs it
         dtm_values = dtm.values[dtm.valid]
         z[empty] = float(np.median(dtm_values)) if dtm_values.size else 0.0
-    return NurbsSurface(dsm.center_extent, degree, degree, z.reshape(nu, nv), np.ones((nu, nv)))
+    return NurbsSurface(dsm.center_extent, degree, z.reshape(nu, nv))

@@ -371,8 +371,13 @@ def delaunay(points_xy: np.ndarray) -> np.ndarray:
 
 
 def build_tin(surface: NurbsSurface, mask_plus: Mask, config: SamplingConfig) -> TinMesh:
-    """Sample the surface at two rates and triangulate the samples."""
-    samples = dynamic_sample(surface, mask_plus, config)
+    """Sample the surface at two rates and triangulate the samples.  Finite
+    elevations near the float limit can sum to non-finite heights, which
+    raise ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = dynamic_sample(surface, mask_plus, config)
+    if not np.isfinite(samples).all():
+        raise ValueError("surface heights must be finite; the control elevations overflow")
     if len(samples) < 3:
         raise ValueError("not enough samples to build a mesh")
     return TinMesh(samples, delaunay(samples[:, :2]))

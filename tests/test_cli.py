@@ -18,7 +18,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -172,24 +172,37 @@ def test_mesh_needs_no_dtm(tile, run, tmp_path):
     assert set(artifacts) == {"mesh.obj"}
 
 
-def test_mesh_samples_a_rational_surface_file(tile, run, tmp_path):
-    # the fit keeps unit weights, but a surface file may carry any positive
-    # weights: mesh samples the rational height field they give
-    (tmp_path / "fitted.txt").write_bytes(run[0]["surface.txt"])
-    fitted = load_surface(tmp_path / "fitted.txt")
-    rng = np.random.default_rng(8)
-    rational = replace(fitted, weights=np.exp(rng.uniform(-0.5, 0.5, fitted.weights.shape)))
-    save_surface(rational, tmp_path / "surface.txt")
-    rc, _ = invoke(tmp_path / "mesh", "mesh", *layer_flags(tile, ("dsm", "mask")),
-                   *FIT_FLAGS, "--surface", str(tmp_path / "surface.txt"))
-    assert rc == 0
-    mesh = meshmod.load_mesh(tmp_path / "mesh" / "mesh.obj")
-    mask, config = gridmod.load_mask(tile / "mask.asc"), SamplingConfig(road_rate=2.5)
-    expected = meshmod.build_tin(rational, mask, config)
-    np.testing.assert_array_equal(mesh.vertices, expected.vertices)
-    np.testing.assert_array_equal(mesh.triangles, expected.triangles)
-    unit = meshmod.build_tin(fitted, mask, config)
-    assert np.abs(expected.vertices[:, 2] - unit.vertices[:, 2]).max() > 1e-3
+def test_mesh_refuses_a_surface_whose_heights_overflow(tile, run, tmp_path, capsys):
+    # every elevation finite but at the float limit: their basis sums
+    # overflow, and no warning, no NaN vertex and no mesh.obj may come of it
+    lines = run[0]["surface.txt"].decode().splitlines()
+    lines = [f"cp {sys.float_info.max!r}" if line.startswith("cp ") else line
+             for line in lines]
+    path = tmp_path / "surface.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, artifacts = invoke(tmp_path / "mesh", "mesh", *layer_flags(tile, ("dsm", "mask")),
+                               *FIT_FLAGS, "--surface", str(path))
+    assert (rc, artifacts, caught) == (2, {}, [])
+    assert capsys.readouterr().err == (
+        "stage mesh: surface heights must be finite; the control elevations overflow\n")
+
+
+def test_a_surface_file_of_the_weighted_format_is_refused_at_line_1(tile, run, tmp_path,
+                                                                    capsys):
+    # format 2 wrote two degrees and a weight on each cp line
+    lines = run[0]["surface.txt"].decode().splitlines()
+    assert lines[:2] == ["roadsurf-surface 3", "degree 3"]
+    lines[:2] = ["roadsurf-surface 2", "degree 3 3"]
+    lines = [line + " 1.0" if line.startswith("cp ") else line for line in lines]
+    path = tmp_path / "surface.txt"
+    path.write_text("\n".join(lines) + "\n")
+    rc, artifacts = invoke(tmp_path / "mesh", "mesh", *layer_flags(tile, ("dsm", "mask")),
+                           *FIT_FLAGS, "--surface", str(path))
+    assert (rc, artifacts) == (2, {})
+    assert capsys.readouterr().err == (
+        f"stage mesh: {path}:1: not a surface file (expected 'roadsurf-surface 3')\n")
 
 
 def test_eval_scores_the_run_mesh_like_run(tile, run, tmp_path, capsys):
@@ -701,8 +714,8 @@ def test_undecodable_config_is_a_usage_error(tile, tmp_path, capsys):
 
 
 def test_unknown_ini_key_is_a_usage_error(tile, tmp_path, capsys):
-    # no fit takes a weight step: the weights stay those of the start surface;
-    # ctrl_spacing and degree replace the per-axis [surface] keys
+    # the fit takes no weight step; ctrl_spacing and degree replace the
+    # per-axis [surface] keys
     for section, key in (("filter", "theta_xyz"), ("fit", "weight_learning_rate"),
                          ("surface", "num_ctrl_u"), ("surface", "degree_v")):
         config = tmp_path / f"{section}.ini"
@@ -1259,17 +1272,17 @@ def test_malformed_surface_names_file_and_line(tile, run, tmp_path, capsys):
     path = tmp_path / "surface.txt"
     for key, bad_line, message in [
             ("roadsurf-surface ", "roadsurf-surface 1",
-             "not a surface file (expected 'roadsurf-surface 2')"),
-            ("cp ", "cp abc 1.0", "could not convert string to float: 'abc'"),
-            ("cp ", "cp nan 1.0", "control_z must be finite"),
-            ("cp ", "cp 0.0 0.0", "weights must be finite and strictly positive"),
-            ("degree ", "degree 3", "degree takes 2 value(s), got 1"),
+             "not a surface file (expected 'roadsurf-surface 3')"),
+            ("cp ", "cp abc", "could not convert string to float: 'abc'"),
+            ("cp ", "cp nan", "control_z must be finite"),
+            ("cp ", "cp 1.0 1.0", "cp takes 1 value(s), got 2"),
+            ("degree ", "degree 3 3", "degree takes 1 value(s), got 2"),
             ("shape ", "shape 0 3", "shape values must be positive"),
-            ("degree ", "degree 0 3", "degree_u must be at least 1"),
-            ("degree ", "degree 40 3", "degree_u 40 needs at least 41 control points, got 12"),
+            ("degree ", "degree 0", "degree must be at least 1"),
+            ("degree ", "degree 40", "degree 40 needs at least 41 control points, got 12"),
             ("extent ", "extent 100.0 0.0 0.0 100.0", "extent must be finite with "
              "x0 < x1 and y0 < y1, got (100.0, 0.0, 0.0, 100.0)"),
-            ("extent ", "degree 3 3", "repeated key 'degree'"),
+            ("extent ", "degree 3", "repeated key 'degree'"),
             ("extent ", "bogus 1 2", "unknown key 'bogus'")]:
         lines = run[0]["surface.txt"].decode().splitlines()
         line_no = next(n for n, line in enumerate(lines, start=1) if line.startswith(key))

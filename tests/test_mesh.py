@@ -289,8 +289,8 @@ def test_one_point_column_on_the_hull(points):
 def test_dual_rate_samples_are_delaunay(rates):
     # a curved band of road cells sampled densely, terrain coarsely; 1/2.5
     # lattices do not nest
-    surface = NurbsSurface((0.0, 20.0, 0.0, 15.0), 3, 3,
-                           np.random.default_rng(3).normal(0.0, 1.0, (6, 5)), np.ones((6, 5)))
+    surface = NurbsSurface((0.0, 20.0, 0.0, 15.0), 3,
+                           np.random.default_rng(3).normal(0.0, 1.0, (6, 5)))
     jj, ii = np.mgrid[0:16, 0:21]
     bits = (np.abs(jj - 7.0 - 4.0 * np.sin(ii / 4.0)) < 2.0).astype(np.uint8)
     mask = Mask(width=21, height=16, cell_size=1.0,
@@ -303,8 +303,8 @@ def patchy_road():
     """A random surface over a 20 x 15 m tile under a random road mask of
     1 m cells whose column 2 is road and column 3 is not, so a node on their
     border, x = 2.5, is road and a node just right of it is terrain."""
-    surface = NurbsSurface((0.0, 20.0, 0.0, 15.0), 3, 3,
-                           np.random.default_rng(5).normal(0.0, 1.0, (6, 5)), np.ones((6, 5)))
+    surface = NurbsSurface((0.0, 20.0, 0.0, 15.0), 3,
+                           np.random.default_rng(5).normal(0.0, 1.0, (6, 5)))
     bits = (np.random.default_rng(6).random((16, 21)) < 0.4).astype(np.uint8)
     bits[:, 2], bits[:, 3] = 1, 0
     return surface, Mask(width=21, height=16, cell_size=1.0, origin_x=0.0, origin_y=0.0, bits=bits)
@@ -369,7 +369,7 @@ def test_a_lattice_too_large_for_memory_fails_before_its_bases(monkeypatch):
         raise AssertionError("a basis was built before the height grid")
 
     monkeypatch.setattr(nurbsmod, "grid_basis", no_basis)
-    surface = NurbsSurface((0.0, 5e5, 0.0, 5e5), 3, 3, np.zeros((4, 4)), np.ones((4, 4)))
+    surface = NurbsSurface((0.0, 5e5, 0.0, 5e5), 3, np.zeros((4, 4)))
     mask = Mask(width=2, height=2, cell_size=5e5, origin_x=0.0, origin_y=0.0,
                 bits=np.ones((2, 2), dtype=np.uint8))
     with pytest.raises(MemoryError):
@@ -469,8 +469,8 @@ def test_flips_equal_the_sort_per_round_loop(kind):
 def sinuous_road(rates):
     """dynamic_sample's arguments: a random surface over a 100 x 80 m tile, a
     sinuous band of road cells 12 m wide, and the rates."""
-    surface = NurbsSurface((0.0, 100.0, 0.0, 80.0), 3, 3,
-                           np.random.default_rng(4).normal(0.0, 1.0, (12, 10)), np.ones((12, 10)))
+    surface = NurbsSurface((0.0, 100.0, 0.0, 80.0), 3,
+                           np.random.default_rng(4).normal(0.0, 1.0, (12, 10)))
     jj, ii = np.mgrid[0:81, 0:101]
     bits = (np.abs(jj - 40.0 - 15.0 * np.sin(ii / 10.0)) < 6.0).astype(np.uint8)
     mask = Mask(width=101, height=81, cell_size=1.0, origin_x=0.0, origin_y=0.0, bits=bits)

@@ -428,8 +428,7 @@ def road_tin(rates):
     lattice within centimetres of the surface, one point in twenty 1 m
     above it."""
     rng = np.random.default_rng(23)
-    surface = NurbsSurface((0.0, 60.0, 0.0, 40.0), 3, 3, rng.normal(0.0, 0.5, (8, 10)),
-                           np.ones((8, 10)))
+    surface = NurbsSurface((0.0, 60.0, 0.0, 40.0), 3, rng.normal(0.0, 0.5, (8, 10)))
     jj, ii = np.mgrid[0:41, 0:61]
     bits = (np.abs(jj - 20.0 - 8.0 * np.sin(ii / 9.0)) < 3.0).astype(np.uint8)
     tin = build_tin(surface, Mask(width=61, height=41, cell_size=1.0, origin_x=0.0,

@@ -1,12 +1,11 @@
-"""Rational B-spline surface tests.
+"""B-spline surface tests.
 
 Basis values are checked against a naive textbook recursion, and their
 nonzero windows against a linear span scan, both written independently of
 the production whole-array triangular algorithm.  ``evaluate``, a pointwise
-rational sum over full basis rows, is checked against hand computed
-bilinear and Bezier values and is then the reference for ``evaluate_grid``,
-whose tracemalloc peak on a 401 x 321 lattice must stay below 2.5 output
-grids.
+sum over full basis rows, is checked against hand computed bilinear and
+Bezier values and is then the reference for ``evaluate_grid``, whose
+tracemalloc peak on a 401 x 321 lattice must stay below 1.5 output grids.
 The text writer is checked byte for byte against a formatter that converts
 one numpy scalar at a time, and the reader must name the line that set a
 value the NurbsSurface constructor rejects.
@@ -55,10 +54,9 @@ def evaluate(surface, u, v):
     """Surface point at parameter (u, v) as an xyz array, from full basis
     rows whose entries outside the active window are exact zeros."""
     knots_u, knots_v = surface.knots()
-    bu = basis_matrix(knots_u, surface.degree_u, [u])[0]
-    bv = basis_matrix(knots_v, surface.degree_v, [v])[0]
-    coeff = np.outer(bu, bv) * surface.weights
-    return np.tensordot(coeff, control_points(surface), axes=([0, 1], [0, 1])) / coeff.sum()
+    bu = basis_matrix(knots_u, surface.degree, [u])[0]
+    bv = basis_matrix(knots_v, surface.degree, [v])[0]
+    return np.tensordot(np.outer(bu, bv), control_points(surface), axes=([0, 1], [0, 1]))
 
 
 def naive_basis(knots, degree, i, u):
@@ -96,14 +94,12 @@ def span_by_scan(knots, degree, u):
     raise AssertionError("unreachable")
 
 
-def random_lattice(rng, num_u=None, num_v=None, degree_u=None, degree_v=None):
-    degree_u = degree_u if degree_u is not None else int(rng.integers(1, 4))
-    degree_v = degree_v if degree_v is not None else int(rng.integers(1, 4))
-    num_u = num_u if num_u is not None else int(rng.integers(degree_u + 1, 8))
-    num_v = num_v if num_v is not None else int(rng.integers(degree_v + 1, 8))
+def random_lattice(rng, num_u=None, num_v=None, degree=None):
+    degree = degree if degree is not None else int(rng.integers(1, 4))
+    num_u = num_u if num_u is not None else int(rng.integers(degree + 1, 8))
+    num_v = num_v if num_v is not None else int(rng.integers(degree + 1, 8))
     z = rng.normal(2.0, 1.5, size=(num_u, num_v))
-    w = rng.uniform(0.5, 2.0, size=(num_u, num_v))
-    return NurbsSurface((0.0, 6.0, -3.0, 5.0), degree_u, degree_v, z, w)
+    return NurbsSurface((0.0, 6.0, -3.0, 5.0), degree, z)
 
 
 class TestKnots:
@@ -211,8 +207,7 @@ class TestBasisFunctions:
 
 class TestSurfaceValidation:
     def kwargs(self):
-        return dict(extent=(0.0, 1.0, 0.0, 1.0), degree_u=1, degree_v=1,
-                    control_z=np.zeros((2, 2)), weights=np.ones((2, 2)))
+        return dict(extent=(0.0, 1.0, 0.0, 1.0), degree=1, control_z=np.zeros((2, 3)))
 
     def test_valid_config_accepted(self):
         NurbsSurface(**self.kwargs())
@@ -223,28 +218,17 @@ class TestSurfaceValidation:
         with pytest.raises(ValueError, match="shape"):
             NurbsSurface(**kw)
 
-    def test_rejects_weight_shape_mismatch(self):
-        kw = self.kwargs()
-        kw["weights"] = np.ones((2, 3))
-        with pytest.raises(ValueError, match="weights"):
-            NurbsSurface(**kw)
-
-    def test_rejects_nonpositive_weights(self):
-        kw = self.kwargs()
-        kw["weights"] = np.array([[1.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(ValueError, match="positive"):
-            NurbsSurface(**kw)
-
     def test_rejects_degree_zero(self):
         kw = self.kwargs()
-        kw["degree_u"] = 0
-        with pytest.raises(ValueError, match="degree_u"):
+        kw["degree"] = 0
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
             NurbsSurface(**kw)
 
     def test_rejects_too_few_control_points_for_the_degree(self):
+        # the smaller count of the 2 x 3 net is the one that falls short
         kw = self.kwargs()
-        kw["degree_v"] = 2
-        with pytest.raises(ValueError, match="degree_v 2 needs at least 3 control points, got 2"):
+        kw["degree"] = 2
+        with pytest.raises(ValueError, match="^degree 2 needs at least 3 control points, got 2$"):
             NurbsSurface(**kw)
 
     @pytest.mark.parametrize("extent", [(1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 1.0, 1.0),
@@ -257,33 +241,25 @@ class TestSurfaceValidation:
 
     def test_a_rejected_array_field_names_its_first_bad_element(self):
         kw = self.kwargs()
-        kw["weights"] = np.array([[1.0, 1.0], [0.0, -1.0]])
+        kw["control_z"] = np.array([[0.0, 1.0, 2.0], [np.inf, 0.0, np.nan]])
         with pytest.raises(FieldError) as err:
             NurbsSurface(**kw)
-        assert (err.value.keys, err.value.index) == (("weights",), 2)  # C order
+        assert (err.value.keys, err.value.index) == (("control_z",), 3)  # C order
 
     def test_replace_revalidates(self):
         surf = NurbsSurface(**self.kwargs())
-        with pytest.raises(ValueError, match="positive"):
-            replace(surf, weights=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            replace(surf, control_z=np.full((2, 3), np.nan))
 
 
 class TestEvaluate:
     def test_bilinear_midpoint(self):
-        surf = NurbsSurface((0.0, 2.0, 0.0, 10.0), 1, 1,
-                            np.array([[0.0, 1.0], [2.0, 4.0]]), np.ones((2, 2)))
+        surf = NurbsSurface((0.0, 2.0, 0.0, 10.0), 1, np.array([[0.0, 1.0], [2.0, 4.0]]))
         np.testing.assert_allclose(evaluate(surf, 0.5, 0.5), [1.0, 5.0, 1.75], atol=1e-12)
 
-    def test_rational_midpoint_hand_value(self):
-        surf = NurbsSurface((0.0, 2.0, 0.0, 10.0), 1, 1,
-                            np.array([[0.0, 1.0], [2.0, 4.0]]),
-                            np.array([[1.0, 2.0], [3.0, 4.0]]))
-        # weighted average with weights 1,2,3,4 over the four corners
-        np.testing.assert_allclose(evaluate(surf, 0.5, 0.5), [1.4, 6.0, 2.4], atol=1e-12)
-
     def test_quadratic_ridge_midpoint(self):
-        z = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
-        surf = NurbsSurface((0.0, 4.0, 0.0, 1.0), 2, 1, z, np.ones((3, 2)))
+        z = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        surf = NurbsSurface((0.0, 4.0, 0.0, 1.0), 2, z)
         for v in (0.0, 0.3, 1.0):
             point = evaluate(surf, 0.5, v)
             assert point[0] == pytest.approx(2.0, abs=1e-12)
@@ -298,15 +274,6 @@ class TestEvaluate:
             np.testing.assert_allclose(evaluate(surf, 1.0, 0.0), net[-1, 0], atol=1e-9)
             np.testing.assert_allclose(evaluate(surf, 0.0, 1.0), net[0, -1], atol=1e-9)
             np.testing.assert_allclose(evaluate(surf, 1.0, 1.0), net[-1, -1], atol=1e-9)
-
-    def test_weight_scaling_leaves_surface_unchanged(self):
-        rng = np.random.default_rng(6)
-        surf = random_lattice(rng)
-        scaled = replace(surf, weights=surf.weights * 3.7)
-        for _ in range(40):
-            u, v = rng.uniform(0.0, 1.0, 2)
-            np.testing.assert_allclose(evaluate(surf, u, v), evaluate(scaled, u, v),
-                                       rtol=0, atol=1e-12)
 
     def test_constant_control_z_gives_constant_height(self):
         rng = np.random.default_rng(7)
@@ -331,16 +298,15 @@ class TestGridEvaluation:
                 u, v = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
                 assert grid[r, c] == pytest.approx(evaluate(surf, u, v)[2], abs=1e-12)
 
-    @pytest.mark.parametrize("shape, degrees, nodes", [
-        ((35, 35), (3, 3), (11, 11)),  # the 10 m terrain lattice of a 100 m tile: 32 spans
-        ((12, 5), (1, 2), (4, 9)),     # 11 spans, 7 of them empty
-        ((4, 4), (3, 3), (6, 3)),      # one span
-        ((9, 7), (2, 3), (30, 2)),     # spans of 4 and 5 columns
-    ])
-    def test_sparse_lattices_match_pointwise_evaluation(self, shape, degrees, nodes):
-        rng = np.random.default_rng(sum(shape + degrees + nodes))
-        surf = NurbsSurface((-20.0, 80.0, 5.0, 45.0), *degrees, rng.normal(100.0, 3.0, shape),
-                            np.exp(rng.uniform(-0.5, 0.5, shape)))
+    @pytest.mark.parametrize("shape, degree, nodes", [
+        ((35, 35), 3, (11, 11)),  # the 10 m terrain lattice of a 100 m tile: 32 spans
+        ((12, 5), 1, (4, 9)),     # 11 spans, 7 of them empty
+        ((4, 4), 3, (6, 3)),      # one span
+        ((9, 7), 2, (30, 2)),     # spans of 4 and 5 columns
+    ], ids=[f"shape{k}-degrees{k}-nodes{k}" for k in range(4)])
+    def test_sparse_lattices_match_pointwise_evaluation(self, shape, degree, nodes):
+        rng = np.random.default_rng(sum(shape + nodes) + degree)
+        surf = NurbsSurface((-20.0, 80.0, 5.0, 45.0), degree, rng.normal(100.0, 3.0, shape))
         x0, x1, y0, y1 = surf.extent
         for order in (np.arange(nodes[0]), rng.permutation(nodes[0])):  # columns in any order
             xs = np.linspace(x0, x1, nodes[0])[order]
@@ -352,12 +318,11 @@ class TestGridEvaluation:
                     u, v = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
                     assert grid[r, c] == pytest.approx(evaluate(surf, u, v)[2], rel=1e-13)
 
-    def test_sampling_peaks_below_two_and_a_half_output_grids(self):
-        # the height and denominator grids, the two dense bases and their
-        # control-grid-sized products with the weights
+    def test_sampling_peaks_below_one_and_a_half_output_grids(self):
+        # the height grid, the two dense bases and the product of one with
+        # the elevations
         rng = np.random.default_rng(17)
-        surf = NurbsSurface((0.0, 200.0, 0.0, 160.0), 3, 3, rng.normal(100.0, 3.0, (35, 35)),
-                            np.ones((35, 35)))
+        surf = NurbsSurface((0.0, 200.0, 0.0, 160.0), 3, rng.normal(100.0, 3.0, (35, 35)))
         xs, ys = np.linspace(0.0, 200.0, 401), np.linspace(0.0, 160.0, 321)
         evaluate_grid(surf, xs, ys)
         tracemalloc.start()
@@ -366,7 +331,7 @@ class TestGridEvaluation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * len(xs) * len(ys) * 8
+        assert peak < 1.5 * len(xs) * len(ys) * 8
 
     def test_query_outside_extent_raises(self):
         rng = np.random.default_rng(13)
@@ -376,7 +341,7 @@ class TestGridEvaluation:
             evaluate_grid(surf, np.array([x1 + 1.0]), np.array([y0]))
 
     def test_rasterize_constant_surface(self):
-        surf = NurbsSurface((0.0, 4.0, 0.0, 3.0), 3, 3, np.full((4, 4), 2.5), np.ones((4, 4)))
+        surf = NurbsSurface((0.0, 4.0, 0.0, 3.0), 3, np.full((4, 4), 2.5))
         template = Raster(5, 4, 1.0, 0.0, 0.0, np.zeros((4, 5)))
         out = rasterize(surf, template)
         np.testing.assert_allclose(out.values, 2.5, atol=1e-12)
@@ -385,7 +350,7 @@ class TestGridEvaluation:
 
     def test_rasterize_bilinear_corners(self):
         z = np.array([[1.0, 3.0], [5.0, 9.0]])
-        surf = NurbsSurface((0.0, 4.0, 0.0, 3.0), 1, 1, z, np.ones((2, 2)))
+        surf = NurbsSurface((0.0, 4.0, 0.0, 3.0), 1, z)
         template = Raster(5, 4, 1.0, 0.0, 0.0, np.zeros((4, 5)))
         out = rasterize(surf, template)
         # row 0 is the southern row, so the y=0 lattice edge lands there
@@ -428,15 +393,14 @@ class TestWorldToParam:
 def reference_surface_text(surface):
     """Text of save_surface, formatted one numpy element at a time."""
     lines = [
-        "roadsurf-surface 2",
-        f"degree {surface.degree_u} {surface.degree_v}",
+        "roadsurf-surface 3",
+        f"degree {surface.degree}",
         f"shape {surface.num_ctrl_u} {surface.num_ctrl_v}",
         "extent " + " ".join(repr(float(e)) for e in surface.extent),
     ]
     for a in range(surface.num_ctrl_u):
         for b in range(surface.num_ctrl_v):
-            z, w = float(surface.control_z[a, b]), float(surface.weights[a, b])
-            lines.append(f"cp {z!r} {w!r}")
+            lines.append(f"cp {float(surface.control_z[a, b])!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -445,11 +409,10 @@ class TestSerialization:
     def test_text_matches_the_elementwise_formatter(self, tmp_path, origin):
         rng = np.random.default_rng(22)
         x0, y0 = origin
-        surf = NurbsSurface((x0, x0 + 70.0, y0, y0 + 30.0), 3, 2,
-                            rng.normal(250.0, 30.0, (7, 4)), rng.uniform(0.5, 2.0, (7, 4)))
+        surf = NurbsSurface((x0, x0 + 70.0, y0, y0 + 30.0), 3, rng.normal(250.0, 30.0, (7, 4)))
         surf.control_z[0, 0] = 1e16
         surf.control_z[1, 1] = -0.0
-        surf.weights[0, 1:3] = [1e-7, 1e16]
+        surf.control_z[0, 1:3] = [1e-7, 1.7976931348623157e308]
         path = tmp_path / "surface.txt"
         save_surface(surf, path)
         assert path.read_text() == reference_surface_text(surf)
@@ -463,10 +426,9 @@ class TestSerialization:
         path = tmp_path / "surface.txt"
         save_surface(surf, path)
         back = load_surface(path)
-        assert (back.degree_u, back.degree_v) == (surf.degree_u, surf.degree_v)
+        assert back.degree == surf.degree
         assert back.extent == surf.extent
         np.testing.assert_array_equal(back.control_z, surf.control_z)
-        np.testing.assert_array_equal(back.weights, surf.weights)
 
     def test_rejects_wrong_signature(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -500,7 +462,7 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         lines = lines[:-1]  # drop one cp line
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=":3: shape .* needs .* 'cp z w' lines"):
+        with pytest.raises(ValueError, match=":3: shape .* needs .* 'cp z' lines"):
             load_surface(path)
 
     def edited(self, tmp_path, edit):
@@ -508,8 +470,7 @@ class TestSerialization:
         cp_line)``, where ``cp_line(a, b)`` is the index in ``lines`` of
         control point (a, b); returns the path and the 1-based line number
         that ``edit`` returns."""
-        surf = random_lattice(np.random.default_rng(21), num_u=6, num_v=5,
-                              degree_u=3, degree_v=2)
+        surf = random_lattice(np.random.default_rng(21), num_u=6, num_v=5, degree=3)
         path = tmp_path / "surface.txt"
         save_surface(surf, path)
         lines = path.read_text().splitlines()
@@ -518,12 +479,11 @@ class TestSerialization:
         path.write_text("\n".join(lines) + "\n")
         return path, line_no
 
-    def test_a_rejected_weight_names_its_cp_line(self, tmp_path):
-        def zero_weight(lines, cp_line):
-            _, z, _ = lines[cp_line(2, 3)].split()
-            lines[cp_line(2, 3)] = f"cp {z} 0.0"
+    def test_a_rejected_elevation_names_its_cp_line(self, tmp_path):
+        def infinite_elevation(lines, cp_line):
+            lines[cp_line(2, 3)] = "cp -inf"
             return cp_line(2, 3)
-        path, line_no = self.edited(tmp_path, zero_weight)
+        path, line_no = self.edited(tmp_path, infinite_elevation)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line_no}: "
-                                             "weights must be finite and strictly positive$"):
+                                             "control_z must be finite$"):
             load_surface(path)
