@@ -371,6 +371,7 @@ SPAN_CASES = [((23, 17), (8, 7), 3), ((3, 11), (12, 6), 1), ((9, 8), (4, 4), 3),
               ((16, 5), (7, 9), 2), ((13, 12), (4, 5), 1)]
 
 
+# the ids keep the case names the tests had when each case held two degrees
 @pytest.mark.parametrize("raster, net, degree", SPAN_CASES,
                          ids=[f"raster{k}-net{k}-degrees{k}" for k in range(len(SPAN_CASES))])
 def test_span_layout_objective_matches_a_dense_reference(raster, net, degree):
@@ -402,6 +403,7 @@ LAYOUT_CASES = [((35, 35), 3, (11, 11)), ((12, 5), 1, (4, 9)), ((4, 4), 3, (6, 3
                 ((9, 7), 2, (30, 2))]
 
 
+# the ids keep the case names the tests had when each case held two degrees
 @pytest.mark.parametrize("net, degree, nodes", LAYOUT_CASES,
                          ids=[f"net{k}-degrees{k}-nodes{k}" for k in range(len(LAYOUT_CASES))])
 def test_span_grid_products_match_dense_products(net, degree, nodes):
@@ -526,12 +528,13 @@ def greville(num_ctrl, degree):
     return np.array([knots[i + 1:i + degree + 1].mean() for i in range(num_ctrl)])
 
 
-@pytest.mark.parametrize("shape", [(35, 35), (9, 6), (3, 5)])
+@pytest.mark.parametrize("shape", [(35, 35), (9, 6), (2, 5), (3, 5)])
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_roughness_is_zero_on_planar_control_nets(shape, degree):
     # a B-spline reproduces a plane from elevations linear in the Greville
-    # abscissae, which bunch toward the clamped ends; a net with an axis of
-    # 3 control points takes degree 2 at most
+    # abscissae, which bunch toward the clamped ends; an axis of 2 control
+    # points takes degree 1, with no second differences, and an axis of 3
+    # takes degree 2 at most
     nu, nv = shape
     degree = min(degree, nu - 1, nv - 1)
     surface = NurbsSurface((0.0, 1.0, 0.0, 1.0), degree, np.zeros(shape))

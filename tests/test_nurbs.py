@@ -298,6 +298,7 @@ class TestGridEvaluation:
                 u, v = (x - x0) / (x1 - x0), (y - y0) / (y1 - y0)
                 assert grid[r, c] == pytest.approx(evaluate(surf, u, v)[2], abs=1e-12)
 
+    # the ids keep the case names the test had when each case held two degrees
     @pytest.mark.parametrize("shape, degree, nodes", [
         ((35, 35), 3, (11, 11)),  # the 10 m terrain lattice of a 100 m tile: 32 spans
         ((12, 5), 1, (4, 9)),     # 11 spans, 7 of them empty
