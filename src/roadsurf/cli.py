@@ -42,12 +42,15 @@ mesh, metrics.
 Configuration comes from an INI-style file (sections [paths], [filter],
 [surface], [fit], [sampling], [metrics]) and each key can be overridden by
 a command line flag of the same name, for example theta_xy in [filter] by
---theta-xy.  Defaults: the cubic control net that fit.initialize_surface
-sizes for ctrl_spacing 3 m, and the defaults of the stages' own config
-classes (FilterParams, LossWeights, FitConfig, SamplingConfig); the fit
-moves the control elevations of a B-spline surface and ends on its seventh
-plateau, or at max_iters 1000.  Booleans take configparser's spellings
-(1/yes/true/on, 0/no/false/off).
+--theta-xy.  PipelineConfig derives from the stages' own config classes
+(FilterParams, LossWeights, FitConfig, SamplingConfig), so each field of
+one is, with no edit here, an INI key in that class's section
+(_STAGE_SECTIONS), a flag and an ablate --param value, with the class's
+default and checks.  Defaults: the cubic control net that
+fit.initialize_surface sizes for ctrl_spacing 3 m, and those of the stage
+classes; the fit moves the control elevations of a B-spline surface and
+ends on its seventh plateau, or at max_iters 1000.  Booleans take
+configparser's spellings (1/yes/true/on, 0/no/false/off).
 
 Every artifact is byte-stable for a fixed BLAS build and thread count
 (OPENBLAS_NUM_THREADS): rerunning on identical inputs reproduces it exactly.
@@ -107,14 +110,19 @@ def _key(section: str, default, note: str = ""):
     return field(default=default, metadata={"section": section, "note": note})
 
 
-@dataclass
-class PipelineConfig:
-    """Every pipeline knob in one flat record.
+# the INI section of each stage config class's fields
+_STAGE_SECTIONS = {FilterParams: "filter", LossWeights: "fit", FitConfig: "fit",
+                   SamplingConfig: "sampling"}
 
-    Each field's INI key is its name without the "<section>_" prefix.  The
-    stages' own config classes are built on demand so their validation
-    applies, and their defaults are the ones used here.
-    """
+
+# a dataclass takes its bases' fields from the last base on, so the fields
+# run filter, fit, sampling, as the sections do
+@dataclass
+class PipelineConfig(SamplingConfig, FitConfig, LossWeights, FilterParams):
+    """Every pipeline knob in one flat record: the stage config classes'
+    fields, then its own.  It is an instance of each class, so a stage takes
+    it as its config.  Each field's INI key is its name without the
+    "<section>_" prefix."""
 
     dsm: Path | None = _key("paths", None)
     dtm: Path | None = _key("paths", None)
@@ -123,32 +131,16 @@ class PipelineConfig:
     gt_terrain: Path | None = _key("paths", None)
     out_dir: Path = _key("paths", Path("out"))
     filter_enabled: bool = _key("filter", True)
-    theta_xy: float = _key("filter", FilterParams.theta_xy)
-    theta_z: float = _key("filter", FilterParams.theta_z)
-    top_k: int = _key("filter", FilterParams.top_k)
     ctrl_spacing: float = _key("surface", 3.0, ": the most metres between control nodes "
                                "(default 3.0): max(degree + 1, ceil(E / ctrl_spacing) + 1) "
                                "nodes on an axis of the DSM's cell-centre extent E")
     degree: int = _key("surface", 3, ": the B-spline degree of both axes, at least 1 (default 3)")
-    lambda_terrain: float = _key("fit", LossWeights.lambda_terrain)
-    lambda_reg: float = _key("fit", LossWeights.lambda_reg)
-    learning_rate: float = _key("fit", FitConfig.learning_rate)
-    max_iters: int = _key("fit", FitConfig.max_iters)
-    early_stop_patience: int = _key("fit", FitConfig.early_stop_patience)
-    early_stop_min_delta: float = _key("fit", FitConfig.early_stop_min_delta)
-    road_rate: float = _key("sampling", SamplingConfig.road_rate)
-    terrain_rate: float = _key("sampling", SamplingConfig.terrain_rate)
     baselines: bool = _key("metrics", True)
 
-    def stage_config(self, cls):
-        """A stage's own config class, built from the fields of the same name."""
-        return cls(**{spec.name: getattr(self, spec.name) for spec in fields(cls)
-                      if spec.name in _SECTIONS})
-
-    def validate(self) -> None:
+    def __post_init__(self):
         gridmod.check_finite(self)
-        for cls in (FilterParams, LossWeights, FitConfig, SamplingConfig):
-            self.stage_config(cls)
+        for cls in _STAGE_SECTIONS:
+            cls.__post_init__(self)
         if not self.ctrl_spacing > 0:
             raise ValueError(f"ctrl_spacing must be positive, got {self.ctrl_spacing}")
         if self.degree < 1:
@@ -157,8 +149,11 @@ class PipelineConfig:
 
 # the stage each section that ablate can sweep feeds: not [paths] or [metrics]
 _SECTION_STAGE = {"filter": "filter", "surface": "fit", "fit": "fit", "sampling": "mesh"}
-_SECTIONS = {spec.name: spec.metadata["section"] for spec in fields(PipelineConfig)}
-_NOTES = {spec.name: spec.metadata["note"] for spec in fields(PipelineConfig)}
+_SECTIONS = {**{spec.name: section for cls, section in _STAGE_SECTIONS.items()
+                for spec in fields(cls)},
+             **{spec.name: spec.metadata["section"] for spec in fields(PipelineConfig)
+                if spec.metadata}}
+_NOTES = {spec.name: spec.metadata.get("note", "") for spec in fields(PipelineConfig)}
 _INI_KEYS = {(section, name.removeprefix(section + "_")): name
              for name, section in _SECTIONS.items()}
 _CASTERS = {spec.name: synthmod.CASTERS.get(spec.type, Path) for spec in fields(PipelineConfig)}
@@ -166,7 +161,7 @@ _CASTERS = {spec.name: synthmod.CASTERS.get(spec.type, Path) for spec in fields(
 
 def build_config(args: argparse.Namespace) -> PipelineConfig:
     """Defaults, overridden by the --config INI file, overridden by flags."""
-    config = PipelineConfig()
+    values = {}
     path = getattr(args, "config", None)
     if path is not None:
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -184,18 +179,15 @@ def build_config(args: argparse.Namespace) -> PipelineConfig:
                 if name is None:
                     raise UsageError(f"{path}: unknown config key [{section}] {key}")
                 try:
-                    setattr(config, name, _CASTERS[name](raw))
+                    values[name] = _CASTERS[name](raw)
                 except ValueError as err:
                     raise UsageError(f"{path}: [{section}] {key}: {err}") from None
-    for name in _SECTIONS:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(config, name, value)
+    values.update({name: getattr(args, name) for name in _SECTIONS
+                   if getattr(args, name, None) is not None})
     try:
-        config.validate()
+        return PipelineConfig(**values)
     except ValueError as err:
         raise UsageError(str(err)) from None
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +248,7 @@ def filter_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     points = state.dsm.subset(state.mask.bits == 1)
     kept = total = points.count
     if config.filter_enabled:
-        filtered, state.mask_plus = run_filter(points, config.stage_config(FilterParams))
+        filtered, state.mask_plus = run_filter(points, config)
         kept = filtered.count
     state.record.append(("filter", {"kept": kept, "removed": total - kept}))
 
@@ -265,8 +257,7 @@ def fit_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     surface0 = fitmod.initialize_surface(state.dsm, state.dtm, state.mask_plus,
                                          config.ctrl_spacing, config.degree)
     state.surface, state.fit_report = fitmod.fit(
-        surface0, state.dsm, state.dtm, state.mask_plus,
-        config.stage_config(LossWeights), config.stage_config(FitConfig))
+        surface0, state.dsm, state.dtm, state.mask_plus, config, config)
     state.record.append(("fit", {key: value for key, value in vars(state.fit_report).items()
                                  if not key.startswith("loss_")}))
 
@@ -279,8 +270,7 @@ def surface_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
 
 def mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
     """Dual-rate TIN of the surface."""
-    tin = state.tin = meshmod.build_tin(state.surface, state.mask_plus,
-                                        config.stage_config(SamplingConfig))
+    tin = state.tin = meshmod.build_tin(state.surface, state.mask_plus, config)
     state.meshes = {"nurbs": tin}
     state.record.append(("mesh", {"vertices": len(tin.vertices), "triangles": len(tin.triangles)}))
 
@@ -633,12 +623,9 @@ def _ablation_variant(config: PipelineConfig, param: str, raw: str) -> PipelineC
     else:
         raise UsageError(f"unknown ablation parameter {param!r}")
     try:
-        variant = replace(config, **{key: _CASTERS[key](value)
-                                     for key, value in changes.items()})
-        variant.validate()
+        return replace(config, **{key: _CASTERS[key](value) for key, value in changes.items()})
     except ValueError as err:
         raise UsageError(f"--values: {err}") from None
-    return variant
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:

@@ -362,7 +362,9 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, ctrl_spacing: 
     """Lattice surface of ``degree`` over the DSM's cell-centre extent: an
     axis of extent E gets max(degree + 1, ceil(E / ctrl_spacing) + 1) evenly
     spaced nodes, at most ctrl_spacing apart (3 m by default, 35 on a 100 m
-    tile).
+    tile).  An axis of C cells takes at most two knot spans a cell, n -
+    degree <= 2 (C - 1) for its n nodes; a finer net raises ValueError
+    before anything is allocated.
 
     Each control elevation starts at the median of the loss's target (the
     DSM on road cells of mask_plus, the DTM elsewhere, so trees and facades
@@ -372,6 +374,11 @@ def initialize_surface(dsm: Raster, dtm: Raster, mask_plus: Mask, ctrl_spacing: 
     x0, x1, y0, y1 = dsm.center_extent
     # the 1e-9 keeps the rounding of E / ctrl_spacing from adding a node
     nu, nv = (max(degree + 1, math.ceil(e / ctrl_spacing - 1e-9) + 1) for e in (x1 - x0, y1 - y0))
+    for n, cells in ((nu, dsm.width), (nv, dsm.height)):
+        if n - degree > 2 * (cells - 1):
+            raise ValueError(f"ctrl_spacing {ctrl_spacing} asks for {n} control nodes on an axis "
+                             f"of {cells} cells; two knot spans a cell allow at most "
+                             f"{2 * (cells - 1) + degree} at degree {degree}")
     z = np.full(nu * nv, np.nan)  # first: a net too large for memory fails here
     xs, ys = dsm.cell_to_world(np.arange(dsm.width), np.arange(dsm.height))
     ia = np.clip(np.round((xs - x0) / (x1 - x0) * (nu - 1)), 0, nu - 1)

@@ -656,6 +656,28 @@ def test_row_warnings_are_shown_as_one_process_shows_them(monkeypatch, filters):
         no_child_is_left()
 
 
+def test_fit_of_one_iteration_ends_on_max_iters(tile, tmp_path, capsys):
+    rc, artifacts = invoke(tmp_path / "fit", "fit", *layer_flags(tile, ("dsm", "dtm", "mask")),
+                           *FIT_FLAGS, "--max-iters", "1")
+    assert rc == 0
+    assert len(rows(artifacts["loss_trace.csv"])) == 1
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("fit: ")]
+    entry = dict(item.split("=") for item in line.split()[1:])
+    assert (entry["iterations"], entry["stop_reason"]) == ("1", "max_iters")
+
+
+def test_control_net_finer_than_the_cells_is_a_fit_failure(tile, tmp_path, capsys):
+    # 10,001 nodes an axis, whose difference matrices the fit would take
+    # minutes to build, are refused before any is allocated
+    rc, artifacts = invoke(tmp_path / "fit", "fit", *layer_flags(tile, ("dsm", "dtm", "mask")),
+                           "--ctrl-spacing", "0.01")
+    assert (rc, artifacts) == (2, {})
+    assert capsys.readouterr().err == (
+        "stage fit: ctrl_spacing 0.01 asks for 10001 control nodes on an axis of 41 cells; "
+        "two knot spans a cell allow at most 83 at degree 3\n")
+
+
 def test_default_fit_ends_on_the_plateau_after_six_drops(tile, tmp_path, capsys):
     rc, _ = invoke(tmp_path / "fit", "fit", *layer_flags(tile, ("dsm", "dtm", "mask")))
     assert rc == 0
@@ -741,9 +763,10 @@ def test_ini_that_does_not_parse_is_a_usage_error(tile, tmp_path, capsys, text, 
     assert capsys.readouterr().err.startswith(f"usage error: {config}: {message}")
 
 
-SURFACE_FLAG_ERRORS = {("--ctrl-spacing", "0"): "ctrl_spacing must be positive, got 0.0",
-                       ("--ctrl-spacing", "-1"): "ctrl_spacing must be positive, got -1.0",
-                       ("--degree", "0"): "degree must be at least 1, got 0"}
+FLAG_ERRORS = {("--ctrl-spacing", "0"): "ctrl_spacing must be positive, got 0.0",
+               ("--ctrl-spacing", "-1"): "ctrl_spacing must be positive, got -1.0",
+               ("--degree", "0"): "degree must be at least 1, got 0",
+               ("--learning-rate", "0"): "learning_rate must be positive"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -769,6 +792,7 @@ SURFACE_FLAG_ERRORS = {("--ctrl-spacing", "0"): "ctrl_spacing must be positive, 
     # the per-axis surface flags that ctrl_spacing and degree replace
     ["fit", "--num-ctrl-u", "12"],
     ["fit", "--degree-u", "3"],
+    ["fit", "--learning-rate", "0"],
 ])
 def test_bad_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 1
@@ -776,8 +800,8 @@ def test_bad_flags_are_usage_errors(argv, capsys):
     assert err.startswith("usage error: ") and "_parse_bool" not in err
     if {"nan", "inf"} & set(argv):
         assert err.endswith(f" must be finite, got {argv[-1]}\n")
-    if tuple(argv[1:]) in SURFACE_FLAG_ERRORS:
-        assert err == f"usage error: {SURFACE_FLAG_ERRORS[tuple(argv[1:])]}\n"
+    if tuple(argv[1:]) in FLAG_ERRORS:
+        assert err == f"usage error: {FLAG_ERRORS[tuple(argv[1:])]}\n"
     if argv[1] in ("--no-such-flag", "--weight-learning-rate", "--num-ctrl-u",
                    "--degree-u"):  # flags no parser knows
         assert err == f"usage error: unrecognized arguments: {' '.join(argv[1:])}\n"
@@ -811,10 +835,24 @@ def test_config_that_cannot_be_read_is_a_usage_error(tile, tmp_path, capsys):
         assert capsys.readouterr().err == f"usage error: cannot read config file: {config}\n"
 
 
-def test_pipeline_defaults_are_the_stage_defaults():
+def test_pipeline_defaults_are_the_stage_defaults(tmp_path):
+    # every field of a stage config class is a flag, an INI key in its
+    # class's section and an ablate --param value, each of which takes the
+    # class's default
     config = PipelineConfig()
-    for cls in (FilterParams, LossWeights, FitConfig, SamplingConfig):
-        assert config.stage_config(cls) == cls()
+    for cls, section in {FilterParams: "filter", LossWeights: "fit", FitConfig: "fit",
+                         SamplingConfig: "sampling"}.items():
+        assert isinstance(config, cls)
+        for spec in fields(cls):
+            default = getattr(cls(), spec.name)
+            ini = tmp_path / f"{spec.name}.ini"
+            ini.write_text(f"[{section}]\n{spec.name} = {default}\n")
+            for argv in (["--" + spec.name.replace("_", "-"), str(default)],
+                         ["--config", str(ini)]):
+                args = cli.build_parser().parse_args(["fit", *argv])
+                assert cli.build_config(args) == config
+            assert cli._ablation_variant(config, spec.name, str(default)) == config
+            assert getattr(config, spec.name) == default
     # the net: cubic, nodes at most 3 m apart, the same on both axes
     assert [key for section, key in cli._INI_KEYS if section == "surface"] == [
         "ctrl_spacing", "degree"]
@@ -1315,11 +1353,12 @@ def test_malformed_mesh_names_file_and_line(tile, run, tmp_path, capsys):
 
 def test_mesh_file_without_vertices_or_faces_is_a_metrics_failure(tile, tmp_path, capsys):
     path = tmp_path / "mesh.obj"
-    path.write_text("# no vertex and no face\n")
-    rc, artifacts = invoke(tmp_path / "out", "eval", *layer_flags(tile, LAYERS),
-                           "--mesh", str(path))
-    assert (rc, artifacts) == (2, {})
-    assert capsys.readouterr().err == f"stage metrics: {path}: no mesh content found\n"
+    for text in ("# no vertex and no face\n", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"):
+        path.write_text(text)
+        rc, artifacts = invoke(tmp_path / "out", "eval", *layer_flags(tile, LAYERS),
+                               "--mesh", str(path))
+        assert (rc, artifacts) == (2, {})
+        assert capsys.readouterr().err == f"stage metrics: {path}: no mesh content found\n"
 
 
 @pytest.mark.parametrize("text_format", ["asc", "surface", "obj", "scene"])

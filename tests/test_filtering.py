@@ -9,6 +9,7 @@ whole-grid per-offset merge as a reference whose labels must be equal.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -764,9 +765,14 @@ class TestRunFilter:
         npt.assert_allclose(filtered.values[on], points.values[on])
 
     def test_tiny_theta_xy_warns(self):
-        points = make_points(np.zeros((3, 3)))
-        with pytest.warns(UserWarning, match="cell diagonal"):
-            run_filter(points, FilterParams(theta_xy=1.0))
+        points = make_points(np.zeros((3, 3)), cell=2.0)
+        diagonal = math.hypot(2.0, 2.0)
+        for theta_xy in (2.0, diagonal):  # one that equals the diagonal warns too
+            with pytest.warns(UserWarning, match="cell diagonal"):
+                run_filter(points, FilterParams(theta_xy=theta_xy))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_filter(points, FilterParams(theta_xy=math.nextafter(diagonal, math.inf)))
 
     def test_param_validation(self):
         with pytest.raises(ValueError, match="positive"):

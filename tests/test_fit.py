@@ -661,3 +661,21 @@ def test_control_net_is_sized_by_the_spacing(cells, cell_size, spacing, degree, 
     assert surface.control_z.shape == shape
     assert surface.degree == degree
     assert surface.extent == dsm.center_extent
+
+
+@pytest.mark.parametrize("cells, spacing, shape", [
+    ((11, 11), 10 / 22, (23, 23)),  # 20 knot spans on 10 m of 1 m cells: two a cell
+    ((11, 11), 10 / 23, None),      # 21 spans
+    ((3, 11), 0.45, None),          # 3 spans of the 4 that 2 m takes, then 21 of 20
+    ((11, 3), 0.45, None),
+])
+def test_control_net_takes_at_most_two_knot_spans_a_cell(cells, spacing, shape):
+    width, height = cells
+    dsm = Raster(width, height, 1.0, 0.0, 0.0, np.zeros((height, width)))
+    mask = Mask(width, height, 1.0, 0.0, 0.0, np.zeros((height, width)))
+    if shape is not None:
+        assert fitmod.initialize_surface(dsm, dsm, mask, spacing, 3).control_z.shape == shape
+        return
+    with pytest.raises(ValueError, match=r"^ctrl_spacing 0\.4\d* asks for 24 control nodes on an "
+                       "axis of 11 cells; two knot spans a cell allow at most 23 at degree 3$"):
+        fitmod.initialize_surface(dsm, dsm, mask, spacing, 3)
