@@ -29,11 +29,12 @@ key=value ..." line per entry (floats to six significant digits), then one
 one "<param>=<value>" entry of NURBS TIN scores per value.
 
 After the stages they share, some rows of stages are independent: run's
-NURBS row (fit, mesh, metrics) and its baseline row, which needs the
-filtered mask but not the fit, and ablate's rows, one per --values entry.
-``run_rows`` runs such rows at once, in forked workers where the CPUs and
-the free memory allow; output, artifacts and exit codes are the same as
-when the rows run here one after another.
+NURBS row (fit, mesh, metrics, then formatting every artifact but
+metrics.csv) and its baseline row, which needs the filtered mask but not the
+fit, and ablate's rows, one per --values entry.  ``run_rows`` runs such rows
+at once, the first here, the others in forked workers where the CPUs and the
+free memory allow.  Files are written once every row has succeeded; output,
+artifacts and exit codes are those of the rows run here in order.
 
 Exit codes: 0 success, 1 usage error, 2 stage failure (message
 "stage <name>: <reason>" on stderr).  Stage names are grid, filter, fit,
@@ -431,7 +432,8 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
     each other lane in one forked worker, or here if the fork fails.  With
     one lane (one usable CPU, no os.fork, or too little free memory for a
     worker) every row runs here, in order.  This process runs its own lanes
-    first, then takes every row's outcome in row order, a worker's from its
+    first, so the end of row 0 (run's artifact formatting) overlaps the
+    workers, then takes every row's outcome in row order, a worker's from its
     pipe as the row comes up.  The warnings the filters let through are
     shown as each row is taken, once where one process running the rows in
     turn would show them once, and the first failed row raises what it
@@ -475,45 +477,51 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
 
 
 # ---------------------------------------------------------------------------
-# artifact writers (byte-stable: repr for floats, no timestamps)
+# artifacts, formatted to lines (byte-stable: repr for floats, no timestamps)
 
 
 def _fmt(value) -> str:
     return str(value) if isinstance(value, int) else repr(float(value))
 
 
-def _write_loss_trace(path: Path, report: fitmod.FitReport) -> None:
+def _loss_trace(report: fitmod.FitReport) -> list[str]:
     rows = zip(range(report.iterations), report.loss_total, report.loss_road,
                report.loss_terrain, report.loss_reg, strict=True)
-    gridmod.write_lines(path, ["iteration,total,road,terrain,reg"]
-                        + [",".join(map(_fmt, row)) for row in rows])
+    return ["iteration,total,road,terrain,reg"] + [",".join(map(_fmt, row)) for row in rows]
 
 
-def write_metrics_csv(path: Path, labels: tuple[str, ...],
-                      rows: list[tuple[list[str], MetricReport]]) -> None:
-    """One row per report: its label cells, then the MetricReport fields."""
+def write_metrics_csv(path: Path | None, labels: tuple[str, ...],
+                      rows: list[tuple[list[str], MetricReport]]) -> list[str]:
+    """A row per report: label cells, then MetricReport fields; written to ``path`` unless None."""
     lines = [",".join(labels + tuple(spec.name for spec in fields(MetricReport)))]
     lines += [",".join(cells + [_fmt(value) for value in asdict(report).values()])
               for cells, report in rows]
-    gridmod.write_lines(path, lines)
+    if path is not None:
+        gridmod.write_lines(path, lines)
+    return lines
 
 
-def _write_mesh(state: SimpleNamespace, path: Path) -> None:
+def _mesh_obj(state: SimpleNamespace) -> list[str]:
     """The NURBS TIN, colored by its error where it was scored."""
     errors = (metricsmod.vertex_errors(state.tin, state.gt_road, state.gt_terrain,
                                        state.mask_plus) if state.reports else None)
-    meshmod.export_mesh(state.tin, path, errors)
+    return meshmod.export_mesh(state.tin, errors)
 
 
-# file name -> writer(state, path)
+# file name -> its lines, formatted from a state
 ARTIFACTS = {
-    "mask_filtered.asc": lambda state, path: gridmod.save_mask(state.mask_plus, path),
-    "surface.txt": lambda state, path: save_surface(state.surface, path),
-    "loss_trace.csv": lambda state, path: _write_loss_trace(path, state.fit_report),
-    "mesh.obj": _write_mesh,
-    "metrics.csv": lambda state, path: write_metrics_csv(
-        path, ("method",), [([name], report) for name, report in state.reports.items()]),
+    "mask_filtered.asc": lambda state: gridmod.save_mask(state.mask_plus),
+    "surface.txt": lambda state: save_surface(state.surface),
+    "loss_trace.csv": lambda state: _loss_trace(state.fit_report),
+    "mesh.obj": _mesh_obj,
+    "metrics.csv": lambda state: write_metrics_csv(
+        None, ("method",), [([name], report) for name, report in state.reports.items()]),
 }
+
+
+def format_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
+    """Every artifact but metrics.csv, which needs every row's reports, as text in state.texts."""
+    state.texts = {n: "\n".join(ARTIFACTS[n](state)) for n in ARTIFACTS if n != "metrics.csv"}
 
 
 def _out_dir(path: Path, flag: str) -> Path:
@@ -554,20 +562,20 @@ PIPELINES = {
     "fit": ((GRID, DTM, FILTER, FIT), (), ("surface.txt", "loss_trace.csv")),
     "mesh": ((GRID, ("mesh", surface_stage), MESH), (), ("mesh.obj",)),
     "eval": ((GRID, DTM, TRUTH, ("metrics", mesh_file_stage), METRICS), (), ("metrics.csv",)),
-    "run": ((GRID, DTM, TRUTH, FILTER), ((FIT, MESH, METRICS), BASELINES),
-            tuple(sorted(ARTIFACTS))),
+    "run": ((GRID, DTM, TRUTH, FILTER),
+            ((FIT, MESH, METRICS, ("mesh", format_stage)), BASELINES), tuple(sorted(ARTIFACTS))),
 }
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    """Run the subcommand's stages and rows, write its artifacts, print its
-    record: the rows' records and reports in row order."""
+    """Run the subcommand's stages and rows, then, once all have succeeded, write its
+    artifacts and print its record: the rows' records and reports in row order."""
     stages, rows, artifacts = PIPELINES[args.command]
     config = build_config(args)
     if args.command == "eval":
         _csv_cell(args.method, "--method")
     out = _out_dir(config.out_dir, "--out-dir")
-    state = run_stages(config, SimpleNamespace(args=args, record=[], reports={}), stages)
+    state = run_stages(config, SimpleNamespace(args=args, record=[], reports={}, texts={}), stages)
     rows = [(config, row) for row in rows if config.baselines or row is not BASELINES]
     if rows:
         done = run_rows(state, rows)
@@ -575,9 +583,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         state = done[0]
         state.record = record
         state.reports = {name: report for row in done for name, report in row.reports.items()}
+    # each artifact waits as one string: its lines apart would hold more memory
+    texts = {name: state.texts.get(name) or "\n".join(ARTIFACTS[name](state)) for name in artifacts}
     try:
-        for name in artifacts:
-            ARTIFACTS[name](state, out / name)
+        for name, text in texts.items():
+            gridmod.write_lines(out / name, [text])
     except OSError as err:
         raise UsageError(f"--out-dir: {err}") from None
     _report(state.record, [out / name for name in artifacts])

@@ -82,8 +82,8 @@ def read_lines(path: str | Path) -> list[str]:
 
 
 def write_lines(path: str | Path, lines: list[str]) -> None:
-    """Write lines to a UTF-8 text file, each ending at ``\\n``."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write lines to a UTF-8 text file as bytes, each ending at ``\\n`` on any platform."""
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 class FieldError(ValueError):
@@ -379,23 +379,23 @@ def _read_grid(path: str | Path, mask: bool) -> Raster:
     )
 
 
-def save_rasters(rasters: dict[str | Path, Raster]) -> None:
-    """Write each Raster of ``rasters``, keyed by path, as an ASCII grid.
+def _grid_lines(rasters: list[Raster]):
+    """The ASCII grid lines of each raster in turn, NaN cells as NODATA.
 
     Each distinct cell value, told apart by its bit pattern so that -0.0
     stays apart from 0.0, is formatted once for all the rasters of a call:
     the layers of a scene share most of their values."""
     cells = np.concatenate([np.flipud(np.where(np.isnan(r.values), NODATA, r.values)).ravel()
-                            for r in rasters.values()])
+                            for r in rasters])
     distinct, inverse = np.unique(cells.view(np.int64), return_inverse=True)
     del cells
     text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     start = 0
-    for path, raster in rasters.items():
+    for raster in rasters:
         rows = text[inverse[start:start + raster.values.size]].reshape(raster.values.shape)
         start += raster.values.size
         cell = raster.cell_size
-        write_lines(path, [
+        yield [
             f"ncols {raster.width}",
             f"nrows {raster.height}",
             f"xllcorner {float(raster.origin_x - 0.5 * cell)!r}",
@@ -403,12 +403,21 @@ def save_rasters(rasters: dict[str | Path, Raster]) -> None:
             f"cellsize {float(cell)!r}",
             f"NODATA_value {NODATA!r}",
             *(" ".join(row) for row in rows.tolist()),
-        ])
+        ]
 
 
-def save_raster(raster: Raster, path: str | Path) -> None:
-    """Write a Raster as an ASCII grid, NaN cells as NODATA."""
-    save_rasters({path: raster})
+def save_rasters(rasters: dict[str | Path, Raster]) -> None:
+    """Write each Raster of ``rasters``, keyed by path, as an ASCII grid."""
+    for path, lines in zip(rasters, _grid_lines(list(rasters.values()))):
+        write_lines(path, lines)
+
+
+def save_raster(raster: Raster, path: str | Path | None = None) -> list[str]:
+    """A Raster's ASCII grid lines, NaN cells as NODATA, written to ``path`` unless None."""
+    lines = next(_grid_lines([raster]))
+    if path is not None:
+        write_lines(path, lines)
+    return lines
 
 
 def load_mask(path: str | Path) -> Mask:
@@ -425,8 +434,8 @@ def mask_raster(mask: Mask) -> Raster:
                   mask.origin_x, mask.origin_y, mask.bits.astype(float))
 
 
-def save_mask(mask: Mask, path: str | Path) -> None:
-    save_raster(mask_raster(mask), path)
+def save_mask(mask: Mask, path: str | Path | None = None) -> list[str]:
+    return save_raster(mask_raster(mask), path)
 
 
 def resample_mask(mask: Mask, target: Raster) -> Mask:

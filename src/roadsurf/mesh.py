@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Mask, Raster, check_finite, read_lines, runs, write_lines
+from .grid import Mask, Raster, check_finite, read_lines, runs
 from .nurbs import NurbsSurface, evaluate_grid
 
 # relative tolerance of the Delaunay predicates, against their permanents
@@ -430,8 +430,8 @@ def rgt_mesh(raster: Raster) -> TinMesh:
     return TinMesh(raster.xyz(), tris)
 
 
-def export_mesh(mesh: TinMesh, path: str | Path, attr: np.ndarray | None = None) -> None:
-    """Write a mesh as a Wavefront OBJ file.
+def export_mesh(mesh: TinMesh, attr: np.ndarray | None = None) -> list[str]:
+    """The lines of a mesh as a Wavefront OBJ file, for grid.write_lines.
 
     Vertex lines carry ``x y z`` plus an ``r g b`` color triple when ``attr``
     gives one value per vertex (low values map to blue, high to red).  Face
@@ -452,8 +452,7 @@ def export_mesh(mesh: TinMesh, path: str | Path, attr: np.ndarray | None = None)
         t = np.where(np.isfinite(attr), t, 0.0)
         lines = [f"v {x!r} {y!r} {z!r} {r:.6f} 0.100000 {1.0 - r:.6f}"
                  for (x, y, z), r in zip(vertices, t.tolist(), strict=True)]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles.tolist()]
-    write_lines(path, lines)
+    return lines + [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles.tolist()]
 
 
 def load_mesh(path: str | Path) -> TinMesh:

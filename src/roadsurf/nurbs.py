@@ -155,8 +155,8 @@ def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.n
     return height
 
 
-def save_surface(surface: NurbsSurface, path: str | Path) -> None:
-    """Plain-text serialization; see load_surface for the layout."""
+def save_surface(surface: NurbsSurface, path: str | Path | None = None) -> list[str]:
+    """Plain-text serialization, see load_surface; written to ``path`` unless None."""
     lines = [
         "roadsurf-surface 3",
         f"degree {surface.degree}",
@@ -165,7 +165,9 @@ def save_surface(surface: NurbsSurface, path: str | Path) -> None:
     ]
     # one elevation per control point, u-major, as Python floats
     lines += [f"cp {z!r}" for z in surface.control_z.reshape(-1).tolist()]
-    write_lines(path, lines)
+    if path is not None:
+        write_lines(path, lines)
+    return lines
 
 
 # the value count and caster of each key; cp repeats, the others appear once

@@ -11,6 +11,7 @@ import csv
 import errno
 import io
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -463,6 +464,30 @@ def test_a_failing_caller_row_ends_its_worker(tile, tmp_path, capsys, monkeypatc
             assert invoke(tmp_path / "out", *argv) == (2, {})
             assert capsys.readouterr().err == "stage fit: the fit diverged\n"
     assert len(forks) == 1
+    no_child_is_left()
+
+
+@needs_fork
+def test_the_caller_formats_its_row_while_the_worker_runs(tile, run, tmp_path, monkeypatch,
+                                                          forks):
+    # the baseline row's worker is held back, so the NURBS row's mesh.obj is
+    # rendered before the caller reads the worker's outcome, not after
+    order, export_mesh, load, fit_plane = [], meshmod.export_mesh, pickle.load, meshmod.fit_plane
+
+    def render(*args):
+        order.append("render")
+        return export_mesh(*args)
+
+    def read(pipe):
+        order.append("read")
+        return load(pipe)
+
+    monkeypatch.setattr(meshmod, "fit_plane", lambda points: (time.sleep(1), fit_plane(points))[1])
+    monkeypatch.setattr(meshmod, "export_mesh", render)
+    monkeypatch.setattr(pickle, "load", read)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    rc, artifacts = invoke(tmp_path / "out", "run", *layer_flags(tile, LAYERS), *FIT_FLAGS)
+    assert (rc, artifacts, order, len(forks)) == (0, run[0], ["render", "read"], 1)
     no_child_is_left()
 
 
@@ -1101,22 +1126,27 @@ def test_single_fault_names_its_stage(tile, tmp_path, capsys, monkeypatch, stage
 
 
 @pytest.mark.parametrize("baselines", ["true", "false"])
-def test_a_failed_baseline_fails_the_run(tile, tmp_path, capsys, monkeypatch, baselines):
-    # NODATA on every other cell, as on a checkerboard: the NURBS row meshes
-    # and scores its samples, but the RGT baseline finds no 2x2 block of
-    # points, and a failed baseline row fails the whole run
+def test_a_failed_baseline_fails_the_run(tile, run, tmp_path, capsys, monkeypatch, baselines):
+    # NODATA on every other cell, as on a checkerboard: the NURBS row meshes,
+    # scores its samples and formats its artifacts, but the RGT baseline
+    # finds no 2x2 block of points, and a failed baseline row fails the whole
+    # run: it leaves an earlier run's artifacts in --out-dir as they were
     dsm = gridmod.load_raster(tile / "dsm.asc")
     j, i = np.indices(dsm.values.shape)
     path = tmp_path / "checkerboard.asc"
     gridmod.save_raster(dsm.subset((i + j) % 2 == 0), path)
     for usable in ROW_PATHS:
         monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
-        rc, artifacts = invoke(tmp_path / f"out{usable}", "run", "--dsm", str(path),
+        out = tmp_path / f"out{usable}"
+        out.mkdir()
+        for name, data in run[0].items():
+            (out / name).write_bytes(data)
+        rc, artifacts = invoke(out, "run", "--dsm", str(path),
                                *layer_flags(tile, ("dtm", "mask")), *FIT_FLAGS,
                                "--baselines", baselines)
         err = capsys.readouterr().err
         if baselines == "true":
-            assert (rc, artifacts) == (2, {})
+            assert (rc, artifacts) == (2, run[0])
             assert err == "stage mesh: raster has no 2x2 block of valid cells\n"
         else:
             assert (rc, set(artifacts), err) == (0, RUN_ARTIFACTS, "")

@@ -8,10 +8,15 @@ through the one reader and the one writer.  Each call of ``open``,
 ``read_text`` or ``write_text`` must also pass ``encoding=``, so the locale
 cannot change what is read or written.  ``read_bytes`` and ``write_bytes``
 take none.
+
+The one writer writes bytes, so its lines end at ``\n`` on every platform:
+text mode would end them at ``os.linesep``, which is ``\r\n`` on Windows.
 """
 
 import ast
 from pathlib import Path
+
+from roadsurf import grid
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "roadsurf").glob("*.py"))
@@ -87,3 +92,13 @@ def test_a_call_without_encoding_is_flagged(tmp_path):
     assert calls_outside_owners([grid, source]) == [
         "grid:6: write_bytes", "mod:2: open", "mod:3: open", "mod:4: write_text",
         "mod:5: read_text", "mod:6: read_bytes", "mod:7: open"]
+
+
+def test_written_lines_end_at_newline_where_text_mode_ends_them_otherwise(tmp_path, monkeypatch):
+    def text_mode_on_windows(path, data, encoding=None, errors=None, newline=None):
+        return path.write_bytes(data.replace("\n", "\r\n").encode(encoding))
+
+    monkeypatch.setattr(Path, "write_text", text_mode_on_windows)
+    path = tmp_path / "lines.txt"
+    grid.write_lines(path, ["ncols 2", "cp -0.0", "\u00e9"])
+    assert path.read_bytes() == b"ncols 2\ncp -0.0\n\xc3\xa9\n"

@@ -337,12 +337,15 @@ class TestSaveRaster:
         rng = np.random.default_rng(7)
         for k in range(12):
             raster = special_raster(rng, *(int(n) for n in rng.integers(2, 12, 2)))
-            save_raster(raster, tmp_path / f"r{k}.asc")
+            # the lines each returns, given a path or not, are the lines it writes
+            lines = save_raster(raster, tmp_path / f"r{k}.asc")
             assert (tmp_path / f"r{k}.asc").read_bytes() == per_row_bytes(raster)
+            assert ("\n".join(lines) + "\n").encode() == per_row_bytes(raster)
             mask = Mask(raster.width, raster.height, raster.cell_size, raster.origin_x,
                         raster.origin_y, rng.random(raster.values.shape) < 0.5)
-            save_mask(mask, tmp_path / f"m{k}.asc")
+            lines = save_mask(mask, tmp_path / f"m{k}.asc")
             assert (tmp_path / f"m{k}.asc").read_bytes() == per_row_bytes(mask_raster(mask))
+            assert save_mask(mask) == lines
 
     def test_one_call_for_many_rasters_equals_one_call_each(self, tmp_path):
         rng = np.random.default_rng(11)

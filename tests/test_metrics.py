@@ -706,15 +706,14 @@ def half_cell_tin(plane, offset=0.0):
     return TinMesh(np.column_stack([xy, z]), delaunay(xy))
 
 
-def test_a_tin_on_its_ground_truth_plane_has_no_error(tmp_path):
+def test_a_tin_on_its_ground_truth_plane_has_no_error():
     plane = tilted_plane()
     tin = half_cell_tin(plane)
     mask = mask_where(lambda x, y: x < 3.2, lo=(0.0, 0.0), size=9, cell=1.0)
     errors = vertex_errors(tin, plane, plane, mask)
     assert errors.tolist() == [0.0] * len(tin.vertices)
-    export_mesh(tin, tmp_path / "mesh.obj", errors)
-    colors = {" ".join(line.split()[4:]) for line in
-              (tmp_path / "mesh.obj").read_text().splitlines() if line.startswith("v ")}
+    colors = {" ".join(line.split()[4:]) for line in export_mesh(tin, errors)
+              if line.startswith("v ")}
     assert colors == {"0.000000 0.100000 1.000000"}
 
 

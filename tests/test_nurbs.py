@@ -415,8 +415,10 @@ class TestSerialization:
         surf.control_z[1, 1] = -0.0
         surf.control_z[0, 1:3] = [1e-7, 1.7976931348623157e308]
         path = tmp_path / "surface.txt"
-        save_surface(surf, path)
+        # the lines it returns, given a path or not, are the lines it writes
+        assert "\n".join(save_surface(surf, path)) + "\n" == reference_surface_text(surf)
         assert path.read_text() == reference_surface_text(surf)
+        assert save_surface(surf) == save_surface(surf, path)
         back = tmp_path / "back.txt"
         save_surface(load_surface(path), back)
         assert back.read_bytes() == path.read_bytes()
