@@ -29,12 +29,13 @@ key=value ..." line per entry (floats to six significant digits), then one
 one "<param>=<value>" entry of NURBS TIN scores per value.
 
 After the stages they share, some rows of stages are independent: run's
-NURBS row (fit, mesh, metrics, then formatting every artifact but
-metrics.csv) and its baseline row, which needs the filtered mask but not the
-fit, and ablate's rows, one per --values entry.  ``run_rows`` runs such rows
-at once, the first here, the others in forked workers where the CPUs and the
-free memory allow.  Files are written once every row has succeeded; output,
-artifacts and exit codes are those of the rows run here in order.
+NURBS row (fit, mesh, metrics, then, while a worker runs the baseline row,
+formatting every artifact but metrics.csv) and its baseline row, which
+needs the filtered mask but not the fit, and ablate's rows, one per
+--values entry.  ``run_rows`` runs such rows at once, the first here, the
+others in forked workers where the CPUs and the free memory allow.  Files
+are written once every row has succeeded; output, artifacts and exit codes
+are those of the rows run here in order.
 
 Exit codes: 0 success, 1 usage error, 2 stage failure (message
 "stage <name>: <reason>" on stderr).  Stage names are grid, filter, fit,
@@ -432,15 +433,16 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
     each other lane in one forked worker, or here if the fork fails.  With
     one lane (one usable CPU, no os.fork, or too little free memory for a
     worker) every row runs here, in order.  This process runs its own lanes
-    first, so the end of row 0 (run's artifact formatting) overlaps the
-    workers, then takes every row's outcome in row order, a worker's from its
-    pipe as the row comes up.  The warnings the filters let through are
-    shown as each row is taken, once where one process running the rows in
-    turn would show them once, and the first failed row raises what it
-    raised.  _end ends the workers whose rows all come after a failure of
-    this process's own, and every worker is reaped before run_rows returns
-    or raises.  A worker's memory peak is its own: it is not in this
-    process's ru_maxrss, only in RUSAGE_CHILDREN.
+    first, on a state whose ``workers`` says whether a worker runs (only
+    then does run's row 0 format its artifacts, see format_stage), then
+    takes every row's outcome in row order, a worker's from its pipe as the
+    row comes up.  The warnings the filters let through are shown as each
+    row is taken, once where one process running the rows in turn would
+    show them once, and the first failed row raises what it raised.  _end
+    ends the workers whose rows all come after a failure of this process's
+    own, and every worker is reaped before run_rows returns or raises.  A
+    worker's memory peak is its own: it is not in this process's ru_maxrss,
+    only in RUSAGE_CHILDREN.
     """
     lanes = _lanes(len(rows))
     workers, outcomes, registries = {}, {}, {}  # registries: one a module, as in one process
@@ -451,7 +453,8 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
             except OSError:  # no process to spare: this one runs the lane
                 pass
         for index, caught, done in _run_lane(
-                state, rows, [i for i in range(len(rows)) if i % lanes not in workers]):
+                SimpleNamespace(**vars(state), workers=bool(workers)), rows,
+                [i for i in range(len(rows)) if i % lanes not in workers]):
             outcomes[index] = caught, done
             if isinstance(done, Exception):
                 _end(workers, index)
@@ -520,8 +523,10 @@ ARTIFACTS = {
 
 
 def format_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    """Every artifact but metrics.csv, which needs every row's reports, as text in state.texts."""
-    state.texts = {n: "\n".join(ARTIFACTS[n](state)) for n in ARTIFACTS if n != "metrics.csv"}
+    """While workers run the other rows, every artifact but metrics.csv, which needs every
+    row's reports, as text in state.texts; with none, the text would only be held longer."""
+    if state.workers:
+        state.texts = {n: "\n".join(ARTIFACTS[n](state)) for n in ARTIFACTS if n != "metrics.csv"}
 
 
 def _out_dir(path: Path, flag: str) -> Path:

@@ -412,12 +412,9 @@ def save_rasters(rasters: dict[str | Path, Raster]) -> None:
         write_lines(path, lines)
 
 
-def save_raster(raster: Raster, path: str | Path | None = None) -> list[str]:
-    """A Raster's ASCII grid lines, NaN cells as NODATA, written to ``path`` unless None."""
-    lines = next(_grid_lines([raster]))
-    if path is not None:
-        write_lines(path, lines)
-    return lines
+def save_raster(raster: Raster) -> list[str]:
+    """A Raster's ASCII grid lines, NaN cells as NODATA, for ``write_lines``."""
+    return next(_grid_lines([raster]))
 
 
 def load_mask(path: str | Path) -> Mask:
@@ -429,13 +426,13 @@ def load_mask(path: str | Path) -> Mask:
 
 
 def mask_raster(mask: Mask) -> Raster:
-    """The mask as a raster of 0.0 and 1.0, as ``save_mask`` writes it."""
+    """The mask as a raster of 0.0 and 1.0, as ``save_mask`` formats it."""
     return Raster(mask.width, mask.height, mask.cell_size,
                   mask.origin_x, mask.origin_y, mask.bits.astype(float))
 
 
-def save_mask(mask: Mask, path: str | Path | None = None) -> list[str]:
-    return save_raster(mask_raster(mask), path)
+def save_mask(mask: Mask) -> list[str]:
+    return save_raster(mask_raster(mask))
 
 
 def resample_mask(mask: Mask, target: Raster) -> Mask:

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import FieldError, read_lines, write_lines
+from .grid import FieldError, read_lines
 
 
 def uniform_clamped_knots(num_ctrl: int, degree: int) -> np.ndarray:
@@ -155,8 +155,8 @@ def evaluate_grid(surface: NurbsSurface, xs: np.ndarray, ys: np.ndarray) -> np.n
     return height
 
 
-def save_surface(surface: NurbsSurface, path: str | Path | None = None) -> list[str]:
-    """Plain-text serialization, see load_surface; written to ``path`` unless None."""
+def save_surface(surface: NurbsSurface) -> list[str]:
+    """Plain-text serialization, for grid.write_lines; see load_surface for the layout."""
     lines = [
         "roadsurf-surface 3",
         f"degree {surface.degree}",
@@ -165,8 +165,6 @@ def save_surface(surface: NurbsSurface, path: str | Path | None = None) -> list[
     ]
     # one elevation per control point, u-major, as Python floats
     lines += [f"cp {z!r}" for z in surface.control_z.reshape(-1).tolist()]
-    if path is not None:
-        write_lines(path, lines)
     return lines
 
 

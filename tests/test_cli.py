@@ -145,7 +145,7 @@ def test_filter_resamples_a_coarser_mask_onto_the_dsm_grid(tile, tmp_path):
     dsm = synthmod.generate(synthmod.SceneSpec(
         cell_size=1.0, vehicles=2, trees=2, facades=1, corrupt_mask=True,
         jitter_sigma=0.02, seed=3)).dsm
-    gridmod.save_raster(dsm, tmp_path / "dsm.asc")
+    gridmod.write_lines(tmp_path / "dsm.asc", gridmod.save_raster(dsm))
     rc, artifacts = invoke(tmp_path / "filter", "filter", *layer_flags(tile, ("mask",)),
                            "--dsm", str(tmp_path / "dsm.asc"))
     assert (rc, set(artifacts)) == (0, {"mask_filtered.asc"})
@@ -467,12 +467,18 @@ def test_a_failing_caller_row_ends_its_worker(tile, tmp_path, capsys, monkeypatc
     no_child_is_left()
 
 
-@needs_fork
+@pytest.mark.parametrize("usable", ROW_PATHS)
 def test_the_caller_formats_its_row_while_the_worker_runs(tile, run, tmp_path, monkeypatch,
-                                                          forks):
-    # the baseline row's worker is held back, so the NURBS row's mesh.obj is
-    # rendered before the caller reads the worker's outcome, not after
+                                                          forks, usable):
+    # forked, the baseline row's worker is held back, so the NURBS row's
+    # mesh.obj is rendered before the caller reads the worker's outcome; in
+    # one lane nothing overlaps, so it is rendered after the baseline row
     order, export_mesh, load, fit_plane = [], meshmod.export_mesh, pickle.load, meshmod.fit_plane
+
+    def plane(points):
+        order.append("plane")
+        time.sleep(1)
+        return fit_plane(points)
 
     def render(*args):
         order.append("render")
@@ -482,12 +488,13 @@ def test_the_caller_formats_its_row_while_the_worker_runs(tile, run, tmp_path, m
         order.append("read")
         return load(pipe)
 
-    monkeypatch.setattr(meshmod, "fit_plane", lambda points: (time.sleep(1), fit_plane(points))[1])
+    monkeypatch.setattr(meshmod, "fit_plane", plane)
     monkeypatch.setattr(meshmod, "export_mesh", render)
     monkeypatch.setattr(pickle, "load", read)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: usable)
     rc, artifacts = invoke(tmp_path / "out", "run", *layer_flags(tile, LAYERS), *FIT_FLAGS)
-    assert (rc, artifacts, order, len(forks)) == (0, run[0], ["render", "read"], 1)
+    expected = ["render", "read"] if usable == 2 else ["plane", "render"]
+    assert (rc, artifacts, order, len(forks)) == (0, run[0], expected, usable - 1)
     no_child_is_left()
 
 
@@ -963,7 +970,7 @@ def dsm_with_road_holes(tile, tmp_path, step):
     holes.flat[np.flatnonzero(mask.bits)[::step]] = True
     dsm = gridmod.load_raster(tile / "dsm.asc").subset(~holes)
     path = tmp_path / "dsm_holes.asc"
-    gridmod.save_raster(dsm, path)
+    gridmod.write_lines(path, gridmod.save_raster(dsm))
     return path, dsm, mask, holes
 
 
@@ -1134,13 +1141,14 @@ def test_a_failed_baseline_fails_the_run(tile, run, tmp_path, capsys, monkeypatc
     dsm = gridmod.load_raster(tile / "dsm.asc")
     j, i = np.indices(dsm.values.shape)
     path = tmp_path / "checkerboard.asc"
-    gridmod.save_raster(dsm.subset((i + j) % 2 == 0), path)
+    gridmod.write_lines(path, gridmod.save_raster(dsm.subset((i + j) % 2 == 0)))
     for usable in ROW_PATHS:
         monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
         out = tmp_path / f"out{usable}"
         out.mkdir()
-        for name, data in run[0].items():
-            (out / name).write_bytes(data)
+        if baselines == "true":
+            for name, data in run[0].items():
+                (out / name).write_bytes(data)
         rc, artifacts = invoke(out, "run", "--dsm", str(path),
                                *layer_flags(tile, ("dtm", "mask")), *FIT_FLAGS,
                                "--baselines", baselines)

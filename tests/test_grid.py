@@ -22,6 +22,7 @@ from roadsurf.grid import (
     save_mask,
     save_raster,
     save_rasters,
+    write_lines,
 )
 
 
@@ -209,7 +210,7 @@ class TestPerLineParity:
                             float(rng.uniform(-1e6, 1e6)), float(rng.uniform(-1e6, 1e6)),
                             values)
             path = tmp_path / f"r{k}.asc"
-            save_raster(raster, path)
+            write_lines(path, save_raster(raster))
             assert_parses_like_per_line(path)
             back = load_raster(path)  # repr round trips every float exactly
             assert np.array_equal(back.values, raster.values, equal_nan=True)
@@ -316,7 +317,7 @@ class TestSaveRaster:
                             float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50)),
                             values)
             path = tmp_path / f"r{k}.asc"
-            save_raster(raster, path)
+            write_lines(path, save_raster(raster))
             back = load_raster(path)
             assert back.georef_equals(raster)
             npt.assert_array_equal(back.values, raster.values)  # repr round trips exactly
@@ -337,15 +338,12 @@ class TestSaveRaster:
         rng = np.random.default_rng(7)
         for k in range(12):
             raster = special_raster(rng, *(int(n) for n in rng.integers(2, 12, 2)))
-            # the lines each returns, given a path or not, are the lines it writes
-            lines = save_raster(raster, tmp_path / f"r{k}.asc")
+            write_lines(tmp_path / f"r{k}.asc", save_raster(raster))
             assert (tmp_path / f"r{k}.asc").read_bytes() == per_row_bytes(raster)
-            assert ("\n".join(lines) + "\n").encode() == per_row_bytes(raster)
             mask = Mask(raster.width, raster.height, raster.cell_size, raster.origin_x,
                         raster.origin_y, rng.random(raster.values.shape) < 0.5)
-            lines = save_mask(mask, tmp_path / f"m{k}.asc")
+            write_lines(tmp_path / f"m{k}.asc", save_mask(mask))
             assert (tmp_path / f"m{k}.asc").read_bytes() == per_row_bytes(mask_raster(mask))
-            assert save_mask(mask) == lines
 
     def test_one_call_for_many_rasters_equals_one_call_each(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -354,8 +352,8 @@ class TestSaveRaster:
         values[0] = -0.0
         second = Raster(4, 7, 0.5, 3.0, -2.0, values)
         save_rasters({tmp_path / "a.asc": first, tmp_path / "b.asc": second})
-        save_raster(first, tmp_path / "a1.asc")
-        save_raster(second, tmp_path / "b1.asc")
+        write_lines(tmp_path / "a1.asc", save_raster(first))
+        write_lines(tmp_path / "b1.asc", save_raster(second))
         assert (tmp_path / "a.asc").read_bytes() == (tmp_path / "a1.asc").read_bytes()
         assert (tmp_path / "b.asc").read_bytes() == (tmp_path / "b1.asc").read_bytes()
         assert (tmp_path / "b.asc").read_bytes() == per_row_bytes(second)
@@ -366,7 +364,7 @@ class TestSaveRaster:
     def test_any_grid_equals_the_per_row_writer_and_loads_back(self, tmp_path_factory, values):
         raster = Raster(values.shape[1], values.shape[0], 1.0, 0.0, 0.0, values)
         path = tmp_path_factory.mktemp("h") / "g.asc"
-        save_raster(raster, path)
+        write_lines(path, save_raster(raster))
         assert path.read_bytes() == per_row_bytes(raster)
         back = load_raster(path).values
         expected = np.where(values == grid.NODATA, np.nan, values)
@@ -380,7 +378,7 @@ class TestMaskIO:
         bits = np.array([[1, 0, 1], [0, 1, 0]])
         mask = Mask(3, 2, 1.0, 0.5, 0.5, bits)
         path = tmp_path / "m.asc"
-        save_mask(mask, path)
+        write_lines(path, save_mask(mask))
         back = load_mask(path)
         npt.assert_array_equal(back.bits, bits)
         assert back.georef_equals(mask)
