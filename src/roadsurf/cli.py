@@ -10,8 +10,8 @@ artifacts (in --out-dir):
   run     all five, then the plane and RGT baselines (mesh, metrics) unless
           baselines is off; dsm, dtm, mask; the five artifacts above,
           mesh.obj colored by its error
-  ablate  the stages before the swept key's stage once, the rest once per
-          --values entry, no baselines; dsm, dtm, mask; ablate.csv
+  ablate  the stages before the swept key's stage, then one row of the rest
+          per --values entry, no baselines; dsm, dtm, mask; ablate.csv
 
 grid also loads the DTM where a dtm is required and the ground truth where
 metrics run, mesh the --surface file and metrics the --mesh file, scored as
@@ -21,25 +21,26 @@ scores only the NURBS TIN, so baselines is a usage error, as is a [paths]
 key.  A row without the filter stage uses the input mask as the filtered
 mask.  Ground truth defaults to the masked DSM and the unmasked DTM cells.
 synth writes a synthetic tile: dsm, dtm, mask, gt_road, gt_terrain and
-provenance layers.
+provenance layers, in one stage named grid.
 
 Each stage appends what it made to the run record, printed as one "label:
 key=value ..." line per entry (floats to six significant digits), then one
-"wrote <path>" line per artifact; ablate prints the stages it runs once, then
-one "<param>=<value>" entry of NURBS TIN scores per value.
+"wrote <path>" line per artifact; each ablate row's record is one
+"<param>=<value>" entry of NURBS TIN scores.
 
-After the stages they share, some rows of stages are independent: run's
-NURBS row (fit, mesh, metrics, then, while a worker runs the baseline row,
-formatting every artifact but metrics.csv) and its baseline row, which
-needs the filtered mask but not the fit, and ablate's rows, one per
---values entry.  ``run_rows`` runs such rows at once, the first here, the
-others in forked workers where the CPUs and the free memory allow.  Files
-are written once every row has succeeded; output, artifacts and exit codes
-are those of the rows run here in order.
+cmd_pipeline runs every subcommand but synth from PIPELINES: its stages,
+then its rows of stages, which are independent: run's NURBS row (fit, mesh,
+metrics, then, while a worker runs the baseline row, formatting every
+artifact but metrics.csv) and its baseline row, which needs the filtered
+mask but not the fit, and ablate's rows, one per --values entry.
+``run_rows`` runs rows at once, the first here, the others in forked
+workers where the CPUs and the free memory allow.  One loop writes every
+file, ablate.csv too, once every row has succeeded; output, artifacts and
+exit codes are those of the rows run here in order.
 
 Exit codes: 0 success, 1 usage error, 2 stage failure (message
-"stage <name>: <reason>" on stderr).  Stage names are grid, filter, fit,
-mesh, metrics.
+"stage <name>: <reason>" on stderr, synth's included).  Stage names are
+grid, filter, fit, mesh, metrics.
 
 Configuration comes from an INI-style file (sections [paths], [filter],
 [surface], [fit], [sampling], [metrics]) and each key can be overridden by
@@ -72,6 +73,7 @@ import sys
 import traceback
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -286,11 +288,11 @@ def mesh_file_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
 
 
 def metrics_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    """Adds the scores of the meshes built or loaded last to state.reports."""
+    """Appends ([name], report) to state.reports for each mesh built or loaded last."""
     for name, mesh in state.meshes.items():
-        state.reports[name] = metricsmod.evaluate_all(
-            mesh, state.gt_road, state.gt_terrain, state.mask_plus)
-        state.record.append((name, asdict(state.reports[name])))
+        report = metricsmod.evaluate_all(mesh, state.gt_road, state.gt_terrain, state.mask_plus)
+        state.reports.append(([name], report))
+        state.record.append((name, asdict(report)))
 
 
 def baseline_mesh_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
@@ -308,6 +310,13 @@ STAGES = (("grid", grid_stage), ("grid", dtm_stage), ("grid", truth_stage),
           ("metrics", metrics_stage))
 GRID, DTM, TRUTH, FILTER, FIT, MESH, METRICS = STAGES
 BASELINES = (("mesh", baseline_mesh_stage), ("metrics", metrics_stage))
+
+
+def entry_stage(cells: list[str], config: PipelineConfig, state: SimpleNamespace) -> None:
+    """Labels an ablate row's one report and its record by the cells [param, value]."""
+    ((_, report),) = state.reports
+    state.reports = [(cells, report)]
+    state.record = [("=".join(cells), asdict(report))]
 
 
 def run_stages(config: PipelineConfig, state: SimpleNamespace,
@@ -364,7 +373,7 @@ def _run_lane(state: SimpleNamespace, rows: list, indices):
             (message, category, filename, lineno))
         try:
             done = run_stages(config, SimpleNamespace(**{**vars(state), "record": [],
-                                                         "reports": {}}), stages)
+                                                         "reports": []}), stages)
             if index:
                 done = SimpleNamespace(reports=done.reports, record=done.record)
         except Exception as err:  # run_rows raises it in row order, as if raised here
@@ -412,11 +421,10 @@ def _fork_lane(state: SimpleNamespace, rows: list, lane: int, lanes: int):
     return pid, os.fdopen(read, "rb")
 
 
-def _end(workers: dict, after: int) -> None:
-    """Closes the pipe of, kills and reaps each worker (lane: (pid, pipe))
-    whose lane is above ``after``: all of its rows come after row ``after``."""
-    for lane in [lane for lane in workers if lane > after]:
-        pid, pipe = workers.pop(lane)  # the finally of run_rows must not signal it again
+def _end(workers: dict) -> None:
+    """Closes the pipe of, kills and reaps each worker (lane: (pid, pipe)) not
+    yet reaped, whether it still runs rows or has sent them all."""
+    for pid, pipe in workers.values():
         pipe.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -438,11 +446,10 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
     takes every row's outcome in row order, a worker's from its pipe as the
     row comes up.  The warnings the filters let through are shown as each
     row is taken, once where one process running the rows in turn would
-    show them once, and the first failed row raises what it raised.  _end
-    ends the workers whose rows all come after a failure of this process's
-    own, and every worker is reaped before run_rows returns or raises.  A
-    worker's memory peak is its own: it is not in this process's ru_maxrss,
-    only in RUSAGE_CHILDREN.
+    show them once, and the first failed row raises what it raised, with no
+    worker's pipe read past it.  Only then, as run_rows returns or raises,
+    does _end kill and reap every worker.  A worker's memory peak is its
+    own: it is not in this process's ru_maxrss, only in RUSAGE_CHILDREN.
     """
     lanes = _lanes(len(rows))
     workers, outcomes, registries = {}, {}, {}  # registries: one a module, as in one process
@@ -456,8 +463,6 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
                 SimpleNamespace(**vars(state), workers=bool(workers)), rows,
                 [i for i in range(len(rows)) if i % lanes not in workers]):
             outcomes[index] = caught, done
-            if isinstance(done, Exception):
-                _end(workers, index)
         for index, (_, stages) in enumerate(rows):
             if index % lanes in workers:
                 try:  # bytes this program's worker wrote
@@ -476,7 +481,7 @@ def run_rows(state: SimpleNamespace, rows: list[tuple[PipelineConfig, tuple]]
                 raise done
         return [outcomes[index][1] for index in range(len(rows))]
     finally:
-        _end(workers, -1)
+        _end(workers)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +498,13 @@ def _loss_trace(report: fitmod.FitReport) -> list[str]:
     return ["iteration,total,road,terrain,reg"] + [",".join(map(_fmt, row)) for row in rows]
 
 
-def write_metrics_csv(path: Path | None, labels: tuple[str, ...],
+def write_metrics_csv(labels: tuple[str, ...],
                       rows: list[tuple[list[str], MetricReport]]) -> list[str]:
-    """A row per report: label cells, then MetricReport fields; written to ``path`` unless None."""
+    """The lines of a CSV table, a row per (label cells, report): the cells
+    under ``labels``, then the MetricReport fields."""
     lines = [",".join(labels + tuple(spec.name for spec in fields(MetricReport)))]
-    lines += [",".join(cells + [_fmt(value) for value in asdict(report).values()])
-              for cells, report in rows]
-    if path is not None:
-        gridmod.write_lines(path, lines)
-    return lines
+    return lines + [",".join(cells + [_fmt(value) for value in asdict(report).values()])
+                    for cells, report in rows]
 
 
 def _mesh_obj(state: SimpleNamespace) -> list[str]:
@@ -517,16 +520,17 @@ ARTIFACTS = {
     "surface.txt": lambda state: save_surface(state.surface),
     "loss_trace.csv": lambda state: _loss_trace(state.fit_report),
     "mesh.obj": _mesh_obj,
-    "metrics.csv": lambda state: write_metrics_csv(
-        None, ("method",), [([name], report) for name, report in state.reports.items()]),
+    "metrics.csv": lambda state: write_metrics_csv(("method",), state.reports),
+    "ablate.csv": lambda state: write_metrics_csv(("param", "value"), state.reports),
 }
 
 
 def format_stage(config: PipelineConfig, state: SimpleNamespace) -> None:
-    """While workers run the other rows, every artifact but metrics.csv, which needs every
-    row's reports, as text in state.texts; with none, the text would only be held longer."""
+    """While workers run the other rows, the subcommand's artifacts but metrics.csv, which needs
+    every row's reports, as text in state.texts; with none, the text would only be held longer."""
     if state.workers:
-        state.texts = {n: "\n".join(ARTIFACTS[n](state)) for n in ARTIFACTS if n != "metrics.csv"}
+        state.texts = {n: "\n".join(ARTIFACTS[n](state))
+                       for n in PIPELINES[state.args.command][2] if n != "metrics.csv"}
 
 
 def _out_dir(path: Path, flag: str) -> Path:
@@ -560,15 +564,16 @@ def _report(record: list[tuple[str, dict]], paths: list[Path]) -> None:
         print(f"wrote {path}")
 
 
-# subcommand -> (stages it runs, rows of stages that run after them through
-# run_rows, artifacts in the order reported)
+# subcommand -> (stages it runs, rows of stages run after them through run_rows,
+# artifacts in the order reported); _ablation splits ablate's stages into both
 PIPELINES = {
     "filter": ((GRID, FILTER), (), ("mask_filtered.asc",)),
     "fit": ((GRID, DTM, FILTER, FIT), (), ("surface.txt", "loss_trace.csv")),
     "mesh": ((GRID, ("mesh", surface_stage), MESH), (), ("mesh.obj",)),
     "eval": ((GRID, DTM, TRUTH, ("metrics", mesh_file_stage), METRICS), (), ("metrics.csv",)),
-    "run": ((GRID, DTM, TRUTH, FILTER),
-            ((FIT, MESH, METRICS, ("mesh", format_stage)), BASELINES), tuple(sorted(ARTIFACTS))),
+    "run": ((GRID, DTM, TRUTH, FILTER), ((FIT, MESH, METRICS, ("mesh", format_stage)), BASELINES),
+            ("loss_trace.csv", "mask_filtered.asc", "mesh.obj", "metrics.csv", "surface.txt")),
+    "ablate": (STAGES, (), ("ablate.csv",)),
 }
 
 
@@ -577,17 +582,18 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     artifacts and print its record: the rows' records and reports in row order."""
     stages, rows, artifacts = PIPELINES[args.command]
     config = build_config(args)
+    rows = [(config, row) for row in rows if config.baselines or row is not BASELINES]
     if args.command == "eval":
         _csv_cell(args.method, "--method")
+    elif args.command == "ablate":
+        stages, rows = _ablation(config, args, stages)
     out = _out_dir(config.out_dir, "--out-dir")
-    state = run_stages(config, SimpleNamespace(args=args, record=[], reports={}, texts={}), stages)
-    rows = [(config, row) for row in rows if config.baselines or row is not BASELINES]
+    state = run_stages(config, SimpleNamespace(args=args, record=[], reports=[], texts={}), stages)
     if rows:
         done = run_rows(state, rows)
-        record = state.record + [entry for row in done for entry in row.record]
-        state = done[0]
-        state.record = record
-        state.reports = {name: report for row in done for name, report in row.reports.items()}
+        record, state = state.record, done[0]
+        state.record = record + [entry for row in done for entry in row.record]
+        state.reports = [pair for row in done for pair in row.reports]
     # each artifact waits as one string: its lines apart would hold more memory
     texts = {name: state.texts.get(name) or "\n".join(ARTIFACTS[name](state)) for name in artifacts}
     try:
@@ -604,21 +610,24 @@ SYNTH_FLAGS = ("seed", "vehicles", "trees", "facades", "jitter_sigma",
                "target_road_fraction", "corrupt_mask")
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    out = _out_dir(args.out, "--out")
-    try:
-        spec = synthmod.parse_scene_file(args.scene) if args.scene else synthmod.SceneSpec()
-        flags = {name: getattr(args, name) for name in SYNTH_FLAGS}
-        spec = replace(spec, **{name: value for name, value in flags.items() if value is not None})
-        scene = synthmod.generate(spec)
-        paths = synthmod.save_scene(scene, out)
-    except (ValueError, OSError) as err:
-        raise StageError("grid", str(err)) from err
+def synth_stage(config: None, state: SimpleNamespace) -> None:
+    """The --scene file's scene, or the default one, with the flags over it, saved to --out."""
+    args = state.args
+    spec = synthmod.parse_scene_file(args.scene) if args.scene else synthmod.SceneSpec()
+    flags = {name: getattr(args, name) for name in SYNTH_FLAGS}
+    scene = synthmod.generate(replace(spec, **{n: v for n, v in flags.items() if v is not None}))
+    state.paths = synthmod.save_scene(scene, args.out)
     mask = scene.mask
-    _report([("scene", {"width": mask.width, "height": mask.height, "road_cells": mask.count,
-                        "road_fraction": mask.count / mask.bits.size,
-                        "noise_cells": int((scene.provenance.values > 0).sum())})],
-            [paths[name] for name in sorted(paths)])
+    state.record.append(("scene", {"width": mask.width, "height": mask.height,
+                                   "road_cells": mask.count,
+                                   "road_fraction": mask.count / mask.bits.size,
+                                   "noise_cells": int((scene.provenance.values > 0).sum())}))
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    _out_dir(args.out, "--out")
+    state = run_stages(None, SimpleNamespace(args=args, record=[]), (("grid", synth_stage),))
+    _report(state.record, [state.paths[name] for name in sorted(state.paths)])
     return 0
 
 
@@ -643,28 +652,19 @@ def _ablation_variant(config: PipelineConfig, param: str, raw: str) -> PipelineC
         raise UsageError(f"--values: {err}") from None
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    """Stages before the one the swept key feeds run once; the rest once per value."""
-    config = build_config(args)
+def _ablation(config: PipelineConfig, args: argparse.Namespace, stages: tuple) -> tuple:
+    """The stages before the one the swept key feeds, run once, and a row per
+    --values entry: the config at that value, the rest of the stages, then
+    entry_stage, which labels the row's scores by the entry."""
     values = [_csv_cell(v, "--values") for v in args.values.split(",") if v]
     if not values:
         raise UsageError("--values must list at least one value")
     variants = [_ablation_variant(config, args.param, raw) for raw in values]
     key = "road_rate" if args.param == "sampling_rates" else args.param
-    first = [name for name, _ in STAGES].index(_SECTION_STAGE[_SECTIONS[key]])
-    path = _out_dir(config.out_dir, "--out-dir") / "ablate.csv"
-    shared = run_stages(config, SimpleNamespace(args=args, record=[], reports={}),
-                        STAGES[:first])
-    reports = [row.reports["nurbs"]
-               for row in run_rows(shared, [(variant, STAGES[first:]) for variant in variants])]
-    try:
-        write_metrics_csv(path, ("param", "value"),
-                          [([args.param, raw], report) for raw, report in zip(values, reports)])
-    except OSError as err:
-        raise UsageError(f"--out-dir: {err}") from None
-    _report(shared.record + [(f"{args.param}={raw}", asdict(report))
-                             for raw, report in zip(values, reports)], [path])
-    return 0
+    first = [name for name, _ in stages].index(_SECTION_STAGE[_SECTIONS[key]])
+    return stages[:first], [
+        (variant, (*stages[first:], ("metrics", partial(entry_stage, [args.param, raw]))))
+        for raw, variant in zip(values, variants)]
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     config.set_defaults(func=cmd_pipeline)
     subcommands = {name: subs.add_parser(name, parents=[config], help=f"{name} stage")
                    for name in ("filter", "fit", "mesh", "eval", "run", "ablate")}
-    subcommands["ablate"].set_defaults(func=cmd_ablate)
     subcommands["mesh"].add_argument("--surface", type=Path, required=True,
                                      help="serialized surface from the fit stage")
     subcommands["eval"].add_argument("--mesh", type=Path, required=True,

@@ -58,15 +58,6 @@ NODATA = -9999.0
 _HEADER_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize", "nodata_value")
 
 
-class AsciiGridError(ValueError):
-    """Malformed ``.asc`` content; message carries file path and line number."""
-
-    def __init__(self, path: str | Path, line_no: int, message: str):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path = str(path)
-        self.line_no = line_no
-
-
 def read_lines(path: str | Path) -> list[str]:
     """The lines of a UTF-8 text file, without their endings.
 
@@ -270,23 +261,24 @@ def _read_header(path: Path, lines: list[str]) -> tuple[dict, int]:
         if key not in _HEADER_KEYS:  # the first data line ends the header
             for req in ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize"):
                 if req not in header:
-                    raise AsciiGridError(path, line_no, f"missing header line {req!r}")
+                    raise ValueError(f"{path}:{line_no}: missing header line {req!r}")
             return header, index
         if key in header:
-            raise AsciiGridError(path, line_no, f"repeated header key {key!r}")
+            raise ValueError(f"{path}:{line_no}: repeated header key {key!r}")
         if len(parts) != 2:
-            raise AsciiGridError(path, line_no, f"header line needs one value, got {line.strip()!r}")
+            raise ValueError(f"{path}:{line_no}: header line needs one value, got {line.strip()!r}")
         try:
             value = header[key] = float(parts[1])
         except ValueError:
-            raise AsciiGridError(path, line_no, f"cannot parse header value {parts[1]!r}") from None
+            raise ValueError(f"{path}:{line_no}: cannot parse header value {parts[1]!r}") from None
         if key in ("ncols", "nrows") and not (value.is_integer() and value > 0):
-            raise AsciiGridError(path, line_no, f"{key} must be a positive integer, got {parts[1]!r}")
+            raise ValueError(
+                f"{path}:{line_no}: {key} must be a positive integer, got {parts[1]!r}")
         if key in ("xllcorner", "yllcorner", "cellsize") and not math.isfinite(value):
-            raise AsciiGridError(path, line_no, f"{key} must be finite, got {parts[1]!r}")
+            raise ValueError(f"{path}:{line_no}: {key} must be finite, got {parts[1]!r}")
         if key == "cellsize" and value <= 0:
-            raise AsciiGridError(path, line_no, "cellsize must be positive")
-    raise AsciiGridError(path, 1, "no data rows found")
+            raise ValueError(f"{path}:{line_no}: cellsize must be positive")
+    raise ValueError(f"{path}:1: no data rows found")
 
 
 def _parse_rows(lines: list[str]) -> np.ndarray:
@@ -303,7 +295,7 @@ def _not_binary(values: np.ndarray, nodata: float) -> np.ndarray:
 
 def _raise_at_first_bad_row(path: Path, lines: list[str], start: int,
                             ncols: int, nodata: float, mask: bool) -> None:
-    """Check the data lines one at a time and raise AsciiGridError at the
+    """Check the data lines one at a time and raise ValueError at the
     first that fails: a token that does not parse, an infinity that is not
     NODATA, a length other than ``ncols``, or in a mask a value that is not
     binary, checked in that order."""
@@ -313,15 +305,15 @@ def _raise_at_first_bad_row(path: Path, lines: list[str], start: int,
         try:
             row = _parse_rows([line])[0]
         except ValueError:
-            raise AsciiGridError(path, line_no, f"cannot parse data row: {line.strip()[:60]!r}") from None
+            raise ValueError(
+                f"{path}:{line_no}: cannot parse data row: {line.strip()[:60]!r}") from None
         if (np.isinf(row) & (row != nodata)).any():
-            raise AsciiGridError(path, line_no, "data values must be finite or NODATA")
+            raise ValueError(f"{path}:{line_no}: data values must be finite or NODATA")
         if row.size != ncols:
-            raise AsciiGridError(
-                path, line_no,
-                f"dimension mismatch: row has {row.size} values, header says ncols {ncols}")
+            raise ValueError(f"{path}:{line_no}: dimension mismatch: row has {row.size} values, "
+                             f"header says ncols {ncols}")
         if mask and _not_binary(row, nodata).any():
-            raise AsciiGridError(path, line_no, "mask values must be 0 or 1")
+            raise ValueError(f"{path}:{line_no}: mask values must be 0 or 1")
 
 
 def _parse_ascii(path: str | Path, mask: bool = False) -> tuple[dict, np.ndarray]:
@@ -347,17 +339,16 @@ def _parse_ascii(path: str | Path, mask: bool = False) -> tuple[dict, np.ndarray
     if values.shape[1] != ncols or bad.any():
         _raise_at_first_bad_row(path, lines, start, ncols, nodata, mask)
     if len(values) != nrows:
-        raise AsciiGridError(
-            path, len(lines),
-            f"dimension mismatch: {len(values)} data rows, header says nrows {nrows}")
+        raise ValueError(f"{path}:{len(lines)}: dimension mismatch: {len(values)} data rows, "
+                         f"header says nrows {nrows}")
     return header, values
 
 
 def load_raster(path: str | Path) -> Raster:
     """Read an ASCII grid file into a Raster.
 
-    Raises FileNotFoundError if the file is absent and AsciiGridError (with
-    the offending line number) on malformed content.
+    Raises FileNotFoundError if the file is absent and ValueError (naming
+    the file and the offending line) on malformed content.
     """
     return _read_grid(path, mask=False)
 

@@ -56,8 +56,8 @@ class SceneSpec:
 
     def __post_init__(self):
         for key in ("tile_size", "cell_size"):
-            if not getattr(self, key) > 0:
-                raise FieldError((key,), "tile_size and cell_size must be positive")
+            if not 0 < getattr(self, key) < np.inf:
+                raise FieldError((key,), "tile_size and cell_size must be finite and positive")
         if len(self.road) < 2:
             raise FieldError(("road",), "road polyline needs at least two waypoints")
         for x, y in self.road:

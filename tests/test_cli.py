@@ -400,6 +400,24 @@ def test_rows_print_and_write_the_same_forked_and_in_order(tile, tmp_path, capsy
                              if case == "ablate_warned" else [])
 
 
+def test_a_repeated_ablation_value_keeps_its_own_row(tile, tmp_path, capsys, monkeypatch):
+    # rows are merged in row order, not keyed by their label: value 1's two
+    # rows are two CSV rows and two entries, forked or in order
+    (command, *flags), _ = ROWS["ablate_warned"]
+    for usable in (1, 2, 3):
+        monkeypatch.setattr(cli, "usable_cpus", lambda usable=usable: usable)
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("default")
+            rc, artifacts = invoke(tmp_path / f"out{usable}", command,
+                                   *layer_flags(tile, LAYERS), *FIT_FLAGS, *flags)
+        assert rc == 0
+        assert [row["value"] for row in rows(artifacts["ablate.csv"])] == ["1", "2", "3", "1"]
+        assert [line.split(":", 1)[0] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("theta_xy=")] == [
+            "theta_xy=1", "theta_xy=2", "theta_xy=3", "theta_xy=1"]
+        no_child_is_left()
+
+
 @pytest.mark.parametrize("fork", ["fails", "missing", "no_free_memory"])
 def test_rows_run_in_order_without_a_worker(tile, run, tmp_path, monkeypatch, forks, fork):
     def no_process():
@@ -1217,6 +1235,25 @@ def test_missing_scene_file_is_a_grid_failure(tmp_path, capsys):
     assert str(scene) in err
 
 
+@pytest.mark.parametrize("fault", [
+    MemoryError("Unable to allocate 728. TiB for an array with shape (10000000, 10000000) "
+                "and data type float64"),
+    OverflowError("cannot convert float infinity to integer"),
+    RuntimeError("the scene cannot be generated"),
+], ids=["memory", "overflow", "runtime"])
+def test_a_synth_fault_is_a_grid_failure(tmp_path, capsys, monkeypatch, fault):
+    # raised, not allocated: a request that large is refused only because it
+    # exceeds the address space
+    def fail(spec):
+        raise fault
+
+    monkeypatch.setattr(synthmod, "generate", fail)
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"stage grid: {fault}\n")
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_scene_key_is_a_grid_failure(tmp_path, capsys):
     scene = tmp_path / "scene.txt"
     for line, key in (("bogus 1", "bogus"), ("slope 1 2", "slope")):
@@ -1232,7 +1269,9 @@ def test_unknown_scene_key_is_a_grid_failure(tmp_path, capsys):
     ("road", "road takes two or more x,y waypoints"),
     ("road 0,35 150,50", "road waypoint outside the tile"),
     ("road 0,35 0,35 35,45 65,55 100,70", "road segments must have positive length"),
-    ("cell_size 0", "tile_size and cell_size must be positive"),
+    ("cell_size 0", "tile_size and cell_size must be finite and positive"),
+    ("tile_size inf", "tile_size and cell_size must be finite and positive"),
+    ("cell_size inf", "tile_size and cell_size must be finite and positive"),
     ("target_road_fraction 1.5", "target_road_fraction must be in (0, 1)"),
     ("vehicles -2", "vehicles, trees and facades must be non-negative"),
     ("trees -1", "vehicles, trees and facades must be non-negative"),
